@@ -20,6 +20,7 @@ from .decoder import (
     DpColumn,
     ScoreStream,
     StreamingDecoder,
+    decode_keywords,
     decode_kws,
     decode_kws_streaming,
     detect_events,
@@ -120,6 +121,7 @@ __all__ = [
     "beam_search",
     "brute_force_score",
     "count_alignment_paths",
+    "decode_keywords",
     "decode_kws",
     "decode_kws_streaming",
     "decode_suite",

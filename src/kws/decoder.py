@@ -14,7 +14,9 @@ transition. The first processed column has no horizontal terms (the virtual
 t = 0 column contributes probability zero). In RNN-T mode every frame is
 processed; in TDT mode the oracle's greedy track predicts a duration d and
 frames t+1 .. t+d-1 are skipped outright (their score stays -inf and no
-column is computed for them).
+column is computed for them). The greedy track does not depend on the
+keyword, so ``decode_keywords`` decodes all keywords of an utterance on one
+hop schedule; ``StreamingDecoder`` and it share one column update.
 
 Everything accumulates in f64 even though oracles store f32.
 """
@@ -51,6 +53,8 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in (RNNT, TDT):
             raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {self.mode!r}")
+        if self.d_max < 0:
+            raise ValidationError(f"d_max must be >= 0, got {self.d_max}")
         if self.mode == TDT and self.d_max < 1:
             raise ValidationError("TDT mode requires d_max >= 1")
         if self.zero_duration_policy not in ZERO_DURATION_POLICIES:
@@ -109,6 +113,13 @@ class _EventGate:
         return DetectionEvent(keyword=self._keyword, frame=t, log_score=score)
 
 
+def _check_mode(oracle: EmissionOracle, config: DecodeConfig) -> None:
+    if config.mode == TDT and not oracle.supports_tdt:
+        raise ModeError(
+            f"TDT decode requested but oracle has no duration track (d_max={oracle.d_max})"
+        )
+
+
 class StreamingDecoder:
     """Frame-at-a-time DP search; never reads ahead of the delivered frame.
 
@@ -125,10 +136,7 @@ class StreamingDecoder:
         counters: SpeedCounters | None = None,
         column_sink: Callable[[int, list[float]], None] | None = None,
     ) -> None:
-        if config.mode == TDT and not oracle.supports_tdt:
-            raise ModeError(
-                f"TDT decode requested but oracle has no duration track (d_max={oracle.d_max})"
-            )
+        _check_mode(oracle, config)
         self._oracle = oracle
         self._keyword = keyword
         self._config = config
@@ -179,24 +187,11 @@ class StreamingDecoder:
     def _process(self, t: int) -> list[DetectionEvent]:
         row_y, row_phi = self._oracle.emission_rows(self._keyword, t)
         self.counters.oracle_queries += 1
-        y = row_y.tolist()
         phi = row_phi.tolist()
         U = self._keyword.num_tokens
 
         tick = perf_counter()
-        delta = [0.0] * (U + 1)
-        prev_delta = self._delta
-        if prev_delta is None:
-            # First processed column: the virtual t=0 column carries
-            # probability zero, leaving only the vertical chain.
-            for u in range(1, U + 1):
-                delta[u] = delta[u - 1] + y[u - 1]
-        else:
-            prev_phi = self._phi_last
-            for u in range(1, U + 1):
-                vertical = delta[u - 1] + y[u - 1]
-                horizontal = prev_delta[u] + prev_phi[u]
-                delta[u] = vertical if vertical >= horizontal else horizontal
+        delta = _column(self._delta, self._phi_last, row_y.tolist(), U)
         score = delta[U] + phi[U]
         self.counters.search_wall_seconds += perf_counter() - tick
 
@@ -213,15 +208,7 @@ class StreamingDecoder:
         if self._config.mode == TDT:
             step, self._greedy_state = self._oracle.greedy_step(t, self._greedy_state)
             self.counters.oracle_queries += 1
-            d = min(step.duration, self._config.d_max)
-            if d < 1:
-                if self._config.zero_duration_policy == "error":
-                    raise ValidationError(
-                        f"greedy track predicted duration 0 at frame {t} "
-                        "(zero_duration_policy='error')"
-                    )
-                d = 1
-            self._next_process = t + d
+            self._next_process = t + _hop(step.duration, t, self._config)
         else:
             self._next_process = t + 1
 
@@ -243,6 +230,111 @@ class StreamingDecoder:
         )
 
 
+def _column(
+    prev_delta: list[float] | None, prev_phi: list[float] | None, y: list[float], U: int
+) -> list[float]:
+    """The DP column delta(t, 0..U) from the previous processed column.
+
+    ``prev_delta`` is None at the first processed frame, where the virtual
+    t = 0 column carries probability zero and only the vertical chain is left.
+    """
+    delta = [0.0] * (U + 1)
+    if prev_delta is None:
+        for u in range(1, U + 1):
+            delta[u] = delta[u - 1] + y[u - 1]
+    else:
+        for u in range(1, U + 1):
+            vertical = delta[u - 1] + y[u - 1]
+            horizontal = prev_delta[u] + prev_phi[u]
+            delta[u] = vertical if vertical >= horizontal else horizontal
+    return delta
+
+
+def _hop(duration: int, t: int, config: DecodeConfig) -> int:
+    """Frames to advance after processing frame t, given the greedy duration."""
+    d = min(duration, config.d_max)
+    if d < 1:
+        if config.zero_duration_policy == "error":
+            raise ValidationError(
+                f"greedy track predicted duration 0 at frame {t} "
+                "(zero_duration_policy='error')"
+            )
+        d = 1
+    return d
+
+
+def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
+    """1-based frames a decode processes: all of them in RNN-T mode, the greedy
+    track's hops in TDT mode. The track is keyword-independent."""
+    T = oracle.num_frames
+    if config.mode != TDT:
+        return np.arange(1, T + 1)
+    frames = []
+    state = oracle.initial_greedy_state()
+    t = 1
+    while t <= T:
+        frames.append(t)
+        step, state = oracle.greedy_step(t, state)
+        t += _hop(step.duration, t, config)
+    return np.array(frames, dtype=np.int64)
+
+
+def decode_keywords(
+    oracle: EmissionOracle,
+    keywords: Sequence[KeywordSpec],
+    config: DecodeConfig,
+    utt_id: str = "",
+    counters: SpeedCounters | None = None,
+) -> list[ScoreStream]:
+    """Whole-utterance decode of several keywords on one shared hop schedule.
+
+    Bit-identical to one ``StreamingDecoder`` per keyword, and counted the
+    same way: per keyword, one row query per processed frame plus, in TDT
+    mode, one greedy query, although the schedule is computed only once.
+    ``search_wall_seconds`` brackets each keyword's column loop;
+    ``total_wall_seconds`` covers the whole call.
+    """
+    tick = perf_counter()
+    _check_mode(oracle, config)
+    counters = counters if counters is not None else SpeedCounters()
+    frames = _hop_schedule(oracle, config)
+    n = len(frames)
+    queries_per_column = 2 if config.mode == TDT else 1
+    streams = []
+    for keyword in keywords:
+        log_y, log_phi = oracle.emission_grid(keyword, frames)
+        ys = log_y.tolist()
+        phis = log_phi.tolist()
+        U = keyword.num_tokens
+        column_scores = []
+        search_tick = perf_counter()
+        delta = prev_phi = None
+        for y, phi in zip(ys, phis):
+            delta = _column(delta, prev_phi, y, U)
+            column_scores.append(delta[U] + phi[U])
+            prev_phi = phi
+        counters.search_wall_seconds += perf_counter() - search_tick
+        counters.columns_evaluated += n
+        counters.oracle_queries += queries_per_column * n
+
+        scores = np.full(oracle.num_frames, NEG_INF, dtype=np.float64)
+        scores[frames - 1] = column_scores
+        processed = np.zeros(oracle.num_frames, dtype=bool)
+        processed[frames - 1] = True
+        streams.append(
+            ScoreStream(
+                utt_id=utt_id,
+                keyword=keyword.name,
+                frame_seconds=oracle.frame_seconds,
+                scores=scores,
+                processed=processed,
+                columns_evaluated=n,
+            )
+        )
+    counters.total_wall_seconds += perf_counter() - tick
+    return streams
+
+
 def decode_kws(
     oracle: EmissionOracle,
     keyword: KeywordSpec,
@@ -251,13 +343,7 @@ def decode_kws(
     counters: SpeedCounters | None = None,
 ) -> ScoreStream:
     """Whole-utterance decode; returns the full ScoreStream."""
-    tick = perf_counter()
-    decoder = StreamingDecoder(oracle, keyword, config, utt_id=utt_id, counters=counters)
-    for t in range(1, oracle.num_frames + 1):
-        decoder.push(t)
-    stream = decoder.finish()
-    decoder.counters.total_wall_seconds += perf_counter() - tick
-    return stream
+    return decode_keywords(oracle, [keyword], config, utt_id=utt_id, counters=counters)[0]
 
 
 def decode_kws_streaming(
@@ -288,9 +374,7 @@ def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEv
     """
     gate = _EventGate(stream.keyword, config)
     events = []
-    for idx, flag in enumerate(stream.processed):
-        if not flag:
-            continue
+    for idx in np.flatnonzero(stream.processed).tolist():
         event = gate.offer(idx + 1, float(stream.scores[idx]))
         if event is not None:
             events.append(event)
@@ -309,15 +393,17 @@ def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEv
     if refractory_frames < 0:
         raise ValidationError("refractory_frames must be >= 0")
     scores = stream.scores
-    n = len(scores)
-    order = np.lexsort((np.arange(n), -scores))
-    suppressed = np.zeros(n, dtype=bool)
+    # Only finite scores can become events, and skipped frames (-inf) sort
+    # last anyway, so the walk covers the processed frames alone.
+    finite = np.flatnonzero(np.isfinite(scores))
+    order = finite[np.lexsort((finite, -scores[finite]))]
+    suppressed = np.zeros(len(scores), dtype=bool)
     events = []
-    for idx in order:
+    for idx in order.tolist():
         score = float(scores[idx])
-        if suppressed[idx] or math.isinf(score):
+        if suppressed[idx]:
             continue
-        events.append(DetectionEvent(stream.keyword, int(idx) + 1, score))
+        events.append(DetectionEvent(stream.keyword, idx + 1, score))
         lo = max(0, idx - refractory_frames)
         suppressed[lo : idx + refractory_frames + 1] = True
     events.sort(key=lambda e: e.frame)
@@ -353,12 +439,6 @@ def _encode_float(value: float) -> float | str:
     return float(value)
 
 
-def _decode_float(value: float | str) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
 def scorestream_record(stream: ScoreStream, events: Sequence[DetectionEvent]) -> dict:
     """JSON-safe record for one utterance (-inf encoded as the string "-inf")."""
     return {
@@ -380,13 +460,14 @@ def parse_scorestream_record(record: dict) -> tuple[ScoreStream, list[DetectionE
         utt_id=record["utt_id"],
         keyword=record["keyword"],
         frame_seconds=record["frame_seconds"],
-        scores=np.array([_decode_float(s) for s in record["scores"]], dtype=np.float64),
+        # float() reads both JSON numbers and the "-inf"/"inf" strings.
+        scores=np.array([float(s) for s in record["scores"]], dtype=np.float64),
         processed=np.array(record["processed"], dtype=bool),
         columns_evaluated=record["columns_evaluated"],
     )
     events = [
         DetectionEvent(
-            keyword=e["keyword"], frame=e["frame"], log_score=_decode_float(e["log_score"])
+            keyword=e["keyword"], frame=e["frame"], log_score=float(e["log_score"])
         )
         for e in record.get("events", [])
     ]

@@ -128,6 +128,29 @@ class EmissionOracle(ABC):
         for u in [0, U]. Rows are f32 and must not be mutated by callers.
         """
 
+    def emission_grid(
+        self, keyword: KeywordSpec, frames: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keyword-track emissions for many frames at once.
+
+        ``frames`` holds 1-based frame indices. Returns ``(log_y, log_phi)``
+        of shapes (len(frames), U) and (len(frames), U + 1), row i being
+        ``emission_rows(keyword, frames[i])``. This default stacks those
+        rows; oracles that hold whole grids override it with one index.
+        """
+        U = keyword.num_tokens
+        log_y = np.empty((len(frames), U), dtype=np.float32)
+        log_phi = np.empty((len(frames), U + 1), dtype=np.float32)
+        for i, t in enumerate(frames):
+            log_y[i], log_phi[i] = self.emission_rows(keyword, int(t))
+        return log_y, log_phi
+
+    def _check_frames(self, frames: np.ndarray) -> None:
+        if len(frames) and not (1 <= frames.min() and frames.max() <= self.num_frames):
+            raise ValidationError(
+                f"frame indices must lie in [1, {self.num_frames}]"
+            )
+
     def keyword_emissions(self, keyword: KeywordSpec, query: EmissionQuery) -> KeywordEmissions:
         """Answer one (t, u) node query; see EmissionQuery for bounds."""
         self._check_frame(query.t)

@@ -19,6 +19,7 @@ always produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,8 +91,10 @@ class LatticeData:
                 raise LatticeValueError(
                     f"greedy_duration exceeds D_max={self.d_max}"
                 )
-        if self.frame_seconds <= 0:
-            raise ValidationError("frame_seconds must be > 0")
+        if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
+            raise ValidationError(
+                f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
+            )
 
 
 def save_lattice(data: LatticeData, path: str | Path) -> Path:
@@ -235,6 +238,13 @@ class FileLatticeOracle(EmissionOracle):
         self._check_keyword(keyword)
         return self._data.log_y[t - 1], self._data.log_phi[t - 1]
 
+    def emission_grid(
+        self, keyword: KeywordSpec, frames: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._check_frames(frames)
+        self._check_keyword(keyword)
+        return self._data.log_y[frames - 1], self._data.log_phi[frames - 1]
+
     def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, object]:
         if not self.supports_tdt:
             raise ModeError("lattice has no greedy track (D_max=0); TDT mode unavailable")
@@ -258,13 +268,7 @@ def load_lattice(path: str | Path) -> FileLatticeOracle:
 def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> LatticeData:
     """Freeze an oracle's keyword-conditioned view (plus greedy track) to LatticeData."""
     T = oracle.num_frames
-    U = keyword.num_tokens
-    log_y = np.empty((T, U), dtype=np.float32)
-    log_phi = np.empty((T, U + 1), dtype=np.float32)
-    for t in range(1, T + 1):
-        row_y, row_phi = oracle.emission_rows(keyword, t)
-        log_y[t - 1] = row_y
-        log_phi[t - 1] = row_phi
+    log_y, log_phi = oracle.emission_grid(keyword, np.arange(1, T + 1))
     greedy_tokens = greedy_durations = None
     if oracle.d_max > 0:
         # Canonical greedy pass: one step per frame, threading the history state.

@@ -73,8 +73,8 @@ def recall_at_far(
     pos = np.asarray(pos_scores, dtype=np.float64)
     if pos.size == 0:
         raise ValidationError("pos_scores must be non-empty")
-    if neg_hours <= 0:
-        raise ValidationError("neg_hours must be > 0")
+    if not (math.isfinite(neg_hours) and neg_hours > 0):
+        raise ValidationError(f"neg_hours must be finite and > 0, got {neg_hours}")
     if target_far < 0:
         raise ValidationError("target_far must be >= 0")
     neg = np.sort(np.asarray(neg_event_scores, dtype=np.float64))

@@ -3,20 +3,26 @@
 Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
-keyword conditioning). ASR baseline rows always use the generative oracle.
+keyword conditioning). Each negative builds one ``SyntheticOracle`` per run
+and decodes all keywords on one shared hop schedule (``decode_keywords``);
+its ``oracle_queries`` still count one row query per keyword per column,
+plus one greedy query per keyword per column in TDT mode. ASR baseline rows
+always use the generative oracle.
 
-With --jobs N, per-utterance decodes run in a process pool; results are
-aggregated in manifest order and wall counters are sums of per-decode
-durations, so N never changes any deterministic output.
+With --jobs N, per-utterance decodes run in a process pool of at most
+min(N, CPU count, job count) workers; results are aggregated in manifest
+order and wall counters are sums of per-decode durations, so N never changes
+any deterministic output.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +30,8 @@ from .baselines import AsrConfig, Hypothesis, beam_search, greedy_search, keywor
 from .brute_force import brute_force_score
 from .decoder import (
     DecodeConfig,
+    _encode_float,
+    decode_keywords,
     decode_kws,
     detect_events,
     peak_events,
@@ -39,122 +47,79 @@ from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 REPORT_SCHEMA = "kws-bench-report@1"
 
 
-def _encode_float(value: float) -> float | str:
-    if value == NEG_INF:
-        return "-inf"
-    if value == math.inf:
-        return "inf"
-    return float(value)
-
-
 def _config_echo(config: DecodeConfig) -> dict:
     echo = asdict(config)
     echo["threshold_log"] = _encode_float(config.threshold_log)
     return echo
 
 
-# One decode job, picklable for process pools.
+# One utterance's decode against one or more keywords, picklable for
+# process pools. Exactly one of lattice_path and synth is set.
 @dataclass(frozen=True)
 class _DecodeJob:
     utt_id: str
-    kind: str  # "file" | "synth"
-    lattice_path: str | None
-    synth: dict | None
-    keyword_name: str
-    keyword_tokens: tuple[int, ...]
-    config: tuple  # (mode, d_max, zero_duration_policy, threshold_log, refractory_frames)
-    full_record: bool
+    keywords: tuple[KeywordSpec, ...]
+    config: DecodeConfig
+    lattice_path: str | None = None
+    synth: SyntheticJoinerConfig | None = None
+    full_record: bool = False
     # "causal": the live gate (streaming semantics, honors the threshold).
     # "peaks": threshold-free non-maximum suppression, for benchmark sweeps.
     event_policy: str = "causal"
 
 
-def _job_config(job: _DecodeJob) -> DecodeConfig:
-    mode, d_max, policy, threshold_log, refractory = job.config
-    return DecodeConfig(
-        mode=mode,
-        d_max=d_max,
-        zero_duration_policy=policy,
-        threshold_log=threshold_log,
-        refractory_frames=refractory,
-    )
-
-
 def _run_decode_job(job: _DecodeJob) -> dict:
-    config = _job_config(job)
-    keyword = KeywordSpec(job.keyword_name, job.keyword_tokens)
+    """Decode one job; event scores and records are per keyword, in job order."""
+    config = job.config
     counters = SpeedCounters()
-    if job.kind == "file":
+    if job.lattice_path is not None:
         tick = perf_counter()
         oracle = load_lattice(job.lattice_path)
         counters.total_wall_seconds += perf_counter() - tick
     else:
-        oracle = SyntheticOracle(SyntheticJoinerConfig.from_json_dict(job.synth))
-    stream = decode_kws(oracle, keyword, config, utt_id=job.utt_id, counters=counters)
-    if job.event_policy == "peaks":
-        events = peak_events(stream, config.refractory_frames)
-    else:
-        events = detect_events(stream, config)
-    out = {
-        "utt_id": job.utt_id,
-        "event_scores": [e.log_score for e in events],
-        "counters": (
-            counters.columns_evaluated,
-            counters.oracle_queries,
-            counters.search_wall_seconds,
-            counters.total_wall_seconds,
-        ),
-    }
-    if job.full_record:
-        out["record"] = scorestream_record(stream, events)
-    return out
+        oracle = SyntheticOracle(job.synth)
+    streams = decode_keywords(oracle, job.keywords, config, utt_id=job.utt_id, counters=counters)
+    event_scores, records = [], []
+    for stream in streams:
+        if job.event_policy == "peaks":
+            events = peak_events(stream, config.refractory_frames)
+        else:
+            events = detect_events(stream, config)
+        event_scores.append([e.log_score for e in events])
+        if job.full_record:
+            records.append(scorestream_record(stream, events))
+    return {"event_scores": event_scores, "records": records, "counters": counters}
 
 
-def _run_jobs(jobs: Sequence[_DecodeJob], workers: int) -> list[dict]:
-    if workers <= 1 or len(jobs) <= 1:
+def worker_count(requested: int, tasks: int) -> int:
+    """Pool size for ``tasks`` jobs: ``requested`` capped by the CPU and job counts."""
+    if requested < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {requested}")
+    return max(1, min(requested, os.cpu_count() or 1, tasks))
+
+
+def _run_jobs(jobs: Sequence[_DecodeJob], requested: int) -> list[dict]:
+    workers = worker_count(requested, len(jobs))
+    if workers == 1:
         return [_run_decode_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_decode_job, jobs, chunksize=8))
 
 
-def _config_tuple(config: DecodeConfig) -> tuple:
-    return (
-        config.mode,
-        config.d_max,
-        config.zero_duration_policy,
-        config.threshold_log,
-        config.refractory_frames,
-    )
-
-
 def decode_suite(suite: SuiteManifest, config: DecodeConfig, jobs: int = 1) -> list[dict]:
     """Decode every utterance against its lattice keyword; returns JSONL records."""
     by_name = suite.keywords_by_name
-    decode_jobs = []
-    for utt in sorted(suite.utterances, key=lambda u: u.utt_id):
-        keyword = by_name[utt.lattice_keyword]
-        decode_jobs.append(
-            _DecodeJob(
-                utt_id=utt.utt_id,
-                kind="file",
-                lattice_path=str(suite.lattice_path(utt)),
-                synth=None,
-                keyword_name=keyword.name,
-                keyword_tokens=keyword.tokens,
-                config=_config_tuple(config),
-                full_record=True,
-            )
+    decode_jobs = [
+        _DecodeJob(
+            utt_id=utt.utt_id,
+            keywords=(by_name[utt.lattice_keyword],),
+            config=config,
+            lattice_path=str(suite.lattice_path(utt)),
+            full_record=True,
         )
-    results = _run_jobs(decode_jobs, jobs)
-    return [r["record"] for r in sorted(results, key=lambda r: r["utt_id"])]
-
-
-def _counters_from(results: Iterable[dict]) -> SpeedCounters:
-    total = SpeedCounters()
-    for r in results:
-        c, q, s, t = r["counters"]
-        total.add(SpeedCounters(c, q, s, t))
-    return total
+        for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
+    ]
+    return [r["records"][0] for r in _run_jobs(decode_jobs, jobs)]
 
 
 def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
@@ -181,46 +146,43 @@ def _bench_one_run(
     collect = replace(config, threshold_log=NEG_INF)
     negatives = sorted(suite.negatives(epsilon), key=lambda u: u.utt_id)
     neg_hours = sum(u.duration_seconds for u in negatives) / 3600.0
+    positives = [
+        sorted(suite.positives(keyword.name, epsilon), key=lambda u: u.utt_id)
+        for keyword in suite.keywords
+    ]
+    pos_jobs = [
+        _DecodeJob(
+            utt_id=u.utt_id,
+            keywords=(keyword,),
+            config=collect,
+            lattice_path=str(suite.lattice_path(u)),
+            event_policy="peaks",
+        )
+        for keyword, utts in zip(suite.keywords, positives)
+        for u in utts
+    ]
+    neg_jobs = [
+        _DecodeJob(
+            utt_id=u.utt_id,
+            keywords=suite.keywords,
+            config=collect,
+            synth=u.synth,
+            event_policy="peaks",
+        )
+        for u in negatives
+    ]
+    results = _run_jobs(pos_jobs + neg_jobs, jobs)
     counters = SpeedCounters()
+    for r in results:
+        counters.add(r["counters"])
+    pos_results = iter(results[: len(pos_jobs)])
+    neg_results = results[len(pos_jobs) :]
     per_keyword = []
-    for keyword in suite.keywords:
-        positives = sorted(suite.positives(keyword.name, epsilon), key=lambda u: u.utt_id)
-        pos_jobs = [
-            _DecodeJob(
-                utt_id=u.utt_id,
-                kind="file",
-                lattice_path=str(suite.lattice_path(u)),
-                synth=None,
-                keyword_name=keyword.name,
-                keyword_tokens=keyword.tokens,
-                config=_config_tuple(collect),
-                full_record=False,
-                event_policy="peaks",
-            )
-            for u in positives
-        ]
-        neg_jobs = [
-            _DecodeJob(
-                utt_id=u.utt_id,
-                kind="synth",
-                lattice_path=None,
-                synth=u.synth.to_json_dict(),
-                keyword_name=keyword.name,
-                keyword_tokens=keyword.tokens,
-                config=_config_tuple(collect),
-                full_record=False,
-                event_policy="peaks",
-            )
-            for u in negatives
-        ]
-        pos_results = _run_jobs(pos_jobs, jobs)
-        neg_results = _run_jobs(neg_jobs, jobs)
-        counters.add(_counters_from(pos_results))
-        counters.add(_counters_from(neg_results))
+    for k, (keyword, utts) in enumerate(zip(suite.keywords, positives)):
         pos_scores = [
-            max(r["event_scores"], default=NEG_INF) for r in pos_results
+            max(next(pos_results)["event_scores"][0], default=NEG_INF) for _ in utts
         ]
-        neg_scores = [s for r in neg_results for s in r["event_scores"]]
+        neg_scores = [s for r in neg_results for s in r["event_scores"][k]]
         rar = recall_at_far(pos_scores, neg_scores, neg_hours, target_far)
         per_keyword.append(_recall_entry(keyword.name, rar, len(neg_scores)))
     run = {

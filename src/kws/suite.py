@@ -24,6 +24,7 @@ byte-identical trees.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +87,10 @@ class SuiteGenSpec:
             raise ValidationError("bad keyword length range")
         if self.filler_pool < 1:
             raise ValidationError("filler_pool must be >= 1")
+        if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
+            raise ValidationError(
+                f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
+            )
 
 
 def _draw_keywords(spec: SuiteGenSpec) -> tuple[tuple[KeywordSpec, ...], int]:

@@ -74,8 +74,10 @@ class SyntheticJoinerConfig:
             raise ValidationError("d_max must be >= 0")
         if not 0.0 < self.duration_concentration <= 1.0:
             raise ValidationError("duration_concentration must be in (0, 1]")
-        if self.frame_seconds <= 0:
-            raise ValidationError("frame_seconds must be > 0")
+        if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
+            raise ValidationError(
+                f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
+            )
         last_end = 0
         for token, start, duration in sorted(self.alignment, key=lambda s: s[1]):
             if not 1 <= token <= self.vocab_size:
@@ -226,6 +228,13 @@ class SyntheticOracle(EmissionOracle):
         self._check_frame(t)
         log_y, log_phi = self._grids(keyword)
         return log_y[t - 1], log_phi[t - 1]
+
+    def emission_grid(
+        self, keyword: KeywordSpec, frames: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._check_frames(frames)
+        log_y, log_phi = self._grids(keyword)
+        return log_y[frames - 1], log_phi[frames - 1]
 
     def keyword_conditional_log_probs(self, keyword: KeywordSpec, t: int, u: int) -> np.ndarray:
         """Full V+1 distribution behind the keyword-track node (t, u)."""

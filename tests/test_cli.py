@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,17 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kws import KeywordSpec, LatticeData, save_lattice
+from kws import (
+    DecodeConfig,
+    KeywordSpec,
+    LatticeData,
+    ValidationError,
+    bench,
+    load_manifest,
+    save_lattice,
+)
 from kws.cli import main
+from kws.runner import worker_count
 
 GEN_FLAGS = [
     "--keywords", "alpha", "bravo",
@@ -101,6 +111,43 @@ def test_decode_jobs_do_not_change_output(base_suite, tmp_path):
     assert main(["decode", "--suite", str(base_suite), "--out", str(serial)]) == 0
     assert main(["decode", "--suite", str(base_suite), "--jobs", "3", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def drop_wall(obj):
+    """Copy of a report without its wall-clock ("wall") keys."""
+    if isinstance(obj, dict):
+        return {k: drop_wall(v) for k, v in obj.items() if k != "wall"}
+    if isinstance(obj, list):
+        return [drop_wall(v) for v in obj]
+    return obj
+
+
+def test_bench_jobs_do_not_change_report(base_suite):
+    suite = load_manifest(base_suite)
+    configs = (DecodeConfig(mode="rnnt"), DecodeConfig(mode="tdt", d_max=3))
+    serial = bench(suite, *configs, target_far=0.0, jobs=1)
+    parallel = bench(suite, *configs, target_far=0.0, jobs=2)
+    assert drop_wall(parallel) == drop_wall(serial)
+
+
+@pytest.mark.parametrize("command", ["decode", "bench"])
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_a_usage_error(base_suite, command, jobs):
+    assert main([command, "--suite", str(base_suite), "--jobs", jobs]) == 1
+
+
+def test_worker_count_is_capped_by_cpus_and_jobs(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(1, 100) == 1
+    assert worker_count(3, 100) == 3
+    assert worker_count(1000, 100) == 4
+    assert worker_count(1000, 2) == 2
+    assert worker_count(3, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
+    for requested in (0, -5):
+        with pytest.raises(ValidationError):
+            worker_count(requested, 100)
 
 
 def test_tdt_equals_rnnt_on_all_ones_durations(ones_suite, tmp_path):

@@ -189,6 +189,8 @@ def test_config_validation():
         DecodeConfig(mode="rnnt", refractory_frames=-1)
     with pytest.raises(ValidationError):
         DecodeConfig(mode="nope")
+    with pytest.raises(ValidationError):
+        DecodeConfig(mode="rnnt", d_max=-3)
 
 
 def test_delta_column_invariants():

@@ -1,6 +1,7 @@
 """KWL1 binary lattice format: layout, round-trip, rejection, replay fidelity."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from kws import (
     BadMagicError,
     DimensionMismatchError,
+    EmissionOracle,
     KeywordSpec,
     LatticeData,
     LatticeValueError,
@@ -144,6 +146,20 @@ def test_positive_log_prob_rejected(tmp_path):
         read_lattice(path)
 
 
+@pytest.mark.parametrize("frame_seconds", [math.nan, math.inf])
+def test_non_finite_frame_seconds_rejected(tmp_path, frame_seconds):
+    data = tiny_data()
+    path = save_lattice(data, tmp_path / "x.kwl")
+    raw = bytearray(path.read_bytes())
+    raw[HEADER.size - 4 : HEADER.size] = struct.pack("<f", frame_seconds)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(LatticeValueError):
+        read_lattice(path)
+    data.frame_seconds = frame_seconds
+    with pytest.raises(ValidationError):
+        data.validate()
+
+
 def test_duration_above_header_cap_rejected(tmp_path):
     path = save_lattice(tiny_data(d_max=2), tmp_path / "x.kwl")
     raw = bytearray(path.read_bytes())
@@ -206,6 +222,21 @@ def test_replay_matches_source_oracle(tmp_path):
         step_r, state_r = replay.greedy_step(t, state_r)
         assert step_s.token == step_r.token
         assert step_s.duration == step_r.duration
+
+    # Bulk row fetches: both overrides and the stacking default agree with
+    # emission_rows, and frame indices outside [1, T] are rejected.
+    frames = np.array([1, 2, 5, 12])
+    want = [np.stack(rows) for rows in zip(*(source.emission_rows(kw, int(t)) for t in frames))]
+    for oracle in (source, replay):
+        default = EmissionOracle.emission_grid(oracle, kw, frames)
+        for grid in (oracle.emission_grid(kw, frames), default):
+            for got, expected in zip(grid, want):
+                assert got.tobytes() == expected.tobytes()
+        for bad in ([0, 1], [12, 13], [-1]):
+            with pytest.raises(ValidationError):
+                oracle.emission_grid(kw, np.array(bad))
+    with pytest.raises(DimensionMismatchError):
+        replay.emission_grid(KeywordSpec("other", (5, 6, 7)), frames)
 
 
 @settings(max_examples=40, deadline=None)

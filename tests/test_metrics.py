@@ -69,6 +69,10 @@ def test_recall_at_far_validation():
     with pytest.raises(ValidationError):
         recall_at_far([0.0], [], neg_hours=-1.0, target_far=0.0)
     with pytest.raises(ValidationError):
+        recall_at_far([0.0], [], neg_hours=math.nan, target_far=0.0)
+    with pytest.raises(ValidationError):
+        recall_at_far([0.0], [], neg_hours=math.inf, target_far=0.0)
+    with pytest.raises(ValidationError):
         recall_at_far([0.0], [], neg_hours=1.0, target_far=-0.1)
 
 

@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kws import (
+    NEG_INF,
     DecodeConfig,
+    DetectionEvent,
     KeywordSpec,
     ProtocolError,
+    SpeedCounters,
     StreamingDecoder,
     SyntheticJoinerConfig,
     SyntheticOracle,
+    ValidationError,
+    decode_keywords,
     decode_kws,
     decode_kws_streaming,
 )
-from kws.decoder import detect_events
+from kws.decoder import detect_events, peak_events
 from kws.runner import random_proper_lattice
 from kws.lattice import FileLatticeOracle
 
@@ -118,3 +125,124 @@ def test_column_property_reports_last_processed_frame():
     assert decoder.column.delta[0] == 0.0
     assert len(decoder.column.delta) == 2
     assert len(decoder.column.phi_last) == 2
+
+
+def _peak_events_reference(stream, refractory_frames):
+    """peak_events as a walk over every frame, finite or not."""
+    scores = stream.scores
+    n = len(scores)
+    suppressed = np.zeros(n, dtype=bool)
+    events = []
+    for idx in np.lexsort((np.arange(n), -scores)):
+        score = float(scores[idx])
+        if suppressed[idx] or np.isinf(score):
+            continue
+        events.append(DetectionEvent(stream.keyword, int(idx) + 1, score))
+        suppressed[max(0, idx - refractory_frames) : idx + refractory_frames + 1] = True
+    return sorted(events, key=lambda e: e.frame)
+
+
+TIE_VALUES = np.float32([0.0, np.log(0.5), np.log(0.25), -np.inf])
+
+
+def _lattice_case(rng, d_max, tie_heavy):
+    """A random proper lattice, optionally quantized to a few log values, with
+    some -inf entries; returns (oracle, keywords)."""
+    data = random_proper_lattice(rng, t_max=30, u_max=4, d_max=d_max)
+    for grid in (data.log_y, data.log_phi):
+        if tie_heavy:
+            grid[...] = rng.choice(TIE_VALUES, size=grid.shape)
+        grid[rng.random(grid.shape) < 0.1] = -np.inf
+    return FileLatticeOracle(data), [data.keyword] * int(rng.integers(1, 3))
+
+
+def _synthetic_case(rng, d_max):
+    """A SyntheticOracle whose timeline plants some of several keywords of
+    different lengths; returns (oracle, keywords)."""
+    vocab = 9
+    keywords = [
+        KeywordSpec(f"kw{k}", tuple(rng.integers(1, vocab + 1, rng.integers(1, 5)).tolist()))
+        for k in range(int(rng.integers(1, 5)))
+    ]
+    num_frames = int(rng.integers(1, 50))
+    segments, t = [], 1
+    while t <= num_frames:
+        if rng.random() < 0.3:
+            tokens = keywords[rng.integers(len(keywords))].tokens
+        else:
+            tokens = (int(rng.integers(1, vocab + 1)),)
+        for token in tokens:
+            if t > num_frames:
+                break
+            duration = int(min(rng.integers(1, 4), num_frames - t + 1))
+            segments.append((token, t, duration))
+            t += duration + int(rng.integers(0, 2))
+    config = SyntheticJoinerConfig(
+        vocab_size=vocab,
+        num_frames=num_frames,
+        alignment=tuple(segments),
+        epsilon=float(rng.choice([0.0, 0.3])),  # 0.0 gives -inf rows
+        d_max=d_max,
+        # Below 1/(d_max+1) the argmax duration is 0, which exercises the
+        # zero-duration policy.
+        duration_concentration=float(rng.choice([1.0, 0.5, 0.1])),
+    )
+    return SyntheticOracle(config), keywords
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    synthetic=st.booleans(),
+    tie_heavy=st.booleans(),
+    tdt=st.booleans(),
+    cap=st.integers(1, 4),
+    policy=st.sampled_from(["clamp", "error"]),
+    threshold_log=st.sampled_from([NEG_INF, -8.0, -3.0, 0.0]),
+    refractory=st.sampled_from([0, 1, 3, 34]),
+)
+def test_shared_hop_decode_equals_separate_streaming_decodes(
+    seed, synthetic, tie_heavy, tdt, cap, policy, threshold_log, refractory
+):
+    rng = np.random.default_rng(seed)
+    d_max = int(rng.integers(1, 5)) if tdt else 0
+    if synthetic:
+        oracle, keywords = _synthetic_case(rng, d_max)
+    else:
+        oracle, keywords = _lattice_case(rng, d_max, tie_heavy)
+    config = DecodeConfig(
+        mode="tdt" if tdt else "rnnt",
+        d_max=cap if tdt else 0,
+        zero_duration_policy=policy,
+        threshold_log=threshold_log,
+        refractory_frames=refractory,
+    )
+
+    expected, expected_counters = [], SpeedCounters()
+    try:
+        for keyword in keywords:
+            decoder = StreamingDecoder(oracle, keyword, config, "u", expected_counters)
+            events = []
+            for t in range(1, oracle.num_frames + 1):
+                events.extend(decoder.push(t))
+            expected.append((decoder.finish(), events))
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as raised:
+            decode_keywords(oracle, keywords, config, "u")
+        assert str(raised.value) == str(exc)
+        return
+
+    counters = SpeedCounters()
+    streams = decode_keywords(oracle, keywords, config, "u", counters)
+    assert len(streams) == len(keywords)
+    for stream, keyword, (reference, streamed_events) in zip(streams, keywords, expected):
+        assert stream.keyword == keyword.name
+        assert stream.scores.tobytes() == reference.scores.tobytes()
+        assert stream.processed.tobytes() == reference.processed.tobytes()
+        assert stream.columns_evaluated == reference.columns_evaluated
+        assert detect_events(stream, config) == streamed_events
+        peaks = peak_events(stream, refractory)
+        assert peaks == peak_events(reference, refractory)
+        assert peaks == _peak_events_reference(stream, refractory)
+    assert counters.columns_evaluated == expected_counters.columns_evaluated
+    assert counters.oracle_queries == expected_counters.oracle_queries

@@ -217,3 +217,6 @@ def test_spec_validation():
         SuiteGenSpec(duration_min=3, duration_max=2)
     with pytest.raises(ValidationError):
         SuiteGenSpec(d_max=-1)
+    for frame_seconds in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            SuiteGenSpec(frame_seconds=frame_seconds)

@@ -68,6 +68,11 @@ def test_config_rejects_out_of_range_fields():
             vocab_size=5, num_frames=3, alignment=((1, 2, 5),), epsilon=0.0,
             d_max=0, duration_concentration=1.0, seed=0,
         )
+    for frame_seconds in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            SyntheticJoinerConfig(
+                vocab_size=5, num_frames=10, alignment=(), frame_seconds=frame_seconds
+            )
 
 
 def test_config_json_round_trip():
