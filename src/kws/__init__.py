@@ -17,27 +17,21 @@ from .brute_force import (
 from .decoder import (
     DecodeConfig,
     DetectionEvent,
-    DpColumn,
     ScoreStream,
     StreamingDecoder,
     decode_keywords,
     decode_kws,
-    decode_kws_streaming,
     detect_events,
     dump_delta_matrix,
     parse_scorestream_record,
     scorestream_record,
-    write_scorestream_jsonl,
 )
 from .emissions import (
     BLANK_ID,
     NEG_INF,
     EmissionOracle,
-    EmissionQuery,
     GreedyStepOutput,
-    KeywordEmissions,
     KeywordSpec,
-    query_keyword_emissions,
 )
 from .errors import (
     BadMagicError,
@@ -46,6 +40,7 @@ from .errors import (
     KwsError,
     LatticeFormatError,
     LatticeValueError,
+    ManifestError,
     ModeError,
     ProtocolError,
     SidecarError,
@@ -71,7 +66,6 @@ from .suite import (
     Utterance,
     gen_suite,
     load_manifest,
-    snapshot_generative,
 )
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
@@ -87,18 +81,16 @@ __all__ = [
     "DecodeConfig",
     "DetectionEvent",
     "DimensionMismatchError",
-    "DpColumn",
     "EmissionOracle",
-    "EmissionQuery",
     "FileLatticeOracle",
     "GreedyStepOutput",
     "Hypothesis",
-    "KeywordEmissions",
     "KeywordSpec",
     "KwsError",
     "LatticeData",
     "LatticeFormatError",
     "LatticeValueError",
+    "ManifestError",
     "ModeError",
     "NEG_INF",
     "ProtocolError",
@@ -123,7 +115,6 @@ __all__ = [
     "count_alignment_paths",
     "decode_keywords",
     "decode_kws",
-    "decode_kws_streaming",
     "decode_suite",
     "detect_events",
     "dump_delta_matrix",
@@ -137,14 +128,11 @@ __all__ = [
     "macro_recall",
     "oracle_check",
     "parse_scorestream_record",
-    "query_keyword_emissions",
     "random_proper_lattice",
     "read_lattice",
     "recall_at_far",
     "save_lattice",
     "scorestream_record",
     "snapshot",
-    "snapshot_generative",
     "speedup",
-    "write_scorestream_jsonl",
 ]

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import RNNT, TDT, _check_search_config, _hop
 from .emissions import BLANK_ID, EmissionOracle
 from .errors import CapabilityError, ModeError, ValidationError
-
-RNNT = "rnnt"
-TDT = "tdt"
 
 
 @dataclass(frozen=True)
@@ -48,12 +46,7 @@ class AsrConfig:
     max_symbols_per_frame: int = 10
 
     def __post_init__(self) -> None:
-        if self.mode not in (RNNT, TDT):
-            raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {self.mode!r}")
-        if self.mode == TDT and self.d_max < 1:
-            raise ValidationError("TDT mode requires d_max >= 1")
-        if self.zero_duration_policy not in ("clamp", "error"):
-            raise ValidationError("zero_duration_policy must be 'clamp' or 'error'")
+        _check_search_config(self)
         if self.max_symbols_per_frame < 1:
             raise ValidationError("max_symbols_per_frame must be >= 1")
 
@@ -64,18 +57,6 @@ def _require_generative(oracle: EmissionOracle) -> None:
             f"{type(oracle).__name__} cannot answer arbitrary-history queries; "
             "ASR baselines need a generative oracle"
         )
-
-
-def _advance(oracle: EmissionOracle, config: AsrConfig, t: int, history: list[int]) -> int:
-    if config.mode != TDT:
-        return 1
-    duration_vec = oracle.duration_log_probs(t, history)
-    d = min(int(np.argmax(duration_vec)), config.d_max)
-    if d < 1:
-        if config.zero_duration_policy == "error":
-            raise ValidationError(f"duration 0 predicted at frame {t}")
-        d = 1
-    return d
 
 
 def greedy_search(oracle: EmissionOracle, config: AsrConfig = AsrConfig()) -> Hypothesis:
@@ -99,7 +80,10 @@ def greedy_search(oracle: EmissionOracle, config: AsrConfig = AsrConfig()) -> Hy
             emit_frames.append(t)
             emitted += 1
         log_prob += float(vec[BLANK_ID])
-        t += _advance(oracle, config, t, tokens)
+        if config.mode == TDT:
+            t += _hop(int(np.argmax(oracle.duration_log_probs(t, tokens))), t, config)
+        else:
+            t += 1
     return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))
 
 

@@ -20,22 +20,24 @@ import os
 import sys
 from pathlib import Path
 
-from .decoder import DecodeConfig, decode_kws, detect_events, dump_delta_matrix
+from .decoder import RNNT, TDT, ZERO_DURATION_POLICIES, DecodeConfig, dump_delta_matrix
 from .emissions import NEG_INF
 from .errors import (
     CapabilityError,
     LatticeFormatError,
+    ManifestError,
     ModeError,
     ProtocolError,
     SizeLimitError,
     ValidationError,
 )
 from .lattice import load_lattice
-from .runner import bench, decode_suite, format_report_table, oracle_check
+from .runner import bench, decode_suite, format_report_table, oracle_check, worker_count
 from .suite import SuiteGenSpec, gen_suite, load_manifest
 
 USAGE_ERRORS = (ValidationError, ModeError, CapabilityError, ProtocolError, SizeLimitError)
-DATA_ERRORS = (LatticeFormatError, OSError, json.JSONDecodeError)
+# ManifestError is a ValidationError, so main() tests DATA_ERRORS first.
+DATA_ERRORS = (LatticeFormatError, ManifestError, OSError, json.JSONDecodeError)
 
 
 def _default_seed(value: int | None) -> int:
@@ -65,7 +67,7 @@ def _threshold_log(args: argparse.Namespace) -> float:
 def _decode_config(args: argparse.Namespace) -> DecodeConfig:
     return DecodeConfig(
         mode=args.mode,
-        d_max=args.d_max if args.mode == "tdt" else 0,
+        d_max=args.d_max if args.mode == TDT else 0,
         zero_duration_policy=args.zero_duration_policy,
         threshold_log=_threshold_log(args),
         refractory_frames=args.refractory_frames,
@@ -73,10 +75,10 @@ def _decode_config(args: argparse.Namespace) -> DecodeConfig:
 
 
 def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=("rnnt", "tdt"), default="rnnt")
+    parser.add_argument("--mode", choices=(RNNT, TDT), default=RNNT)
     parser.add_argument("--d-max", type=int, default=0, help="TDT duration cap")
     parser.add_argument(
-        "--zero-duration-policy", choices=("clamp", "error"), default="clamp"
+        "--zero-duration-policy", choices=ZERO_DURATION_POLICIES, default="clamp"
     )
     parser.add_argument("--threshold-log", type=float, default=None)
     parser.add_argument(
@@ -109,8 +111,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    suite = load_manifest(Path(args.suite))
     config = _decode_config(args)
+    worker_count(args.jobs, 1)  # usage errors come before any I/O
+    suite = load_manifest(Path(args.suite))
     records = decode_suite(suite, config, jobs=args.jobs)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     if args.out is None:
@@ -123,11 +126,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    suite = load_manifest(Path(args.suite))
-    baseline = DecodeConfig(mode=args.baseline, d_max=0 if args.baseline == "rnnt" else args.d_max)
+    baseline = DecodeConfig(mode=args.baseline, d_max=0 if args.baseline == RNNT else args.d_max)
     candidate = DecodeConfig(
-        mode=args.candidate, d_max=0 if args.candidate == "rnnt" else args.d_max
+        mode=args.candidate, d_max=0 if args.candidate == RNNT else args.d_max
     )
+    worker_count(args.jobs, 1)  # usage errors come before any I/O
+    suite = load_manifest(Path(args.suite))
     report = bench(
         suite,
         baseline,
@@ -149,6 +153,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_dump_delta(args: argparse.Namespace) -> int:
     if (args.lattice is None) == (args.suite is None):
         raise ValidationError("pass exactly one of --lattice or --suite with --utt")
+    config = DecodeConfig(mode=args.mode, d_max=args.d_max if args.mode == TDT else 0)
     if args.lattice is not None:
         oracle = load_lattice(Path(args.lattice))
         keyword = oracle.keyword
@@ -161,7 +166,6 @@ def _cmd_dump_delta(args: argparse.Namespace) -> int:
             raise ValidationError(f"unknown utterance id {args.utt!r}")
         oracle = load_lattice(suite.lattice_path(matches[0]))
         keyword = suite.keywords_by_name[matches[0].lattice_keyword]
-    config = DecodeConfig(mode=args.mode, d_max=args.d_max if args.mode == "tdt" else 0)
     text = dump_delta_matrix(oracle, keyword, config)
     if args.out is None:
         sys.stdout.write(text)
@@ -212,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="baseline vs candidate benchmark")
     bench_p.add_argument("--suite", required=True)
-    bench_p.add_argument("--baseline", choices=("rnnt", "tdt"), default="rnnt")
-    bench_p.add_argument("--candidate", choices=("rnnt", "tdt"), default="tdt")
+    bench_p.add_argument("--baseline", choices=(RNNT, TDT), default=RNNT)
+    bench_p.add_argument("--candidate", choices=(RNNT, TDT), default=TDT)
     bench_p.add_argument("--d-max", type=int, default=4)
     bench_p.add_argument("--target-far", type=float, default=0.0, help="per hour")
     bench_p.add_argument("--report", default=None, help="JSON report path")
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--lattice", default=None, help="path to a .kwl file")
     dump.add_argument("--suite", default=None)
     dump.add_argument("--utt", default=None, help="utterance id inside --suite")
-    dump.add_argument("--mode", choices=("rnnt", "tdt"), default="rnnt")
+    dump.add_argument("--mode", choices=(RNNT, TDT), default=RNNT)
     dump.add_argument("--d-max", type=int, default=0)
     dump.add_argument("--out", default=None, help="CSV path (default: stdout)")
     dump.set_defaults(func=_cmd_dump_delta)
@@ -247,12 +251,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,11 +23,10 @@ Everything accumulates in f64 even though oracles store f32.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +37,19 @@ from .metrics import SpeedCounters
 RNNT = "rnnt"
 TDT = "tdt"
 ZERO_DURATION_POLICIES = ("clamp", "error")
+
+
+def _check_search_config(config) -> None:
+    """The mode, ``d_max`` and zero-duration policy checks that DecodeConfig
+    and ``baselines.AsrConfig`` share."""
+    if config.mode not in (RNNT, TDT):
+        raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {config.mode!r}")
+    if config.d_max < 0:
+        raise ValidationError(f"d_max must be >= 0, got {config.d_max}")
+    if config.mode == TDT and config.d_max < 1:
+        raise ValidationError("TDT mode requires d_max >= 1")
+    if config.zero_duration_policy not in ZERO_DURATION_POLICIES:
+        raise ValidationError(f"zero_duration_policy must be one of {ZERO_DURATION_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -51,29 +63,11 @@ class DecodeConfig:
     refractory_frames: int = 34
 
     def __post_init__(self) -> None:
-        if self.mode not in (RNNT, TDT):
-            raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {self.mode!r}")
-        if self.d_max < 0:
-            raise ValidationError(f"d_max must be >= 0, got {self.d_max}")
-        if self.mode == TDT and self.d_max < 1:
-            raise ValidationError("TDT mode requires d_max >= 1")
-        if self.zero_duration_policy not in ZERO_DURATION_POLICIES:
-            raise ValidationError(
-                f"zero_duration_policy must be one of {ZERO_DURATION_POLICIES}"
-            )
+        _check_search_config(self)
         if math.isnan(self.threshold_log):
             raise ValidationError("threshold_log must not be NaN")
         if self.refractory_frames < 0:
             raise ValidationError("refractory_frames must be >= 0")
-
-
-@dataclass
-class DpColumn:
-    """State carried between processed frames."""
-
-    t_last: int
-    delta: np.ndarray
-    phi_last: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,22 +146,10 @@ class StreamingDecoder:
         self._next_process = 1
         self._delta: list[float] | None = None
         self._phi_last: list[float] | None = None
-        self._t_last = 0
         self._greedy_state: object = oracle.initial_greedy_state()
         self._gate = _EventGate(keyword.name, config)
         self.events: list[DetectionEvent] = []
         self._finished = False
-
-    @property
-    def column(self) -> DpColumn | None:
-        """Most recently processed column, exposed for inspection."""
-        if self._delta is None:
-            return None
-        return DpColumn(
-            t_last=self._t_last,
-            delta=np.asarray(self._delta, dtype=np.float64),
-            phi_last=np.asarray(self._phi_last, dtype=np.float64),
-        )
 
     def push(self, t: int) -> list[DetectionEvent]:
         """Announce that frame t is available; process or skip it."""
@@ -197,7 +179,6 @@ class StreamingDecoder:
 
         self._delta = delta
         self._phi_last = phi
-        self._t_last = t
         self._scores[t - 1] = score
         self._processed[t - 1] = True
         self._columns += 1
@@ -251,7 +232,8 @@ def _column(
 
 
 def _hop(duration: int, t: int, config: DecodeConfig) -> int:
-    """Frames to advance after processing frame t, given the greedy duration."""
+    """Frames to advance after processing frame t, given the greedy duration.
+    ``config`` may also be a ``baselines.AsrConfig``, which has the same fields."""
     d = min(duration, config.d_max)
     if d < 1:
         if config.zero_duration_policy == "error":
@@ -344,27 +326,6 @@ def decode_kws(
 ) -> ScoreStream:
     """Whole-utterance decode; returns the full ScoreStream."""
     return decode_keywords(oracle, [keyword], config, utt_id=utt_id, counters=counters)[0]
-
-
-def decode_kws_streaming(
-    oracle: EmissionOracle,
-    keyword: KeywordSpec,
-    config: DecodeConfig,
-    event_sink: Callable[[DetectionEvent], None] | None = None,
-    utt_id: str = "",
-    counters: SpeedCounters | None = None,
-) -> list[DetectionEvent]:
-    """Frame-at-a-time decode delivering events as they fire."""
-    tick = perf_counter()
-    decoder = StreamingDecoder(oracle, keyword, config, utt_id=utt_id, counters=counters)
-    for t in range(1, oracle.num_frames + 1):
-        for event in decoder.push(t):
-            if event_sink is not None:
-                event_sink(event)
-    events = decoder.events
-    decoder.finish()
-    decoder.counters.total_wall_seconds += perf_counter() - tick
-    return events
 
 
 def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEvent]:
@@ -472,9 +433,3 @@ def parse_scorestream_record(record: dict) -> tuple[ScoreStream, list[DetectionE
         for e in record.get("events", [])
     ]
     return stream, events
-
-
-def write_scorestream_jsonl(path, records: Iterable[dict]) -> None:
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")

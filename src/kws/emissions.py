@@ -39,8 +39,8 @@ class KeywordSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if not self.name:
-            raise ValidationError("keyword name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"keyword name must be a non-empty string, got {self.name!r}")
         if len(self.tokens) < 1:
             raise ValidationError(f"keyword {self.name!r} must have at least one token")
         if any(t < 1 for t in self.tokens):
@@ -51,25 +51,6 @@ class KeywordSpec:
     @property
     def num_tokens(self) -> int:
         return len(self.tokens)
-
-
-@dataclass(frozen=True)
-class EmissionQuery:
-    """A lattice node address: frame t in [1, T], prefix length u in [0, U]."""
-
-    t: int
-    u: int
-
-
-@dataclass(frozen=True)
-class KeywordEmissions:
-    """log y(t,u) (next keyword token) and log phi(t,u) (blank) at one node.
-
-    ``log_y`` is the sentinel -inf at u = U, where no next token exists.
-    """
-
-    log_y: float
-    log_phi: float
 
 
 @dataclass(frozen=True)
@@ -109,10 +90,6 @@ class EmissionOracle(ABC):
         """Whether arbitrary-history full-vocabulary queries are answerable."""
         return False
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.num_frames * self.frame_seconds
-
     def _check_frame(self, t: int) -> None:
         if not 1 <= t <= self.num_frames:
             raise ValidationError(
@@ -151,20 +128,6 @@ class EmissionOracle(ABC):
                 f"frame indices must lie in [1, {self.num_frames}]"
             )
 
-    def keyword_emissions(self, keyword: KeywordSpec, query: EmissionQuery) -> KeywordEmissions:
-        """Answer one (t, u) node query; see EmissionQuery for bounds."""
-        self._check_frame(query.t)
-        if not 0 <= query.u <= keyword.num_tokens:
-            raise ValidationError(
-                f"prefix length {query.u} out of range [0, {keyword.num_tokens}]"
-            )
-        log_y_row, log_phi_row = self.emission_rows(keyword, query.t)
-        if query.u < keyword.num_tokens:
-            log_y = float(log_y_row[query.u])
-        else:
-            log_y = NEG_INF
-        return KeywordEmissions(log_y=log_y, log_phi=float(log_phi_row[query.u]))
-
     def initial_greedy_state(self) -> object:
         return None
 
@@ -191,10 +154,3 @@ class EmissionOracle(ABC):
         if not self.supports_tdt:
             raise ModeError(f"{type(self).__name__} has no duration track (d_max=0)")
         raise CapabilityError(f"{type(self).__name__} is not generative")
-
-
-def query_keyword_emissions(
-    oracle: EmissionOracle, keyword: KeywordSpec, query: EmissionQuery
-) -> KeywordEmissions:
-    """Module-level spelling of EmissionOracle.keyword_emissions."""
-    return oracle.keyword_emissions(keyword, query)

@@ -27,6 +27,10 @@ class DimensionMismatchError(ValidationError):
     """Query shape disagrees with the oracle's stored dimensions."""
 
 
+class ManifestError(ValidationError):
+    """Unreadable or malformed suite manifest; names the file, utterance and field."""
+
+
 class ProtocolError(KwsError):
     """Streaming contract violated (frames delivered out of order, reuse after finish)."""
 

@@ -157,17 +157,17 @@ def read_lattice(path: str | Path) -> LatticeData:
 
     sidecar_path = path.with_suffix(".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text())
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SidecarError(f"{path}: missing sidecar {sidecar_path.name}") from exc
-    except json.JSONDecodeError as exc:
-        raise SidecarError(f"{sidecar_path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SidecarError(f"{sidecar_path}: not UTF-8 JSON ({exc})") from exc
     try:
         keyword = KeywordSpec(
             name=sidecar["keyword"]["name"],
             tokens=tuple(sidecar["keyword"]["tokens"]),
         )
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise SidecarError(f"{sidecar_path}: bad keyword record ({exc})") from exc
     if keyword.num_tokens != U:
         raise SidecarError(
@@ -199,10 +199,6 @@ class FileLatticeOracle(EmissionOracle):
     def __init__(self, data: LatticeData) -> None:
         data.validate()
         self._data = data
-
-    @property
-    def data(self) -> LatticeData:
-        return self._data
 
     @property
     def keyword(self) -> KeywordSpec:

@@ -29,6 +29,8 @@ import numpy as np
 from .baselines import AsrConfig, Hypothesis, beam_search, greedy_search, keyword_hit
 from .brute_force import brute_force_score
 from .decoder import (
+    RNNT,
+    TDT,
     DecodeConfig,
     _encode_float,
     decode_keywords,
@@ -265,7 +267,7 @@ def bench(
         }
         if also_asr_baselines:
             asr = {}
-            greedy_cfg = AsrConfig(mode="rnnt")
+            greedy_cfg = AsrConfig(mode=RNNT)
             asr["greedy_rnnt"] = _asr_row(
                 suite, epsilon, _asr_transcripts(suite, epsilon, greedy_cfg, None), target_far
             )
@@ -277,8 +279,8 @@ def bench(
             )
             if suite.d_max > 0:
                 tdt_cfg = AsrConfig(
-                    mode="tdt",
-                    d_max=candidate.d_max if candidate.mode == "tdt" else suite.d_max,
+                    mode=TDT,
+                    d_max=candidate.d_max if candidate.mode == TDT else suite.d_max,
                 )
                 asr["greedy_tdt"] = _asr_row(
                     suite, epsilon, _asr_transcripts(suite, epsilon, tdt_cfg, None), target_far
@@ -372,7 +374,7 @@ def oracle_check(cases: int, seed: int, t_max: int = 12, u_max: int = 4) -> dict
     if t_max > 12 or u_max > 4:
         raise ValidationError("brute force is capped at t_max <= 12, u_max <= 4")
     rng = np.random.default_rng(seed)
-    config = DecodeConfig(mode="rnnt")
+    config = DecodeConfig(mode=RNNT)
     max_dev = 0.0
     for case in range(cases):
         data = random_proper_lattice(rng, t_max=t_max, u_max=u_max)

@@ -26,13 +26,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .emissions import KeywordSpec
-from .errors import ValidationError
-from .lattice import LatticeData, save_lattice, snapshot
+from .errors import ManifestError, ValidationError
+from .lattice import save_lattice, snapshot
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
 MANIFEST_SCHEMA = "kws-suite-manifest@1"
@@ -245,12 +246,6 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
     return manifest_path
 
 
-def snapshot_generative(oracle: SyntheticOracle, keyword: KeywordSpec, path: str | Path) -> Path:
-    """Freeze one keyword-conditioned view of a generative oracle to a KWL1 file."""
-    data = snapshot(oracle, keyword)
-    return save_lattice(data, path)
-
-
 @dataclass(frozen=True)
 class Utterance:
     utt_id: str
@@ -295,42 +290,68 @@ class SuiteManifest:
         return self.root / utt.lattice
 
 
+# Everything a malformed manifest can make the parsing below raise.
+_CONTENT_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
+
+
+def _field(path: Path, where: str, record, name: str, parse=lambda value: value):
+    """``parse(record[name])``; a content failure becomes a ManifestError that
+    names the manifest, the record and the field."""
+    try:
+        return parse(record[name])
+    except _CONTENT_ERRORS as exc:
+        raise ManifestError(f"{path}: {where}: field {name!r}: {exc!r}") from exc
+
+
+def _require(ok, message: str):
+    def parse(value):
+        if not ok(value):
+            raise ValueError(f"{message}, got {value!r}")
+        return value
+
+    return parse
+
+
 def load_manifest(suite_dir: str | Path) -> SuiteManifest:
+    """Read ``suite_dir/manifest.json``; content that does not parse or
+    validate raises ManifestError."""
     suite_dir = Path(suite_dir)
     manifest_path = suite_dir / "manifest.json"
-    raw = json.loads(manifest_path.read_text())
-    if raw.get("schema") != MANIFEST_SCHEMA:
-        raise ValidationError(
-            f"{manifest_path}: schema {raw.get('schema')!r}, expected {MANIFEST_SCHEMA!r}"
-        )
-    keywords = tuple(
-        KeywordSpec(name=k["name"], tokens=tuple(k["tokens"])) for k in raw["keywords"]
+    try:
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ManifestError(f"{manifest_path}: not UTF-8 JSON ({exc})") from exc
+    top = partial(_field, manifest_path, "top level", raw)
+    top("schema", _require(lambda v: v == MANIFEST_SCHEMA, f"expected {MANIFEST_SCHEMA!r}"))
+    keywords = top(
+        "keywords",
+        lambda ks: tuple(KeywordSpec(name=k["name"], tokens=tuple(k["tokens"])) for k in ks),
     )
     names = {kw.name for kw in keywords}
+    known = _require(lambda v: v in names, "unknown keyword")
+    text = _require(lambda v: isinstance(v, str), "expected a string")
     utterances = []
-    for rec in raw["utterances"]:
-        if rec["label"] is not None and rec["label"] not in names:
-            raise ValidationError(f"utterance {rec['utt_id']}: unknown label {rec['label']!r}")
-        if rec["duration_seconds"] <= 0:
-            raise ValidationError(f"utterance {rec['utt_id']}: duration_seconds must be > 0")
+    for index, rec in enumerate(top("utterances", list)):
+        utt_id = _field(manifest_path, f"utterance {index}", rec, "utt_id", text)
+        field = partial(_field, manifest_path, f"utterance {utt_id!r}", rec)
         utterances.append(
             Utterance(
-                utt_id=rec["utt_id"],
-                label=rec["label"],
-                epsilon=rec["epsilon"],
-                num_frames=rec["num_frames"],
-                duration_seconds=rec["duration_seconds"],
-                lattice=rec["lattice"],
-                lattice_keyword=rec["lattice_keyword"],
-                synth=SyntheticJoinerConfig.from_json_dict(rec["synth"]),
+                utt_id=utt_id,
+                label=field("label", lambda v: v if v is None else known(v)),
+                epsilon=field("epsilon", _require(lambda v: 0 <= v < 1, "expected [0, 1)")),
+                num_frames=field("num_frames", _require(lambda v: v >= 1, "expected >= 1")),
+                duration_seconds=field("duration_seconds", _require(lambda v: v > 0, "expected > 0")),
+                lattice=field("lattice", text),
+                lattice_keyword=field("lattice_keyword", known),
+                synth=field("synth", SyntheticJoinerConfig.from_json_dict),
             )
         )
     return SuiteManifest(
         root=suite_dir,
-        seed=raw["seed"],
-        frame_seconds=raw["frame_seconds"],
-        d_max=raw["d_max"],
-        epsilons=tuple(raw["epsilons"]),
+        seed=top("seed"),
+        frame_seconds=top("frame_seconds"),
+        d_max=top("d_max", _require(lambda v: v >= 0, "expected >= 0")),
+        epsilons=top("epsilons", tuple),
         keywords=keywords,
         utterances=tuple(utterances),
     )

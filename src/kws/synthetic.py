@@ -303,18 +303,3 @@ class SyntheticOracle(EmissionOracle):
             log_duration_prob=float(duration_vec[duration]),
         )
         return out, emitted + (1 if token != BLANK_ID else 0)
-
-    def canonical_greedy_track(self) -> tuple[np.ndarray, np.ndarray]:
-        """One greedy step per frame t = 1..T threading the history state.
-
-        This pass defines the greedy channel stored in snapshot files.
-        """
-        T = self._cfg.num_frames
-        tokens = np.zeros(T, dtype=np.uint32)
-        durations = np.zeros(T, dtype=np.uint16)
-        state: object = self.initial_greedy_state()
-        for t in range(1, T + 1):
-            out, state = self.greedy_step(t, state)
-            tokens[t - 1] = out.token
-            durations[t - 1] = out.duration
-        return tokens, durations

@@ -1,5 +1,6 @@
 """ASR decoding baselines: greedy, beam, keyword containment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -154,6 +155,23 @@ def test_greedy_tdt_skips_frames_and_keeps_tokens():
     assert len(oracle.visited) <= math.ceil(T / 3) + len(hyp_tdt.tokens)
 
 
+def test_greedy_tdt_zero_duration_clamp_and_error():
+    # Concentration 0.1 leaves the ideal duration 0.1 and each other value in
+    # {0..4} 0.225, so the argmax duration (first of the ties) is 0.
+    oracle = SyntheticOracle(
+        dataclasses.replace(synth_oracle(d_max=4).config, duration_concentration=0.1)
+    )
+    assert all(
+        int(np.argmax(oracle.duration_log_probs(t))) == 0
+        for t in range(1, oracle.num_frames + 1)
+    )
+    hyp = greedy_search(oracle, AsrConfig(mode="tdt", d_max=4))
+    assert hyp.tokens == (5, 2, 9)
+    assert hyp.emit_frames == (2, 5, 8)
+    with pytest.raises(ValidationError):
+        greedy_search(oracle, AsrConfig(mode="tdt", d_max=4, zero_duration_policy="error"))
+
+
 def test_greedy_blank_everywhere_accumulates_blank_terms():
     oracle = SyntheticOracle(
         SyntheticJoinerConfig(
@@ -268,3 +286,7 @@ def test_asr_config_validation():
         AsrConfig(mode="rnnt", max_symbols_per_frame=0)
     with pytest.raises(ValidationError):
         AsrConfig(mode="nope")
+    with pytest.raises(ValidationError):
+        AsrConfig(mode="rnnt", d_max=-3)
+    with pytest.raises(ValidationError):
+        AsrConfig(mode="tdt", d_max=2, zero_duration_policy="skip")

@@ -239,6 +239,53 @@ def test_missing_suite_exits_2(tmp_path):
     assert main(["decode", "--suite", str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("decode", ["--jobs", "0"]),
+        ("decode", ["--mode", "tdt", "--d-max", "0"]),
+        ("bench", ["--jobs", "0"]),
+        ("bench", ["--d-max", "0"]),
+    ],
+)
+def test_usage_errors_are_reported_before_the_suite_is_read(tmp_path, command, flags):
+    assert main([command, "--suite", str(tmp_path / "nope"), *flags]) == 1
+
+
+def broken_manifest_texts(raw):
+    """Manifests whose content is broken in ways a reader must name, as bytes."""
+    no_synth = json.loads(json.dumps(raw))
+    del no_synth["utterances"][0]["synth"]
+    return {
+        "missing-synth": json.dumps(no_synth).encode(),
+        "top-level-list": json.dumps([raw]).encode(),
+        "latin-1": json.dumps({**raw, "note": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing-synth", "top-level-list", "latin-1"])
+def test_broken_manifest_exits_2(base_suite, tmp_path, case):
+    raw = json.loads((base_suite / "manifest.json").read_text())
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "manifest.json").write_bytes(broken_manifest_texts(raw)[case])
+    assert main(["decode", "--suite", str(suite)]) == 2
+    assert main(["bench", "--suite", str(suite)]) == 2
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [b"\xff{}", b'{"keyword": {"name": "alpha", "tokens": ["x"]}}'],
+    ids=["not-utf8", "token-not-int"],
+)
+def test_broken_sidecar_exits_2(base_suite, tmp_path, sidecar):
+    source = next((base_suite / "lattices").glob("*.kwl"))
+    copy = tmp_path / source.name
+    copy.write_bytes(source.read_bytes())
+    copy.with_suffix(".json").write_bytes(sidecar)
+    assert main(["dump-delta", "--lattice", str(copy)]) == 2
+
+
 def test_oracle_check_exit_contract(capsys):
     argv = ["oracle-check", "--cases", "5", "--t-max", "6", "--u-max", "3", "--seed", "2"]
     assert main(argv) == 0

@@ -1,0 +1,82 @@
+"""Truncated and bit-flipped suite files: readers raise only KwsError
+subclasses, and the CLI answers with an exit code, never a traceback."""
+
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kws import KwsError, SuiteGenSpec, gen_suite, load_manifest, read_lattice
+from kws.cli import main
+
+SPEC = SuiteGenSpec(
+    keywords=("alpha",),
+    n_pos=1,
+    n_neg=1,
+    frames_min=18,
+    frames_max=24,
+    duration_min=2,
+    duration_max=3,
+    d_max=3,
+    seed=5,
+)
+UTT = "pos-alpha-000-e0.00"
+LATTICE = f"lattices/{UTT}.kwl"
+TARGETS = ("manifest.json", LATTICE, f"lattices/{UTT}.json")
+
+
+@pytest.fixture(scope="module")
+def suite_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "suite"
+    gen_suite(root, SPEC)
+    return root
+
+
+def corrupt(data: bytes, cut: int | None, flips: list[tuple[int, int]]) -> bytes:
+    """``data`` cut short at ``cut``, or with the given (byte, bit) flips."""
+    if cut is not None:
+        return data[: cut % len(data)]
+    buf = bytearray(data)
+    for pos, bit in flips:
+        buf[pos % len(buf)] ^= 1 << bit
+    return bytes(buf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    target=st.sampled_from(TARGETS),
+    cut=st.none() | st.integers(min_value=0, max_value=1 << 16),
+    flips=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1 << 16), st.integers(0, 7)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_corrupted_suite_files_fail_typed(suite_dir, target, cut, flips):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "suite"
+        shutil.copytree(suite_dir, root)
+        path = root / target
+        path.write_bytes(corrupt(path.read_bytes(), cut, flips))
+        try:
+            if target == "manifest.json":
+                load_manifest(root)
+            else:
+                read_lattice(root / LATTICE)
+        except KwsError:
+            reader_failed = True
+        else:
+            reader_failed = False
+
+        out = str(Path(tmp) / "out")
+        codes = [
+            main(["decode", "--suite", str(root), "--mode", mode, "--d-max", "3", "--out", out])
+            for mode in ("rnnt", "tdt")
+        ]
+        codes.append(main(["dump-delta", "--suite", str(root), "--utt", UTT, "--out", out]))
+        assert set(codes) <= {0, 1, 2}
+        if reader_failed:
+            assert 0 not in codes

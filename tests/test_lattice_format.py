@@ -186,6 +186,24 @@ def test_sidecar_token_count_must_match_header(tmp_path):
         read_lattice(path)
 
 
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        b"\xff\xfe{}",
+        b'{"keyword": {"name": "tiny", "tokens": ["x", 6]}}',
+        b'{"keyword": {"name": ["tiny"], "tokens": [5, 6]}}',
+        b'{"keyword": "tiny"}',
+        b"[1, 2]",
+    ],
+    ids=["not-utf8", "token-not-int", "name-not-string", "keyword-not-object", "list"],
+)
+def test_malformed_sidecar_rejected(tmp_path, sidecar):
+    path = save_lattice(tiny_data(), tmp_path / "x.kwl")
+    (tmp_path / "x.json").write_bytes(sidecar)
+    with pytest.raises(SidecarError):
+        read_lattice(path)
+
+
 def test_wrong_keyword_query_rejected(tmp_path):
     oracle = load_lattice(save_lattice(tiny_data(), tmp_path / "x.kwl"))
     with pytest.raises(DimensionMismatchError):

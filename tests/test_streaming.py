@@ -18,7 +18,6 @@ from kws import (
     ValidationError,
     decode_keywords,
     decode_kws,
-    decode_kws_streaming,
 )
 from kws.decoder import detect_events, peak_events
 from kws.runner import random_proper_lattice
@@ -90,11 +89,13 @@ def test_streaming_events_match_offline_replay():
     for seed in range(8):
         oracle = noisy_oracle(seed)
         kw = KeywordSpec("kw", (2, 5))
-        sunk = []
-        events = decode_kws_streaming(oracle, kw, config, event_sink=sunk.append)
+        decoder = StreamingDecoder(oracle, kw, config)
+        pushed = []
+        for t in range(1, oracle.num_frames + 1):
+            pushed.extend(decoder.push(t))
+        decoder.finish()
         stream = decode_kws(oracle, kw, config)
-        assert events == detect_events(stream, config)
-        assert sunk == events
+        assert pushed == decoder.events == detect_events(stream, config)
 
 
 def test_streaming_file_backed_lattice():
@@ -110,21 +111,24 @@ def test_streaming_file_backed_lattice():
     np.testing.assert_array_equal(offline.scores, online.scores)
 
 
-def test_column_property_reports_last_processed_frame():
+def test_column_sink_sees_processed_frames_in_order():
     oracle = noisy_oracle(3, d_max=3)
+    sunk = []
     decoder = StreamingDecoder(
-        oracle, KeywordSpec("kw", (3,)), DecodeConfig(mode="tdt", d_max=3)
+        oracle,
+        KeywordSpec("kw", (3,)),
+        DecodeConfig(mode="tdt", d_max=3),
+        column_sink=lambda t, delta: sunk.append((t, delta)),
     )
-    seen = []
     for t in range(1, oracle.num_frames + 1):
         decoder.push(t)
-        if decoder.column is not None:
-            seen.append(decoder.column.t_last)
-    # t_last tracks processed frames only, monotonically.
-    assert seen == sorted(seen)
-    assert decoder.column.delta[0] == 0.0
-    assert len(decoder.column.delta) == 2
-    assert len(decoder.column.phi_last) == 2
+    stream = decoder.finish()
+    # One column per processed frame, in frame order; skipped frames get none.
+    assert [t for t, _ in sunk] == (np.flatnonzero(stream.processed) + 1).tolist()
+    assert len(sunk) == stream.columns_evaluated < oracle.num_frames
+    for _, delta in sunk:
+        assert delta[0] == 0.0
+        assert len(delta) == 2
 
 
 def _peak_events_reference(stream, refractory_frames):

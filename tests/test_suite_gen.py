@@ -10,6 +10,7 @@ import pytest
 
 from kws import (
     DecodeConfig,
+    ManifestError,
     SuiteGenSpec,
     ValidationError,
     decode_kws,
@@ -187,6 +188,56 @@ def test_load_rejects_wrong_schema_and_labels(suite_dir, tmp_path):
     (bad_label / "manifest.json").write_text(json.dumps(tampered))
     with pytest.raises(ValidationError):
         load_manifest(bad_label)
+
+
+def write_manifest(root: Path, content: bytes) -> Path:
+    root.mkdir()
+    (root / "manifest.json").write_bytes(content)
+    return root
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("synth", None),
+        ("lattice_keyword", None),
+        ("lattice_keyword", "not-a-keyword"),
+        ("lattice", 7),
+        ("epsilon", 1.0),
+        ("num_frames", 0),
+        ("duration_seconds", 0.0),
+    ],
+)
+def test_load_names_the_file_utterance_and_field(suite_dir, tmp_path, field, value):
+    raw = json.loads((suite_dir / "manifest.json").read_text())
+    record = raw["utterances"][1]
+    if value is None:
+        del record[field]
+    else:
+        record[field] = value
+    root = write_manifest(tmp_path / "suite", json.dumps(raw).encode())
+    with pytest.raises(ManifestError) as info:
+        load_manifest(root)
+    message = str(info.value)
+    assert str(root / "manifest.json") in message
+    assert repr(record["utt_id"]) in message
+    assert repr(field) in message
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[]",
+        b'{"schema": "kws-suite-manifest@1", "keywords": [], "utterances": [7]}',
+        b'{"schema": "kws-suite-manifest@1", "keywords": [], "utterances": [{"utt_id": 7}]}',
+        b"\xff\xfe{}",
+        b'{"schema": "kws-suite-manifest@1"',
+    ],
+    ids=["list", "utterance-not-object", "utt-id-not-string", "not-utf8", "truncated"],
+)
+def test_load_maps_malformed_content_to_manifest_error(tmp_path, content):
+    with pytest.raises(ManifestError):
+        load_manifest(write_manifest(tmp_path / "suite", content))
 
 
 def test_keyword_that_cannot_fit_is_rejected(tmp_path):

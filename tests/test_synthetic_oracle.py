@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from kws import (
     BLANK_ID,
     CapabilityError,
-    EmissionQuery,
     KeywordSpec,
     ModeError,
     NEG_INF,
     SyntheticJoinerConfig,
     SyntheticOracle,
     ValidationError,
-    query_keyword_emissions,
 )
 
 # Shared hand-built timeline: V=9, T=10.
@@ -85,25 +83,26 @@ def test_point_mass_on_aligned_token():
     oracle = make_oracle(epsilon=0.0)
     kw = KeywordSpec("kw", (3, 7))
     # Frame 2 starts the occurrence: next keyword token matches the segment.
-    em = query_keyword_emissions(oracle, kw, EmissionQuery(t=2, u=0))
-    assert em.log_y == 0.0
-    assert em.log_phi == NEG_INF
+    log_y, log_phi = oracle.emission_rows(kw, 2)
+    assert log_y[0] == 0.0
+    assert log_phi[0] == NEG_INF
     # Token consumed: the rest of the segment should be blank.
-    em = query_keyword_emissions(oracle, kw, EmissionQuery(t=3, u=1))
-    assert em.log_phi == 0.0
-    assert em.log_y == NEG_INF
+    log_y, log_phi = oracle.emission_rows(kw, 3)
+    assert log_phi[1] == 0.0
+    assert log_y[1] == NEG_INF
     # Frame 4 carries the second keyword token.
-    em = query_keyword_emissions(oracle, kw, EmissionQuery(t=4, u=1))
-    assert em.log_y == 0.0
+    log_y, _ = oracle.emission_rows(kw, 4)
+    assert log_y[1] == 0.0
 
 
 def test_point_mass_in_gap_is_blank():
     oracle = make_oracle(epsilon=0.0)
     kw = KeywordSpec("kw", (3, 7))
+    log_y, log_phi = oracle.emission_rows(kw, 5)
     for u in (0, 1, 2):
-        em = query_keyword_emissions(oracle, kw, EmissionQuery(t=5, u=u))
-        assert em.log_phi == 0.0
-        assert em.log_y == NEG_INF or u == 2
+        assert log_phi[u] == 0.0
+    # The y row has no entry at u = U = 2: no keyword token follows.
+    assert log_y.tolist() == [NEG_INF, NEG_INF]
 
 
 def test_non_keyword_segment_starves_both_tracks():
@@ -111,9 +110,9 @@ def test_non_keyword_segment_starves_both_tracks():
     kw = KeywordSpec("kw", (3, 7))
     # Frame 6 belongs to the token-2 segment: ideal symbol is neither the
     # next keyword token nor blank.
-    em = query_keyword_emissions(oracle, kw, EmissionQuery(t=6, u=0))
-    assert em.log_y == NEG_INF
-    assert em.log_phi == NEG_INF
+    log_y, log_phi = oracle.emission_rows(kw, 6)
+    assert log_y[0] == NEG_INF
+    assert log_phi[0] == NEG_INF
 
 
 def test_half_noise_mixing_pinned_values():
@@ -142,11 +141,11 @@ def test_out_of_bounds_queries_rejected():
     oracle = make_oracle()
     kw = KeywordSpec("kw", (3, 7))
     with pytest.raises(ValidationError):
-        query_keyword_emissions(oracle, kw, EmissionQuery(t=0, u=0))
+        oracle.emission_rows(kw, 0)
     with pytest.raises(ValidationError):
-        query_keyword_emissions(oracle, kw, EmissionQuery(t=11, u=0))
+        oracle.emission_rows(kw, 11)
     with pytest.raises(ValidationError):
-        query_keyword_emissions(oracle, kw, EmissionQuery(t=1, u=3))
+        oracle.emission_grid(kw, np.array([1, 11]))
 
 
 def test_generative_track_follows_emission_progress():
@@ -295,7 +294,8 @@ def test_emission_rows_agree_with_scalar_queries(cfg, data):
     t = data.draw(st.integers(min_value=1, max_value=cfg.num_frames))
     y_row, phi_row = oracle.emission_rows(kw, t)
     for u in range(len(tokens) + 1):
-        em = query_keyword_emissions(oracle, kw, EmissionQuery(t=t, u=u))
-        assert em.log_phi == float(phi_row[u])
+        # The full V+1 distribution at (t, u), computed on its own path.
+        vec = oracle.keyword_conditional_log_probs(kw, t, u).astype(np.float32)
+        assert vec[BLANK_ID] == phi_row[u]
         if u < len(tokens):
-            assert em.log_y == float(y_row[u])
+            assert vec[tokens[u]] == y_row[u]
