@@ -14,21 +14,39 @@ transition. The first processed column has no horizontal terms (the virtual
 t = 0 column contributes probability zero). In RNN-T mode every frame is
 processed; in TDT mode the oracle's greedy track predicts a duration d and
 frames t+1 .. t+d-1 are skipped outright (their score stays -inf and no
-column is computed for them). The greedy track does not depend on the
-keyword, so ``decode_keywords`` decodes all keywords of an utterance on one
-hop schedule; ``StreamingDecoder`` and it share one column update.
+column is computed for them).
 
-Everything accumulates in f64 even though oracles store f32.
+One DP routine (``_lane_columns``) serves every decode. It advances many
+lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
+count of processed columns rather than by frame, so RNN-T and TDT lanes of
+different utterances step together without masks and TDT keeps its skipped
+frames. ``decode_keywords`` batches the lanes of many utterances (the greedy
+track does not depend on the keyword, so each utterance's hop schedule is
+computed once); ``StreamingDecoder`` runs the same routine on one lane, one
+column at a time. The routine sweeps anti-diagonals ("wavefronts") of the
+(column, u) grid: cell (k, u) depends only on (k, u-1) and (k-1, u), so all
+cells with the same k + u are independent and one wavefront costs a fixed
+handful of numpy calls over every lane and every u.
+
+Everything accumulates in f64 even though oracles store f32. A batch
+left-pads shorter keywords with log-1 tokens (log_y = log_phi = 0), whose
+prefix then stays exactly 0.0, and right-pads shorter lanes, whose tail is
+dropped, so every lane's scores are bit-identical to a decode of that pair
+alone: each cell adds the same two operands in the same order, and since no
+NaN, +inf or -0.0 can reach a delta, the vectorized max returns the value
+the tie rule picks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .emissions import EmissionOracle, KeywordSpec, NEG_INF
 from .errors import ModeError, ProtocolError, ValidationError
@@ -37,6 +55,12 @@ from .metrics import SpeedCounters
 RNNT = "rnnt"
 TDT = "tdt"
 ZERO_DURATION_POLICIES = ("clamp", "error")
+
+# Lanes per batch of ``decode_keywords``. A batch costs a fixed number of
+# numpy calls per wavefront whatever its width, so wider batches run faster
+# but hold more f32 rows at once; 32 was measured to keep peak memory within
+# 2% of a decode that holds one (utterance, keyword) pair at a time.
+_LANE_CHUNK = 32
 
 
 def _check_search_config(config) -> None:
@@ -144,8 +168,11 @@ class StreamingDecoder:
         self._columns = 0
         self._next_deliver = 1
         self._next_process = 1
-        self._delta: list[float] | None = None
-        self._phi_last: list[float] | None = None
+        # One lane, one column per call. Before the first column
+        # delta(0, u > 0) = -inf, so the first keeps only the vertical chain.
+        self._delta = _first_column(keyword.num_tokens, 1)
+        self._edges = _edge_buffer(1, keyword.num_tokens, 1)
+        self._score = np.empty((1, 1))
         self._greedy_state: object = oracle.initial_greedy_state()
         self._gate = _EventGate(keyword.name, config)
         self.events: list[DetectionEvent] = []
@@ -169,22 +196,23 @@ class StreamingDecoder:
     def _process(self, t: int) -> list[DetectionEvent]:
         row_y, row_phi = self._oracle.emission_rows(self._keyword, t)
         self.counters.oracle_queries += 1
-        phi = row_phi.tolist()
         U = self._keyword.num_tokens
 
         tick = perf_counter()
-        delta = _column(self._delta, self._phi_last, row_y.tolist(), U)
-        score = delta[U] + phi[U]
+        edges = self._edges
+        edges[U, 1] = edges[U + 1, 1]  # the previous column becomes column 0
+        edges[U + 1, 0, :U, 0] = row_y
+        edges[U + 1, 1, :, 0] = row_phi
+        self._delta = _lane_columns(edges, self._delta, 1, self._score)
+        score = float(self._score[0, 0])
         self.counters.search_wall_seconds += perf_counter() - tick
 
-        self._delta = delta
-        self._phi_last = phi
         self._scores[t - 1] = score
         self._processed[t - 1] = True
         self._columns += 1
         self.counters.columns_evaluated += 1
         if self._column_sink is not None:
-            self._column_sink(t, list(delta))
+            self._column_sink(t, self._delta[:, 0].tolist())
 
         if self._config.mode == TDT:
             step, self._greedy_state = self._oracle.greedy_step(t, self._greedy_state)
@@ -211,24 +239,52 @@ class StreamingDecoder:
         )
 
 
-def _column(
-    prev_delta: list[float] | None, prev_phi: list[float] | None, y: list[float], U: int
-) -> list[float]:
-    """The DP column delta(t, 0..U) from the previous processed column.
-
-    ``prev_delta`` is None at the first processed frame, where the virtual
-    t = 0 column carries probability zero and only the vertical chain is left.
-    """
-    delta = [0.0] * (U + 1)
-    if prev_delta is None:
-        for u in range(1, U + 1):
-            delta[u] = delta[u - 1] + y[u - 1]
-    else:
-        for u in range(1, U + 1):
-            vertical = delta[u - 1] + y[u - 1]
-            horizontal = prev_delta[u] + prev_phi[u]
-            delta[u] = vertical if vertical >= horizontal else horizontal
+def _first_column(U: int, lanes: int) -> np.ndarray:
+    """delta before any frame: 0.0 at u = 0, -inf above."""
+    delta = np.full((U + 1, lanes), NEG_INF)
+    delta[0] = 0.0
     return delta
+
+
+def _edge_buffer(columns: int, U: int, lanes: int) -> np.ndarray:
+    """Zeroed edge log-probs for ``_lane_columns``: (columns + 1 + 2U, 2, U + 1, lanes) f32."""
+    return np.zeros((columns + 1 + 2 * U, 2, U + 1, lanes), dtype=np.float32)
+
+
+def _lane_columns(
+    edges: np.ndarray, first: np.ndarray, columns: int, scores: np.ndarray
+) -> np.ndarray:
+    """The DP over ``columns`` processed columns of every lane at once.
+
+    ``edges[U + k, 0, u]`` holds log_y(k, u) (u < U) and ``edges[U + k, 1, u]``
+    log_phi(k, u) for column k = 0..columns, column 0 being the one before
+    the first; the U rows before and after are zero padding. ``first``
+    (U+1, lanes) f64 is column 0's delta. Fills ``scores[k - 1]`` with
+    delta(k, U) + log_phi(k, U) for k >= 1 and returns the last column.
+    """
+    _, _, U1, lanes = edges.shape
+    U = U1 - 1
+    s0, s1, s2, s3 = edges.strides
+    # wave[s, :, u] = edges[U + s - u, :, u]: cell (k, u) lies on wavefront
+    # s = k + u and reads only wavefront s - 1. Cells off the grid (k < 0 or
+    # k > columns) read padding and are never read back.
+    wave = as_strided(
+        edges[U:], shape=(columns + U + 1, 2, U1, lanes), strides=(s0, s1, s2 - s0, s3)
+    )
+    prev, cur, last = first.copy(), np.empty_like(first), np.empty_like(first)
+    cur[0] = last[0] = 0.0
+    moves = np.empty((2, U1, lanes))  # [0]: consume a token, [1]: blank over the hop
+    for s in range(1, columns + U + 1):
+        np.add(prev, wave[s - 1], out=moves)
+        np.maximum(moves[0, :U], moves[1, 1:], out=cur[1:])
+        if s <= U:
+            cur[s] = first[s]  # column 0 is given, not computed
+        else:
+            np.add(cur[U], wave[s, 1, U], out=scores[s - U - 1])
+        if s >= columns:
+            last[s - columns] = cur[s - columns]
+        prev, cur = cur, prev
+    return last
 
 
 def _hop(duration: int, t: int, config: DecodeConfig) -> int:
@@ -261,60 +317,126 @@ def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
     return np.array(frames, dtype=np.int64)
 
 
-def decode_keywords(
-    oracle: EmissionOracle,
-    keywords: Sequence[KeywordSpec],
-    config: DecodeConfig,
-    utt_id: str = "",
-    counters: SpeedCounters | None = None,
-) -> list[ScoreStream]:
-    """Whole-utterance decode of several keywords on one shared hop schedule.
+@dataclass
+class _PendingUtterance:
+    utt_id: str
+    num_frames: int
+    frame_seconds: float
+    frames: np.ndarray
+    streams: list
+    lanes_left: int
 
-    Bit-identical to one ``StreamingDecoder`` per keyword, and counted the
-    same way: per keyword, one row query per processed frame plus, in TDT
-    mode, one greedy query, although the schedule is computed only once.
-    ``search_wall_seconds`` brackets each keyword's column loop;
-    ``total_wall_seconds`` covers the whole call.
+
+class _LaneBatch:
+    """f32 edge buffer for up to ``_LANE_CHUNK`` lanes, reused batch after batch.
+
+    Lane i's log-probs sit at ``edges[..., i]`` in ``_lane_columns``'s layout,
+    left-padded with log-1 entries (0.0) to the widest keyword seen and
+    right-padded past the lane's own columns. The buffer is zeroed after each
+    batch. A lane that does not fit first decodes the batch so far, so the
+    old buffer is freed before a larger one is allocated.
     """
-    tick = perf_counter()
-    _check_mode(oracle, config)
-    counters = counters if counters is not None else SpeedCounters()
-    frames = _hop_schedule(oracle, config)
-    n = len(frames)
-    queries_per_column = 2 if config.mode == TDT else 1
-    streams = []
-    for keyword in keywords:
-        log_y, log_phi = oracle.emission_grid(keyword, frames)
-        ys = log_y.tolist()
-        phis = log_phi.tolist()
-        U = keyword.num_tokens
-        column_scores = []
-        search_tick = perf_counter()
-        delta = prev_phi = None
-        for y, phi in zip(ys, phis):
-            delta = _column(delta, prev_phi, y, U)
-            column_scores.append(delta[U] + phi[U])
-            prev_phi = phi
-        counters.search_wall_seconds += perf_counter() - search_tick
-        counters.columns_evaluated += n
-        counters.oracle_queries += queries_per_column * n
 
-        scores = np.full(oracle.num_frames, NEG_INF, dtype=np.float64)
-        scores[frames - 1] = column_scores
-        processed = np.zeros(oracle.num_frames, dtype=bool)
-        processed[frames - 1] = True
-        streams.append(
-            ScoreStream(
-                utt_id=utt_id,
-                keyword=keyword.name,
-                frame_seconds=oracle.frame_seconds,
-                scores=scores,
+    def __init__(self, counters: SpeedCounters) -> None:
+        self.counters = counters
+        self.edges = _edge_buffer(0, 0, _LANE_CHUNK)
+        self.lanes: list[tuple[_PendingUtterance, int, str]] = []
+        self._columns = self._tokens = 0
+
+    def add(self, utt: _PendingUtterance, k: int, keyword: str, log_y, log_phi) -> None:
+        n, u = log_y.shape
+        rows, _, U1, L = self.edges.shape
+        U = U1 - 1
+        C = rows - 1 - 2 * U
+        if n > C or u > U:
+            self.decode()
+            del self.edges  # freed before its successor is allocated
+            U = max(u, U)
+            self.edges = _edge_buffer(max(n, C), U, L)
+        i = len(self.lanes)
+        self.edges[U + 1 : U + 1 + n, 0, U - u : U, i] = log_y
+        self.edges[U + 1 : U + 1 + n, 1, U - u :, i] = log_phi
+        self.lanes.append((utt, k, keyword))
+        self._columns = max(self._columns, n)
+        self._tokens = max(self._tokens, u)
+
+    def decode(self) -> None:
+        """Run the DP over the batch, hand each lane its ScoreStream, and empty it."""
+        L, C, U = len(self.lanes), self._columns, self._tokens
+        if not L:
+            return
+        skip = self.edges.shape[2] - 1 - U  # padding rows no lane of this batch needs
+        edges = self.edges[skip:, :, skip:, :L]
+        scores = np.empty((C, L))
+        tick = perf_counter()
+        _lane_columns(edges, _first_column(U, L), C, scores)
+        self.counters.search_wall_seconds += perf_counter() - tick
+
+        for i, (utt, k, keyword) in enumerate(self.lanes):
+            n = len(utt.frames)
+            stream_scores = np.full(utt.num_frames, NEG_INF)
+            stream_scores[utt.frames - 1] = scores[:n, i]
+            processed = np.zeros(utt.num_frames, dtype=bool)
+            processed[utt.frames - 1] = True
+            utt.streams[k] = ScoreStream(
+                utt_id=utt.utt_id,
+                keyword=keyword,
+                frame_seconds=utt.frame_seconds,
+                scores=stream_scores,
                 processed=processed,
                 columns_evaluated=n,
             )
+            utt.lanes_left -= 1
+        self.edges[:] = 0.0
+        self.lanes = []
+        self._columns = self._tokens = 0
+
+
+def decode_keywords(
+    utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
+    config: DecodeConfig,
+    counters: SpeedCounters | None = None,
+) -> Iterator[list[ScoreStream]]:
+    """Whole-utterance decodes of many (oracle, keywords, utt_id) triples.
+
+    Yields, in input order, one list per utterance with one ScoreStream per
+    keyword, as soon as all its lanes are decoded. Each utterance's hop
+    schedule is computed once; its lanes join batches of ``_LANE_CHUNK``
+    (utterance, keyword) lanes, and an oracle is not held once its rows are
+    fetched. Scores are bit-identical to one ``StreamingDecoder`` per pair,
+    and counted the same way: per pair, one row query per processed frame
+    plus, in TDT mode, one greedy query. ``search_wall_seconds`` brackets
+    the batched column loops; ``total_wall_seconds`` covers schedules, row
+    fetches and batches, not the time spent drawing from ``utterances`` or
+    in the caller.
+    """
+    counters = counters if counters is not None else SpeedCounters()
+    queries_per_column = 2 if config.mode == TDT else 1
+    pending: deque[_PendingUtterance] = deque()
+    batch = _LaneBatch(counters)
+    for oracle, keywords, utt_id in utterances:
+        tick = perf_counter()
+        _check_mode(oracle, config)
+        frames = _hop_schedule(oracle, config)
+        utt = _PendingUtterance(
+            utt_id, oracle.num_frames, oracle.frame_seconds, frames,
+            [None] * len(keywords), len(keywords),
         )
+        pending.append(utt)
+        for k, keyword in enumerate(keywords):
+            batch.add(utt, k, keyword.name, *oracle.emission_grid(keyword, frames))
+            counters.columns_evaluated += len(frames)
+            counters.oracle_queries += queries_per_column * len(frames)
+            if len(batch.lanes) == _LANE_CHUNK:
+                batch.decode()
+        counters.total_wall_seconds += perf_counter() - tick
+        while pending and pending[0].lanes_left == 0:
+            yield pending.popleft().streams
+    tick = perf_counter()
+    batch.decode()
     counters.total_wall_seconds += perf_counter() - tick
-    return streams
+    while pending:
+        yield pending.popleft().streams
 
 
 def decode_kws(
@@ -324,8 +446,9 @@ def decode_kws(
     utt_id: str = "",
     counters: SpeedCounters | None = None,
 ) -> ScoreStream:
-    """Whole-utterance decode; returns the full ScoreStream."""
-    return decode_keywords(oracle, [keyword], config, utt_id=utt_id, counters=counters)[0]
+    """Whole-utterance decode of one (utterance, keyword) pair."""
+    ((stream,),) = decode_keywords([(oracle, (keyword,), utt_id)], config, counters)
+    return stream
 
 
 def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEvent]:

@@ -18,6 +18,7 @@ decoders; greedy-history handles are per-stream values.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,9 +39,16 @@ class KeywordSpec:
     tokens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"keyword name must be a non-empty string, got {self.name!r}")
+        try:
+            # operator.index, not int(): 4.7 or "4" is an error, not token 4.
+            tokens = tuple(operator.index(t) for t in self.tokens)
+        except TypeError as exc:
+            raise ValidationError(
+                f"keyword {self.name!r} token ids must be integers, got {self.tokens!r}"
+            ) from exc
+        object.__setattr__(self, "tokens", tokens)
         if len(self.tokens) < 1:
             raise ValidationError(f"keyword {self.name!r} must have at least one token")
         if any(t < 1 for t in self.tokens):

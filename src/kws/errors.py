@@ -60,4 +60,5 @@ class LatticeValueError(LatticeFormatError):
 
 
 class SidecarError(LatticeFormatError):
-    """Missing or malformed JSON sidecar next to a lattice file."""
+    """Missing or malformed JSON sidecar next to a lattice file, or one whose
+    keyword disagrees with the keyword the lattice is queried for."""

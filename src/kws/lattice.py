@@ -196,9 +196,10 @@ def read_lattice(path: str | Path) -> LatticeData:
 class FileLatticeOracle(EmissionOracle):
     """Replay oracle over one keyword-conditioned LatticeData."""
 
-    def __init__(self, data: LatticeData) -> None:
+    def __init__(self, data: LatticeData, path: str | Path | None = None) -> None:
         data.validate()
         self._data = data
+        self._source = str(path) if path is not None else "in-memory lattice"
 
     @property
     def keyword(self) -> KeywordSpec:
@@ -224,9 +225,9 @@ class FileLatticeOracle(EmissionOracle):
                 f"queried keyword {keyword.name!r} has U={keyword.num_tokens}"
             )
         if keyword.tokens != stored.tokens:
-            raise ValidationError(
-                f"lattice is conditioned on keyword {stored.name!r} "
-                f"{stored.tokens}; cannot answer for {keyword.name!r} {keyword.tokens}"
+            raise SidecarError(
+                f"{self._source}: sidecar keyword {stored.name!r} {stored.tokens} "
+                f"disagrees with the queried keyword {keyword.name!r} {keyword.tokens}"
             )
 
     def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +259,7 @@ class FileLatticeOracle(EmissionOracle):
 
 def load_lattice(path: str | Path) -> FileLatticeOracle:
     """Open a KWL1 file as a file-backed emission oracle."""
-    return FileLatticeOracle(read_lattice(path))
+    return FileLatticeOracle(read_lattice(path), path)
 
 
 def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> LatticeData:

@@ -3,16 +3,17 @@
 Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
-keyword conditioning). Each negative builds one ``SyntheticOracle`` per run
-and decodes all keywords on one shared hop schedule (``decode_keywords``);
-its ``oracle_queries`` still count one row query per keyword per column,
-plus one greedy query per keyword per column in TDT mode. ASR baseline rows
-always use the generative oracle.
+keyword conditioning). Each negative builds one ``SyntheticOracle`` per run.
+All utterances of a run go through one ``decode_keywords`` call, which
+decodes them as batched (utterance, keyword) lanes; its ``oracle_queries``
+still count one row query per keyword per column, plus one greedy query per
+keyword per column in TDT mode. ASR baseline rows always use the generative
+oracle.
 
-With --jobs N, per-utterance decodes run in a process pool of at most
-min(N, CPU count, job count) workers; results are aggregated in manifest
-order and wall counters are sums of per-decode durations, so N never changes
-any deterministic output.
+With --jobs N, a run's utterances are cut into at most min(N, CPU count,
+job count) contiguous slices, one per worker process; results are
+aggregated in manifest order and wall counters are sums over the workers,
+so N never changes any deterministic output.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from time import perf_counter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .decoder import (
     RNNT,
     TDT,
     DecodeConfig,
+    ScoreStream,
     _encode_float,
     decode_keywords,
     decode_kws,
@@ -61,36 +64,40 @@ def _config_echo(config: DecodeConfig) -> dict:
 class _DecodeJob:
     utt_id: str
     keywords: tuple[KeywordSpec, ...]
-    config: DecodeConfig
     lattice_path: str | None = None
     synth: SyntheticJoinerConfig | None = None
-    full_record: bool = False
-    # "causal": the live gate (streaming semantics, honors the threshold).
-    # "peaks": threshold-free non-maximum suppression, for benchmark sweeps.
-    event_policy: str = "causal"
 
 
-def _run_decode_job(job: _DecodeJob) -> dict:
-    """Decode one job; event scores and records are per keyword, in job order."""
-    config = job.config
+def _records(streams: list[ScoreStream], config: DecodeConfig) -> list[dict]:
+    """JSONL records with the live gate's events (streaming semantics)."""
+    return [scorestream_record(s, detect_events(s, config)) for s in streams]
+
+
+def _peak_scores(streams: list[ScoreStream], config: DecodeConfig) -> list[list[float]]:
+    """Threshold-free peak event scores per keyword, for benchmark sweeps."""
+    return [[e.log_score for e in peak_events(s, config.refractory_frames)] for s in streams]
+
+
+def _decode_jobs(
+    jobs: Sequence[_DecodeJob], config: DecodeConfig, summarize: Callable
+) -> tuple[list, SpeedCounters]:
+    """Decode ``jobs`` in one ``decode_keywords`` call; one summary per job."""
     counters = SpeedCounters()
-    if job.lattice_path is not None:
-        tick = perf_counter()
-        oracle = load_lattice(job.lattice_path)
-        counters.total_wall_seconds += perf_counter() - tick
-    else:
-        oracle = SyntheticOracle(job.synth)
-    streams = decode_keywords(oracle, job.keywords, config, utt_id=job.utt_id, counters=counters)
-    event_scores, records = [], []
-    for stream in streams:
-        if job.event_policy == "peaks":
-            events = peak_events(stream, config.refractory_frames)
-        else:
-            events = detect_events(stream, config)
-        event_scores.append([e.log_score for e in events])
-        if job.full_record:
-            records.append(scorestream_record(stream, events))
-    return {"event_scores": event_scores, "records": records, "counters": counters}
+
+    def utterances():
+        for job in jobs:
+            if job.lattice_path is not None:
+                tick = perf_counter()
+                oracle = load_lattice(job.lattice_path)
+                counters.total_wall_seconds += perf_counter() - tick
+            else:
+                oracle = SyntheticOracle(job.synth)
+            yield oracle, job.keywords, job.utt_id
+
+    summaries = [
+        summarize(streams, config) for streams in decode_keywords(utterances(), config, counters)
+    ]
+    return summaries, counters
 
 
 def worker_count(requested: int, tasks: int) -> int:
@@ -100,12 +107,22 @@ def worker_count(requested: int, tasks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, tasks))
 
 
-def _run_jobs(jobs: Sequence[_DecodeJob], requested: int) -> list[dict]:
+def _run_jobs(
+    jobs: Sequence[_DecodeJob], config: DecodeConfig, summarize: Callable, requested: int
+) -> tuple[list, SpeedCounters]:
+    """``_decode_jobs`` over contiguous slices of ``jobs``, one per worker."""
     workers = worker_count(requested, len(jobs))
     if workers == 1:
-        return [_run_decode_job(job) for job in jobs]
+        return _decode_jobs(jobs, config, summarize)
+    bounds = [i * len(jobs) // workers for i in range(workers + 1)]
+    slices = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_decode_job, jobs, chunksize=8))
+        parts = list(pool.map(_decode_jobs, slices, repeat(config), repeat(summarize)))
+    summaries, counters = [], SpeedCounters()
+    for part, part_counters in parts:
+        summaries += part
+        counters.add(part_counters)
+    return summaries, counters
 
 
 def decode_suite(suite: SuiteManifest, config: DecodeConfig, jobs: int = 1) -> list[dict]:
@@ -115,13 +132,12 @@ def decode_suite(suite: SuiteManifest, config: DecodeConfig, jobs: int = 1) -> l
         _DecodeJob(
             utt_id=utt.utt_id,
             keywords=(by_name[utt.lattice_keyword],),
-            config=config,
             lattice_path=str(suite.lattice_path(utt)),
-            full_record=True,
         )
         for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
     ]
-    return [r["records"][0] for r in _run_jobs(decode_jobs, jobs)]
+    records, _ = _run_jobs(decode_jobs, config, _records, jobs)
+    return [r[0] for r in records]
 
 
 def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
@@ -153,38 +169,20 @@ def _bench_one_run(
         for keyword in suite.keywords
     ]
     pos_jobs = [
-        _DecodeJob(
-            utt_id=u.utt_id,
-            keywords=(keyword,),
-            config=collect,
-            lattice_path=str(suite.lattice_path(u)),
-            event_policy="peaks",
-        )
+        _DecodeJob(utt_id=u.utt_id, keywords=(keyword,), lattice_path=str(suite.lattice_path(u)))
         for keyword, utts in zip(suite.keywords, positives)
         for u in utts
     ]
     neg_jobs = [
-        _DecodeJob(
-            utt_id=u.utt_id,
-            keywords=suite.keywords,
-            config=collect,
-            synth=u.synth,
-            event_policy="peaks",
-        )
-        for u in negatives
+        _DecodeJob(utt_id=u.utt_id, keywords=suite.keywords, synth=u.synth) for u in negatives
     ]
-    results = _run_jobs(pos_jobs + neg_jobs, jobs)
-    counters = SpeedCounters()
-    for r in results:
-        counters.add(r["counters"])
+    results, counters = _run_jobs(pos_jobs + neg_jobs, collect, _peak_scores, jobs)
     pos_results = iter(results[: len(pos_jobs)])
     neg_results = results[len(pos_jobs) :]
     per_keyword = []
     for k, (keyword, utts) in enumerate(zip(suite.keywords, positives)):
-        pos_scores = [
-            max(next(pos_results)["event_scores"][0], default=NEG_INF) for _ in utts
-        ]
-        neg_scores = [s for r in neg_results for s in r["event_scores"][k]]
+        pos_scores = [max(next(pos_results)[0], default=NEG_INF) for _ in utts]
+        neg_scores = [s for r in neg_results for s in r[k]]
         rar = recall_at_far(pos_scores, neg_scores, neg_hours, target_far)
         per_keyword.append(_recall_entry(keyword.name, rar, len(neg_scores)))
     run = {

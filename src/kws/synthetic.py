@@ -147,6 +147,14 @@ class SyntheticOracle(EmissionOracle):
 
         self._grid_cache: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
         self._kw_pos_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # The greedy duration and its log-prob, indexed by ideal duration:
+        # the argmax of the same vector duration_log_probs returns.
+        self._greedy_durations: list[tuple[int, float]] = []
+        if config.d_max > 0:
+            for ideal in range(config.d_max + 1):
+                vec = self._duration_vector(ideal)
+                best = int(np.argmax(vec))
+                self._greedy_durations.append((best, float(vec[best])))
 
     @property
     def config(self) -> SyntheticJoinerConfig:
@@ -189,16 +197,17 @@ class SyntheticOracle(EmissionOracle):
                 f"keyword {keyword.name!r} has token-ids above vocab_size {self._cfg.vocab_size}"
             )
         U = len(key)
-        pos = np.zeros(self._cfg.num_frames, dtype=np.int64)
         toks = self._seg_tokens
+        seg_pos = [0] * (len(toks) + 1)  # by segment ordinal; ordinal 0 is a gap
         i = 0
-        while i + U <= len(toks):
+        while key[0] in toks[i:]:
+            i = toks.index(key[0], i)
             if toks[i : i + U] == key:
-                for j in range(U):
-                    pos[self._seg_ord == i + 1 + j] = j + 1
+                seg_pos[i + 1 : i + 1 + U] = range(1, U + 1)
                 i += U
             else:
                 i += 1
+        pos = np.array(seg_pos, dtype=np.int64)[self._seg_ord]
         self._kw_pos_cache[key] = pos
         return pos
 
@@ -208,18 +217,16 @@ class SyntheticOracle(EmissionOracle):
         cached = self._grid_cache.get(key)
         if cached is not None:
             return cached
-        T = self._cfg.num_frames
         U = keyword.num_tokens
-        pos = self._keyword_positions(keyword)
-        log_y = np.empty((T, U), dtype=np.float32)
-        log_phi = np.empty((T, U + 1), dtype=np.float32)
-        content = self._content
-        for u in range(U + 1):
-            ideal = content.copy()
-            ideal[(pos > 0) & (pos <= u)] = BLANK_ID
-            log_phi[:, u] = np.where(ideal == BLANK_ID, self._log_ideal, self._log_noise)
-            if u < U:
-                log_y[:, u] = np.where(ideal == keyword.tokens[u], self._log_ideal, self._log_noise)
+        pos = self._keyword_positions(keyword)[:, None]
+        # ideal[t, u]: the keyword-track symbol after a u-token prefix, for
+        # every u at once; positions 1..u of a matched occurrence are consumed.
+        consumed = (pos > 0) & (pos <= np.arange(U + 1))
+        ideal = np.where(consumed, BLANK_ID, self._content[:, None])
+        ideal32 = np.float32(self._log_ideal)
+        noise32 = np.float32(self._log_noise)
+        log_phi = np.where(ideal == BLANK_ID, ideal32, noise32)
+        log_y = np.where(ideal[:, :U] == np.array(keyword.tokens), ideal32, noise32)
         grids = (log_y, log_phi)
         self._grid_cache[key] = grids
         return grids
@@ -269,11 +276,14 @@ class SyntheticOracle(EmissionOracle):
         if not self.supports_tdt:
             raise ModeError("oracle has no duration track (d_max=0)")
         self._check_frame(t)
+        return self._duration_vector(self._ideal_duration(t))
+
+    def _duration_vector(self, ideal: int) -> np.ndarray:
         gamma = self._cfg.duration_concentration
         d_max = self._cfg.d_max
         with np.errstate(divide="ignore"):
             vec = np.full(d_max + 1, np.log((1.0 - gamma) / d_max), dtype=np.float64)
-        vec[self._ideal_duration(t)] = math.log(gamma)
+        vec[ideal] = math.log(gamma)
         return vec
 
     def _ideal_duration(self, t: int) -> int:
@@ -294,12 +304,11 @@ class SyntheticOracle(EmissionOracle):
         # The mixed distribution's argmax is the ideal symbol for every
         # epsilon < 1 (it carries strictly more mass), so no vector is built.
         token = self._generative_ideal(t, emitted)
-        duration_vec = self.duration_log_probs(t)
-        duration = int(np.argmax(duration_vec))
+        duration, log_duration_prob = self._greedy_durations[self._ideal_duration(t)]
         out = GreedyStepOutput(
             token=token,
             duration=duration,
             log_token_prob=self._log_ideal,
-            log_duration_prob=float(duration_vec[duration]),
+            log_duration_prob=log_duration_prob,
         )
         return out, emitted + (1 if token != BLANK_ID else 0)

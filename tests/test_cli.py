@@ -4,6 +4,7 @@ import importlib.resources
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +17,15 @@ from kws import (
     DecodeConfig,
     KeywordSpec,
     LatticeData,
+    ManifestError,
+    SidecarError,
     ValidationError,
     bench,
     load_manifest,
+    read_lattice,
     save_lattice,
 )
+from kws import decoder
 from kws.cli import main
 from kws.runner import worker_count
 
@@ -128,6 +133,30 @@ def test_bench_jobs_do_not_change_report(base_suite):
     serial = bench(suite, *configs, target_far=0.0, jobs=1)
     parallel = bench(suite, *configs, target_far=0.0, jobs=2)
     assert drop_wall(parallel) == drop_wall(serial)
+
+
+def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch):
+    """`kws decode` JSONL (both modes) and `kws bench` reports without "wall"
+    are the same whatever the lane batch width, and with --jobs 2."""
+
+    def outputs(tag, *flags):
+        run = {}
+        for mode in ("rnnt", "tdt"):
+            out = tmp_path / f"{tag}-{mode}.jsonl"
+            argv = ["decode", "--suite", str(base_suite), "--mode", mode, "--d-max", "3"]
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            run[mode] = out.read_bytes()
+        report = tmp_path / f"{tag}-report.json"
+        argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--report", str(report)]
+        assert main([*argv, *flags]) == 0
+        run["bench"] = drop_wall(json.loads(report.read_text()))
+        return run
+
+    default = outputs("default")
+    assert outputs("jobs2", "--jobs", "2") == default
+    for chunk in (1, 3):
+        monkeypatch.setattr(decoder, "_LANE_CHUNK", chunk)
+        assert outputs(f"chunk{chunk}") == default
 
 
 @pytest.mark.parametrize("command", ["decode", "bench"])
@@ -284,6 +313,45 @@ def test_broken_sidecar_exits_2(base_suite, tmp_path, sidecar):
     copy.write_bytes(source.read_bytes())
     copy.with_suffix(".json").write_bytes(sidecar)
     assert main(["dump-delta", "--lattice", str(copy)]) == 2
+
+
+def copy_suite(base_suite, tmp_path):
+    suite = tmp_path / "suite"
+    shutil.copytree(base_suite, suite)
+    return suite
+
+
+def test_sidecar_keyword_that_disagrees_with_the_manifest_exits_2(base_suite, tmp_path, capsys):
+    suite = copy_suite(base_suite, tmp_path)
+    sidecar = next((suite / "lattices").glob("*.json"))
+    meta = json.loads(sidecar.read_text())
+    stored = meta["keyword"]["tokens"]
+    swapped = [stored[1], stored[0], *stored[2:]]
+    meta["keyword"]["tokens"] = swapped
+    sidecar.write_text(json.dumps(meta))
+    assert main(["decode", "--suite", str(suite)]) == 2
+    err = capsys.readouterr().err
+    assert str(sidecar.with_suffix(".kwl")) in err
+    assert str(tuple(stored)) in err and str(tuple(swapped)) in err
+
+
+@pytest.mark.parametrize("where", ["manifest", "sidecar"])
+def test_non_integral_token_id_exits_2(base_suite, tmp_path, where):
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    if where == "manifest":
+        manifest["keywords"][0]["tokens"][0] += 0.7
+        (suite / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="'keywords'"):
+            load_manifest(suite)
+    else:
+        sidecar = suite / manifest["utterances"][0]["lattice"].replace(".kwl", ".json")
+        meta = json.loads(sidecar.read_text())
+        meta["keyword"]["tokens"][0] += 0.7
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(SidecarError, match="integers"):
+            read_lattice(sidecar.with_suffix(".kwl"))
+    assert main(["decode", "--suite", str(suite)]) == 2
 
 
 def test_oracle_check_exit_contract(capsys):

@@ -2,10 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kws.decoder
 from kws import (
     DecodeConfig,
     DetectionEvent,
@@ -15,15 +19,18 @@ from kws import (
     ModeError,
     NEG_INF,
     ScoreStream,
+    SpeedCounters,
     SyntheticJoinerConfig,
     SyntheticOracle,
     ValidationError,
+    decode_keywords,
     decode_kws,
     dump_delta_matrix,
     parse_scorestream_record,
     scorestream_record,
 )
 from kws.decoder import detect_events, peak_events
+from kws.runner import random_proper_lattice
 
 RNNT = DecodeConfig(mode="rnnt")
 
@@ -388,3 +395,83 @@ def test_scorestream_record_round_trip():
     np.testing.assert_array_equal(back_stream.processed, stream.processed)
     assert back_events == events
     assert back_stream.utt_id == "utt-7"
+
+
+def _reference_column(prev_delta, prev_phi, y, U):
+    """The DP column as a scalar loop over u, as the search was first written."""
+    delta = [0.0] * (U + 1)
+    for u in range(1, U + 1):
+        vertical = delta[u - 1] + y[u - 1]
+        if prev_delta is None:
+            delta[u] = vertical
+        else:
+            horizontal = prev_delta[u] + prev_phi[u]
+            delta[u] = vertical if vertical >= horizontal else horizontal
+    return delta
+
+
+def _reference_decode(oracle, keyword, config):
+    """(scores, processed frames) of one pair: frame loop, clamped hops, scalar columns."""
+    scores = np.full(oracle.num_frames, NEG_INF)
+    frames = []
+    delta = prev_phi = None
+    state = oracle.initial_greedy_state()
+    t = 1
+    while t <= oracle.num_frames:
+        frames.append(t)
+        y, phi = (row.tolist() for row in oracle.emission_rows(keyword, t))
+        delta = _reference_column(delta, prev_phi, y, keyword.num_tokens)
+        scores[t - 1] = delta[-1] + phi[-1]
+        prev_phi = phi
+        hop = 1
+        if config.mode == "tdt":
+            step, state = oracle.greedy_step(t, state)
+            hop = max(1, min(step.duration, config.d_max))
+        t += hop
+    return scores, frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    utterances=st.integers(1, 7),
+    tdt=st.booleans(),
+    tie_heavy=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 5, 32]),
+)
+def test_lane_dp_matches_scalar_reference(seed, utterances, tdt, tie_heavy, chunk):
+    """Many utterances per batch with U from 1 to 6, ragged column counts,
+    -inf rows, -0.0 entries and tie-heavy grids: every lane's scores are
+    bit-identical to a scalar frame-by-frame decode."""
+    rng = np.random.default_rng(seed)
+    d_max = int(rng.integers(1, 5)) if tdt else 0
+    config = DecodeConfig(mode="tdt", d_max=d_max) if tdt else RNNT
+    ties = np.float32([0.0, -0.0, np.log(0.5), np.log(0.25), -np.inf])
+    jobs = []
+    for i in range(utterances):
+        data = random_proper_lattice(rng, t_max=40, u_max=6, d_max=d_max)
+        for grid in (data.log_y, data.log_phi):
+            if tie_heavy:
+                grid[...] = rng.choice(ties, size=grid.shape)
+            grid[rng.random(grid.shape) < 0.05] = -0.0
+            grid[rng.random(grid.shape) < 0.1] = -np.inf
+            grid[rng.integers(grid.shape[0])] = -np.inf  # one -inf row
+        # A lattice answers only its own keyword, so a lane repeats it.
+        jobs.append((FileLatticeOracle(data), [data.keyword] * int(rng.integers(0, 3)), f"u{i}"))
+
+    counters = SpeedCounters()
+    with mock.patch.object(kws.decoder, "_LANE_CHUNK", chunk):
+        decoded = list(decode_keywords(jobs, config, counters))
+    assert len(decoded) == len(jobs)
+    columns = 0
+    for (oracle, keywords, utt_id), streams in zip(jobs, decoded):
+        assert len(streams) == len(keywords)
+        for keyword, stream in zip(keywords, streams):
+            scores, frames = _reference_decode(oracle, keyword, config)
+            assert stream.utt_id == utt_id
+            assert stream.scores.tobytes() == scores.tobytes()
+            assert np.flatnonzero(stream.processed).tolist() == [t - 1 for t in frames]
+            assert stream.columns_evaluated == len(frames)
+            columns += len(frames)
+    assert counters.columns_evaluated == columns
+    assert counters.oracle_queries == columns * (2 if tdt else 1)

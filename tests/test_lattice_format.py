@@ -194,8 +194,15 @@ def test_sidecar_token_count_must_match_header(tmp_path):
         b'{"keyword": {"name": ["tiny"], "tokens": [5, 6]}}',
         b'{"keyword": "tiny"}',
         b"[1, 2]",
+        # int() would read these as token 6 and decode a keyword the file
+        # does not state.
+        b'{"keyword": {"name": "tiny", "tokens": [5, 6.7]}}',
+        b'{"keyword": {"name": "tiny", "tokens": [5, "6"]}}',
     ],
-    ids=["not-utf8", "token-not-int", "name-not-string", "keyword-not-object", "list"],
+    ids=[
+        "not-utf8", "token-not-int", "name-not-string", "keyword-not-object", "list",
+        "token-not-integral", "token-is-string",
+    ],
 )
 def test_malformed_sidecar_rejected(tmp_path, sidecar):
     path = save_lattice(tiny_data(), tmp_path / "x.kwl")
@@ -208,7 +215,9 @@ def test_wrong_keyword_query_rejected(tmp_path):
     oracle = load_lattice(save_lattice(tiny_data(), tmp_path / "x.kwl"))
     with pytest.raises(DimensionMismatchError):
         oracle.emission_rows(KeywordSpec("other", (5, 6, 7)), 1)
-    with pytest.raises(ValidationError):
+    # Same length, other tokens: the sidecar disagrees with the query, a
+    # broken file rather than a bad argument.
+    with pytest.raises(SidecarError, match=r"x\.kwl: .*\(5, 6\).*\(6, 5\)"):
         oracle.emission_rows(KeywordSpec("other", (6, 5)), 1)
 
 

@@ -232,12 +232,12 @@ def test_shared_hop_decode_equals_separate_streaming_decodes(
             expected.append((decoder.finish(), events))
     except ValidationError as exc:
         with pytest.raises(ValidationError) as raised:
-            decode_keywords(oracle, keywords, config, "u")
+            list(decode_keywords([(oracle, keywords, "u")], config))
         assert str(raised.value) == str(exc)
         return
 
     counters = SpeedCounters()
-    streams = decode_keywords(oracle, keywords, config, "u", counters)
+    (streams,) = decode_keywords([(oracle, keywords, "u")], config, counters)
     assert len(streams) == len(keywords)
     for stream, keyword, (reference, streamed_events) in zip(streams, keywords, expected):
         assert stream.keyword == keyword.name
