@@ -7,21 +7,32 @@ at least 1) in TDT mode. The hypothesis log-prob accumulates token-track
 probabilities only: one blank term per frame advance and one token term per
 emission.
 
-Beam search keeps B lineages per frame. Each lineage expands: when blank is
-its local argmax the lineage commits (the blank-extended hypothesis joins the
-frame's finished pool, log-sum-exp-merged on duplicate token sequences);
-otherwise its token extensions compete in the alive pool, which is pruned to
-the top B. The per-frame emission cap force-commits survivors. At B = 1 this
-reproduces greedy search token-for-token. The returned list is sorted by
-log-prob descending, and the top hypothesis never scores below greedy: if the
-greedy token sequence was pruned away and would outrank the survivors it is
-unioned back in.
+Beam search keeps B lineages per frame and expands them in rounds. When
+blank is a lineage's local argmax the lineage commits: the blank-extended
+hypothesis joins the frame's finished pool. Otherwise its top-B token
+extensions compete in the alive pool, which is pruned to the top B by
+log-prob, ties broken by token sequence. The per-frame emission cap
+force-commits survivors. A token sequence joins a frame's pool at most once
+(no lineage of a beam is a prefix of another, and a lineage either commits or
+expands), so the pool needs no log-sum-exp merge. At B = 1 this reproduces
+greedy search token-for-token. The returned list is sorted by log-prob
+descending, and the top hypothesis never scores below greedy: if the greedy
+token sequence was pruned away and would outrank the survivors it is unioned
+back in.
+
+Each round does its work once for all live lineages: one
+``EmissionOracle.token_log_prob_rows`` query, one argmax, one top-k over the
+expanding rows, and one array of child log-probs, of which only the children
+that reach the B-th best log-prob (ties kept) become Python tuples. Every
+log-prob is the same float64 sum, in the same order, as a per-lineage loop
+would form, so results are bit-identical to it.
 
 Beam search is RNN-T-only; duration-aware beam decoding is out of scope.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,41 +108,54 @@ def beam_search(
     if config.mode == TDT:
         raise ModeError("beam search supports RNN-T mode only")
 
-    beams: dict[tuple[int, ...], Hypothesis] = {(): Hypothesis((), 0.0, ())}
+    # Lineages are (tokens, log_prob, emit_frames) tuples until the return.
+    beams: list[tuple] = [((), 0.0, ())]
     for t in range(1, oracle.num_frames + 1):
-        done: dict[tuple[int, ...], Hypothesis] = {}
-        alive = list(beams.values())
+        done: list[tuple] = []
+        alive = beams
         emitted = 0
         while alive:
-            children: list[Hypothesis] = []
-            for hyp in alive:
-                vec = oracle.token_log_probs(t, list(hyp.tokens))
-                k_best = int(np.argmax(vec))
-                if k_best == BLANK_ID or emitted >= config.max_symbols_per_frame:
-                    committed = Hypothesis(
-                        hyp.tokens, hyp.log_prob + float(vec[BLANK_ID]), hyp.emit_frames
-                    )
-                    _merge(done, committed)
-                    continue
-                # Only this lineage's top candidates can survive the union
-                # prune, so wider expansion is wasted work.
-                top = _top_tokens(vec, beam_width)
-                for k in top:
-                    children.append(
-                        Hypothesis(
-                            hyp.tokens + (k,),
-                            hyp.log_prob + float(vec[k]),
-                            hyp.emit_frames + (t,),
-                        )
-                    )
-            children.sort(key=lambda h: (-h.log_prob, h.tokens))
-            alive = children[:beam_width]
+            rows = oracle.token_log_prob_rows(t, [tokens for tokens, _, _ in alive])
+            if emitted >= config.max_symbols_per_frame:
+                best = [BLANK_ID] * len(alive)
+            else:
+                best = rows.argmax(axis=1).tolist()
+            blank = rows[:, BLANK_ID].tolist()
+            expand = []
+            for i, (tokens, log_prob, frames) in enumerate(alive):
+                if best[i] == BLANK_ID:
+                    done.append((tokens, log_prob + blank[i], frames))
+                else:
+                    expand.append(i)
+            if not expand:
+                break
+            # Only each lineage's top candidates can survive the union prune,
+            # so wider expansion is wasted work. Which of several tied tokens
+            # argpartition keeps decides the result; it keeps the same ones
+            # row by row as on each row alone. Their order does not matter:
+            # children have distinct tokens, and the prune sorts by them.
+            scores = rows[expand, 1:]
+            count = min(beam_width, scores.shape[1])
+            top = np.argpartition(-scores, count - 1, axis=1)[:, :count]
+            parent_lp = np.array([alive[i][1] for i in expand])
+            child_lp = (parent_lp[:, None] + np.take_along_axis(scores, top, axis=1)).ravel()
+            # Children below the B-th largest log-prob cannot survive the
+            # prune; ties with it are kept for the token-order tie rule.
+            keep = range(child_lp.size)
+            kth = child_lp.size - beam_width
+            if kth > 0:
+                keep = np.flatnonzero(child_lp >= np.partition(child_lp, kth)[kth]).tolist()
+            top_tokens = (top + 1).ravel().tolist()
+            child_lps = child_lp.tolist()
+            children = []
+            for j in keep:
+                tokens, _, frames = alive[expand[j // count]]
+                children.append((tokens + (top_tokens[j],), child_lps[j], frames + (t,)))
+            alive = heapq.nsmallest(beam_width, children, key=_rank)
             emitted += 1
-        beams = dict(
-            sorted(done.items(), key=lambda kv: (-kv[1].log_prob, kv[0]))[:beam_width]
-        )
+        beams = heapq.nsmallest(beam_width, done, key=_rank)
 
-    results = sorted(beams.values(), key=lambda h: (-h.log_prob, h.tokens))
+    results = [Hypothesis(*lineage) for lineage in beams]
     greedy = greedy_search(oracle, config)
     if not results or results[0].log_prob < greedy.log_prob:
         results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
@@ -139,22 +163,10 @@ def beam_search(
     return results
 
 
-def _merge(pool: dict[tuple[int, ...], Hypothesis], hyp: Hypothesis) -> None:
-    existing = pool.get(hyp.tokens)
-    if existing is None:
-        pool[hyp.tokens] = hyp
-    else:
-        merged_lp = float(np.logaddexp(existing.log_prob, hyp.log_prob))
-        keep = existing if existing.log_prob >= hyp.log_prob else hyp
-        pool[hyp.tokens] = Hypothesis(keep.tokens, merged_lp, keep.emit_frames)
-
-
-def _top_tokens(vec: np.ndarray, count: int) -> list[int]:
-    token_scores = vec[1:]
-    count = min(count, token_scores.size)
-    idx = np.argpartition(-token_scores, count - 1)[:count]
-    idx = idx[np.lexsort((idx, -token_scores[idx]))]
-    return [int(i) + 1 for i in idx]
+def _rank(lineage: tuple) -> tuple:
+    """Sort key of a (tokens, log_prob, emit_frames) lineage: best first,
+    ties broken by token sequence."""
+    return -lineage[1], lineage[0]
 
 
 def keyword_hit(hypothesis: Hypothesis, keyword) -> tuple[bool, tuple[int, ...]]:

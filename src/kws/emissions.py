@@ -10,7 +10,9 @@ two kinds of questions:
   duration at frame t given an opaque greedy-history handle.
 
 Generative oracles additionally answer full-vocabulary queries conditioned on
-an arbitrary emitted-token history, which is what the ASR baselines need.
+an arbitrary emitted-token history, which is what the ASR baselines need:
+one history at a time (``token_log_probs``) or many histories at one frame
+(``token_log_prob_rows``).
 
 Oracles are immutable after construction and safe to share across concurrent
 decoders; greedy-history handles are per-stream values.
@@ -156,6 +158,20 @@ class EmissionOracle(ABC):
         """Full token distribution (V+1 log-probs, index 0 = blank) at frame t
         given the emitted non-blank token history."""
         raise CapabilityError(f"{type(self).__name__} is not generative")
+
+    def token_log_prob_rows(self, t: int, histories: Sequence[Sequence[int]]) -> np.ndarray:
+        """Full token distributions at frame t for many histories at once.
+
+        Returns a (len(histories), V+1) float64 array, row i being
+        ``token_log_probs(t, histories[i])``. This default stacks those rows,
+        one call per history, so an oracle that wraps or delegates
+        ``token_log_probs`` still sees every row; oracles that can answer
+        all histories together override it.
+        """
+        rows = np.empty((len(histories), self.vocab_size + 1), dtype=np.float64)
+        for i, history in enumerate(histories):
+            rows[i] = self.token_log_probs(t, history)
+        return rows
 
     def duration_log_probs(self, t: int, history: Sequence[int] = ()) -> np.ndarray:
         """Duration distribution (D_max+1 log-probs over {0..D_max}) at frame t."""

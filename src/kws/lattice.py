@@ -219,11 +219,6 @@ class FileLatticeOracle(EmissionOracle):
 
     def _check_keyword(self, keyword: KeywordSpec) -> None:
         stored = self._data.keyword
-        if keyword.num_tokens != stored.num_tokens:
-            raise DimensionMismatchError(
-                f"lattice stores U={stored.num_tokens} for {stored.name!r}; "
-                f"queried keyword {keyword.name!r} has U={keyword.num_tokens}"
-            )
         if keyword.tokens != stored.tokens:
             raise SidecarError(
                 f"{self._source}: sidecar keyword {stored.name!r} {stored.tokens} "

@@ -30,6 +30,7 @@ spreads the rest uniformly over the other D_max values of {0..D_max}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,11 +60,17 @@ class SyntheticJoinerConfig:
     frame_seconds: float = 0.03
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "alignment",
-            tuple((int(a), int(b), int(c)) for a, b, c in self.alignment),
-        )
+        try:
+            # operator.index, not int(): 4.7 or "4" is an error, not 4.
+            alignment = tuple(
+                (operator.index(a), operator.index(b), operator.index(c))
+                for a, b, c in self.alignment
+            )
+        except TypeError as exc:
+            raise ValidationError(
+                f"alignment entries must be integer triples, got {self.alignment!r}"
+            ) from exc
+        object.__setattr__(self, "alignment", alignment)
         if self.vocab_size < 1:
             raise ValidationError("vocab_size must be >= 1")
         if self.num_frames < 1:
@@ -266,11 +273,15 @@ class SyntheticOracle(EmissionOracle):
         return int(self._content[t - 1])
 
     def token_log_probs(self, t: int, history: Sequence[int]) -> np.ndarray:
+        return self.token_log_prob_rows(t, [history])[0]
+
+    def token_log_prob_rows(self, t: int, histories: Sequence[Sequence[int]]) -> np.ndarray:
         self._check_frame(t)
-        ideal = self._generative_ideal(t, len(history))
-        vec = np.full(self._cfg.vocab_size + 1, self._log_noise, dtype=np.float64)
-        vec[ideal] = self._log_ideal
-        return vec
+        shape = (len(histories), self._cfg.vocab_size + 1)
+        rows = np.full(shape, self._log_noise, dtype=np.float64)
+        for i, history in enumerate(histories):
+            rows[i, self._generative_ideal(t, len(history))] = self._log_ideal
+        return rows
 
     def duration_log_probs(self, t: int, history: Sequence[int] = ()) -> np.ndarray:
         if not self.supports_tdt:

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kws import (
     AsrConfig,
+    BLANK_ID,
     CapabilityError,
     EmissionOracle,
     Hypothesis,
@@ -25,6 +26,7 @@ from kws import (
     save_lattice,
     snapshot,
 )
+from kws.baselines import _require_generative
 
 
 class ScriptedOracle(EmissionOracle):
@@ -290,3 +292,189 @@ def test_asr_config_validation():
         AsrConfig(mode="rnnt", d_max=-3)
     with pytest.raises(ValidationError):
         AsrConfig(mode="tdt", d_max=2, zero_duration_policy="skip")
+
+
+# Scalar reference: the per-lineage beam search that the batched
+# ``beam_search`` replaced, kept here to prove the two bit-identical.
+
+
+def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
+    """``merges``, when given, collects every token sequence that reached a
+    frame's finished pool twice."""
+    _require_generative(oracle)
+    if beam_width < 1:
+        raise ValidationError("beam_width must be >= 1")
+    if config.mode == "tdt":
+        raise ModeError("beam search supports RNN-T mode only")
+
+    beams = {(): Hypothesis((), 0.0, ())}
+    for t in range(1, oracle.num_frames + 1):
+        done = {}
+        alive = list(beams.values())
+        emitted = 0
+        while alive:
+            children = []
+            for hyp in alive:
+                vec = oracle.token_log_probs(t, list(hyp.tokens))
+                k_best = int(np.argmax(vec))
+                if k_best == BLANK_ID or emitted >= config.max_symbols_per_frame:
+                    committed = Hypothesis(
+                        hyp.tokens, hyp.log_prob + float(vec[BLANK_ID]), hyp.emit_frames
+                    )
+                    if merges is not None and committed.tokens in done:
+                        merges.append(committed.tokens)
+                    _reference_merge(done, committed)
+                    continue
+                for k in _reference_top_tokens(vec, beam_width):
+                    children.append(
+                        Hypothesis(
+                            hyp.tokens + (k,),
+                            hyp.log_prob + float(vec[k]),
+                            hyp.emit_frames + (t,),
+                        )
+                    )
+            children.sort(key=lambda h: (-h.log_prob, h.tokens))
+            alive = children[:beam_width]
+            emitted += 1
+        beams = dict(
+            sorted(done.items(), key=lambda kv: (-kv[1].log_prob, kv[0]))[:beam_width]
+        )
+
+    results = sorted(beams.values(), key=lambda h: (-h.log_prob, h.tokens))
+    greedy = greedy_search(oracle, config)
+    if not results or results[0].log_prob < greedy.log_prob:
+        results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
+        results = results[:beam_width]
+    return results
+
+
+def _reference_merge(pool, hyp):
+    existing = pool.get(hyp.tokens)
+    if existing is None:
+        pool[hyp.tokens] = hyp
+    else:
+        merged_lp = float(np.logaddexp(existing.log_prob, hyp.log_prob))
+        keep = existing if existing.log_prob >= hyp.log_prob else hyp
+        pool[hyp.tokens] = Hypothesis(keep.tokens, merged_lp, keep.emit_frames)
+
+
+def _reference_top_tokens(vec, count):
+    token_scores = vec[1:]
+    count = min(count, token_scores.size)
+    idx = np.argpartition(-token_scores, count - 1)[:count]
+    idx = idx[np.lexsort((idx, -token_scores[idx]))]
+    return [int(i) + 1 for i in idx]
+
+
+def bits(results):
+    """Hypotheses as exact values: log-probs by their float bit pattern."""
+    return [(h.tokens, h.emit_frames, float.hex(h.log_prob)) for h in results]
+
+
+class TiedOracle(ScriptedOracle):
+    """Generative oracle whose rows, drawn per (t, history) from a few
+    probability levels including 0, hold -inf entries and exact ties."""
+
+    LEVELS = np.array([0.0, 0.1, 0.25, 0.25, 0.5])
+
+    def __init__(self, num_frames, vocab, seed, blank_bias):
+        super().__init__(num_frames, vocab, {})
+        self._seed = seed
+        self._blank_bias = blank_bias
+
+    def token_log_probs(self, t, history):
+        rng = np.random.default_rng([self._seed, t, *history])
+        row = rng.choice(self.LEVELS, size=self._vocab + 1)
+        if rng.random() < self._blank_bias:
+            row[BLANK_ID] = 1.0
+        with np.errstate(divide="ignore"):
+            return np.log(row)
+
+
+@st.composite
+def generative_oracles(draw):
+    if draw(st.booleans()):
+        return TiedOracle(
+            num_frames=draw(st.integers(1, 8)),
+            vocab=draw(st.integers(1, 12)),
+            seed=draw(st.integers(0, 2**16)),
+            blank_bias=draw(st.sampled_from([0.0, 0.3, 0.7])),
+        )
+    num_frames = draw(st.integers(1, 14))
+    vocab = draw(st.integers(1, 30))
+    segments = []
+    t = 1
+    while t <= num_frames:
+        dur = min(draw(st.integers(1, 3)), num_frames - t + 1)
+        if draw(st.booleans()):
+            segments.append((draw(st.integers(1, vocab)), t, dur))
+        t += dur
+    epsilon = draw(st.sampled_from([0.0, 0.0, 0.3, 0.8]) | st.floats(0.0, 0.8))
+    return SyntheticOracle(
+        SyntheticJoinerConfig(
+            vocab_size=vocab, num_frames=num_frames, alignment=tuple(segments), epsilon=epsilon
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    oracle=generative_oracles(),
+    beam_width=st.sampled_from([1, 2, 3, 5, 10]),
+    cap=st.sampled_from([1, 2, 10]),
+)
+@example(oracle=TRAP, beam_width=1, cap=10)
+@example(oracle=TRAP, beam_width=2, cap=10)
+@example(oracle=TRAP, beam_width=2, cap=1)
+def test_batched_beam_equals_scalar_reference(oracle, beam_width, cap):
+    config = AsrConfig(mode="rnnt", max_symbols_per_frame=cap)
+    merges = []
+    expected = reference_beam_search(oracle, beam_width, config, merges)
+    assert bits(beam_search(oracle, beam_width, config)) == bits(expected)
+    # Why the batched search has no merge step: no lineage of a beam is a
+    # prefix of another, so no token sequence is finished twice in a frame.
+    assert merges == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    lengths=st.lists(st.integers(0, 6), min_size=0, max_size=12),
+    data=st.data(),
+)
+def test_synthetic_token_rows_equal_stacked_rows(seed, lengths, data):
+    oracle = random_generative(seed)
+    t = data.draw(st.integers(1, oracle.num_frames))
+    histories = [tuple(range(1, n + 1)) for n in lengths]
+    rows = oracle.token_log_prob_rows(t, histories)
+    assert rows.dtype == np.float64
+    assert rows.shape == (len(histories), oracle.vocab_size + 1)
+    # The stacking default of EmissionOracle, over the same oracle's rows.
+    stacked = EmissionOracle.token_log_prob_rows(oracle, t, histories)
+    assert rows.tobytes() == stacked.tobytes()
+    # The module docstring's formula: the covering segment's token while
+    # fewer tokens than its ordinal have been emitted, else blank.
+    segments = sorted(oracle.config.alignment, key=lambda seg: seg[1])
+    covering = [
+        (ordinal, token)
+        for ordinal, (token, start, duration) in enumerate(segments, start=1)
+        if start <= t < start + duration
+    ]
+    eps, V = oracle.config.epsilon, oracle.vocab_size
+    noise = eps / (V + 1)
+    for row, history in zip(rows, histories):
+        expected = np.full(V + 1, math.log(noise) if noise > 0 else -math.inf)
+        ideal = BLANK_ID
+        if covering and len(history) < covering[0][0]:
+            ideal = covering[0][1]
+        expected[ideal] = math.log(noise + (1.0 - eps))
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_token_rows_reject_out_of_range_frames():
+    oracle = synth_oracle()
+    for t in (0, oracle.num_frames + 1):
+        with pytest.raises(ValidationError):
+            oracle.token_log_prob_rows(t, [()])
+        with pytest.raises(ValidationError):
+            oracle.token_log_probs(t, ())

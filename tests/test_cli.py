@@ -25,7 +25,7 @@ from kws import (
     read_lattice,
     save_lattice,
 )
-from kws import decoder
+from kws import decoder, runner
 from kws.cli import main
 from kws.runner import worker_count
 
@@ -157,6 +157,30 @@ def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch
     for chunk in (1, 3):
         monkeypatch.setattr(decoder, "_LANE_CHUNK", chunk)
         assert outputs(f"chunk{chunk}") == default
+
+
+def test_batched_beam_does_not_change_asr_report(base_suite, tmp_path, monkeypatch):
+    """`kws bench --also-asr-baselines` gives the same report without "wall",
+    and the same beam hypotheses, with the per-lineage reference beam search."""
+    from test_baselines import bits, reference_beam_search
+
+    def run(tag, beam):
+        hypotheses = []
+
+        def recorded(*args):
+            results = beam(*args)
+            hypotheses.append(bits(results))
+            return results
+
+        monkeypatch.setattr(runner, "beam_search", recorded)
+        report = tmp_path / f"{tag}.json"
+        argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--report", str(report)]
+        assert main([*argv, "--also-asr-baselines", "--beam-width", "3"]) == 0
+        return json.dumps(drop_wall(json.loads(report.read_text()))), hypotheses
+
+    batched = run("batched", runner.beam_search)
+    assert '"beam3_rnnt"' in batched[0] and batched[1]
+    assert run("reference", reference_beam_search) == batched
 
 
 @pytest.mark.parametrize("command", ["decode", "bench"])
@@ -352,6 +376,37 @@ def test_non_integral_token_id_exits_2(base_suite, tmp_path, where):
         with pytest.raises(SidecarError, match="integers"):
             read_lattice(sidecar.with_suffix(".kwl"))
     assert main(["decode", "--suite", str(suite)]) == 2
+
+
+@pytest.mark.parametrize("edit", [lambda token: token + 0.7, str], ids=["float", "string"])
+def test_non_integral_alignment_entry_exits_2(base_suite, tmp_path, edit):
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    utterance = next(u for u in manifest["utterances"] if u["synth"]["alignment"])
+    segment = utterance["synth"]["alignment"][0]
+    segment[0] = edit(segment[0])
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="'synth'.*integer"):
+        load_manifest(suite)
+    assert main(["bench", "--suite", str(suite)]) == 2
+
+
+def test_manifest_keyword_longer_than_its_lattice_exits_2(base_suite, tmp_path, capsys):
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    keyword = manifest["keywords"][0]
+    stored = tuple(keyword["tokens"])
+    keyword["tokens"].append(stored[-1])
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["decode", "--suite", str(suite)]) == 2
+    err = capsys.readouterr().err
+    lattices = [
+        str(suite / u["lattice"])
+        for u in manifest["utterances"]
+        if u["lattice_keyword"] == keyword["name"]
+    ]
+    assert any(path in err for path in lattices)
+    assert str(stored) in err and str(tuple(keyword["tokens"])) in err
 
 
 def test_oracle_check_exit_contract(capsys):
