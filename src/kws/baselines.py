@@ -98,13 +98,17 @@ def greedy_search(oracle: EmissionOracle, config: AsrConfig = AsrConfig()) -> Hy
     return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))
 
 
+def _check_beam_width(beam_width: int) -> None:
+    if beam_width < 1:
+        raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
+
+
 def beam_search(
     oracle: EmissionOracle, beam_width: int, config: AsrConfig = AsrConfig()
 ) -> list[Hypothesis]:
     """Breadth-first per-frame beam; see module docstring for the variant."""
     _require_generative(oracle)
-    if beam_width < 1:
-        raise ValidationError("beam_width must be >= 1")
+    _check_beam_width(beam_width)
     if config.mode == TDT:
         raise ModeError("beam search supports RNN-T mode only")
 

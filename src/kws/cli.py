@@ -32,7 +32,14 @@ from .errors import (
     ValidationError,
 )
 from .lattice import load_lattice
-from .runner import bench, decode_suite, format_report_table, oracle_check, worker_count
+from .runner import (
+    bench,
+    check_bench_args,
+    decode_suite,
+    format_report_table,
+    oracle_check,
+    worker_count,
+)
 from .suite import SuiteGenSpec, gen_suite, load_manifest
 
 USAGE_ERRORS = (ValidationError, ModeError, CapabilityError, ProtocolError, SizeLimitError)
@@ -130,7 +137,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     candidate = DecodeConfig(
         mode=args.candidate, d_max=0 if args.candidate == RNNT else args.d_max
     )
-    worker_count(args.jobs, 1)  # usage errors come before any I/O
+    # Usage errors come before any I/O.
+    worker_count(args.jobs, 1)
+    check_bench_args(args.target_far, args.also_asr_baselines, args.beam_width)
     suite = load_manifest(Path(args.suite))
     report = bench(
         suite,

@@ -16,13 +16,20 @@ processed; in TDT mode the oracle's greedy track predicts a duration d and
 frames t+1 .. t+d-1 are skipped outright (their score stays -inf and no
 column is computed for them).
 
+The TDT hop schedule comes from the oracle's greedy duration track, fetched
+as one array (it depends on neither the keyword nor the greedy history):
+one clip to [1, d_max] and one integer loop over the hops. Emissions are
+fetched for the processed frames only: by ``decode_keywords`` for every
+keyword of an utterance in one ``emission_grids`` call, by
+``StreamingDecoder`` one row per processed frame.
+
 One DP routine (``_lane_columns``) serves every decode. It advances many
 lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
 count of processed columns rather than by frame, so RNN-T and TDT lanes of
 different utterances step together without masks and TDT keeps its skipped
-frames. ``decode_keywords`` batches the lanes of many utterances (the greedy
-track does not depend on the keyword, so each utterance's hop schedule is
-computed once); ``StreamingDecoder`` runs the same routine on one lane, one
+frames. ``decode_keywords`` batches the lanes of many utterances (each
+utterance's hop schedule is computed once for all its keywords);
+``StreamingDecoder`` runs the same routine on one lane, one
 column at a time. The routine sweeps anti-diagonals ("wavefronts") of the
 (column, u) grid: cell (k, u) depends only on (k, u-1) and (k-1, u), so all
 cells with the same k + u are independent and one wavefront costs a fixed
@@ -173,7 +180,8 @@ class StreamingDecoder:
         self._delta = _first_column(keyword.num_tokens, 1)
         self._edges = _edge_buffer(1, keyword.num_tokens, 1)
         self._score = np.empty((1, 1))
-        self._greedy_state: object = oracle.initial_greedy_state()
+        # Read one entry per processed frame, never one ahead of it.
+        self._durations = oracle.greedy_durations() if config.mode == TDT else None
         self._gate = _EventGate(keyword.name, config)
         self.events: list[DetectionEvent] = []
         self._finished = False
@@ -215,9 +223,8 @@ class StreamingDecoder:
             self._column_sink(t, self._delta[:, 0].tolist())
 
         if self._config.mode == TDT:
-            step, self._greedy_state = self._oracle.greedy_step(t, self._greedy_state)
             self.counters.oracle_queries += 1
-            self._next_process = t + _hop(step.duration, t, self._config)
+            self._next_process = t + _hop(int(self._durations[t - 1]), t, self._config)
         else:
             self._next_process = t + 1
 
@@ -287,34 +294,45 @@ def _lane_columns(
     return last
 
 
+def _zero_duration_error(t: int) -> ValidationError:
+    return ValidationError(
+        f"greedy track predicted duration 0 at frame {t} (zero_duration_policy='error')"
+    )
+
+
 def _hop(duration: int, t: int, config: DecodeConfig) -> int:
     """Frames to advance after processing frame t, given the greedy duration.
     ``config`` may also be a ``baselines.AsrConfig``, which has the same fields."""
     d = min(duration, config.d_max)
     if d < 1:
         if config.zero_duration_policy == "error":
-            raise ValidationError(
-                f"greedy track predicted duration 0 at frame {t} "
-                "(zero_duration_policy='error')"
-            )
+            raise _zero_duration_error(t)
         d = 1
     return d
 
 
 def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
     """1-based frames a decode processes: all of them in RNN-T mode, the greedy
-    track's hops in TDT mode. The track is keyword-independent."""
+    track's hops in TDT mode, each hop being ``_hop`` of the landed frame's
+    duration. The track is keyword-independent."""
     T = oracle.num_frames
     if config.mode != TDT:
         return np.arange(1, T + 1)
-    frames = []
-    state = oracle.initial_greedy_state()
+    durations = np.minimum(oracle.greedy_durations(), config.d_max)
+    hops = np.maximum(durations, 1).tolist()
+    landed = []
     t = 1
     while t <= T:
-        frames.append(t)
-        step, state = oracle.greedy_step(t, state)
-        t += _hop(step.duration, t, config)
-    return np.array(frames, dtype=np.int64)
+        landed.append(t)
+        t += hops[t - 1]
+    frames = np.array(landed, dtype=np.int64)
+    if config.zero_duration_policy == "error":
+        # Every landing up to the first zero duration is the same under both
+        # policies, so that landing is where an 'error' walk would stop.
+        zeros = frames[durations[frames - 1] < 1]
+        if len(zeros):
+            raise _zero_duration_error(int(zeros[0]))
+    return frames
 
 
 @dataclass
@@ -401,11 +419,13 @@ def decode_keywords(
 
     Yields, in input order, one list per utterance with one ScoreStream per
     keyword, as soon as all its lanes are decoded. Each utterance's hop
-    schedule is computed once; its lanes join batches of ``_LANE_CHUNK``
-    (utterance, keyword) lanes, and an oracle is not held once its rows are
-    fetched. Scores are bit-identical to one ``StreamingDecoder`` per pair,
-    and counted the same way: per pair, one row query per processed frame
-    plus, in TDT mode, one greedy query. ``search_wall_seconds`` brackets
+    schedule is computed once, and one ``emission_grids`` call fetches the
+    rows of all its keywords at the scheduled frames only; its lanes join
+    batches of ``_LANE_CHUNK`` (utterance, keyword) lanes, and an oracle is
+    not held once its rows are fetched. Scores are bit-identical to one
+    ``StreamingDecoder`` per pair, and counted the same way: per pair and
+    processed frame, one row query plus, in TDT mode, one greedy query, as
+    a per-column decode would make them. ``search_wall_seconds`` brackets
     the batched column loops; ``total_wall_seconds`` covers schedules, row
     fetches and batches, not the time spent drawing from ``utterances`` or
     in the caller.
@@ -423,8 +443,9 @@ def decode_keywords(
             [None] * len(keywords), len(keywords),
         )
         pending.append(utt)
-        for k, keyword in enumerate(keywords):
-            batch.add(utt, k, keyword.name, *oracle.emission_grid(keyword, frames))
+        grids = oracle.emission_grids(keywords, frames)
+        for k, (keyword, grid) in enumerate(zip(keywords, grids)):
+            batch.add(utt, k, keyword.name, *grid)
             counters.columns_evaluated += len(frames)
             counters.oracle_queries += queries_per_column * len(frames)
             if len(batch.lanes) == _LANE_CHUNK:

@@ -5,9 +5,16 @@ two kinds of questions:
 
 * keyword-track emissions: the log-probability of the next keyword token
   (``log_y``) or of blank (``log_phi``) at lattice node (t, u), where u is the
-  number of keyword tokens already consumed;
-* greedy-track steps (duration-aware oracles only): the argmax token and
-  duration at frame t given an opaque greedy-history handle.
+  number of keyword tokens already consumed. A decode asks for the frames it
+  processes only, for every keyword of an utterance at once
+  (``emission_grids``), as a TDT joiner runs only where the predicted
+  durations land;
+* the greedy duration track (duration-aware oracles only): the argmax
+  duration at every frame, as one array (``greedy_durations``). It depends
+  on neither the keyword nor the greedy history, so one array serves every
+  keyword of an utterance and a decode needs no per-frame calls. The
+  per-frame ``greedy_step`` also gives the argmax token, which threads an
+  opaque greedy-history handle; lattice snapshots record it.
 
 Generative oracles additionally answer full-vocabulary queries conditioned on
 an arbitrary emitted-token history, which is what the ASR baselines need:
@@ -132,6 +139,17 @@ class EmissionOracle(ABC):
             log_y[i], log_phi[i] = self.emission_rows(keyword, int(t))
         return log_y, log_phi
 
+    def emission_grids(
+        self, keywords: Sequence[KeywordSpec], frames: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Keyword-track emissions of many keywords at the same frames.
+
+        Returns one ``emission_grid(keyword, frames)`` pair per keyword, in
+        order. This default makes one such call per keyword; oracles that can
+        answer all keywords together override it.
+        """
+        return [self.emission_grid(keyword, frames) for keyword in keywords]
+
     def _check_frames(self, frames: np.ndarray) -> None:
         if len(frames) and not (1 <= frames.min() and frames.max() <= self.num_frames):
             raise ValidationError(
@@ -147,6 +165,25 @@ class EmissionOracle(ABC):
 
         Raises ModeError when the oracle has no duration track (d_max = 0).
         """
+
+    def greedy_durations(self) -> np.ndarray:
+        """The greedy duration at every frame: int64[T], entry t - 1 for frame t.
+
+        Contract: the duration track depends on neither the keyword nor the
+        greedy history, so entry t - 1 equals ``greedy_step(t, state).duration``
+        for every ``state``. Durations are not capped at any decode's
+        ``d_max``; int64 leaves room for any cap. This default walks
+        ``greedy_step`` over frames 1..T from the initial state, one call per
+        frame, so an oracle that wraps or delegates ``greedy_step`` still
+        sees every step; oracles that hold the track as an array override it.
+        Raises ModeError when the oracle has no duration track (d_max = 0).
+        """
+        durations = np.empty(self.num_frames, dtype=np.int64)
+        state = self.initial_greedy_state()
+        for t in range(1, self.num_frames + 1):
+            step, state = self.greedy_step(t, state)
+            durations[t - 1] = step.duration
+        return durations
 
     # Generative interface; non-generative oracles inherit the refusals.
 

@@ -237,9 +237,18 @@ class FileLatticeOracle(EmissionOracle):
         self._check_keyword(keyword)
         return self._data.log_y[frames - 1], self._data.log_phi[frames - 1]
 
-    def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, object]:
+    def _check_greedy_track(self) -> None:
         if not self.supports_tdt:
             raise ModeError("lattice has no greedy track (D_max=0); TDT mode unavailable")
+
+    def greedy_durations(self) -> np.ndarray:
+        self._check_greedy_track()
+        # int64, not the stored u16: np.minimum(u16, cap) overflows for a
+        # cap above 65535.
+        return self._data.greedy_durations.astype(np.int64)
+
+    def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, object]:
+        self._check_greedy_track()
         self._check_frame(t)
         # Replay carries argmax identities only; no distribution survives in
         # the file, so both log-probs report 0.0.

@@ -56,6 +56,14 @@ class RecallAtFar:
     fa_per_hour: float
 
 
+def _check_target_far(target_far: float) -> None:
+    # Written so that NaN, which fails every comparison, fails the check too.
+    if not target_far >= 0:
+        raise ValidationError(
+            f"target_far must be >= 0 (inf for no budget), got {target_far}"
+        )
+
+
 def recall_at_far(
     pos_scores: Sequence[float],
     neg_event_scores: Sequence[float],
@@ -68,15 +76,15 @@ def recall_at_far(
         pos_scores: per-positive-utterance max event score (-inf = no event).
         neg_event_scores: scores of all detection events on negative audio.
         neg_hours: hours of negative audio behind those events.
-        target_far: allowed false alarms per hour.
+        target_far: allowed false alarms per hour; +inf means no budget,
+            NaN is a ValidationError.
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     if pos.size == 0:
         raise ValidationError("pos_scores must be non-empty")
     if not (math.isfinite(neg_hours) and neg_hours > 0):
         raise ValidationError(f"neg_hours must be finite and > 0, got {neg_hours}")
-    if target_far < 0:
-        raise ValidationError("target_far must be >= 0")
+    _check_target_far(target_far)
     neg = np.sort(np.asarray(neg_event_scores, dtype=np.float64))
 
     observed = np.concatenate([pos, neg])

@@ -28,7 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import AsrConfig, Hypothesis, beam_search, greedy_search, keyword_hit
+from .baselines import (
+    AsrConfig,
+    Hypothesis,
+    _check_beam_width,
+    beam_search,
+    greedy_search,
+    keyword_hit,
+)
 from .brute_force import brute_force_score
 from .decoder import (
     RNNT,
@@ -45,7 +52,14 @@ from .decoder import (
 from .emissions import KeywordSpec, NEG_INF
 from .errors import ValidationError
 from .lattice import FileLatticeOracle, LatticeData, load_lattice
-from .metrics import RecallAtFar, SpeedCounters, macro_recall, recall_at_far, speedup
+from .metrics import (
+    RecallAtFar,
+    SpeedCounters,
+    _check_target_far,
+    macro_recall,
+    recall_at_far,
+    speedup,
+)
 from .suite import SuiteManifest
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
@@ -235,6 +249,14 @@ def _asr_row(
     }
 
 
+def check_bench_args(target_far: float, also_asr_baselines: bool, beam_width: int) -> None:
+    """The argument checks of ``bench`` that need no suite, so that a caller
+    can make them before reading one."""
+    _check_target_far(target_far)
+    if also_asr_baselines:
+        _check_beam_width(beam_width)
+
+
 def bench(
     suite: SuiteManifest,
     baseline: DecodeConfig,
@@ -245,8 +267,7 @@ def bench(
     jobs: int = 1,
 ) -> dict:
     """Full benchmark report across the suite's epsilon groups."""
-    if target_far < 0:
-        raise ValidationError("target_far must be >= 0")
+    check_bench_args(target_far, also_asr_baselines, beam_width)
     groups = []
     for epsilon in sorted(set(u.epsilon for u in suite.utterances)):
         baseline_run, baseline_counters = _bench_one_run(
@@ -288,7 +309,7 @@ def bench(
     return {
         "schema": REPORT_SCHEMA,
         "suite_seed": suite.seed,
-        "target_far": target_far,
+        "target_far": _encode_float(target_far),
         "beam_width": beam_width if also_asr_baselines else None,
         "runs": {"baseline": _config_echo(baseline), "candidate": _config_echo(candidate)},
         "groups": groups,
@@ -303,7 +324,7 @@ def format_report_table(report: dict) -> str:
     for group in report["groups"]:
         lines.append(
             f"epsilon={group['epsilon']:.2f}  negatives={group['negative_hours']:.3f}h  "
-            f"target_far={report['target_far']:g}/h"
+            f"target_far={float(report['target_far']):g}/h"
         )
         header = f"  {'model':<12}{'algorithm':<16}{'macro-recall':>12}{'columns':>12}{'col-ratio':>11}"
         lines.append(header)

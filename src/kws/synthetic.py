@@ -25,6 +25,13 @@ The duration track is history-independent: at every frame of a segment the
 ideal duration is min(segment duration, D_max); on gaps it is 1. The duration
 distribution puts ``duration_concentration`` mass on the ideal duration and
 spreads the rest uniformly over the other D_max values of {0..D_max}.
+
+Keyword-track emissions are computed on demand at the queried frames only,
+for all queried keywords in one broadcast over (keyword, frame, u). Only
+each keyword's per-frame positions are cached, and the distinct rows that
+single-frame queries have asked for. The greedy duration track
+is one index of a per-oracle table (greedy duration by ideal duration) by
+the per-frame ideal duration.
 """
 
 from __future__ import annotations
@@ -138,12 +145,12 @@ class SyntheticOracle(EmissionOracle):
         # covering segment ordinal (1-based, 0 = gap), covering segment duration.
         self._content = np.zeros(T, dtype=np.int64)
         self._seg_ord = np.zeros(T, dtype=np.int64)
-        self._seg_dur = np.zeros(T, dtype=np.int64)
+        seg_dur = np.zeros(T, dtype=np.int64)
         for ordinal, (token, start, duration) in enumerate(segments, start=1):
             sl = slice(start - 1, start - 1 + duration)
             self._content[sl] = token
             self._seg_ord[sl] = ordinal
-            self._seg_dur[sl] = duration
+            seg_dur[sl] = duration
 
         V = config.vocab_size
         eps = config.epsilon
@@ -152,8 +159,13 @@ class SyntheticOracle(EmissionOracle):
         self._log_noise = math.log(noise) if noise > 0 else NEG_INF
         self._log_ideal = math.log(noise + (1.0 - eps))
 
-        self._grid_cache: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
         self._kw_pos_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # (keyword tokens, position, covering token) -> (log_y row, log_phi row)
+        self._row_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        # Per-frame ideal duration (meaningful only when d_max > 0).
+        self._ideal_durations = np.where(
+            self._seg_ord == 0, 1, np.minimum(seg_dur, config.d_max)
+        )
         # The greedy duration and its log-prob, indexed by ideal duration:
         # the argmax of the same vector duration_log_probs returns.
         self._greedy_durations: list[tuple[int, float]] = []
@@ -162,6 +174,9 @@ class SyntheticOracle(EmissionOracle):
                 vec = self._duration_vector(ideal)
                 best = int(np.argmax(vec))
                 self._greedy_durations.append((best, float(vec[best])))
+        self._greedy_duration_table = np.array(
+            [best for best, _ in self._greedy_durations], dtype=np.int64
+        )
 
     @property
     def config(self) -> SyntheticJoinerConfig:
@@ -218,37 +233,57 @@ class SyntheticOracle(EmissionOracle):
         self._kw_pos_cache[key] = pos
         return pos
 
-    def _grids(self, keyword: KeywordSpec) -> tuple[np.ndarray, np.ndarray]:
-        """f32 grids (log_y (T,U), log_phi (T,U+1)) for one keyword conditioning."""
-        key = (keyword.name, keyword.tokens)
-        cached = self._grid_cache.get(key)
-        if cached is not None:
-            return cached
-        U = keyword.num_tokens
-        pos = self._keyword_positions(keyword)[:, None]
-        # ideal[t, u]: the keyword-track symbol after a u-token prefix, for
-        # every u at once; positions 1..u of a matched occurrence are consumed.
-        consumed = (pos > 0) & (pos <= np.arange(U + 1))
-        ideal = np.where(consumed, BLANK_ID, self._content[:, None])
+    def emission_grids(
+        self, keywords: Sequence[KeywordSpec], frames: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """f32 grids (log_y (n, U), log_phi (n, U+1)) per keyword at the n frames.
+
+        One broadcast over (keyword, frame, u), padded to the widest keyword;
+        each keyword's pair is a view of its slice of the padded arrays.
+        """
+        self._check_frames(frames)
+        if not keywords:
+            return []
+        idx = frames - 1
+        widths = [keyword.num_tokens for keyword in keywords]
+        U = max(widths)
+        tokens = np.zeros((len(keywords), 1, U), dtype=np.int64)
+        for k, keyword in enumerate(keywords):
+            tokens[k, 0, : widths[k]] = keyword.tokens
+        pos = np.stack([self._keyword_positions(keyword)[idx] for keyword in keywords])
+        content = self._content[idx][:, None]
+        # At node (frame, u) the ideal symbol is blank when position 1..u of
+        # a matched occurrence covers the frame (that token is consumed by
+        # the prefix), else the covering segment token (blank on gaps).
+        consumed = (pos[:, :, None] > 0) & (pos[:, :, None] <= np.arange(U + 1))
         ideal32 = np.float32(self._log_ideal)
         noise32 = np.float32(self._log_noise)
-        log_phi = np.where(ideal == BLANK_ID, ideal32, noise32)
-        log_y = np.where(ideal[:, :U] == np.array(keyword.tokens), ideal32, noise32)
-        grids = (log_y, log_phi)
-        self._grid_cache[key] = grids
-        return grids
-
-    def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
-        self._check_frame(t)
-        log_y, log_phi = self._grids(keyword)
-        return log_y[t - 1], log_phi[t - 1]
+        log_phi = np.where(consumed | (content == BLANK_ID), ideal32, noise32)
+        log_y = np.where(~consumed[:, :, :U] & (content == tokens), ideal32, noise32)
+        return [(log_y[k, :, :u], log_phi[k, :, : u + 1]) for k, u in enumerate(widths)]
 
     def emission_grid(
         self, keyword: KeywordSpec, frames: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        self._check_frames(frames)
-        log_y, log_phi = self._grids(keyword)
-        return log_y[frames - 1], log_phi[frames - 1]
+        return self.emission_grids([keyword], frames)[0]
+
+    def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+        self._check_frame(t)
+        # A row depends on its frame only through the keyword position and
+        # the covering token there, and on the token only through whether it
+        # is blank or which keyword tokens it equals; frames that agree on
+        # both share one row. A broadcast per row would cost some 40 times a
+        # lookup.
+        position = int(self._keyword_positions(keyword)[t - 1])
+        token = int(self._content[t - 1])
+        if token != BLANK_ID and token not in keyword.tokens:
+            token = -1
+        key = (keyword.tokens, position, token)
+        rows = self._row_cache.get(key)
+        if rows is None:
+            log_y, log_phi = self.emission_grid(keyword, np.array([t]))
+            rows = self._row_cache[key] = (log_y[0], log_phi[0])
+        return rows
 
     def keyword_conditional_log_probs(self, keyword: KeywordSpec, t: int, u: int) -> np.ndarray:
         """Full V+1 distribution behind the keyword-track node (t, u)."""
@@ -287,7 +322,7 @@ class SyntheticOracle(EmissionOracle):
         if not self.supports_tdt:
             raise ModeError("oracle has no duration track (d_max=0)")
         self._check_frame(t)
-        return self._duration_vector(self._ideal_duration(t))
+        return self._duration_vector(int(self._ideal_durations[t - 1]))
 
     def _duration_vector(self, ideal: int) -> np.ndarray:
         gamma = self._cfg.duration_concentration
@@ -297,12 +332,12 @@ class SyntheticOracle(EmissionOracle):
         vec[ideal] = math.log(gamma)
         return vec
 
-    def _ideal_duration(self, t: int) -> int:
-        if self._seg_ord[t - 1] == 0:
-            return 1
-        return int(min(self._seg_dur[t - 1], self._cfg.d_max))
-
     # Greedy track
+
+    def greedy_durations(self) -> np.ndarray:
+        if not self.supports_tdt:
+            raise ModeError("oracle has no duration track (d_max=0)")
+        return self._greedy_duration_table[self._ideal_durations]
 
     def initial_greedy_state(self) -> int:
         return 0
@@ -315,7 +350,7 @@ class SyntheticOracle(EmissionOracle):
         # The mixed distribution's argmax is the ideal symbol for every
         # epsilon < 1 (it carries strictly more mass), so no vector is built.
         token = self._generative_ideal(t, emitted)
-        duration, log_duration_prob = self._greedy_durations[self._ideal_duration(t)]
+        duration, log_duration_prob = self._greedy_durations[int(self._ideal_durations[t - 1])]
         out = GreedyStepOutput(
             token=token,
             duration=duration,

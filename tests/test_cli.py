@@ -299,6 +299,9 @@ def test_missing_suite_exits_2(tmp_path):
         ("decode", ["--mode", "tdt", "--d-max", "0"]),
         ("bench", ["--jobs", "0"]),
         ("bench", ["--d-max", "0"]),
+        ("bench", ["--beam-width", "0", "--also-asr-baselines"]),
+        ("bench", ["--target-far", "-1"]),
+        ("bench", ["--target-far", "nan"]),
     ],
 )
 def test_usage_errors_are_reported_before_the_suite_is_read(tmp_path, command, flags):
@@ -436,6 +439,30 @@ def test_bench_report_and_exit_codes(base_suite, tmp_path, capsys):
     assert {g["epsilon"] for g in report["groups"]} == {0.0, 0.5}
 
     assert main(["bench", "--suite", str(base_suite), "--target-far", "-1"]) == 1
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_target_far_nan_is_refused_and_inf_reported_as_json(base_suite, tmp_path):
+    configs = (DecodeConfig(mode="rnnt"), DecodeConfig(mode="tdt", d_max=3))
+    with pytest.raises(ValidationError, match="target_far"):
+        bench(load_manifest(base_suite), *configs, target_far=math.nan)
+    report_path = tmp_path / "report.json"
+    argv = ["bench", "--suite", str(base_suite), "--report", str(report_path)]
+    assert main([*argv, "--target-far", "nan"]) == 1
+    assert not report_path.exists()
+
+    # +inf is no budget: the report stays strict JSON and every keyword gets
+    # a finite threshold.
+    assert main([*argv, "--target-far", "inf"]) == 0
+    report = json.loads(report_path.read_text(), parse_constant=_no_constants)
+    jsonschema.validate(report, load_schema("report.schema.json"))
+    assert report["target_far"] == "inf"
+    for group in report["groups"]:
+        for run in (group["baseline"], group["candidate"]):
+            assert all(math.isfinite(e["threshold"]) for e in run["per_keyword"])
 
 
 def test_module_entry_point_runs():

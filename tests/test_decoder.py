@@ -475,3 +475,113 @@ def test_lane_dp_matches_scalar_reference(seed, utterances, tdt, tie_heavy, chun
             columns += len(frames)
     assert counters.columns_evaluated == columns
     assert counters.oracle_queries == columns * (2 if tdt else 1)
+
+
+def _reference_schedule(oracle, config):
+    """The TDT hop schedule as a per-frame greedy_step walk, as the decoder
+    first computed it: clamp each landed frame's duration to d_max, and
+    treat a zero duration by the policy."""
+    frames = []
+    state = oracle.initial_greedy_state()
+    t = 1
+    while t <= oracle.num_frames:
+        frames.append(t)
+        step, state = oracle.greedy_step(t, state)
+        d = min(step.duration, config.d_max)
+        if d < 1:
+            if config.zero_duration_policy == "error":
+                raise ValidationError(
+                    f"greedy track predicted duration 0 at frame {t} "
+                    "(zero_duration_policy='error')"
+                )
+            d = 1
+        t += d
+    return frames
+
+
+def _outcome(fn):
+    """(frames, None) from a schedule, or (None, message) if it raised."""
+    try:
+        return [int(t) for t in fn()], None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+def _random_alignment(rng, num_frames, vocab_size, max_duration):
+    """Non-overlapping segments with random gaps over frames 1..num_frames."""
+    segments = []
+    t = 1 + int(rng.integers(0, 3))
+    while True:
+        duration = int(rng.integers(1, max_duration + 1))
+        if t + duration - 1 > num_frames:
+            return tuple(segments)
+        segments.append((int(rng.integers(1, vocab_size + 1)), t, duration))
+        t += duration + int(rng.integers(0, 3))
+
+
+def _schedule_oracle(rng, synthetic, num_frames, track_d_max):
+    if synthetic:
+        return SyntheticOracle(
+            SyntheticJoinerConfig(
+                vocab_size=9,
+                num_frames=num_frames,
+                alignment=_random_alignment(rng, num_frames, 9, 12),
+                d_max=track_d_max,
+                # Below 1/(d_max+1) the argmax leaves the ideal duration,
+                # which is how a synthetic track predicts duration 0.
+                duration_concentration=float(rng.choice([1.0, 0.6, 0.3, 0.1, 0.02])),
+            )
+        )
+    small = rng.integers(0, min(track_d_max, 10) + 1, size=num_frames)
+    large = rng.integers(0, track_d_max + 1, size=num_frames)
+    durations = np.where(rng.random(num_frames) < 0.8, small, large)
+    data = LatticeData(
+        keyword=KeywordSpec("kw", (1,)),
+        frame_seconds=0.03,
+        log_y=np.zeros((num_frames, 1), dtype=np.float32),
+        log_phi=np.zeros((num_frames, 2), dtype=np.float32),
+        d_max=track_d_max,
+        greedy_tokens=np.zeros(num_frames, dtype=np.uint32),
+        greedy_durations=durations.astype(np.uint16),
+    )
+    return FileLatticeOracle(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    synthetic=st.booleans(),
+    num_frames=st.integers(1, 60),
+    track_d_max=st.integers(1, 10),
+    wide_track=st.booleans(),
+    d_max=st.one_of(st.integers(1, 10), st.just(70000)),
+    policy=st.sampled_from(["clamp", "error"]),
+)
+def test_hop_schedule_matches_per_frame_walk(
+    seed, synthetic, num_frames, track_d_max, wide_track, d_max, policy
+):
+    """The array schedule lands on the frames of the per-frame greedy walk, or
+    raises its message, for both oracles, both policies, durations 0..D_max
+    and decode caps 1..10 and above the u16 range; the streaming decoder,
+    reading one duration per processed frame, agrees too."""
+    rng = np.random.default_rng(seed)
+    if wide_track and not synthetic:
+        track_d_max = 65535  # the widest a KWL1 duration can be
+    oracle = _schedule_oracle(rng, synthetic, num_frames, track_d_max)
+    config = DecodeConfig(mode="tdt", d_max=d_max, zero_duration_policy=policy)
+
+    durations = oracle.greedy_durations()
+    default = kws.EmissionOracle.greedy_durations(oracle)
+    assert durations.dtype == default.dtype == np.int64
+    np.testing.assert_array_equal(durations, default)
+
+    expected = _outcome(lambda: _reference_schedule(oracle, config))
+    assert _outcome(lambda: kws.decoder._hop_schedule(oracle, config)) == expected
+
+    def streamed():
+        decoder = kws.StreamingDecoder(oracle, KeywordSpec("kw", (1,)), config)
+        for t in range(1, num_frames + 1):
+            decoder.push(t)
+        return np.flatnonzero(decoder.finish().processed) + 1
+
+    assert _outcome(streamed) == expected

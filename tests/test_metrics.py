@@ -76,6 +76,20 @@ def test_recall_at_far_validation():
         recall_at_far([0.0], [], neg_hours=1.0, target_far=-0.1)
 
 
+def test_nan_target_far_is_rejected():
+    # NaN fails every comparison, so a `< 0` check lets it through to a
+    # +inf threshold and recall 0 for every keyword.
+    with pytest.raises(ValidationError, match="target_far"):
+        recall_at_far([0.0], [-1.0], neg_hours=1.0, target_far=math.nan)
+
+
+def test_infinite_target_far_means_no_budget():
+    r = recall_at_far([-1.0, -2.0, NEG_INF], [-0.5, -3.0], neg_hours=1.0, target_far=math.inf)
+    assert r.threshold == -3.0  # the lowest finite observed score
+    assert r.recall == pytest.approx(2 / 3)
+    assert r.false_alarms == 2
+
+
 # recall_at_far: properties
 
 scores = st.one_of(

@@ -299,3 +299,96 @@ def test_emission_rows_agree_with_scalar_queries(cfg, data):
         assert vec[BLANK_ID] == phi_row[u]
         if u < len(tokens):
             assert vec[tokens[u]] == y_row[u]
+
+
+def _reference_grids(oracle, keyword):
+    """Full-T f32 grids (log_y (T,U), log_phi (T,U+1)) of one keyword, as the
+    oracle first built and cached them before indexing the queried frames."""
+    U = keyword.num_tokens
+    pos = oracle._keyword_positions(keyword)[:, None]
+    consumed = (pos > 0) & (pos <= np.arange(U + 1))
+    ideal = np.where(consumed, BLANK_ID, oracle._content[:, None])
+    ideal32 = np.float32(oracle._log_ideal)
+    noise32 = np.float32(oracle._log_noise)
+    log_phi = np.where(ideal == BLANK_ID, ideal32, noise32)
+    log_y = np.where(ideal[:, :U] == np.array(keyword.tokens), ideal32, noise32)
+    return log_y, log_phi
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def planted_cases(draw):
+    """(config, keywords, frames): keywords of 1-5 tokens, some repeated,
+    planted in a timeline of filler segments and gaps."""
+    V = draw(st.integers(2, 9))
+    kw_tokens = draw(
+        st.lists(st.lists(st.integers(1, V), min_size=1, max_size=5).map(tuple),
+                 min_size=1, max_size=4)
+    )
+    pieces = draw(st.lists(st.one_of(st.sampled_from(kw_tokens), st.integers(1, V).map(lambda t: (t,))),
+                           max_size=8))
+    alignment, t = [], 1
+    for piece in pieces:
+        t += draw(st.integers(0, 2))
+        for token in piece:
+            duration = draw(st.integers(1, 3))
+            alignment.append((token, t, duration))
+            t += duration
+    num_frames = t - 1 + draw(st.integers(1, 3))
+    # Subnormal epsilon leaves a noise mass of exactly 0, so log-noise -inf.
+    epsilon = draw(st.sampled_from([0.0, 5e-324, 0.1, 0.5, 0.9]))
+    cfg = SyntheticJoinerConfig(
+        vocab_size=V, num_frames=num_frames, alignment=tuple(alignment), epsilon=epsilon
+    )
+    keywords = [KeywordSpec(f"k{i}", tokens) for i, tokens in enumerate(kw_tokens)]
+    keywords += draw(st.lists(st.sampled_from(keywords), max_size=3))  # repeats
+    frames = draw(
+        st.one_of(
+            st.just([]),
+            st.integers(1, num_frames).map(lambda f: [f]),
+            st.lists(st.integers(1, num_frames), max_size=3 * num_frames),
+            st.just(list(range(1, num_frames + 1))),
+        )
+    )
+    return cfg, keywords, np.array(frames, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_cases())
+def test_emission_grids_equal_full_grid_reference(case):
+    """All keywords at the queried frames at once, bit for bit (dtype and
+    -inf included) the reference grids indexed at those frames; the
+    one-keyword grid and per-frame rows are the same formula."""
+    cfg, keywords, frames = case
+    oracle = SyntheticOracle(cfg)
+    grids = oracle.emission_grids(keywords, frames)
+    assert len(grids) == len(keywords)
+    for keyword, (log_y, log_phi) in zip(keywords, grids):
+        ref_y, ref_phi = _reference_grids(oracle, keyword)
+        _assert_same_bits(log_y, ref_y[frames - 1])
+        _assert_same_bits(log_phi, ref_phi[frames - 1])
+        one_y, one_phi = oracle.emission_grid(keyword, frames)
+        _assert_same_bits(one_y, ref_y[frames - 1])
+        _assert_same_bits(one_phi, ref_phi[frames - 1])
+        for t in frames.tolist():
+            row_y, row_phi = oracle.emission_rows(keyword, t)
+            _assert_same_bits(row_y, ref_y[t - 1])
+            _assert_same_bits(row_phi, ref_phi[t - 1])
+
+
+def test_emission_grids_reject_tokens_above_vocab_and_bad_frames():
+    oracle = make_oracle()
+    fine = KeywordSpec("fine", (3, 7))
+    frames = np.array([1, 2, 3])
+    with pytest.raises(ValidationError, match="vocab_size"):
+        oracle.emission_grids([fine, KeywordSpec("big", (3, 10))], frames)
+    with pytest.raises(ValidationError):
+        oracle.emission_grids([fine], np.array([0, 2]))
+    with pytest.raises(ValidationError):
+        oracle.emission_grids([fine], np.array([11]))
+    assert oracle.emission_grids([], frames) == []
