@@ -38,7 +38,6 @@ from .runner import (
     decode_suite,
     format_report_table,
     oracle_check,
-    worker_count,
 )
 from .suite import SuiteGenSpec, gen_suite, load_manifest
 
@@ -48,15 +47,16 @@ DATA_ERRORS = (LatticeFormatError, ManifestError, OSError, json.JSONDecodeError)
 
 
 def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("KWS_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValidationError(f"KWS_SEED must be an integer, got {env!r}") from exc
+    if value is None:
+        env = os.environ.get("KWS_SEED", "0")
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ValidationError(f"KWS_SEED must be an integer, got {env!r}") from exc
+    # numpy seeds only from non-negative integers.
+    if value < 0:
+        raise ValidationError(f"the seed must be >= 0, got {value}")
+    return value
 
 
 def _threshold_log(args: argparse.Namespace) -> float:
@@ -119,9 +119,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     config = _decode_config(args)
-    worker_count(args.jobs, 1)  # usage errors come before any I/O
     suite = load_manifest(Path(args.suite))
-    records = decode_suite(suite, config, jobs=args.jobs)
+    records = decode_suite(suite, config)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     if args.out is None:
         for line in lines:
@@ -138,7 +137,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         mode=args.candidate, d_max=0 if args.candidate == RNNT else args.d_max
     )
     # Usage errors come before any I/O.
-    worker_count(args.jobs, 1)
     check_bench_args(args.target_far, args.also_asr_baselines, args.beam_width)
     suite = load_manifest(Path(args.suite))
     report = bench(
@@ -148,7 +146,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         target_far=args.target_far,
         also_asr_baselines=args.also_asr_baselines,
         beam_width=args.beam_width,
-        jobs=args.jobs,
     )
     print(format_report_table(report))
     if args.report is not None:
@@ -184,6 +181,9 @@ def _cmd_dump_delta(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    # Written so that NaN, which fails every comparison, fails the check too.
+    if not args.tolerance >= 0.0:
+        raise ValidationError(f"--tolerance must be >= 0, got {args.tolerance}")
     result = oracle_check(
         cases=args.cases,
         seed=_default_seed(args.seed),
@@ -194,8 +194,17 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if result["max_abs_deviation"] <= args.tolerance else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad flag or value as ValidationError, so that it exits 1 like
+    every other usage error (argparse itself exits 2, the broken-file code)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kws", description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="kws", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="synthesize a benchmark suite")
@@ -219,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     decode = sub.add_parser("decode", help="decode a suite, emit score streams")
     decode.add_argument("--suite", required=True)
     decode.add_argument("--out", default=None, help="JSONL path (default: stdout)")
-    decode.add_argument("--jobs", type=int, default=1)
     _add_decode_flags(decode)
     decode.set_defaults(func=_cmd_decode)
 
@@ -232,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--report", default=None, help="JSON report path")
     bench_p.add_argument("--also-asr-baselines", action="store_true")
     bench_p.add_argument("--beam-width", type=int, default=10)
-    bench_p.add_argument("--jobs", type=int, default=1)
     bench_p.set_defaults(func=_cmd_bench)
 
     dump = sub.add_parser("dump-delta", help="CSV dump of one score matrix")
@@ -256,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

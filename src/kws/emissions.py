@@ -122,33 +122,28 @@ class EmissionOracle(ABC):
         for u in [0, U]. Rows are f32 and must not be mutated by callers.
         """
 
-    def emission_grid(
-        self, keyword: KeywordSpec, frames: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Keyword-track emissions for many frames at once.
-
-        ``frames`` holds 1-based frame indices. Returns ``(log_y, log_phi)``
-        of shapes (len(frames), U) and (len(frames), U + 1), row i being
-        ``emission_rows(keyword, frames[i])``. This default stacks those
-        rows; oracles that hold whole grids override it with one index.
-        """
-        U = keyword.num_tokens
-        log_y = np.empty((len(frames), U), dtype=np.float32)
-        log_phi = np.empty((len(frames), U + 1), dtype=np.float32)
-        for i, t in enumerate(frames):
-            log_y[i], log_phi[i] = self.emission_rows(keyword, int(t))
-        return log_y, log_phi
-
     def emission_grids(
         self, keywords: Sequence[KeywordSpec], frames: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Keyword-track emissions of many keywords at the same frames.
 
-        Returns one ``emission_grid(keyword, frames)`` pair per keyword, in
-        order. This default makes one such call per keyword; oracles that can
-        answer all keywords together override it.
+        ``frames`` holds 1-based frame indices. Returns one ``(log_y,
+        log_phi)`` pair per keyword, in order, of shapes (len(frames), U) and
+        (len(frames), U + 1), row i being ``emission_rows(keyword,
+        frames[i])``. This default stacks those rows, one call per keyword
+        and frame, so an oracle that wraps or delegates ``emission_rows``
+        still sees every row; oracles that hold whole grids or can answer
+        all keywords together override it.
         """
-        return [self.emission_grid(keyword, frames) for keyword in keywords]
+        grids = []
+        for keyword in keywords:
+            U = keyword.num_tokens
+            log_y = np.empty((len(frames), U), dtype=np.float32)
+            log_phi = np.empty((len(frames), U + 1), dtype=np.float32)
+            for i, t in enumerate(frames):
+                log_y[i], log_phi[i] = self.emission_rows(keyword, int(t))
+            grids.append((log_y, log_phi))
+        return grids
 
     def _check_frames(self, frames: np.ndarray) -> None:
         if len(frames) and not (1 <= frames.min() and frames.max() <= self.num_frames):

@@ -23,6 +23,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -230,12 +231,15 @@ class FileLatticeOracle(EmissionOracle):
         self._check_keyword(keyword)
         return self._data.log_y[t - 1], self._data.log_phi[t - 1]
 
-    def emission_grid(
-        self, keyword: KeywordSpec, frames: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def emission_grids(
+        self, keywords: Sequence[KeywordSpec], frames: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         self._check_frames(frames)
-        self._check_keyword(keyword)
-        return self._data.log_y[frames - 1], self._data.log_phi[frames - 1]
+        for keyword in keywords:
+            self._check_keyword(keyword)
+        # Every keyword is the stored one, so all share one pair of grids.
+        grids = self._data.log_y[frames - 1], self._data.log_phi[frames - 1]
+        return [grids] * len(keywords)
 
     def _check_greedy_track(self) -> None:
         if not self.supports_tdt:
@@ -269,7 +273,7 @@ def load_lattice(path: str | Path) -> FileLatticeOracle:
 def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> LatticeData:
     """Freeze an oracle's keyword-conditioned view (plus greedy track) to LatticeData."""
     T = oracle.num_frames
-    log_y, log_phi = oracle.emission_grid(keyword, np.arange(1, T + 1))
+    ((log_y, log_phi),) = oracle.emission_grids([keyword], np.arange(1, T + 1))
     greedy_tokens = greedy_durations = None
     if oracle.d_max > 0:
         # Canonical greedy pass: one step per frame, threading the history state.

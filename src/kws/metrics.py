@@ -29,12 +29,6 @@ class SpeedCounters:
     search_wall_seconds: float = 0.0
     total_wall_seconds: float = 0.0
 
-    def add(self, other: "SpeedCounters") -> None:
-        self.columns_evaluated += other.columns_evaluated
-        self.oracle_queries += other.oracle_queries
-        self.search_wall_seconds += other.search_wall_seconds
-        self.total_wall_seconds += other.total_wall_seconds
-
     def to_json_dict(self) -> dict:
         # Wall-clock values live under "wall" so deterministic report
         # comparisons can drop them wholesale.

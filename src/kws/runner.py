@@ -4,27 +4,19 @@ Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
 keyword conditioning). Each negative builds one ``SyntheticOracle`` per run.
-All utterances of a run go through one ``decode_keywords`` call, which
-decodes them as batched (utterance, keyword) lanes; its ``oracle_queries``
-still count one row query per keyword per column, plus one greedy query per
-keyword per column in TDT mode. ASR baseline rows always use the generative
-oracle.
-
-With --jobs N, a run's utterances are cut into at most min(N, CPU count,
-job count) contiguous slices, one per worker process; results are
-aggregated in manifest order and wall counters are sums over the workers,
-so N never changes any deterministic output.
+All utterances of a run go through one in-process ``decode_keywords`` call,
+which decodes them as batched (utterance, keyword) lanes; its
+``oracle_queries`` still count one row query per keyword per column, plus one
+greedy query per keyword per column in TDT mode. ASR baseline rows always use
+the generative oracle: each utterance of an epsilon group builds one
+``SyntheticOracle``, and every ASR search of the group runs on it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from dataclasses import asdict, replace
 from time import perf_counter
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +33,6 @@ from .decoder import (
     RNNT,
     TDT,
     DecodeConfig,
-    ScoreStream,
     _encode_float,
     decode_keywords,
     decode_kws,
@@ -61,7 +52,7 @@ from .metrics import (
     speedup,
 )
 from .suite import SuiteManifest
-from .synthetic import SyntheticJoinerConfig, SyntheticOracle
+from .synthetic import SyntheticOracle
 
 REPORT_SCHEMA = "kws-bench-report@1"
 
@@ -72,86 +63,18 @@ def _config_echo(config: DecodeConfig) -> dict:
     return echo
 
 
-# One utterance's decode against one or more keywords, picklable for
-# process pools. Exactly one of lattice_path and synth is set.
-@dataclass(frozen=True)
-class _DecodeJob:
-    utt_id: str
-    keywords: tuple[KeywordSpec, ...]
-    lattice_path: str | None = None
-    synth: SyntheticJoinerConfig | None = None
-
-
-def _records(streams: list[ScoreStream], config: DecodeConfig) -> list[dict]:
-    """JSONL records with the live gate's events (streaming semantics)."""
-    return [scorestream_record(s, detect_events(s, config)) for s in streams]
-
-
-def _peak_scores(streams: list[ScoreStream], config: DecodeConfig) -> list[list[float]]:
-    """Threshold-free peak event scores per keyword, for benchmark sweeps."""
-    return [[e.log_score for e in peak_events(s, config.refractory_frames)] for s in streams]
-
-
-def _decode_jobs(
-    jobs: Sequence[_DecodeJob], config: DecodeConfig, summarize: Callable
-) -> tuple[list, SpeedCounters]:
-    """Decode ``jobs`` in one ``decode_keywords`` call; one summary per job."""
-    counters = SpeedCounters()
-
-    def utterances():
-        for job in jobs:
-            if job.lattice_path is not None:
-                tick = perf_counter()
-                oracle = load_lattice(job.lattice_path)
-                counters.total_wall_seconds += perf_counter() - tick
-            else:
-                oracle = SyntheticOracle(job.synth)
-            yield oracle, job.keywords, job.utt_id
-
-    summaries = [
-        summarize(streams, config) for streams in decode_keywords(utterances(), config, counters)
-    ]
-    return summaries, counters
-
-
-def worker_count(requested: int, tasks: int) -> int:
-    """Pool size for ``tasks`` jobs: ``requested`` capped by the CPU and job counts."""
-    if requested < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {requested}")
-    return max(1, min(requested, os.cpu_count() or 1, tasks))
-
-
-def _run_jobs(
-    jobs: Sequence[_DecodeJob], config: DecodeConfig, summarize: Callable, requested: int
-) -> tuple[list, SpeedCounters]:
-    """``_decode_jobs`` over contiguous slices of ``jobs``, one per worker."""
-    workers = worker_count(requested, len(jobs))
-    if workers == 1:
-        return _decode_jobs(jobs, config, summarize)
-    bounds = [i * len(jobs) // workers for i in range(workers + 1)]
-    slices = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_decode_jobs, slices, repeat(config), repeat(summarize)))
-    summaries, counters = [], SpeedCounters()
-    for part, part_counters in parts:
-        summaries += part
-        counters.add(part_counters)
-    return summaries, counters
-
-
-def decode_suite(suite: SuiteManifest, config: DecodeConfig, jobs: int = 1) -> list[dict]:
-    """Decode every utterance against its lattice keyword; returns JSONL records."""
+def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> list[dict]:
+    """Decode every utterance against its lattice keyword; returns JSONL records
+    with the live gate's events (streaming semantics)."""
     by_name = suite.keywords_by_name
-    decode_jobs = [
-        _DecodeJob(
-            utt_id=utt.utt_id,
-            keywords=(by_name[utt.lattice_keyword],),
-            lattice_path=str(suite.lattice_path(utt)),
-        )
+    utterances = (
+        (load_lattice(suite.lattice_path(utt)), (by_name[utt.lattice_keyword],), utt.utt_id)
         for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
+    )
+    return [
+        scorestream_record(stream, detect_events(stream, config))
+        for (stream,) in decode_keywords(utterances, config)
     ]
-    records, _ = _run_jobs(decode_jobs, config, _records, jobs)
-    return [r[0] for r in records]
 
 
 def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
@@ -167,11 +90,7 @@ def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
 
 
 def _bench_one_run(
-    suite: SuiteManifest,
-    epsilon: float,
-    config: DecodeConfig,
-    target_far: float,
-    jobs: int,
+    suite: SuiteManifest, epsilon: float, config: DecodeConfig, target_far: float
 ) -> tuple[dict, SpeedCounters]:
     # Events are collected with an open threshold; operating points are swept
     # afterwards from the observed scores.
@@ -182,17 +101,26 @@ def _bench_one_run(
         sorted(suite.positives(keyword.name, epsilon), key=lambda u: u.utt_id)
         for keyword in suite.keywords
     ]
-    pos_jobs = [
-        _DecodeJob(utt_id=u.utt_id, keywords=(keyword,), lattice_path=str(suite.lattice_path(u)))
-        for keyword, utts in zip(suite.keywords, positives)
-        for u in utts
+    counters = SpeedCounters()
+
+    def utterances():
+        for keyword, utts in zip(suite.keywords, positives):
+            for u in utts:
+                tick = perf_counter()
+                oracle = load_lattice(suite.lattice_path(u))
+                counters.total_wall_seconds += perf_counter() - tick
+                yield oracle, (keyword,), u.utt_id
+        for u in negatives:
+            yield SyntheticOracle(u.synth), suite.keywords, u.utt_id
+
+    # Threshold-free peak event scores per utterance and keyword.
+    results = [
+        [[e.log_score for e in peak_events(s, collect.refractory_frames)] for s in streams]
+        for streams in decode_keywords(utterances(), collect, counters)
     ]
-    neg_jobs = [
-        _DecodeJob(utt_id=u.utt_id, keywords=suite.keywords, synth=u.synth) for u in negatives
-    ]
-    results, counters = _run_jobs(pos_jobs + neg_jobs, collect, _peak_scores, jobs)
-    pos_results = iter(results[: len(pos_jobs)])
-    neg_results = results[len(pos_jobs) :]
+    pos_count = sum(len(utts) for utts in positives)
+    pos_results = iter(results[:pos_count])
+    neg_results = results[pos_count:]
     per_keyword = []
     for k, (keyword, utts) in enumerate(zip(suite.keywords, positives)):
         pos_scores = [max(next(pos_results)[0], default=NEG_INF) for _ in utts]
@@ -207,19 +135,32 @@ def _bench_one_run(
     return run, counters
 
 
-def _asr_transcripts(
-    suite: SuiteManifest, epsilon: float, config: AsrConfig, beam_width: int | None
-) -> dict[str, Hypothesis]:
-    """Transcribe every utterance in the epsilon group once (label-independent)."""
-    transcripts = {}
+def _asr_rows(
+    suite: SuiteManifest,
+    epsilon: float,
+    candidate: DecodeConfig,
+    beam_width: int,
+    target_far: float,
+) -> dict:
+    """The ASR baseline rows of one epsilon group. Each utterance builds one
+    oracle, and every search runs on it (transcripts are label-independent)."""
+    rnnt_cfg = AsrConfig(mode=RNNT)
+    searches = {
+        "greedy_rnnt": lambda oracle: greedy_search(oracle, rnnt_cfg),
+        f"beam{beam_width}_rnnt": lambda oracle: beam_search(oracle, beam_width, rnnt_cfg)[0],
+    }
+    if suite.d_max > 0:
+        tdt_cfg = AsrConfig(
+            mode=TDT, d_max=candidate.d_max if candidate.mode == TDT else suite.d_max
+        )
+        searches["greedy_tdt"] = lambda oracle: greedy_search(oracle, tdt_cfg)
+    transcripts: dict[str, dict[str, Hypothesis]] = {name: {} for name in searches}
     utts = [u for u in suite.utterances if u.epsilon == epsilon]
     for utt in sorted(utts, key=lambda u: u.utt_id):
         oracle = SyntheticOracle(utt.synth)
-        if beam_width is None:
-            transcripts[utt.utt_id] = greedy_search(oracle, config)
-        else:
-            transcripts[utt.utt_id] = beam_search(oracle, beam_width, config)[0]
-    return transcripts
+        for name, search in searches.items():
+            transcripts[name][utt.utt_id] = search(oracle)
+    return {name: _asr_row(suite, epsilon, transcripts[name], target_far) for name in searches}
 
 
 def _asr_row(
@@ -264,18 +205,13 @@ def bench(
     target_far: float,
     also_asr_baselines: bool = False,
     beam_width: int = 10,
-    jobs: int = 1,
 ) -> dict:
     """Full benchmark report across the suite's epsilon groups."""
     check_bench_args(target_far, also_asr_baselines, beam_width)
     groups = []
     for epsilon in sorted(set(u.epsilon for u in suite.utterances)):
-        baseline_run, baseline_counters = _bench_one_run(
-            suite, epsilon, baseline, target_far, jobs
-        )
-        candidate_run, candidate_counters = _bench_one_run(
-            suite, epsilon, candidate, target_far, jobs
-        )
+        baseline_run, baseline_counters = _bench_one_run(suite, epsilon, baseline, target_far)
+        candidate_run, candidate_counters = _bench_one_run(suite, epsilon, candidate, target_far)
         group = {
             "epsilon": epsilon,
             "negative_hours": sum(u.duration_seconds for u in suite.negatives(epsilon))
@@ -285,26 +221,7 @@ def bench(
             "speedup": speedup(baseline_counters, candidate_counters).to_json_dict(),
         }
         if also_asr_baselines:
-            asr = {}
-            greedy_cfg = AsrConfig(mode=RNNT)
-            asr["greedy_rnnt"] = _asr_row(
-                suite, epsilon, _asr_transcripts(suite, epsilon, greedy_cfg, None), target_far
-            )
-            asr[f"beam{beam_width}_rnnt"] = _asr_row(
-                suite,
-                epsilon,
-                _asr_transcripts(suite, epsilon, greedy_cfg, beam_width),
-                target_far,
-            )
-            if suite.d_max > 0:
-                tdt_cfg = AsrConfig(
-                    mode=TDT,
-                    d_max=candidate.d_max if candidate.mode == TDT else suite.d_max,
-                )
-                asr["greedy_tdt"] = _asr_row(
-                    suite, epsilon, _asr_transcripts(suite, epsilon, tdt_cfg, None), target_far
-                )
-            group["asr"] = asr
+            group["asr"] = _asr_rows(suite, epsilon, candidate, beam_width, target_far)
         groups.append(group)
     return {
         "schema": REPORT_SCHEMA,
@@ -390,8 +307,11 @@ def oracle_check(cases: int, seed: int, t_max: int = 12, u_max: int = 4) -> dict
     """DP-vs-brute-force equivalence sweep over random proper lattices."""
     if cases < 1:
         raise ValidationError("cases must be >= 1")
-    if t_max > 12 or u_max > 4:
-        raise ValidationError("brute force is capped at t_max <= 12, u_max <= 4")
+    if not (1 <= t_max <= 12 and 1 <= u_max <= 4):
+        raise ValidationError(
+            f"t_max and u_max must lie in [1, 12] and [1, 4] (the brute-force cap), "
+            f"got {t_max} and {u_max}"
+        )
     rng = np.random.default_rng(seed)
     config = DecodeConfig(mode=RNNT)
     max_dev = 0.0

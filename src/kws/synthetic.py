@@ -262,11 +262,6 @@ class SyntheticOracle(EmissionOracle):
         log_y = np.where(~consumed[:, :, :U] & (content == tokens), ideal32, noise32)
         return [(log_y[k, :, :u], log_phi[k, :, : u + 1]) for k, u in enumerate(widths)]
 
-    def emission_grid(
-        self, keyword: KeywordSpec, frames: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.emission_grids([keyword], frames)[0]
-
     def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         self._check_frame(t)
         # A row depends on its frame only through the keyword position and
@@ -281,7 +276,7 @@ class SyntheticOracle(EmissionOracle):
         key = (keyword.tokens, position, token)
         rows = self._row_cache.get(key)
         if rows is None:
-            log_y, log_phi = self.emission_grid(keyword, np.array([t]))
+            ((log_y, log_phi),) = self.emission_grids([keyword], np.array([t]))
             rows = self._row_cache[key] = (log_y[0], log_phi[0])
         return rows
 

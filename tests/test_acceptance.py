@@ -107,28 +107,47 @@ def test_c04_column_skip_ratios_are_exact_and_search_speedup_tracks_them(tmp_pat
         ),
     )
     suite = load_manifest(suite_dir)
-    jobs = [
+    pairs = [
         (utt, load_lattice(suite.lattice_path(utt)), suite.keywords_by_name[utt.lattice_keyword])
         for utt in suite.utterances
     ]
-
-    rnnt_counters = SpeedCounters()
-    for utt, oracle, keyword in jobs:
-        stream = decode_kws(oracle, keyword, DecodeConfig(mode="rnnt"), counters=rnnt_counters)
-        assert stream.columns_evaluated == utt.num_frames == 300
-
     expected_ratio = {2: 2.0, 4: 3.0, 6: 3.0, 8: 3.0, 10: 3.0}
-    ratios = []
-    for cap in (2, 4, 6, 8, 10):
-        cap_counters = SpeedCounters()
-        step = min(3, cap)  # every stored duration is the planted 3
-        for utt, oracle, keyword in jobs:
-            stream = decode_kws(
-                oracle, keyword, DecodeConfig(mode="tdt", d_max=cap), counters=cap_counters
-            )
+    configs = {0: DecodeConfig(mode="rnnt")}
+    configs.update({cap: DecodeConfig(mode="tdt", d_max=cap) for cap in expected_ratio})
+
+    def decode_pass(cap):
+        counters = SpeedCounters()
+        step = min(3, cap) if cap else 1  # every stored duration is the planted 3
+        for utt, oracle, keyword in pairs:
+            stream = decode_kws(oracle, keyword, configs[cap], counters=counters)
             assert stream.columns_evaluated == math.ceil(utt.num_frames / step)
-            assert utt.num_frames / stream.columns_evaluated == expected_ratio[cap]
-        rel = speedup(rnnt_counters, cap_counters)
+            if cap:
+                assert utt.num_frames / stream.columns_evaluated == expected_ratio[cap]
+            else:
+                assert stream.columns_evaluated == utt.num_frames == 300
+        return counters
+
+    # The wall gate times a few milliseconds of DP per pass, so each pass
+    # runs REPEATS times, in interleaved rounds, and the gate compares the
+    # median search seconds; column counts are the same in every repeat.
+    REPEATS = 7
+    passes = {cap: [] for cap in configs}
+    for _ in range(REPEATS):
+        for cap in configs:
+            passes[cap].append(decode_pass(cap))
+
+    def median_counters(cap):
+        counters = passes[cap][0]
+        assert all(c.columns_evaluated == counters.columns_evaluated for c in passes[cap])
+        counters.search_wall_seconds = float(
+            np.median([c.search_wall_seconds for c in passes[cap]])
+        )
+        return counters
+
+    rnnt_counters = median_counters(0)
+    ratios = []
+    for cap in expected_ratio:
+        rel = speedup(rnnt_counters, median_counters(cap))
         assert rel.column_ratio == expected_ratio[cap]
         assert rel.relative_search >= 0.6 * rel.column_ratio, (
             f"d_max={cap}: wall search speedup {rel.relative_search:.2f} fell below "

@@ -3,7 +3,6 @@
 import importlib.resources
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -27,7 +26,6 @@ from kws import (
 )
 from kws import decoder, runner
 from kws.cli import main
-from kws.runner import worker_count
 
 GEN_FLAGS = [
     "--keywords", "alpha", "bravo",
@@ -92,6 +90,16 @@ def test_kws_seed_env_fallback(base_suite, tmp_path, monkeypatch):
     assert main(["gen", "--out", str(tmp_path / "junk"), *GEN_FLAGS]) == 1
 
 
+@pytest.mark.parametrize("command", [["gen", "--out", "{tmp}"], ["oracle-check", "--cases", "1"]])
+def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    # numpy refuses negative seeds with a raw ValueError.
+    command = [arg.format(tmp=tmp_path / "suite") for arg in command]
+    assert main([*command, "--seed=-1"]) == 1
+    monkeypatch.setenv("KWS_SEED", "-3")
+    assert main(command) == 1
+    assert capsys.readouterr().err.count("error: the seed must be >= 0") == 2
+
+
 def test_decode_writes_valid_scorestream_jsonl(base_suite, tmp_path):
     out = tmp_path / "scores.jsonl"
     assert main(["decode", "--suite", str(base_suite), "--out", str(out)]) == 0
@@ -110,14 +118,6 @@ def test_decode_stdout_default(base_suite, capsys):
     json.loads(lines[0])
 
 
-def test_decode_jobs_do_not_change_output(base_suite, tmp_path):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    assert main(["decode", "--suite", str(base_suite), "--out", str(serial)]) == 0
-    assert main(["decode", "--suite", str(base_suite), "--jobs", "3", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def drop_wall(obj):
     """Copy of a report without its wall-clock ("wall") keys."""
     if isinstance(obj, dict):
@@ -127,17 +127,9 @@ def drop_wall(obj):
     return obj
 
 
-def test_bench_jobs_do_not_change_report(base_suite):
-    suite = load_manifest(base_suite)
-    configs = (DecodeConfig(mode="rnnt"), DecodeConfig(mode="tdt", d_max=3))
-    serial = bench(suite, *configs, target_far=0.0, jobs=1)
-    parallel = bench(suite, *configs, target_far=0.0, jobs=2)
-    assert drop_wall(parallel) == drop_wall(serial)
-
-
 def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch):
     """`kws decode` JSONL (both modes) and `kws bench` reports without "wall"
-    are the same whatever the lane batch width, and with --jobs 2."""
+    are the same whatever the lane batch width."""
 
     def outputs(tag, *flags):
         run = {}
@@ -153,7 +145,6 @@ def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch
         return run
 
     default = outputs("default")
-    assert outputs("jobs2", "--jobs", "2") == default
     for chunk in (1, 3):
         monkeypatch.setattr(decoder, "_LANE_CHUNK", chunk)
         assert outputs(f"chunk{chunk}") == default
@@ -181,26 +172,6 @@ def test_batched_beam_does_not_change_asr_report(base_suite, tmp_path, monkeypat
     batched = run("batched", runner.beam_search)
     assert '"beam3_rnnt"' in batched[0] and batched[1]
     assert run("reference", reference_beam_search) == batched
-
-
-@pytest.mark.parametrize("command", ["decode", "bench"])
-@pytest.mark.parametrize("jobs", ["0", "-5"])
-def test_jobs_below_one_is_a_usage_error(base_suite, command, jobs):
-    assert main([command, "--suite", str(base_suite), "--jobs", jobs]) == 1
-
-
-def test_worker_count_is_capped_by_cpus_and_jobs(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert worker_count(1, 100) == 1
-    assert worker_count(3, 100) == 3
-    assert worker_count(1000, 100) == 4
-    assert worker_count(1000, 2) == 2
-    assert worker_count(3, 0) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert worker_count(8, 100) == 1
-    for requested in (0, -5):
-        with pytest.raises(ValidationError):
-            worker_count(requested, 100)
 
 
 def test_tdt_equals_rnnt_on_all_ones_durations(ones_suite, tmp_path):
@@ -295,17 +266,30 @@ def test_missing_suite_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "command,flags",
     [
-        ("decode", ["--jobs", "0"]),
+        ("decode", ["--mode", "bogus"]),
         ("decode", ["--mode", "tdt", "--d-max", "0"]),
-        ("bench", ["--jobs", "0"]),
+        ("bench", ["--d-max", "x"]),
         ("bench", ["--d-max", "0"]),
         ("bench", ["--beam-width", "0", "--also-asr-baselines"]),
         ("bench", ["--target-far", "-1"]),
         ("bench", ["--target-far", "nan"]),
+        # Flags argparse refuses, --jobs among them, exit 1 too, not 2.
+        ("decode", ["--jobs", "2"]),
+        ("bench", ["--jobs", "2"]),
+        ("decode", ["--no-such-flag"]),
     ],
 )
 def test_usage_errors_are_reported_before_the_suite_is_read(tmp_path, command, flags):
     assert main([command, "--suite", str(tmp_path / "nope"), *flags]) == 1
+
+
+def test_argparse_errors_exit_1_and_help_exits_0(capsys):
+    assert main(["no-such-command"]) == 1
+    assert main([]) == 1
+    assert "usage: kws" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
 
 
 def broken_manifest_texts(raw):
@@ -420,6 +404,37 @@ def test_oracle_check_exit_contract(capsys):
     assert result["max_abs_deviation"] <= 1e-9
 
     assert main([*argv, "--tolerance", "-1.0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--t-max", "0"],
+        ["--t-max", "-3"],
+        ["--u-max", "0"],
+        ["--t-max", "13"],
+        ["--u-max", "5"],
+        ["--cases", "0"],
+        ["--tolerance", "nan"],
+        ["--tolerance=-1e-9"],
+    ],
+)
+def test_oracle_check_bad_arguments_exit_1_before_any_case(flags, capsys, monkeypatch):
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(runner, "random_proper_lattice", no_case)
+    assert main(["oracle-check", "--cases", "3", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.startswith("error: ")
+
+
+def test_oracle_check_bounds_raise_validation_error():
+    for t_max, u_max in ((0, 4), (12, 0), (13, 4), (12, 5)):
+        with pytest.raises(ValidationError, match="t_max and u_max"):
+            runner.oracle_check(cases=1, seed=0, t_max=t_max, u_max=u_max)
+    assert runner.oracle_check(cases=2, seed=0, t_max=1, u_max=1)["max_abs_deviation"] == 0.0
 
 
 def test_bench_report_and_exit_codes(base_suite, tmp_path, capsys):

@@ -21,3 +21,40 @@ def test_module_has_no_unused_imports(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, looks up as attributes or imports by name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {a.name for a in node.names}
+    return used
+
+
+def test_every_module_level_definition_is_used_or_public():
+    """A function, class or constant that no kws module reads and kws.__all__
+    does not export is dead code; the package's own re-exports do not count."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    dead = {
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _module_level_names(tree) - used - set(kws.__all__)
+    }
+    assert sorted(dead) == []

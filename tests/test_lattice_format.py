@@ -254,15 +254,19 @@ def test_replay_matches_source_oracle(tmp_path):
     frames = np.array([1, 2, 5, 12])
     want = [np.stack(rows) for rows in zip(*(source.emission_rows(kw, int(t)) for t in frames))]
     for oracle in (source, replay):
-        default = EmissionOracle.emission_grid(oracle, kw, frames)
-        for grid in (oracle.emission_grid(kw, frames), default):
+        default = EmissionOracle.emission_grids(oracle, [kw, kw], frames)
+        for grid in (*oracle.emission_grids([kw, kw], frames), *default):
             for got, expected in zip(grid, want):
                 assert got.tobytes() == expected.tobytes()
         for bad in ([0, 1], [12, 13], [-1]):
             with pytest.raises(ValidationError):
-                oracle.emission_grid(kw, np.array(bad))
+                oracle.emission_grids([kw], np.array(bad))
+            with pytest.raises(ValidationError):
+                EmissionOracle.emission_grids(oracle, [kw], np.array(bad))
     with pytest.raises(SidecarError, match=r"x\.kwl: .*\(3, 7\).*\(5, 6, 7\)"):
-        replay.emission_grid(KeywordSpec("other", (5, 6, 7)), frames)
+        replay.emission_grids([kw, KeywordSpec("other", (5, 6, 7))], frames)
+    with pytest.raises(SidecarError, match=r"x\.kwl: .*\(3, 7\).*\(5, 6, 7\)"):
+        EmissionOracle.emission_grids(replay, [KeywordSpec("other", (5, 6, 7))], frames)
 
 
 @settings(max_examples=40, deadline=None)

@@ -189,7 +189,11 @@ def test_speedup_json_shape_nests_wall():
 
 def test_counters_add_and_json_shape():
     a = counters(columns=3, queries=5, search=0.5, total=1.5)
-    a.add(counters(columns=7, queries=2, search=0.25, total=0.5))
+    # Decoders and the runner add into the fields in place.
+    a.columns_evaluated += 7
+    a.oracle_queries += 2
+    a.search_wall_seconds += 0.25
+    a.total_wall_seconds += 0.5
     assert a.columns_evaluated == 10
     assert a.oracle_queries == 7
     assert a.search_wall_seconds == 0.75

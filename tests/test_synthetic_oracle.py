@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kws import (
     BLANK_ID,
     CapabilityError,
+    EmissionOracle,
     KeywordSpec,
     ModeError,
     NEG_INF,
@@ -145,7 +146,9 @@ def test_out_of_bounds_queries_rejected():
     with pytest.raises(ValidationError):
         oracle.emission_rows(kw, 11)
     with pytest.raises(ValidationError):
-        oracle.emission_grid(kw, np.array([1, 11]))
+        oracle.emission_grids([kw], np.array([1, 11]))
+    with pytest.raises(ValidationError):
+        EmissionOracle.emission_grids(oracle, [kw], np.array([1, 11]))
 
 
 def test_generative_track_follows_emission_progress():
@@ -363,7 +366,8 @@ def planted_cases(draw):
 def test_emission_grids_equal_full_grid_reference(case):
     """All keywords at the queried frames at once, bit for bit (dtype and
     -inf included) the reference grids indexed at those frames; the
-    one-keyword grid and per-frame rows are the same formula."""
+    one-keyword grids, the stacking default and per-frame rows are the same
+    formula."""
     cfg, keywords, frames = case
     oracle = SyntheticOracle(cfg)
     grids = oracle.emission_grids(keywords, frames)
@@ -372,9 +376,12 @@ def test_emission_grids_equal_full_grid_reference(case):
         ref_y, ref_phi = _reference_grids(oracle, keyword)
         _assert_same_bits(log_y, ref_y[frames - 1])
         _assert_same_bits(log_phi, ref_phi[frames - 1])
-        one_y, one_phi = oracle.emission_grid(keyword, frames)
+        ((one_y, one_phi),) = oracle.emission_grids([keyword], frames)
         _assert_same_bits(one_y, ref_y[frames - 1])
         _assert_same_bits(one_phi, ref_phi[frames - 1])
+        ((stack_y, stack_phi),) = EmissionOracle.emission_grids(oracle, [keyword], frames)
+        _assert_same_bits(stack_y, ref_y[frames - 1])
+        _assert_same_bits(stack_phi, ref_phi[frames - 1])
         for t in frames.tolist():
             row_y, row_phi = oracle.emission_rows(keyword, t)
             _assert_same_bits(row_y, ref_y[t - 1])
