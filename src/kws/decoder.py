@@ -27,13 +27,14 @@ One DP routine (``_lane_columns``) serves every decode. It advances many
 lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
 count of processed columns rather than by frame, so RNN-T and TDT lanes of
 different utterances step together without masks and TDT keeps its skipped
-frames. ``decode_keywords`` batches the lanes of many utterances (each
-utterance's hop schedule is computed once for all its keywords);
-``StreamingDecoder`` runs the same routine on one lane, one
-column at a time. The routine sweeps anti-diagonals ("wavefronts") of the
-(column, u) grid: cell (k, u) depends only on (k, u-1) and (k-1, u), so all
-cells with the same k + u are independent and one wavefront costs a fixed
-handful of numpy calls over every lane and every u.
+frames. ``decode_keywords`` batches whole utterances: the lanes of all
+keywords of an utterance share its hop schedule, enter a batch side by side
+in one buffer write and leave it as the rows of one score block;
+``StreamingDecoder`` runs the same routine on one lane, one column at a time.
+The routine sweeps anti-diagonals ("wavefronts") of the (column, u) grid:
+cell (k, u) depends only on (k, u-1) and (k-1, u), so all cells with the
+same k + u are independent and one wavefront costs a fixed handful of numpy
+calls over every lane and every u.
 
 Everything accumulates in f64 even though oracles store f32. A batch
 left-pads shorter keywords with log-1 tokens (log_y = log_phi = 0), whose
@@ -65,9 +66,10 @@ ZERO_DURATION_POLICIES = ("clamp", "error")
 
 # Lanes per batch of ``decode_keywords``. A batch costs a fixed number of
 # numpy calls per wavefront whatever its width, so wider batches run faster
-# but hold more f32 rows at once; 32 was measured to keep peak memory within
-# 2% of a decode that holds one (utterance, keyword) pair at a time.
-_LANE_CHUNK = 32
+# but hold more f32 rows at once. On perfbench's asr workload peak RSS was
+# 43.8 MiB at 32 lanes, 44.1 at 64, 45.1 at 128 and 46.7 at 256; 64 stays
+# within 1% of 32.
+_LANE_CHUNK = 64
 
 
 def _check_search_config(config) -> None:
@@ -341,73 +343,89 @@ class _PendingUtterance:
     num_frames: int
     frame_seconds: float
     frames: np.ndarray
-    streams: list
-    lanes_left: int
+    keywords: list[str]
+    streams: list[ScoreStream] | None = None  # set once its batch is decoded
 
 
 class _LaneBatch:
-    """f32 edge buffer for up to ``_LANE_CHUNK`` lanes, reused batch after batch.
+    """f32 edge buffer for whole utterances, reused batch after batch.
 
-    Lane i's log-probs sit at ``edges[..., i]`` in ``_lane_columns``'s layout,
-    left-padded with log-1 entries (0.0) to the widest keyword seen and
-    right-padded past the lane's own columns. The buffer is zeroed after each
-    batch. A lane that does not fit first decodes the batch so far, so the
-    old buffer is freed before a larger one is allocated.
+    ``add`` puts the K lanes of one utterance side by side at ``edges[...,
+    i:i + K]`` in ``_lane_columns``'s layout with one write, each lane
+    left-padded with log-1 entries (0.0) to the widest keyword seen; lanes
+    shorter than the batch's longest read zero rows past their own columns.
+    A batch holds up to ``_LANE_CHUNK`` lanes, or one utterance with more
+    keywords than that, and closes at an utterance boundary. The rows written
+    are zeroed after each batch. An utterance that does not fit first decodes
+    the batch so far, so the old buffer is freed before a larger one is
+    allocated.
     """
 
     def __init__(self, counters: SpeedCounters) -> None:
         self.counters = counters
         self.edges = _edge_buffer(0, 0, _LANE_CHUNK)
-        self.lanes: list[tuple[_PendingUtterance, int, str]] = []
-        self._columns = self._tokens = 0
+        self.utts: list[tuple[_PendingUtterance, int]] = []  # (utterance, first lane)
+        self.lanes = self._columns = self._tokens = 0
 
-    def add(self, utt: _PendingUtterance, k: int, keyword: str, log_y, log_phi) -> None:
-        n, u = log_y.shape
+    def add(self, utt: _PendingUtterance, grids: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        K, n = len(grids), len(utt.frames)
+        if not K:
+            utt.streams = []
+            return
+        u = max(log_y.shape[1] for log_y, _ in grids)
         rows, _, U1, L = self.edges.shape
         U = U1 - 1
         C = rows - 1 - 2 * U
-        if n > C or u > U:
+        grow = n > C or u > U or K > L
+        if grow or self.lanes + K > _LANE_CHUNK:
             self.decode()
+        if grow:
             del self.edges  # freed before its successor is allocated
             U = max(u, U)
-            self.edges = _edge_buffer(max(n, C), U, L)
-        i = len(self.lanes)
-        self.edges[U + 1 : U + 1 + n, 0, U - u : U, i] = log_y
-        self.edges[U + 1 : U + 1 + n, 1, U - u :, i] = log_phi
-        self.lanes.append((utt, k, keyword))
+            self.edges = _edge_buffer(max(n, C), U, max(K, L))
+        i = self.lanes
+        lanes = self.edges[U + 1 : U + 1 + n, :, :, i : i + K].transpose(3, 1, 0, 2)
+        # One lane is written in place; more are staged, then stored in one write.
+        stage = lanes if K == 1 else np.zeros(lanes.shape, dtype=np.float32)
+        for k, (log_y, log_phi) in enumerate(grids):
+            w = log_y.shape[1]
+            stage[k, 0, :, U - w : U] = log_y
+            stage[k, 1, :, U - w :] = log_phi
+        if stage is not lanes:
+            lanes[...] = stage
+        self.utts.append((utt, i))
+        self.lanes += K
         self._columns = max(self._columns, n)
         self._tokens = max(self._tokens, u)
+        if self.lanes >= _LANE_CHUNK:
+            self.decode()
 
     def decode(self) -> None:
-        """Run the DP over the batch, hand each lane its ScoreStream, and empty it."""
-        L, C, U = len(self.lanes), self._columns, self._tokens
+        """Run the DP over the batch, cut each utterance's ScoreStreams, and empty it."""
+        L, C, U = self.lanes, self._columns, self._tokens
         if not L:
             return
-        skip = self.edges.shape[2] - 1 - U  # padding rows no lane of this batch needs
+        U_buf = self.edges.shape[2] - 1
+        skip = U_buf - U  # padding rows no lane of this batch needs
         edges = self.edges[skip:, :, skip:, :L]
         scores = np.empty((C, L))
         tick = perf_counter()
         _lane_columns(edges, _first_column(U, L), C, scores)
         self.counters.search_wall_seconds += perf_counter() - tick
 
-        for i, (utt, k, keyword) in enumerate(self.lanes):
-            n = len(utt.frames)
-            stream_scores = np.full(utt.num_frames, NEG_INF)
-            stream_scores[utt.frames - 1] = scores[:n, i]
-            processed = np.zeros(utt.num_frames, dtype=bool)
-            processed[utt.frames - 1] = True
-            utt.streams[k] = ScoreStream(
-                utt_id=utt.utt_id,
-                keyword=keyword,
-                frame_seconds=utt.frame_seconds,
-                scores=stream_scores,
-                processed=processed,
-                columns_evaluated=n,
-            )
-            utt.lanes_left -= 1
-        self.edges[:] = 0.0
-        self.lanes = []
-        self._columns = self._tokens = 0
+        for utt, i in self.utts:
+            K, n, idx = len(utt.keywords), len(utt.frames), utt.frames - 1
+            block = np.full((K, utt.num_frames), NEG_INF)
+            block[:, idx] = scores[:n, i : i + K].T
+            processed = np.zeros((K, utt.num_frames), dtype=bool)
+            processed[:, idx] = True
+            utt.streams = [
+                ScoreStream(utt.utt_id, keyword, utt.frame_seconds, block[k], processed[k], n)
+                for k, keyword in enumerate(utt.keywords)
+            ]
+        self.edges[U_buf + 1 : U_buf + 1 + C, :, :, :L] = 0.0
+        self.utts = []
+        self.lanes = self._columns = self._tokens = 0
 
 
 def decode_keywords(
@@ -418,17 +436,16 @@ def decode_keywords(
     """Whole-utterance decodes of many (oracle, keywords, utt_id) triples.
 
     Yields, in input order, one list per utterance with one ScoreStream per
-    keyword, as soon as all its lanes are decoded. Each utterance's hop
-    schedule is computed once, and one ``emission_grids`` call fetches the
-    rows of all its keywords at the scheduled frames only; its lanes join
-    batches of ``_LANE_CHUNK`` (utterance, keyword) lanes, and an oracle is
-    not held once its rows are fetched. Scores are bit-identical to one
-    ``StreamingDecoder`` per pair, and counted the same way: per pair and
-    processed frame, one row query plus, in TDT mode, one greedy query, as
-    a per-column decode would make them. ``search_wall_seconds`` brackets
-    the batched column loops; ``total_wall_seconds`` covers schedules, row
-    fetches and batches, not the time spent drawing from ``utterances`` or
-    in the caller.
+    keyword, as soon as its batch is decoded. Each utterance's hop schedule
+    is computed once, and one ``emission_grids`` call fetches the rows of all
+    its keywords at the scheduled frames only; its lanes join a batch
+    together, and an oracle is not held once its rows are fetched. Scores
+    are bit-identical to one ``StreamingDecoder`` per pair, and counted the
+    same way: per pair and processed frame, one row query plus, in TDT mode,
+    one greedy query, as a per-column decode would make them.
+    ``search_wall_seconds`` brackets the batched column loops;
+    ``total_wall_seconds`` covers schedules, row fetches and batches, not the
+    time spent drawing from ``utterances`` or in the caller.
     """
     counters = counters if counters is not None else SpeedCounters()
     queries_per_column = 2 if config.mode == TDT else 1
@@ -440,18 +457,15 @@ def decode_keywords(
         frames = _hop_schedule(oracle, config)
         utt = _PendingUtterance(
             utt_id, oracle.num_frames, oracle.frame_seconds, frames,
-            [None] * len(keywords), len(keywords),
+            [keyword.name for keyword in keywords],
         )
         pending.append(utt)
-        grids = oracle.emission_grids(keywords, frames)
-        for k, (keyword, grid) in enumerate(zip(keywords, grids)):
-            batch.add(utt, k, keyword.name, *grid)
-            counters.columns_evaluated += len(frames)
-            counters.oracle_queries += queries_per_column * len(frames)
-            if len(batch.lanes) == _LANE_CHUNK:
-                batch.decode()
+        batch.add(utt, oracle.emission_grids(keywords, frames))
+        columns = len(keywords) * len(frames)
+        counters.columns_evaluated += columns
+        counters.oracle_queries += queries_per_column * columns
         counters.total_wall_seconds += perf_counter() - tick
-        while pending and pending[0].lanes_left == 0:
+        while pending and pending[0].streams is not None:
             yield pending.popleft().streams
     tick = perf_counter()
     batch.decode()
@@ -475,15 +489,24 @@ def decode_kws(
 def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEvent]:
     """Recover detection events from an already-computed ScoreStream.
 
-    Uses the same gate as the streaming path, so results are identical.
+    Same events as the streaming path's gate: a processed frame fires when its
+    score is finite, at least the threshold, and ``refractory_frames`` or more
+    after the last fire.
     """
-    gate = _EventGate(stream.keyword, config)
-    events = []
-    for idx in np.flatnonzero(stream.processed).tolist():
-        event = gate.offer(idx + 1, float(stream.scores[idx]))
-        if event is not None:
-            events.append(event)
-    return events
+    scores = stream.scores
+    passing = stream.processed & np.isfinite(scores) & (scores >= config.threshold_log)
+    cand = np.flatnonzero(passing)
+    # Candidates are distinct frames, so a refractory of 0 acts as 1.
+    step = max(config.refractory_frames, 1)
+    fired, pos = [], 0
+    while pos < len(cand):
+        idx = int(cand[pos])
+        fired.append(idx)
+        pos = int(np.searchsorted(cand, idx + step))
+    return [
+        DetectionEvent(stream.keyword, idx + 1, score)
+        for idx, score in zip(fired, scores[fired].tolist())
+    ]
 
 
 def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEvent]:
@@ -546,12 +569,15 @@ def _encode_float(value: float) -> float | str:
 
 def scorestream_record(stream: ScoreStream, events: Sequence[DetectionEvent]) -> dict:
     """JSON-safe record for one utterance (-inf encoded as the string "-inf")."""
+    scores = stream.scores.tolist()
+    for idx in np.flatnonzero(np.isinf(stream.scores)).tolist():
+        scores[idx] = _encode_float(scores[idx])
     return {
         "utt_id": stream.utt_id,
         "keyword": stream.keyword,
         "frame_seconds": stream.frame_seconds,
-        "scores": [_encode_float(s) for s in stream.scores.tolist()],
-        "processed": [bool(p) for p in stream.processed.tolist()],
+        "scores": scores,
+        "processed": stream.processed.tolist(),
         "columns_evaluated": stream.columns_evaluated,
         "events": [
             {"keyword": e.keyword, "frame": e.frame, "log_score": _encode_float(e.log_score)}

@@ -307,6 +307,8 @@ def oracle_check(cases: int, seed: int, t_max: int = 12, u_max: int = 4) -> dict
     """DP-vs-brute-force equivalence sweep over random proper lattices."""
     if cases < 1:
         raise ValidationError("cases must be >= 1")
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise ValidationError(f"the seed must be >= 0, got {seed}")
     if not (1 <= t_max <= 12 and 1 <= u_max <= 4):
         raise ValidationError(
             f"t_max and u_max must lie in [1, 12] and [1, 4] (the brute-force cap), "

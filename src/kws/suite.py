@@ -88,6 +88,8 @@ class SuiteGenSpec:
             raise ValidationError("bad keyword length range")
         if self.filler_pool < 1:
             raise ValidationError("filler_pool must be >= 1")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValidationError(f"the seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
             raise ValidationError(
                 f"frame_seconds must be finite and > 0, got {self.frame_seconds}"

@@ -437,6 +437,15 @@ def test_oracle_check_bounds_raise_validation_error():
     assert runner.oracle_check(cases=2, seed=0, t_max=1, u_max=1)["max_abs_deviation"] == 0.0
 
 
+def test_oracle_check_negative_seed_raises_validation_error(monkeypatch):
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran before the seed was checked")
+
+    monkeypatch.setattr(runner, "random_proper_lattice", no_case)
+    with pytest.raises(ValidationError, match="the seed must be >= 0, got -1"):
+        runner.oracle_check(cases=1, seed=-1)
+
+
 def test_bench_report_and_exit_codes(base_suite, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     argv = [

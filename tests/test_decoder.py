@@ -397,6 +397,80 @@ def test_scorestream_record_round_trip():
     assert back_stream.utt_id == "utt-7"
 
 
+def _detect_events_reference(stream, config):
+    """detect_events as a gate offered every processed frame in turn."""
+    events, last_fire = [], None
+    for idx in np.flatnonzero(stream.processed).tolist():
+        score = float(stream.scores[idx])
+        if not math.isfinite(score) or score < config.threshold_log:
+            continue
+        if last_fire is not None and idx + 1 - last_fire < config.refractory_frames:
+            continue
+        last_fire = idx + 1
+        events.append(DetectionEvent(keyword=stream.keyword, frame=idx + 1, log_score=score))
+    return events
+
+
+def _encode_float_reference(value):
+    if value == NEG_INF:
+        return "-inf"
+    if value == math.inf:
+        return "inf"
+    return float(value)
+
+
+def _scorestream_record_reference(stream, events):
+    """scorestream_record with one encode call per score and per flag."""
+    return {
+        "utt_id": stream.utt_id,
+        "keyword": stream.keyword,
+        "frame_seconds": stream.frame_seconds,
+        "scores": [_encode_float_reference(s) for s in stream.scores.tolist()],
+        "processed": [bool(p) for p in stream.processed.tolist()],
+        "columns_evaluated": stream.columns_evaluated,
+        "events": [
+            {
+                "keyword": e.keyword,
+                "frame": e.frame,
+                "log_score": _encode_float_reference(e.log_score),
+            }
+            for e in events
+        ],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_frames=st.integers(0, 80),
+    threshold_log=st.sampled_from([NEG_INF, -3.0, -1.0, -0.5, 0.0, math.inf]),
+    refractory=st.sampled_from([0, 1, 2, 3, 7, 34]),
+)
+def test_detect_events_and_record_match_per_frame_references(
+    seed, num_frames, threshold_log, refractory
+):
+    """Tie-heavy scores with -inf runs, +inf entries and unprocessed finite
+    frames: the vectorized event walk and record encoder equal the per-frame
+    forms, events and JSON bytes alike."""
+    rng = np.random.default_rng(seed)
+    scores = rng.choice([0.0, -0.5, -1.0, -3.0, NEG_INF], size=num_frames)
+    scores[rng.random(num_frames) < 0.3] = rng.uniform(-4.0, 0.0)
+    for _ in range(int(rng.integers(0, 3))):  # -inf runs
+        start = int(rng.integers(0, num_frames + 1))
+        scores[start : start + int(rng.integers(1, 10))] = NEG_INF
+    scores[rng.random(num_frames) < 0.03] = math.inf
+    processed = rng.random(num_frames) < 0.8
+    stream = ScoreStream("u", "kw", 0.03, scores, processed, int(processed.sum()))
+    config = DecodeConfig(threshold_log=threshold_log, refractory_frames=refractory)
+
+    events = detect_events(stream, config)
+    assert events == _detect_events_reference(stream, config)
+    assert all(type(e.frame) is int and type(e.log_score) is float for e in events)
+    record = scorestream_record(stream, events)
+    reference = _scorestream_record_reference(stream, events)
+    assert json.dumps(record) == json.dumps(reference)
+
+
 def _reference_column(prev_delta, prev_phi, y, U):
     """The DP column as a scalar loop over u, as the search was first written."""
     delta = [0.0] * (U + 1)

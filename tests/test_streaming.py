@@ -1,10 +1,13 @@
 """Frame-at-a-time decoding: protocol, equivalence with offline, event parity."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kws.decoder
 from kws import (
     NEG_INF,
     DecodeConfig,
@@ -248,5 +251,55 @@ def test_shared_hop_decode_equals_separate_streaming_decodes(
         peaks = peak_events(stream, refractory)
         assert peaks == peak_events(reference, refractory)
         assert peaks == _peak_events_reference(stream, refractory)
+    assert counters.columns_evaluated == expected_counters.columns_evaluated
+    assert counters.oracle_queries == expected_counters.oracle_queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    utterances=st.integers(1, 6),
+    tdt=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 5, 64]),
+)
+def test_utterance_batches_equal_separate_streaming_decodes(seed, utterances, tdt, chunk):
+    """Utterances of mixed T, each with zero to nine keywords of different
+    widths (often more than a batch's lanes), decode bit for bit as one
+    StreamingDecoder per pair, with the same counters, and no two streams
+    share memory."""
+    rng = np.random.default_rng(seed)
+    d_max = int(rng.integers(1, 5)) if tdt else 0
+    config = DecodeConfig(mode="tdt" if tdt else "rnnt", d_max=d_max)
+    jobs = []
+    for i in range(utterances):
+        oracle, keywords = _synthetic_case(rng, d_max)
+        picks = rng.integers(len(keywords), size=int(rng.integers(0, 10)))
+        jobs.append((oracle, [keywords[k] for k in picks], f"u{i}"))
+
+    expected_counters = SpeedCounters()
+    expected = []
+    for oracle, keywords, utt_id in jobs:
+        for keyword in keywords:
+            decoder = StreamingDecoder(oracle, keyword, config, utt_id, expected_counters)
+            for t in range(1, oracle.num_frames + 1):
+                decoder.push(t)
+            expected.append(decoder.finish())
+
+    counters = SpeedCounters()
+    with mock.patch.object(kws.decoder, "_LANE_CHUNK", chunk):
+        decoded = list(decode_keywords(jobs, config, counters))
+    assert [len(streams) for streams in decoded] == [len(kw) for _, kw, _ in jobs]
+    streams = [stream for utterance in decoded for stream in utterance]
+    assert len(streams) == len(expected)
+    for stream, reference in zip(streams, expected):
+        assert (stream.utt_id, stream.keyword) == (reference.utt_id, reference.keyword)
+        assert stream.frame_seconds == reference.frame_seconds
+        assert stream.scores.tobytes() == reference.scores.tobytes()
+        assert stream.processed.tobytes() == reference.processed.tobytes()
+        assert stream.columns_evaluated == reference.columns_evaluated
+    for i, a in enumerate(streams):
+        for b in streams[i + 1 :]:
+            assert not np.shares_memory(a.scores, b.scores)
+            assert not np.shares_memory(a.processed, b.processed)
     assert counters.columns_evaluated == expected_counters.columns_evaluated
     assert counters.oracle_queries == expected_counters.oracle_queries

@@ -271,3 +271,10 @@ def test_spec_validation():
     for frame_seconds in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
             SuiteGenSpec(frame_seconds=frame_seconds)
+
+
+def test_negative_seed_is_refused_before_the_disk_is_touched(tmp_path):
+    # numpy seeds only from non-negative integers; its own error is a raw ValueError.
+    with pytest.raises(ValidationError, match="the seed must be >= 0, got -1"):
+        gen_suite(tmp_path / "suite", SuiteGenSpec(**{**SPEC.__dict__, "seed": -1}))
+    assert not (tmp_path / "suite").exists()
