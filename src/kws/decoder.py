@@ -517,25 +517,37 @@ def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEv
     live-detection path; this offline form yields the per-utterance event
     list that threshold sweeps rank, since the event at a peak would fire at
     any threshold at or below its score.
+
+    Only finite scores can become events (skipped frames are -inf), so a
+    stream without one returns at once. The finite frames are ordered by one
+    stable sort of their negated scores, which keeps ties in frame order,
+    and walked against a byte mask of suppressed frames, one slice write per
+    pick. The mask and each write are clipped to the stream's length, never
+    sized by ``refractory_frames``, which may be any non-negative integer.
     """
     if refractory_frames < 0:
         raise ValidationError("refractory_frames must be >= 0")
     scores = stream.scores
-    # Only finite scores can become events, and skipped frames (-inf) sort
-    # last anyway, so the walk covers the processed frames alone.
-    finite = np.flatnonzero(np.isfinite(scores))
-    order = finite[np.lexsort((finite, -scores[finite]))]
-    suppressed = np.zeros(len(scores), dtype=bool)
-    events = []
+    (finite,) = np.isfinite(scores).nonzero()
+    if not len(finite):
+        return []
+    order = finite[np.argsort(-scores[finite], kind="stable")]
+    n = len(scores)
+    suppressed = memoryview(bytearray(n))
+    ones = memoryview(b"\x01" * n)
+    picks = []
     for idx in order.tolist():
-        score = float(scores[idx])
         if suppressed[idx]:
             continue
-        events.append(DetectionEvent(stream.keyword, idx + 1, score))
+        picks.append(idx)
         lo = max(0, idx - refractory_frames)
-        suppressed[lo : idx + refractory_frames + 1] = True
-    events.sort(key=lambda e: e.frame)
-    return events
+        hi = min(n, idx + refractory_frames + 1)
+        suppressed[lo:hi] = ones[: hi - lo]
+    picks.sort()
+    return [
+        DetectionEvent(stream.keyword, idx + 1, score)
+        for idx, score in zip(picks, scores[picks].tolist())
+    ]
 
 
 def dump_delta_matrix(oracle: EmissionOracle, keyword: KeywordSpec, config: DecodeConfig) -> str:
@@ -586,20 +598,47 @@ def scorestream_record(stream: ScoreStream, events: Sequence[DetectionEvent]) ->
     }
 
 
+def _field(record: dict, name: str, where: str = "score-stream record"):
+    try:
+        return record[name]
+    except KeyError:
+        raise ValidationError(f"{where} has no field {name!r}") from None
+
+
 def parse_scorestream_record(record: dict) -> tuple[ScoreStream, list[DetectionEvent]]:
-    stream = ScoreStream(
-        utt_id=record["utt_id"],
-        keyword=record["keyword"],
-        frame_seconds=record["frame_seconds"],
+    """Inverse of ``scorestream_record``. A missing field, a score that is not
+    a number or is NaN, or a ``processed`` list of another length than
+    ``scores`` raises ``ValidationError`` naming the field."""
+    try:
         # float() reads both JSON numbers and the "-inf"/"inf" strings.
-        scores=np.array([float(s) for s in record["scores"]], dtype=np.float64),
-        processed=np.array(record["processed"], dtype=bool),
-        columns_evaluated=record["columns_evaluated"],
-    )
-    events = [
-        DetectionEvent(
-            keyword=e["keyword"], frame=e["frame"], log_score=float(e["log_score"])
+        scores = np.array([float(s) for s in _field(record, "scores")], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"score-stream field 'scores' is not a list of numbers: {exc}"
+        ) from exc
+    if np.isnan(scores).any():
+        raise ValidationError("score-stream field 'scores' holds NaN")
+    processed = np.array(_field(record, "processed"), dtype=bool)
+    if processed.shape != scores.shape:
+        raise ValidationError(
+            f"score-stream field 'processed' has shape {processed.shape}, "
+            f"'scores' has {scores.shape}"
         )
-        for e in record.get("events", [])
-    ]
+    stream = ScoreStream(
+        utt_id=_field(record, "utt_id"),
+        keyword=_field(record, "keyword"),
+        frame_seconds=_field(record, "frame_seconds"),
+        scores=scores,
+        processed=processed,
+        columns_evaluated=_field(record, "columns_evaluated"),
+    )
+    events = []
+    for i, e in enumerate(record.get("events", [])):
+        where = f"score-stream event {i}"
+        try:
+            log_score = float(_field(e, "log_score", where))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where} field 'log_score' is not a number: {exc}") from exc
+        keyword, frame = _field(e, "keyword", where), _field(e, "frame", where)
+        events.append(DetectionEvent(keyword, frame, log_score))
     return stream, events

@@ -26,16 +26,25 @@ ideal duration is min(segment duration, D_max); on gaps it is 1. The duration
 distribution puts ``duration_concentration`` mass on the ideal duration and
 spreads the rest uniformly over the other D_max values of {0..D_max}.
 
-Keyword-track emissions are computed on demand at the queried frames only,
-for all queried keywords in one broadcast over (keyword, frame, u). Only
-each keyword's per-frame positions are cached, and the distinct rows that
-single-frame queries have asked for. The greedy duration track
-is one index of a per-oracle table (greedy duration by ideal duration) by
-the per-frame ideal duration.
+The per-frame planted state (covering token, segment ordinal, ideal
+duration) is filled at construction by one ``np.repeat`` over the runs of
+gaps and segments. Keyword-track emissions are computed on demand at the
+queried frames only, for all queried keywords in one broadcast over
+(keyword, frame, u). Keyword positions come from ``_segment_positions``:
+one pass over the segment tokens matches every keyword of a query and
+yields a (keyword, segment) position table, which ``emission_grids``
+indexes once by the segment ordinals of the queried frames. Single-frame
+queries (``emission_rows``, ``keyword_conditional_log_probs``) run the same
+scan for their one keyword; they cache its per-frame positions and the
+distinct rows they have asked for. The duration log-prob vectors and the
+greedy duration track are tables by ideal duration, built once per (d_max,
+duration_concentration) and shared by every oracle; an oracle indexes them
+by the per-frame ideal duration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -132,6 +141,24 @@ class SyntheticJoinerConfig:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _duration_tables(d_max: int, concentration: float) -> tuple[np.ndarray, np.ndarray]:
+    """The duration track by ideal duration, shared by every oracle with the
+    same ``d_max`` and ``duration_concentration`` (read-only arrays).
+
+    Row ``ideal`` of the first table is the duration log-prob vector at a
+    frame whose ideal duration is ``ideal``: ``concentration`` on ``ideal``
+    and the rest spread uniformly over the other d_max values. The second
+    holds each row's argmax, the greedy duration.
+    """
+    with np.errstate(divide="ignore"):
+        durations = np.full((d_max + 1, d_max + 1), np.log((1.0 - concentration) / d_max))
+    np.fill_diagonal(durations, math.log(concentration))
+    greedy = np.argmax(durations, axis=1)
+    durations.flags.writeable = greedy.flags.writeable = False
+    return durations, greedy
+
+
 class SyntheticOracle(EmissionOracle):
     """Emission oracle answering all tracks for one SyntheticJoinerConfig."""
 
@@ -140,17 +167,27 @@ class SyntheticOracle(EmissionOracle):
         segments = sorted(config.alignment, key=lambda s: s[1])
         self._seg_tokens = tuple(token for token, _, _ in segments)
 
-        T = config.num_frames
-        # Per-frame planted state, 0-indexed by t-1: covering token (0 = gap),
-        # covering segment ordinal (1-based, 0 = gap), covering segment duration.
-        self._content = np.zeros(T, dtype=np.int64)
-        self._seg_ord = np.zeros(T, dtype=np.int64)
-        seg_dur = np.zeros(T, dtype=np.int64)
-        for ordinal, (token, start, duration) in enumerate(segments, start=1):
-            sl = slice(start - 1, start - 1 + duration)
-            self._content[sl] = token
-            self._seg_ord[sl] = ordinal
-            seg_dur[sl] = duration
+        # The timeline is 2n + 1 runs of frames: gap, segment 1, gap, ...,
+        # segment n, gap (gaps may be empty). Per run: covering token (0 =
+        # gap), covering segment ordinal (1-based, 0 = gap) and ideal
+        # duration (min(segment duration, d_max), 1 on gaps), repeated over
+        # the run's frames.
+        n = len(segments)
+        runs = np.zeros((3, 2 * n + 1), dtype=np.int64)
+        runs[2] = 1
+        bounds = np.empty(2 * n + 2, dtype=np.int64)  # 0, then each start - 1 and end, then T
+        bounds[0], bounds[-1] = 0, config.num_frames
+        if n:
+            tokens, starts, durations = np.array(segments, dtype=np.int64).T
+            runs[0, 1::2] = tokens
+            runs[1, 1::2] = np.arange(1, n + 1)
+            runs[2, 1::2] = np.minimum(durations, config.d_max)
+            bounds[1:-1:2] = starts - 1
+            bounds[2:-1:2] = starts - 1 + durations
+        # Per-frame planted state, 0-indexed by t-1.
+        self._content, self._seg_ord, self._ideal_durations = np.repeat(
+            runs, np.diff(bounds), axis=1
+        )
 
         V = config.vocab_size
         eps = config.epsilon
@@ -159,24 +196,14 @@ class SyntheticOracle(EmissionOracle):
         self._log_noise = math.log(noise) if noise > 0 else NEG_INF
         self._log_ideal = math.log(noise + (1.0 - eps))
 
+        # keyword tokens -> per-frame keyword position, for per-frame queries
         self._kw_pos_cache: dict[tuple[int, ...], np.ndarray] = {}
         # (keyword tokens, position, covering token) -> (log_y row, log_phi row)
         self._row_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        # Per-frame ideal duration (meaningful only when d_max > 0).
-        self._ideal_durations = np.where(
-            self._seg_ord == 0, 1, np.minimum(seg_dur, config.d_max)
-        )
-        # The greedy duration and its log-prob, indexed by ideal duration:
-        # the argmax of the same vector duration_log_probs returns.
-        self._greedy_durations: list[tuple[int, float]] = []
         if config.d_max > 0:
-            for ideal in range(config.d_max + 1):
-                vec = self._duration_vector(ideal)
-                best = int(np.argmax(vec))
-                self._greedy_durations.append((best, float(vec[best])))
-        self._greedy_duration_table = np.array(
-            [best for best, _ in self._greedy_durations], dtype=np.int64
-        )
+            self._durations, self._greedy_duration_table = _duration_tables(
+                config.d_max, config.duration_concentration
+            )
 
     @property
     def config(self) -> SyntheticJoinerConfig:
@@ -204,33 +231,42 @@ class SyntheticOracle(EmissionOracle):
 
     # Keyword track
 
-    def _keyword_positions(self, keyword: KeywordSpec) -> np.ndarray:
-        """Per-frame keyword position m in [1, U] inside matched occurrences, else 0.
+    def _segment_positions(self, keywords: Sequence[KeywordSpec]) -> np.ndarray:
+        """(K, n + 1) keyword position m in [1, U] of each segment inside a
+        matched occurrence of keyword k, else 0; column 0 stands for gaps.
 
         Occurrences are non-overlapping runs of consecutive segments whose
-        tokens equal keyword.tokens, matched greedily left to right.
+        tokens equal keyword.tokens, matched greedily left to right. One pass
+        over the segment tokens serves every keyword of the query.
         """
-        key = keyword.tokens
-        cached = self._kw_pos_cache.get(key)
-        if cached is not None:
-            return cached
-        if any(t > self._cfg.vocab_size for t in key):
-            raise ValidationError(
-                f"keyword {keyword.name!r} has token-ids above vocab_size {self._cfg.vocab_size}"
-            )
-        U = len(key)
+        keys = [keyword.tokens for keyword in keywords]
+        V = self._cfg.vocab_size
+        for keyword in keywords:
+            if any(t > V for t in keyword.tokens):
+                raise ValidationError(
+                    f"keyword {keyword.name!r} has token-ids above vocab_size {V}"
+                )
         toks = self._seg_tokens
-        seg_pos = [0] * (len(toks) + 1)  # by segment ordinal; ordinal 0 is a gap
-        i = 0
-        while key[0] in toks[i:]:
-            i = toks.index(key[0], i)
-            if toks[i : i + U] == key:
-                seg_pos[i + 1 : i + 1 + U] = range(1, U + 1)
-                i += U
-            else:
-                i += 1
-        pos = np.array(seg_pos, dtype=np.int64)[self._seg_ord]
-        self._kw_pos_cache[key] = pos
+        seg_pos = np.zeros((len(keys), len(toks) + 1), dtype=np.int64)
+        starting: dict[int, list[int]] = {}  # first token -> keywords that start with it
+        for k, key in enumerate(keys):
+            starting.setdefault(key[0], []).append(k)
+        free = [0] * len(keys)  # first segment a next occurrence of keyword k may start at
+        for i, token in enumerate(toks):
+            for k in starting.get(token, ()):
+                key = keys[k]
+                U = len(key)
+                if i >= free[k] and toks[i : i + U] == key:
+                    seg_pos[k, i + 1 : i + 1 + U] = np.arange(1, U + 1)
+                    free[k] = i + U
+        return seg_pos
+
+    def _keyword_positions(self, keyword: KeywordSpec) -> np.ndarray:
+        """Per-frame keyword position m in [1, U] inside matched occurrences, else 0."""
+        pos = self._kw_pos_cache.get(keyword.tokens)
+        if pos is None:
+            pos = self._segment_positions([keyword])[0][self._seg_ord]
+            self._kw_pos_cache[keyword.tokens] = pos
         return pos
 
     def emission_grids(
@@ -250,7 +286,7 @@ class SyntheticOracle(EmissionOracle):
         tokens = np.zeros((len(keywords), 1, U), dtype=np.int64)
         for k, keyword in enumerate(keywords):
             tokens[k, 0, : widths[k]] = keyword.tokens
-        pos = np.stack([self._keyword_positions(keyword)[idx] for keyword in keywords])
+        pos = self._segment_positions(keywords)[:, self._seg_ord[idx]]
         content = self._content[idx][:, None]
         # At node (frame, u) the ideal symbol is blank when position 1..u of
         # a matched occurrence covers the frame (that token is consumed by
@@ -317,15 +353,7 @@ class SyntheticOracle(EmissionOracle):
         if not self.supports_tdt:
             raise ModeError("oracle has no duration track (d_max=0)")
         self._check_frame(t)
-        return self._duration_vector(int(self._ideal_durations[t - 1]))
-
-    def _duration_vector(self, ideal: int) -> np.ndarray:
-        gamma = self._cfg.duration_concentration
-        d_max = self._cfg.d_max
-        with np.errstate(divide="ignore"):
-            vec = np.full(d_max + 1, np.log((1.0 - gamma) / d_max), dtype=np.float64)
-        vec[ideal] = math.log(gamma)
-        return vec
+        return self._durations[self._ideal_durations[t - 1]].copy()
 
     # Greedy track
 
@@ -345,11 +373,12 @@ class SyntheticOracle(EmissionOracle):
         # The mixed distribution's argmax is the ideal symbol for every
         # epsilon < 1 (it carries strictly more mass), so no vector is built.
         token = self._generative_ideal(t, emitted)
-        duration, log_duration_prob = self._greedy_durations[int(self._ideal_durations[t - 1])]
+        ideal = self._ideal_durations[t - 1]
+        duration = int(self._greedy_duration_table[ideal])
         out = GreedyStepOutput(
             token=token,
             duration=duration,
             log_token_prob=self._log_ideal,
-            log_duration_prob=log_duration_prob,
+            log_duration_prob=float(self._durations[ideal, duration]),
         )
         return out, emitted + (1 if token != BLANK_ID else 0)

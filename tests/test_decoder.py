@@ -397,6 +397,69 @@ def test_scorestream_record_round_trip():
     assert back_stream.utt_id == "utt-7"
 
 
+def _round_trip_record():
+    """A JSON-decoded record of a 4-frame stream with two skipped frames and
+    one event."""
+    stream = ScoreStream(
+        "utt-1", "kw", 0.03, np.array([-1.5, NEG_INF, -0.25, NEG_INF]),
+        np.array([True, False, True, False]), 2,
+    )
+    record = scorestream_record(stream, [DetectionEvent("kw", 3, -0.25)])
+    return json.loads(json.dumps(record))
+
+
+@pytest.mark.parametrize(
+    "field", ["utt_id", "keyword", "frame_seconds", "scores", "processed", "columns_evaluated"]
+)
+def test_parse_scorestream_record_missing_field(field):
+    record = _round_trip_record()
+    del record[field]
+    with pytest.raises(ValidationError, match=f"no field '{field}'"):
+        parse_scorestream_record(record)
+
+
+@pytest.mark.parametrize("field", ["keyword", "frame", "log_score"])
+def test_parse_scorestream_record_missing_event_field(field):
+    record = _round_trip_record()
+    del record["events"][0][field]
+    with pytest.raises(ValidationError, match=f"event 0 has no field '{field}'"):
+        parse_scorestream_record(record)
+
+
+@pytest.mark.parametrize("bad", ["-infinite", "", None, [1.0]])
+def test_parse_scorestream_record_unparseable_score(bad):
+    record = _round_trip_record()
+    record["scores"][2] = bad
+    with pytest.raises(ValidationError, match="'scores'"):
+        parse_scorestream_record(record)
+
+
+@pytest.mark.parametrize("nan", ["nan", "NaN", math.nan])
+def test_parse_scorestream_record_nan_score(nan):
+    record = _round_trip_record()
+    record["scores"][0] = nan
+    with pytest.raises(ValidationError, match="'scores' holds NaN"):
+        parse_scorestream_record(record)
+
+
+@pytest.mark.parametrize("processed", [[True], [True, False, True], [True] * 5, True])
+def test_parse_scorestream_record_processed_length_mismatch(processed):
+    """A short mask used to parse, and detect_events then broadcast it over
+    every frame and returned a wrong event."""
+    record = _round_trip_record()
+    record["processed"] = processed
+    with pytest.raises(ValidationError, match="'processed'"):
+        parse_scorestream_record(record)
+
+
+def test_parse_scorestream_record_accepts_infinities():
+    record = _round_trip_record()
+    record["scores"][3] = "inf"
+    stream, events = parse_scorestream_record(record)
+    assert stream.scores.tolist() == [-1.5, NEG_INF, -0.25, math.inf]
+    assert events == [DetectionEvent("kw", 3, -0.25)]
+
+
 def _detect_events_reference(stream, config):
     """detect_events as a gate offered every processed frame in turn."""
     events, last_fire = [], None

@@ -1,5 +1,6 @@
 """Frame-at-a-time decoding: protocol, equivalence with offline, event parity."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from kws import (
     DetectionEvent,
     KeywordSpec,
     ProtocolError,
+    ScoreStream,
     SpeedCounters,
     StreamingDecoder,
     SyntheticJoinerConfig,
@@ -303,3 +305,42 @@ def test_utterance_batches_equal_separate_streaming_decodes(seed, utterances, td
             assert not np.shares_memory(a.processed, b.processed)
     assert counters.columns_evaluated == expected_counters.columns_evaluated
     assert counters.oracle_queries == expected_counters.oracle_queries
+
+
+@st.composite
+def raw_score_streams(draw):
+    """A ScoreStream of T = 1..60 raw scores: quantized ties, -inf runs, +inf
+    and NaN entries, or all -inf."""
+    T = draw(st.integers(1, 60))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.5, -1.0, -2.0, NEG_INF]),
+        st.floats(-30.0, 0.0),
+        st.sampled_from([np.inf, np.nan]),
+    )
+    scores = np.array(draw(st.lists(values, min_size=T, max_size=T)), dtype=np.float64)
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.integers(0, T - 1))
+        scores[lo : lo + draw(st.integers(1, T))] = NEG_INF
+    if draw(st.integers(0, 9)) == 0:
+        scores[:] = NEG_INF
+    processed = np.isfinite(scores)
+    return ScoreStream("u", "kw", 0.03, scores, processed, int(processed.sum()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_score_streams(), st.data())
+def test_peak_events_on_raw_scores_equals_full_walk(stream, data):
+    """The one-sort walk over finite frames equals the walk over every frame,
+    whatever the refractory; +inf and NaN never become events and suppress
+    nothing, as a skipped (-inf) frame. A refractory of T or more suppresses
+    the whole stream, so the reference's numpy mask gets it capped at T."""
+    T = len(stream.scores)
+    refractory = data.draw(
+        st.one_of(st.sampled_from([0, 1, T - 1, T, 10**20]), st.integers(0, 2 * T))
+    )
+    finite = np.isfinite(stream.scores)
+    as_skipped = replace(stream, scores=np.where(finite, stream.scores, NEG_INF))
+    events = peak_events(stream, refractory)
+    assert events == _peak_events_reference(as_skipped, min(refractory, T))
+    assert all(np.isfinite(e.log_score) for e in events)
+    assert [e.frame for e in events] == sorted({e.frame for e in events})

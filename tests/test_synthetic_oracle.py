@@ -1,6 +1,7 @@
 """Synthetic joiner oracle: emission construction, normalization, greedy track."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -399,3 +400,184 @@ def test_emission_grids_reject_tokens_above_vocab_and_bad_frames():
     with pytest.raises(ValidationError):
         oracle.emission_grids([fine], np.array([11]))
     assert oracle.emission_grids([], frames) == []
+
+
+# Reference forms: the per-segment fill and the per-keyword scan the oracle
+# was first built with, before its loop-free construction and shared scan.
+
+
+def _reference_timeline(cfg):
+    """Per-frame covering token, segment ordinal and ideal duration, one
+    segment at a time."""
+    T = cfg.num_frames
+    content = np.zeros(T, dtype=np.int64)
+    seg_ord = np.zeros(T, dtype=np.int64)
+    seg_dur = np.zeros(T, dtype=np.int64)
+    segments = sorted(cfg.alignment, key=lambda s: s[1])
+    for ordinal, (token, start, duration) in enumerate(segments, start=1):
+        sl = slice(start - 1, start - 1 + duration)
+        content[sl] = token
+        seg_ord[sl] = ordinal
+        seg_dur[sl] = duration
+    ideal = np.where(seg_ord == 0, 1, np.minimum(seg_dur, cfg.d_max))
+    return content, seg_ord, ideal
+
+
+def _reference_duration_vector(cfg, ideal):
+    gamma, d_max = cfg.duration_concentration, cfg.d_max
+    with np.errstate(divide="ignore"):
+        vec = np.full(d_max + 1, np.log((1.0 - gamma) / d_max), dtype=np.float64)
+    vec[ideal] = math.log(gamma)
+    return vec
+
+
+def _reference_positions(cfg, keyword):
+    """Per-frame keyword positions from one scan of the segments per keyword."""
+    if any(t > cfg.vocab_size for t in keyword.tokens):
+        raise ValidationError(
+            f"keyword {keyword.name!r} has token-ids above vocab_size {cfg.vocab_size}"
+        )
+    key, U = keyword.tokens, keyword.num_tokens
+    toks = tuple(token for token, _, _ in sorted(cfg.alignment, key=lambda s: s[1]))
+    seg_pos = [0] * (len(toks) + 1)
+    i = 0
+    while key[0] in toks[i:]:
+        i = toks.index(key[0], i)
+        if toks[i : i + U] == key:
+            seg_pos[i + 1 : i + 1 + U] = range(1, U + 1)
+            i += U
+        else:
+            i += 1
+    return np.array(seg_pos, dtype=np.int64)[_reference_timeline(cfg)[1]]
+
+
+def _assert_matches_reference_forms(cfg, keywords, frames):
+    oracle = SyntheticOracle(cfg)
+    content, seg_ord, ideal = _reference_timeline(cfg)
+    assert oracle._content.tobytes() == content.tobytes()
+    assert oracle._seg_ord.tobytes() == seg_ord.tobytes()
+    if cfg.d_max > 0:
+        vectors = [_reference_duration_vector(cfg, d) for d in range(cfg.d_max + 1)]
+        table = np.array([int(np.argmax(vec)) for vec in vectors], dtype=np.int64)
+        greedy = oracle.greedy_durations()
+        assert greedy.dtype == np.int64
+        assert greedy.tobytes() == table[ideal].tobytes()
+        state = oracle.initial_greedy_state()
+        for t in range(1, cfg.num_frames + 1):
+            vec = vectors[ideal[t - 1]]
+            got = oracle.duration_log_probs(t)
+            assert got.dtype == np.float64 and got.tobytes() == vec.tobytes()
+            got[...] = 0.0  # a caller's copy: the oracle's tables stay intact
+            step, state = oracle.greedy_step(t, state)
+            assert step.duration == int(np.argmax(vec))
+            assert step.log_duration_prob == float(vec[step.duration])
+        assert oracle.duration_log_probs(1).tobytes() == vectors[ideal[0]].tobytes()
+    # _reference_grids reads positions, content and log-probs from its
+    # oracle argument; these come from the reference forms.
+    reference = SimpleNamespace(
+        _keyword_positions=lambda keyword: _reference_positions(cfg, keyword),
+        _content=content,
+        _log_ideal=oracle._log_ideal,
+        _log_noise=oracle._log_noise,
+    )
+    grids = oracle.emission_grids(keywords, frames)
+    for keyword, (log_y, log_phi) in zip(keywords, grids):
+        positions = _reference_positions(cfg, keyword)
+        assert oracle._keyword_positions(keyword).tobytes() == positions.tobytes()
+        ref_y, ref_phi = _reference_grids(reference, keyword)
+        _assert_same_bits(log_y, ref_y[frames - 1])
+        _assert_same_bits(log_phi, ref_phi[frames - 1])
+        for t in range(1, cfg.num_frames + 1):
+            row_y, row_phi = oracle.emission_rows(keyword, t)
+            _assert_same_bits(row_y, ref_y[t - 1])
+            _assert_same_bits(row_phi, ref_phi[t - 1])
+    return oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    planted_cases(),
+    st.integers(0, 5),
+    st.sampled_from([1.0, 0.7, 0.3, 0.1]),
+    st.randoms(use_true_random=False),
+)
+def test_oracle_matches_per_segment_fill_and_per_keyword_scan(case, d_max, gamma, rnd):
+    """Loop-free timeline, shared duration tables and one keyword scan per
+    query equal the per-segment and per-keyword forms bit for bit, whatever
+    the order the alignment lists its segments in."""
+    cfg, keywords, frames = case
+    alignment = list(cfg.alignment)
+    rnd.shuffle(alignment)
+    cfg = SyntheticJoinerConfig(
+        vocab_size=cfg.vocab_size,
+        num_frames=cfg.num_frames,
+        alignment=tuple(alignment),
+        epsilon=cfg.epsilon,
+        d_max=d_max,
+        duration_concentration=gamma,
+    )
+    _assert_matches_reference_forms(cfg, keywords, frames)
+
+
+def _timeline(tokens, gap=0):
+    """Segments of duration 2 for ``tokens``, ``gap`` frames apart, between a
+    leading gap of that length and a trailing gap one frame longer."""
+    alignment, t = [], 1 + gap
+    for token in tokens:
+        alignment.append((token, t, 2))
+        t += 2 + gap
+    return SyntheticJoinerConfig(
+        vocab_size=9, num_frames=t + gap, alignment=tuple(alignment), d_max=3
+    )
+
+
+@pytest.mark.parametrize(
+    "tokens,keywords,positions",
+    [
+        # Self-overlapping: the first two segments match, the third is left.
+        ((1, 1, 1), [(1, 1)], [[1, 2, 0]]),
+        # Keywords that share a first token each keep their own matches.
+        ((1, 2, 1, 3, 1, 2), [(1, 2), (1, 3), (1,)], [[1, 2, 0, 0, 1, 2], [0, 0, 1, 2, 0, 0],
+                                                      [1, 0, 1, 0, 1, 0]]),
+        # A keyword absent from the alignment, and one cut off by its end.
+        ((4, 5, 6), [(7, 8), (6, 7)], [[0, 0, 0], [0, 0, 0]]),
+        # A keyword spanning the whole alignment.
+        ((3, 1, 4, 1), [(3, 1, 4, 1), (1, 4)], [[1, 2, 3, 4], [0, 1, 2, 0]]),
+        # Repeated keywords in one query, and no segments at all.
+        ((2, 2), [(2,), (2,), (2, 2)], [[1, 1], [1, 1], [1, 2]]),
+        ((), [(5,)], [[]]),
+    ],
+)
+@pytest.mark.parametrize("gap", [0, 1])
+def test_keyword_scan_cases(tokens, keywords, positions, gap):
+    specs = [KeywordSpec(f"k{i}", key) for i, key in enumerate(keywords)]
+    cfg = _timeline(tokens, gap)
+    frames = np.arange(1, cfg.num_frames + 1)
+    oracle = _assert_matches_reference_forms(cfg, specs, frames)
+    per_frame = np.zeros((len(specs), cfg.num_frames), dtype=np.int64)
+    for k, segment_positions in enumerate(positions):
+        for j, m in enumerate(segment_positions):
+            start = 1 + gap + j * (2 + gap)
+            per_frame[k, start - 1 : start + 1] = m
+    for keyword, want in zip(specs, per_frame):
+        assert oracle._keyword_positions(keyword).tolist() == want.tolist()
+
+
+def test_keyword_scan_vocab_error_names_the_keyword():
+    oracle = make_oracle()
+    fine, big = KeywordSpec("fine", (3, 7)), KeywordSpec("big", (3, 10))
+    message = "keyword 'big' has token-ids above vocab_size 9"
+    for call in (
+        lambda: oracle.emission_grids([fine, big], np.array([1, 2])),
+        lambda: oracle.emission_rows(big, 1),
+        lambda: oracle.keyword_conditional_log_probs(big, 1, 0),
+    ):
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == message
+    with pytest.raises(ValidationError) as raised:
+        _reference_positions(oracle.config, big)
+    assert str(raised.value) == message
+    # The failed query leaves nothing behind: the good keyword still answers.
+    ((log_y, _),) = oracle.emission_grids([fine], np.array([2]))
+    assert log_y[0, 0] == 0.0
