@@ -14,7 +14,8 @@ two kinds of questions:
   on neither the keyword nor the greedy history, so one array serves every
   keyword of an utterance and a decode needs no per-frame calls. The
   per-frame ``greedy_step`` also gives the argmax token, which threads an
-  opaque greedy-history handle; lattice snapshots record it.
+  opaque greedy-history handle; lattice snapshots record that token track,
+  also as one array (``_greedy_tokens``).
 
 Generative oracles additionally answer full-vocabulary queries conditioned on
 an arbitrary emitted-token history, which is what the ASR baselines need:
@@ -179,6 +180,22 @@ class EmissionOracle(ABC):
             step, state = self.greedy_step(t, state)
             durations[t - 1] = step.duration
         return durations
+
+    def _greedy_tokens(self) -> np.ndarray:
+        """The greedy token at every frame: int64[T], entry t - 1 for frame t.
+
+        Unlike the duration track this one threads the greedy history: it is
+        the token of ``greedy_step`` walked over frames 1..T from the initial
+        state, which is what this default does, one call per frame. Lattice
+        snapshots record it. Raises ModeError when the oracle has no
+        duration track (d_max = 0).
+        """
+        tokens = np.empty(self.num_frames, dtype=np.int64)
+        state = self.initial_greedy_state()
+        for t in range(1, self.num_frames + 1):
+            step, state = self.greedy_step(t, state)
+            tokens[t - 1] = step.token
+        return tokens
 
     # Generative interface; non-generative oracles inherit the refusals.
 

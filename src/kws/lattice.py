@@ -42,6 +42,7 @@ from .errors import (
 MAGIC = b"KWL1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIHf")
+D_MAX_LIMIT = 0xFFFF  # the header's D_max field is a u16
 
 
 @dataclass
@@ -83,6 +84,8 @@ class LatticeData:
                 raise LatticeValueError(f"{name} contains NaN")
             if (arr > 0).any():
                 raise LatticeValueError(f"{name} contains log-probabilities > 0")
+        if not 0 <= self.d_max <= D_MAX_LIMIT:
+            raise ValidationError(f"D_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if self.d_max > 0:
             if self.greedy_tokens is None or self.greedy_durations is None:
                 raise ValidationError("d_max > 0 requires a greedy-track channel")
@@ -251,6 +254,10 @@ class FileLatticeOracle(EmissionOracle):
         # cap above 65535.
         return self._data.greedy_durations.astype(np.int64)
 
+    def _greedy_tokens(self) -> np.ndarray:
+        self._check_greedy_track()
+        return self._data.greedy_tokens.astype(np.int64)
+
     def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, object]:
         self._check_greedy_track()
         self._check_frame(t)
@@ -270,20 +277,27 @@ def load_lattice(path: str | Path) -> FileLatticeOracle:
     return FileLatticeOracle(read_lattice(path), path)
 
 
+def _channel(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
+    """``values`` as ``dtype``; a value the type cannot hold raises ValidationError."""
+    info = np.iinfo(dtype)
+    if len(values) and not (info.min <= values.min() and values.max() <= info.max):
+        raise ValidationError(f"{name} must lie in [{info.min}, {info.max}]")
+    return values.astype(dtype)
+
+
 def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> LatticeData:
-    """Freeze an oracle's keyword-conditioned view (plus greedy track) to LatticeData."""
+    """Freeze an oracle's keyword-conditioned view (plus greedy track) to LatticeData.
+
+    The greedy channel is the oracle's greedy token and duration tracks, each
+    one int64 array (``_greedy_tokens``, ``greedy_durations``), written as
+    u32 and u16; a value out of the field's range raises ValidationError.
+    """
     T = oracle.num_frames
     ((log_y, log_phi),) = oracle.emission_grids([keyword], np.arange(1, T + 1))
     greedy_tokens = greedy_durations = None
     if oracle.d_max > 0:
-        # Canonical greedy pass: one step per frame, threading the history state.
-        greedy_tokens = np.zeros(T, dtype=np.uint32)
-        greedy_durations = np.zeros(T, dtype=np.uint16)
-        state = oracle.initial_greedy_state()
-        for t in range(1, T + 1):
-            out, state = oracle.greedy_step(t, state)
-            greedy_tokens[t - 1] = out.token
-            greedy_durations[t - 1] = out.duration
+        greedy_tokens = _channel(oracle._greedy_tokens(), "<u4", "greedy_token")
+        greedy_durations = _channel(oracle.greedy_durations(), "<u2", "greedy_duration")
     return LatticeData(
         keyword=keyword,
         frame_seconds=oracle.frame_seconds,

@@ -18,13 +18,17 @@ keyword, negatives on a round-robin keyword recorded as ``lattice_keyword``.
 
 Alignments are drawn from per-utterance child seeds (suite_seed, utt_index),
 so generation order and parallelism never change output; a fixed seed yields
-byte-identical trees.
+byte-identical trees. Each utterance's draws are batched (one array draw per
+field) yet leave its generator exactly where one draw per segment would.
+Lattice headers hold D_max as a u16 and frame_seconds as an f32, so
+SuiteGenSpec refuses a d_max above 65535 and a frame_seconds that is not
+finite and > 0 in 32 bits; gen_suite checks that every keyword fits before
+it creates a directory.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -33,7 +37,7 @@ import numpy as np
 
 from .emissions import KeywordSpec
 from .errors import ManifestError, ValidationError
-from .lattice import save_lattice, snapshot
+from .lattice import D_MAX_LIMIT, save_lattice, snapshot
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
 MANIFEST_SCHEMA = "kws-suite-manifest@1"
@@ -82,17 +86,24 @@ class SuiteGenSpec:
                 raise ValidationError(f"epsilon must be in [0, 1), got {eps}")
         if len(self.epsilons) < 1:
             raise ValidationError("need at least one epsilon")
-        if self.d_max < 0:
-            raise ValidationError("d_max must be >= 0")
+        if not 0 <= self.d_max <= D_MAX_LIMIT:
+            raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
+        if not 0.0 < self.duration_concentration <= 1.0:
+            raise ValidationError(
+                f"duration_concentration must be in (0, 1], got {self.duration_concentration}"
+            )
         if not 1 <= self.keyword_len_min <= self.keyword_len_max:
             raise ValidationError("bad keyword length range")
         if self.filler_pool < 1:
             raise ValidationError("filler_pool must be >= 1")
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ValidationError(f"the seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
+        # Lattice headers store frame_seconds as f32; it must survive that.
+        with np.errstate(over="ignore"):
+            stored = np.float32(self.frame_seconds)
+        if not (np.isfinite(stored) and stored > 0):
             raise ValidationError(
-                f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
+                f"frame_seconds must be finite and > 0 as a 32-bit float, got {self.frame_seconds}"
             )
 
 
@@ -118,18 +129,25 @@ def _tile_segments(
     keyword: KeywordSpec | None,
     filler_tokens: np.ndarray,
 ) -> tuple[tuple[int, int, int], ...]:
-    """Cover frames [1, num_frames] with segments; plant the keyword if given."""
-    durations: list[int] = []
-    total = 0
-    while total < num_frames:
-        d = int(rng.integers(spec.duration_min, spec.duration_max + 1))
-        d = min(d, num_frames - total)  # final slot absorbs the remainder
-        durations.append(d)
-        total += d
+    """Cover frames [1, num_frames] with segments; plant the keyword if given.
+
+    The draws are batched but leave ``rng`` exactly where one draw per
+    segment would: durations until they cover ``num_frames``, then one
+    filler token per slot, then the keyword's slot. The slot count comes
+    from an over-draw that is then undone, so only the needed durations are
+    drawn for real.
+    """
+    low, high = spec.duration_min, spec.duration_max + 1
+    state = rng.bit_generator.state
+    # Every duration is >= duration_min, so this many always cover the frames.
+    ends = np.cumsum(rng.integers(low, high, size=-(-num_frames // low)))
+    slots = int(np.searchsorted(ends, num_frames)) + 1
+    rng.bit_generator.state = state
+    durations = rng.integers(low, high, size=slots)
+    durations[-1] -= ends[slots - 1] - num_frames  # the final slot absorbs the remainder
     truncated_last = durations[-1] < spec.duration_min
 
-    slots = len(durations)
-    tokens = [int(rng.choice(filler_tokens)) for _ in range(slots)]
+    tokens = filler_tokens[rng.integers(0, len(filler_tokens), size=slots)]
     if keyword is not None:
         U = keyword.num_tokens
         usable = slots - (1 if truncated_last else 0)
@@ -139,45 +157,26 @@ def _tile_segments(
                 f"{num_frames} frames at these durations"
             )
         at = int(rng.integers(0, usable - U + 1))
-        tokens[at : at + U] = list(keyword.tokens)
+        tokens[at : at + U] = keyword.tokens
 
-    segments = []
-    start = 1
-    for token, duration in zip(tokens, durations):
-        segments.append((token, start, duration))
-        start += duration
-    return tuple(segments)
+    starts = np.cumsum(durations) - durations + 1
+    return tuple(zip(tokens.tolist(), starts.tolist(), durations.tolist()))
 
 
-def _utterance_config(
+def _utterance_alignment(
     spec: SuiteGenSpec,
     utt_index: int,
-    epsilon: float,
-    vocab_size: int,
     keyword: KeywordSpec | None,
     filler_tokens: np.ndarray,
-) -> SyntheticJoinerConfig:
+) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(num_frames, alignment) of one utterance, drawn from its child seed."""
     rng = np.random.default_rng([spec.seed, 1 + utt_index])
     num_frames = int(rng.integers(spec.frames_min, spec.frames_max + 1))
-    alignment = _tile_segments(rng, spec, num_frames, keyword, filler_tokens)
-    return SyntheticJoinerConfig(
-        vocab_size=vocab_size,
-        num_frames=num_frames,
-        alignment=alignment,
-        epsilon=epsilon,
-        d_max=spec.d_max,
-        duration_concentration=spec.duration_concentration,
-        seed=spec.seed,
-        frame_seconds=spec.frame_seconds,
-    )
+    return num_frames, _tile_segments(rng, spec, num_frames, keyword, filler_tokens)
 
 
 def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
     """Write one suite tree; returns the manifest path."""
-    out_dir = Path(out_dir)
-    lattice_dir = out_dir / "lattices"
-    lattice_dir.mkdir(parents=True, exist_ok=True)
-
     keywords, vocab_size = _draw_keywords(spec)
     filler_tokens = np.arange(vocab_size - spec.filler_pool + 1, vocab_size + 1)
 
@@ -189,6 +188,10 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
             f"longest keyword needs {longest} segments but frames_min={spec.frames_min} "
             f"guarantees only {guaranteed_slots} full slots at duration_max={spec.duration_max}"
         )
+
+    out_dir = Path(out_dir)
+    lattice_dir = out_dir / "lattices"
+    lattice_dir.mkdir(parents=True, exist_ok=True)
 
     # (utt stem, label keyword or None, lattice keyword, utt_index for seeding)
     plans: list[tuple[str, KeywordSpec | None, KeywordSpec, int]] = []
@@ -204,9 +207,20 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
 
     utterances = []
     for stem, label_kw, lattice_kw, utt_index in plans:
+        # Every epsilon of an utterance shares its planted alignment.
+        num_frames, alignment = _utterance_alignment(spec, utt_index, label_kw, filler_tokens)
         for epsilon in spec.epsilons:
             utt_id = f"{stem}-e{epsilon:.2f}"
-            cfg = _utterance_config(spec, utt_index, epsilon, vocab_size, label_kw, filler_tokens)
+            cfg = SyntheticJoinerConfig(
+                vocab_size=vocab_size,
+                num_frames=num_frames,
+                alignment=alignment,
+                epsilon=epsilon,
+                d_max=spec.d_max,
+                duration_concentration=spec.duration_concentration,
+                seed=spec.seed,
+                frame_seconds=spec.frame_seconds,
+            )
             oracle = SyntheticOracle(cfg)
             data = snapshot(
                 oracle,

@@ -37,14 +37,12 @@ indexes once by the segment ordinals of the queried frames. Single-frame
 queries (``emission_rows``, ``keyword_conditional_log_probs``) run the same
 scan for their one keyword; they cache its per-frame positions and the
 distinct rows they have asked for. The duration log-prob vectors and the
-greedy duration track are tables by ideal duration, built once per (d_max,
-duration_concentration) and shared by every oracle; an oracle indexes them
-by the per-frame ideal duration.
+greedy duration track are closed forms of the per-frame ideal duration, so
+no (d_max + 1)-squared table is built, whatever d_max.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,6 +52,9 @@ import numpy as np
 
 from .emissions import BLANK_ID, EmissionOracle, GreedyStepOutput, KeywordSpec, NEG_INF
 from .errors import ModeError, ValidationError
+from .lattice import D_MAX_LIMIT
+
+_START = operator.itemgetter(1)  # sort key: a segment's start frame
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SyntheticJoinerConfig:
                 (operator.index(a), operator.index(b), operator.index(c))
                 for a, b, c in self.alignment
             )
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # not integers, or not triples
             raise ValidationError(
                 f"alignment entries must be integer triples, got {self.alignment!r}"
             ) from exc
@@ -93,8 +94,8 @@ class SyntheticJoinerConfig:
             raise ValidationError("num_frames must be >= 1")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValidationError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.d_max < 0:
-            raise ValidationError("d_max must be >= 0")
+        if not 0 <= self.d_max <= D_MAX_LIMIT:
+            raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if not 0.0 < self.duration_concentration <= 1.0:
             raise ValidationError("duration_concentration must be in (0, 1]")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
@@ -102,7 +103,7 @@ class SyntheticJoinerConfig:
                 f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
             )
         last_end = 0
-        for token, start, duration in sorted(self.alignment, key=lambda s: s[1]):
+        for token, start, duration in sorted(self.alignment, key=_START):
             if not 1 <= token <= self.vocab_size:
                 raise ValidationError(f"segment token {token} outside [1, {self.vocab_size}]")
             if duration < 1:
@@ -132,7 +133,7 @@ class SyntheticJoinerConfig:
         return cls(
             vocab_size=data["vocab_size"],
             num_frames=data["num_frames"],
-            alignment=tuple(tuple(seg) for seg in data["alignment"]),
+            alignment=data["alignment"],
             epsilon=data["epsilon"],
             d_max=data["d_max"],
             duration_concentration=data["duration_concentration"],
@@ -141,31 +142,15 @@ class SyntheticJoinerConfig:
         )
 
 
-@functools.lru_cache(maxsize=16)
-def _duration_tables(d_max: int, concentration: float) -> tuple[np.ndarray, np.ndarray]:
-    """The duration track by ideal duration, shared by every oracle with the
-    same ``d_max`` and ``duration_concentration`` (read-only arrays).
-
-    Row ``ideal`` of the first table is the duration log-prob vector at a
-    frame whose ideal duration is ``ideal``: ``concentration`` on ``ideal``
-    and the rest spread uniformly over the other d_max values. The second
-    holds each row's argmax, the greedy duration.
-    """
-    with np.errstate(divide="ignore"):
-        durations = np.full((d_max + 1, d_max + 1), np.log((1.0 - concentration) / d_max))
-    np.fill_diagonal(durations, math.log(concentration))
-    greedy = np.argmax(durations, axis=1)
-    durations.flags.writeable = greedy.flags.writeable = False
-    return durations, greedy
-
-
 class SyntheticOracle(EmissionOracle):
     """Emission oracle answering all tracks for one SyntheticJoinerConfig."""
 
     def __init__(self, config: SyntheticJoinerConfig) -> None:
         self._cfg = config
-        segments = sorted(config.alignment, key=lambda s: s[1])
+        segments = sorted(config.alignment, key=_START)
         self._seg_tokens = tuple(token for token, _, _ in segments)
+        self._segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
+        tokens, starts, durations = self._segments.T
 
         # The timeline is 2n + 1 runs of frames: gap, segment 1, gap, ...,
         # segment n, gap (gaps may be empty). Per run: covering token (0 =
@@ -175,15 +160,13 @@ class SyntheticOracle(EmissionOracle):
         n = len(segments)
         runs = np.zeros((3, 2 * n + 1), dtype=np.int64)
         runs[2] = 1
+        runs[0, 1::2] = tokens
+        runs[1, 1::2] = np.arange(1, n + 1)
+        runs[2, 1::2] = np.minimum(durations, config.d_max)
         bounds = np.empty(2 * n + 2, dtype=np.int64)  # 0, then each start - 1 and end, then T
         bounds[0], bounds[-1] = 0, config.num_frames
-        if n:
-            tokens, starts, durations = np.array(segments, dtype=np.int64).T
-            runs[0, 1::2] = tokens
-            runs[1, 1::2] = np.arange(1, n + 1)
-            runs[2, 1::2] = np.minimum(durations, config.d_max)
-            bounds[1:-1:2] = starts - 1
-            bounds[2:-1:2] = starts - 1 + durations
+        bounds[1:-1:2] = starts - 1
+        bounds[2:-1:2] = starts - 1 + durations
         # Per-frame planted state, 0-indexed by t-1.
         self._content, self._seg_ord, self._ideal_durations = np.repeat(
             runs, np.diff(bounds), axis=1
@@ -201,9 +184,15 @@ class SyntheticOracle(EmissionOracle):
         # (keyword tokens, position, covering token) -> (log_y row, log_phi row)
         self._row_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         if config.d_max > 0:
-            self._durations, self._greedy_duration_table = _duration_tables(
-                config.d_max, config.duration_concentration
-            )
+            # The duration vector at ideal duration i puts log_concentrated
+            # on i and log_spread on each of the other d_max values.
+            concentration = config.duration_concentration
+            with np.errstate(divide="ignore"):
+                self._log_spread = float(np.log((1.0 - concentration) / config.d_max))
+            self._log_concentrated = math.log(concentration)
+            # Its argmax, the greedy duration, is i when i carries strictly
+            # more mass, else 0, the first of the others (every i is >= 1).
+            self._ideal_is_greedy = self._log_concentrated > self._log_spread
 
     @property
     def config(self) -> SyntheticJoinerConfig:
@@ -350,35 +339,46 @@ class SyntheticOracle(EmissionOracle):
         return rows
 
     def duration_log_probs(self, t: int, history: Sequence[int] = ()) -> np.ndarray:
-        if not self.supports_tdt:
-            raise ModeError("oracle has no duration track (d_max=0)")
+        self._check_duration_track()
         self._check_frame(t)
-        return self._durations[self._ideal_durations[t - 1]].copy()
+        vec = np.full(self._cfg.d_max + 1, self._log_spread)
+        vec[self._ideal_durations[t - 1]] = self._log_concentrated
+        return vec
 
     # Greedy track
 
-    def greedy_durations(self) -> np.ndarray:
+    def _check_duration_track(self) -> None:
         if not self.supports_tdt:
             raise ModeError("oracle has no duration track (d_max=0)")
-        return self._greedy_duration_table[self._ideal_durations]
+
+    def greedy_durations(self) -> np.ndarray:
+        self._check_duration_track()
+        return np.where(self._ideal_is_greedy, self._ideal_durations, 0)
+
+    def _greedy_tokens(self) -> np.ndarray:
+        self._check_duration_track()
+        # The greedy_step walk emits each segment's token once, at its first
+        # frame: there the emitted count is the number of earlier segments.
+        tokens = np.zeros(self._cfg.num_frames, dtype=np.int64)
+        tokens[self._segments[:, 1] - 1] = self._segments[:, 0]
+        return tokens
 
     def initial_greedy_state(self) -> int:
         return 0
 
     def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, int]:
-        if not self.supports_tdt:
-            raise ModeError("oracle has no duration track (d_max=0)")
+        self._check_duration_track()
         self._check_frame(t)
         emitted = int(state) if state is not None else 0
         # The mixed distribution's argmax is the ideal symbol for every
         # epsilon < 1 (it carries strictly more mass), so no vector is built.
         token = self._generative_ideal(t, emitted)
-        ideal = self._ideal_durations[t - 1]
-        duration = int(self._greedy_duration_table[ideal])
+        ideal = int(self._ideal_durations[t - 1])
+        duration = ideal if self._ideal_is_greedy else 0
         out = GreedyStepOutput(
             token=token,
             duration=duration,
             log_token_prob=self._log_ideal,
-            log_duration_prob=float(self._durations[ideal, duration]),
+            log_duration_prob=self._log_concentrated if duration == ideal else self._log_spread,
         )
         return out, emitted + (1 if token != BLANK_ID else 0)

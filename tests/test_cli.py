@@ -100,6 +100,34 @@ def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("error: the seed must be >= 0") == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--duration-concentration", "0"],
+        ["--frames-min", "6", "--frames-max", "10"],  # the longest keyword cannot fit
+        ["--frame-seconds", "1e300"],  # overflows the header's f32
+        ["--frame-seconds", "1e-50"],  # rounds to 0 in the header's f32
+        ["--d-max", "70000"],  # above the header's u16
+    ],
+)
+def test_gen_refuses_bad_flags_before_the_disk_is_touched(flags, tmp_path, capsys):
+    out = tmp_path / "suite"
+    assert main(["gen", "--out", str(out), *GEN_FLAGS, *flags, "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_manifest_d_max_above_the_lattice_field_is_a_broken_file(base_suite, tmp_path, capsys):
+    suite = tmp_path / "suite"
+    shutil.copytree(base_suite, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest["utterances"][0]["synth"]["d_max"] = 70000
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["bench", "--suite", str(suite), "--target-far", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "d_max must be in [0, 65535]" in err and "'synth'" in err
+
+
 def test_decode_writes_valid_scorestream_jsonl(base_suite, tmp_path):
     out = tmp_path / "scores.jsonl"
     assert main(["decode", "--suite", str(base_suite), "--out", str(out)]) == 0

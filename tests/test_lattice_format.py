@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kws import (
     BadMagicError,
     EmissionOracle,
+    GreedyStepOutput,
     KeywordSpec,
     LatticeData,
     LatticeValueError,
@@ -283,3 +284,54 @@ def test_random_lattice_round_trip_bit_exact(tmp_path_factory, seed, d_max):
     np.testing.assert_array_equal(loaded.log_phi, data.log_phi)
     if d_max > 0:
         np.testing.assert_array_equal(loaded.greedy_durations, data.greedy_durations)
+
+
+class GreedyScriptOracle(EmissionOracle):
+    """Replays a scripted greedy track through greedy_step only, so a
+    snapshot takes the base-class walks; emissions come from ``data``."""
+
+    def __init__(self, data, tokens, durations):
+        self._data, self._tokens, self._durations = data, tokens, durations
+
+    num_frames = property(lambda self: self._data.num_frames)
+    d_max = property(lambda self: 3)
+    frame_seconds = property(lambda self: self._data.frame_seconds)
+
+    def emission_rows(self, keyword, t):
+        return self._data.log_y[t - 1], self._data.log_phi[t - 1]
+
+    def greedy_step(self, t, state):
+        step = GreedyStepOutput(self._tokens[t - 1], self._durations[t - 1], 0.0, 0.0)
+        return step, state
+
+
+@pytest.mark.parametrize(
+    "tokens, durations, field",
+    [
+        ([2**32, 0, 1, 0], [1, 1, 1, 1], "greedy_token"),
+        ([-1, 0, 1, 0], [1, 1, 1, 1], "greedy_token"),
+        ([1, 0, 1, 0], [1, 70000, 1, 1], "greedy_duration"),
+        ([1, 0, 1, 0], [1, -1, 1, 1], "greedy_duration"),
+    ],
+)
+def test_snapshot_refuses_greedy_values_its_fields_cannot_hold(tokens, durations, field):
+    data = tiny_data()
+    oracle = GreedyScriptOracle(data, tokens, durations)
+    with pytest.raises(ValidationError, match=field):
+        snapshot(oracle, data.keyword)
+
+
+def test_snapshot_of_a_stepping_oracle_records_its_walk(tmp_path):
+    data = tiny_data()
+    oracle = GreedyScriptOracle(data, [2**32 - 1, 0, 7, 0], [3, 0, 2, 1])
+    replay = load_lattice(save_lattice(snapshot(oracle, data.keyword), tmp_path / "x.kwl"))
+    assert replay._greedy_tokens().tolist() == [2**32 - 1, 0, 7, 0]
+    assert replay.greedy_durations().tolist() == [3, 0, 2, 1]
+
+
+def test_d_max_must_fit_the_header_field(tmp_path):
+    data = tiny_data(d_max=3)
+    data.d_max = 65536
+    with pytest.raises(ValidationError, match="D_max must be in"):
+        save_lattice(data, tmp_path / "x.kwl")
+    assert not (tmp_path / "x.kwl").exists()

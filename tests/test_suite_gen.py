@@ -1,15 +1,20 @@
 """Synthetic suite generation: determinism, planted alignments, manifest IO."""
 
+import hashlib
 import importlib.resources
 import json
 import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kws import (
     DecodeConfig,
+    KeywordSpec,
     ManifestError,
     SuiteGenSpec,
     ValidationError,
@@ -18,6 +23,7 @@ from kws import (
     load_lattice,
     load_manifest,
 )
+from kws.suite import _tile_segments
 
 SPEC = SuiteGenSpec(
     keywords=("alpha", "bravo"),
@@ -66,6 +72,94 @@ def test_same_seed_gives_byte_identical_trees(suite_dir, tmp_path):
     again = tmp_path / "again"
     gen_suite(again, SPEC)
     assert tree_bytes(again) == tree_bytes(suite_dir)
+
+
+def tree_sha256(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path, data in tree_bytes(root).items():
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+# Digests of whole gen trees, recorded with the per-draw generator and the
+# per-frame greedy walk; batching must not move a byte.
+GOLDEN_TREES = [
+    (SPEC, "85b673d9961f057c8387104773ca4f58a322054be35c5e0cc8e9a4721c0bf1cb"),
+    (
+        SuiteGenSpec(
+            keywords=("a", "b", "c"), n_pos=2, n_neg=2, frames_min=50, frames_max=90,
+            duration_min=1, duration_max=7, epsilons=(0.2,), d_max=5,
+            duration_concentration=0.1, seed=4,
+        ),
+        "ba048f774d2c697001ad855d5f17385981ac0c3f2cf975a1678c3fa229de40e8",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, sha256", GOLDEN_TREES)
+def test_gen_trees_match_recorded_digests(tmp_path, spec, sha256):
+    gen_suite(tmp_path, spec)
+    assert tree_sha256(tmp_path) == sha256
+
+
+def _tile_segments_per_draw(rng, spec, num_frames, keyword, filler_tokens):
+    """The generator as first written: one draw per duration and per slot."""
+    durations = []
+    total = 0
+    while total < num_frames:
+        d = int(rng.integers(spec.duration_min, spec.duration_max + 1))
+        d = min(d, num_frames - total)
+        durations.append(d)
+        total += d
+    truncated_last = durations[-1] < spec.duration_min
+    slots = len(durations)
+    tokens = [int(rng.choice(filler_tokens)) for _ in range(slots)]
+    if keyword is not None:
+        U = keyword.num_tokens
+        usable = slots - (1 if truncated_last else 0)
+        if usable < U:
+            raise ValidationError("does not fit")
+        at = int(rng.integers(0, usable - U + 1))
+        tokens[at : at + U] = list(keyword.tokens)
+    segments = []
+    start = 1
+    for token, duration in zip(tokens, durations):
+        segments.append((token, start, duration))
+        start += duration
+    return tuple(segments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    num_frames=st.integers(1, 300),
+    duration_min=st.integers(1, 6),
+    spread=st.sampled_from([0, 0, 1, 3, 8]),
+    keyword_len=st.sampled_from([None, 1, 3, 6]),
+    pool=st.integers(1, 50),
+)
+def test_batched_tiling_equals_the_per_draw_generator(
+    seed, num_frames, duration_min, spread, keyword_len, pool
+):
+    """Same segments, same refusal and the same generator state afterwards,
+    so every later draw of an utterance is unchanged too."""
+    spec = SuiteGenSpec(duration_min=duration_min, duration_max=duration_min + spread)
+    keyword = None if keyword_len is None else KeywordSpec("k", tuple(range(1, keyword_len + 1)))
+    filler = np.arange(100, 100 + pool)
+    outcomes = []
+    for tile in (_tile_segments, _tile_segments_per_draw):
+        rng = np.random.default_rng([seed, 1])
+        try:
+            segments = tile(rng, spec, num_frames, keyword, filler)
+        except ValidationError:
+            segments = "refused"
+        outcomes.append((segments, rng.bit_generator.state, rng.integers(0, 2**62)))
+    assert outcomes[0] == outcomes[1]
+    segments = outcomes[0][0]
+    if segments != "refused":
+        assert all(type(v) is int for segment in segments for v in segment)
+        assert sum(duration for _, _, duration in segments) == num_frames
 
 
 def test_different_seed_changes_output(suite_dir, tmp_path):
@@ -255,6 +349,13 @@ def test_keyword_that_cannot_fit_is_rejected(tmp_path):
         gen_suite(tmp_path / "cramped", cramped)
 
 
+def test_gen_refuses_bad_specs_before_the_disk_is_touched(tmp_path):
+    cramped = SuiteGenSpec(keywords=("alpha",), frames_min=6, frames_max=10, seed=0)
+    with pytest.raises(ValidationError, match="longest keyword needs"):
+        gen_suite(tmp_path / "cramped", cramped)
+    assert not (tmp_path / "cramped").exists()
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         SuiteGenSpec(keywords=("a", "a"))
@@ -268,9 +369,19 @@ def test_spec_validation():
         SuiteGenSpec(duration_min=3, duration_max=2)
     with pytest.raises(ValidationError):
         SuiteGenSpec(d_max=-1)
-    for frame_seconds in (0.0, math.nan, math.inf):
-        with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="d_max must be in"):
+        SuiteGenSpec(d_max=65536)
+    assert SuiteGenSpec(d_max=65535).d_max == 65535  # KWL1 stores D_max as a u16
+    for concentration in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="duration_concentration"):
+            SuiteGenSpec(duration_concentration=concentration)
+    # The lattice header stores frame_seconds as f32: 1e300 overflows it and
+    # 1e-50 rounds to 0.
+    for frame_seconds in (0.0, -0.03, math.nan, math.inf, 1e300, 1e-50, 3.5e38):
+        with pytest.raises(ValidationError, match="frame_seconds"):
             SuiteGenSpec(frame_seconds=frame_seconds)
+    for frame_seconds in (1e-44, 3.4e38):  # a subnormal and near the f32 maximum
+        assert SuiteGenSpec(frame_seconds=frame_seconds).frame_seconds == frame_seconds
 
 
 def test_negative_seed_is_refused_before_the_disk_is_touched(tmp_path):

@@ -1,6 +1,7 @@
 """Synthetic joiner oracle: emission construction, normalization, greedy track."""
 
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,9 @@ from kws import (
     SyntheticJoinerConfig,
     SyntheticOracle,
     ValidationError,
+    load_lattice,
+    save_lattice,
+    snapshot,
 )
 
 # Shared hand-built timeline: V=9, T=10.
@@ -230,8 +234,6 @@ def test_greedy_step_matches_explicit_argmax():
 
 
 def test_file_backed_refusals_for_generative_queries(tmp_path):
-    from kws import load_lattice, save_lattice, snapshot
-
     oracle = make_oracle(epsilon=0.0, d_max=4)
     data = snapshot(oracle, KeywordSpec("kw", (3, 7)))
     path = save_lattice(data, tmp_path / "a.kwl")
@@ -467,7 +469,7 @@ def _assert_matches_reference_forms(cfg, keywords, frames):
             vec = vectors[ideal[t - 1]]
             got = oracle.duration_log_probs(t)
             assert got.dtype == np.float64 and got.tobytes() == vec.tobytes()
-            got[...] = 0.0  # a caller's copy: the oracle's tables stay intact
+            got[...] = 0.0  # a caller's copy: later queries stay intact
             step, state = oracle.greedy_step(t, state)
             assert step.duration == int(np.argmax(vec))
             assert step.log_duration_prob == float(vec[step.duration])
@@ -502,8 +504,8 @@ def _assert_matches_reference_forms(cfg, keywords, frames):
     st.randoms(use_true_random=False),
 )
 def test_oracle_matches_per_segment_fill_and_per_keyword_scan(case, d_max, gamma, rnd):
-    """Loop-free timeline, shared duration tables and one keyword scan per
-    query equal the per-segment and per-keyword forms bit for bit, whatever
+    """Loop-free timeline, closed-form duration track and one keyword scan
+    per query equal the per-segment and per-keyword forms bit for bit, whatever
     the order the alignment lists its segments in."""
     cfg, keywords, frames = case
     alignment = list(cfg.alignment)
@@ -581,3 +583,168 @@ def test_keyword_scan_vocab_error_names_the_keyword():
     # The failed query leaves nothing behind: the good keyword still answers.
     ((log_y, _),) = oracle.emission_grids([fine], np.array([2]))
     assert log_y[0, 0] == 0.0
+
+
+# The alignment validator as first written: one operator.index per value, a
+# sort, and one walk over the segments in start order. Manifests handed it
+# tuples of tuples; they now hand it the JSON lists as they are.
+
+
+def _validate_alignment_per_entry(alignment, vocab_size, num_frames):
+    try:
+        converted = tuple(
+            (operator.index(a), operator.index(b), operator.index(c)) for a, b, c in alignment
+        )
+    except TypeError as exc:
+        raise ValidationError(
+            f"alignment entries must be integer triples, got {alignment!r}"
+        ) from exc
+    last_end = 0
+    for token, start, duration in sorted(converted, key=lambda s: s[1]):
+        if not 1 <= token <= vocab_size:
+            raise ValidationError(f"segment token {token} outside [1, {vocab_size}]")
+        if duration < 1:
+            raise ValidationError("segment duration must be >= 1")
+        if start < 1 or start + duration - 1 > num_frames:
+            raise ValidationError(
+                f"segment ({token},{start},{duration}) outside frames [1, {num_frames}]"
+            )
+        if start <= last_end:
+            raise ValidationError("segments overlap")
+        last_end = start + duration - 1
+    return converted
+
+
+def _validation_outcome(validate):
+    try:
+        return "accepted", validate()
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+    except ValueError:  # the per-entry walk's raw unpacking error
+        return "ValueError", None
+
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([0, -1, 2**62, 2**63 - 1, 2**63, 2**64, 2**70, -(2**63), -(2**70), 2**1100]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([4.0, 4.7, True, False, "4", "x", None, (1,), np.float64(2.0)]),
+    st.integers(0, 40).map(np.int64),
+    st.integers(0, 40).map(np.uint64),
+)
+
+
+@st.composite
+def alignment_cases(draw):
+    """(alignment, vocab_size, num_frames): a tiling with gaps, shuffled,
+    then maybe shifted (overlaps, out of range), given odd values or entries
+    of the wrong arity."""
+    segments, t = [], 1
+    for _ in range(draw(st.integers(0, 8))):
+        t += draw(st.integers(0, 2))
+        duration = draw(st.integers(1, 4))
+        segments.append([draw(st.integers(1, 9)), t, duration])
+        t += duration
+    num_frames = max(1, t - 1 + draw(st.integers(-1, 2)))
+    for _ in range(draw(st.integers(0, 2)) if segments else 0):
+        i = draw(st.integers(0, len(segments) - 1))
+        segments[i][draw(st.integers(0, 2))] += draw(st.integers(-4, 4))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if segments else 0):
+        i = draw(st.integers(0, len(segments) - 1))
+        segments[i][draw(st.integers(0, 2))] = draw(ODD_VALUES)
+    if segments and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(segments) - 1))
+        segments[i] = segments[i][: draw(st.integers(0, 2))] or segments[i] + [1]
+    segments = draw(st.permutations(segments))
+    container = draw(st.sampled_from([tuple, list]))
+    alignment = container(container(segment) for segment in segments)
+    vocab_size = draw(st.sampled_from([9, 9, 1, 2**70]))
+    num_frames = draw(st.sampled_from([num_frames, num_frames, 2**70, num_frames + 0.5]))
+    return alignment, vocab_size, num_frames
+
+
+@settings(max_examples=400, deadline=None)
+@given(alignment_cases())
+def test_alignment_validation_agrees_with_the_per_entry_walk(case):
+    """Lists as a manifest gives them or tuples: the same accept/reject set
+    and the same first message, picked in start order, except that an entry
+    of the wrong arity is a ValidationError, not a raw unpacking error.
+    Accepted alignments are tuples of Python-int triples."""
+    alignment, vocab_size, num_frames = case
+    want = _validation_outcome(
+        lambda: _validate_alignment_per_entry(alignment, vocab_size, num_frames)
+    )
+    got = _validation_outcome(
+        lambda: SyntheticJoinerConfig(
+            vocab_size=vocab_size, num_frames=num_frames, alignment=alignment
+        ).alignment
+    )
+    if want[0] == "ValueError":
+        assert got[0] == "ValidationError" and "integer triples" in got[1]
+        return
+    assert got == want
+    if got[0] == "accepted":
+        assert type(got[1]) is tuple
+        assert all(type(seg) is tuple and len(seg) == 3 for seg in got[1])
+        assert all(type(v) is int for seg in got[1] for v in seg)
+
+
+def test_d_max_is_bounded_by_the_lattice_field():
+    with pytest.raises(ValidationError, match="d_max must be in"):
+        SyntheticJoinerConfig(vocab_size=9, num_frames=10, alignment=ALIGNMENT, d_max=65536)
+    # At the bound the duration track costs one vector per query, not a
+    # (d_max + 1)-squared table.
+    cfg = SyntheticJoinerConfig(
+        vocab_size=9, num_frames=10, alignment=ALIGNMENT, d_max=65535,
+        duration_concentration=0.5,
+    )
+    oracle = SyntheticOracle(cfg)
+    vec = oracle.duration_log_probs(6)
+    assert vec.shape == (65536,) and int(np.argmax(vec)) == 3
+    assert oracle.greedy_durations().tolist() == [1, 2, 2, 1, 1, 3, 3, 3, 1, 1]
+
+
+def _greedy_walk(oracle):
+    """(tokens, durations) of greedy_step walked over frames 1..T."""
+    tokens, durations = [], []
+    state = oracle.initial_greedy_state()
+    for t in range(1, oracle.num_frames + 1):
+        step, state = oracle.greedy_step(t, state)
+        tokens.append(step.token)
+        durations.append(step.duration)
+    return tokens, durations
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_cases(), st.integers(0, 5), st.sampled_from([1.0, 0.7, 0.2, 0.1]))
+def test_greedy_tracks_equal_the_greedy_step_walk(case, d_max, gamma):
+    """The closed-form token and duration tracks, the base-class walks and
+    the tracks a snapshot stores all equal greedy_step walked frame by frame,
+    with gaps, 1-frame segments and d_max 0-5 (0: no track at all)."""
+    cfg, keywords, _ = case
+    cfg = SyntheticJoinerConfig(
+        vocab_size=cfg.vocab_size,
+        num_frames=cfg.num_frames,
+        alignment=cfg.alignment,
+        epsilon=cfg.epsilon,
+        d_max=d_max,
+        duration_concentration=gamma,
+    )
+    oracle = SyntheticOracle(cfg)
+    if d_max == 0:
+        for track in (oracle._greedy_tokens, oracle.greedy_durations):
+            with pytest.raises(ModeError):
+                track()
+        assert snapshot(oracle, keywords[0]).greedy_tokens is None
+        return
+    want_tokens, want_durations = _greedy_walk(oracle)
+    data = snapshot(oracle, keywords[0])
+    for tokens, durations in (
+        (oracle._greedy_tokens(), oracle.greedy_durations()),
+        (EmissionOracle._greedy_tokens(oracle), EmissionOracle.greedy_durations(oracle)),
+        (data.greedy_tokens, data.greedy_durations),
+    ):
+        assert tokens.tolist() == want_tokens
+        assert durations.tolist() == want_durations
+    assert oracle._greedy_tokens().dtype == np.int64
+    assert data.greedy_tokens.dtype == np.dtype("<u4")
+    assert data.greedy_durations.dtype == np.dtype("<u2")
