@@ -20,19 +20,37 @@ descending, and the top hypothesis never scores below greedy: if the greedy
 token sequence was pruned away and would outrank the survivors it is unioned
 back in.
 
-Each round does its work once for all live lineages: one
-``EmissionOracle.token_log_prob_rows`` query, one argmax, one top-k over the
-expanding rows, and one array of child log-probs, of which only the children
-that reach the B-th best log-prob (ties kept) become Python tuples. Every
-log-prob is the same float64 sum, in the same order, as a per-lineage loop
-would form, so results are bit-identical to it.
+Both searches run on a group of utterances in lockstep rounds
+(``_greedy_searches``, ``_beam_searches``); ``greedy_search`` and
+``beam_search`` are their one-utterance case. Every live utterance sits at
+its own frame, and one round advances all of them: one
+``EmissionOracle.token_log_prob_group`` query answers a row per greedy
+utterance or per live beam lineage, then one argmax and, for beam, one top-k
+run over the rows of all utterances. All lineages of an utterance's frame are
+in the same expansion round, so the emission cap is one counter per
+utterance. TDT greedy also asks each utterance that leaves a frame for its
+``duration_log_probs`` there.
+
+The beam prune sorts integer keys, not token tuples. Under the no-prefix
+invariant a lineage's token tuple orders as the key (its start-of-frame
+beam's lexicographic rank, then the tokens it added this frame, padded with
+-1), across the rounds of the finished pool too; within one round the
+alive pool needs only (its parent's rank, its token). Per utterance the B best
+are taken by (utterance, -log_prob, key) from one ``np.lexsort``. Lineages
+are rows of integer arrays with backpointers into a tree of emitted tokens;
+token tuples are built only for the returned hypotheses and for oracles that
+read the histories. Every log-prob is the same float64 sum, in the same
+order, as a per-lineage loop would form, so results are bit-identical to it.
+
+Beam search's union guard takes the greedy RNN-T transcripts that its caller
+already holds, so a group that runs both searches runs greedy once.
 
 Beam search is RNN-T-only; duration-aware beam decoding is out of scope.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,32 +88,64 @@ def _require_generative(oracle: EmissionOracle) -> None:
         )
 
 
+def _row_query(oracles: Sequence[EmissionOracle], config: AsrConfig):
+    """The group's token row query, after the checks every search shares."""
+    for oracle in oracles:
+        _require_generative(oracle)
+        if config.mode == TDT and not oracle.supports_tdt:
+            raise ModeError("TDT greedy requested but oracle has no duration track")
+    vocab_sizes = sorted({oracle.vocab_size for oracle in oracles})
+    if len(vocab_sizes) > 1:
+        raise ValidationError(f"a search group must share one vocab_size, got {vocab_sizes}")
+    return type(oracles[0]).token_log_prob_group(oracles)
+
+
 def greedy_search(oracle: EmissionOracle, config: AsrConfig = AsrConfig()) -> Hypothesis:
     """Frame-wise argmax decode."""
-    _require_generative(oracle)
-    if config.mode == TDT and not oracle.supports_tdt:
-        raise ModeError("TDT greedy requested but oracle has no duration track")
-    tokens: list[int] = []
-    emit_frames: list[int] = []
-    log_prob = 0.0
-    t = 1
-    while t <= oracle.num_frames:
-        emitted = 0
-        while True:
-            vec = oracle.token_log_probs(t, tokens)
-            k = int(np.argmax(vec))
-            if k == BLANK_ID or emitted >= config.max_symbols_per_frame:
-                break
-            log_prob += float(vec[k])
-            tokens.append(k)
-            emit_frames.append(t)
-            emitted += 1
-        log_prob += float(vec[BLANK_ID])
+    return _greedy_searches([oracle], config)[0]
+
+
+def _greedy_searches(
+    oracles: Sequence[EmissionOracle], config: AsrConfig = AsrConfig()
+) -> list[Hypothesis]:
+    """``greedy_search`` of every oracle of a group, in lockstep rounds."""
+    if not oracles:
+        return []
+    rows_of = _row_query(oracles, config)
+    n = len(oracles)
+    num_frames = np.array([oracle.num_frames for oracle in oracles], dtype=np.int64)
+    t = np.ones(n, dtype=np.int64)
+    emitted = np.zeros(n, dtype=np.int64)  # tokens emitted at the current frame
+    lengths = np.zeros(n, dtype=np.int64)
+    log_prob = np.zeros(n)
+    tokens: list[list[int]] = [[] for _ in range(n)]
+    emit_frames: list[list[int]] = [[] for _ in range(n)]
+    live = np.flatnonzero(t <= num_frames)
+    while live.size:
+        frames = t[live]
+        rows = rows_of(live, frames, lengths[live], [tokens[u] for u in live.tolist()])
+        best = rows.argmax(axis=1)
+        emit = (best != BLANK_ID) & (emitted[live] < config.max_symbols_per_frame)
+        best[~emit] = BLANK_ID
+        log_prob[live] += rows[np.arange(live.size), best]
+        for u, k, f in zip(live[emit].tolist(), best[emit].tolist(), frames[emit].tolist()):
+            tokens[u].append(k)
+            emit_frames[u].append(f)
+        lengths[live] += emit
+        emitted[live] = np.where(emit, emitted[live] + 1, 0)
+        advance = live[~emit]
         if config.mode == TDT:
-            t += _hop(int(np.argmax(oracle.duration_log_probs(t, tokens))), t, config)
+            for u in advance.tolist():
+                at = int(t[u])
+                duration = oracles[u].duration_log_probs(at, tokens[u])
+                t[u] += _hop(int(np.argmax(duration)), at, config)
         else:
-            t += 1
-    return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))
+            t[advance] += 1
+        live = live[t[live] <= num_frames[live]]
+    return [
+        Hypothesis(tuple(tokens[u]), float(log_prob[u]), tuple(emit_frames[u]))
+        for u in range(n)
+    ]
 
 
 def _check_beam_width(beam_width: int) -> None:
@@ -107,70 +157,221 @@ def beam_search(
     oracle: EmissionOracle, beam_width: int, config: AsrConfig = AsrConfig()
 ) -> list[Hypothesis]:
     """Breadth-first per-frame beam; see module docstring for the variant."""
-    _require_generative(oracle)
+    return _beam_searches([oracle], beam_width, config)[0]
+
+
+class _Lineages:
+    """Backpointer tree of beam lineages: node i emitted ``token[i]`` at
+    ``frame[i]`` after the lineage of node ``parent[i]``; node -1 is the
+    empty lineage. The tree keeps every node a search made, so it is int32:
+    node ids, tokens and frames each count entries of arrays that the search
+    or its oracles hold, which stay far below 2**31."""
+
+    def __init__(self) -> None:
+        self._nodes = np.empty((3, 1024), dtype=np.int32)  # parent, token, frame
+        self._size = 0
+        self._tokens: dict[int, tuple[int, ...]] = {-1: ()}
+
+    def add(self, parents: np.ndarray, tokens: np.ndarray, frames: np.ndarray) -> np.ndarray:
+        first = self._size
+        self._size += len(parents)
+        if self._size > self._nodes.shape[1]:
+            grown = np.empty((3, 2 * self._size), dtype=np.int32)
+            grown[:, :first] = self._nodes[:, :first]
+            self._nodes = grown
+        self._nodes[:, first : self._size] = parents, tokens, frames
+        return np.arange(first, self._size)
+
+    def tokens(self, node: int) -> tuple[int, ...]:
+        """The token tuple of a lineage, memoised along its path."""
+        path = []
+        while node not in self._tokens:
+            path.append(node)
+            node = int(self._nodes[0, node])
+        tokens = self._tokens[node]
+        for step in reversed(path):
+            tokens = self._tokens[step] = tokens + (int(self._nodes[1, step]),)
+        return tokens
+
+    def hypotheses(
+        self, nodes: np.ndarray, lengths: np.ndarray, log_probs: np.ndarray
+    ) -> list[Hypothesis]:
+        """The hypotheses of the lineages ending at ``nodes``, walked back
+        together, one step of every lineage at a time."""
+        tokens = np.zeros((len(nodes), int(lengths.max(initial=0))), dtype=np.int32)
+        frames = np.zeros_like(tokens)
+        node = nodes.copy()
+        for step in range(tokens.shape[1]):
+            walking = np.flatnonzero(lengths > step)
+            at = node[walking]
+            position = lengths[walking] - 1 - step
+            tokens[walking, position] = self._nodes[1, at]
+            frames[walking, position] = self._nodes[2, at]
+            node[walking] = self._nodes[0, at]
+        return [
+            Hypothesis(tuple(tokens[i, :n].tolist()), log_prob, tuple(frames[i, :n].tolist()))
+            for i, (n, log_prob) in enumerate(zip(lengths.tolist(), log_probs.tolist()))
+        ]
+
+
+class _Histories(Sequence):
+    """The token histories of lineage nodes, each built when it is read."""
+
+    def __init__(self, lineages: _Lineages, nodes: np.ndarray) -> None:
+        self._lineages = lineages
+        self._nodes = nodes
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        return self._lineages.tokens(int(self._nodes[i]))
+
+
+# Columns of a beam pool row. The pool holds every lineage of every live
+# utterance: alive ones and those of the current frame's finished pool
+# (DONE = 1). ADDED is the first of max_symbols_per_frame columns that hold
+# the tokens added this frame, -1 padded.
+_UTT, _NODE, _LEN, _START, _DONE, _ADDED = range(6)
+
+
+def _first_of_each(groups: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the first ``count`` entries of each run of equal values in
+    the sorted array ``groups``."""
+    index = np.arange(groups.size)
+    starts = np.ones(groups.size, dtype=bool)
+    starts[1:] = groups[1:] != groups[:-1]
+    return index - np.maximum.accumulate(np.where(starts, index, 0)) < count
+
+
+def _lex_keys(pool: np.ndarray, rows: np.ndarray, width: int) -> list[np.ndarray]:
+    """``np.lexsort`` keys, least significant first, that order the rows'
+    lineages within an utterance as their token tuples: the start-of-frame
+    beam's rank, then the first ``width`` added tokens."""
+    return [pool[rows, _ADDED + c] for c in range(width - 1, -1, -1)] + [pool[rows, _START]]
+
+
+def _beam_searches(
+    oracles: Sequence[EmissionOracle],
+    beam_width: int,
+    config: AsrConfig = AsrConfig(),
+    greedy: Sequence[Hypothesis] | None = None,
+) -> list[list[Hypothesis]]:
+    """``beam_search`` of every oracle of a group, in lockstep rounds.
+
+    ``greedy``, when given, holds ``greedy_search(oracle, config)`` of each
+    oracle, in order, for the union guard.
+    """
+    for oracle in oracles:
+        _require_generative(oracle)
     _check_beam_width(beam_width)
     if config.mode == TDT:
         raise ModeError("beam search supports RNN-T mode only")
-
-    # Lineages are (tokens, log_prob, emit_frames) tuples until the return.
-    beams: list[tuple] = [((), 0.0, ())]
-    for t in range(1, oracle.num_frames + 1):
-        done: list[tuple] = []
-        alive = beams
-        emitted = 0
-        while alive:
-            rows = oracle.token_log_prob_rows(t, [tokens for tokens, _, _ in alive])
-            if emitted >= config.max_symbols_per_frame:
-                best = [BLANK_ID] * len(alive)
-            else:
-                best = rows.argmax(axis=1).tolist()
-            blank = rows[:, BLANK_ID].tolist()
-            expand = []
-            for i, (tokens, log_prob, frames) in enumerate(alive):
-                if best[i] == BLANK_ID:
-                    done.append((tokens, log_prob + blank[i], frames))
-                else:
-                    expand.append(i)
-            if not expand:
-                break
-            # Only each lineage's top candidates can survive the union prune,
-            # so wider expansion is wasted work. Which of several tied tokens
+    if not oracles:
+        return []
+    rows_of = _row_query(oracles, config)
+    cap = config.max_symbols_per_frame
+    n = len(oracles)
+    num_frames = np.array([oracle.num_frames for oracle in oracles], dtype=np.int64)
+    t = np.ones(n, dtype=np.int64)
+    emitted = np.zeros(n, dtype=np.int64)
+    lineages = _Lineages()
+    # One empty lineage per utterance. Utterances leave the pool with their
+    # last frame's beams, best first: pool rows and log-probs in ``finals``.
+    pool = np.full((n, _ADDED + cap), -1, dtype=np.int64)
+    pool[:, _UTT] = np.arange(n)
+    pool[:, _LEN] = pool[:, _START] = pool[:, _DONE] = 0
+    lp = np.zeros(n)
+    finals = [(pool[num_frames < 1], lp[num_frames < 1])]
+    pool, lp = pool[num_frames >= 1], lp[num_frames >= 1]
+    while len(pool):
+        alive = np.flatnonzero(pool[:, _DONE] == 0)
+        utt = pool[alive, _UTT]
+        rows = rows_of(
+            utt, t[utt], pool[alive, _LEN], _Histories(lineages, pool[alive, _NODE])
+        )
+        commit = (rows.argmax(axis=1) == BLANK_ID) | (emitted[utt] >= cap)
+        done = alive[commit]
+        lp[done] += rows[commit, BLANK_ID]
+        pool[done, _DONE] = 1
+        keep = np.ones(len(pool), dtype=bool)
+        expand = alive[~commit]
+        children, children_lp = pool[:0], lp[:0]
+        if expand.size:
+            keep[expand] = False
+            # Only each lineage's top candidates can survive the prune, so
+            # wider expansion is wasted work. Which of several tied tokens
             # argpartition keeps decides the result; it keeps the same ones
-            # row by row as on each row alone. Their order does not matter:
-            # children have distinct tokens, and the prune sorts by them.
-            scores = rows[expand, 1:]
+            # row by row as on each row alone.
+            scores = rows[~commit, 1:]
             count = min(beam_width, scores.shape[1])
             top = np.argpartition(-scores, count - 1, axis=1)[:, :count]
-            parent_lp = np.array([alive[i][1] for i in expand])
-            child_lp = (parent_lp[:, None] + np.take_along_axis(scores, top, axis=1)).ravel()
-            # Children below the B-th largest log-prob cannot survive the
-            # prune; ties with it are kept for the token-order tie rule.
-            keep = range(child_lp.size)
-            kth = child_lp.size - beam_width
-            if kth > 0:
-                keep = np.flatnonzero(child_lp >= np.partition(child_lp, kth)[kth]).tolist()
-            top_tokens = (top + 1).ravel().tolist()
-            child_lps = child_lp.tolist()
-            children = []
-            for j in keep:
-                tokens, _, frames = alive[expand[j // count]]
-                children.append((tokens + (top_tokens[j],), child_lps[j], frames + (t,)))
-            alive = heapq.nsmallest(beam_width, children, key=_rank)
-            emitted += 1
-        beams = heapq.nsmallest(beam_width, done, key=_rank)
+            child_lp = (lp[expand][:, None] + np.take_along_axis(scores, top, axis=1)).ravel()
+            child_token = (top + 1).ravel()
+            parent_utt = pool[expand, _UTT]
+            # All alive lineages of an utterance are in the same round, so a
+            # child's tuple orders as (its parent's tuple, its token).
+            width = int(emitted[parent_utt].max())
+            rank = np.empty(expand.size, dtype=np.int64)
+            rank[np.lexsort((*_lex_keys(pool, expand, width), parent_utt))] = np.arange(expand.size)
+            parent = np.repeat(np.arange(expand.size), count)
+            child_utt = parent_utt[parent]
+            order = np.lexsort((child_token, rank[parent], -child_lp, child_utt))
+            order = order[_first_of_each(child_utt[order], beam_width)]
+            rows_from = expand[parent[order]]
+            children = pool[rows_from]
+            children_lp = child_lp[order]
+            tokens = child_token[order]
+            child_utt = child_utt[order]
+            children[:, _NODE] = lineages.add(pool[rows_from, _NODE], tokens, t[child_utt])
+            children[:, _LEN] += 1
+            children[np.arange(len(order)), _ADDED + emitted[child_utt]] = tokens
+            emitted[parent_utt] += 1
+        # Utterances none of whose lineages expanded end their frame: their
+        # finished pool's B best are the next frame's beams.
+        is_ending = np.zeros(n, dtype=bool)
+        is_ending[utt] = True
+        is_ending[pool[expand, _UTT]] = False
+        ending = np.flatnonzero(is_ending)
+        ending_rows = np.flatnonzero(is_ending[pool[:, _UTT]])
+        keep[ending_rows] = False
+        width = int(emitted[ending].max()) if ending.size else 0
+        order = ending_rows[
+            np.lexsort((*_lex_keys(pool, ending_rows, width), -lp[ending_rows], pool[ending_rows, _UTT]))
+        ]
+        beams = order[_first_of_each(pool[order, _UTT], beam_width)]
+        t[ending] += 1
+        emitted[ending] = 0
+        over = t[pool[beams, _UTT]] > num_frames[pool[beams, _UTT]]
+        if over.any():
+            finals.append((pool[beams[over]], lp[beams[over]]))
+            beams = beams[~over]
+        starts = pool[beams]
+        starts[np.lexsort((*_lex_keys(pool, beams, width), starts[:, _UTT])), _START] = np.arange(
+            len(beams)
+        )
+        starts[:, _DONE] = 0
+        starts[:, _ADDED:] = -1
+        pool = np.concatenate((pool[keep], children, starts))
+        lp = np.concatenate((lp[keep], children_lp, lp[beams]))
 
-    results = [Hypothesis(*lineage) for lineage in beams]
-    greedy = greedy_search(oracle, config)
-    if not results or results[0].log_prob < greedy.log_prob:
-        results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
-        results = results[:beam_width]
+    if greedy is None:
+        greedy = _greedy_searches(oracles, config)
+    elif len(greedy) != n:
+        raise ValidationError(f"{len(greedy)} greedy transcripts for {n} oracles")
+    rows = np.concatenate([rows for rows, _ in finals])
+    # Stable by utterance, so that each utterance's beams stay best first.
+    order = np.argsort(rows[:, _UTT], kind="stable")
+    log_probs = np.concatenate([log_probs for _, log_probs in finals])[order]
+    hypotheses = iter(lineages.hypotheses(rows[order, _NODE], rows[order, _LEN], log_probs))
+    results = []
+    for count, guard in zip(np.bincount(rows[:, _UTT], minlength=n).tolist(), greedy):
+        beams = [next(hypotheses) for _ in range(count)]
+        if not beams or beams[0].log_prob < guard.log_prob:
+            beams = [guard] + [h for h in beams if h.tokens != guard.tokens]
+            beams = beams[:beam_width]
+        results.append(beams)
     return results
-
-
-def _rank(lineage: tuple) -> tuple:
-    """Sort key of a (tokens, log_prob, emit_frames) lineage: best first,
-    ties broken by token sequence."""
-    return -lineage[1], lineage[0]
 
 
 def keyword_hit(hypothesis: Hypothesis, keyword) -> tuple[bool, tuple[int, ...]]:

@@ -19,8 +19,13 @@ two kinds of questions:
 
 Generative oracles additionally answer full-vocabulary queries conditioned on
 an arbitrary emitted-token history, which is what the ASR baselines need:
-one history at a time (``token_log_probs``) or many histories at one frame
-(``token_log_prob_rows``).
+one history at a time (``token_log_probs``), many histories at one frame
+(``token_log_prob_rows``), or many (utterance, frame, history) rows of a
+group of oracles at once (``token_log_prob_group``), which is what the
+baselines' lockstep rounds ask. The group query's default stacks one
+``token_log_prob_rows`` call per utterance and frame, so wrapping oracles and
+history-dependent ones keep working; oracles that can answer a whole group
+from arrays override it.
 
 Oracles are immutable after construction and safe to share across concurrent
 decoders; greedy-history handles are per-stream values.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -220,6 +225,37 @@ class EmissionOracle(ABC):
         rows = np.empty((len(histories), self.vocab_size + 1), dtype=np.float64)
         for i, history in enumerate(histories):
             rows[i] = self.token_log_probs(t, history)
+        return rows
+
+    @classmethod
+    def token_log_prob_group(
+        cls, oracles: Sequence["EmissionOracle"]
+    ) -> Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[Sequence[int]]], np.ndarray]:
+        """The full token distributions of a group of oracles, many rows at once.
+
+        The oracles must share one ``vocab_size``. Returns ``rows(utts,
+        frames, lengths, histories)``, which takes int arrays ``utts``
+        (indices into ``oracles``), ``frames`` and ``lengths``, and a sequence
+        of token histories, ``lengths[i] == len(histories[i])``, and returns a
+        (len(utts), V+1) float64 array whose row i is
+        ``oracles[utts[i]].token_log_prob_rows(frames[i], [histories[i]])[0]``.
+        This default makes one ``token_log_prob_rows`` call per distinct
+        (utterance, frame) pair of the rows and stacks the results, so an
+        oracle that wraps or delegates the per-utterance queries still sees
+        every row. An override may read ``lengths`` instead of ``histories``
+        only where its distributions depend on a history through its length
+        alone.
+        """
+
+        def rows(utts, frames, lengths, histories) -> np.ndarray:
+            out = np.empty((len(utts), oracles[0].vocab_size + 1), dtype=np.float64)
+            batches: dict[tuple[int, int], list[int]] = {}
+            for i, key in enumerate(zip(np.asarray(utts).tolist(), np.asarray(frames).tolist())):
+                batches.setdefault(key, []).append(i)
+            for (u, t), index in batches.items():
+                out[index] = oracles[u].token_log_prob_rows(t, [histories[i] for i in index])
+            return out
+
         return rows
 
     def duration_log_probs(self, t: int, history: Sequence[int] = ()) -> np.ndarray:

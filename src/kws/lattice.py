@@ -200,8 +200,11 @@ def read_lattice(path: str | Path) -> LatticeData:
 class FileLatticeOracle(EmissionOracle):
     """Replay oracle over one keyword-conditioned LatticeData."""
 
-    def __init__(self, data: LatticeData, path: str | Path | None = None) -> None:
-        data.validate()
+    def __init__(
+        self, data: LatticeData, path: str | Path | None = None, *, _validated: bool = False
+    ) -> None:
+        if not _validated:  # read_lattice has already validated what it returns
+            data.validate()
         self._data = data
         self._source = str(path) if path is not None else "in-memory lattice"
 
@@ -273,8 +276,9 @@ class FileLatticeOracle(EmissionOracle):
 
 
 def load_lattice(path: str | Path) -> FileLatticeOracle:
-    """Open a KWL1 file as a file-backed emission oracle."""
-    return FileLatticeOracle(read_lattice(path), path)
+    """Open a KWL1 file as a file-backed emission oracle; its data is
+    validated once, by ``read_lattice``."""
+    return FileLatticeOracle(read_lattice(path), path, _validated=True)
 
 
 def _channel(values: np.ndarray, dtype: str, name: str) -> np.ndarray:

@@ -9,7 +9,10 @@ which decodes them as batched (utterance, keyword) lanes; its
 ``oracle_queries`` still count one row query per keyword per column, plus one
 greedy query per keyword per column in TDT mode. ASR baseline rows always use
 the generative oracle: each utterance of an epsilon group builds one
-``SyntheticOracle``, and every ASR search of the group runs on it.
+``SyntheticOracle``, and each ASR search runs on all of the group's oracles
+at once, in lockstep rounds (see ``baselines``): every round makes one row
+query for the whole group. The beam search's union guard reuses the
+group's greedy RNN-T transcripts.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 from .baselines import (
     AsrConfig,
     Hypothesis,
+    _beam_searches,
     _check_beam_width,
-    beam_search,
-    greedy_search,
+    _greedy_searches,
     keyword_hit,
 )
 from .brute_force import brute_force_score
@@ -143,24 +146,28 @@ def _asr_rows(
     target_far: float,
 ) -> dict:
     """The ASR baseline rows of one epsilon group. Each utterance builds one
-    oracle, and every search runs on it (transcripts are label-independent)."""
+    oracle (transcripts are label-independent), and each search runs on all
+    of the group's oracles at once, in lockstep rounds. Beam search's union
+    guard takes the greedy RNN-T transcripts already computed."""
+    utts = sorted((u for u in suite.utterances if u.epsilon == epsilon), key=lambda u: u.utt_id)
+    oracles = [SyntheticOracle(u.synth) for u in utts]
     rnnt_cfg = AsrConfig(mode=RNNT)
-    searches = {
-        "greedy_rnnt": lambda oracle: greedy_search(oracle, rnnt_cfg),
-        f"beam{beam_width}_rnnt": lambda oracle: beam_search(oracle, beam_width, rnnt_cfg)[0],
+    greedy = _greedy_searches(oracles, rnnt_cfg)
+    transcripts = {
+        "greedy_rnnt": greedy,
+        f"beam{beam_width}_rnnt": [
+            beams[0] for beams in _beam_searches(oracles, beam_width, rnnt_cfg, greedy)
+        ],
     }
     if suite.d_max > 0:
         tdt_cfg = AsrConfig(
             mode=TDT, d_max=candidate.d_max if candidate.mode == TDT else suite.d_max
         )
-        searches["greedy_tdt"] = lambda oracle: greedy_search(oracle, tdt_cfg)
-    transcripts: dict[str, dict[str, Hypothesis]] = {name: {} for name in searches}
-    utts = [u for u in suite.utterances if u.epsilon == epsilon]
-    for utt in sorted(utts, key=lambda u: u.utt_id):
-        oracle = SyntheticOracle(utt.synth)
-        for name, search in searches.items():
-            transcripts[name][utt.utt_id] = search(oracle)
-    return {name: _asr_row(suite, epsilon, transcripts[name], target_far) for name in searches}
+        transcripts["greedy_tdt"] = _greedy_searches(oracles, tdt_cfg)
+    return {
+        name: _asr_row(suite, epsilon, dict(zip((u.utt_id for u in utts), hyps)), target_far)
+        for name, hyps in transcripts.items()
+    }
 
 
 def _asr_row(

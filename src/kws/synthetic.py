@@ -33,12 +33,17 @@ queried frames only, for all queried keywords in one broadcast over
 (keyword, frame, u). Keyword positions come from ``_segment_positions``:
 one pass over the segment tokens matches every keyword of a query and
 yields a (keyword, segment) position table, which ``emission_grids``
-indexes once by the segment ordinals of the queried frames. Single-frame
-queries (``emission_rows``, ``keyword_conditional_log_probs``) run the same
-scan for their one keyword; they cache its per-frame positions and the
-distinct rows they have asked for. The duration log-prob vectors and the
-greedy duration track are closed forms of the per-frame ideal duration, so
-no (d_max + 1)-squared table is built, whatever d_max.
+indexes once by the segment ordinals of the queried frames. The
+single-frame query ``emission_rows`` runs the same scan for its one keyword;
+it caches the keyword's per-frame positions and the distinct rows it has
+asked for. The duration log-prob vectors and the greedy duration track are
+closed forms of the per-frame ideal duration, so no (d_max + 1)-squared
+table is built, whatever d_max.
+
+The generative track depends on a history only through its length n. A
+group of oracles answers it in one query (``token_log_prob_group``) from the
+oracles' per-frame segment ordinals and covering tokens, concatenated with
+per-oracle offsets, without reading any history's tokens.
 """
 
 from __future__ import annotations
@@ -77,8 +82,15 @@ class SyntheticJoinerConfig:
     frame_seconds: float = 0.03
 
     def __post_init__(self) -> None:
+        # operator.index, not int(), here and in the alignment: 26.5 or "26"
+        # is an error, not 26.
+        for name in ("vocab_size", "num_frames", "d_max"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError as exc:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
         try:
-            # operator.index, not int(): 4.7 or "4" is an error, not 4.
             alignment = tuple(
                 (operator.index(a), operator.index(b), operator.index(c))
                 for a, b, c in self.alignment
@@ -305,20 +317,6 @@ class SyntheticOracle(EmissionOracle):
             rows = self._row_cache[key] = (log_y[0], log_phi[0])
         return rows
 
-    def keyword_conditional_log_probs(self, keyword: KeywordSpec, t: int, u: int) -> np.ndarray:
-        """Full V+1 distribution behind the keyword-track node (t, u)."""
-        self._check_frame(t)
-        if not 0 <= u <= keyword.num_tokens:
-            raise ValidationError(f"prefix length {u} out of range [0, {keyword.num_tokens}]")
-        pos = self._keyword_positions(keyword)
-        ideal = int(self._content[t - 1])
-        m = int(pos[t - 1])
-        if m and m <= u:
-            ideal = BLANK_ID
-        vec = np.full(self._cfg.vocab_size + 1, self._log_noise, dtype=np.float64)
-        vec[ideal] = self._log_ideal
-        return vec
-
     # Generative track
 
     def _generative_ideal(self, t: int, emitted: int) -> int:
@@ -336,6 +334,40 @@ class SyntheticOracle(EmissionOracle):
         rows = np.full(shape, self._log_noise, dtype=np.float64)
         for i, history in enumerate(histories):
             rows[i, self._generative_ideal(t, len(history))] = self._log_ideal
+        return rows
+
+    @classmethod
+    def token_log_prob_group(cls, oracles: Sequence[EmissionOracle]):
+        """The generative track of a group from its concatenated per-frame
+        arrays. It depends on a history only through its length, so the
+        rows read ``lengths`` and never ``histories``. A group holding any
+        oracle whose ``token_log_prob_rows`` is not this class's (a wrapper,
+        or a subclass that overrides it) takes the stacking default."""
+        # __class__, not the module's global name, which a tracer may have
+        # swapped for a wrapper.
+        own = __class__.token_log_prob_rows
+        if any(type(o).token_log_prob_rows is not own for o in oracles):
+            return super().token_log_prob_group(oracles)
+        num_frames = np.array([o.num_frames for o in oracles], dtype=np.int64)
+        offsets = np.cumsum(num_frames) - num_frames
+        seg_ord = np.concatenate([o._seg_ord for o in oracles])
+        content = np.concatenate([o._content for o in oracles])
+        log_noise = np.array([o._log_noise for o in oracles])[:, None]
+        log_ideal = np.array([o._log_ideal for o in oracles])
+        width = oracles[0].vocab_size + 1
+
+        def rows(utts, frames, lengths, histories) -> np.ndarray:
+            bad = np.flatnonzero((frames < 1) | (frames > num_frames[utts]))
+            if bad.size:
+                oracles[utts[bad[0]]]._check_frame(int(frames[bad[0]]))
+            at = offsets[utts] + frames - 1
+            # The covering segment's token while fewer tokens than its
+            # ordinal have been emitted, else blank (also on gaps).
+            ideal = np.where(seg_ord[at] > lengths, content[at], BLANK_ID)
+            out = np.repeat(log_noise[utts], width, axis=1)
+            out[np.arange(len(utts)), ideal] = log_ideal[utts]
+            return out
+
         return rows
 
     def duration_log_probs(self, t: int, history: Sequence[int] = ()) -> np.ndarray:

@@ -1,6 +1,7 @@
 """ASR decoding baselines: greedy, beam, keyword containment."""
 
 import dataclasses
+import heapq
 import math
 
 import numpy as np
@@ -26,7 +27,8 @@ from kws import (
     save_lattice,
     snapshot,
 )
-from kws.baselines import _require_generative
+from kws.baselines import _beam_searches, _greedy_searches, _require_generative
+from kws.decoder import _hop
 
 
 class ScriptedOracle(EmissionOracle):
@@ -143,9 +145,9 @@ def test_greedy_tdt_skips_frames_and_keeps_tokens():
             super().__init__(cfg)
             self.visited = set()
 
-        def token_log_probs(self, t, history):
+        def token_log_prob_rows(self, t, histories):
             self.visited.add(t)
-            return super().token_log_probs(t, history)
+            return super().token_log_prob_rows(t, histories)
 
     oracle = Counting(synth_oracle(d_max=4).config)
     hyp_rnnt = greedy_search(synth_oracle(), AsrConfig(mode="rnnt"))
@@ -294,8 +296,83 @@ def test_asr_config_validation():
         AsrConfig(mode="tdt", d_max=2, zero_duration_policy="skip")
 
 
-# Scalar reference: the per-lineage beam search that the batched
-# ``beam_search`` replaced, kept here to prove the two bit-identical.
+# References kept here to prove the lockstep group searches bit-identical to
+# them: the frame-by-frame greedy search, the per-lineage beam search, and the
+# per-utterance beam search with batched rounds and a tuple-keyed heap prune.
+
+
+def reference_greedy_search(oracle, config=AsrConfig()):
+    """Greedy search of one utterance, one ``token_log_probs`` row at a time."""
+    _require_generative(oracle)
+    if config.mode == "tdt" and not oracle.supports_tdt:
+        raise ModeError("TDT greedy requested but oracle has no duration track")
+    tokens = []
+    emit_frames = []
+    log_prob = 0.0
+    t = 1
+    while t <= oracle.num_frames:
+        emitted = 0
+        while True:
+            vec = oracle.token_log_probs(t, tokens)
+            k = int(np.argmax(vec))
+            if k == BLANK_ID or emitted >= config.max_symbols_per_frame:
+                break
+            log_prob += float(vec[k])
+            tokens.append(k)
+            emit_frames.append(t)
+            emitted += 1
+        log_prob += float(vec[BLANK_ID])
+        if config.mode == "tdt":
+            t += _hop(int(np.argmax(oracle.duration_log_probs(t, tokens))), t, config)
+        else:
+            t += 1
+    return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))
+
+
+def reference_heap_beam_search(oracle, beam_width, config=AsrConfig()):
+    """Beam search of one utterance: one row query per expansion round, and
+    ``heapq.nsmallest`` over (tokens, log_prob, emit_frames) tuples ranked by
+    (-log_prob, tokens)."""
+    rank = lambda lineage: (-lineage[1], lineage[0])  # noqa: E731
+    beams = [((), 0.0, ())]
+    for t in range(1, oracle.num_frames + 1):
+        done = []
+        alive = beams
+        emitted = 0
+        while alive:
+            rows = oracle.token_log_prob_rows(t, [tokens for tokens, _, _ in alive])
+            if emitted >= config.max_symbols_per_frame:
+                best = [BLANK_ID] * len(alive)
+            else:
+                best = rows.argmax(axis=1).tolist()
+            blank = rows[:, BLANK_ID].tolist()
+            expand = []
+            for i, (tokens, log_prob, frames) in enumerate(alive):
+                if best[i] == BLANK_ID:
+                    done.append((tokens, log_prob + blank[i], frames))
+                else:
+                    expand.append(i)
+            if not expand:
+                break
+            scores = rows[expand, 1:]
+            count = min(beam_width, scores.shape[1])
+            top = np.argpartition(-scores, count - 1, axis=1)[:, :count]
+            parent_lp = np.array([alive[i][1] for i in expand])
+            child_lp = (parent_lp[:, None] + np.take_along_axis(scores, top, axis=1)).ravel()
+            top_tokens = (top + 1).ravel().tolist()
+            children = []
+            for j, lp in enumerate(child_lp.tolist()):
+                tokens, _, frames = alive[expand[j // count]]
+                children.append((tokens + (top_tokens[j],), lp, frames + (t,)))
+            alive = heapq.nsmallest(beam_width, children, key=rank)
+            emitted += 1
+        beams = heapq.nsmallest(beam_width, done, key=rank)
+    results = [Hypothesis(*lineage) for lineage in beams]
+    greedy = reference_greedy_search(oracle, config)
+    if not results or results[0].log_prob < greedy.log_prob:
+        results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
+        results = results[:beam_width]
+    return results
 
 
 def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
@@ -341,7 +418,7 @@ def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
         )
 
     results = sorted(beams.values(), key=lambda h: (-h.log_prob, h.tokens))
-    greedy = greedy_search(oracle, config)
+    greedy = reference_greedy_search(oracle, config)
     if not results or results[0].log_prob < greedy.log_prob:
         results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
         results = results[:beam_width]
@@ -478,3 +555,134 @@ def test_token_rows_reject_out_of_range_frames():
             oracle.token_log_prob_rows(t, [()])
         with pytest.raises(ValidationError):
             oracle.token_log_probs(t, ())
+
+
+def _synthetic(draw, vocab, d_max=0):
+    num_frames = draw(st.integers(1, 14))
+    segments = []
+    t = 1
+    while t <= num_frames:
+        dur = min(draw(st.integers(1, 3)), num_frames - t + 1)
+        if draw(st.booleans()):
+            segments.append((draw(st.integers(1, vocab)), t, dur))
+        t += dur
+    return SyntheticOracle(
+        SyntheticJoinerConfig(
+            vocab_size=vocab,
+            num_frames=num_frames,
+            alignment=tuple(segments),
+            epsilon=draw(st.sampled_from([0.0, 0.0, 0.3, 0.8]) | st.floats(0.0, 0.8)),
+            d_max=d_max,
+            duration_concentration=draw(st.sampled_from([1.0, 0.5, 0.3, 0.1])),
+        )
+    )
+
+
+@st.composite
+def oracle_groups(draw, tdt=False):
+    """1-5 oracles of one vocabulary and mixed lengths: all synthetic (the
+    group query's array override), all ``TiedOracle`` (history-dependent rows
+    with -inf entries and exact ties, through the stacking default), or
+    mixed. TDT groups are synthetic, with a duration track."""
+    vocab = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 5))
+    if tdt:
+        return [_synthetic(draw, vocab, d_max=draw(st.integers(1, 4))) for _ in range(size)]
+    kind = draw(st.sampled_from(["synthetic", "tied", "mixed"]))
+    group = []
+    for _ in range(size):
+        if kind == "tied" or (kind == "mixed" and draw(st.booleans())):
+            group.append(
+                TiedOracle(
+                    num_frames=draw(st.integers(1, 8)),
+                    vocab=vocab,
+                    seed=draw(st.integers(0, 2**16)),
+                    blank_bias=draw(st.sampled_from([0.0, 0.3, 0.7])),
+                )
+            )
+        else:
+            group.append(_synthetic(draw, vocab))
+    return group
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    group=oracle_groups(),
+    beam_width=st.sampled_from([1, 2, 3, 10]),
+    cap=st.sampled_from([1, 2, 10]),
+)
+def test_group_beam_equals_per_utterance_references(group, beam_width, cap):
+    config = AsrConfig(mode="rnnt", max_symbols_per_frame=cap)
+    expected = [bits(reference_heap_beam_search(o, beam_width, config)) for o in group]
+    assert [bits(r) for r in _beam_searches(group, beam_width, config)] == expected
+    # The same with the union guard handed the group's greedy transcripts.
+    greedy = _greedy_searches(group, config)
+    assert [bits(r) for r in _beam_searches(group, beam_width, config, greedy)] == expected
+    assert [bits(beam_search(o, beam_width, config)) for o in group] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(group=oracle_groups(), cap=st.sampled_from([1, 2, 10]))
+def test_group_greedy_equals_frame_by_frame_reference(group, cap):
+    config = AsrConfig(mode="rnnt", max_symbols_per_frame=cap)
+    expected = [bits([reference_greedy_search(o, config)]) for o in group]
+    assert [bits([h]) for h in _greedy_searches(group, config)] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    group=oracle_groups(tdt=True),
+    d_max=st.integers(1, 5),
+    policy=st.sampled_from(["clamp", "error"]),
+    cap=st.sampled_from([1, 2, 10]),
+)
+def test_group_tdt_greedy_equals_frame_by_frame_reference(group, d_max, policy, cap):
+    config = AsrConfig(
+        mode="tdt", d_max=d_max, zero_duration_policy=policy, max_symbols_per_frame=cap
+    )
+    expected = []
+    for oracle in group:
+        try:
+            expected.append(bits([reference_greedy_search(oracle, config)]))
+        except ValidationError:  # a zero duration under the 'error' policy
+            expected = None
+            break
+    if expected is None:
+        with pytest.raises(ValidationError):
+            _greedy_searches(group, config)
+    else:
+        assert [bits([h]) for h in _greedy_searches(group, config)] == expected
+
+
+def test_group_searches_refuse_mixed_vocabularies_and_accept_empty_groups():
+    group = [synth_oracle(), random_generative(3)]  # vocab 9 and 7
+    with pytest.raises(ValidationError):
+        _greedy_searches(group, AsrConfig())
+    with pytest.raises(ValidationError):
+        _beam_searches(group, 2, AsrConfig())
+    assert _greedy_searches([], AsrConfig()) == []
+    assert _beam_searches([], 2, AsrConfig()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=oracle_groups(), data=st.data())
+def test_synthetic_group_rows_equal_the_stacking_default(group, data):
+    group = [o for o in group if isinstance(o, SyntheticOracle)] or [synth_oracle()]
+    utts = data.draw(st.lists(st.integers(0, len(group) - 1), max_size=12))
+    frames = [data.draw(st.integers(1, group[u].num_frames)) for u in utts]
+    histories = [tuple(range(1, data.draw(st.integers(0, 6)) + 1)) for _ in utts]
+    args = (np.array(utts, dtype=np.int64), np.array(frames, dtype=np.int64))
+    args += (np.array([len(h) for h in histories], dtype=np.int64), histories)
+    rows = SyntheticOracle.token_log_prob_group(group)(*args)
+    stacked = EmissionOracle.token_log_prob_group(group)(*args)
+    assert rows.dtype == np.float64 and rows.shape == (len(utts), group[0].vocab_size + 1)
+    assert rows.tobytes() == stacked.tobytes()
+
+
+def test_synthetic_group_rows_reject_out_of_range_frames():
+    group = [synth_oracle(), synth_oracle(num_frames=10)]
+    rows = SyntheticOracle.token_log_prob_group(group)
+    for utt, t in ((0, 0), (0, 13), (1, 11)):
+        with pytest.raises(ValidationError) as raised:
+            rows(np.array([0, utt]), np.array([1, t]), np.array([0, 0]), [(), ()])
+        assert str(raised.value) == f"frame index {t} out of range [1, {group[utt].num_frames}]"

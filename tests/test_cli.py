@@ -1,6 +1,7 @@
 """Command line interface: exit codes, determinism, file outputs."""
 
 import importlib.resources
+import importlib.util
 import json
 import math
 import shutil
@@ -20,6 +21,7 @@ from kws import (
     SidecarError,
     ValidationError,
     bench,
+    greedy_search,
     load_manifest,
     read_lattice,
     save_lattice,
@@ -128,6 +130,22 @@ def test_manifest_d_max_above_the_lattice_field_is_a_broken_file(base_suite, tmp
     assert "d_max must be in [0, 65535]" in err and "'synth'" in err
 
 
+@pytest.mark.parametrize("field, value", [("num_frames", 26.5), ("vocab_size", 9.5), ("d_max", 2.5)])
+def test_manifest_non_integral_synth_size_is_a_broken_file(
+    field, value, base_suite, tmp_path, capsys
+):
+    suite = tmp_path / "suite"
+    shutil.copytree(base_suite, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    negative = next(u for u in manifest["utterances"] if u["label"] is None)
+    negative["synth"][field] = value
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["bench", "--suite", str(suite), "--target-far", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"utterance {negative['utt_id']!r}: field 'synth'" in err
+    assert f"{field} must be an integer, got {value!r}" in err
+
+
 def test_decode_writes_valid_scorestream_jsonl(base_suite, tmp_path):
     out = tmp_path / "scores.jsonl"
     assert main(["decode", "--suite", str(base_suite), "--out", str(out)]) == 0
@@ -180,7 +198,8 @@ def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch
 
 def test_batched_beam_does_not_change_asr_report(base_suite, tmp_path, monkeypatch):
     """`kws bench --also-asr-baselines` gives the same report without "wall",
-    and the same beam hypotheses, with the per-lineage reference beam search."""
+    and the same beam hypotheses, when the per-lineage reference beam search
+    transcribes each utterance in place of the lockstep group search."""
     from test_baselines import bits, reference_beam_search
 
     def run(tag, beam):
@@ -188,18 +207,43 @@ def test_batched_beam_does_not_change_asr_report(base_suite, tmp_path, monkeypat
 
         def recorded(*args):
             results = beam(*args)
-            hypotheses.append(bits(results))
+            hypotheses.extend(bits(beams) for beams in results)
             return results
 
-        monkeypatch.setattr(runner, "beam_search", recorded)
+        monkeypatch.setattr(runner, "_beam_searches", recorded)
         report = tmp_path / f"{tag}.json"
         argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--report", str(report)]
         assert main([*argv, "--also-asr-baselines", "--beam-width", "3"]) == 0
         return json.dumps(drop_wall(json.loads(report.read_text()))), hypotheses
 
-    batched = run("batched", runner.beam_search)
+    def per_utterance(oracles, beam_width, config, greedy):
+        # The union guard's transcripts are the group's greedy RNN-T ones.
+        assert bits(greedy) == bits(greedy_search(oracle, config) for oracle in oracles)
+        return [reference_beam_search(oracle, beam_width, config) for oracle in oracles]
+
+    batched = run("batched", runner._beam_searches)
     assert '"beam3_rnnt"' in batched[0] and batched[1]
-    assert run("reference", reference_beam_search) == batched
+    assert run("reference", per_utterance) == batched
+
+
+@pytest.mark.parametrize("wrap_oracles", [False, True], ids=["leaf", "oracle"])
+def test_traced_benchmark_pass_gives_the_untraced_asr_report(base_suite, tmp_path, wrap_oracles):
+    """perfbench's tracer swaps timing wrappers into the kws modules, and in
+    its oracle pass wraps every oracle; a bench with ASR rows run under it
+    gives the report of an untraced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = ["bench", "--suite", str(base_suite), "--d-max", "3"]
+    argv += ["--also-asr-baselines", "--beam-width", "3"]
+    assert main([*argv, "--report", str(tmp_path / "plain.json")]) == 0
+    tracer = tracing.Tracer("test")
+    with tracing.instrument(tracer, wrap_oracles, load_manifest(base_suite)) as swapped:
+        assert main([*argv, "--report", str(tmp_path / "traced.json")]) == 0
+    assert "kws.synthetic.SyntheticOracle" in swapped
+    traced, plain = (json.loads((tmp_path / f"{tag}.json").read_text()) for tag in ("traced", "plain"))
+    assert drop_wall(traced) == drop_wall(plain)
 
 
 def test_tdt_equals_rnnt_on_all_ones_durations(ones_suite, tmp_path):

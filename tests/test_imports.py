@@ -58,3 +58,25 @@ def test_every_module_level_definition_is_used_or_public():
         for name in _module_level_names(tree) - used - set(kws.__all__)
     }
     assert sorted(dead) == []
+
+
+def _instrumented_names() -> list[str]:
+    """The names ``perfbench/tracing.instrument`` looks up with
+    ``getattr(kws, name)``: the string constants of the tuple it iterates."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (instrument,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "instrument"
+    ]
+    names = []
+    for node in ast.walk(instrument):
+        if isinstance(node, ast.DictComp) and "getattr(kws, name)" in ast.unparse(node.value):
+            for generator in node.generators:
+                names += [c.value for c in ast.walk(generator.iter) if isinstance(c, ast.Constant)]
+    return names
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists_in_kws():
+    names = _instrumented_names()
+    assert {"greedy_search", "beam_search", "keyword_hit"} <= set(names)
+    assert sorted(name for name in names if not hasattr(kws, name)) == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kws import (
     BadMagicError,
     EmissionOracle,
+    FileLatticeOracle,
     GreedyStepOutput,
     KeywordSpec,
     LatticeData,
@@ -118,6 +119,27 @@ def test_truncated_body_names_byte_counts(tmp_path):
     expected = 4 * 8 + 4 * 12
     assert str(expected) in message
     assert str(expected - 4) in message
+
+
+def test_each_lattice_is_validated_once(tmp_path, monkeypatch):
+    path = save_lattice(tiny_data(d_max=2), tmp_path / "x.kwl")
+    calls = []
+    validate = LatticeData.validate
+
+    def counted(data):
+        calls.append(data)
+        validate(data)
+
+    monkeypatch.setattr(LatticeData, "validate", counted)
+    oracle = load_lattice(path)
+    assert len(calls) == 1 and oracle.num_frames == 4
+    # An oracle built from data that no reader has checked still validates it.
+    FileLatticeOracle(tiny_data())
+    assert len(calls) == 2
+    bad = tiny_data()
+    bad.log_y[0, 0] = 0.5
+    with pytest.raises(LatticeValueError):
+        FileLatticeOracle(bad)
 
 
 def test_truncated_header_rejected(tmp_path):

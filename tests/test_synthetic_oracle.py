@@ -30,6 +30,18 @@ from kws import (
 ALIGNMENT = ((3, 2, 2), (7, 4, 1), (2, 6, 3))
 
 
+def keyword_conditional_log_probs(oracle, keyword, t, u):
+    """The full V+1 distribution behind the keyword-track node (t, u), built
+    apart from the grids: the ideal symbol there is blank when position 1..u
+    of a matched keyword occurrence covers frame t, else the covering token."""
+    oracle._check_frame(t)
+    m = int(oracle._keyword_positions(keyword)[t - 1])
+    ideal = BLANK_ID if m and m <= u else int(oracle._content[t - 1])
+    vec = np.full(oracle.vocab_size + 1, oracle._log_noise, dtype=np.float64)
+    vec[ideal] = oracle._log_ideal
+    return vec
+
+
 def make_oracle(epsilon=0.0, d_max=0, concentration=1.0):
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
@@ -124,7 +136,7 @@ def test_non_keyword_segment_starves_both_tracks():
 def test_half_noise_mixing_pinned_values():
     # epsilon=0.5, V=9: aligned symbol 0.5 + 0.5/10 = 0.55, every other 0.05.
     oracle = make_oracle(epsilon=0.5)
-    probs = np.exp(oracle.keyword_conditional_log_probs(KeywordSpec("kw", (3, 7)), 2, 0))
+    probs = np.exp(keyword_conditional_log_probs(oracle, KeywordSpec("kw", (3, 7)), 2, 0))
     assert probs.shape == (10,)
     assert probs[3] == pytest.approx(0.55, abs=1e-12)
     others = np.delete(probs, 3)
@@ -284,7 +296,7 @@ def test_keyword_conditional_distribution_normalizes(cfg, data):
     kw = KeywordSpec("kw", tokens)
     t = data.draw(st.integers(min_value=1, max_value=cfg.num_frames))
     u = data.draw(st.integers(min_value=0, max_value=len(tokens)))
-    total = np.exp(oracle.keyword_conditional_log_probs(kw, t, u)).sum()
+    total = np.exp(keyword_conditional_log_probs(oracle, kw, t, u)).sum()
     assert total == pytest.approx(1.0, abs=1e-6)
     if cfg.d_max > 0:
         dur_total = np.exp(oracle.duration_log_probs(t)).sum()
@@ -301,7 +313,7 @@ def test_emission_rows_agree_with_scalar_queries(cfg, data):
     y_row, phi_row = oracle.emission_rows(kw, t)
     for u in range(len(tokens) + 1):
         # The full V+1 distribution at (t, u), computed on its own path.
-        vec = oracle.keyword_conditional_log_probs(kw, t, u).astype(np.float32)
+        vec = keyword_conditional_log_probs(oracle, kw, t, u).astype(np.float32)
         assert vec[BLANK_ID] == phi_row[u]
         if u < len(tokens):
             assert vec[tokens[u]] == y_row[u]
@@ -572,7 +584,7 @@ def test_keyword_scan_vocab_error_names_the_keyword():
     for call in (
         lambda: oracle.emission_grids([fine, big], np.array([1, 2])),
         lambda: oracle.emission_rows(big, 1),
-        lambda: oracle.keyword_conditional_log_probs(big, 1, 0),
+        lambda: keyword_conditional_log_probs(oracle, big, 1, 0),
     ):
         with pytest.raises(ValidationError) as raised:
             call()
@@ -668,8 +680,17 @@ def test_alignment_validation_agrees_with_the_per_entry_walk(case):
     """Lists as a manifest gives them or tuples: the same accept/reject set
     and the same first message, picked in start order, except that an entry
     of the wrong arity is a ValidationError, not a raw unpacking error.
-    Accepted alignments are tuples of Python-int triples."""
+    Accepted alignments are tuples of Python-int triples. A non-integral
+    num_frames is refused before the alignment is looked at."""
     alignment, vocab_size, num_frames = case
+    if not isinstance(num_frames, int):
+        got = _validation_outcome(
+            lambda: SyntheticJoinerConfig(
+                vocab_size=vocab_size, num_frames=num_frames, alignment=alignment
+            )
+        )
+        assert got == ("ValidationError", f"num_frames must be an integer, got {num_frames!r}")
+        return
     want = _validation_outcome(
         lambda: _validate_alignment_per_entry(alignment, vocab_size, num_frames)
     )
@@ -686,6 +707,23 @@ def test_alignment_validation_agrees_with_the_per_entry_walk(case):
         assert type(got[1]) is tuple
         assert all(type(seg) is tuple and len(seg) == 3 for seg in got[1])
         assert all(type(v) is int for seg in got[1] for v in seg)
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "num_frames", "d_max"])
+@pytest.mark.parametrize("value", [26.5, 26.0, "26", None])
+def test_size_fields_must_be_integers(field, value):
+    sizes = {"vocab_size": 9, "num_frames": 10, "d_max": 0, field: value}
+    with pytest.raises(ValidationError) as raised:
+        SyntheticJoinerConfig(alignment=ALIGNMENT, **sizes)
+    assert str(raised.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_sizes_are_stored_as_ints():
+    cfg = SyntheticJoinerConfig(
+        vocab_size=np.int64(9), num_frames=np.uint16(10), alignment=ALIGNMENT, d_max=np.int32(4)
+    )
+    assert [type(v) for v in (cfg.vocab_size, cfg.num_frames, cfg.d_max)] == [int, int, int]
+    assert (cfg.vocab_size, cfg.num_frames, cfg.d_max) == (9, 10, 4)
 
 
 def test_d_max_is_bounded_by_the_lattice_field():
