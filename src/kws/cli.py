@@ -121,13 +121,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     config = _decode_config(args)
     suite = load_manifest(Path(args.suite))
     records = decode_suite(suite, config)
-    lines = [json.dumps(r, sort_keys=True) for r in records]
     if args.out is None:
-        for line in lines:
-            print(line)
+        for record in records:
+            print(json.dumps(record, sort_keys=True))
     else:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {len(lines)} score streams to {args.out}")
+        with Path(args.out).open("w", encoding="utf-8") as out:
+            for record in records:
+                out.write(json.dumps(record, sort_keys=True) + "\n")
+        print(f"wrote {len(records)} score streams to {args.out}")
     return 0
 
 

@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
 )
+from .jsontext import indented_json
 
 MAGIC = b"KWL1"
 VERSION = 1
@@ -119,9 +120,7 @@ def save_lattice(data: LatticeData, path: str | Path) -> Path:
         "keyword": {"name": data.keyword.name, "tokens": list(data.keyword.tokens)},
         "provenance": data.provenance,
     }
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    )
+    path.with_suffix(".json").write_text(indented_json(sidecar) + "\n")
     return path
 
 

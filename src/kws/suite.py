@@ -29,6 +29,7 @@ it creates a directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -37,10 +38,14 @@ import numpy as np
 
 from .emissions import KeywordSpec
 from .errors import ManifestError, ValidationError
+from .jsontext import indented_json
 from .lattice import D_MAX_LIMIT, save_lattice, snapshot
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
 MANIFEST_SCHEMA = "kws-suite-manifest@1"
+# Where manifest.json holds its utterance records: in the "utterances" list.
+_RECORD_INDENT = " " * 4
+_UTTERANCES = '"utterances": []'
 
 DEFAULT_KEYWORD_NAMES = (
     "almost", "anything", "behind", "captain", "children",
@@ -205,7 +210,8 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
         plans.append((f"neg-{j:03d}", None, round_robin, index))
         index += 1
 
-    utterances = []
+    # Each utterance record becomes its manifest text as soon as it is built.
+    records: list[str] = []
     for stem, label_kw, lattice_kw, utt_index in plans:
         # Every epsilon of an utterance shares its planted alignment.
         num_frames, alignment = _utterance_alignment(spec, utt_index, label_kw, filler_tokens)
@@ -233,17 +239,20 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
                 },
             )
             save_lattice(data, lattice_dir / f"{utt_id}.kwl")
-            utterances.append(
-                {
-                    "utt_id": utt_id,
-                    "label": label_kw.name if label_kw is not None else None,
-                    "epsilon": epsilon,
-                    "num_frames": cfg.num_frames,
-                    "duration_seconds": cfg.num_frames * cfg.frame_seconds,
-                    "lattice": f"lattices/{utt_id}.kwl",
-                    "lattice_keyword": lattice_kw.name,
-                    "synth": cfg.to_json_dict(),
-                }
+            records.append(
+                indented_json(
+                    {
+                        "utt_id": utt_id,
+                        "label": label_kw.name if label_kw is not None else None,
+                        "epsilon": epsilon,
+                        "num_frames": cfg.num_frames,
+                        "duration_seconds": cfg.num_frames * cfg.frame_seconds,
+                        "lattice": f"lattices/{utt_id}.kwl",
+                        "lattice_keyword": lattice_kw.name,
+                        "synth": cfg.to_json_dict(),
+                    },
+                    _RECORD_INDENT,
+                )
             )
 
     manifest = {
@@ -255,10 +264,17 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
         "vocab_size": vocab_size,
         "epsilons": list(spec.epsilons),
         "keywords": [{"name": kw.name, "tokens": list(kw.tokens)} for kw in keywords],
-        "utterances": utterances,
+        "utterances": [],
     }
+    # The records go where the empty list stands. No other text of the
+    # manifest can read like that key: a quote inside a JSON string is escaped.
+    head, tail = indented_json(manifest).split(_UTTERANCES)
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with manifest_path.open("w", encoding="utf-8") as out:
+        out.write(f'{head}"utterances": [\n{_RECORD_INDENT}{records[0]}')
+        for record in records[1:]:
+            out.write(f",\n{_RECORD_INDENT}{record}")
+        out.write(f"\n  ]{tail}\n")
     return manifest_path
 
 
@@ -347,19 +363,32 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
     known = _require(lambda v: v in names, "unknown keyword")
     text = _require(lambda v: isinstance(v, str), "expected a string")
     utterances = []
-    for index, rec in enumerate(top("utterances", list)):
+    records = top(
+        "utterances", _require(lambda v: isinstance(v, list) and v, "expected a non-empty list")
+    )
+    for index, rec in enumerate(records):
         utt_id = _field(manifest_path, f"utterance {index}", rec, "utt_id", text)
         field = partial(_field, manifest_path, f"utterance {utt_id!r}", rec)
+        synth = field("synth", SyntheticJoinerConfig.from_json_dict)
         utterances.append(
             Utterance(
                 utt_id=utt_id,
                 label=field("label", lambda v: v if v is None else known(v)),
                 epsilon=field("epsilon", _require(lambda v: 0 <= v < 1, "expected [0, 1)")),
-                num_frames=field("num_frames", _require(lambda v: v >= 1, "expected >= 1")),
-                duration_seconds=field("duration_seconds", _require(lambda v: v > 0, "expected > 0")),
+                num_frames=field(
+                    "num_frames",
+                    _require(
+                        lambda v: type(v) is int and v == synth.num_frames,
+                        f"expected the integer synth.num_frames = {synth.num_frames}",
+                    ),
+                ),
+                duration_seconds=field(
+                    "duration_seconds",
+                    _require(lambda v: math.isfinite(v) and v > 0, "expected finite and > 0"),
+                ),
                 lattice=field("lattice", text),
                 lattice_keyword=field("lattice_keyword", known),
-                synth=field("synth", SyntheticJoinerConfig.from_json_dict),
+                synth=synth,
             )
         )
     return SuiteManifest(

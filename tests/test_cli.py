@@ -146,6 +146,37 @@ def test_manifest_non_integral_synth_size_is_a_broken_file(
     assert f"{field} must be an integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_frames", 26.5), ("num_frames", "synth + 1"), ("duration_seconds", math.inf)],
+)
+def test_manifest_utterance_frames_and_duration_must_be_exact(
+    field, value, base_suite, tmp_path, capsys
+):
+    suite = tmp_path / "suite"
+    shutil.copytree(base_suite, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    negative = next(u for u in manifest["utterances"] if u["label"] is None)
+    negative[field] = negative["synth"]["num_frames"] + 1 if value == "synth + 1" else value
+    (suite / "manifest.json").write_text(json.dumps(manifest))  # inf is written as Infinity
+    for command in (["bench", "--target-far", "0"], ["decode"]):
+        assert main([*command, "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err
+        assert str(suite / "manifest.json") in err
+        assert f"utterance {negative['utt_id']!r}: field {field!r}" in err
+
+
+def test_decode_out_file_holds_the_stdout_lines(base_suite, tmp_path, capsys):
+    out = tmp_path / "scores.jsonl"
+    for argv in (["--mode", "rnnt"], ["--mode", "tdt", "--d-max", "3"]):
+        assert main(["decode", "--suite", str(base_suite), *argv]) == 0
+        printed = capsys.readouterr().out
+        assert main(["decode", "--suite", str(base_suite), *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 8 score streams to {out}\n"
+        assert out.read_text(encoding="utf-8") == printed
+        assert printed.count("\n") == 8 and not printed.endswith("\n\n")
+
+
 def test_decode_writes_valid_scorestream_jsonl(base_suite, tmp_path):
     out = tmp_path / "scores.jsonl"
     assert main(["decode", "--suite", str(base_suite), "--out", str(out)]) == 0

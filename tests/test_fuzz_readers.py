@@ -1,15 +1,17 @@
-"""Truncated and bit-flipped suite files: readers raise only KwsError
-subclasses, and the CLI answers with an exit code, never a traceback."""
+"""Truncated, bit-flipped and field-replaced suite files: readers raise only
+KwsError subclasses, and the CLI answers with an exit code, never a traceback."""
 
+import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kws import KwsError, SuiteGenSpec, gen_suite, load_manifest, read_lattice
+from kws import KwsError, ManifestError, SuiteGenSpec, gen_suite, load_manifest, read_lattice
 from kws.cli import main
 
 SPEC = SuiteGenSpec(
@@ -80,3 +82,66 @@ def test_corrupted_suite_files_fail_typed(suite_dir, target, cut, flips):
         assert set(codes) <= {0, 1, 2}
         if reader_failed:
             assert 0 not in codes
+
+
+# (where, name): a field of an utterance record or of its synth.
+FIELDS = [
+    *(("record", name) for name in (
+        "utt_id", "label", "epsilon", "num_frames", "duration_seconds", "lattice",
+        "lattice_keyword", "synth",
+    )),
+    *(("synth", name) for name in (
+        "vocab_size", "num_frames", "alignment", "epsilon", "d_max", "duration_concentration",
+        "seed", "frame_seconds",
+    )),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    utterance=st.integers(0, 1),
+    field=st.sampled_from(FIELDS),
+    value=st.none() | JSON_VALUES.map(lambda v: [v]),
+)
+@example(utterance=0, field=("record", "num_frames"), value=[26.5])
+@example(utterance=1, field=("record", "num_frames"), value=[1])
+@example(utterance=0, field=("record", "duration_seconds"), value=[math.inf])
+@example(utterance=1, field=("synth", "num_frames"), value=[10**30])
+def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value):
+    """One field of one utterance record, or of its synth, is deleted
+    (``value`` None) or replaced by an arbitrary JSON value."""
+    manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
+    record = manifest["utterances"][utterance]
+    where, name = field
+    target = record if where == "record" else record["synth"]
+    if value is None:
+        del target[name]
+    else:
+        target[name] = value[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "suite"
+        shutil.copytree(suite_dir, root)
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        try:
+            suite = load_manifest(root)
+        except ManifestError:
+            suite = None
+        if suite is not None:
+            for utt in suite.utterances:
+                assert type(utt.num_frames) is int and utt.num_frames == utt.synth.num_frames
+                assert math.isfinite(utt.duration_seconds)
+
+        out = str(Path(tmp) / "out")
+        codes = [
+            main(["decode", "--suite", str(root), "--mode", "tdt", "--d-max", "3", "--out", out]),
+            main(["bench", "--suite", str(root), "--report", out]),
+        ]
+        assert set(codes) <= {0, 1, 2}
+        if suite is None:
+            assert codes == [2, 2]

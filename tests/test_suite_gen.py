@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -101,6 +102,38 @@ GOLDEN_TREES = [
 def test_gen_trees_match_recorded_digests(tmp_path, spec, sha256):
     gen_suite(tmp_path, spec)
     assert tree_sha256(tmp_path) == sha256
+
+
+@pytest.fixture(scope="module")
+def perfbench_suite(tmp_path_factory):
+    """The perfbench bench suite (600 utterances, epsilon 0 and 0.4), made
+    under tracemalloc; returns (root, peak traced bytes of gen_suite)."""
+    gen_suite(tmp_path_factory.mktemp("warm-up"), SuiteGenSpec(keywords=("a",), n_pos=1, n_neg=1))
+    root = tmp_path_factory.mktemp("perfbench")
+    spec = SuiteGenSpec(n_pos=10, n_neg=100, epsilons=(0.0, 0.4), d_max=4, seed=1)
+    tracemalloc.start()
+    try:
+        gen_suite(root, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return root, peak
+
+
+def test_gen_files_equal_json_dumps_of_their_content(perfbench_suite):
+    root, _ = perfbench_suite
+    paths = [root / "manifest.json", *sorted((root / "lattices").glob("*.json"))]
+    assert len(paths) == 601
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_gen_peak_memory_stays_below_twice_the_manifest(perfbench_suite):
+    # Records are written as text one at a time: neither the record dicts
+    # nor an encoder's chunk list for the whole manifest is ever held.
+    root, peak = perfbench_suite
+    assert peak < 2 * (root / "manifest.json").stat().st_size
 
 
 def _tile_segments_per_draw(rng, spec, num_frames, keyword, filler_tokens):
@@ -284,6 +317,15 @@ def test_load_rejects_wrong_schema_and_labels(suite_dir, tmp_path):
         load_manifest(bad_label)
 
 
+@pytest.mark.parametrize("utterances", [[], {"pos-alpha-000-e0.00": {}}])
+def test_load_wants_a_non_empty_utterance_list(suite_dir, tmp_path, utterances):
+    raw = json.loads((suite_dir / "manifest.json").read_text())
+    raw["utterances"] = utterances
+    root = write_manifest(tmp_path / "suite", json.dumps(raw).encode())
+    with pytest.raises(ManifestError, match="field 'utterances': .*expected a non-empty list"):
+        load_manifest(root)
+
+
 def write_manifest(root: Path, content: bytes) -> Path:
     root.mkdir()
     (root / "manifest.json").write_bytes(content)
@@ -299,12 +341,23 @@ def write_manifest(root: Path, content: bytes) -> Path:
         ("lattice", 7),
         ("epsilon", 1.0),
         ("num_frames", 0),
+        ("num_frames", 26.5),
+        ("num_frames", "synth + 1"),
+        ("num_frames", "synth as a float"),
+        ("num_frames", True),
         ("duration_seconds", 0.0),
+        ("duration_seconds", math.inf),
+        ("duration_seconds", math.nan),
+        ("duration_seconds", "1.5"),
     ],
 )
 def test_load_names_the_file_utterance_and_field(suite_dir, tmp_path, field, value):
     raw = json.loads((suite_dir / "manifest.json").read_text())
     record = raw["utterances"][1]
+    synth_frames = record["synth"]["num_frames"]
+    value = {"synth + 1": synth_frames + 1, "synth as a float": float(synth_frames)}.get(
+        value, value
+    )
     if value is None:
         del record[field]
     else:
