@@ -24,6 +24,7 @@ from .decoder import (
     detect_events,
     dump_delta_matrix,
     parse_scorestream_record,
+    peak_events,
     scorestream_record,
 )
 from .emissions import (
@@ -128,6 +129,7 @@ __all__ = [
     "macro_recall",
     "oracle_check",
     "parse_scorestream_record",
+    "peak_events",
     "random_proper_lattice",
     "read_lattice",
     "recall_at_far",

@@ -125,10 +125,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         for record in records:
             print(json.dumps(record, sort_keys=True))
     else:
+        written = 0
         with Path(args.out).open("w", encoding="utf-8") as out:
             for record in records:
                 out.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"wrote {len(records)} score streams to {args.out}")
+                written += 1
+        print(f"wrote {written} score streams to {args.out}")
     return 0
 
 

@@ -20,17 +20,22 @@ The TDT hop schedule comes from the oracle's greedy duration track, fetched
 as one array (it depends on neither the keyword nor the greedy history):
 one clip to [1, d_max] and one integer loop over the hops. Emissions are
 fetched for the processed frames only: by ``decode_keywords`` for every
-keyword of an utterance in one ``emission_grids`` call, by
-``StreamingDecoder`` one row per processed frame.
+keyword of an utterance in one ``emission_grids`` call, which returns them
+as one block already in the lane layout below, by ``StreamingDecoder`` one
+row per processed frame.
 
 One DP routine (``_lane_columns``) serves every decode. It advances many
 lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
 count of processed columns rather than by frame, so RNN-T and TDT lanes of
 different utterances step together without masks and TDT keeps its skipped
-frames. ``decode_keywords`` batches whole utterances: the lanes of all
-keywords of an utterance share its hop schedule, enter a batch side by side
-in one buffer write and leave it as the rows of one score block;
-``StreamingDecoder`` runs the same routine on one lane, one column at a time.
+frames. ``decode_keywords`` batches whole utterances, up to 256 lanes per
+sweep: the lanes of all keywords of an utterance share its hop schedule,
+enter a batch side by side in one buffer write of the oracle's block and
+leave it as the rows of one (K, T) score block; ``StreamingDecoder`` runs
+the same routine on one lane, one column at a time. Offline event
+extraction works on such a block too: one greedy non-maximum suppression
+round picks the next peak of every keyword of an utterance at once
+(``_peak_picks``; ``peak_events`` is its one-row case).
 The routine sweeps anti-diagonals ("wavefronts") of the (column, u) grid:
 cell (k, u) depends only on (k, u-1) and (k-1, u), so all cells with the
 same k + u are independent and one wavefront costs a fixed handful of numpy
@@ -38,11 +43,12 @@ calls over every lane and every u.
 
 Everything accumulates in f64 even though oracles store f32. A batch
 left-pads shorter keywords with log-1 tokens (log_y = log_phi = 0), whose
-prefix then stays exactly 0.0, and right-pads shorter lanes, whose tail is
-dropped, so every lane's scores are bit-identical to a decode of that pair
-alone: each cell adds the same two operands in the same order, and since no
-NaN, +inf or -0.0 can reach a delta, the vectorized max returns the value
-the tie rule picks.
+prefix then stays exactly 0.0. A lane shorter than its batch runs on past
+its own columns over whatever rows an earlier batch left there; no earlier
+column reads a later one, and those columns are dropped. So every lane's
+scores are bit-identical to a decode of that pair alone: each cell adds the
+same two operands in the same order, and since no NaN, +inf or -0.0 can
+reach a delta, the vectorized max returns the value the tie rule picks.
 """
 
 from __future__ import annotations
@@ -64,12 +70,17 @@ RNNT = "rnnt"
 TDT = "tdt"
 ZERO_DURATION_POLICIES = ("clamp", "error")
 
-# Lanes per batch of ``decode_keywords``. A batch costs a fixed number of
-# numpy calls per wavefront whatever its width, so wider batches run faster
-# but hold more f32 rows at once. On perfbench's asr workload peak RSS was
-# 43.8 MiB at 32 lanes, 44.1 at 64, 45.1 at 128 and 46.7 at 256; 64 stays
-# within 1% of 32.
-_LANE_CHUNK = 64
+# Lanes per batch of ``decode_keywords``, at most. A batch costs a fixed
+# number of numpy calls per wavefront whatever its width, so wider batches
+# run faster but hold more f32 rows at once: a buffer of 256 lanes allocated
+# up front put perfbench's asr peak RSS at 46.7 MiB against 44.1 at 64. The
+# buffer starts at 64 lanes and widens only as batches fill (see
+# ``_LaneBatch``); so grown, peak RSS read 44.4, 44.3 and 43.8 MiB on asr
+# (whose runs of 80 lanes never widen past 64) and 60.2, 60.1 and 60.2 MiB
+# on bench (set by `kws gen` in its set-up) at caps of 64, 128 and 256. On
+# the seed-1 bench suite 256 lanes cut the sweeps from 166 to 68 and the
+# wavefront steps from 24,354 to 10,564.
+_LANE_CHUNK = 256
 
 
 def _check_search_config(config) -> None:
@@ -344,64 +355,83 @@ class _PendingUtterance:
     frame_seconds: float
     frames: np.ndarray
     keywords: list[str]
-    streams: list[ScoreStream] | None = None  # set once its batch is decoded
+    scores: np.ndarray | None = None  # (K, T) f64, set once its batch is decoded
+
+    def streams(self) -> list[ScoreStream]:
+        """One ScoreStream per keyword, each a row of the score block."""
+        processed = np.zeros(self.scores.shape, dtype=bool)
+        processed[:, self.frames - 1] = True
+        n = len(self.frames)
+        return [
+            ScoreStream(self.utt_id, keyword, self.frame_seconds, self.scores[k], processed[k], n)
+            for k, keyword in enumerate(self.keywords)
+        ]
 
 
 class _LaneBatch:
     """f32 edge buffer for whole utterances, reused batch after batch.
 
     ``add`` puts the K lanes of one utterance side by side at ``edges[...,
-    i:i + K]`` in ``_lane_columns``'s layout with one write, each lane
-    left-padded with log-1 entries (0.0) to the widest keyword seen; lanes
-    shorter than the batch's longest read zero rows past their own columns.
-    A batch holds up to ``_LANE_CHUNK`` lanes, or one utterance with more
-    keywords than that, and closes at an utterance boundary. The rows written
-    are zeroed after each batch. An utterance that does not fit first decodes
+    i:i + K]`` in ``_lane_columns``'s layout with one write of the oracle's
+    emission block, whose lanes are already left-padded with log-1 entries
+    (0.0) to its widest keyword, and one write of log-1 entries below that
+    width; lanes shorter than the batch's longest read stale rows past their
+    own columns, which only dropped columns use. A batch holds up to
+    ``width`` lanes, or one utterance with more keywords than that, and
+    closes at an utterance boundary. ``width`` starts at min(64,
+    ``_LANE_CHUNK``), and after each full batch grows to the lanes of all
+    full batches so far, up to ``_LANE_CHUNK``: the buffer never holds more
+    lanes than have been decoded before it, so a run of few lanes never
+    allocates the widest one. An utterance that does not fit first decodes
     the batch so far, so the old buffer is freed before a larger one is
     allocated.
     """
 
     def __init__(self, counters: SpeedCounters) -> None:
         self.counters = counters
-        self.edges = _edge_buffer(0, 0, _LANE_CHUNK)
+        self.width = min(64, _LANE_CHUNK)
+        self._closed = 0  # lanes of the full batches so far
+        self.edges = _edge_buffer(0, 0, self.width)
         self.utts: list[tuple[_PendingUtterance, int]] = []  # (utterance, first lane)
         self.lanes = self._columns = self._tokens = 0
 
-    def add(self, utt: _PendingUtterance, grids: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-        K, n = len(grids), len(utt.frames)
+    def add(self, utt: _PendingUtterance, block: np.ndarray) -> None:
+        """Queue ``utt`` with its (K, 2, n, u + 1) emission block."""
+        K, _, n, u1 = block.shape
         if not K:
-            utt.streams = []
+            utt.scores = np.empty((0, utt.num_frames))
             return
-        u = max(log_y.shape[1] for log_y, _ in grids)
+        u = u1 - 1
+        if self.lanes and self.lanes + K > self.width:
+            self._close()
         rows, _, U1, L = self.edges.shape
         U = U1 - 1
         C = rows - 1 - 2 * U
-        grow = n > C or u > U or K > L
-        if grow or self.lanes + K > _LANE_CHUNK:
+        if n > C or u > U or max(K, self.width) > L:
             self.decode()
-        if grow:
             del self.edges  # freed before its successor is allocated
             U = max(u, U)
-            self.edges = _edge_buffer(max(n, C), U, max(K, L))
+            self.edges = _edge_buffer(max(n, C), U, max(K, self.width, L))
         i = self.lanes
-        lanes = self.edges[U + 1 : U + 1 + n, :, :, i : i + K].transpose(3, 1, 0, 2)
-        # One lane is written in place; more are staged, then stored in one write.
-        stage = lanes if K == 1 else np.zeros(lanes.shape, dtype=np.float32)
-        for k, (log_y, log_phi) in enumerate(grids):
-            w = log_y.shape[1]
-            stage[k, 0, :, U - w : U] = log_y
-            stage[k, 1, :, U - w :] = log_phi
-        if stage is not lanes:
-            lanes[...] = stage
+        lanes = self.edges[U + 1 : U + 1 + n, :, :, i : i + K]
+        lanes[:, :, U - u :] = block.transpose(2, 1, 3, 0)
+        if u < U:
+            lanes[:, :, : U - u] = 0.0  # log 1 below a narrower utterance's keywords
         self.utts.append((utt, i))
         self.lanes += K
         self._columns = max(self._columns, n)
         self._tokens = max(self._tokens, u)
-        if self.lanes >= _LANE_CHUNK:
-            self.decode()
+        if self.lanes >= self.width:
+            self._close()
+
+    def _close(self) -> None:
+        """Decode a full batch; the next may hold as many lanes as all so far."""
+        self._closed += self.lanes
+        self.decode()
+        self.width = min(max(self.width, self._closed), _LANE_CHUNK)
 
     def decode(self) -> None:
-        """Run the DP over the batch, cut each utterance's ScoreStreams, and empty it."""
+        """Run the DP over the batch, set each utterance's score block, and empty it."""
         L, C, U = self.lanes, self._columns, self._tokens
         if not L:
             return
@@ -414,40 +444,19 @@ class _LaneBatch:
         self.counters.search_wall_seconds += perf_counter() - tick
 
         for utt, i in self.utts:
-            K, n, idx = len(utt.keywords), len(utt.frames), utt.frames - 1
-            block = np.full((K, utt.num_frames), NEG_INF)
-            block[:, idx] = scores[:n, i : i + K].T
-            processed = np.zeros((K, utt.num_frames), dtype=bool)
-            processed[:, idx] = True
-            utt.streams = [
-                ScoreStream(utt.utt_id, keyword, utt.frame_seconds, block[k], processed[k], n)
-                for k, keyword in enumerate(utt.keywords)
-            ]
-        self.edges[U_buf + 1 : U_buf + 1 + C, :, :, :L] = 0.0
+            K, n = len(utt.keywords), len(utt.frames)
+            utt.scores = np.full((K, utt.num_frames), NEG_INF)
+            utt.scores[:, utt.frames - 1] = scores[:n, i : i + K].T
         self.utts = []
         self.lanes = self._columns = self._tokens = 0
 
 
-def decode_keywords(
+def _decode_blocks(
     utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
     config: DecodeConfig,
-    counters: SpeedCounters | None = None,
-) -> Iterator[list[ScoreStream]]:
-    """Whole-utterance decodes of many (oracle, keywords, utt_id) triples.
-
-    Yields, in input order, one list per utterance with one ScoreStream per
-    keyword, as soon as its batch is decoded. Each utterance's hop schedule
-    is computed once, and one ``emission_grids`` call fetches the rows of all
-    its keywords at the scheduled frames only; its lanes join a batch
-    together, and an oracle is not held once its rows are fetched. Scores
-    are bit-identical to one ``StreamingDecoder`` per pair, and counted the
-    same way: per pair and processed frame, one row query plus, in TDT mode,
-    one greedy query, as a per-column decode would make them.
-    ``search_wall_seconds`` brackets the batched column loops;
-    ``total_wall_seconds`` covers schedules, row fetches and batches, not the
-    time spent drawing from ``utterances`` or in the caller.
-    """
-    counters = counters if counters is not None else SpeedCounters()
+    counters: SpeedCounters,
+) -> Iterator[_PendingUtterance]:
+    """``decode_keywords`` with each utterance's scores as one (K, T) block."""
     queries_per_column = 2 if config.mode == TDT else 1
     pending: deque[_PendingUtterance] = deque()
     batch = _LaneBatch(counters)
@@ -465,13 +474,38 @@ def decode_keywords(
         counters.columns_evaluated += columns
         counters.oracle_queries += queries_per_column * columns
         counters.total_wall_seconds += perf_counter() - tick
-        while pending and pending[0].streams is not None:
-            yield pending.popleft().streams
+        while pending and pending[0].scores is not None:
+            yield pending.popleft()
     tick = perf_counter()
     batch.decode()
     counters.total_wall_seconds += perf_counter() - tick
-    while pending:
-        yield pending.popleft().streams
+    yield from pending
+
+
+def decode_keywords(
+    utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
+    config: DecodeConfig,
+    counters: SpeedCounters | None = None,
+) -> Iterator[list[ScoreStream]]:
+    """Whole-utterance decodes of many (oracle, keywords, utt_id) triples.
+
+    Yields, in input order, one list per utterance with one ScoreStream per
+    keyword, as soon as its batch is decoded; the streams of an utterance
+    are the rows of one score block. Each utterance's hop schedule is
+    computed once, and one ``emission_grids`` call fetches the rows of all
+    its keywords at the scheduled frames only, as one block; its lanes join
+    a batch together, and an oracle is not held once its rows are fetched.
+    Scores are bit-identical to one ``StreamingDecoder`` per pair, and
+    counted the same way: per pair and processed frame, one row query plus,
+    in TDT mode, one greedy query, as a per-column decode would make them.
+    ``search_wall_seconds`` brackets the batched column loops;
+    ``total_wall_seconds`` covers schedules, row fetches and batches, not the
+    time spent drawing from ``utterances``, building the streams or in the
+    caller.
+    """
+    counters = counters if counters is not None else SpeedCounters()
+    for utt in _decode_blocks(utterances, config, counters):
+        yield utt.streams()
 
 
 def decode_kws(
@@ -509,6 +543,39 @@ def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEv
     ]
 
 
+def _peak_picks(scores: np.ndarray, refractory_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy non-maximum suppression on every row of a (K, T) score block.
+
+    Returns the (row, frame index) pairs picked, sorted by row, then frame.
+    Each round takes every live row's highest finite score, the earliest
+    frame on ties (``argmax``), suppresses +-refractory_frames around it and
+    drops the rows that have none left; picks lie more than the refractory
+    apart, so there are at most ceil(T / (refractory + 1)) rounds with picks.
+    Non-finite scores are never picked (skipped frames are -inf). The
+    refractory is clipped to T, so it may be any non-negative integer.
+    """
+    if refractory_frames < 0:
+        raise ValidationError("refractory_frames must be >= 0")
+    K, T = scores.shape
+    r = min(refractory_frames, T)
+    # Rows padded with r frames of -inf on each side, so a suppression never
+    # runs off its row.
+    W = T + 2 * r
+    work = np.full((K, W), NEG_INF)
+    np.copyto(work[:, r : r + T], scores, where=np.isfinite(scores))
+    flat = work.reshape(-1)
+    reach = np.arange(-r, r + 1)
+    rows, picks = np.arange(K if T else 0), [np.empty(0, dtype=np.int64)]
+    while len(rows):
+        at = rows * W + (work if len(rows) == K else work[rows]).argmax(axis=1)
+        found = flat[at] > NEG_INF
+        rows, at = rows[found], at[found]
+        picks.append(at)
+        flat[at[:, None] + reach] = NEG_INF
+    rows, cols = np.divmod(np.sort(np.concatenate(picks)), W)
+    return rows, cols - r
+
+
 def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEvent]:
     """Threshold-free event extraction: greedy non-maximum suppression.
 
@@ -516,37 +583,14 @@ def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEv
     suppresses +-refractory_frames around it. The causal gate above is the
     live-detection path; this offline form yields the per-utterance event
     list that threshold sweeps rank, since the event at a peak would fire at
-    any threshold at or below its score.
-
-    Only finite scores can become events (skipped frames are -inf), so a
-    stream without one returns at once. The finite frames are ordered by one
-    stable sort of their negated scores, which keeps ties in frame order,
-    and walked against a byte mask of suppressed frames, one slice write per
-    pick. The mask and each write are clipped to the stream's length, never
-    sized by ``refractory_frames``, which may be any non-negative integer.
+    any threshold at or below its score. It is the one-row case of the
+    block routine that ``bench`` runs on all keywords of an utterance at
+    once (``_peak_picks``).
     """
-    if refractory_frames < 0:
-        raise ValidationError("refractory_frames must be >= 0")
-    scores = stream.scores
-    (finite,) = np.isfinite(scores).nonzero()
-    if not len(finite):
-        return []
-    order = finite[np.argsort(-scores[finite], kind="stable")]
-    n = len(scores)
-    suppressed = memoryview(bytearray(n))
-    ones = memoryview(b"\x01" * n)
-    picks = []
-    for idx in order.tolist():
-        if suppressed[idx]:
-            continue
-        picks.append(idx)
-        lo = max(0, idx - refractory_frames)
-        hi = min(n, idx + refractory_frames + 1)
-        suppressed[lo:hi] = ones[: hi - lo]
-    picks.sort()
+    _, frames = _peak_picks(stream.scores[None], refractory_frames)
     return [
         DetectionEvent(stream.keyword, idx + 1, score)
-        for idx, score in zip(picks, scores[picks].tolist())
+        for idx, score in zip(frames.tolist(), stream.scores[frames].tolist())
     ]
 
 

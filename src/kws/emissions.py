@@ -6,9 +6,9 @@ two kinds of questions:
 * keyword-track emissions: the log-probability of the next keyword token
   (``log_y``) or of blank (``log_phi``) at lattice node (t, u), where u is the
   number of keyword tokens already consumed. A decode asks for the frames it
-  processes only, for every keyword of an utterance at once
-  (``emission_grids``), as a TDT joiner runs only where the predicted
-  durations land;
+  processes only, for every keyword of an utterance at once, as one block
+  in the decoder's lane layout (``emission_grids``), as a TDT joiner runs
+  only where the predicted durations land;
 * the greedy duration track (duration-aware oracles only): the argmax
   duration at every frame, as one array (``greedy_durations``). It depends
   on neither the keyword nor the greedy history, so one array serves every
@@ -128,28 +128,29 @@ class EmissionOracle(ABC):
         for u in [0, U]. Rows are f32 and must not be mutated by callers.
         """
 
-    def emission_grids(
-        self, keywords: Sequence[KeywordSpec], frames: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Keyword-track emissions of many keywords at the same frames.
+    def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
+        """Keyword-track emissions of many keywords at the same frames, as one block.
 
-        ``frames`` holds 1-based frame indices. Returns one ``(log_y,
-        log_phi)`` pair per keyword, in order, of shapes (len(frames), U) and
-        (len(frames), U + 1), row i being ``emission_rows(keyword,
-        frames[i])``. This default stacks those rows, one call per keyword
-        and frame, so an oracle that wraps or delegates ``emission_rows``
-        still sees every row; oracles that hold whole grids or can answer
-        all keywords together override it.
+        ``frames`` holds 1-based frame indices. Returns one f32 block of shape
+        (K, 2, n, U + 1) for K keywords, n frames and U the widest keyword's
+        token count, in the decoder's lane layout: a keyword k of w tokens
+        has ``log_y`` at ``[k, 0, :, U - w:U]`` and ``log_phi`` at ``[k, 1,
+        :, U - w:]``, row i being ``emission_rows(keyword, frames[i])``, and
+        every other entry is 0.0 (log 1). The block may be a read-only view
+        and must not be mutated. This default stacks those rows, one call
+        per keyword and frame, so an oracle that wraps or delegates
+        ``emission_rows`` still sees every row; oracles that hold whole
+        grids or can answer all keywords together override it.
         """
-        grids = []
-        for keyword in keywords:
-            U = keyword.num_tokens
-            log_y = np.empty((len(frames), U), dtype=np.float32)
-            log_phi = np.empty((len(frames), U + 1), dtype=np.float32)
+        U = max((keyword.num_tokens for keyword in keywords), default=0)
+        block = np.zeros((len(keywords), 2, len(frames), U + 1), dtype=np.float32)
+        for k, keyword in enumerate(keywords):
+            w = keyword.num_tokens
             for i, t in enumerate(frames):
-                log_y[i], log_phi[i] = self.emission_rows(keyword, int(t))
-            grids.append((log_y, log_phi))
-        return grids
+                block[k, 0, i, U - w : U], block[k, 1, i, U - w :] = self.emission_rows(
+                    keyword, int(t)
+                )
+        return block
 
     def _check_frames(self, frames: np.ndarray) -> None:
         if len(frames) and not (1 <= frames.min() and frames.max() <= self.num_frames):

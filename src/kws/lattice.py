@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,9 +82,9 @@ class LatticeData:
                 f"log_phi shape {self.log_phi.shape} != {(T, U + 1)}"
             )
         for name, arr in (("log_y", self.log_y), ("log_phi", self.log_phi)):
-            if np.isnan(arr).any():
-                raise LatticeValueError(f"{name} contains NaN")
-            if (arr > 0).any():
+            if not arr.max() <= 0:  # NaN propagates through max and fails too
+                if np.isnan(arr).any():
+                    raise LatticeValueError(f"{name} contains NaN")
                 raise LatticeValueError(f"{name} contains log-probabilities > 0")
         if not 0 <= self.d_max <= D_MAX_LIMIT:
             raise ValidationError(f"D_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
@@ -125,38 +126,43 @@ def save_lattice(data: LatticeData, path: str | Path) -> Path:
 
 
 def read_lattice(path: str | Path) -> LatticeData:
-    """Parse and validate one KWL1 file plus its sidecar."""
+    """Parse and validate one KWL1 file plus its sidecar.
+
+    The header is checked against the file's size before the body is read,
+    so a header that claims more data than the file holds costs no read of
+    it, whatever its dimensions."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a KWL1 file (magic {raw[:4]!r})")
-    if len(raw) < _HEADER.size:
-        raise TruncatedLatticeError(
-            f"{path}: header needs {_HEADER.size} bytes, file has {len(raw)}"
-        )
-    _, version, T, U, d_max, frame_seconds = _HEADER.unpack_from(raw)
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: version {version} unsupported (reader speaks {VERSION})")
-    if T < 1 or U < 1:
-        raise LatticeValueError(f"{path}: header T={T}, U={U}; both must be >= 1")
-    expected = 4 * T * U + 4 * T * (U + 1) + (6 * T if d_max > 0 else 0)
-    actual = len(raw) - _HEADER.size
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if header[:4] != MAGIC:
+            raise BadMagicError(f"{path}: not a KWL1 file (magic {header[:4]!r})")
+        if len(header) < _HEADER.size:
+            raise TruncatedLatticeError(
+                f"{path}: header needs {_HEADER.size} bytes, file has {len(header)}"
+            )
+        _, version, T, U, d_max, frame_seconds = _HEADER.unpack(header)
+        if version != VERSION:
+            raise UnsupportedVersionError(f"{path}: version {version} unsupported (reader speaks {VERSION})")
+        if T < 1 or U < 1:
+            raise LatticeValueError(f"{path}: header T={T}, U={U}; both must be >= 1")
+        expected = 4 * T * U + 4 * T * (U + 1) + (6 * T if d_max > 0 else 0)
+        actual = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if actual == expected:
+            body = bytearray(expected)  # writable, so the arrays below need no copy
+            actual = fh.readinto(body)
     if actual != expected:
         raise TruncatedLatticeError(
             f"{path}: body has {actual} bytes, header dimensions require {expected}"
         )
-    offset = _HEADER.size
-    log_y = np.frombuffer(raw, dtype="<f4", count=T * U, offset=offset).reshape(T, U).copy()
-    offset += 4 * T * U
-    log_phi = (
-        np.frombuffer(raw, dtype="<f4", count=T * (U + 1), offset=offset).reshape(T, U + 1).copy()
-    )
+    log_y = np.frombuffer(body, dtype="<f4", count=T * U).reshape(T, U)
+    offset = 4 * T * U
+    log_phi = np.frombuffer(body, dtype="<f4", count=T * (U + 1), offset=offset).reshape(T, U + 1)
     offset += 4 * T * (U + 1)
     greedy_tokens = greedy_durations = None
     if d_max > 0:
-        greedy_tokens = np.frombuffer(raw, dtype="<u4", count=T, offset=offset).copy()
+        greedy_tokens = np.frombuffer(body, dtype="<u4", count=T, offset=offset)
         offset += 4 * T
-        greedy_durations = np.frombuffer(raw, dtype="<u2", count=T, offset=offset).copy()
+        greedy_durations = np.frombuffer(body, dtype="<u2", count=T, offset=offset)
 
     sidecar_path = path.with_suffix(".json")
     try:
@@ -236,15 +242,16 @@ class FileLatticeOracle(EmissionOracle):
         self._check_keyword(keyword)
         return self._data.log_y[t - 1], self._data.log_phi[t - 1]
 
-    def emission_grids(
-        self, keywords: Sequence[KeywordSpec], frames: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
         self._check_frames(frames)
         for keyword in keywords:
             self._check_keyword(keyword)
-        # Every keyword is the stored one, so all share one pair of grids.
-        grids = self._data.log_y[frames - 1], self._data.log_phi[frames - 1]
-        return [grids] * len(keywords)
+        # Every keyword is the stored one, so all lanes are the same.
+        U = self._data.num_tokens
+        block = np.zeros((len(keywords), 2, len(frames), U + 1), dtype=np.float32)
+        block[:, 0, :, :U] = self._data.log_y[frames - 1]
+        block[:, 1] = self._data.log_phi[frames - 1]
+        return block
 
     def _check_greedy_track(self) -> None:
         if not self.supports_tdt:
@@ -295,8 +302,7 @@ def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> La
     one int64 array (``_greedy_tokens``, ``greedy_durations``), written as
     u32 and u16; a value out of the field's range raises ValidationError.
     """
-    T = oracle.num_frames
-    ((log_y, log_phi),) = oracle.emission_grids([keyword], np.arange(1, T + 1))
+    ((log_y, log_phi),) = oracle.emission_grids([keyword], np.arange(1, oracle.num_frames + 1))
     greedy_tokens = greedy_durations = None
     if oracle.d_max > 0:
         greedy_tokens = _channel(oracle._greedy_tokens(), "<u4", "greedy_token")
@@ -304,7 +310,7 @@ def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> La
     return LatticeData(
         keyword=keyword,
         frame_seconds=oracle.frame_seconds,
-        log_y=log_y,
+        log_y=log_y[:, : keyword.num_tokens],
         log_phi=log_phi,
         d_max=oracle.d_max,
         greedy_tokens=greedy_tokens,

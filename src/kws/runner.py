@@ -4,10 +4,15 @@ Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
 keyword conditioning). Each negative builds one ``SyntheticOracle`` per run.
-All utterances of a run go through one in-process ``decode_keywords`` call,
-which decodes them as batched (utterance, keyword) lanes; its
-``oracle_queries`` still count one row query per keyword per column, plus one
-greedy query per keyword per column in TDT mode. ASR baseline rows always use
+All utterances of a run go through one in-process decode, which decodes them
+as batched (utterance, keyword) lanes and hands back each utterance's scores
+as one (keyword, frame) block; its ``oracle_queries`` still count one row
+query per keyword per column, plus one greedy query per keyword per column
+in TDT mode. Event scores come from each block as a whole: a positive's best
+event is its row's highest finite score, and a negative's peak events, for
+all its keywords at once, come from one greedy non-maximum suppression over
+the block. ``decode_suite`` yields its records one at a time, so a caller
+that writes each before drawing the next holds one. ASR baseline rows always use
 the generative oracle: each utterance of an epsilon group builds one
 ``SyntheticOracle``, and each ASR search runs on all of the group's oracles
 at once, in lockstep rounds (see ``baselines``): every round makes one row
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, replace
 from time import perf_counter
+from typing import Iterator
 
 import numpy as np
 
@@ -36,11 +42,12 @@ from .decoder import (
     RNNT,
     TDT,
     DecodeConfig,
+    _decode_blocks,
     _encode_float,
+    _peak_picks,
     decode_keywords,
     decode_kws,
     detect_events,
-    peak_events,
     scorestream_record,
 )
 from .emissions import KeywordSpec, NEG_INF
@@ -66,18 +73,18 @@ def _config_echo(config: DecodeConfig) -> dict:
     return echo
 
 
-def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> list[dict]:
-    """Decode every utterance against its lattice keyword; returns JSONL records
-    with the live gate's events (streaming semantics)."""
+def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[dict]:
+    """Decode every utterance against its lattice keyword; yields one JSONL
+    record per utterance, in utterance-id order, with the live gate's events
+    (streaming semantics). Records are made one at a time, as the caller
+    draws them, so none is held once the caller has moved on."""
     by_name = suite.keywords_by_name
     utterances = (
         (load_lattice(suite.lattice_path(utt)), (by_name[utt.lattice_keyword],), utt.utt_id)
         for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
     )
-    return [
-        scorestream_record(stream, detect_events(stream, config))
-        for (stream,) in decode_keywords(utterances, config)
-    ]
+    for (stream,) in decode_keywords(utterances, config):
+        yield scorestream_record(stream, detect_events(stream, config))
 
 
 def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
@@ -116,20 +123,28 @@ def _bench_one_run(
         for u in negatives:
             yield SyntheticOracle(u.synth), suite.keywords, u.utt_id
 
-    # Threshold-free peak event scores per utterance and keyword.
-    results = [
-        [[e.log_score for e in peak_events(s, collect.refractory_frames)] for s in streams]
-        for streams in decode_keywords(utterances(), collect, counters)
-    ]
+    # Threshold-free peak event scores: a positive's best event, which is the
+    # highest finite score of its one row, and every peak event of every
+    # keyword of a negative, from its (K, T) score block.
     pos_count = sum(len(utts) for utts in positives)
-    pos_results = iter(results[:pos_count])
-    neg_results = results[pos_count:]
+    pos_scores, neg_keywords, neg_scores = [], [], []
+    for i, utt in enumerate(_decode_blocks(utterances(), collect, counters)):
+        scores = utt.scores
+        if i < pos_count:
+            pos_scores.append(float(np.where(np.isfinite(scores), scores, NEG_INF).max()))
+        else:
+            rows, frames = _peak_picks(scores, collect.refractory_frames)
+            neg_keywords.append(rows)
+            neg_scores.append(scores[rows, frames])
+    neg_keywords = np.concatenate([np.empty(0, dtype=np.int64), *neg_keywords])
+    neg_scores = np.concatenate([np.empty(0), *neg_scores])
     per_keyword = []
+    start = 0
     for k, (keyword, utts) in enumerate(zip(suite.keywords, positives)):
-        pos_scores = [max(next(pos_results)[0], default=NEG_INF) for _ in utts]
-        neg_scores = [s for r in neg_results for s in r[k]]
-        rar = recall_at_far(pos_scores, neg_scores, neg_hours, target_far)
-        per_keyword.append(_recall_entry(keyword.name, rar, len(neg_scores)))
+        keyword_neg = neg_scores[neg_keywords == k].tolist()
+        rar = recall_at_far(pos_scores[start : start + len(utts)], keyword_neg, neg_hours, target_far)
+        per_keyword.append(_recall_entry(keyword.name, rar, len(keyword_neg)))
+        start += len(utts)
     run = {
         "per_keyword": per_keyword,
         "macro_recall": macro_recall([e["recall"] for e in per_keyword]),

@@ -28,15 +28,21 @@ spreads the rest uniformly over the other D_max values of {0..D_max}.
 
 The per-frame planted state (covering token, segment ordinal, ideal
 duration) is filled at construction by one ``np.repeat`` over the runs of
-gaps and segments. Keyword-track emissions are computed on demand at the
-queried frames only, for all queried keywords in one broadcast over
-(keyword, frame, u). Keyword positions come from ``_segment_positions``:
-one pass over the segment tokens matches every keyword of a query and
-yields a (keyword, segment) position table, which ``emission_grids``
-indexes once by the segment ordinals of the queried frames. The
-single-frame query ``emission_rows`` runs the same scan for its one keyword;
-it caches the keyword's per-frame positions and the distinct rows it has
-asked for. The duration log-prob vectors and the greedy duration track are
+gaps and segments. Keyword-track emissions are fetched on demand at the
+queried frames only, for all queried keywords at once, as one block in the
+decoder's lane layout. A row depends on its frame only through the keyword
+position of the covering segment and the class of its token for the
+keyword (blank, absent from the keyword, or which keyword token it is), so
+a keyword set's distinct rows form one small table (``_KeywordRows``),
+built once per keyword set and epsilon and shared by every oracle. Keyword
+positions come from ``_segment_positions``: one pass over the segment
+tokens matches every keyword of a query and yields a (keyword, segment)
+position table. ``emission_grids`` turns it and the segment token classes
+into a (keyword, segment) row code, indexes that once by the segment
+ordinals of the queried frames and gathers the rows: no step of the query
+loops over the keywords. The single-frame query ``emission_rows`` runs the
+same scan for its one keyword; it caches the keyword's per-frame positions
+and the distinct rows it has asked for. The duration log-prob vectors and the greedy duration track are
 closed forms of the per-frame ideal duration, so no (d_max + 1)-squared
 table is built, whatever d_max.
 
@@ -48,6 +54,7 @@ per-oracle offsets, without reading any history's tokens.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -190,6 +197,9 @@ class SyntheticOracle(EmissionOracle):
         noise = eps / (V + 1)
         self._log_noise = math.log(noise) if noise > 0 else NEG_INF
         self._log_ideal = math.log(noise + (1.0 - eps))
+        # The f32 values every keyword-track row holds.
+        self._ideal32 = float(np.float32(self._log_ideal))
+        self._noise32 = float(np.float32(self._log_noise))
 
         # keyword tokens -> per-frame keyword position, for per-frame queries
         self._kw_pos_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -232,7 +242,15 @@ class SyntheticOracle(EmissionOracle):
 
     # Keyword track
 
-    def _segment_positions(self, keywords: Sequence[KeywordSpec]) -> np.ndarray:
+    def _rows(self, keywords: Sequence[KeywordSpec]) -> "_KeywordRows":
+        rows = _keyword_rows(tuple(keywords), self._ideal32, self._noise32)
+        V = self._cfg.vocab_size
+        if rows.top > V:
+            name = next(keyword.name for keyword in keywords if max(keyword.tokens) > V)
+            raise ValidationError(f"keyword {name!r} has token-ids above vocab_size {V}")
+        return rows
+
+    def _segment_positions(self, rows: "_KeywordRows") -> np.ndarray:
         """(K, n + 1) keyword position m in [1, U] of each segment inside a
         matched occurrence of keyword k, else 0; column 0 stands for gaps.
 
@@ -240,18 +258,9 @@ class SyntheticOracle(EmissionOracle):
         tokens equal keyword.tokens, matched greedily left to right. One pass
         over the segment tokens serves every keyword of the query.
         """
-        keys = [keyword.tokens for keyword in keywords]
-        V = self._cfg.vocab_size
-        for keyword in keywords:
-            if any(t > V for t in keyword.tokens):
-                raise ValidationError(
-                    f"keyword {keyword.name!r} has token-ids above vocab_size {V}"
-                )
+        keys, starting = rows.keys, rows.starting
         toks = self._seg_tokens
         seg_pos = np.zeros((len(keys), len(toks) + 1), dtype=np.int64)
-        starting: dict[int, list[int]] = {}  # first token -> keywords that start with it
-        for k, key in enumerate(keys):
-            starting.setdefault(key[0], []).append(k)
         free = [0] * len(keys)  # first segment a next occurrence of keyword k may start at
         for i, token in enumerate(toks):
             for k in starting.get(token, ()):
@@ -266,46 +275,36 @@ class SyntheticOracle(EmissionOracle):
         """Per-frame keyword position m in [1, U] inside matched occurrences, else 0."""
         pos = self._kw_pos_cache.get(keyword.tokens)
         if pos is None:
-            pos = self._segment_positions([keyword])[0][self._seg_ord]
+            pos = self._segment_positions(self._rows([keyword]))[0][self._seg_ord]
             self._kw_pos_cache[keyword.tokens] = pos
         return pos
 
-    def emission_grids(
-        self, keywords: Sequence[KeywordSpec], frames: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """f32 grids (log_y (n, U), log_phi (n, U+1)) per keyword at the n frames.
+    def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
+        """The (K, 2, n, U + 1) f32 emission block at the n frames.
 
-        One broadcast over (keyword, frame, u), padded to the widest keyword;
-        each keyword's pair is a view of its slice of the padded arrays.
+        Each (keyword, frame) entry is one gather from the keyword set's row
+        table, at the code of the covering segment's keyword position and
+        token class; no step loops over the keywords.
         """
         self._check_frames(frames)
-        if not keywords:
-            return []
-        idx = frames - 1
-        widths = [keyword.num_tokens for keyword in keywords]
-        U = max(widths)
-        tokens = np.zeros((len(keywords), 1, U), dtype=np.int64)
-        for k, keyword in enumerate(keywords):
-            tokens[k, 0, : widths[k]] = keyword.tokens
-        pos = self._segment_positions(keywords)[:, self._seg_ord[idx]]
-        content = self._content[idx][:, None]
-        # At node (frame, u) the ideal symbol is blank when position 1..u of
-        # a matched occurrence covers the frame (that token is consumed by
-        # the prefix), else the covering segment token (blank on gaps).
-        consumed = (pos[:, :, None] > 0) & (pos[:, :, None] <= np.arange(U + 1))
-        ideal32 = np.float32(self._log_ideal)
-        noise32 = np.float32(self._log_noise)
-        log_phi = np.where(consumed | (content == BLANK_ID), ideal32, noise32)
-        log_y = np.where(~consumed[:, :, :U] & (content == tokens), ideal32, noise32)
-        return [(log_y[k, :, :u], log_phi[k, :, : u + 1]) for k, u in enumerate(widths)]
+        if not len(keywords):
+            return np.zeros((0, 2, len(frames), 1), dtype=np.float32)
+        rows = self._rows(keywords)
+        # Each segment token's class in the keyword set; column 0 is the gaps'.
+        tokens = self._segments[:, 0]
+        at = np.minimum(np.searchsorted(rows.tokens, tokens), len(rows.tokens) - 1)
+        classes = np.zeros(len(tokens) + 1, dtype=np.int64)
+        classes[1:] = np.where(rows.tokens[at] == tokens, at + 2, 1)
+        codes = self._segment_positions(rows) * rows.classes_per_position + rows.codes[:, classes]
+        return np.take(rows.table, codes[:, self._seg_ord[frames - 1]], axis=0).transpose(0, 2, 1, 3)
 
     def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
         self._check_frame(t)
         # A row depends on its frame only through the keyword position and
         # the covering token there, and on the token only through whether it
         # is blank or which keyword tokens it equals; frames that agree on
-        # both share one row. A broadcast per row would cost some 40 times a
-        # lookup.
+        # both share one row, so only the first frame of each pays for a
+        # block query.
         position = int(self._keyword_positions(keyword)[t - 1])
         token = int(self._content[t - 1])
         if token != BLANK_ID and token not in keyword.tokens:
@@ -314,7 +313,7 @@ class SyntheticOracle(EmissionOracle):
         rows = self._row_cache.get(key)
         if rows is None:
             ((log_y, log_phi),) = self.emission_grids([keyword], np.array([t]))
-            rows = self._row_cache[key] = (log_y[0], log_phi[0])
+            rows = self._row_cache[key] = (log_y[0, :-1], log_phi[0])
         return rows
 
     # Generative track
@@ -414,3 +413,69 @@ class SyntheticOracle(EmissionOracle):
             log_duration_prob=self._log_concentrated if duration == ideal else self._log_spread,
         )
         return out, emitted + (1 if token != BLANK_ID else 0)
+
+
+class _KeywordRows:
+    """The distinct keyword-track rows of a keyword set, at one pair of f32
+    ideal and noise log-probs, in the lane layout of ``emission_grids``.
+
+    A row pair (log_y, log_phi) depends on its frame only through the
+    keyword position m in [0, U] of the covering segment and the class of
+    the covering token for the keyword: 0 for blank, 1 for a token the
+    keyword lacks, 2 + j for the keyword's token at its first position j.
+    ``table[codes[k, g] + m * classes_per_position]`` is keyword k's
+    (2, U + 1) row pair at position m for a token of class g in the whole
+    set: 0 for blank, 1 for a token no keyword holds, 2 + i for
+    ``tokens[i]``.
+    """
+
+    def __init__(self, keywords: tuple[KeywordSpec, ...], ideal: float, noise: float) -> None:
+        self.keys = [keyword.tokens for keyword in keywords]
+        self.top = max(max(key) for key in self.keys)
+        self.starting: dict[int, list[int]] = {}  # first token -> keywords that start with it
+        for k, key in enumerate(self.keys):
+            self.starting.setdefault(key[0], []).append(k)
+        K = len(self.keys)
+        widths = np.array([len(key) for key in self.keys])
+        U = int(widths.max())
+        padded = np.zeros((K, U), dtype=np.int64)  # tokens; 0 past a keyword's width
+        for k, key in enumerate(self.keys):
+            padded[k, : len(key)] = key
+        self.tokens = np.unique(padded[padded > 0])
+
+        C = self.classes_per_position = U + 2
+        # The token each class stands for (-1: none), and each set class's
+        # class for every keyword.
+        class_token = np.full((K, C), -1, dtype=np.int64)
+        class_token[:, 2:] = np.where(padded > 0, padded, -1)
+        equal = padded[:, :, None] == self.tokens  # (K, U, D)
+        codes = np.ones((K, len(self.tokens) + 2), dtype=np.int64)
+        codes[:, 0] = 0
+        codes[:, 2:] = np.where(equal.any(axis=1), 2 + equal.argmax(axis=1), 1)
+        self.codes = codes + (np.arange(K) * (U + 1) * C)[:, None]
+
+        # Lane p of keyword k holds its token position u = p - (U - width).
+        u = np.arange(U + 1) - (U - widths)[:, None]  # (K, U + 1)
+        token_at = np.where(
+            (u >= 0) & (u < widths[:, None]),
+            np.take_along_axis(padded, np.clip(u, 0, U - 1), axis=1),
+            0,
+        )
+        m = np.arange(U + 1)[:, None]
+        # At node (frame, u) the ideal symbol is blank when position 1..u of
+        # a matched occurrence covers the frame (that token is consumed by
+        # the prefix), else the covering token (blank on gaps).
+        consumed = ((m > 0) & (m <= u[:, None, :]))[:, :, None, :]  # (K, M, 1, U + 1)
+        y_ideal = ~consumed & (token_at[:, None, None, :] == class_token[:, None, :, None])
+        phi_ideal = consumed | (np.arange(C) == 0)[:, None]
+        pick = np.float32([0.0, noise, ideal])  # off the keyword, noise, ideal
+        table = np.empty((K, U + 1, C, 2, U + 1), dtype=np.float32)
+        table[..., 0, :] = pick[((u >= 0) & (u < widths[:, None]))[:, None, None] * (1 + y_ideal)]
+        table[..., 1, :] = pick[((u >= 0) & (u <= widths[:, None]))[:, None, None] * (1 + phi_ideal)]
+        self.table = table.reshape(-1, 2, U + 1)
+
+
+# Shared by every oracle: a bench run queries one keyword set at one epsilon
+# for each of its negatives, and `kws gen` snapshots each keyword at each
+# epsilon (40 sets of one keyword for the 20 default keywords and 2 epsilons).
+_keyword_rows = functools.lru_cache(maxsize=128)(_KeywordRows)

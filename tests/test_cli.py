@@ -7,6 +7,8 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import jsonschema
@@ -21,7 +23,10 @@ from kws import (
     SidecarError,
     ValidationError,
     bench,
+    decode_keywords,
+    decode_suite,
     greedy_search,
+    load_lattice,
     load_manifest,
     read_lattice,
     save_lattice,
@@ -600,3 +605,51 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cases"] == 2
+
+
+def _traced(fn) -> tuple[int, int]:
+    """(peak, held) bytes of calling ``fn``: its traced peak, and what its
+    result still holds once it returns."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak, held
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_suite_holds_one_record_at_a_time(tmp_path, capsys):
+    """`decode_suite` yields its records lazily: drawing them one by one
+    peaks within a few records of the decode's own working set, where a list
+    of all of them holds every record at once; `kws decode` still counts
+    every line it writes."""
+    root = tmp_path / "suite"
+    flags = ["--keywords", "alpha", "--n-pos", "60", "--n-neg", "60", "--epsilon", "0.3",
+             "--frames-min", "150", "--frames-max", "200", "--seed", "5"]
+    assert main(["gen", "--out", str(root), *flags]) == 0
+    suite = load_manifest(root)
+    config = DecodeConfig(mode="rnnt")
+    records = decode_suite(suite, config)
+    one = next(records)
+    assert iter(records) is records  # a generator, not a list
+    _, record_bytes = _traced(lambda: json.loads(json.dumps(one)))
+    count = len(suite.utterances)
+
+    def lattices():
+        for utt in sorted(suite.utterances, key=lambda u: u.utt_id):
+            oracle = load_lattice(suite.lattice_path(utt))
+            yield oracle, (suite.keywords_by_name[utt.lattice_keyword],), utt.utt_id
+
+    drain = lambda iterable: deque(iterable, maxlen=0)  # noqa: E731
+    decode_only, _ = _traced(lambda: drain(decode_keywords(lattices(), config)))
+    streamed, _ = _traced(lambda: drain(decode_suite(suite, config)))
+    _, held = _traced(lambda: list(decode_suite(suite, config)))
+    assert streamed <= decode_only + 3 * record_bytes
+    assert held >= count * record_bytes  # what a list of the records holds
+
+    out = tmp_path / "out.jsonl"
+    assert main(["decode", "--suite", str(root), "--mode", "rnnt", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == count
+    assert f"wrote {count} score streams to {out}" in capsys.readouterr().out

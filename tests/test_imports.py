@@ -1,6 +1,7 @@
 """Every name a kws module imports is used in that module."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,9 +61,11 @@ def test_every_module_level_definition_is_used_or_public():
     assert sorted(dead) == []
 
 
-def _instrumented_names() -> list[str]:
-    """The names ``perfbench/tracing.instrument`` looks up with
-    ``getattr(kws, name)``: the string constants of the tuple it iterates."""
+def _instrumented_names() -> list[tuple[str, str]]:
+    """(module, name) of every kws name ``perfbench/tracing.py`` reaches: the
+    string constants of the tuple that ``instrument`` looks up with
+    ``getattr(kws, name)``, and every name the file imports with ``from
+    kws import ...`` or ``from kws.<module> import ...``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     (instrument,) = [
@@ -72,11 +75,22 @@ def _instrumented_names() -> list[str]:
     for node in ast.walk(instrument):
         if isinstance(node, ast.DictComp) and "getattr(kws, name)" in ast.unparse(node.value):
             for generator in node.generators:
-                names += [c.value for c in ast.walk(generator.iter) if isinstance(c, ast.Constant)]
+                names += [
+                    ("kws", c.value) for c in ast.walk(generator.iter) if isinstance(c, ast.Constant)
+                ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kws":
+            names += [(node.module, alias.name) for alias in node.names]
     return names
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists_in_kws():
     names = _instrumented_names()
-    assert {"greedy_search", "beam_search", "keyword_hit"} <= set(names)
-    assert sorted(name for name in names if not hasattr(kws, name)) == []
+    assert {("kws", "greedy_search"), ("kws", "beam_search"), ("kws", "keyword_hit"),
+            ("kws.decoder", "peak_events")} <= set(names)
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert sorted(missing) == []

@@ -30,6 +30,8 @@ from kws import (
     snapshot,
 )
 
+from test_synthetic_oracle import keyword_grids
+
 HEADER = struct.Struct("<4sHIIHf")
 
 
@@ -119,6 +121,52 @@ def test_truncated_body_names_byte_counts(tmp_path):
     expected = 4 * 8 + 4 * 12
     assert str(expected) in message
     assert str(expected - 4) in message
+
+
+@pytest.mark.parametrize("T", [2**32 - 1, 5])
+def test_header_claiming_more_than_the_file_fails_before_the_body_is_read(
+    tmp_path, monkeypatch, T
+):
+    """A header whose T needs more bytes than the file holds (16 GiB of
+    log_y alone at T = 2**32 - 1) fails as TruncatedLatticeError, naming
+    both byte counts, after reading no more than the header."""
+    path = save_lattice(tiny_data(d_max=2), tmp_path / "x.kwl")
+    raw = bytearray(path.read_bytes())
+    raw[6:10] = struct.pack("<I", T)
+    path.write_bytes(bytes(raw))
+    requested = []
+    real_open = open
+
+    class Spy:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+        def read(self, size=-1):
+            requested.append(size)
+            return self._fh.read(size)
+
+        def readinto(self, buffer):
+            requested.append(len(buffer))
+            return self._fh.readinto(buffer)
+
+    monkeypatch.setattr(
+        "kws.lattice.open", lambda *args, **kwargs: Spy(real_open(*args, **kwargs)), raising=False
+    )
+    with pytest.raises(TruncatedLatticeError) as err:
+        read_lattice(path)
+    expected = 4 * T * 2 + 4 * T * 3 + 6 * T
+    assert f"body has {len(raw) - HEADER.size} bytes" in str(err.value)
+    assert f"require {expected}" in str(err.value)
+    assert requested == [HEADER.size]
 
 
 def test_each_lattice_is_validated_once(tmp_path, monkeypatch):
@@ -278,7 +326,12 @@ def test_replay_matches_source_oracle(tmp_path):
     want = [np.stack(rows) for rows in zip(*(source.emission_rows(kw, int(t)) for t in frames))]
     for oracle in (source, replay):
         default = EmissionOracle.emission_grids(oracle, [kw, kw], frames)
-        for grid in (*oracle.emission_grids([kw, kw], frames), *default):
+        block = oracle.emission_grids([kw, kw], frames)
+        # The block equals the stacking default, padding included.
+        assert block.shape == default.shape == (2, 2, len(frames), kw.num_tokens + 1)
+        assert block.dtype == default.dtype == np.float32
+        assert block.tobytes() == default.tobytes()
+        for grid in (*keyword_grids(block, [kw, kw]), *keyword_grids(default, [kw, kw])):
             for got, expected in zip(grid, want):
                 assert got.tobytes() == expected.tobytes()
         for bad in ([0, 1], [12, 13], [-1]):

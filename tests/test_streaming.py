@@ -24,7 +24,7 @@ from kws import (
     decode_keywords,
     decode_kws,
 )
-from kws.decoder import detect_events, peak_events
+from kws.decoder import _peak_picks, detect_events, peak_events
 from kws.runner import random_proper_lattice
 from kws.lattice import FileLatticeOracle
 
@@ -344,3 +344,122 @@ def test_peak_events_on_raw_scores_equals_full_walk(stream, data):
     assert events == _peak_events_reference(as_skipped, min(refractory, T))
     assert all(np.isfinite(e.log_score) for e in events)
     assert [e.frame for e in events] == sorted({e.frame for e in events})
+
+
+@st.composite
+def raw_score_blocks(draw):
+    """A (K, T) block of raw scores, K = 1..6 and T = 1..40: quantized ties,
+    -inf runs, +inf and NaN entries, and some rows all -inf."""
+    K, T = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.5, -1.0, -2.0, NEG_INF]),
+        st.floats(-30.0, 0.0),
+        st.sampled_from([np.inf, np.nan]),
+    )
+    scores = np.array(draw(st.lists(values, min_size=K * T, max_size=K * T))).reshape(K, T)
+    for k in range(K):
+        if draw(st.integers(0, 4)) == 0:
+            scores[k] = NEG_INF
+        elif draw(st.booleans()):
+            lo = draw(st.integers(0, T - 1))
+            scores[k, lo : lo + draw(st.integers(1, T))] = NEG_INF
+    return scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_score_blocks(), st.data())
+def test_block_peak_picks_equal_full_walk_row_by_row(scores, data):
+    """The round-wise NMS over a whole (K, T) block picks, in every row, the
+    events of the walk over every frame of that row alone, sorted by row and
+    frame, and peak_events is its one-row case. Non-finite entries are
+    never picked; a refractory of T or more leaves one pick per row."""
+    K, T = scores.shape
+    refractory = data.draw(
+        st.one_of(st.sampled_from([0, 1, T - 1, T, T + 1, 10**20]), st.integers(0, 2 * T))
+    )
+    before = scores.tobytes()
+    rows, frames = _peak_picks(scores, refractory)
+    assert scores.tobytes() == before
+    assert list(zip(rows.tolist(), frames.tolist())) == sorted(zip(rows.tolist(), frames.tolist()))
+    finite = np.isfinite(scores)
+    as_skipped = np.where(finite, scores, NEG_INF)
+    for k in range(K):
+        stream = ScoreStream("u", "kw", 0.03, scores[k], finite[k], int(finite[k].sum()))
+        want = _peak_events_reference(replace(stream, scores=as_skipped[k]), min(refractory, T))
+        picked = frames[rows == k]
+        assert [e.frame for e in want] == (picked + 1).tolist()
+        assert [e.log_score for e in want] == scores[k, picked].tolist()
+        assert peak_events(stream, refractory) == want
+        if refractory >= T:
+            assert len(picked) == (1 if finite[k].any() else 0)
+    with pytest.raises(ValidationError):
+        _peak_picks(scores, -1)
+
+
+def _wide_keyword_case(rng, d_max):
+    """A SyntheticOracle of ragged length that plants some of 1-12 keywords
+    of 1 to 6 tokens; returns (oracle, keywords)."""
+    vocab = 12
+    keywords = [
+        KeywordSpec(f"kw{k}", tuple(rng.integers(1, vocab + 1, rng.integers(1, 7)).tolist()))
+        for k in range(int(rng.integers(1, 13)))
+    ]
+    num_frames = int(rng.integers(1, 40))
+    segments, t = [], 1
+    while t <= num_frames:
+        tokens = keywords[rng.integers(len(keywords))].tokens if rng.random() < 0.4 else (
+            int(rng.integers(1, vocab + 1)),)
+        for token in tokens:
+            if t > num_frames:
+                break
+            duration = int(min(rng.integers(1, 4), num_frames - t + 1))
+            segments.append((token, t, duration))
+            t += duration + int(rng.integers(0, 2))
+    config = SyntheticJoinerConfig(
+        vocab_size=vocab,
+        num_frames=num_frames,
+        alignment=tuple(segments),
+        epsilon=float(rng.choice([0.0, 0.3])),  # 0.0 gives -inf rows
+        d_max=d_max,
+        duration_concentration=0.9,
+    )
+    return SyntheticOracle(config), keywords
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tdt=st.booleans())
+def test_decode_over_many_lanes_equals_separate_streaming_decodes(seed, tdt):
+    """More lanes than one sweep's 256, keywords of 1 to 6 tokens and ragged
+    column counts: the lane buffer grows from 64 lanes to 256 as batches
+    fill, never past it, and every lane decodes bit for bit as one
+    StreamingDecoder per pair."""
+    rng = np.random.default_rng(seed)
+    d_max = int(rng.integers(1, 5)) if tdt else 0
+    config = DecodeConfig(mode="tdt" if tdt else "rnnt", d_max=d_max)
+    jobs, lanes = [], 0
+    while lanes <= 700:
+        oracle, keywords = _wide_keyword_case(rng, d_max)
+        jobs.append((oracle, keywords, f"u{len(jobs)}"))
+        lanes += len(keywords)
+
+    widths = []
+    sweep = kws.decoder._lane_columns
+
+    def recorded(edges, *args):
+        widths.append(edges.shape[3])
+        return sweep(edges, *args)
+
+    with mock.patch.object(kws.decoder, "_lane_columns", recorded):
+        decoded = list(decode_keywords(jobs, config))
+    assert widths[0] <= 64 and 128 < max(widths) <= 256
+    assert len(widths) >= 4
+    for (oracle, keywords, utt_id), streams in zip(jobs, decoded, strict=True):
+        assert len(streams) == len(keywords)
+        for keyword, stream in zip(keywords, streams):
+            decoder = StreamingDecoder(oracle, keyword, config, utt_id)
+            for t in range(1, oracle.num_frames + 1):
+                decoder.push(t)
+            reference = decoder.finish()
+            assert stream.scores.tobytes() == reference.scores.tobytes()
+            assert stream.processed.tobytes() == reference.processed.tobytes()
+            assert stream.columns_evaluated == reference.columns_evaluated

@@ -333,6 +333,23 @@ def _reference_grids(oracle, keyword):
     return log_y, log_phi
 
 
+def keyword_grids(block, keywords):
+    """Each keyword's (log_y (n, w), log_phi (n, w + 1)) out of an emission
+    block of shape (K, 2, n, U + 1), after checking that every entry off the
+    keywords' lanes is 0.0 (log 1): the left padding of narrower keywords and
+    log_y at u = U."""
+    K, two, n, U1 = block.shape
+    assert block.dtype == np.float32 and (K, two) == (len(keywords), 2)
+    U = U1 - 1
+    grids = []
+    for k, keyword in enumerate(keywords):
+        w = keyword.num_tokens
+        padding = np.concatenate([block[k, :, :, : U - w].ravel(), block[k, 0, :, U]])
+        assert padding.tobytes() == np.zeros_like(padding).tobytes()
+        grids.append((block[k, 0, :, U - w : U], block[k, 1, :, U - w :]))
+    return grids
+
+
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype == np.float32
     assert got.shape == want.shape
@@ -385,16 +402,22 @@ def test_emission_grids_equal_full_grid_reference(case):
     formula."""
     cfg, keywords, frames = case
     oracle = SyntheticOracle(cfg)
-    grids = oracle.emission_grids(keywords, frames)
-    assert len(grids) == len(keywords)
+    block = oracle.emission_grids(keywords, frames)
+    assert block.shape == (len(keywords), 2, len(frames), max(k.num_tokens for k in keywords) + 1)
+    # The block equals the stacking default, padding included.
+    stacked = EmissionOracle.emission_grids(oracle, keywords, frames)
+    _assert_same_bits(block, stacked)
+    grids = keyword_grids(block, keywords)
     for keyword, (log_y, log_phi) in zip(keywords, grids):
         ref_y, ref_phi = _reference_grids(oracle, keyword)
         _assert_same_bits(log_y, ref_y[frames - 1])
         _assert_same_bits(log_phi, ref_phi[frames - 1])
-        ((one_y, one_phi),) = oracle.emission_grids([keyword], frames)
+        ((one_y, one_phi),) = keyword_grids(oracle.emission_grids([keyword], frames), [keyword])
         _assert_same_bits(one_y, ref_y[frames - 1])
         _assert_same_bits(one_phi, ref_phi[frames - 1])
-        ((stack_y, stack_phi),) = EmissionOracle.emission_grids(oracle, [keyword], frames)
+        ((stack_y, stack_phi),) = keyword_grids(
+            EmissionOracle.emission_grids(oracle, [keyword], frames), [keyword]
+        )
         _assert_same_bits(stack_y, ref_y[frames - 1])
         _assert_same_bits(stack_phi, ref_phi[frames - 1])
         for t in frames.tolist():
@@ -413,7 +436,8 @@ def test_emission_grids_reject_tokens_above_vocab_and_bad_frames():
         oracle.emission_grids([fine], np.array([0, 2]))
     with pytest.raises(ValidationError):
         oracle.emission_grids([fine], np.array([11]))
-    assert oracle.emission_grids([], frames) == []
+    for empty in (oracle.emission_grids([], frames), EmissionOracle.emission_grids(oracle, [], frames)):
+        assert empty.shape == (0, 2, len(frames), 1) and empty.dtype == np.float32
 
 
 # Reference forms: the per-segment fill and the per-keyword scan the oracle
@@ -494,7 +518,7 @@ def _assert_matches_reference_forms(cfg, keywords, frames):
         _log_ideal=oracle._log_ideal,
         _log_noise=oracle._log_noise,
     )
-    grids = oracle.emission_grids(keywords, frames)
+    grids = keyword_grids(oracle.emission_grids(keywords, frames), keywords)
     for keyword, (log_y, log_phi) in zip(keywords, grids):
         positions = _reference_positions(cfg, keyword)
         assert oracle._keyword_positions(keyword).tobytes() == positions.tobytes()
@@ -593,7 +617,7 @@ def test_keyword_scan_vocab_error_names_the_keyword():
         _reference_positions(oracle.config, big)
     assert str(raised.value) == message
     # The failed query leaves nothing behind: the good keyword still answers.
-    ((log_y, _),) = oracle.emission_grids([fine], np.array([2]))
+    ((log_y, _),) = keyword_grids(oracle.emission_grids([fine], np.array([2])), [fine])
     assert log_y[0, 0] == 0.0
 
 
