@@ -27,13 +27,7 @@ from .decoder import (
     peak_events,
     scorestream_record,
 )
-from .emissions import (
-    BLANK_ID,
-    NEG_INF,
-    EmissionOracle,
-    GreedyStepOutput,
-    KeywordSpec,
-)
+from .emissions import BLANK_ID, NEG_INF, EmissionOracle, KeywordSpec
 from .errors import (
     BadMagicError,
     CapabilityError,
@@ -84,7 +78,6 @@ __all__ = [
     "DimensionMismatchError",
     "EmissionOracle",
     "FileLatticeOracle",
-    "GreedyStepOutput",
     "Hypothesis",
     "KeywordSpec",
     "KwsError",

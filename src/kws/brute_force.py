@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .emissions import EmissionOracle, KeywordSpec, NEG_INF
 from .errors import SizeLimitError, ValidationError
 
@@ -46,28 +48,36 @@ def count_alignment_paths(num_processed: int, num_tokens: int) -> int:
     return comb(num_processed - 1 + num_tokens, num_tokens)
 
 
-def _check_size(end_frame: int, keyword: KeywordSpec) -> None:
+def _path_rows(
+    oracle: EmissionOracle,
+    keyword: KeywordSpec,
+    end_frame: int,
+    hop_sequence: Sequence[int] | None,
+) -> tuple[list[int], list[list[float]], list[list[float]]] | None:
+    """(processed frames, log_y rows, log_phi rows) of the paths ending at
+    ``end_frame``, or None when it is not a processed frame. The rows come
+    from one ``emission_grids`` block, as Python floats."""
     if end_frame > MAX_END_FRAME or keyword.num_tokens > MAX_TOKENS:
         raise SizeLimitError(
             f"brute force capped at end_frame <= {MAX_END_FRAME} and U <= {MAX_TOKENS}; "
             f"got end_frame={end_frame}, U={keyword.num_tokens}"
         )
-
-
-def _frames_upto(
-    oracle: EmissionOracle, end_frame: int, hop_sequence: Sequence[int] | None
-) -> list[int]:
     if end_frame < 1 or end_frame > oracle.num_frames:
         raise ValidationError(f"end_frame {end_frame} outside [1, {oracle.num_frames}]")
     if hop_sequence is None:
-        return list(range(1, end_frame + 1))
-    frames = [int(f) for f in hop_sequence]
-    if any(b <= a for a, b in zip(frames, frames[1:])):
-        raise ValidationError("hop_sequence must be strictly increasing")
-    if frames and frames[0] < 1:
-        raise ValidationError("hop_sequence frames must be >= 1")
-    # Hops beyond end_frame cannot matter to paths ending there.
-    return [f for f in frames if f <= end_frame]
+        frames = list(range(1, end_frame + 1))
+    else:
+        frames = [int(f) for f in hop_sequence]
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise ValidationError("hop_sequence must be strictly increasing")
+        if frames and frames[0] < 1:
+            raise ValidationError("hop_sequence frames must be >= 1")
+        # Hops beyond end_frame cannot matter to paths ending there.
+        frames = [f for f in frames if f <= end_frame]
+    if not frames or frames[-1] != end_frame:
+        return None
+    ((log_y, log_phi),) = oracle.emission_grids([keyword], np.array(frames, dtype=np.int64))
+    return frames, log_y[:, :-1].tolist(), log_phi.tolist()
 
 
 def enumerate_alignment_paths(
@@ -78,17 +88,11 @@ def enumerate_alignment_paths(
 ) -> Iterator[AlignmentPath]:
     """Yield every complete path ending at (end_frame, U), scores excluded
     of the final blank factor."""
-    _check_size(end_frame, keyword)
-    frames = _frames_upto(oracle, end_frame, hop_sequence)
-    if not frames or frames[-1] != end_frame:
+    rows = _path_rows(oracle, keyword, end_frame, hop_sequence)
+    if rows is None:
         return
+    frames, y, phi = rows
     U = keyword.num_tokens
-    y = []
-    phi = []
-    for f in frames:
-        row_y, row_phi = oracle.emission_rows(keyword, f)
-        y.append([float(v) for v in row_y])
-        phi.append([float(v) for v in row_phi])
     last = len(frames) - 1
 
     def walk(i: int, u: int, score: float, entries: list) -> Iterator[AlignmentPath]:
@@ -121,17 +125,11 @@ def brute_force_score(
     ``hop_sequence`` lists the processed frames (all frames when None).
     Returns (-inf, None) when end_frame is not a processed frame.
     """
-    _check_size(end_frame, keyword)
-    frames = _frames_upto(oracle, end_frame, hop_sequence)
-    if not frames or frames[-1] != end_frame:
+    rows = _path_rows(oracle, keyword, end_frame, hop_sequence)
+    if rows is None:
         return NEG_INF, None
+    frames, y, phi = rows
     U = keyword.num_tokens
-    y = []
-    phi = []
-    for f in frames:
-        row_y, row_phi = oracle.emission_rows(keyword, f)
-        y.append([float(v) for v in row_y])
-        phi.append([float(v) for v in row_phi])
     last = len(frames) - 1
 
     best_score = NEG_INF

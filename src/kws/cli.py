@@ -164,6 +164,8 @@ def _cmd_dump_delta(args: argparse.Namespace) -> int:
         raise ValidationError("pass exactly one of --lattice or --suite with --utt")
     config = DecodeConfig(mode=args.mode, d_max=args.d_max if args.mode == TDT else 0)
     if args.lattice is not None:
+        if args.utt is not None:
+            raise ValidationError("--utt names an utterance of --suite; --lattice takes none")
         oracle = load_lattice(Path(args.lattice))
         keyword = oracle.keyword
     else:

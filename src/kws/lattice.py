@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .emissions import EmissionOracle, GreedyStepOutput, KeywordSpec
+from .emissions import EmissionOracle, KeywordSpec
 from .errors import (
     BadMagicError,
     DimensionMismatchError,
@@ -263,22 +263,9 @@ class FileLatticeOracle(EmissionOracle):
         # cap above 65535.
         return self._data.greedy_durations.astype(np.int64)
 
-    def _greedy_tokens(self) -> np.ndarray:
+    def greedy_tokens(self) -> np.ndarray:
         self._check_greedy_track()
         return self._data.greedy_tokens.astype(np.int64)
-
-    def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, object]:
-        self._check_greedy_track()
-        self._check_frame(t)
-        # Replay carries argmax identities only; no distribution survives in
-        # the file, so both log-probs report 0.0.
-        out = GreedyStepOutput(
-            token=int(self._data.greedy_tokens[t - 1]),
-            duration=int(self._data.greedy_durations[t - 1]),
-            log_token_prob=0.0,
-            log_duration_prob=0.0,
-        )
-        return out, state
 
 
 def load_lattice(path: str | Path) -> FileLatticeOracle:
@@ -299,13 +286,13 @@ def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> La
     """Freeze an oracle's keyword-conditioned view (plus greedy track) to LatticeData.
 
     The greedy channel is the oracle's greedy token and duration tracks, each
-    one int64 array (``_greedy_tokens``, ``greedy_durations``), written as
+    one int64 array (``greedy_tokens``, ``greedy_durations``), written as
     u32 and u16; a value out of the field's range raises ValidationError.
     """
     ((log_y, log_phi),) = oracle.emission_grids([keyword], np.arange(1, oracle.num_frames + 1))
     greedy_tokens = greedy_durations = None
     if oracle.d_max > 0:
-        greedy_tokens = _channel(oracle._greedy_tokens(), "<u4", "greedy_token")
+        greedy_tokens = _channel(oracle.greedy_tokens(), "<u4", "greedy_token")
         greedy_durations = _channel(oracle.greedy_durations(), "<u2", "greedy_duration")
     return LatticeData(
         keyword=keyword,

@@ -26,30 +26,28 @@ ideal duration is min(segment duration, D_max); on gaps it is 1. The duration
 distribution puts ``duration_concentration`` mass on the ideal duration and
 spreads the rest uniformly over the other D_max values of {0..D_max}.
 
-The per-frame planted state (covering token, segment ordinal, ideal
-duration) is filled at construction by one ``np.repeat`` over the runs of
-gaps and segments. Keyword-track emissions are fetched on demand at the
-queried frames only, for all queried keywords at once, as one block in the
-decoder's lane layout. A row depends on its frame only through the keyword
-position of the covering segment and the class of its token for the
-keyword (blank, absent from the keyword, or which keyword token it is), so
-a keyword set's distinct rows form one small table (``_KeywordRows``),
-built once per keyword set and epsilon and shared by every oracle. Keyword
-positions come from ``_segment_positions``: one pass over the segment
-tokens matches every keyword of a query and yields a (keyword, segment)
-position table. ``emission_grids`` turns it and the segment token classes
-into a (keyword, segment) row code, indexes that once by the segment
-ordinals of the queried frames and gathers the rows: no step of the query
-loops over the keywords. The single-frame query ``emission_rows`` runs the
-same scan for its one keyword; it caches the keyword's per-frame positions
-and the distinct rows it has asked for. The duration log-prob vectors and the greedy duration track are
-closed forms of the per-frame ideal duration, so no (d_max + 1)-squared
-table is built, whatever d_max.
+Every query is answered from per-frame arrays filled at construction by one
+``np.repeat`` over the runs of gaps and segments: the covering token, the
+covering segment's ordinal and the ideal duration.
 
-The generative track depends on a history only through its length n. A
-group of oracles answers it in one query (``token_log_prob_group``) from the
-oracles' per-frame segment ordinals and covering tokens, concatenated with
-per-oracle offsets, without reading any history's tokens.
+* Keyword track (``emission_grids``): a row depends on its frame only
+  through the keyword position of the covering segment and the class of its
+  token for the keyword (blank, absent from the keyword, or which keyword
+  token it is). So a keyword set's distinct rows form one small table
+  (``_KeywordRows``), built once per keyword set and epsilon and shared by
+  every oracle. One pass over the segment tokens matches every keyword of a
+  query (``_segment_positions``); the block is one gather from the table at
+  the (keyword, segment) row codes of the queried frames, with no loop over
+  the keywords. ``emission_rows`` answers one frame for ``StreamingDecoder``
+  and caches the keyword's per-frame positions and the rows it has built.
+* Greedy tracks (``greedy_durations``, ``greedy_tokens``) and duration
+  vectors (``duration_log_probs``) are closed forms of the per-frame ideal
+  duration and the segment starts, so no (d_max + 1)-squared table is built,
+  whatever d_max.
+* Generative track: it depends on a history only through its length n, so
+  ``token_log_prob_rows`` reads no history's tokens, and a group of oracles
+  answers many rows in one query (``token_log_prob_group``) from their
+  per-frame arrays, concatenated with per-oracle offsets.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .emissions import BLANK_ID, EmissionOracle, GreedyStepOutput, KeywordSpec, NEG_INF
+from .emissions import BLANK_ID, EmissionOracle, KeywordSpec, NEG_INF
 from .errors import ModeError, ValidationError
 from .lattice import D_MAX_LIMIT
 
@@ -318,21 +316,15 @@ class SyntheticOracle(EmissionOracle):
 
     # Generative track
 
-    def _generative_ideal(self, t: int, emitted: int) -> int:
-        ordinal = int(self._seg_ord[t - 1])
-        if ordinal == 0 or ordinal <= emitted:
-            return BLANK_ID
-        return int(self._content[t - 1])
-
-    def token_log_probs(self, t: int, history: Sequence[int]) -> np.ndarray:
-        return self.token_log_prob_rows(t, [history])[0]
-
     def token_log_prob_rows(self, t: int, histories: Sequence[Sequence[int]]) -> np.ndarray:
         self._check_frame(t)
         shape = (len(histories), self._cfg.vocab_size + 1)
         rows = np.full(shape, self._log_noise, dtype=np.float64)
+        ordinal, token = int(self._seg_ord[t - 1]), int(self._content[t - 1])
         for i, history in enumerate(histories):
-            rows[i, self._generative_ideal(t, len(history))] = self._log_ideal
+            # The covering segment's token while fewer tokens than its
+            # ordinal have been emitted, else blank (also on gaps).
+            rows[i, token if ordinal > len(history) else BLANK_ID] = self._log_ideal
         return rows
 
     @classmethod
@@ -345,7 +337,7 @@ class SyntheticOracle(EmissionOracle):
         # __class__, not the module's global name, which a tracer may have
         # swapped for a wrapper.
         own = __class__.token_log_prob_rows
-        if any(type(o).token_log_prob_rows is not own for o in oracles):
+        if any(getattr(type(o), "token_log_prob_rows", None) is not own for o in oracles):
             return super().token_log_prob_group(oracles)
         num_frames = np.array([o.num_frames for o in oracles], dtype=np.int64)
         offsets = np.cumsum(num_frames) - num_frames
@@ -386,33 +378,14 @@ class SyntheticOracle(EmissionOracle):
         self._check_duration_track()
         return np.where(self._ideal_is_greedy, self._ideal_durations, 0)
 
-    def _greedy_tokens(self) -> np.ndarray:
+    def greedy_tokens(self) -> np.ndarray:
         self._check_duration_track()
-        # The greedy_step walk emits each segment's token once, at its first
-        # frame: there the emitted count is the number of earlier segments.
+        # One greedy step per frame emits each segment's token once, at its
+        # first frame: there the emitted count is the number of earlier
+        # segments.
         tokens = np.zeros(self._cfg.num_frames, dtype=np.int64)
         tokens[self._segments[:, 1] - 1] = self._segments[:, 0]
         return tokens
-
-    def initial_greedy_state(self) -> int:
-        return 0
-
-    def greedy_step(self, t: int, state: object) -> tuple[GreedyStepOutput, int]:
-        self._check_duration_track()
-        self._check_frame(t)
-        emitted = int(state) if state is not None else 0
-        # The mixed distribution's argmax is the ideal symbol for every
-        # epsilon < 1 (it carries strictly more mass), so no vector is built.
-        token = self._generative_ideal(t, emitted)
-        ideal = int(self._ideal_durations[t - 1])
-        duration = ideal if self._ideal_is_greedy else 0
-        out = GreedyStepOutput(
-            token=token,
-            duration=duration,
-            log_token_prob=self._log_ideal,
-            log_duration_prob=self._log_concentrated if duration == ideal else self._log_spread,
-        )
-        return out, emitted + (1 if token != BLANK_ID else 0)
 
 
 class _KeywordRows:

@@ -354,7 +354,7 @@ def test_c08_metric_and_search_properties():
         oracle = SyntheticOracle(config)
         for t in (1, 6, 12):
             for history in ([], [3], [3, 7], [1, 2, 3]):
-                token_mass = np.logaddexp.reduce(oracle.token_log_probs(t, history))
+                token_mass = np.logaddexp.reduce(oracle.token_log_prob_rows(t, [history])[0])
                 assert abs(token_mass) <= 1e-6
                 duration_mass = np.logaddexp.reduce(oracle.duration_log_probs(t, history))
                 assert abs(duration_mass) <= 1e-6

@@ -13,6 +13,7 @@ from kws import (
     AsrConfig,
     BLANK_ID,
     CapabilityError,
+    DecodeConfig,
     EmissionOracle,
     Hypothesis,
     KeywordSpec,
@@ -21,6 +22,7 @@ from kws import (
     SyntheticOracle,
     ValidationError,
     beam_search,
+    decode_keywords,
     greedy_search,
     keyword_hit,
     load_lattice,
@@ -63,19 +65,19 @@ class ScriptedOracle(EmissionOracle):
     def vocab_size(self):
         return self._vocab
 
-    def token_log_probs(self, t, history):
-        row = self._table.get((t, tuple(history)))
+    def token_log_prob_rows(self, t, histories):
+        rows = np.empty((len(histories), self._vocab + 1))
+        for i, history in enumerate(histories):
+            rows[i] = self._row(t, tuple(history))
+        return rows
+
+    def _row(self, t, history):
+        row = self._table.get((t, history))
         if row is None:
             row = np.zeros(self._vocab + 1)
             row[0] = 1.0
         with np.errstate(divide="ignore"):
             return np.log(row)
-
-    def emission_rows(self, keyword, t):
-        raise NotImplementedError
-
-    def greedy_step(self, t, state):
-        raise ModeError("no duration track")
 
 
 # Frame 1 tempts greedy with token 1 (p=0.6) which dead-ends (blank 0.1);
@@ -190,7 +192,7 @@ def test_greedy_blank_everywhere_accumulates_blank_terms():
     )
     hyp = greedy_search(oracle, AsrConfig(mode="rnnt"))
     assert hyp.tokens == ()
-    expected = sum(float(oracle.token_log_probs(t, [])[0]) for t in range(1, 7))
+    expected = sum(float(oracle.token_log_prob_rows(t, [()])[0, 0]) for t in range(1, 7))
     assert hyp.log_prob == pytest.approx(expected, abs=1e-12)
 
 
@@ -302,7 +304,7 @@ def test_asr_config_validation():
 
 
 def reference_greedy_search(oracle, config=AsrConfig()):
-    """Greedy search of one utterance, one ``token_log_probs`` row at a time."""
+    """Greedy search of one utterance, one token row at a time."""
     _require_generative(oracle)
     if config.mode == "tdt" and not oracle.supports_tdt:
         raise ModeError("TDT greedy requested but oracle has no duration track")
@@ -313,7 +315,7 @@ def reference_greedy_search(oracle, config=AsrConfig()):
     while t <= oracle.num_frames:
         emitted = 0
         while True:
-            vec = oracle.token_log_probs(t, tokens)
+            vec = oracle.token_log_prob_rows(t, [tokens])[0]
             k = int(np.argmax(vec))
             if k == BLANK_ID or emitted >= config.max_symbols_per_frame:
                 break
@@ -392,7 +394,7 @@ def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
         while alive:
             children = []
             for hyp in alive:
-                vec = oracle.token_log_probs(t, list(hyp.tokens))
+                vec = oracle.token_log_prob_rows(t, [hyp.tokens])[0]
                 k_best = int(np.argmax(vec))
                 if k_best == BLANK_ID or emitted >= config.max_symbols_per_frame:
                     committed = Hypothesis(
@@ -459,7 +461,7 @@ class TiedOracle(ScriptedOracle):
         self._seed = seed
         self._blank_bias = blank_bias
 
-    def token_log_probs(self, t, history):
+    def _row(self, t, history):
         rng = np.random.default_rng([self._seed, t, *history])
         row = rng.choice(self.LEVELS, size=self._vocab + 1)
         if rng.random() < self._blank_bias:
@@ -526,9 +528,9 @@ def test_synthetic_token_rows_equal_stacked_rows(seed, lengths, data):
     rows = oracle.token_log_prob_rows(t, histories)
     assert rows.dtype == np.float64
     assert rows.shape == (len(histories), oracle.vocab_size + 1)
-    # The stacking default of EmissionOracle, over the same oracle's rows.
-    stacked = EmissionOracle.token_log_prob_rows(oracle, t, histories)
-    assert rows.tobytes() == stacked.tobytes()
+    # The same rows asked one history at a time.
+    stacked = np.array([oracle.token_log_prob_rows(t, [h])[0] for h in histories])
+    assert rows.tobytes() == stacked.reshape(rows.shape).tobytes()
     # The module docstring's formula: the covering segment's token while
     # fewer tokens than its ordinal have been emitted, else blank.
     segments = sorted(oracle.config.alignment, key=lambda seg: seg[1])
@@ -553,8 +555,6 @@ def test_token_rows_reject_out_of_range_frames():
     for t in (0, oracle.num_frames + 1):
         with pytest.raises(ValidationError):
             oracle.token_log_prob_rows(t, [()])
-        with pytest.raises(ValidationError):
-            oracle.token_log_probs(t, ())
 
 
 def _synthetic(draw, vocab, d_max=0):
@@ -686,3 +686,67 @@ def test_synthetic_group_rows_reject_out_of_range_frames():
         with pytest.raises(ValidationError) as raised:
             rows(np.array([0, utt]), np.array([1, t]), np.array([0, 0]), [(), ()])
         assert str(raised.value) == f"frame index {t} out of range [1, {group[utt].num_frames}]"
+
+
+class Forwarding(EmissionOracle):
+    """A wrapper shaped like a tracing one: it answers the properties and
+    ``duration_log_probs``, which the base class defines, from the wrapped
+    oracle, and forwards every other attribute through ``__getattr__``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    num_frames = property(lambda self: self._inner.num_frames)
+    d_max = property(lambda self: self._inner.d_max)
+    frame_seconds = property(lambda self: self._inner.frame_seconds)
+    is_generative = property(lambda self: self._inner.is_generative)
+    vocab_size = property(lambda self: self._inner.vocab_size)
+
+    def duration_log_probs(self, t, history=()):
+        return self._inner.duration_log_probs(t, history)
+
+
+def test_forwarding_wrappers_reach_the_wrapped_arrays(tmp_path):
+    """Decodes, snapshots and the ASR searches of wrapped oracles equal
+    those of the bare ones bit for bit; a group that mixes wrapped and bare
+    oracles answers its rows through the group default."""
+    bare = [
+        SyntheticOracle(dataclasses.replace(random_generative(seed).config, d_max=3))
+        for seed in range(5)
+    ]
+    wrapped = [Forwarding(oracle) for oracle in bare]
+    keywords = [KeywordSpec("a", (1, 2)), KeywordSpec("b", (3,)), KeywordSpec("c", (4, 5, 6))]
+    lattice = load_lattice(save_lattice(snapshot(bare[0], keywords[0]), tmp_path / "x.kwl"))
+
+    def scores(oracles, lattice, config):
+        jobs = [(o, keywords, f"u{i}") for i, o in enumerate(oracles)]
+        jobs.append((lattice, keywords[:1], "lattice"))
+        return [s.scores.tobytes() for streams in decode_keywords(jobs, config) for s in streams]
+
+    for config in (DecodeConfig(), DecodeConfig(mode="tdt", d_max=3)):
+        assert scores(wrapped, Forwarding(lattice), config) == scores(bare, lattice, config)
+    for oracle, inner in zip(wrapped, bare):
+        for keyword in keywords:
+            got, want = snapshot(oracle, keyword), snapshot(inner, keyword)
+            for field in ("log_y", "log_phi", "greedy_tokens", "greedy_durations"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    for config in (AsrConfig(), AsrConfig(mode="tdt", d_max=3)):
+        assert bits(_greedy_searches(wrapped, config)) == bits(_greedy_searches(bare, config))
+        assert bits([greedy_search(wrapped[0], config)]) == bits([greedy_search(bare[0], config)])
+    beams = [bits(b) for b in _beam_searches(wrapped, 3, AsrConfig())]
+    assert beams == [bits(b) for b in _beam_searches(bare, 3, AsrConfig())]
+    assert bits(beam_search(wrapped[1], 3)) == bits(beam_search(bare[1], 3))
+
+    mixed = [wrapped[0], bare[1], wrapped[2]]
+    rows = SyntheticOracle.token_log_prob_group(mixed)
+    assert rows.__qualname__ == "EmissionOracle.token_log_prob_group.<locals>.rows"
+    args = (np.array([0, 1, 2, 0]), np.array([1, 2, 1, 3]), np.array([0, 1, 0, 2]))
+    histories = [(), (1,), (), (2, 3)]
+    want = SyntheticOracle.token_log_prob_group(bare)(*args, histories)
+    assert rows(*args, histories).tobytes() == want.tobytes()

@@ -266,7 +266,9 @@ def test_batched_beam_does_not_change_asr_report(base_suite, tmp_path, monkeypat
 def test_traced_benchmark_pass_gives_the_untraced_asr_report(base_suite, tmp_path, wrap_oracles):
     """perfbench's tracer swaps timing wrappers into the kws modules, and in
     its oracle pass wraps every oracle; a bench with ASR rows run under it
-    gives the report of an untraced run."""
+    gives the report of an untraced run. The wrapped oracles answer the
+    array queries of the untraced path, so no per-row, per-step or
+    per-history query is made; only TDT greedy's duration queries are."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -280,6 +282,22 @@ def test_traced_benchmark_pass_gives_the_untraced_asr_report(base_suite, tmp_pat
     assert "kws.synthetic.SyntheticOracle" in swapped
     traced, plain = (json.loads((tmp_path / f"{tag}.json").read_text()) for tag in ("traced", "plain"))
     assert drop_wall(traced) == drop_wall(plain)
+    assert set(tracer.queries) <= {"synthetic.duration_probs"}
+    if wrap_oracles:
+        assert tracer.queries["synthetic.duration_probs"][0] > 0
+
+
+def test_benchmark_selftest_passes():
+    """perfbench's self-test runs every workload, traced and untraced, at
+    tiny size, so an oracle API change that breaks a traced pass fails here.
+    It writes only under the ignored .perfbench_out/."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "selftest passed"
 
 
 def test_tdt_equals_rnnt_on_all_ones_durations(ones_suite, tmp_path):
@@ -354,6 +372,11 @@ def test_dump_delta_source_flags(base_suite, tmp_path, capsys):
     lattice = str(base_suite / "lattices" / f"{utt_id}.kwl")
     assert main(["dump-delta", "--lattice", lattice, "--suite", str(base_suite)]) == 1
     assert main(["dump-delta", "--suite", str(base_suite)]) == 1
+    capsys.readouterr()
+    # --utt picks an utterance of --suite; with --lattice it is refused, not ignored.
+    assert main(["dump-delta", "--lattice", lattice, "--utt", utt_id]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--utt" in captured.err
     assert main(["dump-delta", "--lattice", str(tmp_path / "missing.kwl")]) == 2
 
 

@@ -547,23 +547,22 @@ def _reference_column(prev_delta, prev_phi, y, U):
     return delta
 
 
-def _reference_decode(oracle, keyword, config):
-    """(scores, processed frames) of one pair: frame loop, clamped hops, scalar columns."""
-    scores = np.full(oracle.num_frames, NEG_INF)
+def _reference_decode(data, config):
+    """(scores, processed frames) of a lattice's keyword: frame loop over its
+    stored rows and greedy durations, clamped hops, scalar columns."""
+    scores = np.full(data.num_frames, NEG_INF)
     frames = []
     delta = prev_phi = None
-    state = oracle.initial_greedy_state()
     t = 1
-    while t <= oracle.num_frames:
+    while t <= data.num_frames:
         frames.append(t)
-        y, phi = (row.tolist() for row in oracle.emission_rows(keyword, t))
-        delta = _reference_column(delta, prev_phi, y, keyword.num_tokens)
+        y, phi = data.log_y[t - 1].tolist(), data.log_phi[t - 1].tolist()
+        delta = _reference_column(delta, prev_phi, y, data.keyword.num_tokens)
         scores[t - 1] = delta[-1] + phi[-1]
         prev_phi = phi
         hop = 1
         if config.mode == "tdt":
-            step, state = oracle.greedy_step(t, state)
-            hop = max(1, min(step.duration, config.d_max))
+            hop = max(1, min(int(data.greedy_durations[t - 1]), config.d_max))
         t += hop
     return scores, frames
 
@@ -584,7 +583,7 @@ def test_lane_dp_matches_scalar_reference(seed, utterances, tdt, tie_heavy, chun
     d_max = int(rng.integers(1, 5)) if tdt else 0
     config = DecodeConfig(mode="tdt", d_max=d_max) if tdt else RNNT
     ties = np.float32([0.0, -0.0, np.log(0.5), np.log(0.25), -np.inf])
-    jobs = []
+    jobs, lattices = [], []
     for i in range(utterances):
         data = random_proper_lattice(rng, t_max=40, u_max=6, d_max=d_max)
         for grid in (data.log_y, data.log_phi):
@@ -595,16 +594,17 @@ def test_lane_dp_matches_scalar_reference(seed, utterances, tdt, tie_heavy, chun
             grid[rng.integers(grid.shape[0])] = -np.inf  # one -inf row
         # A lattice answers only its own keyword, so a lane repeats it.
         jobs.append((FileLatticeOracle(data), [data.keyword] * int(rng.integers(0, 3)), f"u{i}"))
+        lattices.append(data)
 
     counters = SpeedCounters()
     with mock.patch.object(kws.decoder, "_LANE_CHUNK", chunk):
         decoded = list(decode_keywords(jobs, config, counters))
     assert len(decoded) == len(jobs)
     columns = 0
-    for (oracle, keywords, utt_id), streams in zip(jobs, decoded):
+    for (_, keywords, utt_id), data, streams in zip(jobs, lattices, decoded):
         assert len(streams) == len(keywords)
-        for keyword, stream in zip(keywords, streams):
-            scores, frames = _reference_decode(oracle, keyword, config)
+        for stream in streams:
+            scores, frames = _reference_decode(data, config)
             assert stream.utt_id == utt_id
             assert stream.scores.tobytes() == scores.tobytes()
             assert np.flatnonzero(stream.processed).tolist() == [t - 1 for t in frames]
@@ -614,17 +614,15 @@ def test_lane_dp_matches_scalar_reference(seed, utterances, tdt, tie_heavy, chun
     assert counters.oracle_queries == columns * (2 if tdt else 1)
 
 
-def _reference_schedule(oracle, config):
-    """The TDT hop schedule as a per-frame greedy_step walk, as the decoder
-    first computed it: clamp each landed frame's duration to d_max, and
-    treat a zero duration by the policy."""
+def _reference_schedule(durations, config):
+    """The TDT hop schedule as a per-frame walk over the greedy durations, as
+    the decoder first computed it: clamp each landed frame's duration to
+    d_max, and treat a zero duration by the policy."""
     frames = []
-    state = oracle.initial_greedy_state()
     t = 1
-    while t <= oracle.num_frames:
+    while t <= len(durations):
         frames.append(t)
-        step, state = oracle.greedy_step(t, state)
-        d = min(step.duration, config.d_max)
+        d = min(durations[t - 1], config.d_max)
         if d < 1:
             if config.zero_duration_policy == "error":
                 raise ValidationError(
@@ -657,8 +655,11 @@ def _random_alignment(rng, num_frames, vocab_size, max_duration):
 
 
 def _schedule_oracle(rng, synthetic, num_frames, track_d_max):
+    """(oracle, its greedy durations as a list): for a synthetic oracle the
+    argmax of each frame's duration distribution, for a lattice the stored
+    channel."""
     if synthetic:
-        return SyntheticOracle(
+        oracle = SyntheticOracle(
             SyntheticJoinerConfig(
                 vocab_size=9,
                 num_frames=num_frames,
@@ -669,6 +670,8 @@ def _schedule_oracle(rng, synthetic, num_frames, track_d_max):
                 duration_concentration=float(rng.choice([1.0, 0.6, 0.3, 0.1, 0.02])),
             )
         )
+        argmax = [int(np.argmax(oracle.duration_log_probs(t))) for t in range(1, num_frames + 1)]
+        return oracle, argmax
     small = rng.integers(0, min(track_d_max, 10) + 1, size=num_frames)
     large = rng.integers(0, track_d_max + 1, size=num_frames)
     durations = np.where(rng.random(num_frames) < 0.8, small, large)
@@ -681,7 +684,7 @@ def _schedule_oracle(rng, synthetic, num_frames, track_d_max):
         greedy_tokens=np.zeros(num_frames, dtype=np.uint32),
         greedy_durations=durations.astype(np.uint16),
     )
-    return FileLatticeOracle(data)
+    return FileLatticeOracle(data), durations.tolist()
 
 
 @settings(max_examples=400, deadline=None)
@@ -704,15 +707,14 @@ def test_hop_schedule_matches_per_frame_walk(
     rng = np.random.default_rng(seed)
     if wide_track and not synthetic:
         track_d_max = 65535  # the widest a KWL1 duration can be
-    oracle = _schedule_oracle(rng, synthetic, num_frames, track_d_max)
+    oracle, want = _schedule_oracle(rng, synthetic, num_frames, track_d_max)
     config = DecodeConfig(mode="tdt", d_max=d_max, zero_duration_policy=policy)
 
     durations = oracle.greedy_durations()
-    default = kws.EmissionOracle.greedy_durations(oracle)
-    assert durations.dtype == default.dtype == np.int64
-    np.testing.assert_array_equal(durations, default)
+    assert durations.dtype == np.int64
+    assert durations.tolist() == want
 
-    expected = _outcome(lambda: _reference_schedule(oracle, config))
+    expected = _outcome(lambda: _reference_schedule(want, config))
     assert _outcome(lambda: kws.decoder._hop_schedule(oracle, config)) == expected
 
     def streamed():

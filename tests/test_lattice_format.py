@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from kws import (
     BadMagicError,
-    EmissionOracle,
     FileLatticeOracle,
-    GreedyStepOutput,
     KeywordSpec,
     LatticeData,
     LatticeValueError,
@@ -30,7 +28,7 @@ from kws import (
     snapshot,
 )
 
-from test_synthetic_oracle import keyword_grids
+from test_synthetic_oracle import keyword_grids, stacked_grids
 
 HEADER = struct.Struct("<4sHIIHf")
 
@@ -312,22 +310,19 @@ def test_replay_matches_source_oracle(tmp_path):
         # Source rows are already f32, so replay is bit-exact.
         np.testing.assert_array_equal(ys, yr)
         np.testing.assert_array_equal(ps, pr)
-    state_s = source.initial_greedy_state()
-    state_r = replay.initial_greedy_state()
-    for t in range(1, 13):
-        step_s, state_s = source.greedy_step(t, state_s)
-        step_r, state_r = replay.greedy_step(t, state_r)
-        assert step_s.token == step_r.token
-        assert step_s.duration == step_r.duration
+    for track in ("greedy_tokens", "greedy_durations"):
+        source_track, replay_track = (getattr(o, track)() for o in (source, replay))
+        assert replay_track.dtype == source_track.dtype == np.int64
+        assert replay_track.tolist() == source_track.tolist()
 
-    # Bulk row fetches: both overrides and the stacking default agree with
+    # Bulk row fetches: both oracles' blocks agree with their stacked
     # emission_rows, and frame indices outside [1, T] are rejected.
     frames = np.array([1, 2, 5, 12])
     want = [np.stack(rows) for rows in zip(*(source.emission_rows(kw, int(t)) for t in frames))]
     for oracle in (source, replay):
-        default = EmissionOracle.emission_grids(oracle, [kw, kw], frames)
+        default = stacked_grids(oracle, [kw, kw], frames)
         block = oracle.emission_grids([kw, kw], frames)
-        # The block equals the stacking default, padding included.
+        # The block equals the stacked rows, padding included.
         assert block.shape == default.shape == (2, 2, len(frames), kw.num_tokens + 1)
         assert block.dtype == default.dtype == np.float32
         assert block.tobytes() == default.tobytes()
@@ -337,12 +332,8 @@ def test_replay_matches_source_oracle(tmp_path):
         for bad in ([0, 1], [12, 13], [-1]):
             with pytest.raises(ValidationError):
                 oracle.emission_grids([kw], np.array(bad))
-            with pytest.raises(ValidationError):
-                EmissionOracle.emission_grids(oracle, [kw], np.array(bad))
     with pytest.raises(SidecarError, match=r"x\.kwl: .*\(3, 7\).*\(5, 6, 7\)"):
         replay.emission_grids([kw, KeywordSpec("other", (5, 6, 7))], frames)
-    with pytest.raises(SidecarError, match=r"x\.kwl: .*\(3, 7\).*\(5, 6, 7\)"):
-        EmissionOracle.emission_grids(replay, [KeywordSpec("other", (5, 6, 7))], frames)
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,23 +352,21 @@ def test_random_lattice_round_trip_bit_exact(tmp_path_factory, seed, d_max):
         np.testing.assert_array_equal(loaded.greedy_durations, data.greedy_durations)
 
 
-class GreedyScriptOracle(EmissionOracle):
-    """Replays a scripted greedy track through greedy_step only, so a
-    snapshot takes the base-class walks; emissions come from ``data``."""
+class GreedyScriptOracle(FileLatticeOracle):
+    """Replays ``data``'s emissions with a scripted greedy track, whose
+    values need not fit the lattice's fields."""
 
     def __init__(self, data, tokens, durations):
-        self._data, self._tokens, self._durations = data, tokens, durations
+        super().__init__(data)
+        self._tokens, self._durations = tokens, durations
 
-    num_frames = property(lambda self: self._data.num_frames)
     d_max = property(lambda self: 3)
-    frame_seconds = property(lambda self: self._data.frame_seconds)
 
-    def emission_rows(self, keyword, t):
-        return self._data.log_y[t - 1], self._data.log_phi[t - 1]
+    def greedy_tokens(self):
+        return np.array(self._tokens, dtype=np.int64)
 
-    def greedy_step(self, t, state):
-        step = GreedyStepOutput(self._tokens[t - 1], self._durations[t - 1], 0.0, 0.0)
-        return step, state
+    def greedy_durations(self):
+        return np.array(self._durations, dtype=np.int64)
 
 
 @pytest.mark.parametrize(
@@ -396,11 +385,11 @@ def test_snapshot_refuses_greedy_values_its_fields_cannot_hold(tokens, durations
         snapshot(oracle, data.keyword)
 
 
-def test_snapshot_of_a_stepping_oracle_records_its_walk(tmp_path):
+def test_snapshot_records_the_oracle_greedy_tracks(tmp_path):
     data = tiny_data()
     oracle = GreedyScriptOracle(data, [2**32 - 1, 0, 7, 0], [3, 0, 2, 1])
     replay = load_lattice(save_lattice(snapshot(oracle, data.keyword), tmp_path / "x.kwl"))
-    assert replay._greedy_tokens().tolist() == [2**32 - 1, 0, 7, 0]
+    assert replay.greedy_tokens().tolist() == [2**32 - 1, 0, 7, 0]
     assert replay.greedy_durations().tolist() == [3, 0, 2, 1]
 
 

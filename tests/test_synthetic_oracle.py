@@ -10,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kws import (
+    AsrConfig,
     BLANK_ID,
     CapabilityError,
-    EmissionOracle,
     KeywordSpec,
     ModeError,
     NEG_INF,
     SyntheticJoinerConfig,
     SyntheticOracle,
     ValidationError,
+    beam_search,
+    greedy_search,
     load_lattice,
     save_lattice,
     snapshot,
@@ -164,20 +166,18 @@ def test_out_of_bounds_queries_rejected():
         oracle.emission_rows(kw, 11)
     with pytest.raises(ValidationError):
         oracle.emission_grids([kw], np.array([1, 11]))
-    with pytest.raises(ValidationError):
-        EmissionOracle.emission_grids(oracle, [kw], np.array([1, 11]))
 
 
 def test_generative_track_follows_emission_progress():
     oracle = make_oracle(epsilon=0.0)
     # Before any emission, frame 2's ideal symbol is its segment token.
-    vec = oracle.token_log_probs(2, [])
+    vec = oracle.token_log_prob_rows(2, [[]])[0]
     assert vec[3] == 0.0
     # Once the first segment's token is consumed, frame 2 turns to blank.
-    vec = oracle.token_log_probs(2, [3])
+    vec = oracle.token_log_prob_rows(2, [[3]])[0]
     assert vec[BLANK_ID] == 0.0
     # Third segment still pending after two emissions.
-    vec = oracle.token_log_probs(6, [3, 7])
+    vec = oracle.token_log_prob_rows(6, [[3, 7]])[0]
     assert vec[2] == 0.0
 
 
@@ -213,36 +213,30 @@ def test_duration_queries_need_duration_track():
     oracle = make_oracle(d_max=0)
     with pytest.raises(ModeError):
         oracle.duration_log_probs(1)
-    with pytest.raises(ModeError):
-        oracle.greedy_step(1, oracle.initial_greedy_state())
+    for track in (oracle.greedy_tokens, oracle.greedy_durations):
+        with pytest.raises(ModeError):
+            track()
 
 
-def test_greedy_step_replays_planted_sequence():
+def test_greedy_tokens_replay_planted_sequence():
     oracle = make_oracle(epsilon=0.0, d_max=4)
-    state = oracle.initial_greedy_state()
-    emitted = []
-    for t in range(1, 11):
-        step, state = oracle.greedy_step(t, state)
-        if step.token != BLANK_ID:
-            emitted.append(step.token)
-            assert step.log_token_prob == 0.0
+    tokens = oracle.greedy_tokens()
+    frames = (np.flatnonzero(tokens != BLANK_ID) + 1).tolist()
+    assert frames == [2, 4, 6]
+    emitted = tokens[tokens != BLANK_ID].tolist()
     assert emitted == [3, 7, 2]
+    # At epsilon 0 each emitted token is certain given the tokens before it.
+    for n, t in enumerate(frames):
+        assert oracle.token_log_prob_rows(t, [emitted[:n]])[0, emitted[n]] == 0.0
 
 
-def test_greedy_step_matches_explicit_argmax():
+def test_greedy_tracks_match_explicit_argmax():
     oracle = make_oracle(epsilon=0.35, d_max=4, concentration=0.8)
-    state = oracle.initial_greedy_state()
-    history = []
-    for t in range(1, 11):
-        token_vec = oracle.token_log_probs(t, history)
-        duration_vec = oracle.duration_log_probs(t, history)
-        step, state = oracle.greedy_step(t, state)
-        assert step.token == int(np.argmax(token_vec))
-        assert step.duration == int(np.argmax(duration_vec))
-        assert step.log_token_prob == pytest.approx(float(token_vec[step.token]))
-        assert step.log_duration_prob == pytest.approx(float(duration_vec[step.duration]))
-        if step.token != BLANK_ID:
-            history.append(step.token)
+    tokens, durations = _greedy_walk(oracle)
+    assert oracle.greedy_tokens().tolist() == tokens
+    assert oracle.greedy_durations().tolist() == durations
+    assert tokens == [0, 3, 0, 7, 0, 2, 0, 0, 0, 0]
+    assert durations == [1, 2, 2, 1, 1, 3, 3, 3, 1, 1]
 
 
 def test_file_backed_refusals_for_generative_queries(tmp_path):
@@ -251,7 +245,9 @@ def test_file_backed_refusals_for_generative_queries(tmp_path):
     path = save_lattice(data, tmp_path / "a.kwl")
     replay = load_lattice(path)
     with pytest.raises(CapabilityError):
-        replay.token_log_probs(1, [])
+        greedy_search(replay, AsrConfig())
+    with pytest.raises(CapabilityError):
+        beam_search(replay, 2, AsrConfig())
     with pytest.raises(CapabilityError):
         replay.vocab_size
 
@@ -350,6 +346,20 @@ def keyword_grids(block, keywords):
     return grids
 
 
+def stacked_grids(oracle, keywords, frames):
+    """The (K, 2, n, U + 1) emission block stacked from ``emission_rows``,
+    one call per keyword and frame, in the lane layout of ``emission_grids``."""
+    U = max((keyword.num_tokens for keyword in keywords), default=0)
+    block = np.zeros((len(keywords), 2, len(frames), U + 1), dtype=np.float32)
+    for k, keyword in enumerate(keywords):
+        w = keyword.num_tokens
+        for i, t in enumerate(frames):
+            block[k, 0, i, U - w : U], block[k, 1, i, U - w :] = oracle.emission_rows(
+                keyword, int(t)
+            )
+    return block
+
+
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype == np.float32
     assert got.shape == want.shape
@@ -404,8 +414,8 @@ def test_emission_grids_equal_full_grid_reference(case):
     oracle = SyntheticOracle(cfg)
     block = oracle.emission_grids(keywords, frames)
     assert block.shape == (len(keywords), 2, len(frames), max(k.num_tokens for k in keywords) + 1)
-    # The block equals the stacking default, padding included.
-    stacked = EmissionOracle.emission_grids(oracle, keywords, frames)
+    # The block equals the stacked per-frame rows, padding included.
+    stacked = stacked_grids(oracle, keywords, frames)
     _assert_same_bits(block, stacked)
     grids = keyword_grids(block, keywords)
     for keyword, (log_y, log_phi) in zip(keywords, grids):
@@ -416,7 +426,7 @@ def test_emission_grids_equal_full_grid_reference(case):
         _assert_same_bits(one_y, ref_y[frames - 1])
         _assert_same_bits(one_phi, ref_phi[frames - 1])
         ((stack_y, stack_phi),) = keyword_grids(
-            EmissionOracle.emission_grids(oracle, [keyword], frames), [keyword]
+            stacked_grids(oracle, [keyword], frames), [keyword]
         )
         _assert_same_bits(stack_y, ref_y[frames - 1])
         _assert_same_bits(stack_phi, ref_phi[frames - 1])
@@ -436,7 +446,7 @@ def test_emission_grids_reject_tokens_above_vocab_and_bad_frames():
         oracle.emission_grids([fine], np.array([0, 2]))
     with pytest.raises(ValidationError):
         oracle.emission_grids([fine], np.array([11]))
-    for empty in (oracle.emission_grids([], frames), EmissionOracle.emission_grids(oracle, [], frames)):
+    for empty in (oracle.emission_grids([], frames), stacked_grids(oracle, [], frames)):
         assert empty.shape == (0, 2, len(frames), 1) and empty.dtype == np.float32
 
 
@@ -500,15 +510,11 @@ def _assert_matches_reference_forms(cfg, keywords, frames):
         greedy = oracle.greedy_durations()
         assert greedy.dtype == np.int64
         assert greedy.tobytes() == table[ideal].tobytes()
-        state = oracle.initial_greedy_state()
         for t in range(1, cfg.num_frames + 1):
             vec = vectors[ideal[t - 1]]
             got = oracle.duration_log_probs(t)
             assert got.dtype == np.float64 and got.tobytes() == vec.tobytes()
             got[...] = 0.0  # a caller's copy: later queries stay intact
-            step, state = oracle.greedy_step(t, state)
-            assert step.duration == int(np.argmax(vec))
-            assert step.log_duration_prob == float(vec[step.duration])
         assert oracle.duration_log_probs(1).tobytes() == vectors[ideal[0]].tobytes()
     # _reference_grids reads positions, content and log-probs from its
     # oracle argument; these come from the reference forms.
@@ -766,22 +772,26 @@ def test_d_max_is_bounded_by_the_lattice_field():
 
 
 def _greedy_walk(oracle):
-    """(tokens, durations) of greedy_step walked over frames 1..T."""
-    tokens, durations = [], []
-    state = oracle.initial_greedy_state()
+    """(tokens, durations) of one greedy step per frame over frames 1..T: the
+    argmax of ``token_log_prob_rows`` given the tokens emitted at earlier
+    frames, and the argmax of ``duration_log_probs``."""
+    tokens, durations, history = [], [], []
     for t in range(1, oracle.num_frames + 1):
-        step, state = oracle.greedy_step(t, state)
-        tokens.append(step.token)
-        durations.append(step.duration)
+        token = int(np.argmax(oracle.token_log_prob_rows(t, [history])[0]))
+        tokens.append(token)
+        durations.append(int(np.argmax(oracle.duration_log_probs(t, history))))
+        if token != BLANK_ID:
+            history.append(token)
     return tokens, durations
 
 
 @settings(max_examples=300, deadline=None)
 @given(planted_cases(), st.integers(0, 5), st.sampled_from([1.0, 0.7, 0.2, 0.1]))
-def test_greedy_tracks_equal_the_greedy_step_walk(case, d_max, gamma):
-    """The closed-form token and duration tracks, the base-class walks and
-    the tracks a snapshot stores all equal greedy_step walked frame by frame,
-    with gaps, 1-frame segments and d_max 0-5 (0: no track at all)."""
+def test_greedy_tracks_equal_the_argmax_walk(case, d_max, gamma):
+    """The closed-form token and duration tracks and the tracks a snapshot
+    stores equal an argmax walk of the token and duration distributions,
+    one step per frame, with gaps, 1-frame segments and d_max 0-5 (0: no
+    track at all)."""
     cfg, keywords, _ = case
     cfg = SyntheticJoinerConfig(
         vocab_size=cfg.vocab_size,
@@ -793,7 +803,7 @@ def test_greedy_tracks_equal_the_greedy_step_walk(case, d_max, gamma):
     )
     oracle = SyntheticOracle(cfg)
     if d_max == 0:
-        for track in (oracle._greedy_tokens, oracle.greedy_durations):
+        for track in (oracle.greedy_tokens, oracle.greedy_durations):
             with pytest.raises(ModeError):
                 track()
         assert snapshot(oracle, keywords[0]).greedy_tokens is None
@@ -801,12 +811,11 @@ def test_greedy_tracks_equal_the_greedy_step_walk(case, d_max, gamma):
     want_tokens, want_durations = _greedy_walk(oracle)
     data = snapshot(oracle, keywords[0])
     for tokens, durations in (
-        (oracle._greedy_tokens(), oracle.greedy_durations()),
-        (EmissionOracle._greedy_tokens(oracle), EmissionOracle.greedy_durations(oracle)),
+        (oracle.greedy_tokens(), oracle.greedy_durations()),
         (data.greedy_tokens, data.greedy_durations),
     ):
         assert tokens.tolist() == want_tokens
         assert durations.tolist() == want_durations
-    assert oracle._greedy_tokens().dtype == np.int64
+    assert oracle.greedy_tokens().dtype == oracle.greedy_durations().dtype == np.int64
     assert data.greedy_tokens.dtype == np.dtype("<u4")
     assert data.greedy_durations.dtype == np.dtype("<u2")
