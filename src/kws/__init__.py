@@ -8,12 +8,7 @@ lattice snapshot format, synthetic benchmark suites, and evaluation metrics.
 """
 
 from .baselines import AsrConfig, Hypothesis, beam_search, greedy_search, keyword_hit
-from .brute_force import (
-    AlignmentPath,
-    brute_force_score,
-    count_alignment_paths,
-    enumerate_alignment_paths,
-)
+from .brute_force import AlignmentPath, brute_force_score
 from .decoder import (
     DecodeConfig,
     DetectionEvent,
@@ -23,7 +18,6 @@ from .decoder import (
     decode_kws,
     detect_events,
     dump_delta_matrix,
-    parse_scorestream_record,
     peak_events,
     scorestream_record,
 )
@@ -106,13 +100,11 @@ __all__ = [
     "bench",
     "beam_search",
     "brute_force_score",
-    "count_alignment_paths",
     "decode_keywords",
     "decode_kws",
     "decode_suite",
     "detect_events",
     "dump_delta_matrix",
-    "enumerate_alignment_paths",
     "format_report_table",
     "gen_suite",
     "greedy_search",
@@ -121,7 +113,6 @@ __all__ = [
     "load_manifest",
     "macro_recall",
     "oracle_check",
-    "parse_scorestream_record",
     "peak_events",
     "random_proper_lattice",
     "read_lattice",

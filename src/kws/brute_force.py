@@ -18,8 +18,7 @@ larger instances raise instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,13 +38,6 @@ class AlignmentPath:
 
     entries: tuple[tuple[int, int, str], ...]
     log_score: float
-
-
-def count_alignment_paths(num_processed: int, num_tokens: int) -> int:
-    """Closed form for the number of paths ending at the last processed frame."""
-    if num_processed < 1:
-        return 0
-    return comb(num_processed - 1 + num_tokens, num_tokens)
 
 
 def _path_rows(
@@ -80,40 +72,6 @@ def _path_rows(
     return frames, log_y[:, :-1].tolist(), log_phi.tolist()
 
 
-def enumerate_alignment_paths(
-    oracle: EmissionOracle,
-    keyword: KeywordSpec,
-    end_frame: int,
-    hop_sequence: Sequence[int] | None = None,
-) -> Iterator[AlignmentPath]:
-    """Yield every complete path ending at (end_frame, U), scores excluded
-    of the final blank factor."""
-    rows = _path_rows(oracle, keyword, end_frame, hop_sequence)
-    if rows is None:
-        return
-    frames, y, phi = rows
-    U = keyword.num_tokens
-    last = len(frames) - 1
-
-    def walk(i: int, u: int, score: float, entries: list) -> Iterator[AlignmentPath]:
-        if u == U:
-            if i == last:
-                yield AlignmentPath(tuple(entries), score)
-        else:
-            entries.append((frames[i], u + 1, VERTICAL))
-            yield from walk(i, u + 1, score + y[i][u], entries)
-            entries.pop()
-        if i < last:
-            entries.append((frames[i + 1], u, HORIZONTAL))
-            yield from walk(i + 1, u, score + phi[i][u], entries)
-            entries.pop()
-
-    for start in range(len(frames)):
-        # First move is the vertical at the start frame.
-        entries = [(frames[start], 1, VERTICAL)]
-        yield from walk(start, 1, y[start][0], entries)
-
-
 def brute_force_score(
     oracle: EmissionOracle,
     keyword: KeywordSpec,
@@ -134,8 +92,8 @@ def brute_force_score(
 
     best_score = NEG_INF
     best_path: AlignmentPath | None = None
-    # Score-only DFS mirroring enumerate_alignment_paths; left-to-right
-    # accumulation matches the DP's association order, so agreement is exact.
+    # Depth-first over every path; left-to-right accumulation matches the
+    # DP's association order, so agreement is exact.
     stack: list[tuple[int, int, float, tuple]] = []
     for start in range(len(frames)):
         stack.append((start, 1, y[start][0], ((frames[start], 1, VERTICAL),)))

@@ -120,15 +120,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     config = _decode_config(args)
     suite = load_manifest(Path(args.suite))
-    records = decode_suite(suite, config)
+    lines = decode_suite(suite, config)
     if args.out is None:
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
+        for line in lines:
+            print(line)
     else:
         written = 0
         with Path(args.out).open("w", encoding="utf-8") as out:
-            for record in records:
-                out.write(json.dumps(record, sort_keys=True) + "\n")
+            for line in lines:
+                out.write(line + "\n")
                 written += 1
         print(f"wrote {written} score streams to {args.out}")
     return 0

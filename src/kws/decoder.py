@@ -53,9 +53,11 @@ reach a delta, the vectorized max returns the value the tie rule picks.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -623,66 +625,48 @@ def _encode_float(value: float) -> float | str:
     return float(value)
 
 
-def scorestream_record(stream: ScoreStream, events: Sequence[DetectionEvent]) -> dict:
-    """JSON-safe record for one utterance (-inf encoded as the string "-inf")."""
-    scores = stream.scores.tolist()
-    for idx in np.flatnonzero(np.isinf(stream.scores)).tolist():
-        scores[idx] = _encode_float(scores[idx])
-    return {
+def _joined(texts, keys: list) -> str:
+    """``", ".join(texts[k] for k in keys)``, with every lookup in one call."""
+    if len(keys) > 1:
+        return ", ".join(itemgetter(*keys)(texts))
+    return "".join([texts[k] for k in keys])
+
+
+_BOOL_TEXT = ("false", "true")
+# Where the record's two arrays go in the text of the rest of it. A quote
+# inside a JSON string is escaped, so no string can read like this.
+_ARRAYS = '"processed": null, "scores": null'
+
+
+def scorestream_record(stream: ScoreStream, events: Sequence[DetectionEvent]) -> str:
+    """The JSONL line of one utterance's record, without its newline.
+
+    It is ``json.dumps(record, sort_keys=True)`` of the record's fields, with
+    -inf and +inf written as the strings "-inf" and "inf". json encodes the
+    scalars and events; the ``processed`` and ``scores`` arrays are joined
+    from texts. Scores repeat a lot (a few distinct values per utterance),
+    so each distinct score is encoded once: the texts are memoized by the
+    f64 bit pattern, which keeps -0.0 apart from 0.0.
+    """
+    bits = np.asarray(stream.scores, dtype=np.float64).view(np.int64).tolist()
+    texts = dict.fromkeys(bits)
+    distinct = np.array(list(texts), dtype=np.int64).view(np.float64).tolist()
+    for key, value in zip(texts, distinct):
+        # float.__repr__ is json's own float formatter.
+        finite = math.isfinite(value)
+        texts[key] = float.__repr__(value) if finite else json.dumps(_encode_float(value))
+    rest = {
         "utt_id": stream.utt_id,
         "keyword": stream.keyword,
         "frame_seconds": stream.frame_seconds,
-        "scores": scores,
-        "processed": stream.processed.tolist(),
+        "scores": None,
+        "processed": None,
         "columns_evaluated": stream.columns_evaluated,
         "events": [
             {"keyword": e.keyword, "frame": e.frame, "log_score": _encode_float(e.log_score)}
             for e in events
         ],
     }
-
-
-def _field(record: dict, name: str, where: str = "score-stream record"):
-    try:
-        return record[name]
-    except KeyError:
-        raise ValidationError(f"{where} has no field {name!r}") from None
-
-
-def parse_scorestream_record(record: dict) -> tuple[ScoreStream, list[DetectionEvent]]:
-    """Inverse of ``scorestream_record``. A missing field, a score that is not
-    a number or is NaN, or a ``processed`` list of another length than
-    ``scores`` raises ``ValidationError`` naming the field."""
-    try:
-        # float() reads both JSON numbers and the "-inf"/"inf" strings.
-        scores = np.array([float(s) for s in _field(record, "scores")], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"score-stream field 'scores' is not a list of numbers: {exc}"
-        ) from exc
-    if np.isnan(scores).any():
-        raise ValidationError("score-stream field 'scores' holds NaN")
-    processed = np.array(_field(record, "processed"), dtype=bool)
-    if processed.shape != scores.shape:
-        raise ValidationError(
-            f"score-stream field 'processed' has shape {processed.shape}, "
-            f"'scores' has {scores.shape}"
-        )
-    stream = ScoreStream(
-        utt_id=_field(record, "utt_id"),
-        keyword=_field(record, "keyword"),
-        frame_seconds=_field(record, "frame_seconds"),
-        scores=scores,
-        processed=processed,
-        columns_evaluated=_field(record, "columns_evaluated"),
-    )
-    events = []
-    for i, e in enumerate(record.get("events", [])):
-        where = f"score-stream event {i}"
-        try:
-            log_score = float(_field(e, "log_score", where))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where} field 'log_score' is not a number: {exc}") from exc
-        keyword, frame = _field(e, "keyword", where), _field(e, "frame", where)
-        events.append(DetectionEvent(keyword, frame, log_score))
-    return stream, events
+    head, _, tail = json.dumps(rest, sort_keys=True).partition(_ARRAYS)
+    processed = _joined(_BOOL_TEXT, stream.processed.tolist())
+    return f'{head}"processed": [{processed}], "scores": [{_joined(texts, bits)}]{tail}'

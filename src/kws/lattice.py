@@ -82,7 +82,8 @@ class LatticeData:
                 f"log_phi shape {self.log_phi.shape} != {(T, U + 1)}"
             )
         for name, arr in (("log_y", self.log_y), ("log_phi", self.log_phi)):
-            if not arr.max() <= 0:  # NaN propagates through max and fails too
+            # NaN propagates through max and fails too.
+            if not np.maximum.reduce(arr, axis=None) <= 0:
                 if np.isnan(arr).any():
                     raise LatticeValueError(f"{name} contains NaN")
                 raise LatticeValueError(f"{name} contains log-probabilities > 0")
@@ -93,7 +94,7 @@ class LatticeData:
                 raise ValidationError("d_max > 0 requires a greedy-track channel")
             if self.greedy_tokens.shape != (T,) or self.greedy_durations.shape != (T,):
                 raise DimensionMismatchError("greedy-track channel must have one entry per frame")
-            if (self.greedy_durations > self.d_max).any():
+            if self.greedy_durations.max() > self.d_max:
                 raise LatticeValueError(
                     f"greedy_duration exceeds D_max={self.d_max}"
                 )
@@ -131,7 +132,8 @@ def read_lattice(path: str | Path) -> LatticeData:
     The header is checked against the file's size before the body is read,
     so a header that claims more data than the file holds costs no read of
     it, whatever its dimensions."""
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if header[:4] != MAGIC:
@@ -145,7 +147,8 @@ def read_lattice(path: str | Path) -> LatticeData:
             raise UnsupportedVersionError(f"{path}: version {version} unsupported (reader speaks {VERSION})")
         if T < 1 or U < 1:
             raise LatticeValueError(f"{path}: header T={T}, U={U}; both must be >= 1")
-        expected = 4 * T * U + 4 * T * (U + 1) + (6 * T if d_max > 0 else 0)
+        floats = T * U + T * (U + 1)  # log_y, then log_phi
+        expected = 4 * floats + (6 * T if d_max > 0 else 0)
         actual = os.fstat(fh.fileno()).st_size - _HEADER.size
         if actual == expected:
             body = bytearray(expected)  # writable, so the arrays below need no copy
@@ -154,19 +157,24 @@ def read_lattice(path: str | Path) -> LatticeData:
         raise TruncatedLatticeError(
             f"{path}: body has {actual} bytes, header dimensions require {expected}"
         )
-    log_y = np.frombuffer(body, dtype="<f4", count=T * U).reshape(T, U)
-    offset = 4 * T * U
-    log_phi = np.frombuffer(body, dtype="<f4", count=T * (U + 1), offset=offset).reshape(T, U + 1)
-    offset += 4 * T * (U + 1)
+    # One f32 view over both float channels.
+    grid = np.frombuffer(body, dtype="<f4", count=floats)
+    log_y = grid[: T * U].reshape(T, U)
+    log_phi = grid[T * U :].reshape(T, U + 1)
     greedy_tokens = greedy_durations = None
     if d_max > 0:
-        greedy_tokens = np.frombuffer(body, dtype="<u4", count=T, offset=offset)
-        offset += 4 * T
-        greedy_durations = np.frombuffer(body, dtype="<u2", count=T, offset=offset)
+        greedy_tokens = np.frombuffer(body, dtype="<u4", count=T, offset=4 * floats)
+        greedy_durations = np.frombuffer(body, dtype="<u2", count=T, offset=4 * floats + 4 * T)
 
     sidecar_path = path.with_suffix(".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        # Decoded here, not by json.loads, which would also take UTF-16 and
+        # UTF-32 text or a byte-order mark; newlines as read_text reads them,
+        # so a JSON error reports the same position.
+        text = sidecar_path.read_bytes().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        sidecar = json.loads(text)
     except FileNotFoundError as exc:
         raise SidecarError(f"{path}: missing sidecar {sidecar_path.name}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError

@@ -73,11 +73,12 @@ def _config_echo(config: DecodeConfig) -> dict:
     return echo
 
 
-def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[dict]:
-    """Decode every utterance against its lattice keyword; yields one JSONL
-    record per utterance, in utterance-id order, with the live gate's events
-    (streaming semantics). Records are made one at a time, as the caller
-    draws them, so none is held once the caller has moved on."""
+def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
+    """Decode every utterance against its lattice keyword; yields the JSONL
+    line of each utterance's record (``scorestream_record``, no newline), in
+    utterance-id order, with the live gate's events (streaming semantics).
+    Lines are made one at a time, as the caller draws them, so none is held
+    once the caller has moved on."""
     by_name = suite.keywords_by_name
     utterances = (
         (load_lattice(suite.lattice_path(utt)), (by_name[utt.lattice_keyword],), utt.utt_id)

@@ -344,6 +344,20 @@ def _require(ok, message: str):
     return parse
 
 
+_epsilon = _require(lambda v: 0 <= v < 1, "expected [0, 1)")
+_positive = _require(lambda v: math.isfinite(v) and v > 0, "expected finite and > 0")
+
+
+def _keywords(records) -> tuple[KeywordSpec, ...]:
+    keywords = tuple(KeywordSpec(name=k["name"], tokens=tuple(k["tokens"])) for k in records)
+    names = set()
+    for keyword in keywords:
+        if keyword.name in names:
+            raise ValueError(f"duplicate keyword name {keyword.name!r}")
+        names.add(keyword.name)
+    return keywords
+
+
 def load_manifest(suite_dir: str | Path) -> SuiteManifest:
     """Read ``suite_dir/manifest.json``; content that does not parse or
     validate raises ManifestError."""
@@ -355,10 +369,7 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         raise ManifestError(f"{manifest_path}: not UTF-8 JSON ({exc})") from exc
     top = partial(_field, manifest_path, "top level", raw)
     top("schema", _require(lambda v: v == MANIFEST_SCHEMA, f"expected {MANIFEST_SCHEMA!r}"))
-    keywords = top(
-        "keywords",
-        lambda ks: tuple(KeywordSpec(name=k["name"], tokens=tuple(k["tokens"])) for k in ks),
-    )
+    keywords = top("keywords", _keywords)
     names = {kw.name for kw in keywords}
     known = _require(lambda v: v in names, "unknown keyword")
     text = _require(lambda v: isinstance(v, str), "expected a string")
@@ -366,15 +377,18 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
     records = top(
         "utterances", _require(lambda v: isinstance(v, list) and v, "expected a non-empty list")
     )
+    utt_ids = set()
+    new = _require(lambda v: v not in utt_ids, "duplicate utterance id")
     for index, rec in enumerate(records):
-        utt_id = _field(manifest_path, f"utterance {index}", rec, "utt_id", text)
+        utt_id = _field(manifest_path, f"utterance {index}", rec, "utt_id", lambda v: new(text(v)))
+        utt_ids.add(utt_id)
         field = partial(_field, manifest_path, f"utterance {utt_id!r}", rec)
         synth = field("synth", SyntheticJoinerConfig.from_json_dict)
         utterances.append(
             Utterance(
                 utt_id=utt_id,
                 label=field("label", lambda v: v if v is None else known(v)),
-                epsilon=field("epsilon", _require(lambda v: 0 <= v < 1, "expected [0, 1)")),
+                epsilon=field("epsilon", _epsilon),
                 num_frames=field(
                     "num_frames",
                     _require(
@@ -382,10 +396,7 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
                         f"expected the integer synth.num_frames = {synth.num_frames}",
                     ),
                 ),
-                duration_seconds=field(
-                    "duration_seconds",
-                    _require(lambda v: math.isfinite(v) and v > 0, "expected finite and > 0"),
-                ),
+                duration_seconds=field("duration_seconds", _positive),
                 lattice=field("lattice", text),
                 lattice_keyword=field("lattice_keyword", known),
                 synth=synth,
@@ -393,10 +404,16 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         )
     return SuiteManifest(
         root=suite_dir,
-        seed=top("seed"),
-        frame_seconds=top("frame_seconds"),
-        d_max=top("d_max", _require(lambda v: v >= 0, "expected >= 0")),
-        epsilons=top("epsilons", tuple),
+        seed=top("seed", _require(lambda v: type(v) is int and v >= 0, "expected an integer >= 0")),
+        frame_seconds=top("frame_seconds", _positive),
+        d_max=top(
+            "d_max",
+            _require(
+                lambda v: type(v) is int and 0 <= v <= D_MAX_LIMIT,
+                f"expected an integer in [0, {D_MAX_LIMIT}]",
+            ),
+        ),
+        epsilons=top("epsilons", lambda v: tuple(_epsilon(e) for e in v)),
         keywords=keywords,
         utterances=tuple(utterances),
     )

@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -14,12 +15,55 @@ from kws import (
     NEG_INF,
     SizeLimitError,
     ValidationError,
+    AlignmentPath,
+    EmissionOracle,
     brute_force_score,
-    count_alignment_paths,
     decode_kws,
-    enumerate_alignment_paths,
     random_proper_lattice,
 )
+from kws.brute_force import HORIZONTAL, VERTICAL, _path_rows
+
+
+def count_alignment_paths(num_processed: int, num_tokens: int) -> int:
+    """Closed form for the number of paths ending at the last processed frame."""
+    if num_processed < 1:
+        return 0
+    return math.comb(num_processed - 1 + num_tokens, num_tokens)
+
+
+def enumerate_alignment_paths(
+    oracle: EmissionOracle,
+    keyword: KeywordSpec,
+    end_frame: int,
+    hop_sequence: Sequence[int] | None = None,
+) -> Iterator[AlignmentPath]:
+    """Yield every complete path ending at (end_frame, U), scores excluded
+    of the final blank factor: a recursive reference beside
+    ``brute_force_score``'s stack walk."""
+    rows = _path_rows(oracle, keyword, end_frame, hop_sequence)
+    if rows is None:
+        return
+    frames, y, phi = rows
+    U = keyword.num_tokens
+    last = len(frames) - 1
+
+    def walk(i: int, u: int, score: float, entries: list) -> Iterator[AlignmentPath]:
+        if u == U:
+            if i == last:
+                yield AlignmentPath(tuple(entries), score)
+        else:
+            entries.append((frames[i], u + 1, VERTICAL))
+            yield from walk(i, u + 1, score + y[i][u], entries)
+            entries.pop()
+        if i < last:
+            entries.append((frames[i + 1], u, HORIZONTAL))
+            yield from walk(i + 1, u, score + phi[i][u], entries)
+            entries.pop()
+
+    for start in range(len(frames)):
+        # First move is the vertical at the start frame.
+        entries = [(frames[start], 1, VERTICAL)]
+        yield from walk(start, 1, y[start][0], entries)
 
 
 def grid_oracle(y, phi, d_max=0, durations=None):

@@ -25,6 +25,7 @@ from kws import (
     bench,
     decode_keywords,
     decode_suite,
+    detect_events,
     greedy_search,
     load_lattice,
     load_manifest,
@@ -191,6 +192,30 @@ def test_decode_writes_valid_scorestream_jsonl(base_suite, tmp_path):
     for record in records:
         jsonschema.validate(record, schema)
     assert [r["utt_id"] for r in records] == sorted(r["utt_id"] for r in records)
+
+
+@pytest.mark.parametrize("mode", ["rnnt", "tdt"])
+def test_decode_lines_equal_json_dumps_of_the_reference_records(base_suite, tmp_path, mode):
+    """Every `kws decode` line is `json.dumps(record, sort_keys=True)` of the
+    per-frame reference record of its utterance's score stream."""
+    from test_decoder import _scorestream_record_reference
+
+    out = tmp_path / "scores.jsonl"
+    assert main(["decode", "--suite", str(base_suite), "--mode", mode, "--d-max", "3",
+                 "--out", str(out)]) == 0
+    suite = load_manifest(base_suite)
+    config = DecodeConfig(mode=mode, d_max=3 if mode == "tdt" else 0)
+    utts = sorted(suite.utterances, key=lambda u: u.utt_id)
+    lattices = (
+        (load_lattice(suite.lattice_path(u)), (suite.keywords_by_name[u.lattice_keyword],), u.utt_id)
+        for u in utts
+    )
+    expected = [
+        json.dumps(_scorestream_record_reference(stream, detect_events(stream, config)),
+                   sort_keys=True)
+        for (stream,) in decode_keywords(lattices, config)
+    ]
+    assert out.read_text(encoding="utf-8").splitlines() == expected
 
 
 def test_decode_stdout_default(base_suite, capsys):

@@ -26,7 +26,6 @@ from kws import (
     decode_keywords,
     decode_kws,
     dump_delta_matrix,
-    parse_scorestream_record,
     scorestream_record,
 )
 from kws.decoder import detect_events, peak_events
@@ -377,6 +376,53 @@ def test_peak_events_tie_prefers_earlier_frame():
     assert [e.frame for e in events] == [1, 3]
 
 
+def _field(record: dict, name: str, where: str = "score-stream record"):
+    try:
+        return record[name]
+    except KeyError:
+        raise ValidationError(f"{where} has no field {name!r}") from None
+
+
+def parse_scorestream_record(record: dict) -> tuple[ScoreStream, list[DetectionEvent]]:
+    """Inverse of ``scorestream_record`` on a JSON-decoded line: a reference
+    reader of the format. A missing field, a score that is not a number or
+    is NaN, or a ``processed`` list of another length than ``scores`` raises
+    ``ValidationError`` naming the field."""
+    try:
+        # float() reads both JSON numbers and the "-inf"/"inf" strings.
+        scores = np.array([float(s) for s in _field(record, "scores")], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"score-stream field 'scores' is not a list of numbers: {exc}"
+        ) from exc
+    if np.isnan(scores).any():
+        raise ValidationError("score-stream field 'scores' holds NaN")
+    processed = np.array(_field(record, "processed"), dtype=bool)
+    if processed.shape != scores.shape:
+        raise ValidationError(
+            f"score-stream field 'processed' has shape {processed.shape}, "
+            f"'scores' has {scores.shape}"
+        )
+    stream = ScoreStream(
+        utt_id=_field(record, "utt_id"),
+        keyword=_field(record, "keyword"),
+        frame_seconds=_field(record, "frame_seconds"),
+        scores=scores,
+        processed=processed,
+        columns_evaluated=_field(record, "columns_evaluated"),
+    )
+    events = []
+    for i, e in enumerate(record.get("events", [])):
+        where = f"score-stream event {i}"
+        try:
+            log_score = float(_field(e, "log_score", where))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where} field 'log_score' is not a number: {exc}") from exc
+        keyword, frame = _field(e, "keyword", where), _field(e, "frame", where)
+        events.append(DetectionEvent(keyword, frame, log_score))
+    return stream, events
+
+
 def test_scorestream_record_round_trip():
     oracle = grid_oracle(
         np.full((6, 1), 0.6),
@@ -387,10 +433,11 @@ def test_scorestream_record_round_trip():
     config = DecodeConfig(mode="tdt", d_max=2, threshold_log=-2.0)
     stream = decode_kws(oracle, oracle.keyword, config, utt_id="utt-7")
     events = detect_events(stream, config)
-    record = scorestream_record(stream, events)
+    line = scorestream_record(stream, events)
+    assert "\n" not in line
+    record = json.loads(line)
     assert record["scores"][1] == "-inf"
-    text = json.dumps(record, sort_keys=True)
-    back_stream, back_events = parse_scorestream_record(json.loads(text))
+    back_stream, back_events = parse_scorestream_record(record)
     np.testing.assert_array_equal(back_stream.scores, stream.scores)
     np.testing.assert_array_equal(back_stream.processed, stream.processed)
     assert back_events == events
@@ -404,8 +451,7 @@ def _round_trip_record():
         "utt-1", "kw", 0.03, np.array([-1.5, NEG_INF, -0.25, NEG_INF]),
         np.array([True, False, True, False]), 2,
     )
-    record = scorestream_record(stream, [DetectionEvent("kw", 3, -0.25)])
-    return json.loads(json.dumps(record))
+    return json.loads(scorestream_record(stream, [DetectionEvent("kw", 3, -0.25)]))
 
 
 @pytest.mark.parametrize(
@@ -502,26 +548,38 @@ def _scorestream_record_reference(stream, events):
     }
 
 
+# Special values the record encoder must keep apart or encode apart.
+SPECIAL_SCORES = [0.0, -0.0, math.nan, math.inf, NEG_INF, 5e-324, -1e300]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     num_frames=st.integers(0, 80),
     threshold_log=st.sampled_from([NEG_INF, -3.0, -1.0, -0.5, 0.0, math.inf]),
     refractory=st.sampled_from([0, 1, 2, 3, 7, 34]),
+    specials=st.lists(st.sampled_from(SPECIAL_SCORES), max_size=6),
+    all_distinct=st.booleans(),
 )
 def test_detect_events_and_record_match_per_frame_references(
-    seed, num_frames, threshold_log, refractory
+    seed, num_frames, threshold_log, refractory, specials, all_distinct
 ):
     """Tie-heavy scores with -inf runs, +inf entries and unprocessed finite
-    frames: the vectorized event walk and record encoder equal the per-frame
-    forms, events and JSON bytes alike."""
+    frames, or all-distinct scores, with -0.0 beside 0.0 and NaN drawn in:
+    the vectorized event walk equals the per-frame gate, and the record line
+    equals ``json.dumps`` of the per-frame record, byte for byte."""
     rng = np.random.default_rng(seed)
-    scores = rng.choice([0.0, -0.5, -1.0, -3.0, NEG_INF], size=num_frames)
-    scores[rng.random(num_frames) < 0.3] = rng.uniform(-4.0, 0.0)
-    for _ in range(int(rng.integers(0, 3))):  # -inf runs
-        start = int(rng.integers(0, num_frames + 1))
-        scores[start : start + int(rng.integers(1, 10))] = NEG_INF
-    scores[rng.random(num_frames) < 0.03] = math.inf
+    if all_distinct:
+        scores = -rng.permutation(num_frames) - rng.random(num_frames)
+    else:
+        scores = rng.choice([0.0, -0.5, -1.0, -3.0, NEG_INF], size=num_frames)
+        scores[rng.random(num_frames) < 0.3] = rng.uniform(-4.0, 0.0)
+        for _ in range(int(rng.integers(0, 3))):  # -inf runs
+            start = int(rng.integers(0, num_frames + 1))
+            scores[start : start + int(rng.integers(1, 10))] = NEG_INF
+        scores[rng.random(num_frames) < 0.03] = math.inf
+    if num_frames:
+        scores[rng.integers(0, num_frames, size=len(specials))] = specials
     processed = rng.random(num_frames) < 0.8
     stream = ScoreStream("u", "kw", 0.03, scores, processed, int(processed.sum()))
     config = DecodeConfig(threshold_log=threshold_log, refractory_frames=refractory)
@@ -529,9 +587,19 @@ def test_detect_events_and_record_match_per_frame_references(
     events = detect_events(stream, config)
     assert events == _detect_events_reference(stream, config)
     assert all(type(e.frame) is int and type(e.log_score) is float for e in events)
-    record = scorestream_record(stream, events)
-    reference = _scorestream_record_reference(stream, events)
-    assert json.dumps(record) == json.dumps(reference)
+    line = scorestream_record(stream, events)
+    assert line == json.dumps(_scorestream_record_reference(stream, events), sort_keys=True)
+
+
+def test_record_keeps_signed_zeros_and_nan_apart():
+    scores = np.array([0.0, -0.0, math.nan, 0.0, -0.0, NEG_INF, math.inf, math.nan])
+    stream = ScoreStream("u", "kw", 0.03, scores, np.ones(8, dtype=bool), 8)
+    record = json.loads(scorestream_record(stream, []))
+    assert record["scores"][:2] == [0.0, -0.0]
+    assert [math.copysign(1.0, s) for s in record["scores"][:2]] == [1.0, -1.0]
+    assert '"scores": [0.0, -0.0, NaN, 0.0, -0.0, "-inf", "inf", NaN]' in scorestream_record(
+        stream, []
+    )
 
 
 def _reference_column(prev_delta, prev_phi, y, U):

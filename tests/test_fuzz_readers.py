@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kws import KwsError, ManifestError, SuiteGenSpec, gen_suite, load_manifest, read_lattice
 from kws.cli import main
+from kws.lattice import D_MAX_LIMIT
 
 SPEC = SuiteGenSpec(
     keywords=("alpha",),
@@ -136,6 +137,74 @@ def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value)
             for utt in suite.utterances:
                 assert type(utt.num_frames) is int and utt.num_frames == utt.synth.num_frames
                 assert math.isfinite(utt.duration_seconds)
+
+        out = str(Path(tmp) / "out")
+        codes = [
+            main(["decode", "--suite", str(root), "--mode", "tdt", "--d-max", "3", "--out", out]),
+            main(["bench", "--suite", str(root), "--report", out]),
+        ]
+        assert set(codes) <= {0, 1, 2}
+        if suite is None:
+            assert codes == [2, 2]
+
+
+TOP_FIELDS = (
+    "schema", "seed", "frame_seconds", "d_max", "duration_concentration", "vocab_size",
+    "epsilons", "keywords", "utterances",
+)
+DUPLICATE = "a copy of the list's first item appended"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(TOP_FIELDS),
+    value=st.none() | st.just(DUPLICATE) | JSON_VALUES.map(lambda v: [v]),
+)
+@example(field="seed", value=["x"])
+@example(field="seed", value=[-3])
+@example(field="frame_seconds", value=["abc"])
+@example(field="frame_seconds", value=[-1.0])
+@example(field="d_max", value=[1.5])
+@example(field="epsilons", value=[[5]])
+@example(field="keywords", value=DUPLICATE)
+@example(field="utterances", value=DUPLICATE)
+def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
+    """One top-level manifest field is deleted (``value`` None), gets a copy
+    of its first item appended, or is replaced by an arbitrary JSON value: a
+    manifest that loads holds a suite seed, frame length, D_max and epsilons
+    in range and unique keyword names and utterance ids; one that does not
+    fails with a ManifestError naming the manifest, and the CLI exits 2."""
+    manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
+    if value is None:
+        del manifest[field]
+    elif value == DUPLICATE:
+        if isinstance(manifest[field], list):
+            manifest[field].append(manifest[field][0])
+    else:
+        manifest[field] = value[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "suite"
+        shutil.copytree(suite_dir, root)
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        try:
+            suite = load_manifest(root)
+        except ManifestError as exc:
+            suite = None
+            message = str(exc)
+            assert str(root / "manifest.json") in message
+            if field in ("schema", "seed", "frame_seconds", "d_max", "epsilons"):
+                assert f"field {field!r}" in message
+            if value == DUPLICATE and field in ("keywords", "utterances"):
+                assert "duplicate" in message
+        if suite is not None:
+            assert type(suite.seed) is int and suite.seed >= 0
+            assert math.isfinite(suite.frame_seconds) and suite.frame_seconds > 0
+            assert type(suite.d_max) is int and 0 <= suite.d_max <= D_MAX_LIMIT
+            assert all(0 <= eps < 1 for eps in suite.epsilons)
+            names = [kw.name for kw in suite.keywords]
+            assert len(set(names)) == len(names)
+            utt_ids = [u.utt_id for u in suite.utterances]
+            assert len(set(utt_ids)) == len(utt_ids)
 
         out = str(Path(tmp) / "out")
         codes = [

@@ -94,3 +94,12 @@ def test_every_name_the_benchmark_tracer_wraps_exists_in_kws():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert sorted(missing) == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """No public name exists only for tests: every name in ``kws.__all__`` is
+    read by some kws module (its own definition and the package's re-export
+    aside) or wrapped by the benchmark's tracer."""
+    used = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES))
+    used |= {name for _, name in _instrumented_names()}
+    assert sorted(set(kws.__all__) - used) == []

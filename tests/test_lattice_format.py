@@ -266,10 +266,13 @@ def test_sidecar_token_count_must_match_header(tmp_path):
         # does not state.
         b'{"keyword": {"name": "tiny", "tokens": [5, 6.7]}}',
         b'{"keyword": {"name": "tiny", "tokens": [5, "6"]}}',
+        # json.loads would read both from bytes; neither is UTF-8 JSON.
+        b'\xef\xbb\xbf{"keyword": {"name": "tiny", "tokens": [5, 6]}}',
+        '{"keyword": {"name": "tiny", "tokens": [5, 6]}}'.encode("utf-16"),
     ],
     ids=[
         "not-utf8", "token-not-int", "name-not-string", "keyword-not-object", "list",
-        "token-not-integral", "token-is-string",
+        "token-not-integral", "token-is-string", "utf8-bom", "utf16",
     ],
 )
 def test_malformed_sidecar_rejected(tmp_path, sidecar):
@@ -277,6 +280,21 @@ def test_malformed_sidecar_rejected(tmp_path, sidecar):
     (tmp_path / "x.json").write_bytes(sidecar)
     with pytest.raises(SidecarError):
         read_lattice(path)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_sidecar_json_error_reports_the_text_position(tmp_path, newline):
+    """Newlines count as text reading makes them: a broken CRLF or CR
+    sidecar's error names the position that ``read_text`` gives."""
+    path = save_lattice(tiny_data(), tmp_path / "x.kwl")
+    sidecar = tmp_path / "x.json"
+    broken = sidecar.read_bytes().replace(b"\n", newline).replace(b"]", b"", 1)
+    sidecar.write_bytes(broken)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(sidecar.read_text(encoding="utf-8"))
+    with pytest.raises(SidecarError) as info:
+        read_lattice(path)
+    assert str(info.value) == f"{sidecar}: not UTF-8 JSON ({expected.value})"
 
 
 def test_wrong_keyword_query_rejected(tmp_path):
