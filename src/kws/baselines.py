@@ -28,8 +28,9 @@ its own frame, and one round advances all of them: one
 utterance or per live beam lineage, then one argmax and, for beam, one top-k
 run over the rows of all utterances. All lineages of an utterance's frame are
 in the same expansion round, so the emission cap is one counter per
-utterance. TDT greedy also asks each utterance that leaves a frame for its
-``duration_log_probs`` there.
+utterance. TDT greedy then makes one ``duration_log_prob_group`` query for
+the utterances that leave their frame, and hops them all at once. A group
+of wrapped oracles takes both queries' ``EmissionOracle`` defaults.
 
 The beam prune sorts integer keys, not token tuples. Under the no-prefix
 invariant a lineage's token tuple orders as the key (its start-of-frame
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import RNNT, TDT, _check_search_config, _hop
+from .decoder import RNNT, TDT, _check_search_config, _zero_duration_error
 from .emissions import BLANK_ID, EmissionOracle
 from .errors import CapabilityError, ModeError, ValidationError
 
@@ -112,6 +113,7 @@ def _greedy_searches(
     if not oracles:
         return []
     rows_of = _row_query(oracles, config)
+    durations_of = type(oracles[0]).duration_log_prob_group(oracles) if config.mode == TDT else None
     n = len(oracles)
     num_frames = np.array([oracle.num_frames for oracle in oracles], dtype=np.int64)
     t = np.ones(n, dtype=np.int64)
@@ -134,13 +136,15 @@ def _greedy_searches(
         lengths[live] += emit
         emitted[live] = np.where(emit, emitted[live] + 1, 0)
         advance = live[~emit]
-        if config.mode == TDT:
-            for u in advance.tolist():
-                at = int(t[u])
-                duration = oracles[u].duration_log_probs(at, tokens[u])
-                t[u] += _hop(int(np.argmax(duration)), at, config)
-        else:
+        if config.mode != TDT:
             t[advance] += 1
+        elif advance.size:  # decoder._hop of each leaving utterance's argmax duration
+            at = t[advance]
+            durations = durations_of(advance, at, [tokens[u] for u in advance.tolist()])
+            hops = np.minimum(durations.argmax(axis=1), config.d_max)
+            if config.zero_duration_policy == "error" and not hops.all():
+                raise _zero_duration_error(int(at[hops == 0][0]))
+            t[advance] += np.maximum(hops, 1)
         live = live[t[live] <= num_frames[live]]
     return [
         Hypothesis(tuple(tokens[u]), float(log_prob[u]), tuple(emit_frames[u]))
@@ -293,6 +297,8 @@ def _beam_searches(
         commit = (rows.argmax(axis=1) == BLANK_ID) | (emitted[utt] >= cap)
         done = alive[commit]
         lp[done] += rows[commit, BLANK_ID]
+        negated = rows[~commit, 1:]  # a copy: a round's one (rows x V) array once rows go
+        del rows
         pool[done, _DONE] = 1
         keep = np.ones(len(pool), dtype=bool)
         expand = alive[~commit]
@@ -303,10 +309,12 @@ def _beam_searches(
             # wider expansion is wasted work. Which of several tied tokens
             # argpartition keeps decides the result; it keeps the same ones
             # row by row as on each row alone.
-            scores = rows[~commit, 1:]
-            count = min(beam_width, scores.shape[1])
-            top = np.argpartition(-scores, count - 1, axis=1)[:, :count]
-            child_lp = (lp[expand][:, None] + np.take_along_axis(scores, top, axis=1)).ravel()
+            np.negative(negated, out=negated)
+            count = min(beam_width, negated.shape[1])
+            top = np.argpartition(negated, count - 1, axis=1)[:, :count].copy()
+            # lp - (-score) is bit-equal to lp + score.
+            child_lp = (lp[expand][:, None] - np.take_along_axis(negated, top, axis=1)).ravel()
+            del negated
             child_token = (top + 1).ravel()
             parent_utt = pool[expand, _UTT]
             # All alive lineages of an utterance are in the same round, so a

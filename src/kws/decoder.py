@@ -316,8 +316,7 @@ def _zero_duration_error(t: int) -> ValidationError:
 
 
 def _hop(duration: int, t: int, config: DecodeConfig) -> int:
-    """Frames to advance after processing frame t, given the greedy duration.
-    ``config`` may also be a ``baselines.AsrConfig``, which has the same fields."""
+    """Frames to advance after processing frame t, given the greedy duration."""
     d = min(duration, config.d_max)
     if d < 1:
         if config.zero_duration_policy == "error":

@@ -15,7 +15,8 @@ never for one greedy step at a time:
 * for the ASR baselines, full-vocabulary distributions under arbitrary
   emitted-token histories: many histories at one frame
   (``token_log_prob_rows``), or many (utterance, frame, history) rows of a
-  group of oracles at once (``token_log_prob_group``).
+  group of oracles at once (``token_log_prob_group``), and durations alike
+  (``duration_log_prob_group``).
 
 ``EmissionOracle`` states which oracle defines which of these. Oracles are
 immutable after construction and safe to share across concurrent decoders.
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ModeError, ValidationError
+from .errors import CapabilityError, ValidationError
 
 BLANK_ID = 0
 NEG_INF = float("-inf")
@@ -92,15 +93,18 @@ class EmissionOracle(ABC):
       and ``token_log_prob_rows(t, histories)``, the (len(histories), V + 1)
       float64 token distributions (index 0 = blank) at frame t under each
       emitted-token history, and, if duration-aware,
-      ``duration_log_probs``. It may override ``token_log_prob_group``.
+      ``duration_log_probs(t, history)``, the d_max + 1 log-probs of the
+      durations {0..d_max} at frame t.
 
-    The base class defines none of these five methods, not even as abstract
+    The base class defines none of these six methods, not even as abstract
     methods or refusals, so a wrapper that forwards unknown attributes to an
     inner oracle (``__getattr__``) reaches the inner oracle's own arrays: an
     abstract method would make such a wrapper impossible to instantiate, and
-    a concrete one would hide the forward. It defines only the refusals of
-    ``vocab_size`` and ``duration_log_probs`` and the
-    ``token_log_prob_group`` default, which a wrapper must forward by name.
+    a concrete one would hide the forward. It defines the refusal of
+    ``vocab_size``, which a wrapper must forward by name, and the group
+    defaults ``token_log_prob_group`` and ``duration_log_prob_group``, which
+    a wrapper inherits: they stack one-oracle answers, so every row reaches
+    the wrapper's own methods. An oracle class may override them.
     Rows and blocks must not be mutated by callers.
     """
 
@@ -173,8 +177,20 @@ class EmissionOracle(ABC):
 
         return rows
 
-    def duration_log_probs(self, t: int, history: Sequence[int] = ()) -> np.ndarray:
-        """Duration distribution (D_max+1 log-probs over {0..D_max}) at frame t."""
-        if not self.supports_tdt:
-            raise ModeError(f"{type(self).__name__} has no duration track (d_max=0)")
-        raise CapabilityError(f"{type(self).__name__} is not generative")
+    @classmethod
+    def duration_log_prob_group(cls, oracles: Sequence["EmissionOracle"]) -> Callable:
+        """Like ``token_log_prob_group``, for durations: ``rows(utts, frames,
+        histories)`` gives a (len(utts), W) float64 array, W the group's widest
+        ``d_max + 1``, whose row i is ``duration_log_probs(frames[i],
+        histories[i])`` of ``oracles[utts[i]]``, padded with -inf, which keeps
+        its argmax. This default stacks one such call per row."""
+        width = max((oracle.d_max for oracle in oracles), default=0) + 1
+
+        def rows(utts, frames, histories) -> np.ndarray:
+            out = np.full((len(utts), width), NEG_INF)
+            for i, (u, t) in enumerate(zip(np.asarray(utts).tolist(), np.asarray(frames).tolist())):
+                row = oracles[u].duration_log_probs(t, histories[i])
+                out[i, : len(row)] = row
+            return out
+
+        return rows

@@ -13,11 +13,12 @@ event is its row's highest finite score, and a negative's peak events, for
 all its keywords at once, come from one greedy non-maximum suppression over
 the block. ``decode_suite`` yields its records one at a time, so a caller
 that writes each before drawing the next holds one. ASR baseline rows always use
-the generative oracle: each utterance of an epsilon group builds one
-``SyntheticOracle``, and each ASR search runs on all of the group's oracles
-at once, in lockstep rounds (see ``baselines``): every round makes one row
-query for the whole group. The beam search's union guard reuses the
-group's greedy RNN-T transcripts.
+the generative oracle: after every group's KWS runs, each utterance of the
+suite builds one ``SyntheticOracle``, and each ASR search runs once on all
+of them, in lockstep rounds (see ``baselines``) whose row and duration
+queries go through the ``EmissionOracle`` group methods, which wrapped
+oracles inherit as stacking defaults. The beam search's union guard reuses
+the greedy RNN-T transcripts.
 """
 
 from __future__ import annotations
@@ -154,18 +155,13 @@ def _bench_one_run(
     return run, counters
 
 
-def _asr_rows(
-    suite: SuiteManifest,
-    epsilon: float,
-    candidate: DecodeConfig,
-    beam_width: int,
-    target_far: float,
-) -> dict:
-    """The ASR baseline rows of one epsilon group. Each utterance builds one
-    oracle (transcripts are label-independent), and each search runs on all
-    of the group's oracles at once, in lockstep rounds. Beam search's union
-    guard takes the greedy RNN-T transcripts already computed."""
-    utts = sorted((u for u in suite.utterances if u.epsilon == epsilon), key=lambda u: u.utt_id)
+def _asr_transcripts(
+    suite: SuiteManifest, candidate: DecodeConfig, beam_width: int
+) -> dict[str, dict[str, Hypothesis]]:
+    """``{row name: {utt_id: transcript}}`` of every ASR baseline row, from
+    one search per row over all of the suite's utterances (transcripts are
+    label-independent)."""
+    utts = sorted(suite.utterances, key=lambda u: u.utt_id)
     oracles = [SyntheticOracle(u.synth) for u in utts]
     rnnt_cfg = AsrConfig(mode=RNNT)
     greedy = _greedy_searches(oracles, rnnt_cfg)
@@ -181,8 +177,7 @@ def _asr_rows(
         )
         transcripts["greedy_tdt"] = _greedy_searches(oracles, tdt_cfg)
     return {
-        name: _asr_row(suite, epsilon, dict(zip((u.utt_id for u in utts), hyps)), target_far)
-        for name, hyps in transcripts.items()
+        name: dict(zip((u.utt_id for u in utts), hyps)) for name, hyps in transcripts.items()
     }
 
 
@@ -243,9 +238,15 @@ def bench(
             "candidate": candidate_run,
             "speedup": speedup(baseline_counters, candidate_counters).to_json_dict(),
         }
-        if also_asr_baselines:
-            group["asr"] = _asr_rows(suite, epsilon, candidate, beam_width, target_far)
         groups.append(group)
+    # After every group's KWS runs, so that those run as they would alone.
+    if also_asr_baselines:
+        transcripts = _asr_transcripts(suite, candidate, beam_width)
+        for group in groups:
+            group["asr"] = {
+                name: _asr_row(suite, group["epsilon"], hyps, target_far)
+                for name, hyps in transcripts.items()
+            }
     return {
         "schema": REPORT_SCHEMA,
         "suite_seed": suite.seed,

@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,9 @@ class SuiteGenSpec:
                 raise ValidationError(f"epsilon must be in [0, 1), got {eps}")
         if len(self.epsilons) < 1:
             raise ValidationError("need at least one epsilon")
+        tags = [_epsilon_tag(eps) for eps in self.epsilons]
+        if len(set(tags)) < len(tags):  # they would write the same utterances
+            raise ValidationError(f"epsilons {self.epsilons} repeat an utterance id suffix: {tags}")
         if not 0 <= self.d_max <= D_MAX_LIMIT:
             raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if not 0.0 < self.duration_concentration <= 1.0:
@@ -110,6 +114,10 @@ class SuiteGenSpec:
             raise ValidationError(
                 f"frame_seconds must be finite and > 0 as a 32-bit float, got {self.frame_seconds}"
             )
+
+
+def _epsilon_tag(epsilon: float) -> str:
+    return f"-e{epsilon:.2f}"
 
 
 def _draw_keywords(spec: SuiteGenSpec) -> tuple[tuple[KeywordSpec, ...], int]:
@@ -216,7 +224,7 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
         # Every epsilon of an utterance shares its planted alignment.
         num_frames, alignment = _utterance_alignment(spec, utt_index, label_kw, filler_tokens)
         for epsilon in spec.epsilons:
-            utt_id = f"{stem}-e{epsilon:.2f}"
+            utt_id = stem + _epsilon_tag(epsilon)
             cfg = SyntheticJoinerConfig(
                 vocab_size=vocab_size,
                 num_frames=num_frames,
@@ -402,7 +410,7 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
                 synth=synth,
             )
         )
-    return SuiteManifest(
+    suite = SuiteManifest(
         root=suite_dir,
         seed=top("seed", _require(lambda v: type(v) is int and v >= 0, "expected an integer >= 0")),
         frame_seconds=top("frame_seconds", _positive),
@@ -417,3 +425,22 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         keywords=keywords,
         utterances=tuple(utterances),
     )
+    vocab_size = top("vocab_size", _require(lambda v: type(v) is int, "expected an integer"))
+    # One set comparison per field; the record at fault is sought only on a mismatch.
+    for name, want, field in (
+        ("epsilons", set(suite.epsilons), "epsilon"),
+        ("frame_seconds", {suite.frame_seconds}, "synth.frame_seconds"),
+        ("vocab_size", {vocab_size}, "synth.vocab_size"),
+        ("d_max", {suite.d_max}, "synth.d_max"),
+    ):
+        of = attrgetter(field)
+        found = {of(u) for u in utterances}
+        if found != want:
+            bad = next((u for u in utterances if of(u) not in want), None)
+            fault = f"utterance {bad.utt_id!r}: field {field!r} = {of(bad)!r}" if bad else (
+                f"the utterances: none has {field} {sorted(want - found)}"
+            )
+            raise ManifestError(
+                f"{manifest_path}: top level: field {name!r}: {sorted(want)} disagrees with {fault}"
+            )
+    return suite

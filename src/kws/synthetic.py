@@ -41,9 +41,9 @@ covering segment's ordinal and the ideal duration.
   the keywords. ``emission_rows`` answers one frame for ``StreamingDecoder``
   and caches the keyword's per-frame positions and the rows it has built.
 * Greedy tracks (``greedy_durations``, ``greedy_tokens``) and duration
-  vectors (``duration_log_probs``) are closed forms of the per-frame ideal
-  duration and the segment starts, so no (d_max + 1)-squared table is built,
-  whatever d_max.
+  vectors (``duration_log_probs``, ``duration_log_prob_group``) are closed
+  forms of the per-frame ideal duration and the segment starts, so no
+  (d_max + 1)-squared table is built, whatever d_max.
 * Generative track: it depends on a history only through its length n, so
   ``token_log_prob_rows`` reads no history's tokens, and a group of oracles
   answers many rows in one query (``token_log_prob_group``) from their
@@ -367,6 +367,32 @@ class SyntheticOracle(EmissionOracle):
         vec = np.full(self._cfg.d_max + 1, self._log_spread)
         vec[self._ideal_durations[t - 1]] = self._log_concentrated
         return vec
+
+    @classmethod
+    def duration_log_prob_group(cls, oracles: Sequence[EmissionOracle]):
+        """The group's duration rows from its concatenated ideal durations;
+        a group holding another kind of oracle, or one without a duration
+        track, takes the stacking default."""
+        methods = {getattr(type(o), "duration_log_probs", None) for o in oracles}
+        if methods != {__class__.duration_log_probs} or not all(o.d_max for o in oracles):
+            return super().duration_log_prob_group(oracles)
+        num_frames = np.array([o.num_frames for o in oracles], dtype=np.int64)
+        offsets = np.cumsum(num_frames) - num_frames
+        ideal = np.concatenate([o._ideal_durations for o in oracles])
+        d_max = np.array([o.d_max for o in oracles])
+        within = np.arange(d_max.max() + 1) <= d_max[:, None]
+        spread = np.array([o._log_spread for o in oracles])[:, None]
+        concentrated = np.array([o._log_concentrated for o in oracles])
+
+        def rows(utts, frames, histories) -> np.ndarray:
+            bad = np.flatnonzero((frames < 1) | (frames > num_frames[utts]))
+            if bad.size:
+                oracles[utts[bad[0]]]._check_frame(int(frames[bad[0]]))
+            out = np.where(within[utts], spread[utts], NEG_INF)
+            out[np.arange(len(utts)), ideal[offsets[utts] + frames - 1]] = concentrated[utts]
+            return out
+
+        return rows
 
     # Greedy track
 

@@ -18,19 +18,23 @@ from kws import (
     Hypothesis,
     KeywordSpec,
     ModeError,
+    SuiteGenSpec,
     SyntheticJoinerConfig,
     SyntheticOracle,
     ValidationError,
     beam_search,
     decode_keywords,
+    gen_suite,
     greedy_search,
     keyword_hit,
     load_lattice,
+    load_manifest,
     save_lattice,
     snapshot,
 )
 from kws.baselines import _beam_searches, _greedy_searches, _require_generative
 from kws.decoder import _hop
+from kws.runner import _asr_transcripts
 
 
 class ScriptedOracle(EmissionOracle):
@@ -688,10 +692,32 @@ def test_synthetic_group_rows_reject_out_of_range_frames():
         assert str(raised.value) == f"frame index {t} out of range [1, {group[utt].num_frames}]"
 
 
+@settings(max_examples=60, deadline=None)
+@given(group=oracle_groups(tdt=True), data=st.data())
+def test_synthetic_duration_rows_equal_the_stacking_default(group, data):
+    """Over groups of mixed d_max: the rows, -inf padding included, and the
+    error of the first bad row (a frame out of range, or an oracle without a
+    duration track), message and all."""
+    group = group + data.draw(st.lists(st.just(synth_oracle()), max_size=1))  # d_max = 0
+    utts = data.draw(st.lists(st.integers(0, len(group) - 1), max_size=12))
+    frames = [data.draw(st.integers(0, group[u].num_frames + 1)) for u in utts]
+    args = (np.array(utts, dtype=np.int64), np.array(frames, dtype=np.int64), [()] * len(utts))
+    answers = []
+    for cls in (SyntheticOracle, EmissionOracle):
+        try:
+            answers.append(cls.duration_log_prob_group(group)(*args).tobytes())
+        except (ValidationError, ModeError) as exc:
+            answers.append((type(exc), str(exc)))
+    assert answers[0] == answers[1]
+    if isinstance(answers[0], bytes):
+        width = max(o.d_max for o in group) + 1
+        assert len(answers[0]) == len(utts) * width * 8
+
+
 class Forwarding(EmissionOracle):
-    """A wrapper shaped like a tracing one: it answers the properties and
-    ``duration_log_probs``, which the base class defines, from the wrapped
-    oracle, and forwards every other attribute through ``__getattr__``."""
+    """A wrapper shaped like a tracing one: it answers the properties, which
+    the base class defines, from the wrapped oracle, and forwards every
+    other attribute through ``__getattr__``, ``duration_log_probs`` too."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -706,9 +732,6 @@ class Forwarding(EmissionOracle):
     frame_seconds = property(lambda self: self._inner.frame_seconds)
     is_generative = property(lambda self: self._inner.is_generative)
     vocab_size = property(lambda self: self._inner.vocab_size)
-
-    def duration_log_probs(self, t, history=()):
-        return self._inner.duration_log_probs(t, history)
 
 
 def test_forwarding_wrappers_reach_the_wrapped_arrays(tmp_path):
@@ -750,3 +773,30 @@ def test_forwarding_wrappers_reach_the_wrapped_arrays(tmp_path):
     histories = [(), (1,), (), (2, 3)]
     want = SyntheticOracle.token_log_prob_group(bare)(*args, histories)
     assert rows(*args, histories).tobytes() == want.tobytes()
+    durations = SyntheticOracle.duration_log_prob_group(mixed)
+    assert durations.__qualname__ == "EmissionOracle.duration_log_prob_group.<locals>.rows"
+    want = SyntheticOracle.duration_log_prob_group(bare)(*args[:2], histories)
+    assert durations(*args[:2], histories).tobytes() == want.tobytes()
+
+
+def test_suite_wide_asr_transcripts_equal_the_per_group_searches(tmp_path):
+    """Each ASR search runs once over a three-epsilon suite; every utterance's
+    transcript is the one its epsilon group's own search gives, bit for bit."""
+    spec = SuiteGenSpec(
+        keywords=("alpha", "bravo"), n_pos=2, n_neg=3, frames_min=30, frames_max=40,
+        duration_min=1, duration_max=3, epsilons=(0.0, 0.3, 0.6), d_max=3, seed=11,
+    )
+    suite = load_manifest(gen_suite(tmp_path, spec).parent)
+    got = _asr_transcripts(suite, DecodeConfig(mode="tdt", d_max=2), 4)
+    for epsilon in spec.epsilons:
+        utts = sorted((u for u in suite.utterances if u.epsilon == epsilon), key=lambda u: u.utt_id)
+        oracles = [SyntheticOracle(u.synth) for u in utts]
+        greedy = _greedy_searches(oracles, AsrConfig())
+        want = {
+            "greedy_rnnt": greedy,
+            "beam4_rnnt": [beams[0] for beams in _beam_searches(oracles, 4, AsrConfig(), greedy)],
+            "greedy_tdt": _greedy_searches(oracles, AsrConfig(mode="tdt", d_max=2)),
+        }
+        assert list(got) == list(want)
+        for name, hyps in want.items():
+            assert bits([got[name][u.utt_id] for u in utts]) == bits(hyps)

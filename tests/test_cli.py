@@ -1,9 +1,11 @@
 """Command line interface: exit codes, determinism, file outputs."""
 
+import cProfile
 import importlib.resources
 import importlib.util
 import json
 import math
+import pstats
 import shutil
 import subprocess
 import sys
@@ -293,7 +295,9 @@ def test_traced_benchmark_pass_gives_the_untraced_asr_report(base_suite, tmp_pat
     its oracle pass wraps every oracle; a bench with ASR rows run under it
     gives the report of an untraced run. The wrapped oracles answer the
     array queries of the untraced path, so no per-row, per-step or
-    per-history query is made; only TDT greedy's duration queries are."""
+    per-history query is made; only TDT greedy's duration queries are, one
+    per row of each group query, which wrapped oracles answer through the
+    stacking default. Bare oracles answer each group query as one."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -310,6 +314,24 @@ def test_traced_benchmark_pass_gives_the_untraced_asr_report(base_suite, tmp_pat
     assert set(tracer.queries) <= {"synthetic.duration_probs"}
     if wrap_oracles:
         assert tracer.queries["synthetic.duration_probs"][0] > 0
+    else:
+        assert "synthetic.duration_probs" not in tracer.queries
+
+
+def test_asr_bench_runs_each_search_once_over_the_whole_suite(base_suite, tmp_path):
+    """An untraced bench with ASR rows runs greedy RNN-T, beam and greedy TDT
+    once each over every utterance, not once per epsilon group, and TDT
+    greedy asks for its durations by group query, never one frame at a time."""
+    assert len(load_manifest(base_suite).epsilons) == 2
+    argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--also-asr-baselines"]
+    profile = cProfile.Profile()
+    assert profile.runcall(main, [*argv, "--report", str(tmp_path / "report.json")]) == 0
+    calls = {}
+    for (path, _, name), (_, count, *_) in pstats.Stats(profile).stats.items():
+        calls[Path(path).name, name] = calls.get((Path(path).name, name), 0) + count
+    assert calls.get(("synthetic.py", "duration_log_probs"), 0) == 0
+    assert calls[("baselines.py", "_greedy_searches")] == 2  # RNN-T and TDT
+    assert calls[("baselines.py", "_beam_searches")] == 1
 
 
 def test_benchmark_selftest_passes():

@@ -114,9 +114,15 @@ JSON_VALUES = st.recursive(
 @example(utterance=1, field=("record", "num_frames"), value=[1])
 @example(utterance=0, field=("record", "duration_seconds"), value=[math.inf])
 @example(utterance=1, field=("synth", "num_frames"), value=[10**30])
+@example(utterance=1, field=("record", "epsilon"), value=[0.5])
+@example(utterance=0, field=("synth", "frame_seconds"), value=[0.02])
+@example(utterance=1, field=("synth", "vocab_size"), value=[99])
+@example(utterance=0, field=("synth", "d_max"), value=[2])
 def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value):
     """One field of one utterance record, or of its synth, is deleted
-    (``value`` None) or replaced by an arbitrary JSON value."""
+    (``value`` None) or replaced by an arbitrary JSON value. A manifest that
+    loads has records that agree with its top-level epsilons, frame length,
+    vocabulary size and D_max."""
     manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
     record = manifest["utterances"][utterance]
     where, name = field
@@ -137,6 +143,10 @@ def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value)
             for utt in suite.utterances:
                 assert type(utt.num_frames) is int and utt.num_frames == utt.synth.num_frames
                 assert math.isfinite(utt.duration_seconds)
+                assert utt.epsilon in suite.epsilons
+                assert utt.synth.frame_seconds == suite.frame_seconds
+                assert utt.synth.d_max == suite.d_max
+            assert {utt.synth.vocab_size for utt in suite.utterances} == {manifest["vocab_size"]}
 
         out = str(Path(tmp) / "out")
         codes = [
@@ -168,12 +178,19 @@ DUPLICATE = "a copy of the list's first item appended"
 @example(field="epsilons", value=[[5]])
 @example(field="keywords", value=DUPLICATE)
 @example(field="utterances", value=DUPLICATE)
+@example(field="epsilons", value=[[0.0, 0.5]])
+@example(field="frame_seconds", value=[0.02])
+@example(field="vocab_size", value=[7])
+@example(field="vocab_size", value=[45.0])  # the right size, as a float
+@example(field="d_max", value=[2])
 def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
     """One top-level manifest field is deleted (``value`` None), gets a copy
     of its first item appended, or is replaced by an arbitrary JSON value: a
     manifest that loads holds a suite seed, frame length, D_max and epsilons
     in range and unique keyword names and utterance ids; one that does not
-    fails with a ManifestError naming the manifest, and the CLI exits 2."""
+    fails with a ManifestError naming the manifest, and the CLI exits 2.
+    The epsilons, frame length, vocabulary size and D_max must also agree
+    with every record."""
     manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
     if value is None:
         del manifest[field]
@@ -192,7 +209,7 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
             suite = None
             message = str(exc)
             assert str(root / "manifest.json") in message
-            if field in ("schema", "seed", "frame_seconds", "d_max", "epsilons"):
+            if field in ("schema", "seed", "frame_seconds", "d_max", "epsilons", "vocab_size"):
                 assert f"field {field!r}" in message
             if value == DUPLICATE and field in ("keywords", "utterances"):
                 assert "duplicate" in message
@@ -201,6 +218,12 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
             assert math.isfinite(suite.frame_seconds) and suite.frame_seconds > 0
             assert type(suite.d_max) is int and 0 <= suite.d_max <= D_MAX_LIMIT
             assert all(0 <= eps < 1 for eps in suite.epsilons)
+            assert {u.epsilon for u in suite.utterances} == set(suite.epsilons)
+            assert type(manifest["vocab_size"]) is int
+            for utt in suite.utterances:
+                assert utt.synth.frame_seconds == suite.frame_seconds
+                assert utt.synth.d_max == suite.d_max
+                assert utt.synth.vocab_size == manifest["vocab_size"]
             names = [kw.name for kw in suite.keywords]
             assert len(set(names)) == len(names)
             utt_ids = [u.utt_id for u in suite.utterances]

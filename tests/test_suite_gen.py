@@ -24,6 +24,7 @@ from kws import (
     load_lattice,
     load_manifest,
 )
+from kws.cli import main
 from kws.suite import _tile_segments
 
 SPEC = SuiteGenSpec(
@@ -340,6 +341,7 @@ def write_manifest(root: Path, content: bytes) -> Path:
         ("lattice_keyword", "not-a-keyword"),
         ("lattice", 7),
         ("epsilon", 1.0),
+        ("epsilon", 0.25),  # in range, but not one of the top-level epsilons
         ("num_frames", 0),
         ("num_frames", 26.5),
         ("num_frames", "synth + 1"),
@@ -435,6 +437,17 @@ def test_spec_validation():
             SuiteGenSpec(frame_seconds=frame_seconds)
     for frame_seconds in (1e-44, 3.4e38):  # a subnormal and near the f32 maximum
         assert SuiteGenSpec(frame_seconds=frame_seconds).frame_seconds == frame_seconds
+
+
+@pytest.mark.parametrize("epsilons", [(0.0, 0.0), (0.001, 0.004)])
+def test_epsilons_that_share_an_utterance_id_are_refused(tmp_path, epsilons):
+    """Both epsilons would name their utterances "...-e0.00": the second
+    would overwrite the first one's lattices and repeat its ids."""
+    with pytest.raises(ValidationError, match="utterance id"):
+        SuiteGenSpec(epsilons=epsilons)
+    argv = ["gen", "--out", str(tmp_path / "suite")]
+    assert main([*argv, *(f"--epsilon={e}" for e in epsilons)]) == 1
+    assert not (tmp_path / "suite").exists()
 
 
 def test_negative_seed_is_refused_before_the_disk_is_touched(tmp_path):
