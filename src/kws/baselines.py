@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import RNNT, TDT, _check_search_config, _zero_duration_error
+from .decoder import RNNT, TDT, _check_search_config, _hops
 from .emissions import BLANK_ID, EmissionOracle
 from .errors import CapabilityError, ModeError, ValidationError
 
@@ -138,13 +138,10 @@ def _greedy_searches(
         advance = live[~emit]
         if config.mode != TDT:
             t[advance] += 1
-        elif advance.size:  # decoder._hop of each leaving utterance's argmax duration
+        elif advance.size:  # decoder._hops of each leaving utterance's argmax duration
             at = t[advance]
             durations = durations_of(advance, at, [tokens[u] for u in advance.tolist()])
-            hops = np.minimum(durations.argmax(axis=1), config.d_max)
-            if config.zero_duration_policy == "error" and not hops.all():
-                raise _zero_duration_error(int(at[hops == 0][0]))
-            t[advance] += np.maximum(hops, 1)
+            t[advance] += _hops(durations.argmax(axis=1), config, at)
         live = live[t[live] <= num_frames[live]]
     return [
         Hypothesis(tuple(tokens[u]), float(log_prob[u]), tuple(emit_frames[u]))

@@ -18,11 +18,12 @@ column is computed for them).
 
 The TDT hop schedule comes from the oracle's greedy duration track, fetched
 as one array (it depends on neither the keyword nor the greedy history):
-one clip to [1, d_max] and one integer loop over the hops. Emissions are
-fetched for the processed frames only: by ``decode_keywords`` for every
-keyword of an utterance in one ``emission_grids`` call, which returns them
-as one block already in the lane layout below, by ``StreamingDecoder`` one
-row per processed frame.
+one clip to [1, d_max] (``_hops``, the rule the ASR baselines' TDT greedy
+search hops by too) and one integer loop over the hops. Emissions are
+fetched for the processed frames only, by one ``emission_grids`` call that
+returns them as one block already in the lane layout below: for every
+keyword of an utterance at once by ``decode_keywords``, for its one keyword
+and the frame it lands on by ``StreamingDecoder``.
 
 One DP routine (``_lane_columns``) serves every decode. It advances many
 lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
@@ -32,10 +33,11 @@ frames. ``decode_keywords`` batches whole utterances, up to 256 lanes per
 sweep: the lanes of all keywords of an utterance share its hop schedule,
 enter a batch side by side in one buffer write of the oracle's block and
 leave it as the rows of one (K, T) score block; ``StreamingDecoder`` runs
-the same routine on one lane, one column at a time. Offline event
-extraction works on such a block too: one greedy non-maximum suppression
-round picks the next peak of every keyword of an utterance at once
-(``_peak_picks``; ``peak_events`` is its one-row case).
+the same routine on one lane, one column at a time, and fires by
+``detect_events``' threshold and refractory rule as each score lands.
+Offline event extraction works on such a block too: one greedy non-maximum
+suppression round picks the next peak of every keyword of an utterance at
+once (``_peak_picks``; ``peak_events`` is its one-row case).
 The routine sweeps anti-diagonals ("wavefronts") of the (column, u) grid:
 cell (k, u) depends only on (k, u-1) and (k-1, u), so all cells with the
 same k + u are independent and one wavefront costs a fixed handful of numpy
@@ -59,7 +61,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -135,24 +137,6 @@ class ScoreStream:
     columns_evaluated: int
 
 
-class _EventGate:
-    """Threshold + refractory logic shared by streaming and offline paths."""
-
-    def __init__(self, keyword: str, config: DecodeConfig) -> None:
-        self._keyword = keyword
-        self._threshold = config.threshold_log
-        self._refractory = config.refractory_frames
-        self._last_fire: int | None = None
-
-    def offer(self, t: int, score: float) -> DetectionEvent | None:
-        if not math.isfinite(score) or score < self._threshold:
-            return None
-        if self._last_fire is not None and t - self._last_fire < self._refractory:
-            return None
-        self._last_fire = t
-        return DetectionEvent(keyword=self._keyword, frame=t, log_score=score)
-
-
 def _check_mode(oracle: EmissionOracle, config: DecodeConfig) -> None:
     if config.mode == TDT and not oracle.supports_tdt:
         raise ModeError(
@@ -174,7 +158,6 @@ class StreamingDecoder:
         config: DecodeConfig,
         utt_id: str = "",
         counters: SpeedCounters | None = None,
-        column_sink: Callable[[int, list[float]], None] | None = None,
     ) -> None:
         _check_mode(oracle, config)
         self._oracle = oracle
@@ -182,7 +165,6 @@ class StreamingDecoder:
         self._config = config
         self._utt_id = utt_id
         self.counters = counters if counters is not None else SpeedCounters()
-        self._column_sink = column_sink
 
         T = oracle.num_frames
         self._scores = np.full(T, NEG_INF, dtype=np.float64)
@@ -197,7 +179,8 @@ class StreamingDecoder:
         self._score = np.empty((1, 1))
         # Read one entry per processed frame, never one ahead of it.
         self._durations = oracle.greedy_durations() if config.mode == TDT else None
-        self._gate = _EventGate(keyword.name, config)
+        # The first frame that may fire: ``detect_events``' rule, one frame at a time.
+        self._next_fire = 1
         self.events: list[DetectionEvent] = []
         self._finished = False
 
@@ -217,15 +200,15 @@ class StreamingDecoder:
         return self._process(t)
 
     def _process(self, t: int) -> list[DetectionEvent]:
-        row_y, row_phi = self._oracle.emission_rows(self._keyword, t)
+        # The offline block query, for this one frame: (1, 2, 1, U + 1).
+        block = self._oracle.emission_grids((self._keyword,), np.array([t]))
         self.counters.oracle_queries += 1
         U = self._keyword.num_tokens
 
         tick = perf_counter()
         edges = self._edges
         edges[U, 1] = edges[U + 1, 1]  # the previous column becomes column 0
-        edges[U + 1, 0, :U, 0] = row_y
-        edges[U + 1, 1, :, 0] = row_phi
+        edges[U + 1, :, :, 0] = block[0, :, 0]
         self._delta = _lane_columns(edges, self._delta, 1, self._score)
         score = float(self._score[0, 0])
         self.counters.search_wall_seconds += perf_counter() - tick
@@ -234,18 +217,19 @@ class StreamingDecoder:
         self._processed[t - 1] = True
         self._columns += 1
         self.counters.columns_evaluated += 1
-        if self._column_sink is not None:
-            self._column_sink(t, self._delta[:, 0].tolist())
 
-        if self._config.mode == TDT:
+        config = self._config
+        if config.mode == TDT:
             self.counters.oracle_queries += 1
-            self._next_process = t + _hop(int(self._durations[t - 1]), t, self._config)
+            (hop,) = _hops(self._durations[t - 1 : t], config, [t]).tolist()
+            self._next_process = t + hop
         else:
             self._next_process = t + 1
 
-        event = self._gate.offer(t, score)
-        if event is None:
+        if t < self._next_fire or not math.isfinite(score) or score < config.threshold_log:
             return []
+        self._next_fire = t + max(config.refractory_frames, 1)
+        event = DetectionEvent(self._keyword.name, t, score)
         self.events.append(event)
         return [event]
 
@@ -309,31 +293,30 @@ def _lane_columns(
     return last
 
 
-def _zero_duration_error(t: int) -> ValidationError:
-    return ValidationError(
-        f"greedy track predicted duration 0 at frame {t} (zero_duration_policy='error')"
-    )
-
-
-def _hop(duration: int, t: int, config: DecodeConfig) -> int:
-    """Frames to advance after processing frame t, given the greedy duration."""
-    d = min(duration, config.d_max)
-    if d < 1:
-        if config.zero_duration_policy == "error":
-            raise _zero_duration_error(t)
-        d = 1
-    return d
+def _hops(durations: np.ndarray, config, landed=None) -> np.ndarray:
+    """How far a search hops from frames with greedy durations ``durations``:
+    each duration clipped to [1, d_max]. Given ``landed``, the 1-based
+    frames the durations were read at, the 'error' policy raises at the
+    first of them whose duration is 0. ``config`` is a DecodeConfig or a
+    ``baselines.AsrConfig``."""
+    if landed is not None and config.zero_duration_policy == "error":
+        zeros = np.flatnonzero(durations < 1)
+        if len(zeros):
+            raise ValidationError(
+                f"greedy track predicted duration 0 at frame {int(landed[zeros[0]])} "
+                "(zero_duration_policy='error')"
+            )
+    return np.maximum(np.minimum(durations, config.d_max), 1)
 
 
 def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
     """1-based frames a decode processes: all of them in RNN-T mode, the greedy
-    track's hops in TDT mode, each hop being ``_hop`` of the landed frame's
-    duration. The track is keyword-independent."""
+    track's hops in TDT mode (``_hops``). The track is keyword-independent."""
     T = oracle.num_frames
     if config.mode != TDT:
         return np.arange(1, T + 1)
-    durations = np.minimum(oracle.greedy_durations(), config.d_max)
-    hops = np.maximum(durations, 1).tolist()
+    durations = oracle.greedy_durations()
+    hops = _hops(durations, config).tolist()
     landed = []
     t = 1
     while t <= T:
@@ -343,9 +326,7 @@ def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
     if config.zero_duration_policy == "error":
         # Every landing up to the first zero duration is the same under both
         # policies, so that landing is where an 'error' walk would stop.
-        zeros = frames[durations[frames - 1] < 1]
-        if len(zeros):
-            raise _zero_duration_error(int(zeros[0]))
+        _hops(durations[frames - 1], config, frames)
     return frames
 
 
@@ -524,9 +505,9 @@ def decode_kws(
 def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEvent]:
     """Recover detection events from an already-computed ScoreStream.
 
-    Same events as the streaming path's gate: a processed frame fires when its
-    score is finite, at least the threshold, and ``refractory_frames`` or more
-    after the last fire.
+    The rule ``StreamingDecoder`` fires by, frame by frame: a processed frame
+    fires when its score is finite, at least the threshold, and
+    ``refractory_frames`` or more after the last fire.
     """
     scores = stream.scores
     passing = stream.processed & np.isfinite(scores) & (scores >= config.threshold_log)
@@ -581,8 +562,8 @@ def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEv
     """Threshold-free event extraction: greedy non-maximum suppression.
 
     Repeatedly takes the highest finite score (earliest frame on ties) and
-    suppresses +-refractory_frames around it. The causal gate above is the
-    live-detection path; this offline form yields the per-utterance event
+    suppresses +-refractory_frames around it. ``detect_events`` is the
+    live-detection rule; this offline form yields the per-utterance event
     list that threshold sweeps rank, since the event at a peak would fire at
     any threshold at or below its score. It is the one-row case of the
     block routine that ``bench`` runs on all keywords of an utterance at
@@ -597,22 +578,16 @@ def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEv
 
 def dump_delta_matrix(oracle: EmissionOracle, keyword: KeywordSpec, config: DecodeConfig) -> str:
     """CSV of delta(t, u) over all processed frames; skipped frames are empty cells."""
-    captured: dict[int, list[float]] = {}
-    decoder = StreamingDecoder(
-        oracle, keyword, config, column_sink=lambda t, delta: captured.__setitem__(t, delta)
-    )
-    for t in range(1, oracle.num_frames + 1):
-        decoder.push(t)
-    decoder.finish()
-
+    decoder = StreamingDecoder(oracle, keyword, config)
     U = keyword.num_tokens
     lines = ["t," + ",".join(f"u{u}" for u in range(U + 1))]
     for t in range(1, oracle.num_frames + 1):
-        delta = captured.get(t)
-        if delta is None:
-            lines.append(str(t) + "," * (U + 1))
+        decoder.push(t)
+        if decoder._processed[t - 1]:  # the column it carries is delta(t, .)
+            lines.append(str(t) + "," + ",".join(repr(v) for v in decoder._delta[:, 0].tolist()))
         else:
-            lines.append(str(t) + "," + ",".join(repr(v) for v in delta))
+            lines.append(str(t) + "," * (U + 1))
+    decoder.finish()
     return "\n".join(lines) + "\n"
 
 

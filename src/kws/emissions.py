@@ -7,8 +7,8 @@ never for one greedy step at a time:
 
 * keyword-track emissions of every keyword of an utterance at the frames a
   decode processes, as one block in the decoder's lane layout
-  (``emission_grids``); ``StreamingDecoder`` reads one frame at a time
-  (``emission_rows``);
+  (``emission_grids``); ``StreamingDecoder`` makes the same query for each
+  frame it lands on, a block of one keyword and one frame;
 * the greedy duration and token tracks, one array each (``greedy_durations``,
   ``greedy_tokens``). The duration track depends on neither the keyword nor
   the greedy history, so one array serves every keyword of an utterance;
@@ -80,9 +80,7 @@ class EmissionOracle(ABC):
       k of w tokens has log y(t, u) at ``[k, 0, i, U - w + u]`` for u in
       [0, w - 1] and log phi(t, u) at ``[k, 1, i, U - w + u]`` for u in
       [0, w], with t = frames[i]; every other entry is 0.0 (log 1). The
-      block may be a read-only view. It also defines
-      ``emission_rows(keyword, t)``, the pair (log_y[0:w], log_phi[0:w+1])
-      of one frame, for ``StreamingDecoder``;
+      block may be a read-only view;
     * a duration-aware oracle (``d_max > 0``) also defines
       ``greedy_durations()`` and ``greedy_tokens()``: the argmax duration
       and the greedy token at every frame, int64[T], entry t - 1 for frame
@@ -96,7 +94,7 @@ class EmissionOracle(ABC):
       ``duration_log_probs(t, history)``, the d_max + 1 log-probs of the
       durations {0..d_max} at frame t.
 
-    The base class defines none of these six methods, not even as abstract
+    The base class defines none of these five methods, not even as abstract
     methods or refusals, so a wrapper that forwards unknown attributes to an
     inner oracle (``__getattr__``) reaches the inner oracle's own arrays: an
     abstract method would make such a wrapper impossible to instantiate, and

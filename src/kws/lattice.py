@@ -245,11 +245,6 @@ class FileLatticeOracle(EmissionOracle):
                 f"disagrees with the queried keyword {keyword.name!r} {keyword.tokens}"
             )
 
-    def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
-        self._check_frame(t)
-        self._check_keyword(keyword)
-        return self._data.log_y[t - 1], self._data.log_phi[t - 1]
-
     def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
         self._check_frames(frames)
         for keyword in keywords:

@@ -294,8 +294,6 @@ def random_proper_lattice(
     u_max: int = 4,
     d_max: int = 0,
     duration_value: int | None = None,
-    keyword_name: str = "kw",
-    frame_seconds: float = 0.03,
 ) -> LatticeData:
     """Random normalized lattice: one Dirichlet draw per (t, u) node."""
     T = int(rng.integers(1, t_max + 1))
@@ -317,8 +315,8 @@ def random_proper_lattice(
         else:
             greedy_durations = np.full(T, duration_value, dtype=np.uint16)
     return LatticeData(
-        keyword=KeywordSpec(keyword_name, tokens),
-        frame_seconds=frame_seconds,
+        keyword=KeywordSpec("kw", tokens),
+        frame_seconds=0.03,
         log_y=log_y,
         log_phi=log_phi,
         d_max=d_max,

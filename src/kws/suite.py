@@ -426,12 +426,15 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         utterances=tuple(utterances),
     )
     vocab_size = top("vocab_size", _require(lambda v: type(v) is int, "expected an integer"))
+    concentration = top("duration_concentration", _require(lambda v: 0 < v <= 1, "expected (0, 1]"))
     # One set comparison per field; the record at fault is sought only on a mismatch.
     for name, want, field in (
+        ("seed", {suite.seed}, "synth.seed"),
         ("epsilons", set(suite.epsilons), "epsilon"),
         ("frame_seconds", {suite.frame_seconds}, "synth.frame_seconds"),
         ("vocab_size", {vocab_size}, "synth.vocab_size"),
         ("d_max", {suite.d_max}, "synth.d_max"),
+        ("duration_concentration", {concentration}, "synth.duration_concentration"),
     ):
         of = attrgetter(field)
         found = {of(u) for u in utterances}

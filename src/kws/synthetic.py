@@ -38,8 +38,8 @@ covering segment's ordinal and the ideal duration.
   every oracle. One pass over the segment tokens matches every keyword of a
   query (``_segment_positions``); the block is one gather from the table at
   the (keyword, segment) row codes of the queried frames, with no loop over
-  the keywords. ``emission_rows`` answers one frame for ``StreamingDecoder``
-  and caches the keyword's per-frame positions and the rows it has built.
+  the keywords. ``StreamingDecoder`` makes the same query, one frame at a
+  time.
 * Greedy tracks (``greedy_durations``, ``greedy_tokens``) and duration
   vectors (``duration_log_probs``, ``duration_log_prob_group``) are closed
   forms of the per-frame ideal duration and the segment starts, so no
@@ -89,7 +89,7 @@ class SyntheticJoinerConfig:
     def __post_init__(self) -> None:
         # operator.index, not int(), here and in the alignment: 26.5 or "26"
         # is an error, not 26.
-        for name in ("vocab_size", "num_frames", "d_max"):
+        for name in ("vocab_size", "num_frames", "d_max", "seed"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -199,10 +199,6 @@ class SyntheticOracle(EmissionOracle):
         self._ideal32 = float(np.float32(self._log_ideal))
         self._noise32 = float(np.float32(self._log_noise))
 
-        # keyword tokens -> per-frame keyword position, for per-frame queries
-        self._kw_pos_cache: dict[tuple[int, ...], np.ndarray] = {}
-        # (keyword tokens, position, covering token) -> (log_y row, log_phi row)
-        self._row_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         if config.d_max > 0:
             # The duration vector at ideal duration i puts log_concentrated
             # on i and log_spread on each of the other d_max values.
@@ -269,14 +265,6 @@ class SyntheticOracle(EmissionOracle):
                     free[k] = i + U
         return seg_pos
 
-    def _keyword_positions(self, keyword: KeywordSpec) -> np.ndarray:
-        """Per-frame keyword position m in [1, U] inside matched occurrences, else 0."""
-        pos = self._kw_pos_cache.get(keyword.tokens)
-        if pos is None:
-            pos = self._segment_positions(self._rows([keyword]))[0][self._seg_ord]
-            self._kw_pos_cache[keyword.tokens] = pos
-        return pos
-
     def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
         """The (K, 2, n, U + 1) f32 emission block at the n frames.
 
@@ -295,24 +283,6 @@ class SyntheticOracle(EmissionOracle):
         classes[1:] = np.where(rows.tokens[at] == tokens, at + 2, 1)
         codes = self._segment_positions(rows) * rows.classes_per_position + rows.codes[:, classes]
         return np.take(rows.table, codes[:, self._seg_ord[frames - 1]], axis=0).transpose(0, 2, 1, 3)
-
-    def emission_rows(self, keyword: KeywordSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
-        self._check_frame(t)
-        # A row depends on its frame only through the keyword position and
-        # the covering token there, and on the token only through whether it
-        # is blank or which keyword tokens it equals; frames that agree on
-        # both share one row, so only the first frame of each pays for a
-        # block query.
-        position = int(self._keyword_positions(keyword)[t - 1])
-        token = int(self._content[t - 1])
-        if token != BLANK_ID and token not in keyword.tokens:
-            token = -1
-        key = (keyword.tokens, position, token)
-        rows = self._row_cache.get(key)
-        if rows is None:
-            ((log_y, log_phi),) = self.emission_grids([keyword], np.array([t]))
-            rows = self._row_cache[key] = (log_y[0, :-1], log_phi[0])
-        return rows
 
     # Generative track
 

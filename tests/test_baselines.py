@@ -33,7 +33,6 @@ from kws import (
     snapshot,
 )
 from kws.baselines import _beam_searches, _greedy_searches, _require_generative
-from kws.decoder import _hop
 from kws.runner import _asr_transcripts
 
 
@@ -329,7 +328,13 @@ def reference_greedy_search(oracle, config=AsrConfig()):
             emitted += 1
         log_prob += float(vec[BLANK_ID])
         if config.mode == "tdt":
-            t += _hop(int(np.argmax(oracle.duration_log_probs(t, tokens))), t, config)
+            # The argmax duration, capped at d_max; a zero is 1 or an error.
+            d = min(int(np.argmax(oracle.duration_log_probs(t, tokens))), config.d_max)
+            if d < 1 and config.zero_duration_policy == "error":
+                raise ValidationError(
+                    f"greedy track predicted duration 0 at frame {t} (zero_duration_policy='error')"
+                )
+            t += max(d, 1)
         else:
             t += 1
     return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))

@@ -492,6 +492,28 @@ def test_broken_manifest_exits_2(base_suite, tmp_path, case):
 
 
 @pytest.mark.parametrize(
+    "field, value", [("seed", 99), ("duration_concentration", 0.25), ("duration_concentration", 0)]
+)
+def test_top_level_field_that_disagrees_with_the_records_exits_2(
+    base_suite, tmp_path, capsys, field, value
+):
+    """The suite seed and duration concentration the report would show are
+    the records' own: a top level edited away from them, or out of (0, 1],
+    is a broken manifest."""
+    suite = tmp_path / "suite"
+    shutil.copytree(base_suite, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    assert {u["synth"][field] for u in manifest["utterances"]} == {manifest[field]} != {value}
+    manifest[field] = value
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=f"top level: field {field!r}"):
+        load_manifest(suite)
+    assert main(["bench", "--suite", str(suite), "--report", str(tmp_path / "r.json")]) == 2
+    assert f"top level: field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
     "sidecar",
     [b"\xff{}", b'{"keyword": {"name": "alpha", "tokens": ["x"]}}'],
     ids=["not-utf8", "token-not-int"],

@@ -59,6 +59,26 @@ def grid_oracle(y, phi, d_max=0, durations=None, tokens=None):
     return FileLatticeOracle(data)
 
 
+def stored_rows(oracle, t):
+    """Frame t's (log_y, log_phi) rows as a grid oracle's lattice stores them."""
+    return oracle._data.log_y[t - 1], oracle._data.log_phi[t - 1]
+
+
+def delta_columns(text):
+    """{frame: delta column} of a ``dump_delta_matrix`` CSV's processed frames;
+    ``repr`` round-trips an f64, so the columns are the decoder's bits."""
+    header, *rows = text.splitlines()
+    columns = {}
+    for row in rows:
+        t, *cells = row.split(",")
+        assert len(cells) == header.count(",")
+        if any(cells):
+            columns[int(t)] = [float(cell) for cell in cells]
+        else:
+            assert cells == [""] * len(cells)
+    return columns
+
+
 def test_constant_emission_hand_trace():
     # y=0.6, blank-at-u0 0.4, blank-at-u1 0.5: best path at every frame is a
     # fresh vertical, so Score[t] = 0.6 * 0.5 = 0.3 throughout. Exact equality
@@ -66,7 +86,7 @@ def test_constant_emission_hand_trace():
     # accumulation f64); 1e-6 against the real-number value.
     oracle = grid_oracle([[0.6]] * 3, [[0.4, 0.5]] * 3)
     stream = decode_kws(oracle, oracle.keyword, RNNT)
-    y_row, phi_row = oracle.emission_rows(oracle.keyword, 1)
+    y_row, phi_row = stored_rows(oracle, 1)
     expected = float(y_row[0]) + float(phi_row[1])
     np.testing.assert_allclose(stream.scores, expected, atol=1e-12)
     np.testing.assert_allclose(stream.scores, math.log(0.3), atol=1e-6)
@@ -93,7 +113,7 @@ def test_first_column_is_vertical_chain_only():
     # U=2 at t=1: no horizontal source exists, so delta(1,2) = y(1,0)*y(1,1).
     oracle = grid_oracle([[0.5, 0.25]], [[0.9, 0.8, 0.7]])
     stream = decode_kws(oracle, oracle.keyword, RNNT)
-    y_row, phi_row = oracle.emission_rows(oracle.keyword, 1)
+    y_row, phi_row = stored_rows(oracle, 1)
     expected = float(y_row[0]) + float(y_row[1]) + float(phi_row[2])
     assert stream.scores[0] == expected
     assert stream.scores[0] == pytest.approx(math.log(0.5 * 0.25 * 0.7), abs=1e-6)
@@ -118,8 +138,8 @@ def test_horizontal_transition_beats_restart_when_better():
     phi = [[0.5, 0.6], [0.5, 0.6]]
     oracle = grid_oracle(y, phi)
     stream = decode_kws(oracle, oracle.keyword, RNNT)
-    y1, phi1 = (r.tolist() for r in oracle.emission_rows(oracle.keyword, 1))
-    y2, phi2 = (r.tolist() for r in oracle.emission_rows(oracle.keyword, 2))
+    y1, phi1 = (r.tolist() for r in stored_rows(oracle, 1))
+    y2, phi2 = (r.tolist() for r in stored_rows(oracle, 2))
     carried = y1[0] + phi1[1] + phi2[1]
     restart = y2[0] + phi2[1]
     assert carried > restart
@@ -204,25 +224,14 @@ def test_delta_column_invariants():
     y = rng.uniform(0.05, 0.9, size=(9, 3))
     phi = rng.uniform(0.05, 0.9, size=(9, 4))
     oracle = grid_oracle(y, phi)
-    captured = {}
-    from kws import StreamingDecoder
-
-    decoder = StreamingDecoder(
-        oracle,
-        oracle.keyword,
-        RNNT,
-        column_sink=lambda t, delta: captured.__setitem__(t, list(delta)),
-    )
-    for t in range(1, 10):
-        decoder.push(t)
-    decoder.finish()
+    captured = delta_columns(dump_delta_matrix(oracle, oracle.keyword, RNNT))
+    assert sorted(captured) == list(range(1, 10))
 
     prev = None
     for t in range(1, 10):
         delta = captured[t]
         assert delta[0] == 0.0
-        y_row, phi_row = oracle.emission_rows(oracle.keyword, t)
-        y_row = y_row.tolist()
+        y_row, phi_row = (r.tolist() for r in stored_rows(oracle, t))
         for u in range(1, 4):
             vertical = delta[u - 1] + y_row[u - 1]
             if prev is None:
@@ -231,7 +240,7 @@ def test_delta_column_invariants():
                 prev_delta, prev_phi = prev
                 expected = max(vertical, prev_delta[u] + prev_phi[u])
             assert delta[u] == expected
-        prev = (delta, oracle.emission_rows(oracle.keyword, t)[1].tolist())
+        prev = (delta, phi_row)
 
 
 def test_dump_delta_matrix_hand_traced():

@@ -118,11 +118,14 @@ JSON_VALUES = st.recursive(
 @example(utterance=0, field=("synth", "frame_seconds"), value=[0.02])
 @example(utterance=1, field=("synth", "vocab_size"), value=[99])
 @example(utterance=0, field=("synth", "d_max"), value=[2])
+@example(utterance=1, field=("synth", "seed"), value=[99])
+@example(utterance=0, field=("synth", "seed"), value=[[]])  # unhashable
+@example(utterance=0, field=("synth", "duration_concentration"), value=[0.25])
 def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value):
     """One field of one utterance record, or of its synth, is deleted
     (``value`` None) or replaced by an arbitrary JSON value. A manifest that
-    loads has records that agree with its top-level epsilons, frame length,
-    vocabulary size and D_max."""
+    loads has records that agree with its top-level seed, epsilons, frame
+    length, vocabulary size, D_max and duration concentration."""
     manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
     record = manifest["utterances"][utterance]
     where, name = field
@@ -146,7 +149,11 @@ def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value)
                 assert utt.epsilon in suite.epsilons
                 assert utt.synth.frame_seconds == suite.frame_seconds
                 assert utt.synth.d_max == suite.d_max
+                assert utt.synth.seed == suite.seed
             assert {utt.synth.vocab_size for utt in suite.utterances} == {manifest["vocab_size"]}
+            assert {utt.synth.duration_concentration for utt in suite.utterances} == {
+                manifest["duration_concentration"]
+            }
 
         out = str(Path(tmp) / "out")
         codes = [
@@ -183,14 +190,18 @@ DUPLICATE = "a copy of the list's first item appended"
 @example(field="vocab_size", value=[7])
 @example(field="vocab_size", value=[45.0])  # the right size, as a float
 @example(field="d_max", value=[2])
+@example(field="seed", value=[99])
+@example(field="duration_concentration", value=[0.25])
+@example(field="duration_concentration", value=[1.5])
+@example(field="duration_concentration", value=["x"])
 def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
     """One top-level manifest field is deleted (``value`` None), gets a copy
     of its first item appended, or is replaced by an arbitrary JSON value: a
     manifest that loads holds a suite seed, frame length, D_max and epsilons
     in range and unique keyword names and utterance ids; one that does not
     fails with a ManifestError naming the manifest, and the CLI exits 2.
-    The epsilons, frame length, vocabulary size and D_max must also agree
-    with every record."""
+    The seed, epsilons, frame length, vocabulary size, D_max and duration
+    concentration, in (0, 1], must also agree with every record."""
     manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
     if value is None:
         del manifest[field]
@@ -209,7 +220,7 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
             suite = None
             message = str(exc)
             assert str(root / "manifest.json") in message
-            if field in ("schema", "seed", "frame_seconds", "d_max", "epsilons", "vocab_size"):
+            if field != "keywords" and field != "utterances":
                 assert f"field {field!r}" in message
             if value == DUPLICATE and field in ("keywords", "utterances"):
                 assert "duplicate" in message
@@ -220,10 +231,13 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
             assert all(0 <= eps < 1 for eps in suite.epsilons)
             assert {u.epsilon for u in suite.utterances} == set(suite.epsilons)
             assert type(manifest["vocab_size"]) is int
+            assert 0 < manifest["duration_concentration"] <= 1
             for utt in suite.utterances:
                 assert utt.synth.frame_seconds == suite.frame_seconds
                 assert utt.synth.d_max == suite.d_max
                 assert utt.synth.vocab_size == manifest["vocab_size"]
+                assert utt.synth.seed == suite.seed
+                assert utt.synth.duration_concentration == manifest["duration_concentration"]
             names = [kw.name for kw in suite.keywords]
             assert len(set(names)) == len(names)
             utt_ids = [u.utt_id for u in suite.utterances]

@@ -103,3 +103,41 @@ def test_every_public_name_is_used_outside_the_tests():
     used = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES))
     used |= {name for _, name in _instrumented_names()}
     assert sorted(set(kws.__all__) - used) == []
+
+
+def _methods(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) of every function a module's classes define, dunder
+    methods aside; properties count."""
+    return {
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    }
+
+
+def _overrides_outside_kws(path: Path, cls: str, name: str) -> bool:
+    """Whether a base class from outside kws defines ``name``, and so calls
+    the override itself (argparse calls a parser's ``error``)."""
+    klass = getattr(importlib.import_module(f"kws.{path.stem}"), cls)
+    return any(
+        name in vars(base) for base in klass.__mro__[1:] if not base.__module__.startswith("kws")
+    )
+
+
+def test_every_method_is_read_outside_the_tests():
+    """No method exists only for tests: every method of a kws class is read
+    by name in some kws module or perfbench file, or is called by a base
+    class from outside kws."""
+    perfbench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*MODULES, *perfbench]}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    unread = {
+        f"{path.name}:{cls}.{name}"
+        for path in MODULES
+        for cls, name in _methods(trees[path])
+        if name not in used and not _overrides_outside_kws(path, cls, name)
+    }
+    assert sorted(unread) == []

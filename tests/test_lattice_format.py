@@ -28,7 +28,7 @@ from kws import (
     snapshot,
 )
 
-from test_synthetic_oracle import keyword_grids, stacked_grids
+from test_synthetic_oracle import frame_rows, keyword_grids, stacked_grids
 
 HEADER = struct.Struct("<4sHIIHf")
 
@@ -302,9 +302,9 @@ def test_wrong_keyword_query_rejected(tmp_path):
     # Other tokens, of any length: the sidecar disagrees with the query, a
     # broken file rather than a bad argument.
     with pytest.raises(SidecarError, match=r"x\.kwl: .*\(5, 6\).*\(5, 6, 7\)"):
-        oracle.emission_rows(KeywordSpec("other", (5, 6, 7)), 1)
+        oracle.emission_grids([KeywordSpec("other", (5, 6, 7))], np.array([1]))
     with pytest.raises(SidecarError, match=r"x\.kwl: .*\(5, 6\).*\(6, 5\)"):
-        oracle.emission_rows(KeywordSpec("other", (6, 5)), 1)
+        oracle.emission_grids([KeywordSpec("other", (6, 5))], np.array([1]))
 
 
 def test_replay_matches_source_oracle(tmp_path):
@@ -319,24 +319,27 @@ def test_replay_matches_source_oracle(tmp_path):
     )
     source = SyntheticOracle(cfg)
     kw = KeywordSpec("kw", (3, 7))
-    replay = load_lattice(save_lattice(snapshot(source, kw), tmp_path / "x.kwl"))
+    path = save_lattice(snapshot(source, kw), tmp_path / "x.kwl")
+    replay, stored = load_lattice(path), read_lattice(path)
     assert replay.num_frames == source.num_frames
     assert replay.d_max == source.d_max
     for t in range(1, 13):
-        ys, ps = source.emission_rows(kw, t)
-        yr, pr = replay.emission_rows(kw, t)
-        # Source rows are already f32, so replay is bit-exact.
-        np.testing.assert_array_equal(ys, yr)
-        np.testing.assert_array_equal(ps, pr)
+        # Each frame as streaming decodes query it: source rows are already
+        # f32, so replay is bit-exact, and both are the stored rows.
+        for oracle in (source, replay):
+            y_row, phi_row = frame_rows(oracle, kw, t)
+            assert y_row.tobytes() == stored.log_y[t - 1].tobytes()
+            assert phi_row.tobytes() == stored.log_phi[t - 1].tobytes()
     for track in ("greedy_tokens", "greedy_durations"):
         source_track, replay_track = (getattr(o, track)() for o in (source, replay))
         assert replay_track.dtype == source_track.dtype == np.int64
         assert replay_track.tolist() == source_track.tolist()
 
     # Bulk row fetches: both oracles' blocks agree with their stacked
-    # emission_rows, and frame indices outside [1, T] are rejected.
+    # one-frame blocks and the stored rows, and frame indices outside [1, T]
+    # are rejected.
     frames = np.array([1, 2, 5, 12])
-    want = [np.stack(rows) for rows in zip(*(source.emission_rows(kw, int(t)) for t in frames))]
+    want = [stored.log_y[frames - 1], stored.log_phi[frames - 1]]
     for oracle in (source, replay):
         default = stacked_grids(oracle, [kw, kw], frames)
         block = oracle.emission_grids([kw, kw], frames)

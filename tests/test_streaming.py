@@ -13,6 +13,7 @@ from kws import (
     NEG_INF,
     DecodeConfig,
     DetectionEvent,
+    EmissionOracle,
     KeywordSpec,
     ProtocolError,
     ScoreStream,
@@ -23,10 +24,13 @@ from kws import (
     ValidationError,
     decode_keywords,
     decode_kws,
+    dump_delta_matrix,
 )
 from kws.decoder import _peak_picks, detect_events, peak_events
 from kws.runner import random_proper_lattice
 from kws.lattice import FileLatticeOracle
+
+from test_decoder import delta_columns
 
 
 def noisy_oracle(seed, num_frames=40, d_max=3):
@@ -116,24 +120,71 @@ def test_streaming_file_backed_lattice():
     np.testing.assert_array_equal(offline.scores, online.scores)
 
 
-def test_column_sink_sees_processed_frames_in_order():
+def test_delta_dump_holds_processed_frames_in_order():
     oracle = noisy_oracle(3, d_max=3)
-    sunk = []
-    decoder = StreamingDecoder(
-        oracle,
-        KeywordSpec("kw", (3,)),
-        DecodeConfig(mode="tdt", d_max=3),
-        column_sink=lambda t, delta: sunk.append((t, delta)),
-    )
-    for t in range(1, oracle.num_frames + 1):
-        decoder.push(t)
-    stream = decoder.finish()
+    keyword, config = KeywordSpec("kw", (3,)), DecodeConfig(mode="tdt", d_max=3)
+    columns = delta_columns(dump_delta_matrix(oracle, keyword, config))
+    stream = decode_kws(oracle, keyword, config)
     # One column per processed frame, in frame order; skipped frames get none.
-    assert [t for t, _ in sunk] == (np.flatnonzero(stream.processed) + 1).tolist()
-    assert len(sunk) == stream.columns_evaluated < oracle.num_frames
-    for _, delta in sunk:
+    assert list(columns) == (np.flatnonzero(stream.processed) + 1).tolist()
+    assert len(columns) == stream.columns_evaluated < oracle.num_frames
+    for t, delta in columns.items():
         assert delta[0] == 0.0
         assert len(delta) == 2
+        # score(t) = delta(t, U) + log_phi(t, U), bit for bit.
+        log_phi = float(oracle.emission_grids([keyword], np.array([t]))[0, 1, 0, 1])
+        assert delta[1] + log_phi == stream.scores[t - 1]
+
+
+class RecordingOracle(EmissionOracle):
+    """Forwards every query to ``inner`` and records each emission query as
+    (the last frame delivered to the decoder, keywords, frames)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.delivered = 0
+        self.queries = []
+
+    def __getattr__(self, name):
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    num_frames = property(lambda self: self._inner.num_frames)
+    d_max = property(lambda self: self._inner.d_max)
+    frame_seconds = property(lambda self: self._inner.frame_seconds)
+
+    def emission_grids(self, keywords, frames):
+        self.queries.append((self.delivered, tuple(keywords), np.asarray(frames).tolist()))
+        return self._inner.emission_grids(keywords, frames)
+
+
+@pytest.mark.parametrize("synthetic", [True, False], ids=["synthetic", "lattice"])
+@pytest.mark.parametrize("tdt", [False, True], ids=["rnnt", "tdt"])
+def test_streaming_queries_each_landed_frame_once_and_never_ahead(synthetic, tdt):
+    """Each landed frame costs one emission query, for that frame only, made
+    once the frame is delivered; skipped frames cost none."""
+    config = DecodeConfig(mode="tdt", d_max=3) if tdt else DecodeConfig(mode="rnnt")
+    skipped = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        if synthetic:
+            inner, keywords = _synthetic_case(rng, config.d_max)
+        else:
+            inner, keywords = _lattice_case(rng, config.d_max, tie_heavy=False)
+        keyword = keywords[-1]
+        oracle = RecordingOracle(inner)
+        decoder = StreamingDecoder(oracle, keyword, config)
+        assert oracle.queries == []
+        for t in range(1, oracle.num_frames + 1):
+            oracle.delivered = t
+            decoder.push(t)
+        stream = decoder.finish()
+        landed = (np.flatnonzero(stream.processed) + 1).tolist()
+        assert oracle.queries == [(t, (keyword,), [t]) for t in landed]
+        assert stream.scores.tobytes() == decode_kws(inner, keyword, config).scores.tobytes()
+        skipped += oracle.num_frames - len(landed)
+    assert (skipped > 0) == tdt
 
 
 def _peak_events_reference(stream, refractory_frames):

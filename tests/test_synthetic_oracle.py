@@ -37,11 +37,18 @@ def keyword_conditional_log_probs(oracle, keyword, t, u):
     apart from the grids: the ideal symbol there is blank when position 1..u
     of a matched keyword occurrence covers frame t, else the covering token."""
     oracle._check_frame(t)
-    m = int(oracle._keyword_positions(keyword)[t - 1])
+    m = int(_reference_positions(oracle.config, keyword)[t - 1])
     ideal = BLANK_ID if m and m <= u else int(oracle._content[t - 1])
     vec = np.full(oracle.vocab_size + 1, oracle._log_noise, dtype=np.float64)
     vec[ideal] = oracle._log_ideal
     return vec
+
+
+def frame_rows(oracle, keyword, t):
+    """Frame t's (log_y, log_phi) rows of ``keyword``: the one-keyword,
+    one-frame block that ``StreamingDecoder`` queries, off its padding."""
+    ((log_y, log_phi),) = keyword_grids(oracle.emission_grids([keyword], np.array([t])), [keyword])
+    return log_y[0], log_phi[0]
 
 
 def make_oracle(epsilon=0.0, d_max=0, concentration=1.0):
@@ -103,22 +110,22 @@ def test_point_mass_on_aligned_token():
     oracle = make_oracle(epsilon=0.0)
     kw = KeywordSpec("kw", (3, 7))
     # Frame 2 starts the occurrence: next keyword token matches the segment.
-    log_y, log_phi = oracle.emission_rows(kw, 2)
+    log_y, log_phi = frame_rows(oracle, kw, 2)
     assert log_y[0] == 0.0
     assert log_phi[0] == NEG_INF
     # Token consumed: the rest of the segment should be blank.
-    log_y, log_phi = oracle.emission_rows(kw, 3)
+    log_y, log_phi = frame_rows(oracle, kw, 3)
     assert log_phi[1] == 0.0
     assert log_y[1] == NEG_INF
     # Frame 4 carries the second keyword token.
-    log_y, _ = oracle.emission_rows(kw, 4)
+    log_y, _ = frame_rows(oracle, kw, 4)
     assert log_y[1] == 0.0
 
 
 def test_point_mass_in_gap_is_blank():
     oracle = make_oracle(epsilon=0.0)
     kw = KeywordSpec("kw", (3, 7))
-    log_y, log_phi = oracle.emission_rows(kw, 5)
+    log_y, log_phi = frame_rows(oracle, kw, 5)
     for u in (0, 1, 2):
         assert log_phi[u] == 0.0
     # The y row has no entry at u = U = 2: no keyword token follows.
@@ -130,7 +137,7 @@ def test_non_keyword_segment_starves_both_tracks():
     kw = KeywordSpec("kw", (3, 7))
     # Frame 6 belongs to the token-2 segment: ideal symbol is neither the
     # next keyword token nor blank.
-    log_y, log_phi = oracle.emission_rows(kw, 6)
+    log_y, log_phi = frame_rows(oracle, kw, 6)
     assert log_y[0] == NEG_INF
     assert log_phi[0] == NEG_INF
 
@@ -151,8 +158,8 @@ def test_queries_are_deterministic():
     b = make_oracle(epsilon=0.3)
     kw = KeywordSpec("kw", (3, 7, 2))
     for t in range(1, 11):
-        ra, pa = a.emission_rows(kw, t)
-        rb, pb = b.emission_rows(kw, t)
+        ra, pa = frame_rows(a, kw, t)
+        rb, pb = frame_rows(b, kw, t)
         np.testing.assert_array_equal(ra, rb)
         np.testing.assert_array_equal(pa, pb)
 
@@ -161,9 +168,9 @@ def test_out_of_bounds_queries_rejected():
     oracle = make_oracle()
     kw = KeywordSpec("kw", (3, 7))
     with pytest.raises(ValidationError):
-        oracle.emission_rows(kw, 0)
+        oracle.emission_grids([kw], np.array([0]))
     with pytest.raises(ValidationError):
-        oracle.emission_rows(kw, 11)
+        oracle.emission_grids([kw], np.array([11]))
     with pytest.raises(ValidationError):
         oracle.emission_grids([kw], np.array([1, 11]))
 
@@ -301,12 +308,12 @@ def test_keyword_conditional_distribution_normalizes(cfg, data):
 
 @settings(max_examples=100, deadline=None)
 @given(configs(), st.data())
-def test_emission_rows_agree_with_scalar_queries(cfg, data):
+def test_frame_rows_agree_with_scalar_queries(cfg, data):
     oracle = SyntheticOracle(cfg)
     tokens = (data.draw(st.integers(min_value=1, max_value=cfg.vocab_size)),)
     kw = KeywordSpec("kw", tokens)
     t = data.draw(st.integers(min_value=1, max_value=cfg.num_frames))
-    y_row, phi_row = oracle.emission_rows(kw, t)
+    y_row, phi_row = frame_rows(oracle, kw, t)
     for u in range(len(tokens) + 1):
         # The full V+1 distribution at (t, u), computed on its own path.
         vec = keyword_conditional_log_probs(oracle, kw, t, u).astype(np.float32)
@@ -317,9 +324,10 @@ def test_emission_rows_agree_with_scalar_queries(cfg, data):
 
 def _reference_grids(oracle, keyword):
     """Full-T f32 grids (log_y (T,U), log_phi (T,U+1)) of one keyword, as the
-    oracle first built and cached them before indexing the queried frames."""
+    oracle first built and cached them before indexing the queried frames,
+    from the per-frame keyword positions of the reference scan."""
     U = keyword.num_tokens
-    pos = oracle._keyword_positions(keyword)[:, None]
+    pos = _reference_positions(oracle.config, keyword)[:, None]
     consumed = (pos > 0) & (pos <= np.arange(U + 1))
     ideal = np.where(consumed, BLANK_ID, oracle._content[:, None])
     ideal32 = np.float32(oracle._log_ideal)
@@ -347,16 +355,15 @@ def keyword_grids(block, keywords):
 
 
 def stacked_grids(oracle, keywords, frames):
-    """The (K, 2, n, U + 1) emission block stacked from ``emission_rows``,
-    one call per keyword and frame, in the lane layout of ``emission_grids``."""
+    """The (K, 2, n, U + 1) emission block stacked from the one-keyword,
+    one-frame blocks that ``StreamingDecoder`` queries, in the lane layout of
+    ``emission_grids``."""
     U = max((keyword.num_tokens for keyword in keywords), default=0)
     block = np.zeros((len(keywords), 2, len(frames), U + 1), dtype=np.float32)
     for k, keyword in enumerate(keywords):
         w = keyword.num_tokens
         for i, t in enumerate(frames):
-            block[k, 0, i, U - w : U], block[k, 1, i, U - w :] = oracle.emission_rows(
-                keyword, int(t)
-            )
+            block[k, 0, i, U - w : U], block[k, 1, i, U - w :] = frame_rows(oracle, keyword, int(t))
     return block
 
 
@@ -408,13 +415,13 @@ def planted_cases(draw):
 def test_emission_grids_equal_full_grid_reference(case):
     """All keywords at the queried frames at once, bit for bit (dtype and
     -inf included) the reference grids indexed at those frames; the
-    one-keyword grids, the stacking default and per-frame rows are the same
-    formula."""
+    one-keyword grids and the stacked one-frame blocks that streaming
+    decodes query are the same formula."""
     cfg, keywords, frames = case
     oracle = SyntheticOracle(cfg)
     block = oracle.emission_grids(keywords, frames)
     assert block.shape == (len(keywords), 2, len(frames), max(k.num_tokens for k in keywords) + 1)
-    # The block equals the stacked per-frame rows, padding included.
+    # The block equals the stacked one-frame blocks, padding included.
     stacked = stacked_grids(oracle, keywords, frames)
     _assert_same_bits(block, stacked)
     grids = keyword_grids(block, keywords)
@@ -430,10 +437,6 @@ def test_emission_grids_equal_full_grid_reference(case):
         )
         _assert_same_bits(stack_y, ref_y[frames - 1])
         _assert_same_bits(stack_phi, ref_phi[frames - 1])
-        for t in frames.tolist():
-            row_y, row_phi = oracle.emission_rows(keyword, t)
-            _assert_same_bits(row_y, ref_y[t - 1])
-            _assert_same_bits(row_phi, ref_phi[t - 1])
 
 
 def test_emission_grids_reject_tokens_above_vocab_and_bad_frames():
@@ -499,6 +502,12 @@ def _reference_positions(cfg, keyword):
     return np.array(seg_pos, dtype=np.int64)[_reference_timeline(cfg)[1]]
 
 
+def scanned_positions(oracle, keywords):
+    """(K, T) keyword position of every frame, from the oracle's one scan of
+    its segments for the whole keyword set."""
+    return oracle._segment_positions(oracle._rows(keywords))[:, oracle._seg_ord]
+
+
 def _assert_matches_reference_forms(cfg, keywords, frames):
     oracle = SyntheticOracle(cfg)
     content, seg_ord, ideal = _reference_timeline(cfg)
@@ -516,23 +525,27 @@ def _assert_matches_reference_forms(cfg, keywords, frames):
             assert got.dtype == np.float64 and got.tobytes() == vec.tobytes()
             got[...] = 0.0  # a caller's copy: later queries stay intact
         assert oracle.duration_log_probs(1).tobytes() == vectors[ideal[0]].tobytes()
-    # _reference_grids reads positions, content and log-probs from its
-    # oracle argument; these come from the reference forms.
+    # _reference_grids reads the config, content and log-probs of its oracle
+    # argument; the content comes from the reference forms.
     reference = SimpleNamespace(
-        _keyword_positions=lambda keyword: _reference_positions(cfg, keyword),
+        config=cfg,
         _content=content,
         _log_ideal=oracle._log_ideal,
         _log_noise=oracle._log_noise,
     )
+    # The per-frame keyword positions of the scan that every keyword of a
+    # query shares, and of a one-keyword query's scan.
+    shared = scanned_positions(oracle, keywords)
     grids = keyword_grids(oracle.emission_grids(keywords, frames), keywords)
-    for keyword, (log_y, log_phi) in zip(keywords, grids):
+    for keyword, scanned, (log_y, log_phi) in zip(keywords, shared, grids):
         positions = _reference_positions(cfg, keyword)
-        assert oracle._keyword_positions(keyword).tobytes() == positions.tobytes()
+        assert scanned.tobytes() == positions.tobytes()
+        assert scanned_positions(oracle, [keyword])[0].tobytes() == positions.tobytes()
         ref_y, ref_phi = _reference_grids(reference, keyword)
         _assert_same_bits(log_y, ref_y[frames - 1])
         _assert_same_bits(log_phi, ref_phi[frames - 1])
         for t in range(1, cfg.num_frames + 1):
-            row_y, row_phi = oracle.emission_rows(keyword, t)
+            row_y, row_phi = frame_rows(oracle, keyword, t)
             _assert_same_bits(row_y, ref_y[t - 1])
             _assert_same_bits(row_phi, ref_phi[t - 1])
     return oracle
@@ -603,8 +616,9 @@ def test_keyword_scan_cases(tokens, keywords, positions, gap):
         for j, m in enumerate(segment_positions):
             start = 1 + gap + j * (2 + gap)
             per_frame[k, start - 1 : start + 1] = m
+    assert scanned_positions(oracle, specs).tolist() == per_frame.tolist()
     for keyword, want in zip(specs, per_frame):
-        assert oracle._keyword_positions(keyword).tolist() == want.tolist()
+        assert _reference_positions(cfg, keyword).tolist() == want.tolist()
 
 
 def test_keyword_scan_vocab_error_names_the_keyword():
@@ -613,7 +627,7 @@ def test_keyword_scan_vocab_error_names_the_keyword():
     message = "keyword 'big' has token-ids above vocab_size 9"
     for call in (
         lambda: oracle.emission_grids([fine, big], np.array([1, 2])),
-        lambda: oracle.emission_rows(big, 1),
+        lambda: oracle.emission_grids([big], np.array([1])),
         lambda: keyword_conditional_log_probs(oracle, big, 1, 0),
     ):
         with pytest.raises(ValidationError) as raised:
