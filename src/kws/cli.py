@@ -175,7 +175,7 @@ def _cmd_dump_delta(args: argparse.Namespace) -> int:
         matches = [u for u in suite.utterances if u.utt_id == args.utt]
         if not matches:
             raise ValidationError(f"unknown utterance id {args.utt!r}")
-        oracle = load_lattice(suite.lattice_path(matches[0]))
+        oracle = suite.lattice(matches[0])
         keyword = suite.keywords_by_name[matches[0].lattice_keyword]
     text = dump_delta_matrix(oracle, keyword, config)
     if args.out is None:

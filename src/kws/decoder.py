@@ -181,7 +181,6 @@ class StreamingDecoder:
         self._durations = oracle.greedy_durations() if config.mode == TDT else None
         # The first frame that may fire: ``detect_events``' rule, one frame at a time.
         self._next_fire = 1
-        self.events: list[DetectionEvent] = []
         self._finished = False
 
     def push(self, t: int) -> list[DetectionEvent]:
@@ -229,9 +228,7 @@ class StreamingDecoder:
         if t < self._next_fire or not math.isfinite(score) or score < config.threshold_log:
             return []
         self._next_fire = t + max(config.refractory_frames, 1)
-        event = DetectionEvent(self._keyword.name, t, score)
-        self.events.append(event)
-        return [event]
+        return [DetectionEvent(self._keyword.name, t, score)]
 
     def finish(self) -> ScoreStream:
         self._finished = True

@@ -53,7 +53,7 @@ from .decoder import (
 )
 from .emissions import KeywordSpec, NEG_INF
 from .errors import ValidationError
-from .lattice import FileLatticeOracle, LatticeData, load_lattice
+from .lattice import FileLatticeOracle, LatticeData
 from .metrics import (
     RecallAtFar,
     SpeedCounters,
@@ -82,7 +82,7 @@ def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
     once the caller has moved on."""
     by_name = suite.keywords_by_name
     utterances = (
-        (load_lattice(suite.lattice_path(utt)), (by_name[utt.lattice_keyword],), utt.utt_id)
+        (suite.lattice(utt), (by_name[utt.lattice_keyword],), utt.utt_id)
         for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
     )
     for (stream,) in decode_keywords(utterances, config):
@@ -119,7 +119,7 @@ def _bench_one_run(
         for keyword, utts in zip(suite.keywords, positives):
             for u in utts:
                 tick = perf_counter()
-                oracle = load_lattice(suite.lattice_path(u))
+                oracle = suite.lattice(u)
                 counters.total_wall_seconds += perf_counter() - tick
                 yield oracle, (keyword,), u.utt_id
         for u in negatives:

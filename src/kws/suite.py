@@ -29,10 +29,8 @@ it creates a directory.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +38,7 @@ import numpy as np
 from .emissions import KeywordSpec
 from .errors import ManifestError, ValidationError
 from .jsontext import indented_json
-from .lattice import D_MAX_LIMIT, save_lattice, snapshot
+from .lattice import D_MAX_LIMIT, FileLatticeOracle, load_lattice, save_lattice, snapshot
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
 MANIFEST_SCHEMA = "kws-suite-manifest@1"
@@ -54,6 +52,8 @@ DEFAULT_KEYWORD_NAMES = (
     "himself", "husband", "moment", "morning", "necessary",
     "perhaps", "silent", "something", "therefore", "together",
 )
+FILLER_TOKENS = 40  # filler tokens are the top ids of the vocabulary
+KEYWORD_LENGTHS = (3, 6)  # the fewest and the most tokens of a keyword
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,6 @@ class SuiteGenSpec:
     duration_concentration: float = 1.0
     seed: int = 0
     frame_seconds: float = 0.03
-    filler_pool: int = 40
-    keyword_len_min: int = 3
-    keyword_len_max: int = 6
 
     def __post_init__(self) -> None:
         if len(self.keywords) < 1:
@@ -101,10 +98,6 @@ class SuiteGenSpec:
             raise ValidationError(
                 f"duration_concentration must be in (0, 1], got {self.duration_concentration}"
             )
-        if not 1 <= self.keyword_len_min <= self.keyword_len_max:
-            raise ValidationError("bad keyword length range")
-        if self.filler_pool < 1:
-            raise ValidationError("filler_pool must be >= 1")
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ValidationError(f"the seed must be >= 0, got {self.seed}")
         # Lattice headers store frame_seconds as f32; it must survive that.
@@ -126,12 +119,12 @@ def _draw_keywords(spec: SuiteGenSpec) -> tuple[tuple[KeywordSpec, ...], int]:
     keywords = []
     next_id = 1
     for name in spec.keywords:
-        length = int(rng.integers(spec.keyword_len_min, spec.keyword_len_max + 1))
+        length = int(rng.integers(KEYWORD_LENGTHS[0], KEYWORD_LENGTHS[1] + 1))
         ids = list(range(next_id, next_id + length))
         rng.shuffle(ids)
         next_id += length
         keywords.append(KeywordSpec(name=name, tokens=tuple(ids)))
-    vocab_size = next_id - 1 + spec.filler_pool
+    vocab_size = next_id - 1 + FILLER_TOKENS
     return tuple(keywords), vocab_size
 
 
@@ -191,7 +184,7 @@ def _utterance_alignment(
 def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
     """Write one suite tree; returns the manifest path."""
     keywords, vocab_size = _draw_keywords(spec)
-    filler_tokens = np.arange(vocab_size - spec.filler_pool + 1, vocab_size + 1)
+    filler_tokens = np.arange(vocab_size - FILLER_TOKENS + 1, vocab_size + 1)
 
     # Even the worst duration draws must leave room to plant the longest keyword.
     guaranteed_slots = spec.frames_min // spec.duration_max
@@ -254,7 +247,7 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
                         "label": label_kw.name if label_kw is not None else None,
                         "epsilon": epsilon,
                         "num_frames": cfg.num_frames,
-                        "duration_seconds": cfg.num_frames * cfg.frame_seconds,
+                        "duration_seconds": cfg.duration_seconds,
                         "lattice": f"lattices/{utt_id}.kwl",
                         "lattice_keyword": lattice_kw.name,
                         "synth": cfg.to_json_dict(),
@@ -290,21 +283,28 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
 class Utterance:
     utt_id: str
     label: str | None
-    epsilon: float
-    num_frames: int
-    duration_seconds: float
     lattice: str
     lattice_keyword: str
     synth: SyntheticJoinerConfig
+
+    @property
+    def epsilon(self) -> float:
+        return self.synth.epsilon
+
+    @property
+    def num_frames(self) -> int:
+        return self.synth.num_frames
+
+    @property
+    def duration_seconds(self) -> float:
+        return self.synth.duration_seconds
 
 
 @dataclass(frozen=True)
 class SuiteManifest:
     root: Path
     seed: int
-    frame_seconds: float
     d_max: int
-    epsilons: tuple[float, ...]
     keywords: tuple[KeywordSpec, ...]
     utterances: tuple[Utterance, ...]
 
@@ -329,16 +329,27 @@ class SuiteManifest:
     def lattice_path(self, utt: Utterance) -> Path:
         return self.root / utt.lattice
 
+    def lattice(self, utt: Utterance) -> FileLatticeOracle:
+        """``utt``'s lattice, which must have its record's frame count. Suite commands
+        open lattices here, by the global ``load_lattice`` that a tracer swaps."""
+        oracle = load_lattice(self.lattice_path(utt))
+        if oracle.num_frames != utt.num_frames:
+            raise ManifestError(
+                f"{self.root / 'manifest.json'}: utterance {utt.utt_id!r}: field 'num_frames': "
+                f"{utt.num_frames}, but {self.lattice_path(utt)} has {oracle.num_frames} frames"
+            )
+        return oracle
+
 
 # Everything a malformed manifest can make the parsing below raise.
 _CONTENT_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
 
 
-def _field(path: Path, where: str, record, name: str, parse=lambda value: value):
-    """``parse(record[name])``; a content failure becomes a ManifestError that
-    names the manifest, the record and the field."""
+def _field(path: Path, where: str, record, name: str, parse=lambda value: value, *args):
+    """``parse(record[name], *args)``; a content failure becomes a
+    ManifestError that names the manifest, the record and the field."""
     try:
-        return parse(record[name])
+        return parse(record[name], *args)
     except _CONTENT_ERRORS as exc:
         raise ManifestError(f"{path}: {where}: field {name!r}: {exc!r}") from exc
 
@@ -352,8 +363,14 @@ def _require(ok, message: str):
     return parse
 
 
-_epsilon = _require(lambda v: 0 <= v < 1, "expected [0, 1)")
-_positive = _require(lambda v: math.isfinite(v) and v > 0, "expected finite and > 0")
+def _copy_of(value, utterances, name: str):
+    """Parse of the manifest's copy of the synth fact ``name`` of every one of
+    ``utterances``: the same value, with the same JSON type."""
+    for utt in utterances:
+        own = getattr(utt.synth, name)
+        if type(value) is not type(own) or value != own:
+            raise ValueError(f"{value!r}, but utterance {utt.utt_id!r} has synth.{name} = {own!r}")
+    return value
 
 
 def _keywords(records) -> tuple[KeywordSpec, ...]:
@@ -391,59 +408,26 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         utt_id = _field(manifest_path, f"utterance {index}", rec, "utt_id", lambda v: new(text(v)))
         utt_ids.add(utt_id)
         field = partial(_field, manifest_path, f"utterance {utt_id!r}", rec)
-        synth = field("synth", SyntheticJoinerConfig.from_json_dict)
-        utterances.append(
-            Utterance(
-                utt_id=utt_id,
-                label=field("label", lambda v: v if v is None else known(v)),
-                epsilon=field("epsilon", _epsilon),
-                num_frames=field(
-                    "num_frames",
-                    _require(
-                        lambda v: type(v) is int and v == synth.num_frames,
-                        f"expected the integer synth.num_frames = {synth.num_frames}",
-                    ),
-                ),
-                duration_seconds=field("duration_seconds", _positive),
-                lattice=field("lattice", text),
-                lattice_keyword=field("lattice_keyword", known),
-                synth=synth,
-            )
+        utt = Utterance(
+            utt_id=utt_id,
+            synth=field("synth", SyntheticJoinerConfig.from_json_dict),
+            label=field("label", lambda v: v if v is None else known(v)),
+            lattice=field("lattice", text),
+            lattice_keyword=field("lattice_keyword", known),
         )
-    suite = SuiteManifest(
+        for name in ("epsilon", "num_frames", "duration_seconds"):
+            field(name, _copy_of, (utt,), name)
+        utterances.append(utt)
+    for name in ("seed", "frame_seconds", "d_max", "vocab_size", "duration_concentration"):
+        top(name, _copy_of, utterances, name)
+    # The top level's epsilons are the set of the records' epsilons, by _copy_of's rule.
+    held = {(type(utt.epsilon), utt.epsilon) for utt in utterances}
+    expected = f"expected the set of the records' epsilons, {sorted(eps for _, eps in held)}"
+    top("epsilons", _require(lambda v: {(type(eps), eps) for eps in v} == held, expected))
+    return SuiteManifest(
         root=suite_dir,
-        seed=top("seed", _require(lambda v: type(v) is int and v >= 0, "expected an integer >= 0")),
-        frame_seconds=top("frame_seconds", _positive),
-        d_max=top(
-            "d_max",
-            _require(
-                lambda v: type(v) is int and 0 <= v <= D_MAX_LIMIT,
-                f"expected an integer in [0, {D_MAX_LIMIT}]",
-            ),
-        ),
-        epsilons=top("epsilons", lambda v: tuple(_epsilon(e) for e in v)),
+        seed=utterances[0].synth.seed,
+        d_max=utterances[0].synth.d_max,
         keywords=keywords,
         utterances=tuple(utterances),
     )
-    vocab_size = top("vocab_size", _require(lambda v: type(v) is int, "expected an integer"))
-    concentration = top("duration_concentration", _require(lambda v: 0 < v <= 1, "expected (0, 1]"))
-    # One set comparison per field; the record at fault is sought only on a mismatch.
-    for name, want, field in (
-        ("seed", {suite.seed}, "synth.seed"),
-        ("epsilons", set(suite.epsilons), "epsilon"),
-        ("frame_seconds", {suite.frame_seconds}, "synth.frame_seconds"),
-        ("vocab_size", {vocab_size}, "synth.vocab_size"),
-        ("d_max", {suite.d_max}, "synth.d_max"),
-        ("duration_concentration", {concentration}, "synth.duration_concentration"),
-    ):
-        of = attrgetter(field)
-        found = {of(u) for u in utterances}
-        if found != want:
-            bad = next((u for u in utterances if of(u) not in want), None)
-            fault = f"utterance {bad.utt_id!r}: field {field!r} = {of(bad)!r}" if bad else (
-                f"the utterances: none has {field} {sorted(want - found)}"
-            )
-            raise ManifestError(
-                f"{manifest_path}: top level: field {name!r}: {sorted(want)} disagrees with {fault}"
-            )
-    return suite

@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -115,48 +115,43 @@ class SyntheticJoinerConfig:
             raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if not 0.0 < self.duration_concentration <= 1.0:
             raise ValidationError("duration_concentration must be in (0, 1]")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValidationError(f"the seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
             raise ValidationError(
                 f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
             )
-        last_end = 0
+        last_end, vocab_size, num_frames = 0, self.vocab_size, self.num_frames
         for token, start, duration in sorted(self.alignment, key=_START):
-            if not 1 <= token <= self.vocab_size:
-                raise ValidationError(f"segment token {token} outside [1, {self.vocab_size}]")
+            if not 1 <= token <= vocab_size:
+                raise ValidationError(f"segment token {token} outside [1, {vocab_size}]")
             if duration < 1:
                 raise ValidationError("segment duration must be >= 1")
-            if start < 1 or start + duration - 1 > self.num_frames:
+            if start < 1 or start + duration - 1 > num_frames:
                 raise ValidationError(
-                    f"segment ({token},{start},{duration}) outside frames [1, {self.num_frames}]"
+                    f"segment ({token},{start},{duration}) outside frames [1, {num_frames}]"
                 )
             if start <= last_end:
                 raise ValidationError("segments overlap")
             last_end = start + duration - 1
 
+    @property
+    def duration_seconds(self) -> float:
+        return self.num_frames * self.frame_seconds
+
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "num_frames": self.num_frames,
-            "alignment": [list(seg) for seg in self.alignment],
-            "epsilon": self.epsilon,
-            "d_max": self.d_max,
-            "duration_concentration": self.duration_concentration,
-            "seed": self.seed,
-            "frame_seconds": self.frame_seconds,
-        }
+        # The alignment's tuples encode as JSON lists.
+        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticJoinerConfig":
-        return cls(
-            vocab_size=data["vocab_size"],
-            num_frames=data["num_frames"],
-            alignment=data["alignment"],
-            epsilon=data["epsilon"],
-            d_max=data["d_max"],
-            duration_concentration=data["duration_concentration"],
-            seed=data["seed"],
-            frame_seconds=data["frame_seconds"],
-        )
+        return cls(*_config_values(data))
+
+
+# The config's field names, the keys of its JSON dict; read once, not per
+# config, since a suite load builds one config per utterance.
+_CONFIG_FIELDS = tuple(field.name for field in fields(SyntheticJoinerConfig))
+_config_values = operator.itemgetter(*_CONFIG_FIELDS)
 
 
 class SyntheticOracle(EmissionOracle):

@@ -322,7 +322,7 @@ def test_asr_bench_runs_each_search_once_over_the_whole_suite(base_suite, tmp_pa
     """An untraced bench with ASR rows runs greedy RNN-T, beam and greedy TDT
     once each over every utterance, not once per epsilon group, and TDT
     greedy asks for its durations by group query, never one frame at a time."""
-    assert len(load_manifest(base_suite).epsilons) == 2
+    assert len(json.loads((base_suite / "manifest.json").read_text())["epsilons"]) == 2
     argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--also-asr-baselines"]
     profile = cProfile.Profile()
     assert profile.runcall(main, [*argv, "--report", str(tmp_path / "report.json")]) == 0
@@ -544,6 +544,43 @@ def test_sidecar_keyword_that_disagrees_with_the_manifest_exits_2(base_suite, tm
     err = capsys.readouterr().err
     assert str(sidecar.with_suffix(".kwl")) in err
     assert str(tuple(stored)) in err and str(tuple(swapped)) in err
+
+
+@pytest.mark.parametrize("command", ["decode", "bench", "dump-delta"])
+def test_lattice_whose_frame_count_disagrees_with_its_record_exits_2(
+    base_suite, tmp_path, capsys, command
+):
+    """Two lattices of one keyword swapped on disk: each reads cleanly, but
+    neither has its record's frame count, so a suite command that opens one
+    names the utterance, the lattice and both counts, and exits 2."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    records = {u["utt_id"]: u for u in manifest["utterances"]}
+    pos, neg = records["pos-alpha-000-e0.00"], records["neg-000-e0.00"]
+    assert pos["lattice_keyword"] == neg["lattice_keyword"]
+    assert pos["num_frames"] != neg["num_frames"]
+    for suffix in (".kwl", ".json"):
+        a, b = ((suite / r["lattice"]).with_suffix(suffix) for r in (pos, neg))
+        a_bytes = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(a_bytes)
+    out = str(tmp_path / "out")
+    argv = {
+        "decode": ["decode", "--suite", str(suite), "--out", out],
+        "bench": ["bench", "--suite", str(suite), "--report", out],
+        "dump-delta": ["dump-delta", "--suite", str(suite), "--utt", pos["utt_id"], "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # decode opens the lattices in utterance-id order, so it meets neg-000 first.
+    record, other = (neg, pos) if command == "decode" else (pos, neg)
+    assert f"utterance {record['utt_id']!r}" in err
+    assert (
+        f"{record['num_frames']}, but {suite / record['lattice']} has "
+        f"{other['num_frames']} frames"
+    ) in err
+    if command != "decode":  # decode writes each record as soon as it is made
+        assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("where", ["manifest", "sidecar"])

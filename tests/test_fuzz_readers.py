@@ -113,6 +113,7 @@ JSON_VALUES = st.recursive(
 @example(utterance=0, field=("record", "num_frames"), value=[26.5])
 @example(utterance=1, field=("record", "num_frames"), value=[1])
 @example(utterance=0, field=("record", "duration_seconds"), value=[math.inf])
+@example(utterance=0, field=("record", "duration_seconds"), value=[1000.0])
 @example(utterance=1, field=("synth", "num_frames"), value=[10**30])
 @example(utterance=1, field=("record", "epsilon"), value=[0.5])
 @example(utterance=0, field=("synth", "frame_seconds"), value=[0.02])
@@ -145,9 +146,11 @@ def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value)
         if suite is not None:
             for utt in suite.utterances:
                 assert type(utt.num_frames) is int and utt.num_frames == utt.synth.num_frames
+                assert utt.epsilon == utt.synth.epsilon
+                assert utt.duration_seconds == utt.num_frames * utt.synth.frame_seconds
                 assert math.isfinite(utt.duration_seconds)
-                assert utt.epsilon in suite.epsilons
-                assert utt.synth.frame_seconds == suite.frame_seconds
+                assert utt.epsilon in manifest["epsilons"]
+                assert utt.synth.frame_seconds == manifest["frame_seconds"]
                 assert utt.synth.d_max == suite.d_max
                 assert utt.synth.seed == suite.seed
             assert {utt.synth.vocab_size for utt in suite.utterances} == {manifest["vocab_size"]}
@@ -226,14 +229,15 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
                 assert "duplicate" in message
         if suite is not None:
             assert type(suite.seed) is int and suite.seed >= 0
-            assert math.isfinite(suite.frame_seconds) and suite.frame_seconds > 0
+            frame_seconds = manifest["frame_seconds"]
+            assert math.isfinite(frame_seconds) and frame_seconds > 0
             assert type(suite.d_max) is int and 0 <= suite.d_max <= D_MAX_LIMIT
-            assert all(0 <= eps < 1 for eps in suite.epsilons)
-            assert {u.epsilon for u in suite.utterances} == set(suite.epsilons)
+            assert all(0 <= eps < 1 for eps in manifest["epsilons"])
+            assert {u.epsilon for u in suite.utterances} == set(manifest["epsilons"])
             assert type(manifest["vocab_size"]) is int
             assert 0 < manifest["duration_concentration"] <= 1
             for utt in suite.utterances:
-                assert utt.synth.frame_seconds == suite.frame_seconds
+                assert utt.synth.frame_seconds == frame_seconds
                 assert utt.synth.d_max == suite.d_max
                 assert utt.synth.vocab_size == manifest["vocab_size"]
                 assert utt.synth.seed == suite.seed

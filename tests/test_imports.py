@@ -1,6 +1,7 @@
 """Every name a kws module imports is used in that module."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -141,3 +142,19 @@ def test_every_method_is_read_outside_the_tests():
         if name not in used and not _overrides_outside_kws(path, cls, name)
     }
     assert sorted(unread) == []
+
+
+def test_every_suite_generator_knob_is_set_by_kws_gen():
+    """A ``SuiteGenSpec`` field that ``kws gen`` does not pass is a knob no
+    command sets: it belongs in a module constant, not the spec."""
+    tree = ast.parse((Path(kws.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    (gen,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_cmd_gen"
+    ]
+    passed = {
+        keyword.arg
+        for node in ast.walk(gen)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SuiteGenSpec"
+        for keyword in node.keywords
+    }
+    assert sorted({field.name for field in dataclasses.fields(kws.SuiteGenSpec)} - passed) == []

@@ -289,14 +289,15 @@ def test_negative_at_zero_epsilon_never_scores(manifest):
     assert all(math.isinf(s) and s < 0 for s in stream.scores)
 
 
-def test_manifest_round_trip_filters(manifest):
+def test_manifest_round_trip_filters(suite_dir, manifest):
+    raw = json.loads((suite_dir / "manifest.json").read_text())
     assert len(manifest.positives("alpha")) == SPEC.n_pos * len(SPEC.epsilons)
     assert len(manifest.positives("alpha", epsilon=0.5)) == SPEC.n_pos
     assert len(manifest.negatives()) == SPEC.n_neg * len(SPEC.epsilons)
     assert manifest.seed == SPEC.seed
     assert manifest.d_max == SPEC.d_max
-    assert manifest.epsilons == SPEC.epsilons
-    assert manifest.frame_seconds == SPEC.frame_seconds
+    assert tuple(raw["epsilons"]) == SPEC.epsilons
+    assert raw["frame_seconds"] == SPEC.frame_seconds
 
 
 def test_load_rejects_wrong_schema_and_labels(suite_dir, tmp_path):
@@ -342,6 +343,7 @@ def write_manifest(root: Path, content: bytes) -> Path:
         ("lattice", 7),
         ("epsilon", 1.0),
         ("epsilon", 0.25),  # in range, but not one of the top-level epsilons
+        ("epsilon", 0.0),  # the other group's epsilon; the record's synth holds 0.5
         ("num_frames", 0),
         ("num_frames", 26.5),
         ("num_frames", "synth + 1"),
@@ -351,11 +353,13 @@ def write_manifest(root: Path, content: bytes) -> Path:
         ("duration_seconds", math.inf),
         ("duration_seconds", math.nan),
         ("duration_seconds", "1.5"),
+        ("duration_seconds", 1000.0),  # finite and positive, but not its frames' length
     ],
 )
 def test_load_names_the_file_utterance_and_field(suite_dir, tmp_path, field, value):
     raw = json.loads((suite_dir / "manifest.json").read_text())
     record = raw["utterances"][1]
+    assert record["synth"]["epsilon"] == 0.5
     synth_frames = record["synth"]["num_frames"]
     value = {"synth + 1": synth_frames + 1, "synth as a float": float(synth_frames)}.get(
         value, value

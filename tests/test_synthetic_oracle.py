@@ -100,6 +100,11 @@ def test_config_rejects_out_of_range_fields():
             )
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        SyntheticJoinerConfig(vocab_size=5, num_frames=10, alignment=(), seed=-1)
+
+
 def test_config_json_round_trip():
     cfg = make_oracle(epsilon=0.25, d_max=4).config
     again = SyntheticJoinerConfig.from_json_dict(cfg.to_json_dict())
