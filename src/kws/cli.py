@@ -125,11 +125,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         for line in lines:
             print(line)
     else:
+        # Written under a temporary name and renamed after the last record,
+        # so that a decode that fails part-way leaves no partial --out.
+        partial = Path(f"{args.out}.{os.getpid()}.tmp")
         written = 0
-        with Path(args.out).open("w", encoding="utf-8") as out:
-            for line in lines:
-                out.write(line + "\n")
-                written += 1
+        try:
+            with partial.open("w", encoding="utf-8") as out:
+                for line in lines:
+                    out.write(line + "\n")
+                    written += 1
+            os.replace(partial, args.out)
+        finally:
+            partial.unlink(missing_ok=True)
         print(f"wrote {written} score streams to {args.out}")
     return 0
 

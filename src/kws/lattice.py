@@ -14,13 +14,21 @@ Layout (all little-endian):
 A JSON sidecar (same basename, ``.json``) stores the keyword name, token-ids,
 and provenance metadata. Sidecars carry no timestamps so identical content
 always produces identical bytes.
+
+One parser, ``_parse``, reads and checks the header for both readers:
+``read_lattice`` goes on to read the body and the sidecar, and
+``read_lattice_header`` stops after the header. Files are read through
+``os.open``, ``fstat`` and ``readv`` on the path's string, with no file
+object or pathlib call, since a suite command opens hundreds of small files.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,16 +134,48 @@ def save_lattice(data: LatticeData, path: str | Path) -> Path:
     return path
 
 
-def read_lattice(path: str | Path) -> LatticeData:
-    """Parse and validate one KWL1 file plus its sidecar.
+def _open(path: str) -> tuple[int, int]:
+    """A read-only descriptor of ``path`` and the file's size. A directory
+    raises the IsADirectoryError, naming ``path``, that ``open`` raises."""
+    fd = os.open(path, os.O_RDONLY)
+    status = os.fstat(fd)
+    if stat.S_ISDIR(status.st_mode):
+        os.close(fd)
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return fd, status.st_size
+
+
+def _fill(fd: int, buffer: bytearray) -> int:
+    """Read into ``buffer`` until it is full or the file ends; the bytes read."""
+    view = memoryview(buffer)
+    done = 0
+    while done < len(view):
+        got = os.readv(fd, [view[done:]])
+        if not got:
+            break
+        done += got
+    return done
+
+
+def _sidecar_path(path: str) -> str:
+    """``Path(path).with_suffix(".json")`` for a path in normal form: the last
+    component's suffix, a dot that neither starts nor ends it, is replaced."""
+    dot = path.rfind(".")
+    if path.rfind("/") + 1 < dot < len(path) - 1:
+        path = path[:dot]
+    return path + ".json"
+
+
+def _parse(path: str, with_body: bool) -> tuple[int, int, int, float, bytearray | None]:
+    """(T, U, D_max, frame_seconds, body) of the KWL1 file at ``path``; the body
+    is None unless ``with_body``. Every header and size check runs either way.
 
     The header is checked against the file's size before the body is read,
     so a header that claims more data than the file holds costs no read of
     it, whatever its dimensions."""
-    if not isinstance(path, Path):
-        path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
+    fd, size = _open(path)
+    try:
+        header = os.read(fd, _HEADER.size)
         if header[:4] != MAGIC:
             raise BadMagicError(f"{path}: not a KWL1 file (magic {header[:4]!r})")
         if len(header) < _HEADER.size:
@@ -147,17 +187,34 @@ def read_lattice(path: str | Path) -> LatticeData:
             raise UnsupportedVersionError(f"{path}: version {version} unsupported (reader speaks {VERSION})")
         if T < 1 or U < 1:
             raise LatticeValueError(f"{path}: header T={T}, U={U}; both must be >= 1")
-        floats = T * U + T * (U + 1)  # log_y, then log_phi
-        expected = 4 * floats + (6 * T if d_max > 0 else 0)
-        actual = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if actual == expected:
-            body = bytearray(expected)  # writable, so the arrays below need no copy
-            actual = fh.readinto(body)
+        expected = 4 * (T * U + T * (U + 1)) + (6 * T if d_max > 0 else 0)
+        actual = size - _HEADER.size
+        body = None
+        if actual == expected and with_body:
+            body = bytearray(expected)  # writable, so the arrays over it need no copy
+            actual = _fill(fd, body)
+    finally:
+        os.close(fd)
     if actual != expected:
         raise TruncatedLatticeError(
             f"{path}: body has {actual} bytes, header dimensions require {expected}"
         )
+    return T, U, d_max, frame_seconds, body
+
+
+def read_lattice_header(path: str | Path) -> tuple[int, int, int, float]:
+    """(T, U, D_max, frame_seconds) of a KWL1 file, after the checks of
+    ``read_lattice`` that need no body or sidecar; reads 20 bytes."""
+    return _parse(os.fspath(path), False)[:4]
+
+
+def read_lattice(path: str | Path) -> LatticeData:
+    """Parse and validate one KWL1 file plus its sidecar. Errors name
+    ``path`` as given; a ``Path`` names it as ``str`` of it."""
+    path = os.fspath(path)
+    T, U, d_max, frame_seconds, body = _parse(path, True)
     # One f32 view over both float channels.
+    floats = T * U + T * (U + 1)  # log_y, then log_phi
     grid = np.frombuffer(body, dtype="<f4", count=floats)
     log_y = grid[: T * U].reshape(T, U)
     log_phi = grid[T * U :].reshape(T, U + 1)
@@ -166,17 +223,22 @@ def read_lattice(path: str | Path) -> LatticeData:
         greedy_tokens = np.frombuffer(body, dtype="<u4", count=T, offset=4 * floats)
         greedy_durations = np.frombuffer(body, dtype="<u2", count=T, offset=4 * floats + 4 * T)
 
-    sidecar_path = path.with_suffix(".json")
+    sidecar_path = _sidecar_path(path)
     try:
         # Decoded here, not by json.loads, which would also take UTF-16 and
         # UTF-32 text or a byte-order mark; newlines as read_text reads them,
         # so a JSON error reports the same position.
-        text = sidecar_path.read_bytes().decode("utf-8")
+        fd, size = _open(sidecar_path)
+        try:
+            raw = bytearray(size)
+            text = raw[: _fill(fd, raw)].decode("utf-8")
+        finally:
+            os.close(fd)
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         sidecar = json.loads(text)
     except FileNotFoundError as exc:
-        raise SidecarError(f"{path}: missing sidecar {sidecar_path.name}") from exc
+        raise SidecarError(f"{path}: missing sidecar {os.path.basename(sidecar_path)}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SidecarError(f"{sidecar_path}: not UTF-8 JSON ({exc})") from exc
     try:
@@ -236,6 +298,11 @@ class FileLatticeOracle(EmissionOracle):
     @property
     def frame_seconds(self) -> float:
         return float(self._data.frame_seconds)
+
+    @property
+    def provenance(self):
+        """The sidecar's provenance record, as read."""
+        return self._data.provenance
 
     def _check_keyword(self, keyword: KeywordSpec) -> None:
         stored = self._data.keyword

@@ -3,7 +3,9 @@
 Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
-keyword conditioning). Each negative builds one ``SyntheticOracle`` per run.
+keyword conditioning). Each negative builds one ``SyntheticOracle`` per run;
+before the first run, ``bench`` holds every negative's frame count to its
+lattice header, which is all of the lattice it reads.
 All utterances of a run go through one in-process decode, which decodes them
 as batched (utterance, keyword) lanes and hands back each utterance's scores
 as one (keyword, frame) block; its ``oracle_queries`` still count one row
@@ -226,6 +228,7 @@ def bench(
 ) -> dict:
     """Full benchmark report across the suite's epsilon groups."""
     check_bench_args(target_far, also_asr_baselines, beam_width)
+    suite.check_lattice_headers(suite.negatives())
     groups = []
     for epsilon in sorted(set(u.epsilon for u in suite.utterances)):
         baseline_run, baseline_counters = _bench_one_run(suite, epsilon, baseline, target_far)

@@ -16,6 +16,16 @@ manifest (so generative decoding can reconstruct the oracle) and also frozen
 to a keyword-conditioned KWL1 lattice: positives conditioned on their label
 keyword, negatives on a round-robin keyword recorded as ``lattice_keyword``.
 
+The manifest (schema ``kws-suite-manifest@2``) writes each planted alignment
+as three integer columns of one length, ``[tokens, starts, durations]``, so
+that a load parses three lists per utterance rather than one per segment;
+``SyntheticJoinerConfig.from_json_dict`` zips them back into the triples.
+A suite command opens a lattice through ``SuiteManifest.lattice``, which
+holds it to its record: the same frame count and, where the sidecar's
+provenance names an utterance, the same utterance. ``bench`` also compares
+every negative's frame count with its lattice header before its first run,
+since a negative's record alone sizes the arrays of its SyntheticOracle.
+
 Alignments are drawn from per-utterance child seeds (suite_seed, utt_index),
 so generation order and parallelism never change output; a fixed seed yields
 byte-identical trees. Each utterance's draws are batched (one array draw per
@@ -29,6 +39,7 @@ it creates a directory.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -38,10 +49,17 @@ import numpy as np
 from .emissions import KeywordSpec
 from .errors import ManifestError, ValidationError
 from .jsontext import indented_json
-from .lattice import D_MAX_LIMIT, FileLatticeOracle, load_lattice, save_lattice, snapshot
+from .lattice import (
+    D_MAX_LIMIT,
+    FileLatticeOracle,
+    load_lattice,
+    read_lattice_header,
+    save_lattice,
+    snapshot,
+)
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
-MANIFEST_SCHEMA = "kws-suite-manifest@1"
+MANIFEST_SCHEMA = "kws-suite-manifest@2"
 # Where manifest.json holds its utterance records: in the "utterances" list.
 _RECORD_INDENT = " " * 4
 _UTTERANCES = '"utterances": []'
@@ -329,16 +347,33 @@ class SuiteManifest:
     def lattice_path(self, utt: Utterance) -> Path:
         return self.root / utt.lattice
 
-    def lattice(self, utt: Utterance) -> FileLatticeOracle:
-        """``utt``'s lattice, which must have its record's frame count. Suite commands
-        open lattices here, by the global ``load_lattice`` that a tracer swaps."""
-        oracle = load_lattice(self.lattice_path(utt))
-        if oracle.num_frames != utt.num_frames:
+    def _check_frames(self, utt: Utterance, frames: int) -> None:
+        if frames != utt.num_frames:
             raise ManifestError(
                 f"{self.root / 'manifest.json'}: utterance {utt.utt_id!r}: field 'num_frames': "
-                f"{utt.num_frames}, but {self.lattice_path(utt)} has {oracle.num_frames} frames"
+                f"{utt.num_frames}, but {self.lattice_path(utt)} has {frames} frames"
+            )
+
+    def lattice(self, utt: Utterance) -> FileLatticeOracle:
+        """``utt``'s lattice, which must have its record's frame count and, when
+        its sidecar's provenance names an utterance, be ``utt``'s. Suite commands
+        open lattices here, by the global ``load_lattice`` that a tracer swaps."""
+        oracle = load_lattice(os.path.join(self.root, utt.lattice))
+        self._check_frames(utt, oracle.num_frames)
+        provenance = oracle.provenance
+        if isinstance(provenance, dict) and provenance.get("utt_id", utt.utt_id) != utt.utt_id:
+            raise ManifestError(
+                f"{self.root / 'manifest.json'}: utterance {utt.utt_id!r}: field 'lattice': "
+                f"{self.lattice_path(utt)} was written for utterance {provenance['utt_id']!r}"
             )
         return oracle
+
+    def check_lattice_headers(self, utterances) -> None:
+        """Check the frame count in the lattice header of each of ``utterances``
+        against its record's, reading no lattice body or sidecar: a record's
+        ``num_frames`` sizes a SyntheticOracle's per-frame arrays."""
+        for utt in utterances:
+            self._check_frames(utt, read_lattice_header(os.path.join(self.root, utt.lattice))[0])
 
 
 # Everything a malformed manifest can make the parsing below raise.

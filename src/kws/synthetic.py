@@ -140,18 +140,36 @@ class SyntheticJoinerConfig:
         return self.num_frames * self.frame_seconds
 
     def to_json_dict(self) -> dict:
-        # The alignment's tuples encode as JSON lists.
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        """The config's fields by name; the alignment as its three columns,
+        tokens, starts and durations, each one list."""
+        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        data["alignment"] = [[segment[i] for segment in self.alignment] for i in range(3)]
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticJoinerConfig":
-        return cls(*_config_values(data))
+        """The config of a ``to_json_dict`` dict. The alignment's columns must
+        be three lists of one length; ``__post_init__`` checks their values."""
+        values = list(_config_values(data))
+        columns = values[_ALIGNMENT]
+        if type(columns) is list and all(type(column) is list for column in columns):
+            lengths = [len(column) for column in columns]
+            if len(lengths) == 3 and lengths[0] == lengths[1] == lengths[2]:
+                values[_ALIGNMENT] = tuple(zip(*columns))
+                return cls(*values)
+            got = f"lists of lengths {lengths}"
+        else:
+            got = f"{columns!r:.80}"
+        raise ValidationError(
+            f"alignment must be three lists of one length (tokens, starts, durations), got {got}"
+        )
 
 
 # The config's field names, the keys of its JSON dict; read once, not per
 # config, since a suite load builds one config per utterance.
 _CONFIG_FIELDS = tuple(field.name for field in fields(SyntheticJoinerConfig))
 _config_values = operator.itemgetter(*_CONFIG_FIELDS)
+_ALIGNMENT = _CONFIG_FIELDS.index("alignment")
 
 
 class SyntheticOracle(EmissionOracle):

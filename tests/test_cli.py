@@ -552,7 +552,8 @@ def test_lattice_whose_frame_count_disagrees_with_its_record_exits_2(
 ):
     """Two lattices of one keyword swapped on disk: each reads cleanly, but
     neither has its record's frame count, so a suite command that opens one
-    names the utterance, the lattice and both counts, and exits 2."""
+    names the utterance, the lattice and both counts, and exits 2, leaving
+    no output file behind."""
     suite = copy_suite(base_suite, tmp_path)
     manifest = json.loads((suite / "manifest.json").read_text())
     records = {u["utt_id"]: u for u in manifest["utterances"]}
@@ -572,15 +573,68 @@ def test_lattice_whose_frame_count_disagrees_with_its_record_exits_2(
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    # decode opens the lattices in utterance-id order, so it meets neg-000 first.
-    record, other = (neg, pos) if command == "decode" else (pos, neg)
+    # decode opens the lattices in utterance-id order and bench checks every
+    # negative's lattice header before its first run, so both meet neg-000 first.
+    record, other = (pos, neg) if command == "dump-delta" else (neg, pos)
     assert f"utterance {record['utt_id']!r}" in err
     assert (
         f"{record['num_frames']}, but {suite / record['lattice']} has "
         f"{other['num_frames']} frames"
     ) in err
-    if command != "decode":  # decode writes each record as soon as it is made
-        assert not Path(out).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite"]
+
+
+@pytest.fixture(scope="module")
+def seed_5_suite(tmp_path_factory):
+    root = tmp_path_factory.mktemp("seed-5") / "suite"
+    argv = ["--n-pos", "3", "--n-neg", "10", "--epsilon", "0.0", "--epsilon", "0.4", "--seed", "5"]
+    assert main(["gen", "--out", str(root), *argv]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_lattices_swapped_between_utterances_of_one_length_exit_2(
+    seed_5_suite, tmp_path, capsys, command
+):
+    """The epsilon 0.0 and 0.4 copies of one positive share an alignment, so
+    their lattices have one frame count; only their sidecars' provenance
+    tells them apart. Swapped on disk, both commands name the utterance, its
+    lattice and the utterance the lattice was written for, and exit 2."""
+    suite = copy_suite(seed_5_suite, tmp_path)
+    own, other = "pos-almost-000-e0.00", "pos-almost-000-e0.40"
+    for suffix in (".kwl", ".json"):
+        a, b = (suite / "lattices" / f"{utt_id}{suffix}" for utt_id in (own, other))
+        a_bytes = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(a_bytes)
+    out = str(tmp_path / "out")
+    argv = {
+        "decode": ["decode", "--suite", str(suite), "--out", out],
+        "bench": ["bench", "--suite", str(suite), "--report", out],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {suite / 'manifest.json'}: utterance {own!r}: field 'lattice': "
+        f"{suite / 'lattices' / own}.kwl was written for utterance {other!r}\n"
+    )
+
+
+def test_negative_claiming_more_frames_than_its_lattice_exits_2(base_suite, tmp_path, capsys):
+    """A negative whose record and synth agree on 10**15 frames: bench compares
+    the claim with the lattice header before any oracle sizes arrays by it."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    negative = next(u for u in manifest["utterances"] if u["label"] is None)
+    frames = negative["num_frames"]
+    negative["num_frames"] = negative["synth"]["num_frames"] = 10**15
+    negative["duration_seconds"] = 10**15 * negative["synth"]["frame_seconds"]
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    assert load_manifest(suite)
+    assert main(["bench", "--suite", str(suite), "--report", str(tmp_path / "out")]) == 2
+    assert (
+        f"utterance {negative['utt_id']!r}: field 'num_frames': {10**15}, "
+        f"but {suite / negative['lattice']} has {frames} frames"
+    ) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["manifest", "sidecar"])
@@ -606,9 +660,9 @@ def test_non_integral_token_id_exits_2(base_suite, tmp_path, where):
 def test_non_integral_alignment_entry_exits_2(base_suite, tmp_path, edit):
     suite = copy_suite(base_suite, tmp_path)
     manifest = json.loads((suite / "manifest.json").read_text())
-    utterance = next(u for u in manifest["utterances"] if u["synth"]["alignment"])
-    segment = utterance["synth"]["alignment"][0]
-    segment[0] = edit(segment[0])
+    utterance = next(u for u in manifest["utterances"] if u["synth"]["alignment"][0])
+    tokens = utterance["synth"]["alignment"][0]
+    tokens[0] = edit(tokens[0])
     (suite / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match="'synth'.*integer"):
         load_manifest(suite)

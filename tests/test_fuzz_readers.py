@@ -168,6 +168,55 @@ def test_replaced_manifest_fields_fail_typed(suite_dir, utterance, field, value)
             assert codes == [2, 2]
 
 
+ALIGNMENT_EDITS = (
+    "shorten", "two columns", "four columns", "float", "integral float", "string",
+    "no columns", "one column empty",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    utterance=st.integers(0, 1),
+    edit=st.sampled_from(ALIGNMENT_EDITS),
+    column=st.integers(0, 2),
+    index=st.integers(0, 1 << 8),
+)
+def test_malformed_alignment_columns_fail_at_load(suite_dir, utterance, edit, column, index):
+    """A synth alignment is three integer columns of one length (tokens,
+    starts, durations). Unequal lengths, two or four columns, a float or a
+    string entry, no columns or one empty column: each is a ManifestError at
+    load that names the manifest, the utterance and the synth."""
+    manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
+    record = manifest["utterances"][utterance]
+    columns = record["synth"]["alignment"]
+    entry = index % len(columns[0])
+    if edit == "shorten":
+        del columns[column][entry]
+    elif edit == "two columns":
+        del columns[column]
+    elif edit == "four columns":
+        columns.insert(column, list(columns[column]))
+    elif edit == "float":
+        columns[column][entry] += 0.5
+    elif edit == "integral float":
+        columns[column][entry] = float(columns[column][entry])
+    elif edit == "string":
+        columns[column][entry] = str(columns[column][entry])
+    elif edit == "no columns":
+        columns.clear()
+    else:
+        columns[column].clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "suite"
+        root.mkdir()
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(root)
+    message = str(info.value)
+    assert message.startswith(f"{root / 'manifest.json'}: utterance {record['utt_id']!r}: ")
+    assert "field 'synth'" in message and "alignment" in message
+
+
 TOP_FIELDS = (
     "schema", "seed", "frame_seconds", "d_max", "duration_concentration", "vocab_size",
     "epsilons", "keywords", "utterances",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ from kws import (
     save_lattice,
     snapshot,
 )
+from kws.lattice import read_lattice_header
 
 from test_synthetic_oracle import frame_rows, keyword_grids, stacked_grids
 
@@ -133,38 +135,33 @@ def test_header_claiming_more_than_the_file_fails_before_the_body_is_read(
     raw[6:10] = struct.pack("<I", T)
     path.write_bytes(bytes(raw))
     requested = []
-    real_open = open
 
     class Spy:
-        def __init__(self, fh):
-            self._fh = fh
+        """``os`` for the reader, recording the size of every read."""
 
         def __getattr__(self, name):
-            return getattr(self._fh, name)
+            return getattr(os, name)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return self._fh.__exit__(*exc)
-
-        def read(self, size=-1):
+        def read(self, fd, size):
             requested.append(size)
-            return self._fh.read(size)
+            return os.read(fd, size)
 
-        def readinto(self, buffer):
-            requested.append(len(buffer))
-            return self._fh.readinto(buffer)
+        def readv(self, fd, buffers):
+            requested.append(sum(len(buffer) for buffer in buffers))
+            return os.readv(fd, buffers)
 
-    monkeypatch.setattr(
-        "kws.lattice.open", lambda *args, **kwargs: Spy(real_open(*args, **kwargs)), raising=False
-    )
+    monkeypatch.setattr("kws.lattice.os", Spy())
     with pytest.raises(TruncatedLatticeError) as err:
         read_lattice(path)
     expected = 4 * T * 2 + 4 * T * 3 + 6 * T
     assert f"body has {len(raw) - HEADER.size} bytes" in str(err.value)
     assert f"require {expected}" in str(err.value)
     assert requested == [HEADER.size]
+    # The header-only reader makes the same checks.
+    with pytest.raises(TruncatedLatticeError) as header_err:
+        read_lattice_header(path)
+    assert str(header_err.value) == str(err.value)
+    assert requested == [HEADER.size] * 2
 
 
 def test_each_lattice_is_validated_once(tmp_path, monkeypatch):
@@ -420,3 +417,112 @@ def test_d_max_must_fit_the_header_field(tmp_path):
     with pytest.raises(ValidationError, match="D_max must be in"):
         save_lattice(data, tmp_path / "x.kwl")
     assert not (tmp_path / "x.kwl").exists()
+
+
+def _patch(offset, data):
+    def edit(kwl, sidecar):
+        raw = bytearray(kwl.read_bytes())
+        raw[offset : offset + len(data)] = data
+        kwl.write_bytes(bytes(raw))
+
+    return edit
+
+
+def _write(target, data):
+    def edit(kwl, sidecar):
+        path = kwl if target == "kwl" else sidecar
+        path.unlink()
+        if data is None:
+            path.mkdir()
+        elif data != "missing":
+            path.write_bytes(data)
+
+    return edit
+
+
+# (edit of a tiny lattice x.kwl and its sidecar x.json, error type, message).
+READER_ERRORS = {
+    "bad-magic": (_patch(0, b"XXXX"), BadMagicError, "{kwl}: not a KWL1 file (magic b'XXXX')"),
+    "short-header": (
+        _write("kwl", b"KWL1\x01\x00"),
+        TruncatedLatticeError,
+        "{kwl}: header needs 20 bytes, file has 6",
+    ),
+    "version": (
+        _patch(4, struct.pack("<H", 9)),
+        UnsupportedVersionError,
+        "{kwl}: version 9 unsupported (reader speaks 1)",
+    ),
+    "no-frames": (
+        _patch(6, struct.pack("<I", 0)),
+        LatticeValueError,
+        "{kwl}: header T=0, U=2; both must be >= 1",
+    ),
+    "short-body": (
+        lambda kwl, sidecar: kwl.write_bytes(kwl.read_bytes()[:-4]),
+        TruncatedLatticeError,
+        "{kwl}: body has 76 bytes, header dimensions require 80",
+    ),
+    "positive": (
+        _patch(HEADER.size, struct.pack("<f", 0.5)),
+        LatticeValueError,
+        "log_y contains log-probabilities > 0",
+    ),
+    "frame-seconds": (
+        _patch(HEADER.size - 4, struct.pack("<f", math.nan)),
+        LatticeValueError,
+        "{kwl}: frame_seconds must be finite and > 0, got nan",
+    ),
+    "missing-sidecar": (
+        _write("json", "missing"),
+        SidecarError,
+        "{kwl}: missing sidecar x.json",
+    ),
+    "sidecar-not-json": (
+        _write("json", b"{"),
+        SidecarError,
+        "{json}: not UTF-8 JSON (Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1))",
+    ),
+    "sidecar-list": (
+        _write("json", b"[1, 2]"),
+        SidecarError,
+        "{json}: bad keyword record (list indices must be integers or slices, not str)",
+    ),
+    "sidecar-tokens": (
+        _write("json", b'{"keyword": {"name": "tiny", "tokens": [5]}}'),
+        SidecarError,
+        "{json}: keyword has 1 tokens, header says U=2",
+    ),
+    "missing-lattice": (
+        _write("kwl", "missing"),
+        FileNotFoundError,
+        "[Errno 2] No such file or directory: '{kwl}'",
+    ),
+    "lattice-directory": (
+        _write("kwl", None),
+        IsADirectoryError,
+        "[Errno 21] Is a directory: '{kwl}'",
+    ),
+    "sidecar-directory": (
+        _write("json", None),
+        IsADirectoryError,
+        "[Errno 21] Is a directory: '{json}'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_ERRORS))
+def test_reader_errors_are_the_same_for_str_and_path(tmp_path, case):
+    """Each reader error has one type and one text, whether the lattice is
+    named by a ``str`` or a ``Path``; the texts are the ones every earlier
+    reader gave."""
+    edit, error, message = READER_ERRORS[case]
+    kwl = save_lattice(tiny_data(), tmp_path / "x.kwl")
+    sidecar = tmp_path / "x.json"
+    edit(kwl, sidecar)
+    for path in (kwl, str(kwl)):
+        with pytest.raises(error) as info:
+            read_lattice(path)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(kwl=kwl, json=sidecar)

@@ -84,8 +84,20 @@ def tree_sha256(root: Path) -> str:
     return digest.hexdigest()
 
 
-# Digests of whole gen trees, recorded with the per-draw generator and the
-# per-frame greedy walk; batching must not move a byte.
+def as_schema_1(text: str) -> str:
+    """A manifest's text in the kws-suite-manifest@1 layout, which wrote each
+    alignment as one [token, start, duration] list per segment."""
+    raw = json.loads(text)
+    raw["schema"] = "kws-suite-manifest@1"
+    for record in raw["utterances"]:
+        record["synth"]["alignment"] = [list(s) for s in zip(*record["synth"]["alignment"])]
+    return json.dumps(raw, sort_keys=True, indent=2) + "\n"
+
+
+# Digests of whole gen trees, recorded with the per-draw generator, the
+# per-frame greedy walk and @1 manifests; batching must not move a byte, and
+# the manifest may change only in its layout. The @2 manifests' own digests
+# are recorded too.
 GOLDEN_TREES = [
     (SPEC, "85b673d9961f057c8387104773ca4f58a322054be35c5e0cc8e9a4721c0bf1cb"),
     (
@@ -99,9 +111,18 @@ GOLDEN_TREES = [
 ]
 
 
+GOLDEN_MANIFESTS = {
+    SPEC.seed: "8387f80df0b9d04a49f67590f555abbc22c07c8d6cbdb68eaceaa576b45a6d8c",
+    4: "30f91b4d89e3fa9e7a4da42a01d0ecb6d44d902c715293079b18aa3dc4b82db5",
+}
+
+
 @pytest.mark.parametrize("spec, sha256", GOLDEN_TREES)
 def test_gen_trees_match_recorded_digests(tmp_path, spec, sha256):
-    gen_suite(tmp_path, spec)
+    manifest = gen_suite(tmp_path, spec)
+    text = manifest.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MANIFESTS[spec.seed]
+    manifest.write_text(as_schema_1(text), encoding="utf-8")
     assert tree_sha256(tmp_path) == sha256
 
 
@@ -219,6 +240,21 @@ def test_manifest_validates_against_shipped_schema(suite_dir):
     )
     raw = json.loads((suite_dir / "manifest.json").read_text())
     jsonschema.validate(raw, schema)
+    raw["utterances"][0]["synth"]["alignment"].pop()
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(raw, schema)
+
+
+def test_schema_1_manifest_is_refused_naming_both_schemas(suite_dir, tmp_path):
+    text = as_schema_1((suite_dir / "manifest.json").read_text(encoding="utf-8"))
+    root = write_manifest(tmp_path / "suite", text.encode())
+    with pytest.raises(ManifestError) as info:
+        load_manifest(root)
+    assert str(info.value) == (
+        f"{root / 'manifest.json'}: top level: field 'schema': ValueError(\"expected "
+        "'kws-suite-manifest@2', got 'kws-suite-manifest@1'\")"
+    )
+    assert main(["decode", "--suite", str(root)]) == 2
 
 
 def test_positives_plant_exactly_one_occurrence(manifest):
@@ -381,10 +417,10 @@ def test_load_names_the_file_utterance_and_field(suite_dir, tmp_path, field, val
     "content",
     [
         b"[]",
-        b'{"schema": "kws-suite-manifest@1", "keywords": [], "utterances": [7]}',
-        b'{"schema": "kws-suite-manifest@1", "keywords": [], "utterances": [{"utt_id": 7}]}',
+        b'{"schema": "kws-suite-manifest@2", "keywords": [], "utterances": [7]}',
+        b'{"schema": "kws-suite-manifest@2", "keywords": [], "utterances": [{"utt_id": 7}]}',
         b"\xff\xfe{}",
-        b'{"schema": "kws-suite-manifest@1"',
+        b'{"schema": "kws-suite-manifest@2"',
     ],
     ids=["list", "utterance-not-object", "utt-id-not-string", "not-utf8", "truncated"],
 )

@@ -1,5 +1,7 @@
 """Synthetic joiner oracle: emission construction, normalization, greedy track."""
 
+import dataclasses
+import json
 import math
 import operator
 from types import SimpleNamespace
@@ -107,8 +109,9 @@ def test_config_rejects_a_negative_seed():
 
 def test_config_json_round_trip():
     cfg = make_oracle(epsilon=0.25, d_max=4).config
-    again = SyntheticJoinerConfig.from_json_dict(cfg.to_json_dict())
-    assert again == cfg
+    for config in (cfg, dataclasses.replace(cfg, alignment=())):
+        again = SyntheticJoinerConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+        assert again == config
 
 
 def test_point_mass_on_aligned_token():
