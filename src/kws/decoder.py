@@ -30,14 +30,18 @@ lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
 count of processed columns rather than by frame, so RNN-T and TDT lanes of
 different utterances step together without masks and TDT keeps its skipped
 frames. ``decode_keywords`` batches whole utterances, up to 256 lanes per
-sweep: the lanes of all keywords of an utterance share its hop schedule,
-enter a batch side by side in one buffer write of the oracle's block and
-leave it as the rows of one (K, T) score block; ``StreamingDecoder`` runs
-the same routine on one lane, one column at a time, and fires by
-``detect_events``' threshold and refractory rule as each score lands.
-Offline event extraction works on such a block too: one greedy non-maximum
-suppression round picks the next peak of every keyword of an utterance at
-once (``_peak_picks``; ``peak_events`` is its one-row case).
+sweep: the lanes of all keywords of an utterance share its hop schedule
+and enter a batch side by side in one buffer write of the oracle's block; a
+batch leaves as one (lane, frame) score block (``_ScoreBlock``), cut from
+the DP's columns by one scatter (one transposed copy where every lane lands
+on every frame), whose rows the ScoreStreams view.
+``StreamingDecoder`` runs the same routine on one lane, one column at a
+time, and fires by ``detect_events``' threshold and refractory rule as each
+score lands. Offline event extraction works on a whole block: the live gate
+walks every row's candidates in lockstep (``_gate_picks``), and one greedy
+non-maximum suppression round picks the next peak of every row at once
+(``_peak_picks``); ``detect_events`` and ``peak_events`` are their one-row
+cases.
 The routine sweeps anti-diagonals ("wavefronts") of the (column, u) grid:
 cell (k, u) depends only on (k, u-1) and (k-1, u), so all cells with the
 same k + u are independent and one wavefront costs a fixed handful of numpy
@@ -57,8 +61,10 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from operator import itemgetter
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
@@ -334,17 +340,39 @@ class _PendingUtterance:
     frame_seconds: float
     frames: np.ndarray
     keywords: list[str]
-    scores: np.ndarray | None = None  # (K, T) f64, set once its batch is decoded
 
-    def streams(self) -> list[ScoreStream]:
-        """One ScoreStream per keyword, each a row of the score block."""
-        processed = np.zeros(self.scores.shape, dtype=bool)
-        processed[:, self.frames - 1] = True
-        n = len(self.frames)
-        return [
-            ScoreStream(self.utt_id, keyword, self.frame_seconds, self.scores[k], processed[k], n)
-            for k, keyword in enumerate(self.keywords)
-        ]
+
+@dataclass
+class _ScoreBlock:
+    """The scores of one lane batch as one (lanes, W) block, W being the
+    frame count of its longest utterance.
+
+    Row i + k holds keyword k of the utterance whose first lane is i; the
+    utterances are in input order, so their rows are too. A row's frames
+    past its own utterance's are -inf and unprocessed, so that a gate or a
+    peak search over the whole block picks what it would pick row by row.
+    """
+
+    utts: list[tuple[_PendingUtterance, int]]  # (utterance, first lane)
+    scores: np.ndarray  # (lanes, W) f64
+    processed: np.ndarray  # (lanes, W) bool
+
+    def streams(self) -> Iterator[list[ScoreStream]]:
+        """One list per utterance of one ScoreStream per keyword, each a row view."""
+        for utt, i in self.utts:
+            T, n = utt.num_frames, len(utt.frames)
+            yield [
+                ScoreStream(
+                    utt.utt_id, keyword, utt.frame_seconds,
+                    self.scores[i + k, :T], self.processed[i + k, :T], n,
+                )
+                for k, keyword in enumerate(utt.keywords)
+            ]
+
+    def events(self, rows: np.ndarray, frames: np.ndarray) -> list[list[DetectionEvent]]:
+        """One event list per row, from the picks of ``_gate_picks`` or ``_peak_picks``."""
+        names = [keyword for utt, _ in self.utts for keyword in utt.keywords]
+        return _row_events(names, self.scores, rows, frames)
 
 
 class _LaneBatch:
@@ -363,7 +391,7 @@ class _LaneBatch:
     lanes than have been decoded before it, so a run of few lanes never
     allocates the widest one. An utterance that does not fit first decodes
     the batch so far, so the old buffer is freed before a larger one is
-    allocated.
+    allocated. Each decoded batch queues one ``_ScoreBlock`` on ``blocks``.
     """
 
     def __init__(self, counters: SpeedCounters) -> None:
@@ -373,12 +401,13 @@ class _LaneBatch:
         self.edges = _edge_buffer(0, 0, self.width)
         self.utts: list[tuple[_PendingUtterance, int]] = []  # (utterance, first lane)
         self.lanes = self._columns = self._tokens = 0
+        self.blocks: deque[_ScoreBlock] = deque()
 
     def add(self, utt: _PendingUtterance, block: np.ndarray) -> None:
         """Queue ``utt`` with its (K, 2, n, u + 1) emission block."""
         K, _, n, u1 = block.shape
         if not K:
-            utt.scores = np.empty((0, utt.num_frames))
+            self.utts.append((utt, self.lanes))
             return
         u = u1 - 1
         if self.lanes and self.lanes + K > self.width:
@@ -410,22 +439,37 @@ class _LaneBatch:
         self.width = min(max(self.width, self._closed), _LANE_CHUNK)
 
     def decode(self) -> None:
-        """Run the DP over the batch, set each utterance's score block, and empty it."""
-        L, C, U = self.lanes, self._columns, self._tokens
-        if not L:
+        """Run the DP over the batch, queue its score block, and empty it."""
+        if not self.utts:
             return
-        U_buf = self.edges.shape[2] - 1
-        skip = U_buf - U  # padding rows no lane of this batch needs
-        edges = self.edges[skip:, :, skip:, :L]
-        scores = np.empty((C, L))
-        tick = perf_counter()
-        _lane_columns(edges, _first_column(U, L), C, scores)
-        self.counters.search_wall_seconds += perf_counter() - tick
-
-        for utt, i in self.utts:
-            K, n = len(utt.keywords), len(utt.frames)
-            utt.scores = np.full((K, utt.num_frames), NEG_INF)
-            utt.scores[:, utt.frames - 1] = scores[:n, i : i + K].T
+        L, C, U = self.lanes, self._columns, self._tokens
+        W = max(utt.num_frames for utt, _ in self.utts)
+        scores = np.full((L, W), NEG_INF)
+        processed = np.zeros((L, W), dtype=bool)
+        if L:
+            U_buf = self.edges.shape[2] - 1
+            skip = U_buf - U  # padding rows no lane of this batch needs
+            edges = self.edges[skip:, :, skip:, :L]
+            columns = np.empty((C, L))
+            tick = perf_counter()
+            _lane_columns(edges, _first_column(U, L), C, columns)
+            self.counters.search_wall_seconds += perf_counter() - tick
+            # Column k of lane l lands at the lane's k-th processed frame;
+            # the columns past a lane's own are dropped.
+            lane_frames = [utt.frames for utt, _ in self.utts for _ in utt.keywords]
+            n = np.fromiter(map(len, lane_frames), np.int64, L)
+            live = np.arange(C) < n[:, None]
+            if all(len(utt.frames) == utt.num_frames for utt, _ in self.utts):
+                # Every lane lands on every frame (RNN-T): a transposed copy,
+                # which costs about a third of the scatter below.
+                np.copyto(scores[:, :C], columns.T, where=live)
+                processed[:, :C] = live
+            else:
+                at = np.concatenate(lane_frames)
+                at += np.repeat(np.arange(L) * W - 1, n)
+                scores.reshape(-1)[at] = columns.T[live]
+                processed.reshape(-1)[at] = True
+        self.blocks.append(_ScoreBlock(self.utts, scores, processed))
         self.utts = []
         self.lanes = self._columns = self._tokens = 0
 
@@ -434,10 +478,9 @@ def _decode_blocks(
     utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
     config: DecodeConfig,
     counters: SpeedCounters,
-) -> Iterator[_PendingUtterance]:
-    """``decode_keywords`` with each utterance's scores as one (K, T) block."""
+) -> Iterator[_ScoreBlock]:
+    """``decode_keywords`` with the scores of each lane batch as one block."""
     queries_per_column = 2 if config.mode == TDT else 1
-    pending: deque[_PendingUtterance] = deque()
     batch = _LaneBatch(counters)
     for oracle, keywords, utt_id in utterances:
         tick = perf_counter()
@@ -447,18 +490,17 @@ def _decode_blocks(
             utt_id, oracle.num_frames, oracle.frame_seconds, frames,
             [keyword.name for keyword in keywords],
         )
-        pending.append(utt)
         batch.add(utt, oracle.emission_grids(keywords, frames))
         columns = len(keywords) * len(frames)
         counters.columns_evaluated += columns
         counters.oracle_queries += queries_per_column * columns
         counters.total_wall_seconds += perf_counter() - tick
-        while pending and pending[0].scores is not None:
-            yield pending.popleft()
+        while batch.blocks:
+            yield batch.blocks.popleft()
     tick = perf_counter()
     batch.decode()
     counters.total_wall_seconds += perf_counter() - tick
-    yield from pending
+    yield from batch.blocks
 
 
 def decode_keywords(
@@ -469,8 +511,8 @@ def decode_keywords(
     """Whole-utterance decodes of many (oracle, keywords, utt_id) triples.
 
     Yields, in input order, one list per utterance with one ScoreStream per
-    keyword, as soon as its batch is decoded; the streams of an utterance
-    are the rows of one score block. Each utterance's hop schedule is
+    keyword, as soon as its batch is decoded; every stream is a row view of
+    its batch's one score block. Each utterance's hop schedule is
     computed once, and one ``emission_grids`` call fetches the rows of all
     its keywords at the scheduled frames only, as one block; its lanes join
     a batch together, and an oracle is not held once its rows are fetched.
@@ -483,8 +525,8 @@ def decode_keywords(
     caller.
     """
     counters = counters if counters is not None else SpeedCounters()
-    for utt in _decode_blocks(utterances, config, counters):
-        yield utt.streams()
+    for block in _decode_blocks(utterances, config, counters):
+        yield from block.streams()
 
 
 def decode_kws(
@@ -500,26 +542,54 @@ def decode_kws(
 
 
 def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEvent]:
-    """Recover detection events from an already-computed ScoreStream.
+    """Recover detection events from an already-computed ScoreStream: the
+    one-row case of ``_gate_picks``, the rule ``StreamingDecoder`` fires by."""
+    scores = stream.scores[None]
+    picks = _gate_picks(scores, stream.processed[None], config)
+    (events,) = _row_events([stream.keyword], scores, *picks)
+    return events
 
-    The rule ``StreamingDecoder`` fires by, frame by frame: a processed frame
-    fires when its score is finite, at least the threshold, and
-    ``refractory_frames`` or more after the last fire.
+
+def _gate_picks(
+    scores: np.ndarray, processed: np.ndarray, config: DecodeConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The live gate on every row of an (L, W) score block at once.
+
+    A processed frame fires when its score is finite, at least the
+    threshold, and ``refractory_frames`` or more after its row's last fire.
+    Returns the (row, frame index) pairs that fire, sorted by row, then
+    frame. The rows walk their candidates in lockstep, one fire per live row
+    a round.
     """
-    scores = stream.scores
-    passing = stream.processed & np.isfinite(scores) & (scores >= config.threshold_log)
-    cand = np.flatnonzero(passing)
-    # Candidates are distinct frames, so a refractory of 0 acts as 1.
-    step = max(config.refractory_frames, 1)
-    fired, pos = [], 0
-    while pos < len(cand):
-        idx = int(cand[pos])
-        fired.append(idx)
-        pos = int(np.searchsorted(cand, idx + step))
-    return [
-        DetectionEvent(stream.keyword, idx + 1, score)
-        for idx, score in zip(fired, scores[fired].tolist())
-    ]
+    L, W = scores.shape
+    passing = processed & np.isfinite(scores) & (scores >= config.threshold_log)
+    cand = np.flatnonzero(passing)  # row * W + frame index, sorted
+    # Candidates are distinct frames, so a refractory of 0 acts as 1, and
+    # one of W or more leaves one fire per row.
+    step = max(min(config.refractory_frames, W), 1)
+    bounds = np.searchsorted(cand, np.arange(L + 1) * W)
+    pos, end = bounds[:-1], bounds[1:]  # each row's candidates
+    fired = [np.empty(0, dtype=np.int64)]
+    while True:
+        live = pos < end
+        pos, end = pos[live], end[live]
+        if not len(pos):
+            break
+        at = cand[pos]
+        fired.append(at)
+        pos = np.searchsorted(cand, at + step)
+    return np.divmod(np.sort(np.concatenate(fired)), max(W, 1))
+
+
+def _row_events(
+    names: Sequence[str], scores: np.ndarray, rows: np.ndarray, frames: np.ndarray
+) -> list[list[DetectionEvent]]:
+    """One event list per row of ``scores``, named ``names[row]``, from the
+    (row, frame index) picks of ``_gate_picks`` or ``_peak_picks``."""
+    events = [[] for _ in names]
+    for row, idx, score in zip(rows.tolist(), frames.tolist(), scores[rows, frames].tolist()):
+        events[row].append(DetectionEvent(names[row], idx + 1, score))
+    return events
 
 
 def _peak_picks(scores: np.ndarray, refractory_frames: int) -> tuple[np.ndarray, np.ndarray]:
@@ -563,14 +633,12 @@ def peak_events(stream: ScoreStream, refractory_frames: int) -> list[DetectionEv
     live-detection rule; this offline form yields the per-utterance event
     list that threshold sweeps rank, since the event at a peak would fire at
     any threshold at or below its score. It is the one-row case of the
-    block routine that ``bench`` runs on all keywords of an utterance at
+    block routine that ``bench`` runs on the negatives of a lane batch at
     once (``_peak_picks``).
     """
-    _, frames = _peak_picks(stream.scores[None], refractory_frames)
-    return [
-        DetectionEvent(stream.keyword, idx + 1, score)
-        for idx, score in zip(frames.tolist(), stream.scores[frames].tolist())
-    ]
+    scores = stream.scores[None]
+    (events,) = _row_events([stream.keyword], scores, *_peak_picks(scores, refractory_frames))
+    return events
 
 
 def dump_delta_matrix(oracle: EmissionOracle, keyword: KeywordSpec, config: DecodeConfig) -> str:
@@ -596,6 +664,28 @@ def _encode_float(value: float) -> float | str:
     return float(value)
 
 
+def _score_text(value: float) -> str:
+    """The JSON text of a score in a record: ``_encode_float``'s value as
+    ``json.dumps`` writes it (float.__repr__ is json's own float formatter)."""
+    value = float(value)
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(_encode_float(value))
+
+
+_F64, _I64 = struct.Struct("=d"), struct.Struct("=q")
+
+
+class _ScoreTexts(dict):
+    """Score texts keyed by the f64 bit pattern, which keeps -0.0 apart from
+    0.0; each is made on its first lookup. Scores repeat a lot (126 distinct
+    values over the 107,526 frames of the seed-1 perfbench suite in RNN-T
+    mode), so one table serves a whole lane batch."""
+
+    def __missing__(self, bits: int) -> str:
+        (value,) = _F64.unpack(_I64.pack(bits))
+        text = self[bits] = _score_text(value)
+        return text
+
+
 def _joined(texts, keys: list) -> str:
     """``", ".join(texts[k] for k in keys)``, with every lookup in one call."""
     if len(keys) > 1:
@@ -604,40 +694,34 @@ def _joined(texts, keys: list) -> str:
 
 
 _BOOL_TEXT = ("false", "true")
-# Where the record's two arrays go in the text of the rest of it. A quote
-# inside a JSON string is escaped, so no string can read like this.
-_ARRAYS = '"processed": null, "scores": null'
 
 
-def scorestream_record(stream: ScoreStream, events: Sequence[DetectionEvent]) -> str:
+def scorestream_record(
+    stream: ScoreStream, events: Sequence[DetectionEvent], texts: _ScoreTexts | None = None
+) -> str:
     """The JSONL line of one utterance's record, without its newline.
 
     It is ``json.dumps(record, sort_keys=True)`` of the record's fields, with
-    -inf and +inf written as the strings "-inf" and "inf". json encodes the
-    scalars and events; the ``processed`` and ``scores`` arrays are joined
-    from texts. Scores repeat a lot (a few distinct values per utterance),
-    so each distinct score is encoded once: the texts are memoized by the
-    f64 bit pattern, which keeps -0.0 apart from 0.0.
+    -inf and +inf written as the strings "-inf" and "inf", put together
+    field by field in key order: json encodes the strings and
+    ``frame_seconds``, and the ``processed`` and ``scores`` arrays and the
+    events' scores are joined from texts. ``texts`` is the score-text table
+    to look each score up in; a caller that makes many records passes one
+    table for all of them (``decode_suite`` passes one per lane batch), and
+    without it the record makes its own. It changes no output.
     """
+    if texts is None:
+        texts = _ScoreTexts()
     bits = np.asarray(stream.scores, dtype=np.float64).view(np.int64).tolist()
-    texts = dict.fromkeys(bits)
-    distinct = np.array(list(texts), dtype=np.int64).view(np.float64).tolist()
-    for key, value in zip(texts, distinct):
-        # float.__repr__ is json's own float formatter.
-        finite = math.isfinite(value)
-        texts[key] = float.__repr__(value) if finite else json.dumps(_encode_float(value))
-    rest = {
-        "utt_id": stream.utt_id,
-        "keyword": stream.keyword,
-        "frame_seconds": stream.frame_seconds,
-        "scores": None,
-        "processed": None,
-        "columns_evaluated": stream.columns_evaluated,
-        "events": [
-            {"keyword": e.keyword, "frame": e.frame, "log_score": _encode_float(e.log_score)}
-            for e in events
-        ],
-    }
-    head, _, tail = json.dumps(rest, sort_keys=True).partition(_ARRAYS)
-    processed = _joined(_BOOL_TEXT, stream.processed.tolist())
-    return f'{head}"processed": [{processed}], "scores": [{_joined(texts, bits)}]{tail}'
+    events_text = ", ".join(
+        f'{{"frame": {e.frame}, "keyword": {_json_string(e.keyword)}, '
+        f'"log_score": {_score_text(e.log_score)}}}'
+        for e in events
+    )
+    return (
+        f'{{"columns_evaluated": {stream.columns_evaluated}, "events": [{events_text}], '
+        f'"frame_seconds": {json.dumps(stream.frame_seconds)}, '
+        f'"keyword": {_json_string(stream.keyword)}, '
+        f'"processed": [{_joined(_BOOL_TEXT, stream.processed.tolist())}], '
+        f'"scores": [{_joined(texts, bits)}], "utt_id": {_json_string(stream.utt_id)}}}'
+    )

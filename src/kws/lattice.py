@@ -265,9 +265,7 @@ def read_lattice(path: str | Path) -> LatticeData:
     )
     try:
         data.validate()
-    except ValidationError as exc:
-        if isinstance(exc, LatticeValueError):
-            raise
+    except (ValidationError, LatticeValueError) as exc:
         raise LatticeValueError(f"{path}: {exc}") from exc
     return data
 

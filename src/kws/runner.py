@@ -7,14 +7,16 @@ keyword conditioning). Each negative builds one ``SyntheticOracle`` per run;
 before the first run, ``bench`` holds every negative's frame count to its
 lattice header, which is all of the lattice it reads.
 All utterances of a run go through one in-process decode, which decodes them
-as batched (utterance, keyword) lanes and hands back each utterance's scores
-as one (keyword, frame) block; its ``oracle_queries`` still count one row
-query per keyword per column, plus one greedy query per keyword per column
-in TDT mode. Event scores come from each block as a whole: a positive's best
-event is its row's highest finite score, and a negative's peak events, for
-all its keywords at once, come from one greedy non-maximum suppression over
-the block. ``decode_suite`` yields its records one at a time, so a caller
-that writes each before drawing the next holds one. ASR baseline rows always use
+as batched (utterance, keyword) lanes and hands back each lane batch's
+scores as one (lane, frame) block; its ``oracle_queries`` still count one
+row query per keyword per column, plus one greedy query per keyword per
+column in TDT mode. Event scores come from each block as a whole: a
+positive's best event is its row's highest finite score, and the peak
+events of every keyword of the batch's negatives come from one greedy
+non-maximum suppression over their rows. ``decode_suite`` runs the live gate
+over each block at once and gives the batch's records one score-text table;
+it still makes and yields its records one at a time, so a caller that
+writes each before drawing the next holds one. ASR baseline rows always use
 the generative oracle: after every group's KWS runs, each utterance of the
 suite builds one ``SyntheticOracle``, and each ASR search runs once on all
 of them, in lockstep rounds (see ``baselines``) whose row and duration
@@ -47,10 +49,10 @@ from .decoder import (
     DecodeConfig,
     _decode_blocks,
     _encode_float,
+    _gate_picks,
     _peak_picks,
-    decode_keywords,
+    _ScoreTexts,
     decode_kws,
-    detect_events,
     scorestream_record,
 )
 from .emissions import KeywordSpec, NEG_INF
@@ -79,16 +81,19 @@ def _config_echo(config: DecodeConfig) -> dict:
 def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
     """Decode every utterance against its lattice keyword; yields the JSONL
     line of each utterance's record (``scorestream_record``, no newline), in
-    utterance-id order, with the live gate's events (streaming semantics).
-    Lines are made one at a time, as the caller draws them, so none is held
-    once the caller has moved on."""
+    utterance-id order, with the live gate's events (streaming semantics),
+    found for a whole lane batch at once. Lines are made one at a time, as
+    the caller draws them, so none is held once the caller has moved on."""
     by_name = suite.keywords_by_name
     utterances = (
         (suite.lattice(utt), (by_name[utt.lattice_keyword],), utt.utt_id)
         for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
     )
-    for (stream,) in decode_keywords(utterances, config):
-        yield scorestream_record(stream, detect_events(stream, config))
+    for block in _decode_blocks(utterances, config, SpeedCounters()):
+        events = block.events(*_gate_picks(block.scores, block.processed, config))
+        texts = _ScoreTexts()
+        for (stream,), stream_events in zip(block.streams(), events):
+            yield scorestream_record(stream, stream_events, texts)
 
 
 def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
@@ -129,17 +134,21 @@ def _bench_one_run(
 
     # Threshold-free peak event scores: a positive's best event, which is the
     # highest finite score of its one row, and every peak event of every
-    # keyword of a negative, from its (K, T) score block.
+    # keyword of a negative. Positives come first, so the rows of a lane
+    # batch's block are its positives' rows, then its negatives' (K each).
     pos_count = sum(len(utts) for utts in positives)
     pos_scores, neg_keywords, neg_scores = [], [], []
-    for i, utt in enumerate(_decode_blocks(utterances(), collect, counters)):
-        scores = utt.scores
-        if i < pos_count:
-            pos_scores.append(float(np.where(np.isfinite(scores), scores, NEG_INF).max()))
-        else:
-            rows, frames = _peak_picks(scores, collect.refractory_frames)
-            neg_keywords.append(rows)
-            neg_scores.append(scores[rows, frames])
+    seen = 0  # utterances in the blocks so far
+    for block in _decode_blocks(utterances(), collect, counters):
+        p = min(max(pos_count - seen, 0), len(block.utts))
+        split = block.utts[p][1] if p < len(block.utts) else len(block.scores)
+        seen += len(block.utts)
+        pos = block.scores[:split]
+        pos_scores += np.where(np.isfinite(pos), pos, NEG_INF).max(axis=1).tolist()
+        neg = block.scores[split:]
+        rows, frames = _peak_picks(neg, collect.refractory_frames)
+        neg_keywords.append(rows % len(suite.keywords))
+        neg_scores.append(neg[rows, frames])
     neg_keywords = np.concatenate([np.empty(0, dtype=np.int64), *neg_keywords])
     neg_scores = np.concatenate([np.empty(0), *neg_scores])
     per_keyword = []

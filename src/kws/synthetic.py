@@ -56,6 +56,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -101,9 +102,7 @@ class SyntheticJoinerConfig:
                 for a, b, c in self.alignment
             )
         except (TypeError, ValueError) as exc:  # not integers, or not triples
-            raise ValidationError(
-                f"alignment entries must be integer triples, got {self.alignment!r}"
-            ) from exc
+            raise ValidationError(_triples_fault(self.alignment)) from exc
         object.__setattr__(self, "alignment", alignment)
         if self.vocab_size < 1:
             raise ValidationError("vocab_size must be >= 1")
@@ -149,21 +148,50 @@ class SyntheticJoinerConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticJoinerConfig":
         """The config of a ``to_json_dict`` dict. The alignment's columns must
-        be three lists of one length; ``__post_init__`` checks their values."""
+        be three lists of one length that hold JSON integers only: a boolean,
+        which Python would take for 0 or 1, is refused. ``__post_init__``
+        checks their values."""
         values = list(_config_values(data))
         columns = values[_ALIGNMENT]
         if type(columns) is list and all(type(column) is list for column in columns):
             lengths = [len(column) for column in columns]
             if len(lengths) == 3 and lengths[0] == lengths[1] == lengths[2]:
+                if not set(map(type, chain(*columns))) <= {int}:
+                    name, i, value = next(
+                        (name, i, value)
+                        for name, column in zip(_COLUMNS, columns)
+                        for i, value in enumerate(column)
+                        if type(value) is not int
+                    )
+                    raise ValidationError(
+                        f"alignment {name}[{i}] must be an integer, got {value!r}"
+                    )
                 values[_ALIGNMENT] = tuple(zip(*columns))
                 return cls(*values)
             got = f"lists of lengths {lengths}"
         else:
             got = f"{columns!r:.80}"
         raise ValidationError(
-            f"alignment must be three lists of one length (tokens, starts, durations), got {got}"
+            f"alignment must be three lists of one length ({', '.join(_COLUMNS)}), got {got}"
         )
 
+
+def _triples_fault(alignment) -> str:
+    """Why ``alignment`` is not a sequence of integer triples, naming its
+    first segment that is not one."""
+    try:
+        for i, segment in enumerate(alignment):
+            try:
+                _, _, _ = map(operator.index, segment)
+            except (TypeError, ValueError):
+                return f"alignment entries must be integer triples; segment {i} is {segment!r}"
+    except TypeError:  # not iterable
+        pass
+    return f"alignment entries must be integer triples, got {alignment!r:.80}"
+
+
+# The alignment's JSON columns, in order.
+_COLUMNS = ("tokens", "starts", "durations")
 
 # The config's field names, the keys of its JSON dict; read once, not per
 # config, since a suite load builds one config per utterance.

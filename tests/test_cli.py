@@ -236,9 +236,10 @@ def drop_wall(obj):
     return obj
 
 
-def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch):
-    """`kws decode` JSONL (both modes) and `kws bench` reports without "wall"
-    are the same whatever the lane batch width."""
+def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch, capsys):
+    """`kws decode` JSONL (both modes, through --out and stdout) and `kws
+    bench` reports without "wall" are the same whatever the lane batch
+    width, so wherever the batch boundaries fall."""
 
     def outputs(tag, *flags):
         run = {}
@@ -247,6 +248,9 @@ def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch
             argv = ["decode", "--suite", str(base_suite), "--mode", mode, "--d-max", "3"]
             assert main([*argv, *flags, "--out", str(out)]) == 0
             run[mode] = out.read_bytes()
+            capsys.readouterr()
+            assert main([*argv, *flags]) == 0
+            run[f"{mode}-stdout"] = capsys.readouterr().out
         report = tmp_path / f"{tag}-report.json"
         argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--report", str(report)]
         assert main([*argv, *flags]) == 0
@@ -254,7 +258,8 @@ def test_lane_batching_does_not_change_outputs(base_suite, tmp_path, monkeypatch
         return run
 
     default = outputs("default")
-    for chunk in (1, 3):
+    assert default["rnnt-stdout"].encode() == default["rnnt"]
+    for chunk in (1, 2, 3, 5):
         monkeypatch.setattr(decoder, "_LANE_CHUNK", chunk)
         assert outputs(f"chunk{chunk}") == default
 
@@ -667,6 +672,25 @@ def test_non_integral_alignment_entry_exits_2(base_suite, tmp_path, edit):
     with pytest.raises(ManifestError, match="'synth'.*integer"):
         load_manifest(suite)
     assert main(["bench", "--suite", str(suite)]) == 2
+
+
+@pytest.mark.parametrize("value", [7.5, "7", True, False, None])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_alignment_entry_error_names_its_column_and_entry(base_suite, tmp_path, capsys, column,
+                                                          value):
+    """A non-integer alignment entry, a JSON boolean included (Python would
+    take it for 0 or 1 and score another alignment), exits 2 with a short
+    message that names the column and the entry, not the whole alignment."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    utterance = next(u for u in manifest["utterances"] if len(u["synth"]["alignment"][0]) > 2)
+    utterance["synth"]["alignment"][column][2] = value
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    name = ("tokens", "starts", "durations")[column]
+    assert main(["bench", "--suite", str(suite)]) == 2
+    err = capsys.readouterr().err
+    assert f"alignment {name}[2] must be an integer, got {value!r}" in err
+    assert repr(utterance["utt_id"]) in err and len(err) < 400
 
 
 def test_manifest_keyword_longer_than_its_lattice_exits_2(base_suite, tmp_path, capsys):

@@ -600,6 +600,71 @@ def test_detect_events_and_record_match_per_frame_references(
     assert line == json.dumps(_scorestream_record_reference(stream, events), sort_keys=True)
 
 
+# Names a record must escape: quotes, backslashes, control characters, non-ASCII.
+ODD_NAMES = ['kw', 'say "hi"', "back\\slash", "tab\tnew\nline\x00", "caf\u00e9 \u65e5\U0001f600", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    utterances=st.integers(1, 6),
+    tdt=st.booleans(),
+    threshold_log=st.sampled_from([NEG_INF, -3.0, -1.0, -0.5, 0.0]),
+    refractory=st.sampled_from([0, 1, 2, 7, 34, 10**6]),
+    names=st.lists(st.sampled_from(ODD_NAMES), min_size=7, max_size=7),
+)
+def test_batch_gate_peaks_and_records_match_row_references(
+    seed, utterances, tdt, threshold_log, refractory, names
+):
+    """Streams of different lengths (one to three keywords per utterance), with
+    -inf runs and tie-heavy scores, stacked into one -inf-padded block as a
+    lane batch holds them: the batch gate, the batch peak picks and the
+    records made with one score-text table for the block equal the per-row
+    references, whatever the refractory (0, or past every row's end) and
+    threshold."""
+    rng = np.random.default_rng(seed)
+    utts, rows = [], []
+    for i in range(utterances):
+        T = int(rng.integers(0, 60))
+        if tdt:  # hops of 1 to 4 frames from frame 1; skipped frames stay -inf
+            frames = np.cumsum(np.concatenate([[1], rng.integers(1, 5, size=T)]))
+            frames = frames[frames <= T]
+        else:
+            frames = np.arange(1, T + 1)
+        keywords = names[: int(rng.integers(1, 4))]
+        for _ in keywords:
+            row = np.full(T, NEG_INF)
+            row[frames - 1] = rng.choice([0.0, -0.5, -1.0, -3.0, NEG_INF], size=len(frames))
+            row[frames[rng.random(len(frames)) < 0.3] - 1] = -rng.random()
+            if T:
+                start = int(rng.integers(0, T))
+                row[start : start + int(rng.integers(1, 10))] = NEG_INF  # a -inf run
+            rows.append(row)
+        first = sum(len(u.keywords) for u, _ in utts)
+        utt_id = f'{names[-1]}"u{i}\\'
+        utts.append((kws.decoder._PendingUtterance(utt_id, T, 0.03, frames, keywords), first))
+    W = max(u.num_frames for u, _ in utts)
+    scores = np.full((len(rows), W), NEG_INF)
+    processed = np.zeros((len(rows), W), dtype=bool)
+    for utt, i in utts:
+        for k in range(len(utt.keywords)):
+            scores[i + k, : utt.num_frames] = rows[i + k]
+            processed[i + k, utt.frames - 1] = True
+    block = kws.decoder._ScoreBlock(utts, scores, processed)
+    config = DecodeConfig(threshold_log=threshold_log, refractory_frames=refractory)
+
+    gated = block.events(*kws.decoder._gate_picks(scores, processed, config))
+    peaks = block.events(*kws.decoder._peak_picks(scores, refractory))
+    streams = [stream for utt_streams in block.streams() for stream in utt_streams]
+    assert len(streams) == len(rows)
+    texts = kws.decoder._ScoreTexts()
+    for stream, row_gated, row_peaks in zip(streams, gated, peaks):
+        assert row_gated == _detect_events_reference(stream, config)
+        assert row_peaks == peak_events(stream, refractory)
+        line = scorestream_record(stream, row_gated, texts)
+        assert line == json.dumps(_scorestream_record_reference(stream, row_gated), sort_keys=True)
+
+
 def test_record_keeps_signed_zeros_and_nan_apart():
     scores = np.array([0.0, -0.0, math.nan, 0.0, -0.0, NEG_INF, math.inf, math.nan])
     stream = ScoreStream("u", "kw", 0.03, scores, np.ones(8, dtype=bool), 8)
@@ -689,6 +754,29 @@ def test_lane_dp_matches_scalar_reference(seed, utterances, tdt, tie_heavy, chun
             columns += len(frames)
     assert counters.columns_evaluated == columns
     assert counters.oracle_queries == columns * (2 if tdt else 1)
+
+
+@pytest.mark.parametrize("mode", ["rnnt", "tdt"])
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_score_blocks_are_minus_inf_off_their_lanes_frames(mode, chunk):
+    """Each lane batch's block holds a lane's scores at its processed frames
+    only: a skipped frame, and every frame past its own utterance's end, is
+    -inf and unprocessed, so that whole-block gates and peak searches see
+    what one row would."""
+    rng = np.random.default_rng(7)
+    config = DecodeConfig(mode=mode, d_max=3 if mode == "tdt" else 0)
+    jobs = []
+    for i in range(9):
+        data = random_proper_lattice(rng, t_max=40, u_max=4, d_max=3)
+        jobs.append((FileLatticeOracle(data), [data.keyword] * int(rng.integers(1, 3)), f"u{i}"))
+    with mock.patch.object(kws.decoder, "_LANE_CHUNK", chunk):
+        blocks = list(kws.decoder._decode_blocks(jobs, config, SpeedCounters()))
+    assert sum(len(block.utts) for block in blocks) == len(jobs)
+    for block in blocks:
+        assert np.isneginf(block.scores[~block.processed]).all()
+        for utt, i in block.utts:
+            for lane in range(i, i + len(utt.keywords)):
+                assert np.flatnonzero(block.processed[lane]).tolist() == (utt.frames - 1).tolist()
 
 
 def _reference_schedule(durations, config):

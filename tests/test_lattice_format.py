@@ -440,6 +440,18 @@ def _write(target, data):
     return edit
 
 
+def _greedy_duration(value):
+    """Rewrite x.kwl with D_max 2 and its first greedy duration set to ``value``."""
+
+    def edit(kwl, sidecar):
+        save_lattice(tiny_data(d_max=2), kwl)
+        T, U = 4, 2
+        durations = HEADER.size + 4 * (T * U + T * (U + 1)) + 4 * T  # after the greedy tokens
+        _patch(durations, struct.pack("<H", value))(kwl, sidecar)
+
+    return edit
+
+
 # (edit of a tiny lattice x.kwl and its sidecar x.json, error type, message).
 READER_ERRORS = {
     "bad-magic": (_patch(0, b"XXXX"), BadMagicError, "{kwl}: not a KWL1 file (magic b'XXXX')"),
@@ -466,7 +478,17 @@ READER_ERRORS = {
     "positive": (
         _patch(HEADER.size, struct.pack("<f", 0.5)),
         LatticeValueError,
-        "log_y contains log-probabilities > 0",
+        "{kwl}: log_y contains log-probabilities > 0",
+    ),
+    "nan": (
+        _patch(HEADER.size + 4 * 8, struct.pack("<f", math.nan)),  # the first log_phi entry
+        LatticeValueError,
+        "{kwl}: log_phi contains NaN",
+    ),
+    "greedy-duration": (
+        _greedy_duration(3),
+        LatticeValueError,
+        "{kwl}: greedy_duration exceeds D_max=2",
     ),
     "frame-seconds": (
         _patch(HEADER.size - 4, struct.pack("<f", math.nan)),
@@ -516,7 +538,7 @@ READER_ERRORS = {
 def test_reader_errors_are_the_same_for_str_and_path(tmp_path, case):
     """Each reader error has one type and one text, whether the lattice is
     named by a ``str`` or a ``Path``; the texts are the ones every earlier
-    reader gave."""
+    reader gave, except that a value error names the file too."""
     edit, error, message = READER_ERRORS[case]
     kwl = save_lattice(tiny_data(), tmp_path / "x.kwl")
     sidecar = tmp_path / "x.json"

@@ -655,14 +655,15 @@ def test_keyword_scan_vocab_error_names_the_keyword():
 
 
 def _validate_alignment_per_entry(alignment, vocab_size, num_frames):
-    try:
-        converted = tuple(
-            (operator.index(a), operator.index(b), operator.index(c)) for a, b, c in alignment
-        )
-    except TypeError as exc:
-        raise ValidationError(
-            f"alignment entries must be integer triples, got {alignment!r}"
-        ) from exc
+    converted = []
+    for i, segment in enumerate(alignment):
+        a, b, c = segment
+        try:
+            converted.append((operator.index(a), operator.index(b), operator.index(c)))
+        except TypeError as exc:
+            raise ValidationError(
+                f"alignment entries must be integer triples; segment {i} is {segment!r}"
+            ) from exc
     last_end = 0
     for token, start, duration in sorted(converted, key=lambda s: s[1]):
         if not 1 <= token <= vocab_size:
@@ -676,7 +677,7 @@ def _validate_alignment_per_entry(alignment, vocab_size, num_frames):
         if start <= last_end:
             raise ValidationError("segments overlap")
         last_end = start + duration - 1
-    return converted
+    return tuple(converted)
 
 
 def _validation_outcome(validate):
