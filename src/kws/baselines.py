@@ -1,11 +1,11 @@
 """Conventional ASR decoding baselines plus keyword containment.
 
 Greedy search takes the argmax over vocab-plus-blank at each frame: a
-non-blank argmax is emitted (staying on the frame, capped per frame), blank
-advances — by one frame in RNN-T mode, by the predicted duration (clamped to
-at least 1) in TDT mode. The hypothesis log-prob accumulates token-track
-probabilities only: one blank term per frame advance and one token term per
-emission.
+non-blank argmax is emitted (staying on the frame, at most
+``MAX_SYMBOLS_PER_FRAME`` a frame), blank advances — by one frame in RNN-T
+mode, by the predicted duration clamped to [1, d_max] (a zero included) in
+TDT mode. The hypothesis log-prob accumulates token-track probabilities
+only: one blank term per frame advance and one token term per emission.
 
 Beam search keeps B lineages per frame and expands them in rounds. When
 blank is a lineage's local argmax the lineage commits: the blank-extended
@@ -68,17 +68,17 @@ class Hypothesis:
     emit_frames: tuple[int, ...]
 
 
+# Tokens a search may emit at one frame before it must move on.
+MAX_SYMBOLS_PER_FRAME = 10
+
+
 @dataclass(frozen=True)
 class AsrConfig:
     mode: str = RNNT
     d_max: int = 0
-    zero_duration_policy: str = "clamp"
-    max_symbols_per_frame: int = 10
 
     def __post_init__(self) -> None:
         _check_search_config(self)
-        if self.max_symbols_per_frame < 1:
-            raise ValidationError("max_symbols_per_frame must be >= 1")
 
 
 def _require_generative(oracle: EmissionOracle) -> None:
@@ -127,7 +127,7 @@ def _greedy_searches(
         frames = t[live]
         rows = rows_of(live, frames, lengths[live], [tokens[u] for u in live.tolist()])
         best = rows.argmax(axis=1)
-        emit = (best != BLANK_ID) & (emitted[live] < config.max_symbols_per_frame)
+        emit = (best != BLANK_ID) & (emitted[live] < MAX_SYMBOLS_PER_FRAME)
         best[~emit] = BLANK_ID
         log_prob[live] += rows[np.arange(live.size), best]
         for u, k, f in zip(live[emit].tolist(), best[emit].tolist(), frames[emit].tolist()):
@@ -139,9 +139,8 @@ def _greedy_searches(
         if config.mode != TDT:
             t[advance] += 1
         elif advance.size:  # decoder._hops of each leaving utterance's argmax duration
-            at = t[advance]
-            durations = durations_of(advance, at, [tokens[u] for u in advance.tolist()])
-            t[advance] += _hops(durations.argmax(axis=1), config, at)
+            durations = durations_of(advance, t[advance], [tokens[u] for u in advance.tolist()])
+            t[advance] += _hops(durations.argmax(axis=1), config)
         live = live[t[live] <= num_frames[live]]
     return [
         Hypothesis(tuple(tokens[u]), float(log_prob[u]), tuple(emit_frames[u]))
@@ -231,7 +230,7 @@ class _Histories(Sequence):
 
 # Columns of a beam pool row. The pool holds every lineage of every live
 # utterance: alive ones and those of the current frame's finished pool
-# (DONE = 1). ADDED is the first of max_symbols_per_frame columns that hold
+# (DONE = 1). ADDED is the first of MAX_SYMBOLS_PER_FRAME columns that hold
 # the tokens added this frame, -1 padded.
 _UTT, _NODE, _LEN, _START, _DONE, _ADDED = range(6)
 
@@ -271,7 +270,7 @@ def _beam_searches(
     if not oracles:
         return []
     rows_of = _row_query(oracles, config)
-    cap = config.max_symbols_per_frame
+    cap = MAX_SYMBOLS_PER_FRAME
     n = len(oracles)
     num_frames = np.array([oracle.num_frames for oracle in oracles], dtype=np.int64)
     t = np.ones(n, dtype=np.int64)

@@ -64,6 +64,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from operator import itemgetter
 from time import perf_counter
@@ -94,16 +95,13 @@ _LANE_CHUNK = 256
 
 
 def _check_search_config(config) -> None:
-    """The mode, ``d_max`` and zero-duration policy checks that DecodeConfig
-    and ``baselines.AsrConfig`` share."""
+    """The mode and ``d_max`` checks that DecodeConfig and ``baselines.AsrConfig`` share."""
     if config.mode not in (RNNT, TDT):
         raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {config.mode!r}")
     if config.d_max < 0:
         raise ValidationError(f"d_max must be >= 0, got {config.d_max}")
     if config.mode == TDT and config.d_max < 1:
         raise ValidationError("TDT mode requires d_max >= 1")
-    if config.zero_duration_policy not in ZERO_DURATION_POLICIES:
-        raise ValidationError(f"zero_duration_policy must be one of {ZERO_DURATION_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +116,8 @@ class DecodeConfig:
 
     def __post_init__(self) -> None:
         _check_search_config(self)
+        if self.zero_duration_policy not in ZERO_DURATION_POLICIES:
+            raise ValidationError(f"zero_duration_policy must be one of {ZERO_DURATION_POLICIES}")
         if math.isnan(self.threshold_log):
             raise ValidationError("threshold_log must not be NaN")
         if self.refractory_frames < 0:
@@ -236,6 +236,14 @@ class StreamingDecoder:
         self._next_fire = t + max(config.refractory_frames, 1)
         return [DetectionEvent(self._keyword.name, t, score)]
 
+    @property
+    def column(self) -> np.ndarray:
+        """delta(t, 0..U) of the last processed frame t as a read-only view;
+        before the first, 0.0 at u = 0 and -inf above."""
+        view = self._delta[:, 0]
+        view.flags.writeable = False
+        return view
+
     def finish(self) -> ScoreStream:
         self._finished = True
         return ScoreStream(
@@ -299,9 +307,9 @@ def _lane_columns(
 def _hops(durations: np.ndarray, config, landed=None) -> np.ndarray:
     """How far a search hops from frames with greedy durations ``durations``:
     each duration clipped to [1, d_max]. Given ``landed``, the 1-based
-    frames the durations were read at, the 'error' policy raises at the
-    first of them whose duration is 0. ``config`` is a DecodeConfig or a
-    ``baselines.AsrConfig``."""
+    frames the durations were read at, a DecodeConfig's 'error' policy
+    raises at the first of them whose duration is 0. Without it ``config``
+    may be a ``baselines.AsrConfig``, whose TDT greedy search always clamps."""
     if landed is not None and config.zero_duration_policy == "error":
         zeros = np.flatnonzero(durations < 1)
         if len(zeros):
@@ -355,7 +363,15 @@ class _ScoreBlock:
 
     utts: list[tuple[_PendingUtterance, int]]  # (utterance, first lane)
     scores: np.ndarray  # (lanes, W) f64
-    processed: np.ndarray  # (lanes, W) bool
+
+    @cached_property
+    def processed(self) -> np.ndarray:
+        """(lanes, W) bool, True at each row's processed frames. Made on first
+        read, by decode's gate or ``streams``, so bench never makes one."""
+        processed = np.zeros(self.scores.shape, dtype=bool)
+        for utt, i in self.utts:
+            processed[i : i + len(utt.keywords), utt.frames - 1] = True
+        return processed
 
     def streams(self) -> Iterator[list[ScoreStream]]:
         """One list per utterance of one ScoreStream per keyword, each a row view."""
@@ -445,7 +461,6 @@ class _LaneBatch:
         L, C, U = self.lanes, self._columns, self._tokens
         W = max(utt.num_frames for utt, _ in self.utts)
         scores = np.full((L, W), NEG_INF)
-        processed = np.zeros((L, W), dtype=bool)
         if L:
             U_buf = self.edges.shape[2] - 1
             skip = U_buf - U  # padding rows no lane of this batch needs
@@ -463,13 +478,11 @@ class _LaneBatch:
                 # Every lane lands on every frame (RNN-T): a transposed copy,
                 # which costs about a third of the scatter below.
                 np.copyto(scores[:, :C], columns.T, where=live)
-                processed[:, :C] = live
             else:
                 at = np.concatenate(lane_frames)
                 at += np.repeat(np.arange(L) * W - 1, n)
                 scores.reshape(-1)[at] = columns.T[live]
-                processed.reshape(-1)[at] = True
-        self.blocks.append(_ScoreBlock(self.utts, scores, processed))
+        self.blocks.append(_ScoreBlock(self.utts, scores))
         self.utts = []
         self.lanes = self._columns = self._tokens = 0
 
@@ -647,11 +660,12 @@ def dump_delta_matrix(oracle: EmissionOracle, keyword: KeywordSpec, config: Deco
     U = keyword.num_tokens
     lines = ["t," + ",".join(f"u{u}" for u in range(U + 1))]
     for t in range(1, oracle.num_frames + 1):
+        columns = decoder.counters.columns_evaluated
         decoder.push(t)
-        if decoder._processed[t - 1]:  # the column it carries is delta(t, .)
-            lines.append(str(t) + "," + ",".join(repr(v) for v in decoder._delta[:, 0].tolist()))
-        else:
-            lines.append(str(t) + "," * (U + 1))
+        # A processed frame adds a column, delta(t, .); a skipped one adds none.
+        landed = decoder.counters.columns_evaluated > columns
+        cells = ",".join(map(repr, decoder.column.tolist())) if landed else "," * U
+        lines.append(f"{t},{cells}")
     decoder.finish()
     return "\n".join(lines) + "\n"
 

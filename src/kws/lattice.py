@@ -47,7 +47,6 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
 )
-from .jsontext import indented_json
 
 MAGIC = b"KWL1"
 VERSION = 1
@@ -130,7 +129,7 @@ def save_lattice(data: LatticeData, path: str | Path) -> Path:
         "keyword": {"name": data.keyword.name, "tokens": list(data.keyword.tokens)},
         "provenance": data.provenance,
     }
-    path.with_suffix(".json").write_text(indented_json(sidecar) + "\n")
+    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return path
 
 

@@ -20,6 +20,8 @@ The manifest (schema ``kws-suite-manifest@2``) writes each planted alignment
 as three integer columns of one length, ``[tokens, starts, durations]``, so
 that a load parses three lists per utterance rather than one per segment;
 ``SyntheticJoinerConfig.from_json_dict`` zips them back into the triples.
+Its text is ``json.dumps(..., sort_keys=True)`` by json's C encoder, with
+each utterance record on its own line of the ``utterances`` list.
 A suite command opens a lattice through ``SuiteManifest.lattice``, which
 holds it to its record: the same frame count and, where the sidecar's
 provenance names an utterance, the same utterance. ``bench`` also compares
@@ -48,7 +50,6 @@ import numpy as np
 
 from .emissions import KeywordSpec
 from .errors import ManifestError, ValidationError
-from .jsontext import indented_json
 from .lattice import (
     D_MAX_LIMIT,
     FileLatticeOracle,
@@ -60,8 +61,9 @@ from .lattice import (
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
 MANIFEST_SCHEMA = "kws-suite-manifest@2"
+# json.dumps(value, sort_keys=True), by json's C encoder.
+_encode = json.JSONEncoder(sort_keys=True).encode
 # Where manifest.json holds its utterance records: in the "utterances" list.
-_RECORD_INDENT = " " * 4
 _UTTERANCES = '"utterances": []'
 
 DEFAULT_KEYWORD_NAMES = (
@@ -229,7 +231,7 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
         plans.append((f"neg-{j:03d}", None, round_robin, index))
         index += 1
 
-    # Each utterance record becomes its manifest text as soon as it is built.
+    # Each utterance record becomes its manifest line as soon as it is built.
     records: list[str] = []
     for stem, label_kw, lattice_kw, utt_index in plans:
         # Every epsilon of an utterance shares its planted alignment.
@@ -258,21 +260,17 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
                 },
             )
             save_lattice(data, lattice_dir / f"{utt_id}.kwl")
-            records.append(
-                indented_json(
-                    {
-                        "utt_id": utt_id,
-                        "label": label_kw.name if label_kw is not None else None,
-                        "epsilon": epsilon,
-                        "num_frames": cfg.num_frames,
-                        "duration_seconds": cfg.duration_seconds,
-                        "lattice": f"lattices/{utt_id}.kwl",
-                        "lattice_keyword": lattice_kw.name,
-                        "synth": cfg.to_json_dict(),
-                    },
-                    _RECORD_INDENT,
-                )
-            )
+            record = {
+                "utt_id": utt_id,
+                "label": label_kw.name if label_kw is not None else None,
+                "epsilon": epsilon,
+                "num_frames": cfg.num_frames,
+                "duration_seconds": cfg.duration_seconds,
+                "lattice": f"lattices/{utt_id}.kwl",
+                "lattice_keyword": lattice_kw.name,
+                "synth": cfg.to_json_dict(),
+            }
+            records.append(_encode(record))
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -285,15 +283,15 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
         "keywords": [{"name": kw.name, "tokens": list(kw.tokens)} for kw in keywords],
         "utterances": [],
     }
-    # The records go where the empty list stands. No other text of the
-    # manifest can read like that key: a quote inside a JSON string is escaped.
-    head, tail = indented_json(manifest).split(_UTTERANCES)
+    # The records go where the empty list stands, one a line. No other text of
+    # the manifest can read like that key: a quote inside a JSON string is escaped.
+    head, tail = _encode(manifest).split(_UTTERANCES)
     manifest_path = out_dir / "manifest.json"
     with manifest_path.open("w", encoding="utf-8") as out:
-        out.write(f'{head}"utterances": [\n{_RECORD_INDENT}{records[0]}')
+        out.write(f'{head}"utterances": [\n{records[0]}')
         for record in records[1:]:
-            out.write(f",\n{_RECORD_INDENT}{record}")
-        out.write(f"\n  ]{tail}\n")
+            out.write(f",\n{record}")
+        out.write(f"\n]{tail}\n")
     return manifest_path
 
 

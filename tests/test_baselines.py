@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kws import (
     ValidationError,
     beam_search,
     decode_keywords,
+    decode_kws,
     gen_suite,
     greedy_search,
     keyword_hit,
@@ -32,6 +34,7 @@ from kws import (
     save_lattice,
     snapshot,
 )
+from kws import baselines
 from kws.baselines import _beam_searches, _greedy_searches, _require_generative
 from kws.runner import _asr_transcripts
 
@@ -177,8 +180,13 @@ def test_greedy_tdt_zero_duration_clamp_and_error():
     hyp = greedy_search(oracle, AsrConfig(mode="tdt", d_max=4))
     assert hyp.tokens == (5, 2, 9)
     assert hyp.emit_frames == (2, 5, 8)
+    # Refusing a zero duration is the KWS decoder's policy; ASR greedy clamps.
     with pytest.raises(ValidationError):
-        greedy_search(oracle, AsrConfig(mode="tdt", d_max=4, zero_duration_policy="error"))
+        decode_kws(
+            oracle,
+            KeywordSpec("kw", (5, 2)),
+            DecodeConfig(mode="tdt", d_max=4, zero_duration_policy="error"),
+        )
 
 
 def test_greedy_blank_everywhere_accumulates_blank_terms():
@@ -261,7 +269,7 @@ def test_emission_cap_stops_nonblank_loops():
         vocab=1,
         table={(1, tuple([1] * n)): [0.1, 0.9] for n in range(0, 50)},
     )
-    hyp = greedy_search(looping, AsrConfig(mode="rnnt", max_symbols_per_frame=10))
+    hyp = greedy_search(looping, AsrConfig(mode="rnnt"))
     assert hyp.tokens == tuple([1] * 10)
 
 
@@ -292,13 +300,9 @@ def test_asr_config_validation():
     with pytest.raises(ValidationError):
         AsrConfig(mode="tdt", d_max=0)
     with pytest.raises(ValidationError):
-        AsrConfig(mode="rnnt", max_symbols_per_frame=0)
-    with pytest.raises(ValidationError):
         AsrConfig(mode="nope")
     with pytest.raises(ValidationError):
         AsrConfig(mode="rnnt", d_max=-3)
-    with pytest.raises(ValidationError):
-        AsrConfig(mode="tdt", d_max=2, zero_duration_policy="skip")
 
 
 # References kept here to prove the lockstep group searches bit-identical to
@@ -306,8 +310,9 @@ def test_asr_config_validation():
 # per-utterance beam search with batched rounds and a tuple-keyed heap prune.
 
 
-def reference_greedy_search(oracle, config=AsrConfig()):
-    """Greedy search of one utterance, one token row at a time."""
+def reference_greedy_search(oracle, config=AsrConfig(), cap=10):
+    """Greedy search of one utterance, one token row at a time, emitting at
+    most ``cap`` tokens a frame."""
     _require_generative(oracle)
     if config.mode == "tdt" and not oracle.supports_tdt:
         raise ModeError("TDT greedy requested but oracle has no duration track")
@@ -320,7 +325,7 @@ def reference_greedy_search(oracle, config=AsrConfig()):
         while True:
             vec = oracle.token_log_prob_rows(t, [tokens])[0]
             k = int(np.argmax(vec))
-            if k == BLANK_ID or emitted >= config.max_symbols_per_frame:
+            if k == BLANK_ID or emitted >= cap:
                 break
             log_prob += float(vec[k])
             tokens.append(k)
@@ -328,19 +333,15 @@ def reference_greedy_search(oracle, config=AsrConfig()):
             emitted += 1
         log_prob += float(vec[BLANK_ID])
         if config.mode == "tdt":
-            # The argmax duration, capped at d_max; a zero is 1 or an error.
+            # The argmax duration, capped at d_max; a zero is 1.
             d = min(int(np.argmax(oracle.duration_log_probs(t, tokens))), config.d_max)
-            if d < 1 and config.zero_duration_policy == "error":
-                raise ValidationError(
-                    f"greedy track predicted duration 0 at frame {t} (zero_duration_policy='error')"
-                )
             t += max(d, 1)
         else:
             t += 1
     return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))
 
 
-def reference_heap_beam_search(oracle, beam_width, config=AsrConfig()):
+def reference_heap_beam_search(oracle, beam_width, config=AsrConfig(), cap=10):
     """Beam search of one utterance: one row query per expansion round, and
     ``heapq.nsmallest`` over (tokens, log_prob, emit_frames) tuples ranked by
     (-log_prob, tokens)."""
@@ -352,7 +353,7 @@ def reference_heap_beam_search(oracle, beam_width, config=AsrConfig()):
         emitted = 0
         while alive:
             rows = oracle.token_log_prob_rows(t, [tokens for tokens, _, _ in alive])
-            if emitted >= config.max_symbols_per_frame:
+            if emitted >= cap:
                 best = [BLANK_ID] * len(alive)
             else:
                 best = rows.argmax(axis=1).tolist()
@@ -379,14 +380,14 @@ def reference_heap_beam_search(oracle, beam_width, config=AsrConfig()):
             emitted += 1
         beams = heapq.nsmallest(beam_width, done, key=rank)
     results = [Hypothesis(*lineage) for lineage in beams]
-    greedy = reference_greedy_search(oracle, config)
+    greedy = reference_greedy_search(oracle, config, cap)
     if not results or results[0].log_prob < greedy.log_prob:
         results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
         results = results[:beam_width]
     return results
 
 
-def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
+def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None, cap=10):
     """``merges``, when given, collects every token sequence that reached a
     frame's finished pool twice."""
     _require_generative(oracle)
@@ -405,7 +406,7 @@ def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
             for hyp in alive:
                 vec = oracle.token_log_prob_rows(t, [hyp.tokens])[0]
                 k_best = int(np.argmax(vec))
-                if k_best == BLANK_ID or emitted >= config.max_symbols_per_frame:
+                if k_best == BLANK_ID or emitted >= cap:
                     committed = Hypothesis(
                         hyp.tokens, hyp.log_prob + float(vec[BLANK_ID]), hyp.emit_frames
                     )
@@ -429,7 +430,7 @@ def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None):
         )
 
     results = sorted(beams.values(), key=lambda h: (-h.log_prob, h.tokens))
-    greedy = reference_greedy_search(oracle, config)
+    greedy = reference_greedy_search(oracle, config, cap)
     if not results or results[0].log_prob < greedy.log_prob:
         results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
         results = results[:beam_width]
@@ -515,10 +516,11 @@ def generative_oracles(draw):
 @example(oracle=TRAP, beam_width=2, cap=10)
 @example(oracle=TRAP, beam_width=2, cap=1)
 def test_batched_beam_equals_scalar_reference(oracle, beam_width, cap):
-    config = AsrConfig(mode="rnnt", max_symbols_per_frame=cap)
+    config = AsrConfig(mode="rnnt")
     merges = []
-    expected = reference_beam_search(oracle, beam_width, config, merges)
-    assert bits(beam_search(oracle, beam_width, config)) == bits(expected)
+    expected = reference_beam_search(oracle, beam_width, config, merges, cap)
+    with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
+        assert bits(beam_search(oracle, beam_width, config)) == bits(expected)
     # Why the batched search has no merge step: no lineage of a beam is a
     # prefix of another, so no token sequence is finished twice in a frame.
     assert merges == []
@@ -621,45 +623,31 @@ def oracle_groups(draw, tdt=False):
     cap=st.sampled_from([1, 2, 10]),
 )
 def test_group_beam_equals_per_utterance_references(group, beam_width, cap):
-    config = AsrConfig(mode="rnnt", max_symbols_per_frame=cap)
-    expected = [bits(reference_heap_beam_search(o, beam_width, config)) for o in group]
-    assert [bits(r) for r in _beam_searches(group, beam_width, config)] == expected
-    # The same with the union guard handed the group's greedy transcripts.
-    greedy = _greedy_searches(group, config)
-    assert [bits(r) for r in _beam_searches(group, beam_width, config, greedy)] == expected
-    assert [bits(beam_search(o, beam_width, config)) for o in group] == expected
+    config = AsrConfig(mode="rnnt")
+    expected = [bits(reference_heap_beam_search(o, beam_width, config, cap)) for o in group]
+    with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
+        assert [bits(r) for r in _beam_searches(group, beam_width, config)] == expected
+        # The same with the union guard handed the group's greedy transcripts.
+        greedy = _greedy_searches(group, config)
+        assert [bits(r) for r in _beam_searches(group, beam_width, config, greedy)] == expected
+        assert [bits(beam_search(o, beam_width, config)) for o in group] == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(group=oracle_groups(), cap=st.sampled_from([1, 2, 10]))
 def test_group_greedy_equals_frame_by_frame_reference(group, cap):
-    config = AsrConfig(mode="rnnt", max_symbols_per_frame=cap)
-    expected = [bits([reference_greedy_search(o, config)]) for o in group]
-    assert [bits([h]) for h in _greedy_searches(group, config)] == expected
+    config = AsrConfig(mode="rnnt")
+    expected = [bits([reference_greedy_search(o, config, cap)]) for o in group]
+    with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
+        assert [bits([h]) for h in _greedy_searches(group, config)] == expected
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    group=oracle_groups(tdt=True),
-    d_max=st.integers(1, 5),
-    policy=st.sampled_from(["clamp", "error"]),
-    cap=st.sampled_from([1, 2, 10]),
-)
-def test_group_tdt_greedy_equals_frame_by_frame_reference(group, d_max, policy, cap):
-    config = AsrConfig(
-        mode="tdt", d_max=d_max, zero_duration_policy=policy, max_symbols_per_frame=cap
-    )
-    expected = []
-    for oracle in group:
-        try:
-            expected.append(bits([reference_greedy_search(oracle, config)]))
-        except ValidationError:  # a zero duration under the 'error' policy
-            expected = None
-            break
-    if expected is None:
-        with pytest.raises(ValidationError):
-            _greedy_searches(group, config)
-    else:
+@given(group=oracle_groups(tdt=True), d_max=st.integers(1, 5), cap=st.sampled_from([1, 2, 10]))
+def test_group_tdt_greedy_equals_frame_by_frame_reference(group, d_max, cap):
+    config = AsrConfig(mode="tdt", d_max=d_max)
+    expected = [bits([reference_greedy_search(o, config, cap)]) for o in group]
+    with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
         assert [bits([h]) for h in _greedy_searches(group, config)] == expected
 
 

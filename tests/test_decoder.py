@@ -217,6 +217,8 @@ def test_config_validation():
         DecodeConfig(mode="nope")
     with pytest.raises(ValidationError):
         DecodeConfig(mode="rnnt", d_max=-3)
+    with pytest.raises(ValidationError):
+        DecodeConfig(mode="tdt", d_max=2, zero_duration_policy="skip")
 
 
 def test_delta_column_invariants():
@@ -650,7 +652,7 @@ def test_batch_gate_peaks_and_records_match_row_references(
         for k in range(len(utt.keywords)):
             scores[i + k, : utt.num_frames] = rows[i + k]
             processed[i + k, utt.frames - 1] = True
-    block = kws.decoder._ScoreBlock(utts, scores, processed)
+    block = kws.decoder._ScoreBlock(utts, scores)
     config = DecodeConfig(threshold_log=threshold_log, refractory_frames=refractory)
 
     gated = block.events(*kws.decoder._gate_picks(scores, processed, config))

@@ -158,3 +158,16 @@ def test_every_suite_generator_knob_is_set_by_kws_gen():
         for keyword in node.keywords
     }
     assert sorted({field.name for field in dataclasses.fields(kws.SuiteGenSpec)} - passed) == []
+
+
+def test_every_asr_config_field_is_set_by_the_runner():
+    """An ``AsrConfig`` field that no ``runner`` call passes is a knob no
+    command sets: it belongs in a module constant, not the config."""
+    tree = ast.parse((Path(kws.__file__).parent / "runner.py").read_text(encoding="utf-8"))
+    passed = {
+        keyword.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AsrConfig"
+        for keyword in node.keywords
+    }
+    assert sorted({field.name for field in dataclasses.fields(kws.AsrConfig)} - passed) == []

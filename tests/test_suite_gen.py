@@ -96,8 +96,8 @@ def as_schema_1(text: str) -> str:
 
 # Digests of whole gen trees, recorded with the per-draw generator, the
 # per-frame greedy walk and @1 manifests; batching must not move a byte, and
-# the manifest may change only in its layout. The @2 manifests' own digests
-# are recorded too.
+# the manifest may change only in its layout. The @2 manifests' own digests,
+# in the one-record-per-line layout, are recorded too.
 GOLDEN_TREES = [
     (SPEC, "85b673d9961f057c8387104773ca4f58a322054be35c5e0cc8e9a4721c0bf1cb"),
     (
@@ -112,8 +112,8 @@ GOLDEN_TREES = [
 
 
 GOLDEN_MANIFESTS = {
-    SPEC.seed: "8387f80df0b9d04a49f67590f555abbc22c07c8d6cbdb68eaceaa576b45a6d8c",
-    4: "30f91b4d89e3fa9e7a4da42a01d0ecb6d44d902c715293079b18aa3dc4b82db5",
+    SPEC.seed: "afa98cdfd933e0620188244da02f69c1142c956d9fef9d3a5e62a3467ba26886",
+    4: "7c1f0d733d14ab4e383bfdf846957e5f7ddcd47f8a335eac56e825e7933f3099",
 }
 
 
@@ -142,18 +142,31 @@ def perfbench_suite(tmp_path_factory):
     return root, peak
 
 
+def one_record_per_line(text: str) -> str:
+    """The manifest text of ``json.loads(text)``: ``json.dumps(...,
+    sort_keys=True)`` of the top level, with each utterance record so dumped
+    on its own line of the "utterances" list, and a final newline."""
+    raw = json.loads(text)
+    records = ",\n".join(json.dumps(record, sort_keys=True) for record in raw["utterances"])
+    head, tail = json.dumps({**raw, "utterances": []}, sort_keys=True).split('"utterances": []')
+    return f'{head}"utterances": [\n{records}\n]{tail}\n'
+
+
 def test_gen_files_equal_json_dumps_of_their_content(perfbench_suite):
     root, _ = perfbench_suite
-    paths = [root / "manifest.json", *sorted((root / "lattices").glob("*.json"))]
-    assert len(paths) == 601
-    for path in paths:
+    text = (root / "manifest.json").read_text(encoding="utf-8")
+    assert text == one_record_per_line(text)
+    assert text.count("\n") == 600 + 2
+    sidecars = sorted((root / "lattices").glob("*.json"))
+    assert len(sidecars) == 600
+    for path in sidecars:
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_gen_peak_memory_stays_below_twice_the_manifest(perfbench_suite):
     # Records are written as text one at a time: neither the record dicts
-    # nor an encoder's chunk list for the whole manifest is ever held.
+    # nor the manifest's text is ever held whole.
     root, peak = perfbench_suite
     assert peak < 2 * (root / "manifest.json").stat().st_size
 
