@@ -7,7 +7,7 @@ Ships with ASR-decoding baselines, a brute-force alignment oracle, a binary
 lattice snapshot format, synthetic benchmark suites, and evaluation metrics.
 """
 
-from .baselines import AsrConfig, Hypothesis, beam_search, greedy_search, keyword_hit
+from .baselines import Hypothesis, beam_search, greedy_search, keyword_hit
 from .brute_force import AlignmentPath, brute_force_score
 from .decoder import (
     DecodeConfig,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentPath",
-    "AsrConfig",
     "BLANK_ID",
     "BadMagicError",
     "CapabilityError",

@@ -1,11 +1,13 @@
 """Conventional ASR decoding baselines plus keyword containment.
 
-Greedy search takes the argmax over vocab-plus-blank at each frame: a
-non-blank argmax is emitted (staying on the frame, at most
-``MAX_SYMBOLS_PER_FRAME`` a frame), blank advances — by one frame in RNN-T
-mode, by the predicted duration clamped to [1, d_max] (a zero included) in
-TDT mode. The hypothesis log-prob accumulates token-track probabilities
-only: one blank term per frame advance and one token term per emission.
+``d_max``, the TDT duration cap, is the searches' one mode setting; 0 means
+RNN-T, as ``EmissionOracle.d_max`` 0 does. Greedy search takes the argmax over
+vocab-plus-blank at each frame: a non-blank argmax is emitted (staying on
+the frame, at most ``MAX_SYMBOLS_PER_FRAME`` a frame), blank advances — by
+one frame at ``d_max`` 0, by the predicted duration clamped to [1, d_max]
+(a zero included, ``decoder._hops``) above it. The hypothesis log-prob
+accumulates token-track probabilities only: one blank term per frame
+advance and one token term per emission.
 
 Beam search keeps B lineages per frame and expands them in rounds. When
 blank is a lineage's local argmax the lineage commits: the blank-extended
@@ -46,7 +48,8 @@ order, as a per-lineage loop would form, so results are bit-identical to it.
 Beam search's union guard takes the greedy RNN-T transcripts that its caller
 already holds, so a group that runs both searches runs greedy once.
 
-Beam search is RNN-T-only; duration-aware beam decoding is out of scope.
+Beam search is RNN-T-only, so it takes no ``d_max``; duration-aware beam
+decoding is out of scope.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import RNNT, TDT, _check_search_config, _hops
+from .decoder import _hops
 from .emissions import BLANK_ID, EmissionOracle
 from .errors import CapabilityError, ModeError, ValidationError
 
@@ -72,15 +75,6 @@ class Hypothesis:
 MAX_SYMBOLS_PER_FRAME = 10
 
 
-@dataclass(frozen=True)
-class AsrConfig:
-    mode: str = RNNT
-    d_max: int = 0
-
-    def __post_init__(self) -> None:
-        _check_search_config(self)
-
-
 def _require_generative(oracle: EmissionOracle) -> None:
     if not oracle.is_generative:
         raise CapabilityError(
@@ -89,11 +83,11 @@ def _require_generative(oracle: EmissionOracle) -> None:
         )
 
 
-def _row_query(oracles: Sequence[EmissionOracle], config: AsrConfig):
+def _row_query(oracles: Sequence[EmissionOracle], d_max: int = 0):
     """The group's token row query, after the checks every search shares."""
     for oracle in oracles:
         _require_generative(oracle)
-        if config.mode == TDT and not oracle.supports_tdt:
+        if d_max and not oracle.supports_tdt:
             raise ModeError("TDT greedy requested but oracle has no duration track")
     vocab_sizes = sorted({oracle.vocab_size for oracle in oracles})
     if len(vocab_sizes) > 1:
@@ -101,19 +95,20 @@ def _row_query(oracles: Sequence[EmissionOracle], config: AsrConfig):
     return type(oracles[0]).token_log_prob_group(oracles)
 
 
-def greedy_search(oracle: EmissionOracle, config: AsrConfig = AsrConfig()) -> Hypothesis:
-    """Frame-wise argmax decode."""
-    return _greedy_searches([oracle], config)[0]
+def greedy_search(oracle: EmissionOracle, d_max: int = 0) -> Hypothesis:
+    """Frame-wise argmax decode: RNN-T at ``d_max`` 0, TDT with hops capped
+    at ``d_max`` above it."""
+    return _greedy_searches([oracle], d_max)[0]
 
 
-def _greedy_searches(
-    oracles: Sequence[EmissionOracle], config: AsrConfig = AsrConfig()
-) -> list[Hypothesis]:
+def _greedy_searches(oracles: Sequence[EmissionOracle], d_max: int = 0) -> list[Hypothesis]:
     """``greedy_search`` of every oracle of a group, in lockstep rounds."""
+    if d_max < 0:
+        raise ValidationError(f"d_max must be >= 0, got {d_max}")
     if not oracles:
         return []
-    rows_of = _row_query(oracles, config)
-    durations_of = type(oracles[0]).duration_log_prob_group(oracles) if config.mode == TDT else None
+    rows_of = _row_query(oracles, d_max)
+    durations_of = type(oracles[0]).duration_log_prob_group(oracles) if d_max else None
     n = len(oracles)
     num_frames = np.array([oracle.num_frames for oracle in oracles], dtype=np.int64)
     t = np.ones(n, dtype=np.int64)
@@ -136,11 +131,11 @@ def _greedy_searches(
         lengths[live] += emit
         emitted[live] = np.where(emit, emitted[live] + 1, 0)
         advance = live[~emit]
-        if config.mode != TDT:
+        if not d_max:
             t[advance] += 1
         elif advance.size:  # decoder._hops of each leaving utterance's argmax duration
             durations = durations_of(advance, t[advance], [tokens[u] for u in advance.tolist()])
-            t[advance] += _hops(durations.argmax(axis=1), config)
+            t[advance] += _hops(durations.argmax(axis=1), d_max)
         live = live[t[live] <= num_frames[live]]
     return [
         Hypothesis(tuple(tokens[u]), float(log_prob[u]), tuple(emit_frames[u]))
@@ -153,11 +148,9 @@ def _check_beam_width(beam_width: int) -> None:
         raise ValidationError(f"beam_width must be >= 1, got {beam_width}")
 
 
-def beam_search(
-    oracle: EmissionOracle, beam_width: int, config: AsrConfig = AsrConfig()
-) -> list[Hypothesis]:
-    """Breadth-first per-frame beam; see module docstring for the variant."""
-    return _beam_searches([oracle], beam_width, config)[0]
+def beam_search(oracle: EmissionOracle, beam_width: int) -> list[Hypothesis]:
+    """Breadth-first per-frame RNN-T beam; see module docstring for the variant."""
+    return _beam_searches([oracle], beam_width)[0]
 
 
 class _Lineages:
@@ -254,22 +247,19 @@ def _lex_keys(pool: np.ndarray, rows: np.ndarray, width: int) -> list[np.ndarray
 def _beam_searches(
     oracles: Sequence[EmissionOracle],
     beam_width: int,
-    config: AsrConfig = AsrConfig(),
     greedy: Sequence[Hypothesis] | None = None,
 ) -> list[list[Hypothesis]]:
     """``beam_search`` of every oracle of a group, in lockstep rounds.
 
-    ``greedy``, when given, holds ``greedy_search(oracle, config)`` of each
-    oracle, in order, for the union guard.
+    ``greedy``, when given, holds ``greedy_search(oracle)`` of each oracle,
+    in order, for the union guard.
     """
     for oracle in oracles:
         _require_generative(oracle)
     _check_beam_width(beam_width)
-    if config.mode == TDT:
-        raise ModeError("beam search supports RNN-T mode only")
     if not oracles:
         return []
-    rows_of = _row_query(oracles, config)
+    rows_of = _row_query(oracles)
     cap = MAX_SYMBOLS_PER_FRAME
     n = len(oracles)
     num_frames = np.array([oracle.num_frames for oracle in oracles], dtype=np.int64)
@@ -360,7 +350,7 @@ def _beam_searches(
         lp = np.concatenate((lp[keep], children_lp, lp[beams]))
 
     if greedy is None:
-        greedy = _greedy_searches(oracles, config)
+        greedy = _greedy_searches(oracles)
     elif len(greedy) != n:
         raise ValidationError(f"{len(greedy)} greedy transcripts for {n} oracles")
     rows = np.concatenate([rows for rows, _ in finals])

@@ -71,11 +71,6 @@ def _threshold_log(args: argparse.Namespace) -> float:
     return NEG_INF
 
 
-def _search_config(mode: str, d_max: int, **knobs) -> DecodeConfig:
-    """A DecodeConfig of ``mode``; ``d_max`` counts in TDT mode only."""
-    return DecodeConfig(mode=mode, d_max=d_max if mode == TDT else 0, **knobs)
-
-
 def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=(RNNT, TDT), default=RNNT)
     parser.add_argument("--d-max", type=int, default=0, help="TDT duration cap")
@@ -113,8 +108,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    config = _search_config(
-        args.mode, args.d_max, zero_duration_policy=args.zero_duration_policy,
+    config = DecodeConfig(
+        mode=args.mode, d_max=args.d_max, zero_duration_policy=args.zero_duration_policy,
         threshold_log=_threshold_log(args), refractory_frames=args.refractory_frames,
     )
     suite = load_manifest(Path(args.suite))
@@ -140,8 +135,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    baseline = _search_config(args.baseline, args.d_max)
-    candidate = _search_config(args.candidate, args.d_max)
+    baseline = DecodeConfig(mode=args.baseline, d_max=args.d_max)
+    candidate = DecodeConfig(mode=args.candidate, d_max=args.d_max)
     # Usage errors come before any I/O.
     check_bench_args(args.target_far, args.also_asr_baselines, args.beam_width)
     suite = load_manifest(Path(args.suite))
@@ -165,7 +160,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_dump_delta(args: argparse.Namespace) -> int:
     if (args.lattice is None) == (args.suite is None):
         raise ValidationError("pass exactly one of --lattice or --suite with --utt")
-    config = _search_config(args.mode, args.d_max)
+    config = DecodeConfig(mode=args.mode, d_max=args.d_max)
     if args.lattice is not None:
         if args.utt is not None:
             raise ValidationError("--utt names an utterance of --suite; --lattice takes none")

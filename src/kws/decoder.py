@@ -94,19 +94,10 @@ ZERO_DURATION_POLICIES = ("clamp", "error")
 _LANE_CHUNK = 256
 
 
-def _check_search_config(config) -> None:
-    """The mode and ``d_max`` checks that DecodeConfig and ``baselines.AsrConfig`` share."""
-    if config.mode not in (RNNT, TDT):
-        raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {config.mode!r}")
-    if config.d_max < 0:
-        raise ValidationError(f"d_max must be >= 0, got {config.d_max}")
-    if config.mode == TDT and config.d_max < 1:
-        raise ValidationError("TDT mode requires d_max >= 1")
-
-
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Search-time knobs; oracle-independent."""
+    """Search-time knobs; oracle-independent. ``d_max``, the TDT hop cap,
+    counts in TDT mode only: a checked RNN-T config holds 0."""
 
     mode: str = RNNT
     d_max: int = 0
@@ -115,7 +106,13 @@ class DecodeConfig:
     refractory_frames: int = 34
 
     def __post_init__(self) -> None:
-        _check_search_config(self)
+        if self.mode not in (RNNT, TDT):
+            raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {self.mode!r}")
+        if self.d_max < 0:
+            raise ValidationError(f"d_max must be >= 0, got {self.d_max}")
+        if self.mode == TDT and self.d_max < 1:
+            raise ValidationError("TDT mode requires d_max >= 1")
+        object.__setattr__(self, "d_max", self.d_max if self.mode == TDT else 0)
         if self.zero_duration_policy not in ZERO_DURATION_POLICIES:
             raise ValidationError(f"zero_duration_policy must be one of {ZERO_DURATION_POLICIES}")
         if math.isnan(self.threshold_log):
@@ -226,7 +223,8 @@ class StreamingDecoder:
         config = self._config
         if config.mode == TDT:
             self.counters.oracle_queries += 1
-            (hop,) = _hops(self._durations[t - 1 : t], config, [t]).tolist()
+            _refuse_zero_durations(self._durations, (t,), config)
+            (hop,) = _hops(self._durations[t - 1 : t], config.d_max).tolist()
             self._next_process = t + hop
         else:
             self._next_process = t + 1
@@ -304,20 +302,23 @@ def _lane_columns(
     return last
 
 
-def _hops(durations: np.ndarray, config, landed=None) -> np.ndarray:
-    """How far a search hops from frames with greedy durations ``durations``:
-    each duration clipped to [1, d_max]. Given ``landed``, the 1-based
-    frames the durations were read at, a DecodeConfig's 'error' policy
-    raises at the first of them whose duration is 0. Without it ``config``
-    may be a ``baselines.AsrConfig``, whose TDT greedy search always clamps."""
-    if landed is not None and config.zero_duration_policy == "error":
-        zeros = np.flatnonzero(durations < 1)
-        if len(zeros):
-            raise ValidationError(
-                f"greedy track predicted duration 0 at frame {int(landed[zeros[0]])} "
-                "(zero_duration_policy='error')"
-            )
-    return np.maximum(np.minimum(durations, config.d_max), 1)
+def _hops(durations: np.ndarray, d_max: int) -> np.ndarray:
+    """How far decode and ASR TDT greedy hop from frames with greedy durations
+    ``durations``: each clipped to [1, d_max], so a zero hops 1."""
+    return np.maximum(np.minimum(durations, d_max), 1)
+
+
+def _refuse_zero_durations(durations: np.ndarray, landed, config: DecodeConfig) -> None:
+    """The 'error' zero-duration policy: raise at the first of the 1-based
+    frames ``landed`` whose duration in the greedy track ``durations`` is 0."""
+    if config.zero_duration_policy != "error":
+        return
+    zeros = np.flatnonzero(durations[np.asarray(landed) - 1] < 1)
+    if len(zeros):
+        raise ValidationError(
+            f"greedy track predicted duration 0 at frame {int(landed[zeros[0]])} "
+            "(zero_duration_policy='error')"
+        )
 
 
 def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
@@ -327,17 +328,16 @@ def _hop_schedule(oracle: EmissionOracle, config: DecodeConfig) -> np.ndarray:
     if config.mode != TDT:
         return np.arange(1, T + 1)
     durations = oracle.greedy_durations()
-    hops = _hops(durations, config).tolist()
+    hops = _hops(durations, config.d_max).tolist()
     landed = []
     t = 1
     while t <= T:
         landed.append(t)
         t += hops[t - 1]
     frames = np.array(landed, dtype=np.int64)
-    if config.zero_duration_policy == "error":
-        # Every landing up to the first zero duration is the same under both
-        # policies, so that landing is where an 'error' walk would stop.
-        _hops(durations[frames - 1], config, frames)
+    # Every landing up to the first zero duration is the same under both
+    # policies, so that landing is where an 'error' walk would stop.
+    _refuse_zero_durations(durations, frames, config)
     return frames
 
 

@@ -4,8 +4,10 @@ Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
 keyword conditioning). Each negative builds one ``SyntheticOracle`` per run;
-before the first run, ``bench`` holds every negative's frame count to its
-lattice header, which is all of the lattice it reads.
+before the first run, ``bench`` refuses an epsilon group that it cannot
+score and holds every negative's frame count to its lattice header, which is
+all of the lattice it reads. Each group's sorted utterances and negative
+hours are worked out once (``_EpsilonGroup``) and serve all its runs and rows.
 All utterances of a run go through one in-process decode, which decodes them
 as batched (utterance, keyword) lanes and hands back each lane batch's
 scores as one (lane, frame) block; its ``oracle_queries`` still count one
@@ -28,14 +30,14 @@ the greedy RNN-T transcripts.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from time import perf_counter
 from typing import Iterator
 
 import numpy as np
 
 from .baselines import (
-    AsrConfig,
     Hypothesis,
     _beam_searches,
     _check_beam_width,
@@ -45,31 +47,33 @@ from .baselines import (
 from .brute_force import brute_force_score
 from .decoder import (
     RNNT,
-    TDT,
     DecodeConfig,
     _decode_blocks,
     _encode_float,
     _gate_picks,
     _peak_picks,
     _ScoreTexts,
-    decode_kws,
+    decode_keywords,
     scorestream_record,
 )
 from .emissions import KeywordSpec, NEG_INF
-from .errors import ValidationError
+from .errors import ManifestError, ValidationError
 from .lattice import FileLatticeOracle, LatticeData
 from .metrics import (
-    RecallAtFar,
     SpeedCounters,
     _check_target_far,
     macro_recall,
     recall_at_far,
     speedup,
 )
-from .suite import SuiteManifest
+from .suite import SuiteManifest, Utterance
 from .synthetic import SyntheticOracle
 
 REPORT_SCHEMA = "kws-bench-report@1"
+
+
+def _by_id(utterances) -> list[Utterance]:
+    return sorted(utterances, key=lambda u: u.utt_id)
 
 
 def _config_echo(config: DecodeConfig) -> dict:
@@ -87,7 +91,7 @@ def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
     by_name = suite.keywords_by_name
     utterances = (
         (suite.lattice(utt), (by_name[utt.lattice_keyword],), utt.utt_id)
-        for utt in sorted(suite.utterances, key=lambda u: u.utt_id)
+        for utt in _by_id(suite.utterances)
     )
     for block in _decode_blocks(utterances, config, SpeedCounters()):
         events = block.events(*_gate_picks(block.scores, block.processed, config))
@@ -96,47 +100,83 @@ def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
             yield scorestream_record(stream, stream_events, texts)
 
 
-def _recall_entry(keyword: str, rar: RecallAtFar, negative_events: int) -> dict:
+@dataclass(frozen=True)
+class _EpsilonGroup:
+    """One epsilon group's utterances, by ``utt_id``: each suite keyword's
+    positives, and the negatives, with the hours every false-alarm rate divides by."""
+
+    epsilon: float
+    positives: tuple[list[Utterance], ...]
+    negatives: list[Utterance]
+    neg_hours: float
+
+
+def _epsilon_groups(suite: SuiteManifest) -> list[_EpsilonGroup]:
+    """The suite's epsilon groups, ascending. A group that bench cannot score
+    (a keyword without positives, or no negatives) is a ManifestError."""
+    groups = []
+    for epsilon in sorted(set(u.epsilon for u in suite.utterances)):
+        positives = tuple(_by_id(suite.positives(k.name, epsilon)) for k in suite.keywords)
+        negatives = _by_id(suite.negatives(epsilon))
+        where = f"{suite.root / 'manifest.json'}: epsilon {epsilon}"
+        for keyword, utts in zip(suite.keywords, positives):
+            if not utts:
+                raise ManifestError(f"{where}: keyword {keyword.name!r} has no positives")
+        if not negatives:
+            raise ManifestError(f"{where}: the group has no negatives")
+        hours = sum(u.duration_seconds for u in negatives) / 3600.0
+        groups.append(_EpsilonGroup(epsilon, positives, negatives, hours))
+    return groups
+
+
+def _recall_run(
+    suite: SuiteManifest, group: _EpsilonGroup, pos_scores: list[list[float]],
+    neg_scores: list[list[float]], target_far: float,
+) -> dict:
+    """Each keyword's recall at the FA budget over ``group``, from its
+    positives' scores and its negatives' events' scores (one list each per
+    suite keyword), and their macro-recall."""
+    per_keyword = []
+    for keyword, pos, neg in zip(suite.keywords, pos_scores, neg_scores):
+        rar = recall_at_far(pos, neg, group.neg_hours, target_far)
+        per_keyword.append({
+            "keyword": keyword.name,
+            "recall": rar.recall,
+            "threshold": _encode_float(rar.threshold),
+            "false_alarms": rar.false_alarms,
+            "fa_per_hour": rar.fa_per_hour,
+            # All events observed on negative audio, before any thresholding.
+            "negative_events": len(neg),
+        })
     return {
-        "keyword": keyword,
-        "recall": rar.recall,
-        "threshold": _encode_float(rar.threshold),
-        "false_alarms": rar.false_alarms,
-        "fa_per_hour": rar.fa_per_hour,
-        # All events observed on negative audio, before any thresholding.
-        "negative_events": negative_events,
+        "per_keyword": per_keyword,
+        "macro_recall": macro_recall([e["recall"] for e in per_keyword]),
     }
 
 
 def _bench_one_run(
-    suite: SuiteManifest, epsilon: float, config: DecodeConfig, target_far: float
+    suite: SuiteManifest, group: _EpsilonGroup, config: DecodeConfig, target_far: float
 ) -> tuple[dict, SpeedCounters]:
     # Events are collected with an open threshold; operating points are swept
     # afterwards from the observed scores.
     collect = replace(config, threshold_log=NEG_INF)
-    negatives = sorted(suite.negatives(epsilon), key=lambda u: u.utt_id)
-    neg_hours = sum(u.duration_seconds for u in negatives) / 3600.0
-    positives = [
-        sorted(suite.positives(keyword.name, epsilon), key=lambda u: u.utt_id)
-        for keyword in suite.keywords
-    ]
     counters = SpeedCounters()
 
     def utterances():
-        for keyword, utts in zip(suite.keywords, positives):
+        for keyword, utts in zip(suite.keywords, group.positives):
             for u in utts:
                 tick = perf_counter()
                 oracle = suite.lattice(u)
                 counters.total_wall_seconds += perf_counter() - tick
                 yield oracle, (keyword,), u.utt_id
-        for u in negatives:
+        for u in group.negatives:
             yield SyntheticOracle(u.synth), suite.keywords, u.utt_id
 
     # Threshold-free peak event scores: a positive's best event, which is the
     # highest finite score of its one row, and every peak event of every
     # keyword of a negative. Positives come first, so the rows of a lane
     # batch's block are its positives' rows, then its negatives' (K each).
-    pos_count = sum(len(utts) for utts in positives)
+    pos_count = sum(len(utts) for utts in group.positives)
     pos_scores, neg_keywords, neg_scores = [], [], []
     seen = 0  # utterances in the blocks so far
     for block in _decode_blocks(utterances(), collect, counters):
@@ -151,18 +191,12 @@ def _bench_one_run(
         neg_scores.append(neg[rows, frames])
     neg_keywords = np.concatenate([np.empty(0, dtype=np.int64), *neg_keywords])
     neg_scores = np.concatenate([np.empty(0), *neg_scores])
-    per_keyword = []
-    start = 0
-    for k, (keyword, utts) in enumerate(zip(suite.keywords, positives)):
-        keyword_neg = neg_scores[neg_keywords == k].tolist()
-        rar = recall_at_far(pos_scores[start : start + len(utts)], keyword_neg, neg_hours, target_far)
-        per_keyword.append(_recall_entry(keyword.name, rar, len(keyword_neg)))
-        start += len(utts)
-    run = {
-        "per_keyword": per_keyword,
-        "macro_recall": macro_recall([e["recall"] for e in per_keyword]),
-        "counters": counters.to_json_dict(),
-    }
+    pos = iter(pos_scores)  # each keyword's positives in turn
+    run = _recall_run(
+        suite, group, [list(islice(pos, len(utts))) for utts in group.positives],
+        [neg_scores[neg_keywords == k].tolist() for k in range(len(suite.keywords))], target_far,
+    )
+    run["counters"] = counters.to_json_dict()
     return run, counters
 
 
@@ -172,21 +206,18 @@ def _asr_transcripts(
     """``{row name: {utt_id: transcript}}`` of every ASR baseline row, from
     one search per row over all of the suite's utterances (transcripts are
     label-independent)."""
-    utts = sorted(suite.utterances, key=lambda u: u.utt_id)
+    utts = _by_id(suite.utterances)
     oracles = [SyntheticOracle(u.synth) for u in utts]
-    rnnt_cfg = AsrConfig(mode=RNNT)
-    greedy = _greedy_searches(oracles, rnnt_cfg)
+    greedy = _greedy_searches(oracles)
     transcripts = {
         "greedy_rnnt": greedy,
         f"beam{beam_width}_rnnt": [
-            beams[0] for beams in _beam_searches(oracles, beam_width, rnnt_cfg, greedy)
+            beams[0] for beams in _beam_searches(oracles, beam_width, greedy)
         ],
     }
     if suite.d_max > 0:
-        tdt_cfg = AsrConfig(
-            mode=TDT, d_max=candidate.d_max if candidate.mode == TDT else suite.d_max
-        )
-        transcripts["greedy_tdt"] = _greedy_searches(oracles, tdt_cfg)
+        # A TDT candidate's cap, else the suite's (an RNN-T config's d_max is 0).
+        transcripts["greedy_tdt"] = _greedy_searches(oracles, candidate.d_max or suite.d_max)
     return {
         name: dict(zip((u.utt_id for u in utts), hyps)) for name, hyps in transcripts.items()
     }
@@ -194,29 +225,21 @@ def _asr_transcripts(
 
 def _asr_row(
     suite: SuiteManifest,
-    epsilon: float,
+    group: _EpsilonGroup,
     transcripts: dict[str, Hypothesis],
     target_far: float,
 ) -> dict:
     """Containment recall at the FA budget, from degenerate hit/miss scores."""
-    negatives = sorted(suite.negatives(epsilon), key=lambda u: u.utt_id)
-    neg_hours = sum(u.duration_seconds for u in negatives) / 3600.0
-    per_keyword = []
-    for keyword in suite.keywords:
-        positives = sorted(suite.positives(keyword.name, epsilon), key=lambda u: u.utt_id)
-        pos_scores = [
+    pos_scores, neg_scores = [], []
+    for keyword, positives in zip(suite.keywords, group.positives):
+        pos_scores.append([
             0.0 if keyword_hit(transcripts[u.utt_id], keyword)[0] else NEG_INF
             for u in positives
-        ]
-        neg_scores = [
-            0.0 for u in negatives if keyword_hit(transcripts[u.utt_id], keyword)[0]
-        ]
-        rar = recall_at_far(pos_scores, neg_scores, neg_hours, target_far)
-        per_keyword.append(_recall_entry(keyword.name, rar, len(neg_scores)))
-    return {
-        "per_keyword": per_keyword,
-        "macro_recall": macro_recall([e["recall"] for e in per_keyword]),
-    }
+        ])
+        neg_scores.append([
+            0.0 for u in group.negatives if keyword_hit(transcripts[u.utt_id], keyword)[0]
+        ])
+    return _recall_run(suite, group, pos_scores, neg_scores, target_far)
 
 
 def check_bench_args(target_far: float, also_asr_baselines: bool, beam_width: int) -> None:
@@ -237,26 +260,27 @@ def bench(
 ) -> dict:
     """Full benchmark report across the suite's epsilon groups."""
     check_bench_args(target_far, also_asr_baselines, beam_width)
+    # Every group must be scorable, and every negative's lattice header match
+    # its record, before the first decode.
+    groups = _epsilon_groups(suite)
     suite.check_lattice_headers(suite.negatives())
-    groups = []
-    for epsilon in sorted(set(u.epsilon for u in suite.utterances)):
-        baseline_run, baseline_counters = _bench_one_run(suite, epsilon, baseline, target_far)
-        candidate_run, candidate_counters = _bench_one_run(suite, epsilon, candidate, target_far)
-        group = {
-            "epsilon": epsilon,
-            "negative_hours": sum(u.duration_seconds for u in suite.negatives(epsilon))
-            / 3600.0,
+    entries = []
+    for group in groups:
+        baseline_run, baseline_counters = _bench_one_run(suite, group, baseline, target_far)
+        candidate_run, candidate_counters = _bench_one_run(suite, group, candidate, target_far)
+        entries.append({
+            "epsilon": group.epsilon,
+            "negative_hours": group.neg_hours,
             "baseline": baseline_run,
             "candidate": candidate_run,
             "speedup": speedup(baseline_counters, candidate_counters).to_json_dict(),
-        }
-        groups.append(group)
+        })
     # After every group's KWS runs, so that those run as they would alone.
     if also_asr_baselines:
         transcripts = _asr_transcripts(suite, candidate, beam_width)
-        for group in groups:
-            group["asr"] = {
-                name: _asr_row(suite, group["epsilon"], hyps, target_far)
+        for group, entry in zip(groups, entries):
+            entry["asr"] = {
+                name: _asr_row(suite, group, hyps, target_far)
                 for name, hyps in transcripts.items()
             }
     return {
@@ -265,7 +289,7 @@ def bench(
         "target_far": _encode_float(target_far),
         "beam_width": beam_width if also_asr_baselines else None,
         "runs": {"baseline": _config_echo(baseline), "candidate": _config_echo(candidate)},
-        "groups": groups,
+        "groups": entries,
     }
 
 
@@ -354,7 +378,7 @@ def oracle_check(cases: int, seed: int, t_max: int = 12, u_max: int = 4) -> dict
     for case in range(cases):
         data = random_proper_lattice(rng, t_max=t_max, u_max=u_max)
         oracle = FileLatticeOracle(data)
-        stream = decode_kws(oracle, data.keyword, config)
+        ((stream,),) = decode_keywords([(oracle, (data.keyword,), "")], config)
         for t in range(1, oracle.num_frames + 1):
             reference, _ = brute_force_score(oracle, data.keyword, t)
             got = float(stream.scores[t - 1])

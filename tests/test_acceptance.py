@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from kws import (
-    AsrConfig,
     BadMagicError,
     DecodeConfig,
     FileLatticeOracle,
@@ -333,8 +332,8 @@ def test_c08_metric_and_search_properties():
     # Beam width 1 reduces exactly to greedy on 100 generative oracles.
     for seed in range(100):
         oracle = _random_generative_oracle(7000 + seed)
-        greedy = greedy_search(oracle, AsrConfig())
-        top = beam_search(oracle, 1, AsrConfig())[0]
+        greedy = greedy_search(oracle)
+        top = beam_search(oracle, 1)[0]
         assert top.tokens == greedy.tokens
         assert top.emit_frames == greedy.emit_frames
         assert math.isclose(top.log_prob, greedy.log_prob, rel_tol=0.0, abs_tol=1e-9)

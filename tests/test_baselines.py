@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kws import (
-    AsrConfig,
     BLANK_ID,
     CapabilityError,
     DecodeConfig,
@@ -141,7 +140,7 @@ def random_generative(seed):
 
 
 def test_greedy_transcribes_planted_sequence():
-    hyp = greedy_search(synth_oracle(), AsrConfig(mode="rnnt"))
+    hyp = greedy_search(synth_oracle())
     assert hyp.tokens == (5, 2, 9)
     assert hyp.emit_frames == (2, 5, 8)
     assert len(hyp.tokens) == len(hyp.emit_frames)
@@ -158,8 +157,8 @@ def test_greedy_tdt_skips_frames_and_keeps_tokens():
             return super().token_log_prob_rows(t, histories)
 
     oracle = Counting(synth_oracle(d_max=4).config)
-    hyp_rnnt = greedy_search(synth_oracle(), AsrConfig(mode="rnnt"))
-    hyp_tdt = greedy_search(oracle, AsrConfig(mode="tdt", d_max=4))
+    hyp_rnnt = greedy_search(synth_oracle())
+    hyp_tdt = greedy_search(oracle, 4)
     assert hyp_tdt.tokens == hyp_rnnt.tokens
     # Planted duration 3 everywhere; token emissions revisit their frame once.
     T = oracle.num_frames
@@ -177,7 +176,7 @@ def test_greedy_tdt_zero_duration_clamp_and_error():
         int(np.argmax(oracle.duration_log_probs(t))) == 0
         for t in range(1, oracle.num_frames + 1)
     )
-    hyp = greedy_search(oracle, AsrConfig(mode="tdt", d_max=4))
+    hyp = greedy_search(oracle, 4)
     assert hyp.tokens == (5, 2, 9)
     assert hyp.emit_frames == (2, 5, 8)
     # Refusing a zero duration is the KWS decoder's policy; ASR greedy clamps.
@@ -201,7 +200,7 @@ def test_greedy_blank_everywhere_accumulates_blank_terms():
             seed=0,
         )
     )
-    hyp = greedy_search(oracle, AsrConfig(mode="rnnt"))
+    hyp = greedy_search(oracle)
     assert hyp.tokens == ()
     expected = sum(float(oracle.token_log_prob_rows(t, [()])[0, 0]) for t in range(1, 7))
     assert hyp.log_prob == pytest.approx(expected, abs=1e-12)
@@ -212,17 +211,17 @@ def test_greedy_rejects_file_backed_oracle(tmp_path):
     data = snapshot(oracle, KeywordSpec("kw", (5, 2)))
     replay = load_lattice(save_lattice(data, tmp_path / "x.kwl"))
     with pytest.raises(CapabilityError):
-        greedy_search(replay, AsrConfig(mode="rnnt"))
+        greedy_search(replay)
     with pytest.raises(CapabilityError):
-        beam_search(replay, 2, AsrConfig(mode="rnnt"))
+        beam_search(replay, 2)
 
 
 def test_beam_recovers_from_greedy_trap():
-    greedy = greedy_search(TRAP, AsrConfig(mode="rnnt"))
+    greedy = greedy_search(TRAP)
     assert greedy.tokens == (1,)
     assert greedy.log_prob == pytest.approx(math.log(0.06), abs=1e-9)
 
-    results = beam_search(TRAP, 2, AsrConfig(mode="rnnt"))
+    results = beam_search(TRAP, 2)
     assert results[0].tokens == (2,)
     assert results[0].log_prob == pytest.approx(math.log(0.45), abs=1e-9)
     assert [h.log_prob for h in results] == sorted(
@@ -231,25 +230,23 @@ def test_beam_recovers_from_greedy_trap():
 
 
 def test_beam_one_equals_greedy_on_trap():
-    greedy = greedy_search(TRAP, AsrConfig(mode="rnnt"))
-    (top,) = beam_search(TRAP, 1, AsrConfig(mode="rnnt"))
+    greedy = greedy_search(TRAP)
+    (top,) = beam_search(TRAP, 1)
     assert top.tokens == greedy.tokens
     assert top.log_prob == pytest.approx(greedy.log_prob, abs=1e-12)
 
 
-def test_beam_width_validation_and_tdt_refusal():
+def test_beam_width_validation():
     with pytest.raises(ValidationError):
-        beam_search(TRAP, 0, AsrConfig(mode="rnnt"))
-    with pytest.raises(ModeError):
-        beam_search(synth_oracle(d_max=4), 4, AsrConfig(mode="tdt", d_max=4))
+        beam_search(TRAP, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_beam_one_equals_greedy_property(seed):
     oracle = random_generative(seed)
-    greedy = greedy_search(oracle, AsrConfig(mode="rnnt"))
-    (top,) = beam_search(oracle, 1, AsrConfig(mode="rnnt"))
+    greedy = greedy_search(oracle)
+    (top,) = beam_search(oracle, 1)
     assert top.tokens == greedy.tokens
     assert top.log_prob == pytest.approx(greedy.log_prob, abs=1e-12)
 
@@ -258,8 +255,8 @@ def test_beam_one_equals_greedy_property(seed):
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_beam_dominates_greedy_property(seed):
     oracle = random_generative(seed)
-    greedy = greedy_search(oracle, AsrConfig(mode="rnnt"))
-    results = beam_search(oracle, 4, AsrConfig(mode="rnnt"))
+    greedy = greedy_search(oracle)
+    results = beam_search(oracle, 4)
     assert results[0].log_prob >= greedy.log_prob - 1e-12
 
 
@@ -269,7 +266,7 @@ def test_emission_cap_stops_nonblank_loops():
         vocab=1,
         table={(1, tuple([1] * n)): [0.1, 0.9] for n in range(0, 50)},
     )
-    hyp = greedy_search(looping, AsrConfig(mode="rnnt"))
+    hyp = greedy_search(looping)
     assert hyp.tokens == tuple([1] * 10)
 
 
@@ -296,13 +293,11 @@ def test_keyword_hit_ignores_frame_values():
     assert keyword_hit(a, kw)[0] == keyword_hit(b, kw)[0] == True
 
 
-def test_asr_config_validation():
+def test_greedy_search_refuses_negative_d_max():
     with pytest.raises(ValidationError):
-        AsrConfig(mode="tdt", d_max=0)
+        greedy_search(synth_oracle(), -3)
     with pytest.raises(ValidationError):
-        AsrConfig(mode="nope")
-    with pytest.raises(ValidationError):
-        AsrConfig(mode="rnnt", d_max=-3)
+        _greedy_searches([], -1)
 
 
 # References kept here to prove the lockstep group searches bit-identical to
@@ -310,11 +305,11 @@ def test_asr_config_validation():
 # per-utterance beam search with batched rounds and a tuple-keyed heap prune.
 
 
-def reference_greedy_search(oracle, config=AsrConfig(), cap=10):
+def reference_greedy_search(oracle, d_max=0, cap=10):
     """Greedy search of one utterance, one token row at a time, emitting at
-    most ``cap`` tokens a frame."""
+    most ``cap`` tokens a frame; TDT when ``d_max`` is above 0."""
     _require_generative(oracle)
-    if config.mode == "tdt" and not oracle.supports_tdt:
+    if d_max and not oracle.supports_tdt:
         raise ModeError("TDT greedy requested but oracle has no duration track")
     tokens = []
     emit_frames = []
@@ -332,16 +327,16 @@ def reference_greedy_search(oracle, config=AsrConfig(), cap=10):
             emit_frames.append(t)
             emitted += 1
         log_prob += float(vec[BLANK_ID])
-        if config.mode == "tdt":
+        if d_max:
             # The argmax duration, capped at d_max; a zero is 1.
-            d = min(int(np.argmax(oracle.duration_log_probs(t, tokens))), config.d_max)
+            d = min(int(np.argmax(oracle.duration_log_probs(t, tokens))), d_max)
             t += max(d, 1)
         else:
             t += 1
     return Hypothesis(tuple(tokens), log_prob, tuple(emit_frames))
 
 
-def reference_heap_beam_search(oracle, beam_width, config=AsrConfig(), cap=10):
+def reference_heap_beam_search(oracle, beam_width, cap=10):
     """Beam search of one utterance: one row query per expansion round, and
     ``heapq.nsmallest`` over (tokens, log_prob, emit_frames) tuples ranked by
     (-log_prob, tokens)."""
@@ -380,21 +375,19 @@ def reference_heap_beam_search(oracle, beam_width, config=AsrConfig(), cap=10):
             emitted += 1
         beams = heapq.nsmallest(beam_width, done, key=rank)
     results = [Hypothesis(*lineage) for lineage in beams]
-    greedy = reference_greedy_search(oracle, config, cap)
+    greedy = reference_greedy_search(oracle, cap=cap)
     if not results or results[0].log_prob < greedy.log_prob:
         results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
         results = results[:beam_width]
     return results
 
 
-def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None, cap=10):
+def reference_beam_search(oracle, beam_width, merges=None, cap=10):
     """``merges``, when given, collects every token sequence that reached a
     frame's finished pool twice."""
     _require_generative(oracle)
     if beam_width < 1:
         raise ValidationError("beam_width must be >= 1")
-    if config.mode == "tdt":
-        raise ModeError("beam search supports RNN-T mode only")
 
     beams = {(): Hypothesis((), 0.0, ())}
     for t in range(1, oracle.num_frames + 1):
@@ -430,7 +423,7 @@ def reference_beam_search(oracle, beam_width, config=AsrConfig(), merges=None, c
         )
 
     results = sorted(beams.values(), key=lambda h: (-h.log_prob, h.tokens))
-    greedy = reference_greedy_search(oracle, config, cap)
+    greedy = reference_greedy_search(oracle, cap=cap)
     if not results or results[0].log_prob < greedy.log_prob:
         results = [greedy] + [h for h in results if h.tokens != greedy.tokens]
         results = results[:beam_width]
@@ -516,11 +509,10 @@ def generative_oracles(draw):
 @example(oracle=TRAP, beam_width=2, cap=10)
 @example(oracle=TRAP, beam_width=2, cap=1)
 def test_batched_beam_equals_scalar_reference(oracle, beam_width, cap):
-    config = AsrConfig(mode="rnnt")
     merges = []
-    expected = reference_beam_search(oracle, beam_width, config, merges, cap)
+    expected = reference_beam_search(oracle, beam_width, merges, cap)
     with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
-        assert bits(beam_search(oracle, beam_width, config)) == bits(expected)
+        assert bits(beam_search(oracle, beam_width)) == bits(expected)
     # Why the batched search has no merge step: no lineage of a beam is a
     # prefix of another, so no token sequence is finished twice in a frame.
     assert merges == []
@@ -623,42 +615,39 @@ def oracle_groups(draw, tdt=False):
     cap=st.sampled_from([1, 2, 10]),
 )
 def test_group_beam_equals_per_utterance_references(group, beam_width, cap):
-    config = AsrConfig(mode="rnnt")
-    expected = [bits(reference_heap_beam_search(o, beam_width, config, cap)) for o in group]
+    expected = [bits(reference_heap_beam_search(o, beam_width, cap)) for o in group]
     with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
-        assert [bits(r) for r in _beam_searches(group, beam_width, config)] == expected
+        assert [bits(r) for r in _beam_searches(group, beam_width)] == expected
         # The same with the union guard handed the group's greedy transcripts.
-        greedy = _greedy_searches(group, config)
-        assert [bits(r) for r in _beam_searches(group, beam_width, config, greedy)] == expected
-        assert [bits(beam_search(o, beam_width, config)) for o in group] == expected
+        greedy = _greedy_searches(group)
+        assert [bits(r) for r in _beam_searches(group, beam_width, greedy)] == expected
+        assert [bits(beam_search(o, beam_width)) for o in group] == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(group=oracle_groups(), cap=st.sampled_from([1, 2, 10]))
 def test_group_greedy_equals_frame_by_frame_reference(group, cap):
-    config = AsrConfig(mode="rnnt")
-    expected = [bits([reference_greedy_search(o, config, cap)]) for o in group]
+    expected = [bits([reference_greedy_search(o, 0, cap)]) for o in group]
     with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
-        assert [bits([h]) for h in _greedy_searches(group, config)] == expected
+        assert [bits([h]) for h in _greedy_searches(group)] == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(group=oracle_groups(tdt=True), d_max=st.integers(1, 5), cap=st.sampled_from([1, 2, 10]))
 def test_group_tdt_greedy_equals_frame_by_frame_reference(group, d_max, cap):
-    config = AsrConfig(mode="tdt", d_max=d_max)
-    expected = [bits([reference_greedy_search(o, config, cap)]) for o in group]
+    expected = [bits([reference_greedy_search(o, d_max, cap)]) for o in group]
     with mock.patch.object(baselines, "MAX_SYMBOLS_PER_FRAME", cap):
-        assert [bits([h]) for h in _greedy_searches(group, config)] == expected
+        assert [bits([h]) for h in _greedy_searches(group, d_max)] == expected
 
 
 def test_group_searches_refuse_mixed_vocabularies_and_accept_empty_groups():
     group = [synth_oracle(), random_generative(3)]  # vocab 9 and 7
     with pytest.raises(ValidationError):
-        _greedy_searches(group, AsrConfig())
+        _greedy_searches(group)
     with pytest.raises(ValidationError):
-        _beam_searches(group, 2, AsrConfig())
-    assert _greedy_searches([], AsrConfig()) == []
-    assert _beam_searches([], 2, AsrConfig()) == []
+        _beam_searches(group, 2)
+    assert _greedy_searches([]) == []
+    assert _beam_searches([], 2) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -752,11 +741,11 @@ def test_forwarding_wrappers_reach_the_wrapped_arrays(tmp_path):
             for field in ("log_y", "log_phi", "greedy_tokens", "greedy_durations"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
-    for config in (AsrConfig(), AsrConfig(mode="tdt", d_max=3)):
-        assert bits(_greedy_searches(wrapped, config)) == bits(_greedy_searches(bare, config))
-        assert bits([greedy_search(wrapped[0], config)]) == bits([greedy_search(bare[0], config)])
-    beams = [bits(b) for b in _beam_searches(wrapped, 3, AsrConfig())]
-    assert beams == [bits(b) for b in _beam_searches(bare, 3, AsrConfig())]
+    for d_max in (0, 3):
+        assert bits(_greedy_searches(wrapped, d_max)) == bits(_greedy_searches(bare, d_max))
+        assert bits([greedy_search(wrapped[0], d_max)]) == bits([greedy_search(bare[0], d_max)])
+    beams = [bits(b) for b in _beam_searches(wrapped, 3)]
+    assert beams == [bits(b) for b in _beam_searches(bare, 3)]
     assert bits(beam_search(wrapped[1], 3)) == bits(beam_search(bare[1], 3))
 
     mixed = [wrapped[0], bare[1], wrapped[2]]
@@ -784,11 +773,11 @@ def test_suite_wide_asr_transcripts_equal_the_per_group_searches(tmp_path):
     for epsilon in spec.epsilons:
         utts = sorted((u for u in suite.utterances if u.epsilon == epsilon), key=lambda u: u.utt_id)
         oracles = [SyntheticOracle(u.synth) for u in utts]
-        greedy = _greedy_searches(oracles, AsrConfig())
+        greedy = _greedy_searches(oracles)
         want = {
             "greedy_rnnt": greedy,
-            "beam4_rnnt": [beams[0] for beams in _beam_searches(oracles, 4, AsrConfig(), greedy)],
-            "greedy_tdt": _greedy_searches(oracles, AsrConfig(mode="tdt", d_max=2)),
+            "beam4_rnnt": [beams[0] for beams in _beam_searches(oracles, 4, greedy)],
+            "greedy_tdt": _greedy_searches(oracles, 2),
         }
         assert list(got) == list(want)
         for name, hyps in want.items():

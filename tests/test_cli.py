@@ -284,10 +284,10 @@ def test_batched_beam_does_not_change_asr_report(base_suite, tmp_path, monkeypat
         assert main([*argv, "--also-asr-baselines", "--beam-width", "3"]) == 0
         return json.dumps(drop_wall(json.loads(report.read_text()))), hypotheses
 
-    def per_utterance(oracles, beam_width, config, greedy):
+    def per_utterance(oracles, beam_width, greedy):
         # The union guard's transcripts are the group's greedy RNN-T ones.
-        assert bits(greedy) == bits(greedy_search(oracle, config) for oracle in oracles)
-        return [reference_beam_search(oracle, beam_width, config) for oracle in oracles]
+        assert bits(greedy) == bits(greedy_search(oracle) for oracle in oracles)
+        return [reference_beam_search(oracle, beam_width) for oracle in oracles]
 
     batched = run("batched", runner._beam_searches)
     assert '"beam3_rnnt"' in batched[0] and batched[1]
@@ -460,10 +460,26 @@ def test_missing_suite_exits_2(tmp_path):
         ("decode", ["--jobs", "2"]),
         ("bench", ["--jobs", "2"]),
         ("decode", ["--no-such-flag"]),
+        # --d-max counts in TDT mode only, but is never negative.
+        ("bench", ["--candidate", "rnnt", "--d-max", "-1"]),
     ],
 )
 def test_usage_errors_are_reported_before_the_suite_is_read(tmp_path, command, flags):
     assert main([command, "--suite", str(tmp_path / "nope"), *flags]) == 1
+
+
+@pytest.mark.parametrize("command", ["decode", "dump-delta"])
+def test_negative_d_max_exits_1_in_rnnt_mode_too(base_suite, capsys, command):
+    """An RNN-T search ignores ``--d-max``, but a negative one is no cap in
+    any mode: it is refused before any output."""
+    argv = {
+        "decode": ["decode", "--suite", str(base_suite)],
+        "dump-delta": ["dump-delta", "--suite", str(base_suite), "--utt", "neg-000-e0.00"],
+    }[command]
+    assert main([*argv, "--mode", "rnnt", "--d-max", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d_max must be >= 0, got -1\n"
 
 
 def test_argparse_errors_exit_1_and_help_exits_0(capsys):
@@ -778,6 +794,35 @@ def test_bench_report_and_exit_codes(base_suite, tmp_path, capsys):
     assert {g["epsilon"] for g in report["groups"]} == {0.0, 0.5}
 
     assert main(["bench", "--suite", str(base_suite), "--target-far", "-1"]) == 1
+
+
+@pytest.mark.parametrize("missing", ["positives", "negatives"])
+def test_bench_refuses_an_epsilon_group_it_cannot_score_before_any_decode(
+    base_suite, tmp_path, capsys, monkeypatch, missing
+):
+    """An epsilon group with a keyword that has no positives has no recall,
+    and one with no negatives no false-alarm rate. bench names the manifest,
+    the epsilon and what is missing, and exits 2 before its first decode, so
+    the groups before it spend no runs."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    label = "bravo" if missing == "positives" else None
+    manifest["utterances"] = [
+        u for u in manifest["utterances"] if not (u["epsilon"] == 0.5 and u["label"] == label)
+    ]
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("a decode ran")
+
+    monkeypatch.setattr(runner, "_decode_blocks", no_decode)
+    report = tmp_path / "report.json"
+    assert main(["bench", "--suite", str(suite), "--report", str(report)]) == 2
+    what = "keyword 'bravo' has no positives" if label else "the group has no negatives"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {suite / 'manifest.json'}: epsilon 0.5: {what}\n"
+    assert not report.exists()
 
 
 def _no_constants(name):

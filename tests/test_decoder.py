@@ -219,6 +219,9 @@ def test_config_validation():
         DecodeConfig(mode="rnnt", d_max=-3)
     with pytest.raises(ValidationError):
         DecodeConfig(mode="tdt", d_max=2, zero_duration_policy="skip")
+    # d_max counts in TDT mode only: a checked RNN-T config holds 0.
+    assert DecodeConfig(mode="rnnt", d_max=4).d_max == 0
+    assert DecodeConfig(mode="tdt", d_max=4).d_max == 4
 
 
 def test_delta_column_invariants():

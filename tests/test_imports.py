@@ -160,14 +160,15 @@ def test_every_suite_generator_knob_is_set_by_kws_gen():
     assert sorted({field.name for field in dataclasses.fields(kws.SuiteGenSpec)} - passed) == []
 
 
-def test_every_asr_config_field_is_set_by_the_runner():
-    """An ``AsrConfig`` field that no ``runner`` call passes is a knob no
-    command sets: it belongs in a module constant, not the config."""
-    tree = ast.parse((Path(kws.__file__).parent / "runner.py").read_text(encoding="utf-8"))
+def test_every_decode_config_field_is_set_by_the_cli():
+    """A ``DecodeConfig`` field that no ``DecodeConfig(...)`` call of the CLI
+    passes is a knob no command sets: it belongs in a module constant, not
+    the config."""
+    tree = ast.parse((Path(kws.__file__).parent / "cli.py").read_text(encoding="utf-8"))
     passed = {
         keyword.arg
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AsrConfig"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DecodeConfig"
         for keyword in node.keywords
     }
-    assert sorted({field.name for field in dataclasses.fields(kws.AsrConfig)} - passed) == []
+    assert sorted({field.name for field in dataclasses.fields(kws.DecodeConfig)} - passed) == []

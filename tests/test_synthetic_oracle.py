@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kws import (
-    AsrConfig,
     BLANK_ID,
     CapabilityError,
     KeywordSpec,
@@ -260,9 +259,9 @@ def test_file_backed_refusals_for_generative_queries(tmp_path):
     path = save_lattice(data, tmp_path / "a.kwl")
     replay = load_lattice(path)
     with pytest.raises(CapabilityError):
-        greedy_search(replay, AsrConfig())
+        greedy_search(replay)
     with pytest.raises(CapabilityError):
-        beam_search(replay, 2, AsrConfig())
+        beam_search(replay, 2)
     with pytest.raises(CapabilityError):
         replay.vocab_size
 
