@@ -73,7 +73,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .emissions import EmissionOracle, KeywordSpec, NEG_INF
+from .emissions import EmissionOracle, KeywordSpec, NEG_INF, _store_integers
 from .errors import ModeError, ProtocolError, ValidationError
 from .metrics import SpeedCounters
 
@@ -108,6 +108,7 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in (RNNT, TDT):
             raise ValidationError(f"mode must be '{RNNT}' or '{TDT}', got {self.mode!r}")
+        _store_integers(self, "d_max", "refractory_frames")
         if self.d_max < 0:
             raise ValidationError(f"d_max must be >= 0, got {self.d_max}")
         if self.mode == TDT and self.d_max < 1:

@@ -37,6 +37,25 @@ BLANK_ID = 0
 NEG_INF = float("-inf")
 
 
+def _index(value) -> int:
+    """``operator.index(value)``, which refuses 4.7 and "4" where int() would
+    not, and also refuses a bool: JSON's ``true`` is not the integer 1."""
+    if type(value) is bool:
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    return operator.index(value)
+
+
+def _store_integers(config, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``config`` as the int
+    ``_index`` gives; a field it refuses raises ValidationError."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            object.__setattr__(config, name, _index(value))
+        except TypeError as exc:
+            raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class KeywordSpec:
     """A keyword as a sequence of non-blank token-ids (blank y0 is implicit)."""
@@ -48,8 +67,7 @@ class KeywordSpec:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"keyword name must be a non-empty string, got {self.name!r}")
         try:
-            # operator.index, not int(): 4.7 or "4" is an error, not token 4.
-            tokens = tuple(operator.index(t) for t in self.tokens)
+            tokens = tuple(map(_index, self.tokens))
         except TypeError as exc:
             raise ValidationError(
                 f"keyword {self.name!r} token ids must be integers, got {self.tokens!r}"

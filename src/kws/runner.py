@@ -201,11 +201,11 @@ def _bench_one_run(
 
 
 def _asr_transcripts(
-    suite: SuiteManifest, candidate: DecodeConfig, beam_width: int
+    suite: SuiteManifest, d_max: int, beam_width: int
 ) -> dict[str, dict[str, Hypothesis]]:
     """``{row name: {utt_id: transcript}}`` of every ASR baseline row, from
     one search per row over all of the suite's utterances (transcripts are
-    label-independent)."""
+    label-independent); greedy TDT hops at most ``d_max`` frames."""
     utts = _by_id(suite.utterances)
     oracles = [SyntheticOracle(u.synth) for u in utts]
     greedy = _greedy_searches(oracles)
@@ -216,8 +216,7 @@ def _asr_transcripts(
         ],
     }
     if suite.d_max > 0:
-        # A TDT candidate's cap, else the suite's (an RNN-T config's d_max is 0).
-        transcripts["greedy_tdt"] = _greedy_searches(oracles, candidate.d_max or suite.d_max)
+        transcripts["greedy_tdt"] = _greedy_searches(oracles, d_max)
     return {
         name: dict(zip((u.utt_id for u in utts), hyps)) for name, hyps in transcripts.items()
     }
@@ -277,7 +276,9 @@ def bench(
         })
     # After every group's KWS runs, so that those run as they would alone.
     if also_asr_baselines:
-        transcripts = _asr_transcripts(suite, candidate, beam_width)
+        # The cap of whichever run is TDT, else the suite's (an RNN-T config's d_max is 0).
+        d_max = candidate.d_max or baseline.d_max or suite.d_max
+        transcripts = _asr_transcripts(suite, d_max, beam_width)
         for group, entry in zip(groups, entries):
             entry["asr"] = {
                 name: _asr_row(suite, group, hyps, target_far)

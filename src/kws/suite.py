@@ -16,12 +16,13 @@ manifest (so generative decoding can reconstruct the oracle) and also frozen
 to a keyword-conditioned KWL1 lattice: positives conditioned on their label
 keyword, negatives on a round-robin keyword recorded as ``lattice_keyword``.
 
-The manifest (schema ``kws-suite-manifest@2``) writes each planted alignment
-as three integer columns of one length, ``[tokens, starts, durations]``, so
-that a load parses three lists per utterance rather than one per segment;
-``SyntheticJoinerConfig.from_json_dict`` zips them back into the triples.
-Its text is ``json.dumps(..., sort_keys=True)`` by json's C encoder, with
-each utterance record on its own line of the ``utterances`` list.
+The manifest (schema ``kws-suite-manifest@3``) states each fact once: the
+top level holds the suite-wide ones, and each utterance record its own, with
+its planted alignment as two integer columns of one length, ``tokens`` and
+``durations``. Segments tile the timeline in order, so ``_synth`` derives the
+start frames and the frame count from the durations; this module alone knows
+the layout. Its text is ``json.dumps(..., sort_keys=True)`` by json's C
+encoder, with each utterance record on its own line of the ``utterances`` list.
 A suite command opens a lattice through ``SuiteManifest.lattice``, which
 holds it to its record: the same frame count and, where the sidecar's
 provenance names an utterance, the same utterance. ``bench`` also compares
@@ -44,6 +45,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,7 @@ from .lattice import (
 )
 from .synthetic import SyntheticJoinerConfig, SyntheticOracle
 
-MANIFEST_SCHEMA = "kws-suite-manifest@2"
+MANIFEST_SCHEMA = "kws-suite-manifest@3"
 # json.dumps(value, sort_keys=True), by json's C encoder.
 _encode = json.JSONEncoder(sort_keys=True).encode
 # Where manifest.json holds its utterance records: in the "utterances" list.
@@ -154,8 +156,9 @@ def _tile_segments(
     num_frames: int,
     keyword: KeywordSpec | None,
     filler_tokens: np.ndarray,
-) -> tuple[tuple[int, int, int], ...]:
-    """Cover frames [1, num_frames] with segments; plant the keyword if given.
+) -> tuple[list[int], list[int]]:
+    """The (tokens, durations) of segments that cover frames [1, num_frames]
+    in order; plant the keyword if given.
 
     The draws are batched but leave ``rng`` exactly where one draw per
     segment would: durations until they cover ``num_frames``, then one
@@ -184,9 +187,7 @@ def _tile_segments(
             )
         at = int(rng.integers(0, usable - U + 1))
         tokens[at : at + U] = keyword.tokens
-
-    starts = np.cumsum(durations) - durations + 1
-    return tuple(zip(tokens.tolist(), starts.tolist(), durations.tolist()))
+    return tokens.tolist(), durations.tolist()
 
 
 def _utterance_alignment(
@@ -194,11 +195,24 @@ def _utterance_alignment(
     utt_index: int,
     keyword: KeywordSpec | None,
     filler_tokens: np.ndarray,
-) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """(num_frames, alignment) of one utterance, drawn from its child seed."""
+) -> tuple[list[int], list[int]]:
+    """(tokens, durations) of one utterance, drawn from its child seed."""
     rng = np.random.default_rng([spec.seed, 1 + utt_index])
     num_frames = int(rng.integers(spec.frames_min, spec.frames_max + 1))
-    return num_frames, _tile_segments(rng, spec, num_frames, keyword, filler_tokens)
+    return _tile_segments(rng, spec, num_frames, keyword, filler_tokens)
+
+
+def _synth(tokens: list, durations: list, epsilon, facts: dict) -> SyntheticJoinerConfig:
+    """The config of an utterance record's columns and epsilon under the
+    suite-wide ``facts``. Segments tile the timeline in order: each starts on
+    the frame after the one before ends, from frame 1."""
+    starts = accumulate(durations, initial=1)
+    return SyntheticJoinerConfig(
+        num_frames=sum(durations),
+        alignment=tuple(zip(tokens, starts, durations)),
+        epsilon=epsilon,
+        **facts,
+    )
 
 
 def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
@@ -231,26 +245,21 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
         plans.append((f"neg-{j:03d}", None, round_robin, index))
         index += 1
 
+    facts = {
+        "frame_seconds": spec.frame_seconds,
+        "d_max": spec.d_max,
+        "duration_concentration": spec.duration_concentration,
+        "vocab_size": vocab_size,
+    }
     # Each utterance record becomes its manifest line as soon as it is built.
     records: list[str] = []
     for stem, label_kw, lattice_kw, utt_index in plans:
         # Every epsilon of an utterance shares its planted alignment.
-        num_frames, alignment = _utterance_alignment(spec, utt_index, label_kw, filler_tokens)
+        tokens, durations = _utterance_alignment(spec, utt_index, label_kw, filler_tokens)
         for epsilon in spec.epsilons:
             utt_id = stem + _epsilon_tag(epsilon)
-            cfg = SyntheticJoinerConfig(
-                vocab_size=vocab_size,
-                num_frames=num_frames,
-                alignment=alignment,
-                epsilon=epsilon,
-                d_max=spec.d_max,
-                duration_concentration=spec.duration_concentration,
-                seed=spec.seed,
-                frame_seconds=spec.frame_seconds,
-            )
-            oracle = SyntheticOracle(cfg)
             data = snapshot(
-                oracle,
+                SyntheticOracle(_synth(tokens, durations, epsilon, facts)),
                 lattice_kw,
                 provenance={
                     "generator": "kws.suite",
@@ -264,22 +273,17 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
                 "utt_id": utt_id,
                 "label": label_kw.name if label_kw is not None else None,
                 "epsilon": epsilon,
-                "num_frames": cfg.num_frames,
-                "duration_seconds": cfg.duration_seconds,
                 "lattice": f"lattices/{utt_id}.kwl",
                 "lattice_keyword": lattice_kw.name,
-                "synth": cfg.to_json_dict(),
+                "tokens": tokens,
+                "durations": durations,
             }
             records.append(_encode(record))
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "seed": spec.seed,
-        "frame_seconds": spec.frame_seconds,
-        "d_max": spec.d_max,
-        "duration_concentration": spec.duration_concentration,
-        "vocab_size": vocab_size,
-        "epsilons": list(spec.epsilons),
+        **facts,
         "keywords": [{"name": kw.name, "tokens": list(kw.tokens)} for kw in keywords],
         "utterances": [],
     }
@@ -348,8 +352,8 @@ class SuiteManifest:
     def _check_frames(self, utt: Utterance, frames: int) -> None:
         if frames != utt.num_frames:
             raise ManifestError(
-                f"{self.root / 'manifest.json'}: utterance {utt.utt_id!r}: field 'num_frames': "
-                f"{utt.num_frames}, but {self.lattice_path(utt)} has {frames} frames"
+                f"{self.root / 'manifest.json'}: utterance {utt.utt_id!r}: field 'durations': "
+                f"{utt.num_frames} frames, but {self.lattice_path(utt)} has {frames} frames"
             )
 
     def lattice(self, utt: Utterance) -> FileLatticeOracle:
@@ -368,14 +372,19 @@ class SuiteManifest:
 
     def check_lattice_headers(self, utterances) -> None:
         """Check the frame count in the lattice header of each of ``utterances``
-        against its record's, reading no lattice body or sidecar: a record's
-        ``num_frames`` sizes a SyntheticOracle's per-frame arrays."""
+        against its record's, reading no lattice body or sidecar: the sum of a
+        record's ``durations`` sizes a SyntheticOracle's per-frame arrays."""
         for utt in utterances:
             self._check_frames(utt, read_lattice_header(os.path.join(self.root, utt.lattice))[0])
 
 
 # Everything a malformed manifest can make the parsing below raise.
 _CONTENT_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
+# The top-level facts that every utterance's config takes, and the fields of
+# the top level and of an utterance record: each fact once.
+_SUITE_FACTS = ("frame_seconds", "d_max", "duration_concentration", "vocab_size")
+_TOP_FIELDS = {"schema", "seed", *_SUITE_FACTS, "keywords", "utterances"}
+_RECORD_FIELDS = {"utt_id", "label", "epsilon", "lattice", "lattice_keyword", "tokens", "durations"}
 
 
 def _field(path: Path, where: str, record, name: str, parse=lambda value: value, *args):
@@ -387,6 +396,14 @@ def _field(path: Path, where: str, record, name: str, parse=lambda value: value,
         raise ManifestError(f"{path}: {where}: field {name!r}: {exc!r}") from exc
 
 
+def _only(path: Path, where: str, record: dict, fields: set) -> None:
+    """Refuse a field of ``record`` outside ``fields``, such as a copy of a
+    fact that another field states."""
+    if not record.keys() <= fields:
+        name = min(record.keys() - fields)
+        raise ManifestError(f"{path}: {where}: field {name!r}: not a {MANIFEST_SCHEMA} field")
+
+
 def _require(ok, message: str):
     def parse(value):
         if not ok(value):
@@ -396,13 +413,25 @@ def _require(ok, message: str):
     return parse
 
 
-def _copy_of(value, utterances, name: str):
-    """Parse of the manifest's copy of the synth fact ``name`` of every one of
-    ``utterances``: the same value, with the same JSON type."""
-    for utt in utterances:
-        own = getattr(utt.synth, name)
-        if type(value) is not type(own) or value != own:
-            raise ValueError(f"{value!r}, but utterance {utt.utt_id!r} has synth.{name} = {own!r}")
+def _config_value(value, name: str):
+    """``value``, once a SyntheticJoinerConfig takes it as its ``name``."""
+    SyntheticJoinerConfig(**{"vocab_size": 1, "num_frames": 1, "alignment": (), name: value})
+    return value
+
+
+def _column(value, name: str, tokens: list | None = None) -> list:
+    """The alignment column ``name``: a non-empty list of JSON integers (a
+    boolean, which Python would take for 0 or 1, is refused), and for the
+    durations one per token, each >= 1."""
+    if type(value) is not list or not value:
+        raise ValueError(f"expected a non-empty list, got {value!r:.80}")
+    if not set(map(type, value)) <= {int}:
+        i, entry = next((i, v) for i, v in enumerate(value) if type(v) is not int)
+        raise ValueError(f"{name}[{i}] must be an integer, got {entry!r}")
+    if tokens is not None and len(value) != len(tokens):
+        raise ValueError(f"{len(value)} entries, but 'tokens' has {len(tokens)}")
+    if tokens is not None and min(value) < 1:
+        raise ValueError(f"{name}[{value.index(min(value))}] must be >= 1, got {min(value)}")
     return value
 
 
@@ -427,6 +456,9 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         raise ManifestError(f"{manifest_path}: not UTF-8 JSON ({exc})") from exc
     top = partial(_field, manifest_path, "top level", raw)
     top("schema", _require(lambda v: v == MANIFEST_SCHEMA, f"expected {MANIFEST_SCHEMA!r}"))
+    _only(manifest_path, "top level", raw, _TOP_FIELDS)
+    seed = top("seed", _require(lambda v: type(v) is int and v >= 0, "expected an integer >= 0"))
+    facts = {name: top(name, _config_value, name) for name in _SUITE_FACTS}
     keywords = top("keywords", _keywords)
     names = {kw.name for kw in keywords}
     known = _require(lambda v: v in names, "unknown keyword")
@@ -440,27 +472,24 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
     for index, rec in enumerate(records):
         utt_id = _field(manifest_path, f"utterance {index}", rec, "utt_id", lambda v: new(text(v)))
         utt_ids.add(utt_id)
-        field = partial(_field, manifest_path, f"utterance {utt_id!r}", rec)
-        utt = Utterance(
+        where = f"utterance {utt_id!r}"
+        _only(manifest_path, where, rec, _RECORD_FIELDS)
+        field = partial(_field, manifest_path, where, rec)
+        epsilon = field("epsilon", _config_value, "epsilon")
+        tokens = field("tokens", _column, "tokens")
+        durations = field("durations", _column, "durations", tokens)
+        utterances.append(Utterance(
             utt_id=utt_id,
-            synth=field("synth", SyntheticJoinerConfig.from_json_dict),
             label=field("label", lambda v: v if v is None else known(v)),
             lattice=field("lattice", text),
             lattice_keyword=field("lattice_keyword", known),
-        )
-        for name in ("epsilon", "num_frames", "duration_seconds"):
-            field(name, _copy_of, (utt,), name)
-        utterances.append(utt)
-    for name in ("seed", "frame_seconds", "d_max", "vocab_size", "duration_concentration"):
-        top(name, _copy_of, utterances, name)
-    # The top level's epsilons are the set of the records' epsilons, by _copy_of's rule.
-    held = {(type(utt.epsilon), utt.epsilon) for utt in utterances}
-    expected = f"expected the set of the records' epsilons, {sorted(eps for _, eps in held)}"
-    top("epsilons", _require(lambda v: {(type(eps), eps) for eps in v} == held, expected))
+            # With whole columns and durations checked, only a token can be at fault.
+            synth=field("tokens", _synth, durations, epsilon, facts),
+        ))
     return SuiteManifest(
         root=suite_dir,
-        seed=utterances[0].synth.seed,
-        d_max=utterances[0].synth.d_max,
+        seed=seed,
+        d_max=facts["d_max"],
         keywords=keywords,
         utterances=tuple(utterances),
     )

@@ -55,13 +55,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .emissions import BLANK_ID, EmissionOracle, KeywordSpec, NEG_INF
+from .emissions import BLANK_ID, EmissionOracle, KeywordSpec, NEG_INF, _index, _store_integers
 from .errors import ModeError, ValidationError
 from .lattice import D_MAX_LIMIT
 
@@ -73,9 +73,8 @@ class SyntheticJoinerConfig:
     """Planted ground truth plus noise/duration knobs for one utterance.
 
     ``alignment`` entries are (token_id, start_frame, duration_frames) with
-    1-based start frames. ``seed`` records the RNG state that drew the
-    alignment (suite generation); emissions themselves are a closed-form
-    function of the alignment and epsilon.
+    1-based start frames. Emissions are a closed-form function of the
+    alignment and epsilon.
     """
 
     vocab_size: int
@@ -84,25 +83,24 @@ class SyntheticJoinerConfig:
     epsilon: float = 0.0
     d_max: int = 0
     duration_concentration: float = 1.0
-    seed: int = 0
     frame_seconds: float = 0.03
 
     def __post_init__(self) -> None:
-        # operator.index, not int(), here and in the alignment: 26.5 or "26"
-        # is an error, not 26.
-        for name in ("vocab_size", "num_frames", "d_max", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError as exc:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
+        _store_integers(self, "vocab_size", "num_frames", "d_max")
+        for name in ("epsilon", "duration_concentration", "frame_seconds"):
+            if type(getattr(self, name)) is bool:  # JSON's false is not 0.0
+                raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
+        segments = self.alignment
         try:
-            alignment = tuple(
-                (operator.index(a), operator.index(b), operator.index(c))
-                for a, b, c in self.alignment
-            )
+            # C-level scans spare the per-entry pass when every segment is a
+            # triple of ints, as in those a suite manifest's columns give.
+            entries = chain.from_iterable(segments)
+            if set(map(len, segments)) <= {3} and set(map(type, entries)) <= {int}:
+                alignment = tuple(map(tuple, segments))
+            else:
+                alignment = tuple((_index(a), _index(b), _index(c)) for a, b, c in segments)
         except (TypeError, ValueError) as exc:  # not integers, or not triples
-            raise ValidationError(_triples_fault(self.alignment)) from exc
+            raise ValidationError(_triples_fault(segments)) from exc
         object.__setattr__(self, "alignment", alignment)
         if self.vocab_size < 1:
             raise ValidationError("vocab_size must be >= 1")
@@ -114,8 +112,6 @@ class SyntheticJoinerConfig:
             raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if not 0.0 < self.duration_concentration <= 1.0:
             raise ValidationError("duration_concentration must be in (0, 1]")
-        if self.seed < 0:  # numpy seeds only from non-negative integers
-            raise ValidationError(f"the seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
             raise ValidationError(
                 f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
@@ -138,43 +134,6 @@ class SyntheticJoinerConfig:
     def duration_seconds(self) -> float:
         return self.num_frames * self.frame_seconds
 
-    def to_json_dict(self) -> dict:
-        """The config's fields by name; the alignment as its three columns,
-        tokens, starts and durations, each one list."""
-        data = {name: getattr(self, name) for name in _CONFIG_FIELDS}
-        data["alignment"] = [[segment[i] for segment in self.alignment] for i in range(3)]
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SyntheticJoinerConfig":
-        """The config of a ``to_json_dict`` dict. The alignment's columns must
-        be three lists of one length that hold JSON integers only: a boolean,
-        which Python would take for 0 or 1, is refused. ``__post_init__``
-        checks their values."""
-        values = list(_config_values(data))
-        columns = values[_ALIGNMENT]
-        if type(columns) is list and all(type(column) is list for column in columns):
-            lengths = [len(column) for column in columns]
-            if len(lengths) == 3 and lengths[0] == lengths[1] == lengths[2]:
-                if not set(map(type, chain(*columns))) <= {int}:
-                    name, i, value = next(
-                        (name, i, value)
-                        for name, column in zip(_COLUMNS, columns)
-                        for i, value in enumerate(column)
-                        if type(value) is not int
-                    )
-                    raise ValidationError(
-                        f"alignment {name}[{i}] must be an integer, got {value!r}"
-                    )
-                values[_ALIGNMENT] = tuple(zip(*columns))
-                return cls(*values)
-            got = f"lists of lengths {lengths}"
-        else:
-            got = f"{columns!r:.80}"
-        raise ValidationError(
-            f"alignment must be three lists of one length ({', '.join(_COLUMNS)}), got {got}"
-        )
-
 
 def _triples_fault(alignment) -> str:
     """Why ``alignment`` is not a sequence of integer triples, naming its
@@ -182,22 +141,12 @@ def _triples_fault(alignment) -> str:
     try:
         for i, segment in enumerate(alignment):
             try:
-                _, _, _ = map(operator.index, segment)
+                _, _, _ = map(_index, segment)
             except (TypeError, ValueError):
                 return f"alignment entries must be integer triples; segment {i} is {segment!r}"
     except TypeError:  # not iterable
         pass
     return f"alignment entries must be integer triples, got {alignment!r:.80}"
-
-
-# The alignment's JSON columns, in order.
-_COLUMNS = ("tokens", "starts", "durations")
-
-# The config's field names, the keys of its JSON dict; read once, not per
-# config, since a suite load builds one config per utterance.
-_CONFIG_FIELDS = tuple(field.name for field in fields(SyntheticJoinerConfig))
-_config_values = operator.itemgetter(*_CONFIG_FIELDS)
-_ALIGNMENT = _CONFIG_FIELDS.index("alignment")
 
 
 class SyntheticOracle(EmissionOracle):

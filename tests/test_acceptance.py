@@ -290,7 +290,6 @@ def _random_generative_oracle(seed: int) -> SyntheticOracle:
             epsilon=float(rng.uniform(0.05, 0.9)),
             d_max=0,
             duration_concentration=1.0,
-            seed=seed,
         )
     )
 
@@ -348,7 +347,6 @@ def test_c08_metric_and_search_properties():
             epsilon=float(rng.uniform(0.0, 0.95)),
             d_max=4,
             duration_concentration=float(rng.uniform(0.3, 1.0)),
-            seed=seed,
         )
         oracle = SyntheticOracle(config)
         for t in (1, 6, 12):

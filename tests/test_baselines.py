@@ -33,8 +33,9 @@ from kws import (
     save_lattice,
     snapshot,
 )
-from kws import baselines
+from kws import baselines, runner
 from kws.baselines import _beam_searches, _greedy_searches, _require_generative
+from kws.cli import main
 from kws.runner import _asr_transcripts
 
 
@@ -101,7 +102,7 @@ TRAP = ScriptedOracle(
 )
 
 
-def synth_oracle(seed=0, epsilon=0.0, d_max=0, num_frames=12):
+def synth_oracle(epsilon=0.0, d_max=0, num_frames=12):
     return SyntheticOracle(
         SyntheticJoinerConfig(
             vocab_size=9,
@@ -110,7 +111,6 @@ def synth_oracle(seed=0, epsilon=0.0, d_max=0, num_frames=12):
             epsilon=epsilon,
             d_max=d_max,
             duration_concentration=1.0,
-            seed=seed,
         )
     )
 
@@ -134,7 +134,6 @@ def random_generative(seed):
             epsilon=float(rng.uniform(0.0, 0.8)),
             d_max=0,
             duration_concentration=1.0,
-            seed=seed,
         )
     )
 
@@ -197,7 +196,6 @@ def test_greedy_blank_everywhere_accumulates_blank_terms():
             epsilon=0.2,
             d_max=0,
             duration_concentration=1.0,
-            seed=0,
         )
     )
     hyp = greedy_search(oracle)
@@ -769,7 +767,7 @@ def test_suite_wide_asr_transcripts_equal_the_per_group_searches(tmp_path):
         duration_min=1, duration_max=3, epsilons=(0.0, 0.3, 0.6), d_max=3, seed=11,
     )
     suite = load_manifest(gen_suite(tmp_path, spec).parent)
-    got = _asr_transcripts(suite, DecodeConfig(mode="tdt", d_max=2), 4)
+    got = _asr_transcripts(suite, 2, 4)
     for epsilon in spec.epsilons:
         utts = sorted((u for u in suite.utterances if u.epsilon == epsilon), key=lambda u: u.utt_id)
         oracles = [SyntheticOracle(u.synth) for u in utts]
@@ -782,3 +780,27 @@ def test_suite_wide_asr_transcripts_equal_the_per_group_searches(tmp_path):
         assert list(got) == list(want)
         for name, hyps in want.items():
             assert bits([got[name][u.utt_id] for u in utts]) == bits(hyps)
+
+
+@pytest.mark.parametrize(
+    "baseline, candidate, cap", [("tdt", "rnnt", 2), ("rnnt", "tdt", 2), ("rnnt", "rnnt", 3)]
+)
+def test_greedy_tdt_row_hops_by_the_tdt_runs_cap(tmp_path, monkeypatch, baseline, candidate, cap):
+    """The greedy TDT row hops by the cap of whichever run is TDT, the
+    baseline included, and by the suite's (3 here) when neither is."""
+    spec = SuiteGenSpec(
+        keywords=("alpha",), n_pos=2, n_neg=2, frames_min=30, frames_max=40,
+        duration_min=1, duration_max=3, d_max=3, seed=11,
+    )
+    suite_dir = gen_suite(tmp_path / "suite", spec).parent
+    caps = []
+
+    def spy(oracles, d_max=0):
+        caps.append(d_max)
+        return _greedy_searches(oracles, d_max)
+
+    monkeypatch.setattr(runner, "_greedy_searches", spy)
+    argv = ["bench", "--suite", str(suite_dir), "--baseline", baseline, "--candidate", candidate]
+    argv += ["--d-max", "2", "--also-asr-baselines", "--beam-width", "2"]
+    assert main([*argv, "--report", str(tmp_path / "report.json")]) == 0
+    assert caps == [0, cap]

@@ -131,41 +131,50 @@ def test_manifest_d_max_above_the_lattice_field_is_a_broken_file(base_suite, tmp
     suite = tmp_path / "suite"
     shutil.copytree(base_suite, suite)
     manifest = json.loads((suite / "manifest.json").read_text())
-    manifest["utterances"][0]["synth"]["d_max"] = 70000
+    manifest["d_max"] = 70000
     (suite / "manifest.json").write_text(json.dumps(manifest))
     assert main(["bench", "--suite", str(suite), "--target-far", "0"]) == 2
     err = capsys.readouterr().err
-    assert "d_max must be in [0, 65535]" in err and "'synth'" in err
+    assert "d_max must be in [0, 65535]" in err and "top level: field 'd_max'" in err
 
 
-@pytest.mark.parametrize("field, value", [("num_frames", 26.5), ("vocab_size", 9.5), ("d_max", 2.5)])
+@pytest.mark.parametrize("field, value", [("vocab_size", 9.5), ("d_max", 2.5)])
 def test_manifest_non_integral_synth_size_is_a_broken_file(
     field, value, base_suite, tmp_path, capsys
 ):
+    """The vocabulary size and D_max that every utterance's config takes."""
     suite = tmp_path / "suite"
     shutil.copytree(base_suite, suite)
     manifest = json.loads((suite / "manifest.json").read_text())
-    negative = next(u for u in manifest["utterances"] if u["label"] is None)
-    negative["synth"][field] = value
+    manifest[field] = value
     (suite / "manifest.json").write_text(json.dumps(manifest))
     assert main(["bench", "--suite", str(suite), "--target-far", "0"]) == 2
     err = capsys.readouterr().err
-    assert f"utterance {negative['utt_id']!r}: field 'synth'" in err
+    assert f"top level: field {field!r}" in err
     assert f"{field} must be an integer, got {value!r}" in err
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("num_frames", 26.5), ("num_frames", "synth + 1"), ("duration_seconds", math.inf)],
+    [
+        ("num_frames", 26.5),
+        ("num_frames", "synth + 1"),
+        ("num_frames", "exact"),
+        ("duration_seconds", math.inf),
+    ],
 )
 def test_manifest_utterance_frames_and_duration_must_be_exact(
     field, value, base_suite, tmp_path, capsys
 ):
+    """A record's frame count and duration are its durations' sum and that
+    times the frame length, exactly, because nothing else states them: a
+    record that restates either, even rightly, is refused by name."""
     suite = tmp_path / "suite"
     shutil.copytree(base_suite, suite)
     manifest = json.loads((suite / "manifest.json").read_text())
     negative = next(u for u in manifest["utterances"] if u["label"] is None)
-    negative[field] = negative["synth"]["num_frames"] + 1 if value == "synth + 1" else value
+    frames = sum(negative["durations"])
+    negative[field] = {"synth + 1": frames + 1, "exact": frames}.get(value, value)
     (suite / "manifest.json").write_text(json.dumps(manifest))  # inf is written as Infinity
     for command in (["bench", "--target-far", "0"], ["decode"]):
         assert main([*command, "--suite", str(suite)]) == 2
@@ -327,7 +336,8 @@ def test_asr_bench_runs_each_search_once_over_the_whole_suite(base_suite, tmp_pa
     """An untraced bench with ASR rows runs greedy RNN-T, beam and greedy TDT
     once each over every utterance, not once per epsilon group, and TDT
     greedy asks for its durations by group query, never one frame at a time."""
-    assert len(json.loads((base_suite / "manifest.json").read_text())["epsilons"]) == 2
+    records = json.loads((base_suite / "manifest.json").read_text())["utterances"]
+    assert len({record["epsilon"] for record in records}) == 2
     argv = ["bench", "--suite", str(base_suite), "--d-max", "3", "--also-asr-baselines"]
     profile = cProfile.Profile()
     assert profile.runcall(main, [*argv, "--report", str(tmp_path / "report.json")]) == 0
@@ -493,8 +503,8 @@ def test_argparse_errors_exit_1_and_help_exits_0(capsys):
 
 def broken_manifest_texts(raw):
     """Manifests whose content is broken in ways a reader must name, as bytes."""
-    no_synth = json.loads(json.dumps(raw))
-    del no_synth["utterances"][0]["synth"]
+    no_synth = json.loads(json.dumps(raw))  # a record without the alignment it plants
+    del no_synth["utterances"][0]["tokens"], no_synth["utterances"][0]["durations"]
     return {
         "missing-synth": json.dumps(no_synth).encode(),
         "top-level-list": json.dumps([raw]).encode(),
@@ -513,18 +523,17 @@ def test_broken_manifest_exits_2(base_suite, tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("seed", 99), ("duration_concentration", 0.25), ("duration_concentration", 0)]
+    "field, value",
+    [("seed", -1), ("duration_concentration", 0), ("duration_concentration", 1.5),
+     ("frame_seconds", 0.0)],
 )
-def test_top_level_field_that_disagrees_with_the_records_exits_2(
-    base_suite, tmp_path, capsys, field, value
-):
-    """The suite seed and duration concentration the report would show are
-    the records' own: a top level edited away from them, or out of (0, 1],
-    is a broken manifest."""
+def test_top_level_field_out_of_range_exits_2(base_suite, tmp_path, capsys, field, value):
+    """The suite seed, duration concentration and frame length that every
+    utterance's config and the report take come from the top level alone,
+    which must hold them in range."""
     suite = tmp_path / "suite"
     shutil.copytree(base_suite, suite)
     manifest = json.loads((suite / "manifest.json").read_text())
-    assert {u["synth"][field] for u in manifest["utterances"]} == {manifest[field]} != {value}
     manifest[field] = value
     (suite / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=f"top level: field {field!r}"):
@@ -580,7 +589,8 @@ def test_lattice_whose_frame_count_disagrees_with_its_record_exits_2(
     records = {u["utt_id"]: u for u in manifest["utterances"]}
     pos, neg = records["pos-alpha-000-e0.00"], records["neg-000-e0.00"]
     assert pos["lattice_keyword"] == neg["lattice_keyword"]
-    assert pos["num_frames"] != neg["num_frames"]
+    frames = {r["utt_id"]: sum(r["durations"]) for r in (pos, neg)}
+    assert frames[pos["utt_id"]] != frames[neg["utt_id"]]
     for suffix in (".kwl", ".json"):
         a, b = ((suite / r["lattice"]).with_suffix(suffix) for r in (pos, neg))
         a_bytes = a.read_bytes()
@@ -599,8 +609,8 @@ def test_lattice_whose_frame_count_disagrees_with_its_record_exits_2(
     record, other = (pos, neg) if command == "dump-delta" else (neg, pos)
     assert f"utterance {record['utt_id']!r}" in err
     assert (
-        f"{record['num_frames']}, but {suite / record['lattice']} has "
-        f"{other['num_frames']} frames"
+        f"field 'durations': {frames[record['utt_id']]} frames, but "
+        f"{suite / record['lattice']} has {frames[other['utt_id']]} frames"
     ) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["suite"]
 
@@ -641,19 +651,18 @@ def test_lattices_swapped_between_utterances_of_one_length_exit_2(
 
 
 def test_negative_claiming_more_frames_than_its_lattice_exits_2(base_suite, tmp_path, capsys):
-    """A negative whose record and synth agree on 10**15 frames: bench compares
-    the claim with the lattice header before any oracle sizes arrays by it."""
+    """A negative whose durations sum to 10**15 frames: bench compares the
+    claim with the lattice header before any oracle sizes arrays by it."""
     suite = copy_suite(base_suite, tmp_path)
     manifest = json.loads((suite / "manifest.json").read_text())
     negative = next(u for u in manifest["utterances"] if u["label"] is None)
-    frames = negative["num_frames"]
-    negative["num_frames"] = negative["synth"]["num_frames"] = 10**15
-    negative["duration_seconds"] = 10**15 * negative["synth"]["frame_seconds"]
+    frames = sum(negative["durations"])
+    negative["durations"][-1] += 10**15 - frames
     (suite / "manifest.json").write_text(json.dumps(manifest))
     assert load_manifest(suite)
     assert main(["bench", "--suite", str(suite), "--report", str(tmp_path / "out")]) == 2
     assert (
-        f"utterance {negative['utt_id']!r}: field 'num_frames': {10**15}, "
+        f"utterance {negative['utt_id']!r}: field 'durations': {10**15} frames, "
         f"but {suite / negative['lattice']} has {frames} frames"
     ) in capsys.readouterr().err
 
@@ -677,35 +686,64 @@ def test_non_integral_token_id_exits_2(base_suite, tmp_path, where):
     assert main(["decode", "--suite", str(suite)]) == 2
 
 
+@pytest.mark.parametrize("where", ["manifest-keyword", "sidecar-keyword", "top-level-d_max"])
+def test_boolean_integer_in_a_file_exits_2(base_suite, tmp_path, capsys, where):
+    """JSON's true is not the integer 1: read as one, a keyword's tokens
+    [true, 2, 3] would decode as (1, 2, 3)."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    sidecar = suite / manifest["utterances"][0]["lattice"].replace(".kwl", ".json")
+    if where == "sidecar-keyword":
+        meta = json.loads(sidecar.read_text())
+        meta["keyword"]["tokens"][0] = True
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(SidecarError, match="integers"):
+            read_lattice(sidecar.with_suffix(".kwl"))
+    else:
+        if where == "manifest-keyword":
+            manifest["keywords"][0]["tokens"][0] = True
+            match = "top level: field 'keywords': .*integers, got \\(True, "
+        else:
+            manifest["d_max"] = True
+            match = "top level: field 'd_max': .*d_max must be an integer, got True"
+        (suite / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(suite)
+    assert main(["decode", "--suite", str(suite)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", [lambda token: token + 0.7, str], ids=["float", "string"])
 def test_non_integral_alignment_entry_exits_2(base_suite, tmp_path, edit):
     suite = copy_suite(base_suite, tmp_path)
     manifest = json.loads((suite / "manifest.json").read_text())
-    utterance = next(u for u in manifest["utterances"] if u["synth"]["alignment"][0])
-    tokens = utterance["synth"]["alignment"][0]
+    tokens = manifest["utterances"][0]["tokens"]
     tokens[0] = edit(tokens[0])
     (suite / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ManifestError, match="'synth'.*integer"):
+    with pytest.raises(ManifestError, match="'tokens'.*integer"):
         load_manifest(suite)
     assert main(["bench", "--suite", str(suite)]) == 2
 
 
 @pytest.mark.parametrize("value", [7.5, "7", True, False, None])
-@pytest.mark.parametrize("column", [0, 1, 2])
-def test_alignment_entry_error_names_its_column_and_entry(base_suite, tmp_path, capsys, column,
-                                                          value):
+@pytest.mark.parametrize(("name", "entry"), [("tokens", 2), ("durations", -1), ("durations", 2)],
+                         ids=["0", "1", "2"])
+def test_alignment_entry_error_names_its_column_and_entry(base_suite, tmp_path, capsys, name,
+                                                          entry, value):
     """A non-integer alignment entry, a JSON boolean included (Python would
     take it for 0 or 1 and score another alignment), exits 2 with a short
-    message that names the column and the entry, not the whole alignment."""
+    message that names the column and the entry, not the whole alignment;
+    the last entry of a column is checked as well as an inner one."""
     suite = copy_suite(base_suite, tmp_path)
     manifest = json.loads((suite / "manifest.json").read_text())
-    utterance = next(u for u in manifest["utterances"] if len(u["synth"]["alignment"][0]) > 2)
-    utterance["synth"]["alignment"][column][2] = value
+    utterance = manifest["utterances"][0]
+    entry %= len(utterance[name])
+    utterance[name][entry] = value
     (suite / "manifest.json").write_text(json.dumps(manifest))
-    name = ("tokens", "starts", "durations")[column]
     assert main(["bench", "--suite", str(suite)]) == 2
     err = capsys.readouterr().err
-    assert f"alignment {name}[2] must be an integer, got {value!r}" in err
+    assert f"field {name!r}: ValueError" in err
+    assert f"{name}[{entry}] must be an integer, got {value!r}" in err
     assert repr(utterance["utt_id"]) in err and len(err) < 400
 
 

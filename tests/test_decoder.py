@@ -224,6 +224,19 @@ def test_config_validation():
     assert DecodeConfig(mode="tdt", d_max=4).d_max == 4
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("d_max", 2.5), ("d_max", True), ("d_max", "2"), ("refractory_frames", 1.5),
+     ("refractory_frames", True)],
+)
+def test_config_refuses_a_non_integer_cap_or_window(field, value):
+    """Refused at construction, not as a raw TypeError deep in a decode."""
+    with pytest.raises(ValidationError) as raised:
+        DecodeConfig(**{"mode": "tdt", "d_max": 2, field: value})
+    assert str(raised.value) == f"{field} must be an integer, got {value!r}"
+    assert type(DecodeConfig(mode="tdt", d_max=np.int64(3)).d_max) is int
+
+
 def test_delta_column_invariants():
     rng = np.random.default_rng(7)
     y = rng.uniform(0.05, 0.9, size=(9, 3))
@@ -291,7 +304,6 @@ def test_detection_threshold_and_refractory():
         epsilon=0.0,
         d_max=0,
         duration_concentration=1.0,
-        seed=0,
     )
     oracle = SyntheticOracle(cfg)
     kw = KeywordSpec("kw", (3, 7))
@@ -317,7 +329,6 @@ def test_score_plateaus_through_trailing_gaps():
         epsilon=0.0,
         d_max=0,
         duration_concentration=1.0,
-        seed=0,
     )
     stream = decode_kws(SyntheticOracle(cfg), KeywordSpec("kw", (3, 7)), RNNT)
     assert (stream.scores[:6] == NEG_INF).all()
@@ -332,7 +343,6 @@ def test_refractory_suppresses_plateau():
         epsilon=0.0,
         d_max=0,
         duration_concentration=1.0,
-        seed=0,
     )
     oracle = SyntheticOracle(cfg)
     kw = KeywordSpec("kw", (3, 7))
@@ -351,7 +361,6 @@ def test_probability_one_threshold_never_fires_on_noisy_oracle():
         epsilon=0.3,
         d_max=0,
         duration_concentration=1.0,
-        seed=1,
     )
     oracle = SyntheticOracle(cfg)
     config = DecodeConfig(mode="rnnt", threshold_log=0.0)

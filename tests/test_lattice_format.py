@@ -312,7 +312,6 @@ def test_replay_matches_source_oracle(tmp_path):
         epsilon=0.4,
         d_max=3,
         duration_concentration=0.9,
-        seed=11,
     )
     source = SyntheticOracle(cfg)
     kw = KeywordSpec("kw", (3, 7))

@@ -50,7 +50,6 @@ def noisy_oracle(seed, num_frames=40, d_max=3):
         epsilon=float(rng.uniform(0.0, 0.6)),
         d_max=d_max,
         duration_concentration=0.9,
-        seed=seed,
     )
     return SyntheticOracle(cfg)
 

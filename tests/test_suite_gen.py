@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.resources
+import itertools
 import json
 import math
 import tracemalloc
@@ -18,12 +19,14 @@ from kws import (
     KeywordSpec,
     ManifestError,
     SuiteGenSpec,
+    SyntheticOracle,
     ValidationError,
     decode_kws,
     gen_suite,
     load_lattice,
     load_manifest,
 )
+from kws import suite as suite_module
 from kws.cli import main
 from kws.suite import _tile_segments
 
@@ -84,10 +87,37 @@ def tree_sha256(root: Path) -> str:
     return digest.hexdigest()
 
 
-def as_schema_1(text: str) -> str:
-    """A manifest's text in the kws-suite-manifest@1 layout, which wrote each
-    alignment as one [token, start, duration] list per segment."""
+def as_schema_2(text: str) -> dict:
+    """The content of a manifest's text in the kws-suite-manifest@2 layout,
+    which copied the suite-wide facts into every record's ``synth``, each
+    record's epsilon and frame count beside it, and the epsilons to the top
+    level, and stored each alignment's start frames as a third column."""
     raw = json.loads(text)
+    facts = {name: raw[name] for name in (
+        "seed", "frame_seconds", "d_max", "duration_concentration", "vocab_size",
+    )}
+    raw["schema"] = "kws-suite-manifest@2"
+    raw["epsilons"] = list(dict.fromkeys(record["epsilon"] for record in raw["utterances"]))
+    for record in raw["utterances"]:
+        tokens, durations = record.pop("tokens"), record.pop("durations")
+        starts = list(itertools.accumulate(durations, initial=1))
+        num_frames = starts.pop() - 1
+        record["num_frames"] = num_frames
+        record["duration_seconds"] = num_frames * raw["frame_seconds"]
+        record["synth"] = {
+            **facts,
+            "num_frames": num_frames,
+            "epsilon": record["epsilon"],
+            "alignment": [tokens, starts, durations],
+        }
+    return raw
+
+
+def as_schema_1(text: str) -> str:
+    """A manifest's text in the kws-suite-manifest@1 layout, which was the
+    @2 content with each alignment as one [token, start, duration] list per
+    segment."""
+    raw = as_schema_2(text)
     raw["schema"] = "kws-suite-manifest@1"
     for record in raw["utterances"]:
         record["synth"]["alignment"] = [list(s) for s in zip(*record["synth"]["alignment"])]
@@ -96,7 +126,7 @@ def as_schema_1(text: str) -> str:
 
 # Digests of whole gen trees, recorded with the per-draw generator, the
 # per-frame greedy walk and @1 manifests; batching must not move a byte, and
-# the manifest may change only in its layout. The @2 manifests' own digests,
+# the manifest may change only in its layout. The @3 manifests' own digests,
 # in the one-record-per-line layout, are recorded too.
 GOLDEN_TREES = [
     (SPEC, "85b673d9961f057c8387104773ca4f58a322054be35c5e0cc8e9a4721c0bf1cb"),
@@ -112,8 +142,8 @@ GOLDEN_TREES = [
 
 
 GOLDEN_MANIFESTS = {
-    SPEC.seed: "afa98cdfd933e0620188244da02f69c1142c956d9fef9d3a5e62a3467ba26886",
-    4: "7c1f0d733d14ab4e383bfdf846957e5f7ddcd47f8a335eac56e825e7933f3099",
+    SPEC.seed: "c41737f393a5389a0b8f0107639bab37fdb911b8280c75f61b486fbe6c13e685",
+    4: "72e904465afc0fc8673de4ab9a2ad702987995f9e5c341dfb08d9fb0d34c858f",
 }
 
 
@@ -157,6 +187,7 @@ def test_gen_files_equal_json_dumps_of_their_content(perfbench_suite):
     text = (root / "manifest.json").read_text(encoding="utf-8")
     assert text == one_record_per_line(text)
     assert text.count("\n") == 600 + 2
+    assert len(text.encode()) <= 400_000  # 652,343 bytes in the @2 layout
     sidecars = sorted((root / "lattices").glob("*.json"))
     assert len(sidecars) == 600
     for path in sidecars:
@@ -211,7 +242,9 @@ def test_batched_tiling_equals_the_per_draw_generator(
     seed, num_frames, duration_min, spread, keyword_len, pool
 ):
     """Same segments, same refusal and the same generator state afterwards,
-    so every later draw of an utterance is unchanged too."""
+    so every later draw of an utterance is unchanged too. The batched
+    generator gives tokens and durations; each segment starts where the
+    durations before it end, from frame 1."""
     spec = SuiteGenSpec(duration_min=duration_min, duration_max=duration_min + spread)
     keyword = None if keyword_len is None else KeywordSpec("k", tuple(range(1, keyword_len + 1)))
     filler = np.arange(100, 100 + pool)
@@ -222,6 +255,9 @@ def test_batched_tiling_equals_the_per_draw_generator(
             segments = tile(rng, spec, num_frames, keyword, filler)
         except ValidationError:
             segments = "refused"
+        if tile is _tile_segments and segments != "refused":
+            tokens, durations = segments
+            segments = tuple(zip(tokens, itertools.accumulate(durations, initial=1), durations))
         outcomes.append((segments, rng.bit_generator.state, rng.integers(0, 2**62)))
     assert outcomes[0] == outcomes[1]
     segments = outcomes[0][0]
@@ -248,26 +284,68 @@ def test_tree_layout(suite_dir, manifest):
 
 
 def test_manifest_validates_against_shipped_schema(suite_dir):
+    """The schema holds each fact once: a record that regains its frame
+    count or its synth, or a top level that regains the epsilons, fails."""
     schema = json.loads(
         importlib.resources.files("kws").joinpath("schemas/manifest.schema.json").read_text()
     )
-    raw = json.loads((suite_dir / "manifest.json").read_text())
-    jsonschema.validate(raw, schema)
-    raw["utterances"][0]["synth"]["alignment"].pop()
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(raw, schema)
+    text = (suite_dir / "manifest.json").read_text()
+    jsonschema.validate(json.loads(text), schema)
+    edits = [
+        lambda raw: raw["utterances"][0]["durations"].clear(),
+        lambda raw: raw["utterances"][0].update(num_frames=sum(raw["utterances"][0]["durations"])),
+        lambda raw: raw["utterances"][0].update(synth=as_schema_2(text)["utterances"][0]["synth"]),
+        lambda raw: raw.update(epsilons=list(SPEC.epsilons)),
+    ]
+    for edit in edits:
+        raw = json.loads(text)
+        edit(raw)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(raw, schema)
 
 
 def test_schema_1_manifest_is_refused_naming_both_schemas(suite_dir, tmp_path):
-    text = as_schema_1((suite_dir / "manifest.json").read_text(encoding="utf-8"))
-    root = write_manifest(tmp_path / "suite", text.encode())
+    """So is a @2 manifest."""
+    text = (suite_dir / "manifest.json").read_text(encoding="utf-8")
+    for old, content in (("1", as_schema_1(text)), ("2", json.dumps(as_schema_2(text)))):
+        root = write_manifest(tmp_path / f"suite-{old}", content.encode())
+        with pytest.raises(ManifestError) as info:
+            load_manifest(root)
+        assert str(info.value) == (
+            f"{root / 'manifest.json'}: top level: field 'schema': ValueError(\"expected "
+            f"'kws-suite-manifest@3', got 'kws-suite-manifest@{old}'\")"
+        )
+        assert main(["decode", "--suite", str(root)]) == 2
+
+
+def test_records_rebuild_the_generated_configs(tmp_path, monkeypatch):
+    """Each utterance's SyntheticJoinerConfig, as load_manifest rebuilds it
+    from the top level and its record, equals the one gen_suite drew."""
+    drawn = []
+
+    def oracle(config):
+        drawn.append(config)
+        return SyntheticOracle(config)
+
+    monkeypatch.setattr(suite_module, "SyntheticOracle", oracle)
+    spec, _ = GOLDEN_TREES[1]
+    manifest = load_manifest(gen_suite(tmp_path, spec).parent)
+    assert [utt.synth for utt in manifest.utterances] == drawn
+    assert {utt.synth.duration_concentration for utt in manifest.utterances} == {0.1}
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0])
+def test_negative_suite_seed_is_refused_at_load(suite_dir, tmp_path, seed):
+    """The suite seed must be an integer >= 0, as numpy seeds only from those."""
+    raw = json.loads((suite_dir / "manifest.json").read_text())
+    raw["seed"] = seed
+    root = write_manifest(tmp_path / "suite", json.dumps(raw).encode())
     with pytest.raises(ManifestError) as info:
         load_manifest(root)
     assert str(info.value) == (
-        f"{root / 'manifest.json'}: top level: field 'schema': ValueError(\"expected "
-        "'kws-suite-manifest@2', got 'kws-suite-manifest@1'\")"
+        f"{root / 'manifest.json'}: top level: field 'seed': "
+        f"ValueError('expected an integer >= 0, got {seed!r}')"
     )
-    assert main(["decode", "--suite", str(root)]) == 2
 
 
 def test_positives_plant_exactly_one_occurrence(manifest):
@@ -345,7 +423,7 @@ def test_manifest_round_trip_filters(suite_dir, manifest):
     assert len(manifest.negatives()) == SPEC.n_neg * len(SPEC.epsilons)
     assert manifest.seed == SPEC.seed
     assert manifest.d_max == SPEC.d_max
-    assert tuple(raw["epsilons"]) == SPEC.epsilons
+    assert {utt.epsilon for utt in manifest.utterances} == set(SPEC.epsilons)
     assert raw["frame_seconds"] == SPEC.frame_seconds
 
 
@@ -386,34 +464,56 @@ def write_manifest(root: Path, content: bytes) -> Path:
 @pytest.mark.parametrize(
     "field,value",
     [
+        # Fields of no @3 record, each a copy of a fact the record states.
         ("synth", None),
-        ("lattice_keyword", None),
-        ("lattice_keyword", "not-a-keyword"),
-        ("lattice", 7),
-        ("epsilon", 1.0),
-        ("epsilon", 0.25),  # in range, but not one of the top-level epsilons
-        ("epsilon", 0.0),  # the other group's epsilon; the record's synth holds 0.5
         ("num_frames", 0),
         ("num_frames", 26.5),
         ("num_frames", "synth + 1"),
         ("num_frames", "synth as a float"),
         ("num_frames", True),
+        ("num_frames", "exact"),
         ("duration_seconds", 0.0),
         ("duration_seconds", math.inf),
         ("duration_seconds", math.nan),
         ("duration_seconds", "1.5"),
-        ("duration_seconds", 1000.0),  # finite and positive, but not its frames' length
+        ("duration_seconds", 1000.0),
+        # The record's own fields, deleted (None) or malformed.
+        ("lattice_keyword", None),
+        ("lattice_keyword", "not-a-keyword"),
+        ("lattice", 7),
+        ("epsilon", None),
+        ("epsilon", 1.0),
+        ("epsilon", False),
+        ("epsilon", "0.5"),
+        ("tokens", None),
+        ("tokens", "empty"),
+        ("tokens", "shorter"),
+        ("tokens", "above the vocabulary"),
+        ("durations", None),
+        ("durations", "shorter"),
+        ("durations", "a zero"),
+        ("durations", "a bool"),
     ],
 )
 def test_load_names_the_file_utterance_and_field(suite_dir, tmp_path, field, value):
+    """A record's own field deleted (``value`` None) or made malformed, or a
+    field that no @3 record holds added to it: the ManifestError names the
+    manifest, the utterance and the field."""
     raw = json.loads((suite_dir / "manifest.json").read_text())
     record = raw["utterances"][1]
-    assert record["synth"]["epsilon"] == 0.5
-    synth_frames = record["synth"]["num_frames"]
-    value = {"synth + 1": synth_frames + 1, "synth as a float": float(synth_frames)}.get(
-        value, value
-    )
-    if value is None:
+    frames = sum(record["durations"])
+    edits = {
+        "synth + 1": lambda: frames + 1,
+        "synth as a float": lambda: float(frames),
+        "exact": lambda: frames,
+        "empty": list,
+        "shorter": lambda: record[field][:-1],
+        "above the vocabulary": lambda: [raw["vocab_size"] + 1, *record["tokens"][1:]],
+        "a zero": lambda: [0, *record["durations"][1:]],
+        "a bool": lambda: [True, *record["durations"][1:]],
+    }
+    value = edits[value]() if isinstance(value, str) and value in edits else value
+    if value is None and field in record:
         del record[field]
     else:
         record[field] = value
@@ -426,14 +526,21 @@ def test_load_names_the_file_utterance_and_field(suite_dir, tmp_path, field, val
     assert repr(field) in message
 
 
+# A top level whose every field is well-formed, but for its keywords and utterances.
+TOP = (
+    '"schema": "kws-suite-manifest@3", "seed": 0, "frame_seconds": 0.03, "d_max": 0, '
+    '"duration_concentration": 1.0, "vocab_size": 9'
+)
+
+
 @pytest.mark.parametrize(
     "content",
     [
         b"[]",
-        b'{"schema": "kws-suite-manifest@2", "keywords": [], "utterances": [7]}',
-        b'{"schema": "kws-suite-manifest@2", "keywords": [], "utterances": [{"utt_id": 7}]}',
+        f'{{{TOP}, "keywords": [], "utterances": [7]}}'.encode(),
+        f'{{{TOP}, "keywords": [], "utterances": [{{"utt_id": 7}}]}}'.encode(),
         b"\xff\xfe{}",
-        b'{"schema": "kws-suite-manifest@2"',
+        b'{"schema": "kws-suite-manifest@3"',
     ],
     ids=["list", "utterance-not-object", "utt-id-not-string", "not-utf8", "truncated"],
 )
