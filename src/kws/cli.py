@@ -14,6 +14,7 @@ files or I/O failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,6 +72,24 @@ def _threshold_log(args: argparse.Namespace) -> float:
     return NEG_INF
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Stdout when ``path`` is None, else a text file open under a temporary
+    name beside ``path`` and renamed to it once the block ends without an
+    error: a failed command leaves no partial file, and one that opens it
+    before its work fails first on a path it cannot write."""
+    if path is None:
+        yield sys.stdout
+        return
+    partial = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as out:
+            yield out
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=(RNNT, TDT), default=RNNT)
     parser.add_argument("--d-max", type=int, default=0, help="TDT duration cap")
@@ -113,23 +132,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         threshold_log=_threshold_log(args), refractory_frames=args.refractory_frames,
     )
     suite = load_manifest(Path(args.suite))
-    lines = decode_suite(suite, config)
-    if args.out is None:
-        for line in lines:
-            print(line)
-    else:
-        # Written under a temporary name and renamed after the last record,
-        # so that a decode that fails part-way leaves no partial --out.
-        partial = Path(f"{args.out}.{os.getpid()}.tmp")
-        written = 0
-        try:
-            with partial.open("w", encoding="utf-8") as out:
-                for line in lines:
-                    out.write(line + "\n")
-                    written += 1
-            os.replace(partial, args.out)
-        finally:
-            partial.unlink(missing_ok=True)
+    written = 0
+    with _output(args.out) as out:
+        for line in decode_suite(suite, config):
+            out.write(line + "\n")
+            written += 1
+    if args.out is not None:
         print(f"wrote {written} score streams to {args.out}")
     return 0
 
@@ -140,19 +148,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Usage errors come before any I/O.
     check_bench_args(args.target_far, args.also_asr_baselines, args.beam_width)
     suite = load_manifest(Path(args.suite))
-    report = bench(
-        suite,
-        baseline,
-        candidate,
-        target_far=args.target_far,
-        also_asr_baselines=args.also_asr_baselines,
-        beam_width=args.beam_width,
-    )
-    print(format_report_table(report))
-    if args.report is not None:
-        Path(args.report).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    with _output(args.report) if args.report is not None else contextlib.nullcontext() as out:
+        report = bench(
+            suite, baseline, candidate, target_far=args.target_far,
+            also_asr_baselines=args.also_asr_baselines, beam_width=args.beam_width,
         )
+        print(format_report_table(report))
+        if out is not None:
+            out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if args.report is not None:
         print(f"wrote report to {args.report}")
     return 0
 
@@ -175,11 +179,8 @@ def _cmd_dump_delta(args: argparse.Namespace) -> int:
             raise ValidationError(f"unknown utterance id {args.utt!r}")
         oracle = suite.lattice(matches[0])
         keyword = suite.keywords_by_name[matches[0].lattice_keyword]
-    text = dump_delta_matrix(oracle, keyword, config)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    with _output(args.out) as out:
+        out.write(dump_delta_matrix(oracle, keyword, config))
     return 0
 
 

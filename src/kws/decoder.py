@@ -73,7 +73,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .emissions import EmissionOracle, KeywordSpec, NEG_INF, _store_integers
+from .emissions import EmissionOracle, KeywordSpec, NEG_INF, _check_numbers, _store_integers
 from .errors import ModeError, ProtocolError, ValidationError
 from .metrics import SpeedCounters
 
@@ -116,6 +116,7 @@ class DecodeConfig:
         object.__setattr__(self, "d_max", self.d_max if self.mode == TDT else 0)
         if self.zero_duration_policy not in ZERO_DURATION_POLICIES:
             raise ValidationError(f"zero_duration_policy must be one of {ZERO_DURATION_POLICIES}")
+        _check_numbers(self, "threshold_log")
         if math.isnan(self.threshold_log):
             raise ValidationError("threshold_log must not be NaN")
         if self.refractory_frames < 0:

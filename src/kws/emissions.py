@@ -24,6 +24,7 @@ immutable after construction and safe to share across concurrent decoders.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -54,6 +55,15 @@ def _store_integers(config, *names: str) -> None:
             object.__setattr__(config, name, _index(value))
         except TypeError as exc:
             raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _check_numbers(config, *names: str) -> None:
+    """Refuse with ValidationError each named field of ``config`` that is not
+    a real number, a bool included: JSON's ``false`` is not 0.0."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is bool or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

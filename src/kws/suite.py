@@ -19,10 +19,11 @@ keyword, negatives on a round-robin keyword recorded as ``lattice_keyword``.
 The manifest (schema ``kws-suite-manifest@3``) states each fact once: the
 top level holds the suite-wide ones, and each utterance record its own, with
 its planted alignment as two integer columns of one length, ``tokens`` and
-``durations``. Segments tile the timeline in order, so ``_synth`` derives the
-start frames and the frame count from the durations; this module alone knows
-the layout. Its text is ``json.dumps(..., sort_keys=True)`` by json's C
-encoder, with each utterance record on its own line of the ``utterances`` list.
+``durations``, which are a SyntheticJoinerConfig's own two columns: the
+config owns their rules, and this module adds only the JSON layout and the
+rule that a suite has no gaps, so it refuses a token 0. Its text is
+``json.dumps(..., sort_keys=True)`` by json's C encoder, with each utterance
+record on its own line of the ``utterances`` list.
 A suite command opens a lattice through ``SuiteManifest.lattice``, which
 holds it to its record: the same frame count and, where the sidecar's
 provenance names an utterance, the same utterance. ``bench`` also compares
@@ -36,7 +37,8 @@ field) yet leave its generator exactly where one draw per segment would.
 Lattice headers hold D_max as a u16 and frame_seconds as an f32, so
 SuiteGenSpec refuses a d_max above 65535 and a frame_seconds that is not
 finite and > 0 in 32 bits; gen_suite checks that every keyword fits before
-it creates a directory.
+it creates a directory, and SuiteGenSpec refuses a keyword name that holds
+'/' or NUL, which cannot be part of an utterance's file name.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .emissions import KeywordSpec
+from .emissions import BLANK_ID, KeywordSpec
 from .errors import ManifestError, ValidationError
 from .lattice import (
     D_MAX_LIMIT,
@@ -100,6 +101,9 @@ class SuiteGenSpec:
             raise ValidationError("need at least one keyword name")
         if len(set(self.keywords)) != len(self.keywords):
             raise ValidationError("keyword names must be unique")
+        for name in self.keywords:  # each is part of its positives' file names
+            if not {"/", "\0"}.isdisjoint(str(name)):
+                raise ValidationError(f"keyword name {name!r} holds '/' or NUL, unfit for a file")
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValidationError("n_pos and n_neg must be >= 1")
         if not 1 <= self.frames_min <= self.frames_max:
@@ -202,19 +206,6 @@ def _utterance_alignment(
     return _tile_segments(rng, spec, num_frames, keyword, filler_tokens)
 
 
-def _synth(tokens: list, durations: list, epsilon, facts: dict) -> SyntheticJoinerConfig:
-    """The config of an utterance record's columns and epsilon under the
-    suite-wide ``facts``. Segments tile the timeline in order: each starts on
-    the frame after the one before ends, from frame 1."""
-    starts = accumulate(durations, initial=1)
-    return SyntheticJoinerConfig(
-        num_frames=sum(durations),
-        alignment=tuple(zip(tokens, starts, durations)),
-        epsilon=epsilon,
-        **facts,
-    )
-
-
 def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
     """Write one suite tree; returns the manifest path."""
     keywords, vocab_size = _draw_keywords(spec)
@@ -256,10 +247,11 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
     for stem, label_kw, lattice_kw, utt_index in plans:
         # Every epsilon of an utterance shares its planted alignment.
         tokens, durations = _utterance_alignment(spec, utt_index, label_kw, filler_tokens)
+        alignment = {"tokens": tokens, "durations": durations}
         for epsilon in spec.epsilons:
             utt_id = stem + _epsilon_tag(epsilon)
             data = snapshot(
-                SyntheticOracle(_synth(tokens, durations, epsilon, facts)),
+                SyntheticOracle(SyntheticJoinerConfig(**alignment, epsilon=epsilon, **facts)),
                 lattice_kw,
                 provenance={
                     "generator": "kws.suite",
@@ -275,8 +267,7 @@ def gen_suite(out_dir: str | Path, spec: SuiteGenSpec) -> Path:
                 "epsilon": epsilon,
                 "lattice": f"lattices/{utt_id}.kwl",
                 "lattice_keyword": lattice_kw.name,
-                "tokens": tokens,
-                "durations": durations,
+                **alignment,
             }
             records.append(_encode(record))
 
@@ -413,26 +404,35 @@ def _require(ok, message: str):
     return parse
 
 
+def _column(value) -> list:
+    """An alignment column's JSON layout, a list; the config checks its entries."""
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {value!r:.80}")
+    return value
+
+
 def _config_value(value, name: str):
     """``value``, once a SyntheticJoinerConfig takes it as its ``name``."""
-    SyntheticJoinerConfig(**{"vocab_size": 1, "num_frames": 1, "alignment": (), name: value})
+    SyntheticJoinerConfig(**{"vocab_size": 1, "tokens": (1,), "durations": (1,), name: value})
     return value
 
 
-def _column(value, name: str, tokens: list | None = None) -> list:
-    """The alignment column ``name``: a non-empty list of JSON integers (a
-    boolean, which Python would take for 0 or 1, is refused), and for the
-    durations one per token, each >= 1."""
-    if type(value) is not list or not value:
-        raise ValueError(f"expected a non-empty list, got {value!r:.80}")
-    if not set(map(type, value)) <= {int}:
-        i, entry = next((i, v) for i, v in enumerate(value) if type(v) is not int)
-        raise ValueError(f"{name}[{i}] must be an integer, got {entry!r}")
-    if tokens is not None and len(value) != len(tokens):
-        raise ValueError(f"{len(value)} entries, but 'tokens' has {len(tokens)}")
-    if tokens is not None and min(value) < 1:
-        raise ValueError(f"{name}[{value.index(min(value))}] must be >= 1, got {min(value)}")
-    return value
+def _synth(path: Path, where: str, record: dict, facts: dict) -> SyntheticJoinerConfig:
+    """The config of ``record``'s columns and epsilon under the suite-wide
+    ``facts``, which must tile its frames: a token 0 marks a gap, and a
+    suite has none. A refusal becomes a ManifestError naming the field."""
+    field = partial(_field, path, where, record)
+    tokens, durations = field("tokens", _column), field("durations", _column)
+    epsilon = field("epsilon")
+    try:
+        synth = SyntheticJoinerConfig(tokens=tokens, durations=durations, epsilon=epsilon, **facts)
+        if BLANK_ID in synth.tokens:
+            i = synth.tokens.index(BLANK_ID)
+            raise ValidationError(f"tokens[{i}] is 0, a gap, which no suite has")
+    except ValidationError as exc:  # each message begins with the field at fault
+        name = str(exc).partition(" ")[0].partition("[")[0]
+        raise ManifestError(f"{path}: {where}: field {name!r}: {exc!r}") from exc
+    return synth
 
 
 def _keywords(records) -> tuple[KeywordSpec, ...]:
@@ -475,16 +475,12 @@ def load_manifest(suite_dir: str | Path) -> SuiteManifest:
         where = f"utterance {utt_id!r}"
         _only(manifest_path, where, rec, _RECORD_FIELDS)
         field = partial(_field, manifest_path, where, rec)
-        epsilon = field("epsilon", _config_value, "epsilon")
-        tokens = field("tokens", _column, "tokens")
-        durations = field("durations", _column, "durations", tokens)
         utterances.append(Utterance(
             utt_id=utt_id,
             label=field("label", lambda v: v if v is None else known(v)),
             lattice=field("lattice", text),
             lattice_keyword=field("lattice_keyword", known),
-            # With whole columns and durations checked, only a token can be at fault.
-            synth=field("tokens", _synth, durations, epsilon, facts),
+            synth=_synth(manifest_path, where, rec, facts),
         ))
     return SuiteManifest(
         root=suite_dir,

@@ -1,9 +1,9 @@
 """Generative synthetic emission oracle built from a planted alignment.
 
-The utterance timeline is a list of non-overlapping token segments; frames not
-covered by any segment are gaps (ideal symbol = blank). Emission distributions
-mix a point mass on the ideal symbol with uniform noise mass epsilon spread
-over all V+1 symbols:
+The utterance timeline is tiled in order by segments, each a token and a
+duration in frames; token 0 (blank) marks a gap, a segment whose ideal
+symbol is blank. Emission distributions mix a point mass on the ideal symbol
+with uniform noise mass epsilon spread over all V+1 symbols:
 
     mass(sym) = epsilon / (V + 1) + (1 - epsilon) * [sym == ideal]
 
@@ -18,8 +18,8 @@ Ideal symbols per track:
   filler segments. This is the minimal conditioning under which the planted
   alignment path scores 1 at epsilon = 0.
 * generative track at (t, n) where n = emitted non-blank token count: blank on
-  gaps; blank when the covering segment's ordinal j satisfies j <= n; else the
-  segment token.
+  gaps; blank when the covering segment's ordinal j (its place among the
+  segments that are not gaps) satisfies j <= n; else the segment token.
 
 The duration track is history-independent: at every frame of a segment the
 ideal duration is min(segment duration, D_max); on gaps it is 1. The duration
@@ -27,8 +27,9 @@ distribution puts ``duration_concentration`` mass on the ideal duration and
 spreads the rest uniformly over the other D_max values of {0..D_max}.
 
 Every query is answered from per-frame arrays filled at construction by one
-``np.repeat`` over the runs of gaps and segments: the covering token, the
-covering segment's ordinal and the ideal duration.
+``np.repeat`` over the segments: the covering token, the covering segment's
+ordinal and the ideal duration. Gaps are matched by no keyword and have no
+ordinal, so adjacent gaps answer every query as one gap would.
 
 * Keyword track (``emission_grids``): a row depends on its frame only
   through the keyword position of the covering segment and the class of its
@@ -42,7 +43,7 @@ covering segment's ordinal and the ideal duration.
   time.
 * Greedy tracks (``greedy_durations``, ``greedy_tokens``) and duration
   vectors (``duration_log_probs``, ``duration_log_prob_group``) are closed
-  forms of the per-frame ideal duration and the segment starts, so no
+  forms of the per-frame ideal duration and ordinal, so no
   (d_max + 1)-squared table is built, whatever d_max.
 * Generative track: it depends on a history only through its length n, so
   ``token_log_prob_rows`` reads no history's tokens, and a group of oracles
@@ -54,58 +55,59 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .emissions import BLANK_ID, EmissionOracle, KeywordSpec, NEG_INF, _index, _store_integers
+from .emissions import (
+    BLANK_ID, EmissionOracle, KeywordSpec, NEG_INF, _check_numbers, _index, _store_integers,
+)
 from .errors import ModeError, ValidationError
 from .lattice import D_MAX_LIMIT
-
-_START = operator.itemgetter(1)  # sort key: a segment's start frame
 
 
 @dataclass(frozen=True)
 class SyntheticJoinerConfig:
     """Planted ground truth plus noise/duration knobs for one utterance.
 
-    ``alignment`` entries are (token_id, start_frame, duration_frames) with
-    1-based start frames. Emissions are a closed-form function of the
-    alignment and epsilon.
+    The alignment is two columns of one length: segment i has token
+    ``tokens[i]`` (0 marks a gap) and covers ``durations[i]`` frames from
+    frame 1 + ``sum(durations[:i])``. ``num_frames`` is their sum. Emissions
+    are a closed-form function of the alignment and epsilon. The message of
+    every refusal begins with the name of the field it refuses.
     """
 
     vocab_size: int
-    num_frames: int
-    alignment: tuple[tuple[int, int, int], ...]
+    tokens: tuple[int, ...]
+    durations: tuple[int, ...]
     epsilon: float = 0.0
     d_max: int = 0
     duration_concentration: float = 1.0
     frame_seconds: float = 0.03
+    num_frames: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _store_integers(self, "vocab_size", "num_frames", "d_max")
-        for name in ("epsilon", "duration_concentration", "frame_seconds"):
-            if type(getattr(self, name)) is bool:  # JSON's false is not 0.0
-                raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
-        segments = self.alignment
-        try:
-            # C-level scans spare the per-entry pass when every segment is a
-            # triple of ints, as in those a suite manifest's columns give.
-            entries = chain.from_iterable(segments)
-            if set(map(len, segments)) <= {3} and set(map(type, entries)) <= {int}:
-                alignment = tuple(map(tuple, segments))
-            else:
-                alignment = tuple((_index(a), _index(b), _index(c)) for a, b, c in segments)
-        except (TypeError, ValueError) as exc:  # not integers, or not triples
-            raise ValidationError(_triples_fault(segments)) from exc
-        object.__setattr__(self, "alignment", alignment)
+        _store_integers(self, "vocab_size", "d_max")
+        _check_numbers(self, "epsilon", "duration_concentration", "frame_seconds")
+        tokens, durations = _integers("tokens", self.tokens), _integers("durations", self.durations)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "num_frames", sum(durations))
         if self.vocab_size < 1:
             raise ValidationError("vocab_size must be >= 1")
-        if self.num_frames < 1:
-            raise ValidationError("num_frames must be >= 1")
+        if len(durations) != len(tokens):
+            raise ValidationError(
+                f"durations has {len(durations)} entries, but 'tokens' has {len(tokens)}"
+            )
+        if not durations:
+            raise ValidationError("durations must cover at least one frame, got no segment")
+        if min(durations) < 1:
+            i, duration = next((i, d) for i, d in enumerate(durations) if d < 1)
+            raise ValidationError(f"durations[{i}] must be >= 1, got {duration}")
+        if min(tokens) < 0 or max(tokens) > self.vocab_size:
+            i, token = next((i, t) for i, t in enumerate(tokens) if not 0 <= t <= self.vocab_size)
+            raise ValidationError(f"tokens[{i}] must be in [0, {self.vocab_size}], got {token}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValidationError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not 0 <= self.d_max <= D_MAX_LIMIT:
@@ -116,37 +118,27 @@ class SyntheticJoinerConfig:
             raise ValidationError(
                 f"frame_seconds must be finite and > 0, got {self.frame_seconds}"
             )
-        last_end, vocab_size, num_frames = 0, self.vocab_size, self.num_frames
-        for token, start, duration in sorted(self.alignment, key=_START):
-            if not 1 <= token <= vocab_size:
-                raise ValidationError(f"segment token {token} outside [1, {vocab_size}]")
-            if duration < 1:
-                raise ValidationError("segment duration must be >= 1")
-            if start < 1 or start + duration - 1 > num_frames:
-                raise ValidationError(
-                    f"segment ({token},{start},{duration}) outside frames [1, {num_frames}]"
-                )
-            if start <= last_end:
-                raise ValidationError("segments overlap")
-            last_end = start + duration - 1
 
     @property
     def duration_seconds(self) -> float:
         return self.num_frames * self.frame_seconds
 
 
-def _triples_fault(alignment) -> str:
-    """Why ``alignment`` is not a sequence of integer triples, naming its
-    first segment that is not one."""
+def _integers(name: str, column) -> tuple[int, ...]:
+    """``column`` as a tuple of the ints ``_index`` gives; an entry it
+    refuses raises ValidationError naming ``name[i]``."""
     try:
-        for i, segment in enumerate(alignment):
-            try:
-                _, _, _ = map(_index, segment)
-            except (TypeError, ValueError):
-                return f"alignment entries must be integer triples; segment {i} is {segment!r}"
-    except TypeError:  # not iterable
-        pass
-    return f"alignment entries must be integer triples, got {alignment!r:.80}"
+        if set(map(type, column)) <= {int}:  # a C-level scan spares per-entry calls
+            return tuple(column)
+    except TypeError as exc:  # not iterable
+        raise ValidationError(f"{name} must be a sequence of integers, got {column!r:.80}") from exc
+    entries = []
+    for i, value in enumerate(column):
+        try:
+            entries.append(_index(value))
+        except TypeError as exc:
+            raise ValidationError(f"{name}[{i}] must be an integer, got {value!r}") from exc
+    return tuple(entries)
 
 
 class SyntheticOracle(EmissionOracle):
@@ -154,30 +146,22 @@ class SyntheticOracle(EmissionOracle):
 
     def __init__(self, config: SyntheticJoinerConfig) -> None:
         self._cfg = config
-        segments = sorted(config.alignment, key=_START)
-        self._seg_tokens = tuple(token for token, _, _ in segments)
-        self._segments = np.array(segments, dtype=np.int64).reshape(-1, 3)
-        tokens, starts, durations = self._segments.T
+        n = len(config.tokens)
+        tokens = np.fromiter(config.tokens, dtype=np.int64, count=n)
+        durations = np.fromiter(config.durations, dtype=np.int64, count=n)
+        planted = tokens != BLANK_ID
+        self._seg_token_ids = tokens[planted]  # the tokens of the segments that are not gaps
+        self._seg_tokens = tuple(self._seg_token_ids.tolist())
 
-        # The timeline is 2n + 1 runs of frames: gap, segment 1, gap, ...,
-        # segment n, gap (gaps may be empty). Per run: covering token (0 =
-        # gap), covering segment ordinal (1-based, 0 = gap) and ideal
-        # duration (min(segment duration, d_max), 1 on gaps), repeated over
-        # the run's frames.
-        n = len(segments)
-        runs = np.zeros((3, 2 * n + 1), dtype=np.int64)
-        runs[2] = 1
-        runs[0, 1::2] = tokens
-        runs[1, 1::2] = np.arange(1, n + 1)
-        runs[2, 1::2] = np.minimum(durations, config.d_max)
-        bounds = np.empty(2 * n + 2, dtype=np.int64)  # 0, then each start - 1 and end, then T
-        bounds[0], bounds[-1] = 0, config.num_frames
-        bounds[1:-1:2] = starts - 1
-        bounds[2:-1:2] = starts - 1 + durations
+        # Per segment: covering token (0 = gap), ordinal among the segments
+        # that are not gaps (1-based, 0 = gap) and ideal duration
+        # (min(duration, d_max), 1 on gaps), repeated over its frames.
+        runs = np.empty((3, n), dtype=np.int64)
+        runs[0] = tokens
+        np.multiply(np.cumsum(planted), planted, out=runs[1])
+        runs[2] = np.where(planted, np.minimum(durations, config.d_max), 1)
         # Per-frame planted state, 0-indexed by t-1.
-        self._content, self._seg_ord, self._ideal_durations = np.repeat(
-            runs, np.diff(bounds), axis=1
-        )
+        self._content, self._seg_ord, self._ideal_durations = np.repeat(runs, durations, axis=1)
 
         V = config.vocab_size
         eps = config.epsilon
@@ -235,8 +219,9 @@ class SyntheticOracle(EmissionOracle):
         return rows
 
     def _segment_positions(self, rows: "_KeywordRows") -> np.ndarray:
-        """(K, n + 1) keyword position m in [1, U] of each segment inside a
-        matched occurrence of keyword k, else 0; column 0 stands for gaps.
+        """(K, n + 1) keyword position m in [1, U] of each of the n segments
+        that are not gaps inside a matched occurrence of keyword k, else 0;
+        column 0 stands for gaps.
 
         Occurrences are non-overlapping runs of consecutive segments whose
         tokens equal keyword.tokens, matched greedily left to right. One pass
@@ -267,7 +252,7 @@ class SyntheticOracle(EmissionOracle):
             return np.zeros((0, 2, len(frames), 1), dtype=np.float32)
         rows = self._rows(keywords)
         # Each segment token's class in the keyword set; column 0 is the gaps'.
-        tokens = self._segments[:, 0]
+        tokens = self._seg_token_ids
         at = np.minimum(np.searchsorted(rows.tokens, tokens), len(rows.tokens) - 1)
         classes = np.zeros(len(tokens) + 1, dtype=np.int64)
         classes[1:] = np.where(rows.tokens[at] == tokens, at + 2, 1)
@@ -367,11 +352,10 @@ class SyntheticOracle(EmissionOracle):
     def greedy_tokens(self) -> np.ndarray:
         self._check_duration_track()
         # One greedy step per frame emits each segment's token once, at its
-        # first frame: there the emitted count is the number of earlier
-        # segments.
-        tokens = np.zeros(self._cfg.num_frames, dtype=np.int64)
-        tokens[self._segments[:, 1] - 1] = self._segments[:, 0]
-        return tokens
+        # first frame, where the ordinal changes: there the emitted count is
+        # the number of earlier segments.
+        first = np.diff(self._seg_ord, prepend=0) != 0
+        return np.where(first, self._content, BLANK_ID)
 
 
 class _KeywordRows:

@@ -37,6 +37,7 @@ from kws import (
     save_lattice,
     speedup,
 )
+from test_synthetic_oracle import columns
 
 NEG_INF = float("-inf")
 
@@ -285,8 +286,7 @@ def _random_generative_oracle(seed: int) -> SyntheticOracle:
     return SyntheticOracle(
         SyntheticJoinerConfig(
             vocab_size=7,
-            num_frames=num_frames,
-            alignment=tuple(segments),
+            **columns(segments, num_frames),
             epsilon=float(rng.uniform(0.05, 0.9)),
             d_max=0,
             duration_concentration=1.0,
@@ -342,8 +342,7 @@ def test_c08_metric_and_search_properties():
         rng = np.random.default_rng(8000 + seed)
         config = SyntheticJoinerConfig(
             vocab_size=9,
-            num_frames=12,
-            alignment=((3, 2, 2), (7, 5, 3), (2, 9, 3)),
+            **columns(((3, 2, 2), (7, 5, 3), (2, 9, 3)), 12),
             epsilon=float(rng.uniform(0.0, 0.95)),
             d_max=4,
             duration_concentration=float(rng.uniform(0.3, 1.0)),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+import itertools
 import math
 from unittest import mock
 
@@ -37,6 +38,7 @@ from kws import baselines, runner
 from kws.baselines import _beam_searches, _greedy_searches, _require_generative
 from kws.cli import main
 from kws.runner import _asr_transcripts
+from test_synthetic_oracle import columns
 
 
 class ScriptedOracle(EmissionOracle):
@@ -106,8 +108,7 @@ def synth_oracle(epsilon=0.0, d_max=0, num_frames=12):
     return SyntheticOracle(
         SyntheticJoinerConfig(
             vocab_size=9,
-            num_frames=num_frames,
-            alignment=((5, 2, 3), (2, 5, 3), (9, 8, 3)),
+            **columns(((5, 2, 3), (2, 5, 3), (9, 8, 3)), num_frames),
             epsilon=epsilon,
             d_max=d_max,
             duration_concentration=1.0,
@@ -129,8 +130,7 @@ def random_generative(seed):
     return SyntheticOracle(
         SyntheticJoinerConfig(
             vocab_size=7,
-            num_frames=num_frames,
-            alignment=tuple(segments),
+            **columns(segments, num_frames),
             epsilon=float(rng.uniform(0.0, 0.8)),
             d_max=0,
             duration_concentration=1.0,
@@ -191,8 +191,7 @@ def test_greedy_blank_everywhere_accumulates_blank_terms():
     oracle = SyntheticOracle(
         SyntheticJoinerConfig(
             vocab_size=5,
-            num_frames=6,
-            alignment=(),
+            **columns((), 6),
             epsilon=0.2,
             d_max=0,
             duration_concentration=1.0,
@@ -492,7 +491,7 @@ def generative_oracles(draw):
     epsilon = draw(st.sampled_from([0.0, 0.0, 0.3, 0.8]) | st.floats(0.0, 0.8))
     return SyntheticOracle(
         SyntheticJoinerConfig(
-            vocab_size=vocab, num_frames=num_frames, alignment=tuple(segments), epsilon=epsilon
+            vocab_size=vocab, **columns(segments, num_frames), epsilon=epsilon
         )
     )
 
@@ -534,7 +533,9 @@ def test_synthetic_token_rows_equal_stacked_rows(seed, lengths, data):
     assert rows.tobytes() == stacked.reshape(rows.shape).tobytes()
     # The module docstring's formula: the covering segment's token while
     # fewer tokens than its ordinal have been emitted, else blank.
-    segments = sorted(oracle.config.alignment, key=lambda seg: seg[1])
+    cfg = oracle.config
+    starts = itertools.accumulate(cfg.durations, initial=1)
+    segments = [seg for seg in zip(cfg.tokens, starts, cfg.durations) if seg[0] != BLANK_ID]
     covering = [
         (ordinal, token)
         for ordinal, (token, start, duration) in enumerate(segments, start=1)
@@ -570,8 +571,7 @@ def _synthetic(draw, vocab, d_max=0):
     return SyntheticOracle(
         SyntheticJoinerConfig(
             vocab_size=vocab,
-            num_frames=num_frames,
-            alignment=tuple(segments),
+            **columns(segments, num_frames),
             epsilon=draw(st.sampled_from([0.0, 0.0, 0.3, 0.8]) | st.floats(0.0, 0.8)),
             d_max=d_max,
             duration_concentration=draw(st.sampled_from([1.0, 0.5, 0.3, 0.1])),

@@ -34,7 +34,7 @@ from kws import (
     read_lattice,
     save_lattice,
 )
-from kws import decoder, runner
+from kws import cli, decoder, runner
 from kws.cli import main
 
 GEN_FLAGS = [
@@ -125,6 +125,65 @@ def test_gen_refuses_bad_flags_before_the_disk_is_touched(flags, tmp_path, capsy
     assert main(["gen", "--out", str(out), *GEN_FLAGS, *flags, "--seed", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\0b"], ids=["slash", "nul"])
+def test_gen_refuses_a_keyword_name_that_cannot_name_a_file(name, tmp_path, capsys):
+    """A keyword name is part of its positives' file names, so a name that
+    holds '/' or NUL exits 1 before anything is written."""
+    out = tmp_path / "suite"
+    argv = ["gen", "--out", str(out), *GEN_FLAGS, "--keywords", name, "alpha", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: keyword name {name!r} holds '/' or NUL, unfit for a file\n"
+    )
+    assert not out.exists()
+
+
+OUTPUT_COMMANDS = {
+    "decode": ["decode", "--suite", "{suite}", "--out", "{out}"],
+    "bench": ["bench", "--suite", "{suite}", "--report", "{out}"],
+    "dump-delta": ["dump-delta", "--suite", "{suite}", "--utt", "neg-000-e0.00", "--out", "{out}"],
+}
+
+
+def _no_decode(*args, **kwargs):
+    raise OSError("no decode may run")
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_an_output_in_a_missing_directory_exits_2_before_any_decode(
+    command, base_suite, tmp_path, capsys, monkeypatch
+):
+    """``decode --out``, ``bench --report`` and ``dump-delta --out`` open
+    their file before the first decode, so a directory that does not exist
+    exits 2 with nothing decoded or printed."""
+    monkeypatch.setattr(runner, "_decode_blocks", _no_decode)
+    monkeypatch.setattr(cli, "dump_delta_matrix", _no_decode)
+    out = tmp_path / "missing" / "out"
+    argv = [arg.format(suite=base_suite, out=out) for arg in OUTPUT_COMMANDS[command]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert "no decode may run" not in captured.err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_a_command_that_fails_leaves_no_partial_output(
+    command, base_suite, tmp_path, capsys, monkeypatch
+):
+    """A command that fails once its output is open leaves neither the
+    output nor its temporary file."""
+    monkeypatch.setattr(runner, "_decode_blocks", _no_decode)
+    monkeypatch.setattr(cli, "dump_delta_matrix", _no_decode)
+    out = tmp_path / "outputs" / "out"
+    out.parent.mkdir()
+    argv = [arg.format(suite=base_suite, out=out) for arg in OUTPUT_COMMANDS[command]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: no decode may run\n"
+    assert list(out.parent.iterdir()) == []
 
 
 def test_manifest_d_max_above_the_lattice_field_is_a_broken_file(base_suite, tmp_path, capsys):
@@ -742,9 +801,64 @@ def test_alignment_entry_error_names_its_column_and_entry(base_suite, tmp_path, 
     (suite / "manifest.json").write_text(json.dumps(manifest))
     assert main(["bench", "--suite", str(suite)]) == 2
     err = capsys.readouterr().err
-    assert f"field {name!r}: ValueError" in err
+    assert f"field {name!r}: ValidationError" in err
     assert f"{name}[{entry}] must be an integer, got {value!r}" in err
     assert repr(utterance["utt_id"]) in err and len(err) < 400
+
+
+def _alignment_fault(record, vocab_size, fault):
+    """Put ``fault`` into ``record``; return the field at fault and the
+    config's message."""
+    tokens, durations = record["tokens"], record["durations"]
+    if fault == "bool entry":
+        tokens[1] = True
+        return "tokens", "tokens[1] must be an integer, got True"
+    if fault == "float entry":
+        durations[1] = 2.5
+        return "durations", "durations[1] must be an integer, got 2.5"
+    if fault == "unequal columns":
+        durations.append(1)
+        return "durations", f"durations has {len(durations)} entries, but 'tokens' has {len(tokens)}"
+    if fault == "zero duration":
+        durations[1] = 0
+        return "durations", "durations[1] must be >= 1, got 0"
+    if fault == "token above the vocabulary":
+        tokens[1] = vocab_size + 1
+        return "tokens", f"tokens[1] must be in [0, {vocab_size}], got {vocab_size + 1}"
+    if fault == "token 0":
+        tokens[1] = 0
+        return "tokens", "tokens[1] is 0, a gap, which no suite has"
+    record["epsilon"] = 1.0
+    return "epsilon", "epsilon must be in [0, 1), got 1.0"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["bool entry", "float entry", "unequal columns", "zero duration",
+     "token above the vocabulary", "token 0", "epsilon out of range"],
+)
+def test_manifest_alignment_fault_exits_2_naming_the_field_and_entry(
+    fault, base_suite, tmp_path, capsys
+):
+    """Each fault of a record's alignment or epsilon is a ManifestError that
+    names the manifest, the utterance, the field and, for a column, the
+    entry, with the message of the config that refuses it; a token 0, a gap,
+    is the suite's own refusal, since a suite has no gaps."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    record = manifest["utterances"][1]
+    field, message = _alignment_fault(record, manifest["vocab_size"], fault)
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    want = (
+        f"{suite / 'manifest.json'}: utterance {record['utt_id']!r}: field {field!r}: "
+        f"{ValidationError(message)!r}"
+    )
+    with pytest.raises(ManifestError) as raised:
+        load_manifest(suite)
+    assert str(raised.value) == want
+    for command in ("decode", "bench"):
+        assert main([command, "--suite", str(suite)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_manifest_keyword_longer_than_its_lattice_exits_2(base_suite, tmp_path, capsys):

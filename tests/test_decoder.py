@@ -30,6 +30,7 @@ from kws import (
 )
 from kws.decoder import detect_events, peak_events
 from kws.runner import random_proper_lattice
+from test_synthetic_oracle import columns
 
 RNNT = DecodeConfig(mode="rnnt")
 
@@ -293,13 +294,15 @@ def test_detection_threshold_and_refractory():
     # so scores are finite only while each occurrence's last segment runs.
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=60,
-        alignment=(
-            (5, 1, 9),
-            (3, 10, 2), (7, 12, 2),
-            (6, 14, 26),
-            (3, 40, 2), (7, 42, 2),
-            (6, 44, 17),
+        **columns(
+            (
+                (5, 1, 9),
+                (3, 10, 2), (7, 12, 2),
+                (6, 14, 26),
+                (3, 40, 2), (7, 42, 2),
+                (6, 44, 17),
+            ),
+            60,
         ),
         epsilon=0.0,
         d_max=0,
@@ -324,8 +327,7 @@ def test_score_plateaus_through_trailing_gaps():
     # so a completed keyword's score carries across them unchanged.
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=20,
-        alignment=((3, 5, 2), (7, 7, 2)),
+        **columns(((3, 5, 2), (7, 7, 2)), 20),
         epsilon=0.0,
         d_max=0,
         duration_concentration=1.0,
@@ -338,8 +340,7 @@ def test_score_plateaus_through_trailing_gaps():
 def test_refractory_suppresses_plateau():
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=30,
-        alignment=((3, 5, 1), (7, 6, 6)),
+        **columns(((3, 5, 1), (7, 6, 6)), 30),
         epsilon=0.0,
         d_max=0,
         duration_concentration=1.0,
@@ -356,8 +357,7 @@ def test_refractory_suppresses_plateau():
 def test_probability_one_threshold_never_fires_on_noisy_oracle():
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=40,
-        alignment=((3, 10, 2), (7, 12, 2)),
+        **columns(((3, 10, 2), (7, 12, 2)), 40),
         epsilon=0.3,
         d_max=0,
         duration_concentration=1.0,
@@ -841,8 +841,7 @@ def _schedule_oracle(rng, synthetic, num_frames, track_d_max):
         oracle = SyntheticOracle(
             SyntheticJoinerConfig(
                 vocab_size=9,
-                num_frames=num_frames,
-                alignment=_random_alignment(rng, num_frames, 9, 12),
+                **columns(_random_alignment(rng, num_frames, 9, 12), num_frames),
                 d_max=track_d_max,
                 # Below 1/(d_max+1) the argmax leaves the ideal duration,
                 # which is how a synthetic track predicts duration 0.

@@ -1,7 +1,6 @@
 """Truncated, bit-flipped and field-replaced suite files: readers raise only
 KwsError subclasses, and the CLI answers with an exit code, never a traceback."""
 
-import itertools
 import json
 import math
 import re
@@ -13,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kws import KwsError, ManifestError, SuiteGenSpec, gen_suite, load_manifest, read_lattice
+from kws import (
+    BLANK_ID,
+    KwsError,
+    ManifestError,
+    SuiteGenSpec,
+    gen_suite,
+    load_manifest,
+    read_lattice,
+)
 from kws.cli import main
 from kws.lattice import D_MAX_LIMIT
 
@@ -117,8 +124,8 @@ def consistent(suite, manifest) -> None:
         record, synth = records[utt.utt_id], utt.synth
         durations = record["durations"]
         assert type(utt.num_frames) is int and utt.num_frames == sum(durations)
-        starts = list(itertools.accumulate(durations, initial=1))[:-1]
-        assert synth.alignment == tuple(zip(record["tokens"], starts, durations))
+        assert synth.tokens == tuple(record["tokens"]) and synth.durations == tuple(durations)
+        assert BLANK_ID not in synth.tokens
         assert type(utt.epsilon) is not bool and utt.epsilon == record["epsilon"]
         assert math.isfinite(utt.duration_seconds)
         assert synth.frame_seconds == manifest["frame_seconds"]
@@ -285,7 +292,7 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
     does not fails with a ManifestError naming the manifest, the top level
     and the field, and the CLI exits 2. A vocabulary too small for a
     record's tokens is found at that record, which the message names, with
-    its tokens and the vocabulary's bound."""
+    the token entry and the vocabulary's bound."""
     manifest = json.loads((suite_dir / "manifest.json").read_text(encoding="utf-8"))
     if value is None:
         manifest.pop(field, None)
@@ -305,7 +312,7 @@ def test_replaced_top_level_fields_fail_typed(suite_dir, field, value):
             message = str(exc)
             assert message.startswith(f"{root / 'manifest.json'}: ")
             if field == "vocab_size" and "top level" not in message:
-                assert re.search(r"field 'tokens': .* outside \[1, ", message)
+                assert re.search(r"field 'tokens': .*tokens\[\d+\] must be in \[0, ", message)
             elif field not in ("keywords", "utterances"):
                 assert f": top level: field {field!r}" in message
             if value == DUPLICATE and field in ("keywords", "utterances"):

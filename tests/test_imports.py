@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kws
+from kws import suite
 
 MODULES = sorted(p for p in Path(kws.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -172,3 +173,12 @@ def test_every_decode_config_field_is_set_by_the_cli():
         for keyword in node.keywords
     }
     assert sorted({field.name for field in dataclasses.fields(kws.DecodeConfig)} - passed) == []
+
+
+def test_every_synthetic_config_field_is_stated_by_the_manifest():
+    """A ``SyntheticJoinerConfig`` init field is a suite-wide fact of the
+    manifest's top level or one of a record's own fields, its alignment
+    columns and epsilon: a field that no suite states is a knob no suite
+    sets."""
+    fields = {field.name for field in dataclasses.fields(kws.SyntheticJoinerConfig) if field.init}
+    assert fields == {*suite._SUITE_FACTS, "tokens", "durations", "epsilon"}

@@ -30,7 +30,7 @@ from kws import (
 )
 from kws.lattice import read_lattice_header
 
-from test_synthetic_oracle import frame_rows, keyword_grids, stacked_grids
+from test_synthetic_oracle import columns, frame_rows, keyword_grids, stacked_grids
 
 HEADER = struct.Struct("<4sHIIHf")
 
@@ -307,8 +307,7 @@ def test_wrong_keyword_query_rejected(tmp_path):
 def test_replay_matches_source_oracle(tmp_path):
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=12,
-        alignment=((3, 2, 2), (7, 4, 1), (2, 6, 3)),
+        **columns(((3, 2, 2), (7, 4, 1), (2, 6, 3)), 12),
         epsilon=0.4,
         d_max=3,
         duration_concentration=0.9,

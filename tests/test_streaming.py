@@ -31,6 +31,7 @@ from kws.runner import random_proper_lattice
 from kws.lattice import FileLatticeOracle
 
 from test_decoder import delta_columns
+from test_synthetic_oracle import columns
 
 
 def noisy_oracle(seed, num_frames=40, d_max=3):
@@ -45,8 +46,7 @@ def noisy_oracle(seed, num_frames=40, d_max=3):
         t += dur + int(rng.integers(0, 3))
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=num_frames,
-        alignment=tuple(segments),
+        **columns(segments, num_frames),
         epsilon=float(rng.uniform(0.0, 0.6)),
         d_max=d_max,
         duration_concentration=0.9,
@@ -238,8 +238,7 @@ def _synthetic_case(rng, d_max):
             t += duration + int(rng.integers(0, 2))
     config = SyntheticJoinerConfig(
         vocab_size=vocab,
-        num_frames=num_frames,
-        alignment=tuple(segments),
+        **columns(segments, num_frames),
         epsilon=float(rng.choice([0.0, 0.3])),  # 0.0 gives -inf rows
         d_max=d_max,
         # Below 1/(d_max+1) the argmax duration is 0, which exercises the
@@ -467,8 +466,7 @@ def _wide_keyword_case(rng, d_max):
             t += duration + int(rng.integers(0, 2))
     config = SyntheticJoinerConfig(
         vocab_size=vocab,
-        num_frames=num_frames,
-        alignment=tuple(segments),
+        **columns(segments, num_frames),
         epsilon=float(rng.choice([0.0, 0.3])),  # 0.0 gives -inf rows
         d_max=d_max,
         duration_concentration=0.9,

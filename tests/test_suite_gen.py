@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kws import (
+    BLANK_ID,
     DecodeConfig,
     KeywordSpec,
     ManifestError,
@@ -353,15 +354,13 @@ def test_positives_plant_exactly_one_occurrence(manifest):
     for utt in manifest.utterances:
         if utt.label is None:
             continue
-        segments = sorted(utt.synth.alignment, key=lambda s: s[1])
-        tokens = tuple(tok for tok, _, _ in segments)
-        assert occurrence_count(tokens, by_name[utt.label].tokens) == 1
+        assert occurrence_count(utt.synth.tokens, by_name[utt.label].tokens) == 1
 
 
 def test_negatives_never_contain_keyword_tokens(manifest):
     keyword_tokens = {tok for kw in manifest.keywords for tok in kw.tokens}
     for utt in manifest.negatives():
-        assert keyword_tokens.isdisjoint(tok for tok, _, _ in utt.synth.alignment)
+        assert keyword_tokens.isdisjoint(utt.synth.tokens)
         assert utt.lattice_keyword in manifest.keywords_by_name
 
 
@@ -372,22 +371,17 @@ def test_planted_segments_are_never_truncated(manifest):
         if utt.label is None:
             continue
         needle = by_name[utt.label].tokens
-        segments = sorted(utt.synth.alignment, key=lambda s: s[1])
-        tokens = tuple(tok for tok, _, _ in segments)
+        tokens = utt.synth.tokens
         for i in range(len(tokens) - len(needle) + 1):
             if tokens[i : i + len(needle)] == needle:
-                for _, _, duration in segments[i : i + len(needle)]:
+                for duration in utt.synth.durations[i : i + len(needle)]:
                     assert SPEC.duration_min <= duration <= SPEC.duration_max
 
 
 def test_alignments_tile_the_whole_timeline(manifest):
     for utt in manifest.utterances:
-        segments = sorted(utt.synth.alignment, key=lambda s: s[1])
-        t = 1
-        for _, start, duration in segments:
-            assert start == t
-            t += duration
-        assert t - 1 == utt.num_frames
+        assert BLANK_ID not in utt.synth.tokens  # no gaps
+        assert sum(utt.synth.durations) == utt.num_frames
         assert SPEC.frames_min <= utt.num_frames <= SPEC.frames_max
         assert utt.duration_seconds == pytest.approx(utt.num_frames * SPEC.frame_seconds)
 

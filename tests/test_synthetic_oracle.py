@@ -2,16 +2,18 @@
 
 import math
 import operator
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kws import (
     BLANK_ID,
     CapabilityError,
+    DecodeConfig,
     KeywordSpec,
     ModeError,
     NEG_INF,
@@ -29,6 +31,26 @@ from kws import (
 #   frames 2-3: token 3, frame 4: token 7, frames 6-8: token 2
 #   gaps: 1, 5, 9, 10
 ALIGNMENT = ((3, 2, 2), (7, 4, 1), (2, 6, 3))
+
+
+def columns(alignment, num_frames):
+    """The config columns of (token, start frame, duration) triples, in start
+    order and not overlapping, on frames 1..num_frames: each run of frames no
+    triple covers becomes one token-0 gap segment."""
+    tokens, durations, t = [], [], 1
+    for token, start, duration in alignment:
+        assert start >= t, "triples must be in start order and must not overlap"
+        if start > t:
+            tokens.append(BLANK_ID)
+            durations.append(start - t)
+        tokens.append(token)
+        durations.append(duration)
+        t = start + duration
+    assert t <= num_frames + 1, "triples must end by num_frames"
+    if t <= num_frames:
+        tokens.append(BLANK_ID)
+        durations.append(num_frames + 1 - t)
+    return {"tokens": tuple(tokens), "durations": tuple(durations)}
 
 
 def keyword_conditional_log_probs(oracle, keyword, t, u):
@@ -53,8 +75,7 @@ def frame_rows(oracle, keyword, t):
 def make_oracle(epsilon=0.0, d_max=0, concentration=1.0):
     cfg = SyntheticJoinerConfig(
         vocab_size=9,
-        num_frames=10,
-        alignment=ALIGNMENT,
+        **columns(ALIGNMENT, 10),
         epsilon=epsilon,
         d_max=d_max,
         duration_concentration=concentration,
@@ -62,38 +83,26 @@ def make_oracle(epsilon=0.0, d_max=0, concentration=1.0):
     return SyntheticOracle(cfg)
 
 
-def test_config_rejects_overlapping_segments():
-    with pytest.raises(ValidationError):
-        SyntheticJoinerConfig(
-            vocab_size=5,
-            num_frames=10,
-            alignment=((1, 2, 3), (2, 4, 2)),
-            epsilon=0.0,
-            d_max=0,
-            duration_concentration=1.0,
-        )
-
-
 def test_config_rejects_out_of_range_fields():
     with pytest.raises(ValidationError):
         SyntheticJoinerConfig(
-            vocab_size=5, num_frames=10, alignment=((6, 1, 2),), epsilon=0.0,
+            vocab_size=5, **columns(((6, 1, 2),), 10), epsilon=0.0,
             d_max=0, duration_concentration=1.0,
         )
     with pytest.raises(ValidationError):
         SyntheticJoinerConfig(
-            vocab_size=5, num_frames=10, alignment=(), epsilon=1.0,
+            vocab_size=5, **columns((), 10), epsilon=1.0,
             d_max=0, duration_concentration=1.0,
         )
     with pytest.raises(ValidationError):
         SyntheticJoinerConfig(
-            vocab_size=5, num_frames=3, alignment=((1, 2, 5),), epsilon=0.0,
+            vocab_size=5, tokens=(1, 2), durations=(3, 0), epsilon=0.0,
             d_max=0, duration_concentration=1.0,
         )
     for frame_seconds in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             SyntheticJoinerConfig(
-                vocab_size=5, num_frames=10, alignment=(), frame_seconds=frame_seconds
+                vocab_size=5, **columns((), 10), frame_seconds=frame_seconds
             )
 
 
@@ -270,8 +279,7 @@ def configs(draw):
     concentration = draw(st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
     return SyntheticJoinerConfig(
         vocab_size=vocab,
-        num_frames=num_frames,
-        alignment=tuple(segments),
+        **columns(segments, num_frames),
         epsilon=epsilon,
         d_max=d_max,
         duration_concentration=concentration,
@@ -384,9 +392,7 @@ def planted_cases(draw):
     num_frames = t - 1 + draw(st.integers(1, 3))
     # Subnormal epsilon leaves a noise mass of exactly 0, so log-noise -inf.
     epsilon = draw(st.sampled_from([0.0, 5e-324, 0.1, 0.5, 0.9]))
-    cfg = SyntheticJoinerConfig(
-        vocab_size=V, num_frames=num_frames, alignment=tuple(alignment), epsilon=epsilon
-    )
+    cfg = SyntheticJoinerConfig(vocab_size=V, **columns(alignment, num_frames), epsilon=epsilon)
     keywords = [KeywordSpec(f"k{i}", tokens) for i, tokens in enumerate(kw_tokens)]
     keywords += draw(st.lists(st.sampled_from(keywords), max_size=3))  # repeats
     frames = draw(
@@ -454,12 +460,15 @@ def _reference_timeline(cfg):
     content = np.zeros(T, dtype=np.int64)
     seg_ord = np.zeros(T, dtype=np.int64)
     seg_dur = np.zeros(T, dtype=np.int64)
-    segments = sorted(cfg.alignment, key=lambda s: s[1])
-    for ordinal, (token, start, duration) in enumerate(segments, start=1):
-        sl = slice(start - 1, start - 1 + duration)
-        content[sl] = token
-        seg_ord[sl] = ordinal
-        seg_dur[sl] = duration
+    start, ordinal = 1, 0
+    for token, duration in zip(cfg.tokens, cfg.durations):
+        if token != BLANK_ID:  # a gap keeps its zeros
+            ordinal += 1
+            sl = slice(start - 1, start - 1 + duration)
+            content[sl] = token
+            seg_ord[sl] = ordinal
+            seg_dur[sl] = duration
+        start += duration
     ideal = np.where(seg_ord == 0, 1, np.minimum(seg_dur, cfg.d_max))
     return content, seg_ord, ideal
 
@@ -479,7 +488,7 @@ def _reference_positions(cfg, keyword):
             f"keyword {keyword.name!r} has token-ids above vocab_size {cfg.vocab_size}"
         )
     key, U = keyword.tokens, keyword.num_tokens
-    toks = tuple(token for token, _, _ in sorted(cfg.alignment, key=lambda s: s[1]))
+    toks = tuple(token for token in cfg.tokens if token != BLANK_ID)
     seg_pos = [0] * (len(toks) + 1)
     i = 0
     while key[0] in toks[i:]:
@@ -542,23 +551,15 @@ def _assert_matches_reference_forms(cfg, keywords, frames):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    planted_cases(),
-    st.integers(0, 5),
-    st.sampled_from([1.0, 0.7, 0.3, 0.1]),
-    st.randoms(use_true_random=False),
-)
-def test_oracle_matches_per_segment_fill_and_per_keyword_scan(case, d_max, gamma, rnd):
+@given(planted_cases(), st.integers(0, 5), st.sampled_from([1.0, 0.7, 0.3, 0.1]))
+def test_oracle_matches_per_segment_fill_and_per_keyword_scan(case, d_max, gamma):
     """Loop-free timeline, closed-form duration track and one keyword scan
-    per query equal the per-segment and per-keyword forms bit for bit, whatever
-    the order the alignment lists its segments in."""
+    per query equal the per-segment and per-keyword forms bit for bit."""
     cfg, keywords, frames = case
-    alignment = list(cfg.alignment)
-    rnd.shuffle(alignment)
     cfg = SyntheticJoinerConfig(
         vocab_size=cfg.vocab_size,
-        num_frames=cfg.num_frames,
-        alignment=tuple(alignment),
+        tokens=cfg.tokens,
+        durations=cfg.durations,
         epsilon=cfg.epsilon,
         d_max=d_max,
         duration_concentration=gamma,
@@ -573,9 +574,7 @@ def _timeline(tokens, gap=0):
     for token in tokens:
         alignment.append((token, t, 2))
         t += 2 + gap
-    return SyntheticJoinerConfig(
-        vocab_size=9, num_frames=t + gap, alignment=tuple(alignment), d_max=3
-    )
+    return SyntheticJoinerConfig(vocab_size=9, **columns(alignment, t + gap), d_max=3)
 
 
 @pytest.mark.parametrize(
@@ -631,9 +630,9 @@ def test_keyword_scan_vocab_error_names_the_keyword():
     assert log_y[0, 0] == 0.0
 
 
-# The alignment validator as first written: one operator.index per value, a
-# sort, and one walk over the segments in start order; a bool, which
-# operator.index takes for 0 or 1, is refused like any other non-integer.
+# The column validator as first written: one operator.index per entry, then
+# one walk per column rule; a bool, which operator.index takes for 0 or 1, is
+# refused like any other non-integer.
 
 
 def _index(value):
@@ -642,30 +641,30 @@ def _index(value):
     return operator.index(value)
 
 
-def _validate_alignment_per_entry(alignment, vocab_size, num_frames):
+def _validate_columns_per_entry(tokens, durations, vocab_size):
     converted = []
-    for i, segment in enumerate(alignment):
-        a, b, c = segment
-        try:
-            converted.append((_index(a), _index(b), _index(c)))
-        except TypeError as exc:
-            raise ValidationError(
-                f"alignment entries must be integer triples; segment {i} is {segment!r}"
-            ) from exc
-    last_end = 0
-    for token, start, duration in sorted(converted, key=lambda s: s[1]):
-        if not 1 <= token <= vocab_size:
-            raise ValidationError(f"segment token {token} outside [1, {vocab_size}]")
+    for name, column in (("tokens", tokens), ("durations", durations)):
+        entries = []
+        for i, value in enumerate(column):
+            try:
+                entries.append(_index(value))
+            except TypeError as exc:
+                raise ValidationError(f"{name}[{i}] must be an integer, got {value!r}") from exc
+        converted.append(tuple(entries))
+    tokens, durations = converted
+    if len(durations) != len(tokens):
+        raise ValidationError(
+            f"durations has {len(durations)} entries, but 'tokens' has {len(tokens)}"
+        )
+    if not durations:
+        raise ValidationError("durations must cover at least one frame, got no segment")
+    for i, duration in enumerate(durations):
         if duration < 1:
-            raise ValidationError("segment duration must be >= 1")
-        if start < 1 or start + duration - 1 > num_frames:
-            raise ValidationError(
-                f"segment ({token},{start},{duration}) outside frames [1, {num_frames}]"
-            )
-        if start <= last_end:
-            raise ValidationError("segments overlap")
-        last_end = start + duration - 1
-    return tuple(converted)
+            raise ValidationError(f"durations[{i}] must be >= 1, got {duration}")
+    for i, token in enumerate(tokens):
+        if not 0 <= token <= vocab_size:
+            raise ValidationError(f"tokens[{i}] must be in [0, {vocab_size}], got {token}")
+    return tokens, durations
 
 
 def _validation_outcome(validate):
@@ -673,8 +672,6 @@ def _validation_outcome(validate):
         return "accepted", validate()
     except ValidationError as exc:
         return "ValidationError", str(exc)
-    except ValueError:  # the per-entry walk's raw unpacking error
-        return "ValueError", None
 
 
 ODD_VALUES = st.one_of(
@@ -687,93 +684,108 @@ ODD_VALUES = st.one_of(
 
 
 @st.composite
-def alignment_cases(draw):
-    """(alignment, vocab_size, num_frames): a tiling with gaps, shuffled,
-    then maybe shifted (overlaps, out of range), given odd values or entries
-    of the wrong arity."""
-    segments, t = [], 1
-    for _ in range(draw(st.integers(0, 8))):
-        t += draw(st.integers(0, 2))
-        duration = draw(st.integers(1, 4))
-        segments.append([draw(st.integers(1, 9)), t, duration])
-        t += duration
-    num_frames = max(1, t - 1 + draw(st.integers(-1, 2)))
-    for _ in range(draw(st.integers(0, 2)) if segments else 0):
-        i = draw(st.integers(0, len(segments) - 1))
-        segments[i][draw(st.integers(0, 2))] += draw(st.integers(-4, 4))
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if segments else 0):
-        i = draw(st.integers(0, len(segments) - 1))
-        segments[i][draw(st.integers(0, 2))] = draw(ODD_VALUES)
-    if segments and draw(st.integers(0, 9)) == 0:
-        i = draw(st.integers(0, len(segments) - 1))
-        segments[i] = segments[i][: draw(st.integers(0, 2))] or segments[i] + [1]
-    segments = draw(st.permutations(segments))
+def column_cases(draw):
+    """(tokens, durations, vocab_size): the columns of a timeline with gaps
+    (token 0), then maybe shifted (tokens out of range, durations below 1),
+    given odd values, or with one column shortened or lengthened."""
+    n = draw(st.integers(0, 8))
+    pair = ([draw(st.integers(0, 9)) for _ in range(n)], [draw(st.integers(1, 4)) for _ in range(n)])
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        pair[draw(st.integers(0, 1))][draw(st.integers(0, n - 1))] += draw(st.integers(-4, 4))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        pair[draw(st.integers(0, 1))][draw(st.integers(0, n - 1))] = draw(ODD_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        column = pair[draw(st.integers(0, 1))]
+        if column and draw(st.booleans()):
+            del column[draw(st.integers(0, len(column) - 1))]
+        else:
+            column.append(1)
     container = draw(st.sampled_from([tuple, list]))
-    alignment = container(container(segment) for segment in segments)
     vocab_size = draw(st.sampled_from([9, 9, 1, 2**70]))
-    num_frames = draw(st.sampled_from([num_frames, num_frames, 2**70, num_frames + 0.5]))
-    return alignment, vocab_size, num_frames
+    return container(pair[0]), container(pair[1]), vocab_size
 
 
 @settings(max_examples=400, deadline=None)
-@given(alignment_cases())
+@given(column_cases())
 def test_alignment_validation_agrees_with_the_per_entry_walk(case):
     """Lists as a manifest gives them or tuples: the same accept/reject set
-    and the same first message, picked in start order, except that an entry
-    of the wrong arity is a ValidationError, not a raw unpacking error.
-    Accepted alignments are tuples of Python-int triples. A non-integral
-    num_frames is refused before the alignment is looked at."""
-    alignment, vocab_size, num_frames = case
-    if not isinstance(num_frames, int):
-        got = _validation_outcome(
-            lambda: SyntheticJoinerConfig(
-                vocab_size=vocab_size, num_frames=num_frames, alignment=alignment
-            )
-        )
-        assert got == ("ValidationError", f"num_frames must be an integer, got {num_frames!r}")
-        return
+    and the same first message as the per-entry walk. Accepted columns are
+    tuples of Python ints, and the frame count is their sum."""
+    tokens, durations, vocab_size = case
     want = _validation_outcome(
-        lambda: _validate_alignment_per_entry(alignment, vocab_size, num_frames)
+        lambda: _validate_columns_per_entry(tokens, durations, vocab_size)
     )
-    got = _validation_outcome(
-        lambda: SyntheticJoinerConfig(
-            vocab_size=vocab_size, num_frames=num_frames, alignment=alignment
-        ).alignment
-    )
-    if want[0] == "ValueError":
-        assert got[0] == "ValidationError" and "integer triples" in got[1]
-        return
+
+    def columns_of_a_config():
+        cfg = SyntheticJoinerConfig(vocab_size=vocab_size, tokens=tokens, durations=durations)
+        assert type(cfg.num_frames) is int and cfg.num_frames == sum(cfg.durations)
+        return cfg.tokens, cfg.durations
+
+    got = _validation_outcome(columns_of_a_config)
     assert got == want
     if got[0] == "accepted":
-        assert type(got[1]) is tuple
-        assert all(type(seg) is tuple and len(seg) == 3 for seg in got[1])
-        assert all(type(v) is int for seg in got[1] for v in seg)
+        assert all(type(column) is tuple for column in got[1])
+        assert all(type(v) is int for column in got[1] for v in column)
 
 
-@pytest.mark.parametrize("field", ["vocab_size", "num_frames", "d_max"])
+@pytest.mark.parametrize("field", ["vocab_size", "durations", "d_max"])
 @pytest.mark.parametrize("value", [26.5, 26.0, "26", None, True])
 def test_size_fields_must_be_integers(field, value):
-    sizes = {"vocab_size": 9, "num_frames": 10, "d_max": 0, field: value}
+    """The vocabulary size, the duration cap and each duration, whose sum is
+    the frame count, are integers."""
+    sizes = {"vocab_size": 9, **columns(ALIGNMENT, 10), "d_max": 0}
+    if field == "durations":
+        sizes[field] = (*sizes[field][:-1], value)
+        field = f"durations[{len(sizes[field]) - 1}]"
+    else:
+        sizes[field] = value
     with pytest.raises(ValidationError) as raised:
-        SyntheticJoinerConfig(alignment=ALIGNMENT, **sizes)
+        SyntheticJoinerConfig(**sizes)
     assert str(raised.value) == f"{field} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        ("synthetic", "epsilon", "x"),
+        ("synthetic", "frame_seconds", "x"),
+        ("synthetic", "duration_concentration", None),
+        ("synthetic", "epsilon", False),
+        ("decode", "threshold_log", "x"),
+        ("decode", "threshold_log", None),
+    ],
+)
+def test_float_fields_must_be_numbers(config, field, value):
+    """A float field that is not a number is a ValidationError, not the raw
+    TypeError of comparing it; a bool is refused as well."""
+    with pytest.raises(ValidationError) as raised:
+        if config == "synthetic":
+            SyntheticJoinerConfig(vocab_size=9, **columns(ALIGNMENT, 10), **{field: value})
+        else:
+            DecodeConfig(**{field: value})
+    assert str(raised.value) == f"{field} must be a number, got {value!r}"
+
+
 def test_numpy_integer_sizes_are_stored_as_ints():
+    cols = columns(ALIGNMENT, 10)
     cfg = SyntheticJoinerConfig(
-        vocab_size=np.int64(9), num_frames=np.uint16(10), alignment=ALIGNMENT, d_max=np.int32(4)
+        vocab_size=np.int64(9),
+        tokens=cols["tokens"],
+        durations=tuple(map(np.uint16, cols["durations"])),
+        d_max=np.int32(4),
     )
     assert [type(v) for v in (cfg.vocab_size, cfg.num_frames, cfg.d_max)] == [int, int, int]
     assert (cfg.vocab_size, cfg.num_frames, cfg.d_max) == (9, 10, 4)
+    assert cfg.durations == cols["durations"] and {type(d) for d in cfg.durations} == {int}
 
 
 def test_d_max_is_bounded_by_the_lattice_field():
     with pytest.raises(ValidationError, match="d_max must be in"):
-        SyntheticJoinerConfig(vocab_size=9, num_frames=10, alignment=ALIGNMENT, d_max=65536)
+        SyntheticJoinerConfig(vocab_size=9, **columns(ALIGNMENT, 10), d_max=65536)
     # At the bound the duration track costs one vector per query, not a
     # (d_max + 1)-squared table.
     cfg = SyntheticJoinerConfig(
-        vocab_size=9, num_frames=10, alignment=ALIGNMENT, d_max=65535,
+        vocab_size=9, **columns(ALIGNMENT, 10), d_max=65535,
         duration_concentration=0.5,
     )
     oracle = SyntheticOracle(cfg)
@@ -806,8 +818,8 @@ def test_greedy_tracks_equal_the_argmax_walk(case, d_max, gamma):
     cfg, keywords, _ = case
     cfg = SyntheticJoinerConfig(
         vocab_size=cfg.vocab_size,
-        num_frames=cfg.num_frames,
-        alignment=cfg.alignment,
+        tokens=cfg.tokens,
+        durations=cfg.durations,
         epsilon=cfg.epsilon,
         d_max=d_max,
         duration_concentration=gamma,
@@ -830,3 +842,76 @@ def test_greedy_tracks_equal_the_argmax_walk(case, d_max, gamma):
     assert oracle.greedy_tokens().dtype == oracle.greedy_durations().dtype == np.int64
     assert data.greedy_tokens.dtype == np.dtype("<u4")
     assert data.greedy_durations.dtype == np.dtype("<u2")
+
+
+def _split_gaps(cfg, rnd):
+    """``cfg`` with each gap of two or more frames cut into adjacent token-0
+    segments at random."""
+    tokens, durations = [], []
+    for token, duration in zip(cfg.tokens, cfg.durations):
+        while token == BLANK_ID and duration > 1:
+            piece = rnd.randint(1, duration - 1)
+            tokens.append(BLANK_ID)
+            durations.append(piece)
+            duration -= piece
+            if rnd.random() < 0.3:
+                break
+        tokens.append(token)
+        durations.append(duration)
+    return SyntheticJoinerConfig(
+        vocab_size=cfg.vocab_size,
+        tokens=tuple(tokens),
+        durations=tuple(durations),
+        epsilon=cfg.epsilon,
+        d_max=cfg.d_max,
+        duration_concentration=cfg.duration_concentration,
+    )
+
+
+# Leading (frames 1-3), inner (9-11, between tokens 7 and 2) and trailing
+# (14-16) gaps, each of which _split_gaps cuts.
+_GAPPED = (
+    SyntheticJoinerConfig(
+        vocab_size=9, **columns(((3, 4, 2), (7, 6, 3), (2, 12, 2)), 16), epsilon=0.3
+    ),
+    [KeywordSpec("k0", (3, 7)), KeywordSpec("k1", (7, 2)), KeywordSpec("k2", (2,))],
+    np.arange(1, 17),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_cases(), st.integers(0, 4), st.randoms(use_true_random=False))
+@example(case=_GAPPED, d_max=3, rnd=random.Random(0))
+def test_adjacent_gaps_answer_as_one_gap(case, d_max, rnd):
+    """Leading, inner and trailing gaps cut into adjacent token-0 segments
+    answer every query bit for bit as the same alignment with its adjacent
+    gaps merged: the keyword block, both greedy tracks and the group token
+    and duration rows."""
+    cfg, keywords, frames = case
+    merged = SyntheticJoinerConfig(
+        vocab_size=cfg.vocab_size,
+        tokens=cfg.tokens,
+        durations=cfg.durations,
+        epsilon=cfg.epsilon,
+        d_max=d_max,
+        duration_concentration=0.6,
+    )
+    split = _split_gaps(merged, rnd)
+    assert split.num_frames == merged.num_frames
+    oracles = [SyntheticOracle(split), SyntheticOracle(merged)]
+    answers = []
+    for oracle in oracles:
+        got = [oracle.emission_grids(keywords, frames)]
+        T = oracle.num_frames
+        every = np.repeat(np.arange(1, T + 1), len(keywords) + 2)
+        lengths = np.tile(np.arange(len(keywords) + 2), T)
+        utts = np.zeros(len(every), dtype=np.int64)
+        histories = [[1] * n for n in lengths.tolist()]
+        got.append(type(oracle).token_log_prob_group([oracle])(utts, every, lengths, histories))
+        if d_max:
+            got += [oracle.greedy_tokens(), oracle.greedy_durations()]
+            got.append(type(oracle).duration_log_prob_group([oracle])(utts, every, histories))
+        answers.append(got)
+    for got, want in zip(*answers):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
