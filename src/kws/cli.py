@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -77,10 +78,13 @@ def _output(path):
     """Stdout when ``path`` is None, else a text file open under a temporary
     name beside ``path`` and renamed to it once the block ends without an
     error: a failed command leaves no partial file, and one that opens it
-    before its work fails first on a path it cannot write."""
+    before its work fails first on a path it cannot write, such as a
+    directory, which the rename could not replace."""
     if path is None:
         yield sys.stdout
         return
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     partial = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with partial.open("w", encoding="utf-8") as out:
@@ -131,10 +135,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         mode=args.mode, d_max=args.d_max, zero_duration_policy=args.zero_duration_policy,
         threshold_log=_threshold_log(args), refractory_frames=args.refractory_frames,
     )
-    suite = load_manifest(Path(args.suite))
     written = 0
     with _output(args.out) as out:
-        for line in decode_suite(suite, config):
+        for line in decode_suite(load_manifest(Path(args.suite)), config):
             out.write(line + "\n")
             written += 1
     if args.out is not None:
@@ -147,10 +150,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     candidate = DecodeConfig(mode=args.candidate, d_max=args.d_max)
     # Usage errors come before any I/O.
     check_bench_args(args.target_far, args.also_asr_baselines, args.beam_width)
-    suite = load_manifest(Path(args.suite))
     with _output(args.report) if args.report is not None else contextlib.nullcontext() as out:
         report = bench(
-            suite, baseline, candidate, target_far=args.target_far,
+            load_manifest(Path(args.suite)), baseline, candidate, target_far=args.target_far,
             also_asr_baselines=args.also_asr_baselines, beam_width=args.beam_width,
         )
         print(format_report_table(report))
@@ -164,22 +166,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_dump_delta(args: argparse.Namespace) -> int:
     if (args.lattice is None) == (args.suite is None):
         raise ValidationError("pass exactly one of --lattice or --suite with --utt")
+    if args.lattice is not None and args.utt is not None:
+        raise ValidationError("--utt names an utterance of --suite; --lattice takes none")
+    if args.suite is not None and args.utt is None:
+        raise ValidationError("--suite requires --utt")
     config = DecodeConfig(mode=args.mode, d_max=args.d_max)
-    if args.lattice is not None:
-        if args.utt is not None:
-            raise ValidationError("--utt names an utterance of --suite; --lattice takes none")
-        oracle = load_lattice(Path(args.lattice))
-        keyword = oracle.keyword
-    else:
-        if args.utt is None:
-            raise ValidationError("--suite requires --utt")
-        suite = load_manifest(Path(args.suite))
-        matches = [u for u in suite.utterances if u.utt_id == args.utt]
-        if not matches:
-            raise ValidationError(f"unknown utterance id {args.utt!r}")
-        oracle = suite.lattice(matches[0])
-        keyword = suite.keywords_by_name[matches[0].lattice_keyword]
     with _output(args.out) as out:
+        if args.lattice is not None:
+            oracle = load_lattice(Path(args.lattice))
+            keyword = oracle.keyword
+        else:
+            suite = load_manifest(Path(args.suite))
+            matches = [u for u in suite.utterances if u.utt_id == args.utt]
+            if not matches:
+                raise ValidationError(f"unknown utterance id {args.utt!r}")
+            oracle = suite.lattice(matches[0])
+            keyword = suite.keywords_by_name[matches[0].lattice_keyword]
         out.write(dump_delta_matrix(oracle, keyword, config))
     return 0
 

@@ -30,11 +30,13 @@ lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
 count of processed columns rather than by frame, so RNN-T and TDT lanes of
 different utterances step together without masks and TDT keeps its skipped
 frames. ``decode_keywords`` batches whole utterances, up to 256 lanes per
-sweep: the lanes of all keywords of an utterance share its hop schedule
-and enter a batch side by side in one buffer write of the oracle's block; a
-batch leaves as one (lane, frame) score block (``_ScoreBlock``), cut from
-the DP's columns by one scatter (one transposed copy where every lane lands
-on every frame), whose rows the ScoreStreams view.
+sweep, through one lane buffer per run, sized before the first utterance
+for the run's lanes, its longest utterance and its widest keyword: the
+lanes of all keywords of an utterance share its hop schedule and enter a
+batch side by side in one buffer write of the oracle's block; a batch
+leaves as one (lane, frame) score block (``_ScoreBlock``), cut from the
+DP's columns by one scatter (one transposed copy where every lane lands on
+every frame), whose rows the ScoreStreams view.
 ``StreamingDecoder`` runs the same routine on one lane, one column at a
 time, and fires by ``detect_events``' threshold and refractory rule as each
 score lands. Offline event extraction works on a whole block: the live gate
@@ -81,16 +83,13 @@ RNNT = "rnnt"
 TDT = "tdt"
 ZERO_DURATION_POLICIES = ("clamp", "error")
 
-# Lanes per batch of ``decode_keywords``, at most. A batch costs a fixed
-# number of numpy calls per wavefront whatever its width, so wider batches
-# run faster but hold more f32 rows at once: a buffer of 256 lanes allocated
-# up front put perfbench's asr peak RSS at 46.7 MiB against 44.1 at 64. The
-# buffer starts at 64 lanes and widens only as batches fill (see
-# ``_LaneBatch``); so grown, peak RSS read 44.4, 44.3 and 43.8 MiB on asr
-# (whose runs of 80 lanes never widen past 64) and 60.2, 60.1 and 60.2 MiB
-# on bench (set by `kws gen` in its set-up) at caps of 64, 128 and 256. On
-# the seed-1 bench suite 256 lanes cut the sweeps from 166 to 68 and the
-# wavefront steps from 24,354 to 10,564.
+# Lanes per lane buffer, at most. A sweep costs a fixed number of numpy
+# calls per wavefront whatever its width, so wider batches run faster but
+# hold more f32 rows at once: on the seed-1 bench suite this cap takes 40
+# sweeps and 6,218 wavefront steps per command, and a cap of 64 takes 148
+# and 21,780, with twice the search time. Each run allocates one buffer
+# (``_LaneBatch``) as wide as its own lanes, up to this cap, so perfbench's
+# asr runs of 80 lanes allocate 80.
 _LANE_CHUNK = 256
 
 
@@ -394,29 +393,25 @@ class _ScoreBlock:
 
 
 class _LaneBatch:
-    """f32 edge buffer for whole utterances, reused batch after batch.
+    """One run's f32 edge buffer, allocated once and reused batch after batch.
 
-    ``add`` puts the K lanes of one utterance side by side at ``edges[...,
-    i:i + K]`` in ``_lane_columns``'s layout with one write of the oracle's
-    emission block, whose lanes are already left-padded with log-1 entries
-    (0.0) to its widest keyword, and one write of log-1 entries below that
-    width; lanes shorter than the batch's longest read stale rows past their
-    own columns, which only dropped columns use. A batch holds up to
-    ``width`` lanes, or one utterance with more keywords than that, and
-    closes at an utterance boundary. ``width`` starts at min(64,
-    ``_LANE_CHUNK``), and after each full batch grows to the lanes of all
-    full batches so far, up to ``_LANE_CHUNK``: the buffer never holds more
-    lanes than have been decoded before it, so a run of few lanes never
-    allocates the widest one. An utterance that does not fit first decodes
-    the batch so far, so the old buffer is freed before a larger one is
-    allocated. Each decoded batch queues one ``_ScoreBlock`` on ``blocks``.
+    Its shape is ``_lane_shape``'s: the run's lanes, up to ``_LANE_CHUNK``
+    but at least its widest utterance's K, its longest utterance's frame
+    count and its widest keyword's token count, so no utterance of the run
+    outgrows it. ``add`` puts the K lanes of one utterance side by side at
+    ``edges[..., i:i + K]`` in ``_lane_columns``'s layout with one write of
+    the oracle's emission block, whose lanes are already left-padded with
+    log-1 entries (0.0) to its widest keyword, and one write of log-1 entries
+    below that width; lanes shorter than the batch's longest read stale rows
+    past their own columns, which only dropped columns use. A batch closes
+    only when its lanes are full, at an utterance boundary: before an
+    utterance that does not fit, or after one that fills it. Each decoded
+    batch queues one ``_ScoreBlock`` on ``blocks``.
     """
 
-    def __init__(self, counters: SpeedCounters) -> None:
+    def __init__(self, counters: SpeedCounters, lanes: int, frames: int, tokens: int) -> None:
         self.counters = counters
-        self.width = min(64, _LANE_CHUNK)
-        self._closed = 0  # lanes of the full batches so far
-        self.edges = _edge_buffer(0, 0, self.width)
+        self.edges = _edge_buffer(frames, tokens, lanes)
         self.utts: list[tuple[_PendingUtterance, int]] = []  # (utterance, first lane)
         self.lanes = self._columns = self._tokens = 0
         self.blocks: deque[_ScoreBlock] = deque()
@@ -428,16 +423,15 @@ class _LaneBatch:
             self.utts.append((utt, self.lanes))
             return
         u = u1 - 1
-        if self.lanes and self.lanes + K > self.width:
-            self._close()
         rows, _, U1, L = self.edges.shape
         U = U1 - 1
-        C = rows - 1 - 2 * U
-        if n > C or u > U or max(K, self.width) > L:
+        if n > rows - 1 - 2 * U or u > U or K > L:
+            raise ValueError(
+                f"utterance {utt.utt_id!r}: {K} lanes of {n} columns and {u} tokens "
+                "outgrow the run's lane buffer"
+            )
+        if self.lanes + K > L:
             self.decode()
-            del self.edges  # freed before its successor is allocated
-            U = max(u, U)
-            self.edges = _edge_buffer(max(n, C), U, max(K, self.width, L))
         i = self.lanes
         lanes = self.edges[U + 1 : U + 1 + n, :, :, i : i + K]
         lanes[:, :, U - u :] = block.transpose(2, 1, 3, 0)
@@ -447,14 +441,8 @@ class _LaneBatch:
         self.lanes += K
         self._columns = max(self._columns, n)
         self._tokens = max(self._tokens, u)
-        if self.lanes >= self.width:
-            self._close()
-
-    def _close(self) -> None:
-        """Decode a full batch; the next may hold as many lanes as all so far."""
-        self._closed += self.lanes
-        self.decode()
-        self.width = min(max(self.width, self._closed), _LANE_CHUNK)
+        if self.lanes == L:
+            self.decode()
 
     def decode(self) -> None:
         """Run the DP over the batch, queue its score block, and empty it."""
@@ -489,14 +477,33 @@ class _LaneBatch:
         self.lanes = self._columns = self._tokens = 0
 
 
+def _lane_shape(utterances: Iterable[tuple[int, int]], tokens: int) -> tuple[int, int, int]:
+    """(lanes, frames, tokens) of the lane buffer of one run of utterances,
+    given as (lanes, frame count) pairs, whose keywords have at most
+    ``tokens`` tokens: the run's lanes, at most ``_LANE_CHUNK`` but at least
+    its widest utterance's, and its longest utterance's frame count."""
+    lanes = widest = frames = 0
+    for K, num_frames in utterances:
+        lanes += K
+        widest = max(widest, K)
+        frames = max(frames, num_frames)
+    return max(min(lanes, _LANE_CHUNK), widest), frames, tokens
+
+
 def _decode_blocks(
     utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
     config: DecodeConfig,
     counters: SpeedCounters,
+    shape: tuple[int, int, int],
 ) -> Iterator[_ScoreBlock]:
-    """``decode_keywords`` with the scores of each lane batch as one block."""
+    """``decode_keywords`` with the scores of each lane batch as one block,
+    through one lane buffer of ``shape`` (``_lane_shape``), which no
+    utterance may outgrow; the buffer is allocated on the first draw and
+    charged to ``total_wall_seconds``."""
     queries_per_column = 2 if config.mode == TDT else 1
-    batch = _LaneBatch(counters)
+    tick = perf_counter()
+    batch = _LaneBatch(counters, *shape)
+    counters.total_wall_seconds += perf_counter() - tick
     for oracle, keywords, utt_id in utterances:
         tick = perf_counter()
         _check_mode(oracle, config)
@@ -527,20 +534,26 @@ def decode_keywords(
 
     Yields, in input order, one list per utterance with one ScoreStream per
     keyword, as soon as its batch is decoded; every stream is a row view of
-    its batch's one score block. Each utterance's hop schedule is
-    computed once, and one ``emission_grids`` call fetches the rows of all
-    its keywords at the scheduled frames only, as one block; its lanes join
-    a batch together, and an oracle is not held once its rows are fetched.
+    its batch's one score block. ``utterances`` is read as a sequence, since
+    its oracles' frame counts and its keywords size the run's one lane buffer
+    before the first is decoded, so the caller holds every oracle. Each
+    utterance's hop schedule is computed once, and one ``emission_grids``
+    call fetches the rows of all its keywords at the scheduled frames only,
+    as one block; its lanes join a batch together.
     Scores are bit-identical to one ``StreamingDecoder`` per pair, and
     counted the same way: per pair and processed frame, one row query plus,
     in TDT mode, one greedy query, as a per-column decode would make them.
     ``search_wall_seconds`` brackets the batched column loops;
-    ``total_wall_seconds`` covers schedules, row fetches and batches, not the
-    time spent drawing from ``utterances``, building the streams or in the
-    caller.
+    ``total_wall_seconds`` covers the lane buffer, schedules, row fetches
+    and batches, not the time spent building the streams or in the caller.
     """
     counters = counters if counters is not None else SpeedCounters()
-    for block in _decode_blocks(utterances, config, counters):
+    utterances = list(utterances)
+    shape = _lane_shape(
+        ((len(keywords), oracle.num_frames) for oracle, keywords, _ in utterances),
+        max((keyword.num_tokens for _, keywords, _ in utterances for keyword in keywords), default=0),
+    )
+    for block in _decode_blocks(utterances, config, counters, shape):
         yield from block.streams()
 
 

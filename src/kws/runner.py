@@ -5,10 +5,12 @@ Benchmark oracle policy: positives decode through their on-disk lattice
 generatively against every keyword under test (a v1 lattice stores only one
 keyword conditioning). Each negative builds one ``SyntheticOracle`` per run;
 before the first run, ``bench`` refuses an epsilon group that it cannot
-score and holds every negative's frame count to its lattice header, which is
-all of the lattice it reads. Each group's sorted utterances and negative
-hours are worked out once (``_EpsilonGroup``) and serve all its runs and rows.
-All utterances of a run go through one in-process decode, which decodes them
+score and holds every lattice's frame count to its header, the negatives'
+first (a header is all of a negative's lattice that it reads). Each group's
+sorted utterances and negative hours are worked out once
+(``_EpsilonGroup``) and serve all its runs and rows. All utterances of a
+run go through one in-process decode, with one lane buffer sized from the
+records' frame counts and the headers' token counts, which decodes them
 as batched (utterance, keyword) lanes and hands back each lane batch's
 scores as one (lane, frame) block; its ``oracle_queries`` still count one
 row query per keyword per column, plus one greedy query per keyword per
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from time import perf_counter
 from typing import Iterator
 
@@ -51,6 +53,7 @@ from .decoder import (
     _decode_blocks,
     _encode_float,
     _gate_picks,
+    _lane_shape,
     _peak_picks,
     _ScoreTexts,
     decode_keywords,
@@ -87,13 +90,19 @@ def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
     line of each utterance's record (``scorestream_record``, no newline), in
     utterance-id order, with the live gate's events (streaming semantics),
     found for a whole lane batch at once. Lines are made one at a time, as
-    the caller draws them, so none is held once the caller has moved on."""
+    the caller draws them, so none is held once the caller has moved on.
+    Before the first, every lattice header is held to its record, in
+    utterance-id order: the records' frame counts and the headers' token
+    counts size the run's lane buffer. A lattice answers only the keyword
+    that its header counts the tokens of."""
     by_name = suite.keywords_by_name
+    utts = _by_id(suite.utterances)
+    tokens = suite.check_lattice_headers(utts)
+    shape = _lane_shape(((1, utt.num_frames) for utt in utts), tokens)
     utterances = (
-        (suite.lattice(utt), (by_name[utt.lattice_keyword],), utt.utt_id)
-        for utt in _by_id(suite.utterances)
+        (suite.lattice(utt), (by_name[utt.lattice_keyword],), utt.utt_id) for utt in utts
     )
-    for block in _decode_blocks(utterances, config, SpeedCounters()):
+    for block in _decode_blocks(utterances, config, SpeedCounters(), shape):
         events = block.events(*_gate_picks(block.scores, block.processed, config))
         texts = _ScoreTexts()
         for (stream,), stream_events in zip(block.streams(), events):
@@ -155,8 +164,13 @@ def _recall_run(
 
 
 def _bench_one_run(
-    suite: SuiteManifest, group: _EpsilonGroup, config: DecodeConfig, target_far: float
+    suite: SuiteManifest, group: _EpsilonGroup, config: DecodeConfig, target_far: float,
+    tokens: int,
 ) -> tuple[dict, SpeedCounters]:
+    """One run over ``group``, through a lane buffer for keywords of at most
+    ``tokens`` tokens, the most that a lattice header of the suite holds. A
+    negative decodes every suite keyword, but a wider keyword has positives
+    whose lattices cannot answer it, and those are decoded first."""
     # Events are collected with an open threshold; operating points are swept
     # afterwards from the observed scores.
     collect = replace(config, threshold_log=NEG_INF)
@@ -179,7 +193,11 @@ def _bench_one_run(
     pos_count = sum(len(utts) for utts in group.positives)
     pos_scores, neg_keywords, neg_scores = [], [], []
     seen = 0  # utterances in the blocks so far
-    for block in _decode_blocks(utterances(), collect, counters):
+    shape = _lane_shape(chain(
+        ((1, u.num_frames) for utts in group.positives for u in utts),
+        ((len(suite.keywords), u.num_frames) for u in group.negatives),
+    ), tokens)
+    for block in _decode_blocks(utterances(), collect, counters, shape):
         p = min(max(pos_count - seen, 0), len(block.utts))
         split = block.utts[p][1] if p < len(block.utts) else len(block.scores)
         seen += len(block.utts)
@@ -259,14 +277,19 @@ def bench(
 ) -> dict:
     """Full benchmark report across the suite's epsilon groups."""
     check_bench_args(target_far, also_asr_baselines, beam_width)
-    # Every group must be scorable, and every negative's lattice header match
-    # its record, before the first decode.
+    # Every group must be scorable, and every lattice header match its
+    # record, the negatives' first, before the first decode: a negative's
+    # record sizes its SyntheticOracle, and the records and headers size each
+    # run's lane buffer.
     groups = _epsilon_groups(suite)
-    suite.check_lattice_headers(suite.negatives())
+    positives = [u for u in suite.utterances if u.label is not None]
+    tokens = suite.check_lattice_headers([*suite.negatives(), *positives])
     entries = []
     for group in groups:
-        baseline_run, baseline_counters = _bench_one_run(suite, group, baseline, target_far)
-        candidate_run, candidate_counters = _bench_one_run(suite, group, candidate, target_far)
+        baseline_run, baseline_counters = _bench_one_run(suite, group, baseline, target_far, tokens)
+        candidate_run, candidate_counters = _bench_one_run(
+            suite, group, candidate, target_far, tokens
+        )
         entries.append({
             "epsilon": group.epsilon,
             "negative_hours": group.neg_hours,

@@ -26,9 +26,10 @@ rule that a suite has no gaps, so it refuses a token 0. Its text is
 record on its own line of the ``utterances`` list.
 A suite command opens a lattice through ``SuiteManifest.lattice``, which
 holds it to its record: the same frame count and, where the sidecar's
-provenance names an utterance, the same utterance. ``bench`` also compares
-every negative's frame count with its lattice header before its first run,
-since a negative's record alone sizes the arrays of its SyntheticOracle.
+provenance names an utterance, the same utterance. ``decode`` and
+``bench`` also compare every lattice's frame count with its header before
+the first decode, since the records size a decode run's lane buffer, and a
+negative's record alone sizes the arrays of its SyntheticOracle.
 
 Alignments are drawn from per-utterance child seeds (suite_seed, utt_index),
 so generation order and parallelism never change output; a fixed seed yields
@@ -361,12 +362,20 @@ class SuiteManifest:
             )
         return oracle
 
-    def check_lattice_headers(self, utterances) -> None:
+    def check_lattice_headers(self, utterances) -> int:
         """Check the frame count in the lattice header of each of ``utterances``
-        against its record's, reading no lattice body or sidecar: the sum of a
-        record's ``durations`` sizes a SyntheticOracle's per-frame arrays."""
+        against its record's, reading no lattice body or sidecar, and return
+        the most keyword tokens that their headers hold (0 for none). Both
+        size arrays before a lattice is read: the sum of a record's
+        ``durations`` a SyntheticOracle's per-frame arrays, and the records'
+        frame counts and the headers' token counts a decode run's lane
+        buffer."""
+        tokens = 0
         for utt in utterances:
-            self._check_frames(utt, read_lattice_header(os.path.join(self.root, utt.lattice))[0])
+            frames, width, _, _ = read_lattice_header(os.path.join(self.root, utt.lattice))
+            self._check_frames(utt, frames)
+            tokens = max(tokens, width)
+        return tokens
 
 
 # Everything a malformed manifest can make the parsing below raise.

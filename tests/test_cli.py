@@ -23,6 +23,7 @@ from kws import (
     LatticeData,
     ManifestError,
     SidecarError,
+    SpeedCounters,
     ValidationError,
     bench,
     decode_keywords,
@@ -184,6 +185,26 @@ def test_a_command_that_fails_leaves_no_partial_output(
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: no decode may run\n"
     assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_an_output_that_is_a_directory_exits_2_before_the_suite_is_read(
+    command, base_suite, tmp_path, capsys, monkeypatch
+):
+    """An output path that names a directory, which no rename can replace,
+    exits 2 naming it before the suite is read, and leaves no temporary
+    file behind."""
+    monkeypatch.setattr(runner, "_decode_blocks", _no_decode)
+    monkeypatch.setattr(cli, "dump_delta_matrix", _no_decode)
+    monkeypatch.setattr(cli, "load_manifest", _no_decode)
+    out = tmp_path / "outputs" / "out"
+    out.mkdir(parents=True)
+    argv = [arg.format(suite=base_suite, out=out) for arg in OUTPUT_COMMANDS[command]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert list(out.parent.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 def test_manifest_d_max_above_the_lattice_field_is_a_broken_file(base_suite, tmp_path, capsys):
@@ -726,6 +747,61 @@ def test_negative_claiming_more_frames_than_its_lattice_exits_2(base_suite, tmp_
     ) in capsys.readouterr().err
 
 
+def test_a_record_claiming_10_to_the_12_frames_exits_2_before_any_decode(
+    base_suite, tmp_path, capsys, monkeypatch
+):
+    """The longest record of the suite claims 10**12 frames, so it would size
+    each run's lane buffer: decode and bench hold it to its lattice header
+    first and exit 2, with nothing decoded and little memory allocated."""
+    suite = copy_suite(base_suite, tmp_path)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    record = max(manifest["utterances"], key=lambda u: u["utt_id"])  # the last one decoded
+    frames = sum(record["durations"])
+    record["durations"][-1] += 10**12 - frames
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(decoder, "_lane_columns", _no_decode)
+    out = str(tmp_path / "out")
+    for argv in (["decode", "--suite", str(suite), "--out", out],
+                 ["bench", "--suite", str(suite), "--report", out]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        err = capsys.readouterr().err
+        assert "no decode may run" not in err
+        assert (
+            f"utterance {record['utt_id']!r}: field 'durations': {10**12} frames, "
+            f"but {suite / record['lattice']} has {frames} frames"
+        ) in err
+
+
+def test_each_run_allocates_one_lane_buffer_of_its_own_lanes(base_suite, tmp_path, monkeypatch):
+    """decode allocates one buffer for its 8 one-lane utterances, and bench
+    one per run for a group's 2 positives and 2 negatives x 2 keywords; each
+    has rows for the suite's longest utterance and widest keyword."""
+    suite = load_manifest(base_suite)
+    frames = max(u.num_frames for u in suite.utterances)
+    tokens = max(k.num_tokens for k in suite.keywords)
+    shapes = []
+    edge_buffer = decoder._edge_buffer
+
+    def recorded(*args):
+        edges = edge_buffer(*args)
+        shapes.append(edges.shape)
+        return edges
+
+    monkeypatch.setattr(decoder, "_edge_buffer", recorded)
+    out = str(tmp_path / "out")
+    assert main(["decode", "--suite", str(base_suite), "--out", out]) == 0
+    assert shapes == [(frames + 1 + 2 * tokens, 2, tokens + 1, 8)]
+    shapes.clear()
+    assert main(["bench", "--suite", str(base_suite), "--d-max", "3", "--report", out]) == 0
+    assert shapes == [(frames + 1 + 2 * tokens, 2, tokens + 1, 6)] * 4
+
+
 @pytest.mark.parametrize("where", ["manifest", "sidecar"])
 def test_non_integral_token_id_exits_2(base_suite, tmp_path, where):
     suite = copy_suite(base_suite, tmp_path)
@@ -1047,7 +1123,12 @@ def test_decode_suite_holds_one_record_at_a_time(tmp_path, capsys):
             yield oracle, (suite.keywords_by_name[utt.lattice_keyword],), utt.utt_id
 
     drain = lambda iterable: deque(iterable, maxlen=0)  # noqa: E731
-    decode_only, _ = _traced(lambda: drain(decode_keywords(lattices(), config)))
+    # The lazy decode alone, through the lane buffer that decode_suite sizes.
+    shape = decoder._lane_shape(
+        ((1, u.num_frames) for u in suite.utterances), max(k.num_tokens for k in suite.keywords)
+    )
+    blocks = lambda: decoder._decode_blocks(lattices(), config, SpeedCounters(), shape)  # noqa: E731
+    decode_only, _ = _traced(lambda: drain(blocks()))
     streamed, _ = _traced(lambda: drain(decode_suite(suite, config)))
     _, held = _traced(lambda: list(decode_suite(suite, config)))
     assert streamed <= decode_only + 3 * record_bytes

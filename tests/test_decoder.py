@@ -784,13 +784,96 @@ def test_score_blocks_are_minus_inf_off_their_lanes_frames(mode, chunk):
         data = random_proper_lattice(rng, t_max=40, u_max=4, d_max=3)
         jobs.append((FileLatticeOracle(data), [data.keyword] * int(rng.integers(1, 3)), f"u{i}"))
     with mock.patch.object(kws.decoder, "_LANE_CHUNK", chunk):
-        blocks = list(kws.decoder._decode_blocks(jobs, config, SpeedCounters()))
+        shape = kws.decoder._lane_shape(((len(k), o.num_frames) for o, k, _ in jobs), 4)
+        blocks = list(kws.decoder._decode_blocks(jobs, config, SpeedCounters(), shape))
     assert sum(len(block.utts) for block in blocks) == len(jobs)
     for block in blocks:
         assert np.isneginf(block.scores[~block.processed]).all()
         for utt, i in block.utts:
             for lane in range(i, i + len(utt.keywords)):
                 assert np.flatnonzero(block.processed[lane]).tolist() == (utt.frames - 1).tolist()
+
+
+def _recorded_sweeps_and_buffers():
+    """Stand-ins for ``_lane_columns`` and ``_edge_buffer`` that record each
+    sweep's lanes and each buffer's shape, and those two lists."""
+    sweeps, buffers = [], []
+    sweep, edge_buffer = kws.decoder._lane_columns, kws.decoder._edge_buffer
+
+    def recorded_sweep(edges, *args):
+        sweeps.append(edges.shape[3])
+        return sweep(edges, *args)
+
+    def recorded_buffer(*args):
+        edges = edge_buffer(*args)
+        buffers.append(edges.shape)
+        return edges
+
+    return recorded_sweep, recorded_buffer, sweeps, buffers
+
+
+@pytest.mark.parametrize("mode", ["rnnt", "tdt"])
+@pytest.mark.parametrize("chunk", [1, 2, 5, 256])
+def test_growing_utterances_decode_in_the_fewest_sweeps(mode, chunk):
+    """Utterances each longer than all before them, and now and then wider,
+    decode through one lane buffer sized for the longest and the widest, in
+    as few sweeps as ``_LANE_CHUNK`` allows, and bit for bit as alone."""
+    rng = np.random.default_rng(11)
+    config = DecodeConfig(mode=mode, d_max=2 if mode == "tdt" else 0)
+    jobs = []
+    for i in range(12):
+        T, U = 3 + 2 * i, 1 + i // 3
+        oracle = grid_oracle(
+            rng.uniform(0.05, 1, (T, U)), rng.uniform(0.05, 1, (T, U + 1)),
+            d_max=2, durations=rng.integers(0, 3, T),
+        )
+        jobs.append((oracle, [oracle.keyword], f"u{i}"))
+    recorded_sweep, recorded_buffer, sweeps, buffers = _recorded_sweeps_and_buffers()
+    with mock.patch.multiple(
+        kws.decoder, _LANE_CHUNK=chunk, _lane_columns=recorded_sweep, _edge_buffer=recorded_buffer
+    ):
+        decoded = list(decode_keywords(jobs, config))
+    assert len(sweeps) == -(-len(jobs) // chunk)
+    # 25 frames and keywords of 4 tokens: 25 + 1 + 2 * 4 rows of U + 1 = 5.
+    assert buffers == [(34, 2, 5, min(chunk, len(jobs)))]
+    for (oracle, (keyword,), utt_id), (stream,) in zip(jobs, decoded, strict=True):
+        alone = decode_kws(oracle, keyword, config, utt_id)
+        assert stream.scores.tobytes() == alone.scores.tobytes()
+        assert stream.processed.tobytes() == alone.processed.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["rnnt", "tdt"])
+def test_a_run_of_fewer_lanes_than_the_cap_allocates_exactly_its_lanes(mode):
+    """80 lanes, 8 per utterance, under the cap of 256: one buffer of 80
+    lanes, decoded in one sweep."""
+    rng = np.random.default_rng(5)
+    config = DecodeConfig(mode=mode, d_max=3 if mode == "tdt" else 0)
+    jobs = []
+    for i in range(10):
+        data = random_proper_lattice(rng, t_max=40, u_max=4, d_max=3)
+        jobs.append((FileLatticeOracle(data), [data.keyword] * 8, f"u{i}"))
+    recorded_sweep, recorded_buffer, sweeps, buffers = _recorded_sweeps_and_buffers()
+    with mock.patch.multiple(
+        kws.decoder, _lane_columns=recorded_sweep, _edge_buffer=recorded_buffer
+    ):
+        decoded = list(decode_keywords(jobs, config))
+    assert [lanes for *_, lanes in buffers] == [80]
+    assert sweeps == [80]
+    assert [len(streams) for streams in decoded] == [8] * 10
+
+
+def test_an_utterance_that_outgrows_the_lane_buffer_is_refused():
+    """A buffer shape with too few lanes, frames or tokens for an utterance
+    raises before anything is written past the buffer's rows."""
+    data = random_proper_lattice(np.random.default_rng(2), t_max=12, u_max=4)
+    oracle = FileLatticeOracle(data)
+    T, U = oracle.num_frames, data.keyword.num_tokens
+    job = (oracle, [data.keyword] * 2, "u")
+    for shape in [(1, T, U), (2, T - 1, U), (2, T, U - 1)]:
+        with pytest.raises(ValueError, match="outgrow the run's lane buffer"):
+            list(kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), shape))
+    (block,) = kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), (2, T, U))
+    assert block.scores.shape == (2, T)
 
 
 def _reference_schedule(durations, config):

@@ -478,8 +478,9 @@ def _wide_keyword_case(rng, d_max):
 @given(seed=st.integers(0, 2**32 - 1), tdt=st.booleans())
 def test_decode_over_many_lanes_equals_separate_streaming_decodes(seed, tdt):
     """More lanes than one sweep's 256, keywords of 1 to 6 tokens and ragged
-    column counts: the lane buffer grows from 64 lanes to 256 as batches
-    fill, never past it, and every lane decodes bit for bit as one
+    column counts: every sweep holds at most 256 lanes, a sweep closes only
+    when the next utterance does not fit, so only the run's last is short by
+    more than one utterance, and every lane decodes bit for bit as one
     StreamingDecoder per pair."""
     rng = np.random.default_rng(seed)
     d_max = int(rng.integers(1, 5)) if tdt else 0
@@ -499,8 +500,13 @@ def test_decode_over_many_lanes_equals_separate_streaming_decodes(seed, tdt):
 
     with mock.patch.object(kws.decoder, "_lane_columns", recorded):
         decoded = list(decode_keywords(jobs, config))
-    assert widths[0] <= 64 and 128 < max(widths) <= 256
-    assert len(widths) >= 4
+    # Whole utterances, in order, fill each sweep until the next does not fit.
+    expected = [0]
+    for _, keywords, _ in jobs:
+        if expected[-1] + len(keywords) > 256:
+            expected.append(0)
+        expected[-1] += len(keywords)
+    assert widths == expected and max(widths) <= 256
     for (oracle, keywords, utt_id), streams in zip(jobs, decoded, strict=True):
         assert len(streams) == len(keywords)
         for keyword, stream in zip(keywords, streams):
