@@ -20,23 +20,25 @@ The TDT hop schedule comes from the oracle's greedy duration track, fetched
 as one array (it depends on neither the keyword nor the greedy history):
 one clip to [1, d_max] (``_hops``, the rule the ASR baselines' TDT greedy
 search hops by too) and one integer loop over the hops. Emissions are
-fetched for the processed frames only, by one ``emission_grids`` call that
-returns them as one block already in the lane layout below: for every
-keyword of an utterance at once by ``decode_keywords``, for its one keyword
-and the frame it lands on by ``StreamingDecoder``.
+fetched for the processed frames only, by one ``emission_grids`` call in
+the lane layout below: for every keyword of an utterance at once by
+``decode_keywords``, written by the oracle straight into the run's stage,
+and for its one keyword and the frame it lands on by ``StreamingDecoder``.
 
 One DP routine (``_lane_columns``) serves every decode. It advances many
 lanes at once; a lane is one (utterance, keyword) pair, indexed by its own
 count of processed columns rather than by frame, so RNN-T and TDT lanes of
 different utterances step together without masks and TDT keeps its skipped
 frames. ``decode_keywords`` batches whole utterances, up to 256 lanes per
-sweep, through one lane buffer per run, sized before the first utterance
-for the run's lanes, its longest utterance and its widest keyword: the
-lanes of all keywords of an utterance share its hop schedule and enter a
-batch side by side in one buffer write of the oracle's block; a batch
-leaves as one (lane, frame) score block (``_ScoreBlock``), cut from the
-DP's columns by one scatter (one transposed copy where every lane lands on
-every frame), whose rows the ScoreStreams view.
+sweep, through one lane buffer and one stage per run, sized before the
+first utterance for the run's lanes, its longest utterance and its widest
+keyword: the lanes of all keywords of an utterance share its hop schedule;
+the oracle writes them side by side into a lane-slowest stage, and each
+stage, once it holds 32 lanes or more, enters the lane-fastest buffer in
+one transposing copy; a batch leaves as one (lane, frame) score block
+(``_ScoreBlock``), cut from the DP's columns by one scatter (one transposed
+copy where every lane lands on every frame), whose rows the ScoreStreams
+view.
 ``StreamingDecoder`` runs the same routine on one lane, one column at a
 time, and fires by ``detect_events``' threshold and refractory rule as each
 score lands. Offline event extraction works on a whole block: the live gate
@@ -91,6 +93,17 @@ ZERO_DURATION_POLICIES = ("clamp", "error")
 # (``_LaneBatch``) as wide as its own lanes, up to this cap, so perfbench's
 # asr runs of 80 lanes allocate 80.
 _LANE_CHUNK = 256
+
+# Lanes that a stage (``_LaneBatch``) holds, at least, before it enters the
+# lane buffer for want of room. An utterance's emissions are written lane
+# by lane into a lane-slowest stage of this many lanes plus the widest
+# utterance's less one, and each full stage enters the lane buffer in one
+# transposing copy, in runs of at least 128 bytes. Each run allocates its
+# own stage, whose pages are new: a stage of 64 lanes nearly doubled the
+# memory that perfbench's asr runs of 80 lanes touch, and their KWS runs
+# took 11% longer; at 32 they took as long as with no stage, and seed-1
+# `kws decode` RNN-T ran as fast as at 64.
+_STAGE_LANES = 32
 
 
 @dataclass(frozen=True)
@@ -393,56 +406,83 @@ class _ScoreBlock:
 
 
 class _LaneBatch:
-    """One run's f32 edge buffer, allocated once and reused batch after batch.
+    """One run's f32 edge buffer and its stage, allocated once and reused
+    batch after batch.
 
-    Its shape is ``_lane_shape``'s: the run's lanes, up to ``_LANE_CHUNK``
-    but at least its widest utterance's K, its longest utterance's frame
-    count and its widest keyword's token count, so no utterance of the run
-    outgrows it. ``add`` puts the K lanes of one utterance side by side at
-    ``edges[..., i:i + K]`` in ``_lane_columns``'s layout with one write of
-    the oracle's emission block, whose lanes are already left-padded with
-    log-1 entries (0.0) to its widest keyword, and one write of log-1 entries
-    below that width; lanes shorter than the batch's longest read stale rows
-    past their own columns, which only dropped columns use. A batch closes
-    only when its lanes are full, at an utterance boundary: before an
-    utterance that does not fit, or after one that fills it. Each decoded
-    batch queues one ``_ScoreBlock`` on ``blocks``.
+    The buffer's shape is ``_lane_shape``'s: the run's lanes, up to
+    ``_LANE_CHUNK`` but at least its widest utterance's K, its longest
+    utterance's frame count and its widest keyword's token count U, so no
+    utterance of the run outgrows it. Its fastest axis is the lane, which
+    the DP needs and a one-lane write pays for with a cache line per value,
+    so lanes do not enter it one utterance at a time: ``add`` asks the
+    utterance's oracle to fill the K lanes' slot of a lane-slowest stage of
+    (S, frames, 2, U + 1), S the stage's lanes (``_STAGE_LANES`` plus the
+    widest K less one, at most the buffer's lanes), and writes log-1 entries
+    (0.0) below the utterance's widest keyword; the oracle pads its own
+    narrower keywords. When the next utterance does not fit in the stage,
+    or the batch decodes, one transposing copy moves the staged lanes into
+    ``edges[..., i:i + K]`` in ``_lane_columns``' layout. A staged lane
+    shorter than the stage's longest carries stale rows past its own
+    columns, and a lane shorter than its batch's longest reads stale buffer
+    rows there; only dropped columns use them. A batch closes only when
+    its lanes are full, at an utterance boundary: before an utterance that
+    does not fit, or after one that fills it. Each decoded batch queues one
+    ``_ScoreBlock`` on ``blocks``.
     """
 
-    def __init__(self, counters: SpeedCounters, lanes: int, frames: int, tokens: int) -> None:
+    def __init__(
+        self, counters: SpeedCounters, lanes: int, frames: int, tokens: int, stage_lanes: int
+    ) -> None:
         self.counters = counters
         self.edges = _edge_buffer(frames, tokens, lanes)
+        self.stage = np.zeros((stage_lanes, frames, 2, tokens + 1), dtype=np.float32)
         self.utts: list[tuple[_PendingUtterance, int]] = []  # (utterance, first lane)
         self.lanes = self._columns = self._tokens = 0
+        self._staged = self._staged_columns = 0  # lanes in the stage, their most columns
         self.blocks: deque[_ScoreBlock] = deque()
 
-    def add(self, utt: _PendingUtterance, block: np.ndarray) -> None:
-        """Queue ``utt`` with its (K, 2, n, u + 1) emission block."""
-        K, _, n, u1 = block.shape
+    def add(
+        self, utt: _PendingUtterance, oracle: EmissionOracle, keywords: Sequence[KeywordSpec]
+    ) -> None:
+        """Queue ``utt`` with the emissions of ``keywords`` at its frames."""
+        K, n = len(keywords), len(utt.frames)
         if not K:
             self.utts.append((utt, self.lanes))
             return
-        u = u1 - 1
-        rows, _, U1, L = self.edges.shape
+        u = max(keyword.num_tokens for keyword in keywords)
+        S, rows, _, U1 = self.stage.shape
         U = U1 - 1
-        if n > rows - 1 - 2 * U or u > U or K > L:
+        if n > rows or u > U or K > S:
+            oracle.emission_grids(keywords, utt.frames)  # the oracle's refusals come first
             raise ValueError(
                 f"utterance {utt.utt_id!r}: {K} lanes of {n} columns and {u} tokens "
                 "outgrow the run's lane buffer"
             )
-        if self.lanes + K > L:
+        if self.lanes + K > self.edges.shape[3]:
             self.decode()
-        i = self.lanes
-        lanes = self.edges[U + 1 : U + 1 + n, :, :, i : i + K]
-        lanes[:, :, U - u :] = block.transpose(2, 1, 3, 0)
+        elif self._staged + K > S:
+            self._unstage()
+        slot = self.stage[self._staged : self._staged + K, :n]
+        oracle.emission_grids(keywords, utt.frames, out=slot[..., U - u :].transpose(0, 2, 1, 3))
         if u < U:
-            lanes[:, :, : U - u] = 0.0  # log 1 below a narrower utterance's keywords
-        self.utts.append((utt, i))
+            slot[..., : U - u] = 0.0  # log 1 below a narrower utterance's keywords
+        self.utts.append((utt, self.lanes))
         self.lanes += K
+        self._staged += K
+        self._staged_columns = max(self._staged_columns, n)
         self._columns = max(self._columns, n)
         self._tokens = max(self._tokens, u)
-        if self.lanes == L:
+        if self.lanes == self.edges.shape[3]:
             self.decode()
+
+    def _unstage(self) -> None:
+        """Move the staged lanes, the batch's last, into the buffer with one
+        transposing copy, and empty the stage."""
+        j, n = self._staged, self._staged_columns
+        U = self.stage.shape[3] - 1
+        i = self.lanes - j
+        self.edges[U + 1 : U + 1 + n, :, :, i : i + j] = self.stage[:j, :n].transpose(1, 2, 3, 0)
+        self._staged = self._staged_columns = 0
 
     def decode(self) -> None:
         """Run the DP over the batch, queue its score block, and empty it."""
@@ -452,6 +492,7 @@ class _LaneBatch:
         W = max(utt.num_frames for utt, _ in self.utts)
         scores = np.full((L, W), NEG_INF)
         if L:
+            self._unstage()
             U_buf = self.edges.shape[2] - 1
             skip = U_buf - U  # padding rows no lane of this batch needs
             edges = self.edges[skip:, :, skip:, :L]
@@ -477,28 +518,34 @@ class _LaneBatch:
         self.lanes = self._columns = self._tokens = 0
 
 
-def _lane_shape(utterances: Iterable[tuple[int, int]], tokens: int) -> tuple[int, int, int]:
-    """(lanes, frames, tokens) of the lane buffer of one run of utterances,
-    given as (lanes, frame count) pairs, whose keywords have at most
-    ``tokens`` tokens: the run's lanes, at most ``_LANE_CHUNK`` but at least
-    its widest utterance's, and its longest utterance's frame count."""
+def _lane_shape(
+    utterances: Iterable[tuple[int, int]], tokens: int
+) -> tuple[int, int, int, int]:
+    """(lanes, frames, tokens, stage lanes) of the lane buffer and stage of
+    one run of utterances, given as (lanes, frame count) pairs, whose
+    keywords have at most ``tokens`` tokens: the run's lanes, at most
+    ``_LANE_CHUNK`` but at least its widest utterance's, its longest
+    utterance's frame count, and ``_STAGE_LANES`` plus the widest
+    utterance's lanes less one, at most the buffer's: a stage that cannot
+    take the next utterance then holds at least ``_STAGE_LANES``."""
     lanes = widest = frames = 0
     for K, num_frames in utterances:
         lanes += K
         widest = max(widest, K)
         frames = max(frames, num_frames)
-    return max(min(lanes, _LANE_CHUNK), widest), frames, tokens
+    lanes = max(min(lanes, _LANE_CHUNK), widest)
+    return lanes, frames, tokens, min(lanes, _STAGE_LANES + widest - 1)
 
 
 def _decode_blocks(
     utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
     config: DecodeConfig,
     counters: SpeedCounters,
-    shape: tuple[int, int, int],
+    shape: tuple[int, int, int, int],
 ) -> Iterator[_ScoreBlock]:
     """``decode_keywords`` with the scores of each lane batch as one block,
-    through one lane buffer of ``shape`` (``_lane_shape``), which no
-    utterance may outgrow; the buffer is allocated on the first draw and
+    through one lane buffer and stage of ``shape`` (``_lane_shape``), which
+    no utterance may outgrow; both are allocated on the first draw and
     charged to ``total_wall_seconds``."""
     queries_per_column = 2 if config.mode == TDT else 1
     tick = perf_counter()
@@ -512,7 +559,7 @@ def _decode_blocks(
             utt_id, oracle.num_frames, oracle.frame_seconds, frames,
             [keyword.name for keyword in keywords],
         )
-        batch.add(utt, oracle.emission_grids(keywords, frames))
+        batch.add(utt, oracle, keywords)
         columns = len(keywords) * len(frames)
         counters.columns_evaluated += columns
         counters.oracle_queries += queries_per_column * columns
@@ -538,14 +585,15 @@ def decode_keywords(
     its oracles' frame counts and its keywords size the run's one lane buffer
     before the first is decoded, so the caller holds every oracle. Each
     utterance's hop schedule is computed once, and one ``emission_grids``
-    call fetches the rows of all its keywords at the scheduled frames only,
-    as one block; its lanes join a batch together.
+    call writes the rows of all its keywords at the scheduled frames only
+    into the run's stage; its lanes join a batch together.
     Scores are bit-identical to one ``StreamingDecoder`` per pair, and
     counted the same way: per pair and processed frame, one row query plus,
     in TDT mode, one greedy query, as a per-column decode would make them.
     ``search_wall_seconds`` brackets the batched column loops;
-    ``total_wall_seconds`` covers the lane buffer, schedules, row fetches
-    and batches, not the time spent building the streams or in the caller.
+    ``total_wall_seconds`` covers the lane buffer and stage, schedules, row
+    fetches and batches, not the time spent building the streams or in the
+    caller.
     """
     counters = counters if counters is not None else SpeedCounters()
     utterances = list(utterances)

@@ -7,8 +7,9 @@ never for one greedy step at a time:
 
 * keyword-track emissions of every keyword of an utterance at the frames a
   decode processes, as one block in the decoder's lane layout
-  (``emission_grids``); ``StreamingDecoder`` makes the same query for each
-  frame it lands on, a block of one keyword and one frame;
+  (``emission_grids``), written straight into the decoder's own staging
+  buffer when it passes one; ``StreamingDecoder`` makes the same query for
+  each frame it lands on, a block of one keyword and one frame;
 * the greedy duration and token tracks, one array each (``greedy_durations``,
   ``greedy_tokens``). The duration track depends on neither the keyword nor
   the greedy history, so one array serves every keyword of an utterance;
@@ -102,13 +103,17 @@ class EmissionOracle(ABC):
     depend on what it can answer:
 
     * a keyword-track oracle (every oracle) defines
-      ``emission_grids(keywords, frames)``, the emissions of K keywords at n
-      1-based frames as one f32 block of shape (K, 2, n, U + 1), U the
-      widest keyword's token count, in the decoder's lane layout: a keyword
-      k of w tokens has log y(t, u) at ``[k, 0, i, U - w + u]`` for u in
-      [0, w - 1] and log phi(t, u) at ``[k, 1, i, U - w + u]`` for u in
-      [0, w], with t = frames[i]; every other entry is 0.0 (log 1). The
-      block may be a read-only view;
+      ``emission_grids(keywords, frames, out=None)``, the emissions of K
+      keywords at n 1-based frames as one f32 block of shape
+      (K, 2, n, U + 1), U the widest keyword's token count, in the
+      decoder's lane layout: a keyword k of w tokens has log y(t, u)
+      at ``[k, 0, i, U - w + u]`` for u in [0, w - 1] and log phi(t, u) at
+      ``[k, 1, i, U - w + u]`` for u in [0, w], with t = frames[i]; every
+      other entry is 0.0 (log 1). Without ``out`` the block is new or a
+      read-only view. ``out`` is a writable f32 array of that shape and any
+      strides, such as a transposed slot of a decoder's buffer: the oracle
+      makes every refusal of the query before it writes, then writes every
+      entry of ``out`` and nothing else, and returns ``out``;
     * a duration-aware oracle (``d_max > 0``) also defines
       ``greedy_durations()`` and ``greedy_tokens()``: the argmax duration
       and the greedy token at every frame, int64[T], entry t - 1 for frame

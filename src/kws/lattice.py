@@ -309,16 +309,21 @@ class FileLatticeOracle(EmissionOracle):
                 f"disagrees with the queried keyword {keyword.name!r} {keyword.tokens}"
             )
 
-    def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
+    def emission_grids(
+        self, keywords: Sequence[KeywordSpec], frames: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         self._check_frames(frames)
         for keyword in keywords:
             self._check_keyword(keyword)
         # Every keyword is the stored one, so all lanes are the same.
         U = self._data.num_tokens
-        block = np.zeros((len(keywords), 2, len(frames), U + 1), dtype=np.float32)
-        block[:, 0, :, :U] = self._data.log_y[frames - 1]
-        block[:, 1] = self._data.log_phi[frames - 1]
-        return block
+        if out is None:
+            out = np.empty((len(keywords), 2, len(frames), U + 1), dtype=np.float32)
+        rows = frames - 1  # np.take gathers them in half the time of indexing
+        out[:, 0, :, :U] = np.take(self._data.log_y, rows, axis=0)
+        out[:, 0, :, U] = 0.0
+        out[:, 1] = np.take(self._data.log_phi, rows, axis=0)
+        return out
 
     def _check_greedy_track(self) -> None:
         if not self.supports_tdt:

@@ -25,11 +25,12 @@ rule that a suite has no gaps, so it refuses a token 0. Its text is
 ``json.dumps(..., sort_keys=True)`` by json's C encoder, with each utterance
 record on its own line of the ``utterances`` list.
 A suite command opens a lattice through ``SuiteManifest.lattice``, which
-holds it to its record: the same frame count and, where the sidecar's
+holds it to its record and the suite: the same frame count, D_max and
+frame_seconds (as the header's 32-bit float) and, where the sidecar's
 provenance names an utterance, the same utterance. ``decode`` and
-``bench`` also compare every lattice's frame count with its header before
-the first decode, since the records size a decode run's lane buffer, and a
-negative's record alone sizes the arrays of its SyntheticOracle.
+``bench`` also hold every lattice header to them before the first decode,
+since the records size a decode run's lane buffer, and a negative's record
+alone sizes the arrays of its SyntheticOracle.
 
 Alignments are drawn from per-utterance child seeds (suite_seed, utt_index),
 so generation order and parallelism never change output; a fixed seed yields
@@ -341,19 +342,38 @@ class SuiteManifest:
     def lattice_path(self, utt: Utterance) -> Path:
         return self.root / utt.lattice
 
-    def _check_frames(self, utt: Utterance, frames: int) -> None:
+    def _check_header(
+        self, utt: Utterance, frames: int, d_max: int, frame_seconds: float
+    ) -> None:
+        """Hold the frame count, D_max and frame_seconds of ``utt``'s lattice
+        header to its record's frame count and the suite's ``d_max`` and
+        ``frame_seconds``, which the header stores as a 32-bit float."""
+        stated = utt.synth.frame_seconds
+        header = (frames, d_max, frame_seconds)
+        if header == (utt.num_frames, self.d_max, float(np.float32(stated))):
+            return
+        manifest, path = self.root / "manifest.json", self.lattice_path(utt)
         if frames != utt.num_frames:
             raise ManifestError(
-                f"{self.root / 'manifest.json'}: utterance {utt.utt_id!r}: field 'durations': "
-                f"{utt.num_frames} frames, but {self.lattice_path(utt)} has {frames} frames"
+                f"{manifest}: utterance {utt.utt_id!r}: field 'durations': "
+                f"{utt.num_frames} frames, but {path} has {frames} frames"
             )
+        if d_max != self.d_max:
+            raise ManifestError(
+                f"{manifest}: top level: field 'd_max': {self.d_max}, but {path} has D_max {d_max}"
+            )
+        raise ManifestError(
+            f"{manifest}: top level: field 'frame_seconds': {stated}, "
+            f"but {path} has {frame_seconds}"
+        )
 
     def lattice(self, utt: Utterance) -> FileLatticeOracle:
-        """``utt``'s lattice, which must have its record's frame count and, when
-        its sidecar's provenance names an utterance, be ``utt``'s. Suite commands
-        open lattices here, by the global ``load_lattice`` that a tracer swaps."""
+        """``utt``'s lattice, whose header must agree with its record and the
+        suite (``check_lattice_headers``) and which, when its sidecar's
+        provenance names an utterance, must be ``utt``'s. Suite commands open
+        lattices here, by the global ``load_lattice`` that a tracer swaps."""
         oracle = load_lattice(os.path.join(self.root, utt.lattice))
-        self._check_frames(utt, oracle.num_frames)
+        self._check_header(utt, oracle.num_frames, oracle.d_max, oracle.frame_seconds)
         provenance = oracle.provenance
         if isinstance(provenance, dict) and provenance.get("utt_id", utt.utt_id) != utt.utt_id:
             raise ManifestError(
@@ -363,17 +383,21 @@ class SuiteManifest:
         return oracle
 
     def check_lattice_headers(self, utterances) -> int:
-        """Check the frame count in the lattice header of each of ``utterances``
-        against its record's, reading no lattice body or sidecar, and return
-        the most keyword tokens that their headers hold (0 for none). Both
+        """Hold the lattice header of each of ``utterances`` to its record and
+        the suite: its frame count, D_max and frame_seconds (a header that
+        disagrees is a broken file, not a decode that fails later), reading
+        no lattice body or sidecar, and return the most keyword tokens that
+        the headers hold (0 for none). The frame counts and token counts
         size arrays before a lattice is read: the sum of a record's
         ``durations`` a SyntheticOracle's per-frame arrays, and the records'
         frame counts and the headers' token counts a decode run's lane
         buffer."""
         tokens = 0
         for utt in utterances:
-            frames, width, _, _ = read_lattice_header(os.path.join(self.root, utt.lattice))
-            self._check_frames(utt, frames)
+            frames, width, d_max, frame_seconds = read_lattice_header(
+                os.path.join(self.root, utt.lattice)
+            )
+            self._check_header(utt, frames, d_max, frame_seconds)
             tokens = max(tokens, width)
         return tokens
 

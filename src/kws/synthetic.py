@@ -240,16 +240,21 @@ class SyntheticOracle(EmissionOracle):
                     free[k] = i + U
         return seg_pos
 
-    def emission_grids(self, keywords: Sequence[KeywordSpec], frames: np.ndarray) -> np.ndarray:
-        """The (K, 2, n, U + 1) f32 emission block at the n frames.
+    def emission_grids(
+        self, keywords: Sequence[KeywordSpec], frames: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The (K, 2, n, U + 1) f32 emission block at the n frames, in ``out``
+        when it is given.
 
         Each (keyword, frame) entry is one gather from the keyword set's row
         table, at the code of the covering segment's keyword position and
-        token class; no step loops over the keywords.
+        token class; no step loops over the keywords. The gather goes to a
+        contiguous block, which one copy moves into ``out``: a gather
+        straight into a strided ``out`` is buffered, and slower.
         """
         self._check_frames(frames)
         if not len(keywords):
-            return np.zeros((0, 2, len(frames), 1), dtype=np.float32)
+            return np.zeros((0, 2, len(frames), 1), dtype=np.float32) if out is None else out
         rows = self._rows(keywords)
         # Each segment token's class in the keyword set; column 0 is the gaps'.
         tokens = self._seg_token_ids
@@ -257,7 +262,12 @@ class SyntheticOracle(EmissionOracle):
         classes = np.zeros(len(tokens) + 1, dtype=np.int64)
         classes[1:] = np.where(rows.tokens[at] == tokens, at + 2, 1)
         codes = self._segment_positions(rows) * rows.classes_per_position + rows.codes[:, classes]
-        return np.take(rows.table, codes[:, self._seg_ord[frames - 1]], axis=0).transpose(0, 2, 1, 3)
+        block = np.take(rows.table, codes[:, self._seg_ord[frames - 1]], axis=0)
+        block = block.transpose(0, 2, 1, 3)
+        if out is None:
+            return block
+        out[...] = block
+        return out
 
     # Generative track
 

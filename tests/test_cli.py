@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -793,13 +794,24 @@ def test_each_run_allocates_one_lane_buffer_of_its_own_lanes(base_suite, tmp_pat
         shapes.append(edges.shape)
         return edges
 
+    class RecordedBatch(decoder._LaneBatch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stages.append(self.stage.shape)
+
+    stages = []
     monkeypatch.setattr(decoder, "_edge_buffer", recorded)
+    monkeypatch.setattr(decoder, "_LaneBatch", RecordedBatch)
     out = str(tmp_path / "out")
     assert main(["decode", "--suite", str(base_suite), "--out", out]) == 0
     assert shapes == [(frames + 1 + 2 * tokens, 2, tokens + 1, 8)]
+    # Fewer lanes than _STAGE_LANES: the stage holds the run's lanes, lane-slowest.
+    assert stages == [(8, frames, 2, tokens + 1)]
     shapes.clear()
+    stages.clear()
     assert main(["bench", "--suite", str(base_suite), "--d-max", "3", "--report", out]) == 0
     assert shapes == [(frames + 1 + 2 * tokens, 2, tokens + 1, 6)] * 4
+    assert stages == [(6, frames, 2, tokens + 1)] * 4
 
 
 @pytest.mark.parametrize("where", ["manifest", "sidecar"])
@@ -935,6 +947,43 @@ def test_manifest_alignment_fault_exits_2_naming_the_field_and_entry(
     for command in ("decode", "bench"):
         assert main([command, "--suite", str(suite)]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("field", ["d_max", "frame_seconds"])
+def test_a_lattice_header_that_disagrees_with_the_suite_exits_2(
+    base_suite, tmp_path, capsys, monkeypatch, field
+):
+    """A lattice whose header holds another D_max or frame_seconds than the
+    suite is a broken file: every suite command exits 2 with a ManifestError
+    naming the lattice and the field, before any decode. With D_max 0, a TDT
+    decode used to fail later, naming no file, and an RNN-T decode passed."""
+    suite = copy_suite(base_suite, tmp_path)
+    record = json.loads((suite / "manifest.json").read_text())["utterances"][-1]
+    path = suite / record["lattice"]
+    data = read_lattice(path)
+    if field == "d_max":
+        changed = replace(data, d_max=0, greedy_tokens=None, greedy_durations=None)
+    else:
+        changed = replace(data, frame_seconds=0.02)
+    save_lattice(changed, path)
+
+    def no_decode(*args):
+        raise AssertionError("no decode may run")
+
+    monkeypatch.setattr(decoder, "_lane_columns", no_decode)
+    monkeypatch.setattr(decoder, "_LaneBatch", no_decode)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["decode", "--mode", "rnnt", "--out", out],
+        ["decode", "--mode", "tdt", "--d-max", "3", "--out", out],
+        ["bench", "--d-max", "3", "--report", out],
+        ["dump-delta", "--utt", record["utt_id"], "--out", out],
+    ):
+        assert main([argv[0], "--suite", str(suite), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {suite / 'manifest.json'}: ")
+        assert f"field {field!r}" in err and str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_keyword_longer_than_its_lattice_exits_2(base_suite, tmp_path, capsys):

@@ -863,16 +863,16 @@ def test_a_run_of_fewer_lanes_than_the_cap_allocates_exactly_its_lanes(mode):
 
 
 def test_an_utterance_that_outgrows_the_lane_buffer_is_refused():
-    """A buffer shape with too few lanes, frames or tokens for an utterance
-    raises before anything is written past the buffer's rows."""
+    """A buffer shape with too few lanes, stage lanes, frames or tokens for
+    an utterance raises before anything is written past the buffer's rows."""
     data = random_proper_lattice(np.random.default_rng(2), t_max=12, u_max=4)
     oracle = FileLatticeOracle(data)
     T, U = oracle.num_frames, data.keyword.num_tokens
     job = (oracle, [data.keyword] * 2, "u")
-    for shape in [(1, T, U), (2, T - 1, U), (2, T, U - 1)]:
+    for shape in [(1, T, U, 1), (2, T, U, 1), (2, T - 1, U, 2), (2, T, U - 1, 2)]:
         with pytest.raises(ValueError, match="outgrow the run's lane buffer"):
             list(kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), shape))
-    (block,) = kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), (2, T, U))
+    (block,) = kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), (2, T, U, 2))
     assert block.scores.shape == (2, T)
 
 

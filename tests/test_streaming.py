@@ -17,6 +17,7 @@ from kws import (
     KeywordSpec,
     ProtocolError,
     ScoreStream,
+    SidecarError,
     SpeedCounters,
     StreamingDecoder,
     SyntheticJoinerConfig,
@@ -517,3 +518,116 @@ def test_decode_over_many_lanes_equals_separate_streaming_decodes(seed, tdt):
             assert stream.scores.tobytes() == reference.scores.tobytes()
             assert stream.processed.tobytes() == reference.processed.tobytes()
             assert stream.columns_evaluated == reference.columns_evaluated
+
+
+@pytest.mark.parametrize("synthetic", [True, False], ids=["synthetic", "lattice"])
+@pytest.mark.parametrize("tdt", [False, True], ids=["rnnt", "tdt"])
+def test_emission_grids_fill_out_bit_equal_to_their_block(synthetic, tdt):
+    """``emission_grids(..., out=view)`` writes the block it would return
+    into a strided view of a wider lane-slowest buffer, as a decoder's stage
+    slot is, returns the view, and writes nothing outside it (the buffer is
+    NaN elsewhere). Keyword sets of mixed widths, K = 0 and TDT frame sets
+    are covered; a refused query writes nothing."""
+    config = DecodeConfig(mode="tdt", d_max=3) if tdt else DecodeConfig(mode="rnnt")
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        if synthetic:
+            oracle, keywords = _synthetic_case(rng, config.d_max or 3)
+        else:
+            oracle, keywords = _lattice_case(rng, config.d_max or 3, tie_heavy=True)
+        frames = kws.decoder._hop_schedule(oracle, config)
+        for query in (keywords, keywords[::-1], keywords[:1], []):
+            block = oracle.emission_grids(query, frames)
+            K, _, n, U1 = block.shape
+            stage = np.full((K + 2, n + 3, 2, U1 + 2), np.nan, dtype=np.float32)
+            inside = (slice(1, 1 + K), slice(1, 1 + n), slice(None), slice(2, None))
+            out = stage[inside].transpose(0, 2, 1, 3)
+            assert oracle.emission_grids(query, frames, out=out) is out
+            assert out.tobytes() == block.tobytes()
+            outside = np.ones(stage.shape, dtype=bool)
+            outside[inside] = False
+            assert np.isnan(stage[outside]).all()
+        stage[...] = np.nan
+        refused = [KeywordSpec("big", (99,))] if synthetic else [KeywordSpec("other", (7, 8))]
+        for query, at in ((keywords, np.array([0])), (refused, frames)):
+            with pytest.raises((ValidationError, SidecarError)):
+                oracle.emission_grids(query, at, out=stage[:1, :1].transpose(0, 2, 1, 3))
+        assert np.isnan(stage).all()
+
+
+def _mixed_stage_jobs(rng, d_max):
+    """24 utterances of 0 to 7 keywords of 1 to 4 tokens and 1 to 49 frames,
+    synthetic and lattice in turn, then one of 70 keywords."""
+    jobs = []
+    for i in range(24):
+        if i % 2:
+            oracle, keywords = _lattice_case(rng, d_max, tie_heavy=False)
+        else:
+            oracle, keywords = _synthetic_case(rng, d_max)
+        keywords = [keywords[k] for k in rng.integers(len(keywords), size=i * 5 % 8)]
+        jobs.append((oracle, keywords, f"u{i}"))
+    oracle, keywords = _synthetic_case(rng, d_max)
+    wide = (oracle, [keywords[k] for k in rng.integers(len(keywords), size=70)], "wide")
+    return jobs, wide
+
+
+@pytest.mark.parametrize("mode", ["rnnt", "tdt"])
+@pytest.mark.parametrize("stage", [1, 2, 64])
+def test_staged_lanes_of_mixed_widths_equal_streaming_decodes(mode, stage):
+    """Keyword widths and frame counts mix inside one stage and one batch,
+    at ``_LANE_CHUNK`` 1, 2, 5 and 256, with and without an utterance of 70
+    lanes: the stage holds ``_STAGE_LANES`` plus the widest utterance's
+    lanes less one, every staged copy moves at most a stage of whole
+    utterances, one made for want of room at least ``_STAGE_LANES`` lanes,
+    and every lane decodes bit for bit as one StreamingDecoder."""
+    rng = np.random.default_rng(29)
+    config = DecodeConfig(mode=mode, d_max=3 if mode == "tdt" else 0)
+    jobs, wide = _mixed_stage_jobs(rng, 3)
+    expected = {}
+    for oracle, keywords, utt_id in [*jobs, wide]:
+        for keyword in keywords:
+            decoder = StreamingDecoder(oracle, keyword, config, utt_id)
+            for t in range(1, oracle.num_frames + 1):
+                decoder.push(t)
+            expected[utt_id, keyword] = decoder.finish()
+
+    stages, copies = [], []  # copies: (lanes, whether the batch decodes)
+
+    class RecordedBatch(kws.decoder._LaneBatch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stages.append(self.stage.shape[0])
+            self.decoding = False
+
+        def _unstage(self):
+            copies.append((self._staged, self.decoding))
+            super()._unstage()
+
+        def decode(self):
+            self.decoding = True
+            super().decode()
+            self.decoding = False
+
+    for chunk in (1, 2, 5, 256):
+        for run in (jobs, [*jobs, wide]):
+            stages.clear()
+            copies.clear()
+            with mock.patch.multiple(
+                kws.decoder, _LANE_CHUNK=chunk, _STAGE_LANES=stage, _LaneBatch=RecordedBatch
+            ):
+                decoded = list(decode_keywords(run, config))
+            widths = [len(keywords) for _, keywords, _ in run]
+            lanes = max(min(sum(widths), chunk), max(widths))
+            (S,) = stages
+            assert S == min(lanes, stage + max(widths) - 1)
+            staged = [n for n, _ in copies]
+            assert sum(staged) == sum(widths) and max(staged) <= S
+            assert all(n >= stage for n, decoding in copies if not decoding)
+            if run is jobs and (stage, chunk) == (64, 256):
+                assert copies == [(70, False), (14, True)]  # 84 lanes, a stage of 70
+            for (_, keywords, utt_id), streams in zip(run, decoded, strict=True):
+                for keyword, stream in zip(keywords, streams, strict=True):
+                    reference = expected[utt_id, keyword]
+                    assert stream.scores.tobytes() == reference.scores.tobytes()
+                    assert stream.processed.tobytes() == reference.processed.tobytes()
+                    assert stream.columns_evaluated == reference.columns_evaluated
