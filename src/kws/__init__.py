@@ -1,8 +1,9 @@
 """Streaming keyword spotting for transducer models.
 
-A frame-synchronous dynamic program scores one keyword directly on the
-transducer's output lattice (token track plus blank track), with optional
-duration-conditioned frame skipping for token-and-duration transducers.
+A dynamic program scores one keyword directly on the transducer's output
+lattice (token track plus blank track). With a token-and-duration
+transducer the search is frame-asynchronous: it runs only on the frames
+that the predicted durations land on and skips the rest.
 Ships with ASR-decoding baselines, a brute-force alignment oracle, a binary
 lattice snapshot format, synthetic benchmark suites, and evaluation metrics.
 """

@@ -49,16 +49,14 @@ DATA_ERRORS = (LatticeFormatError, ManifestError, OSError, json.JSONDecodeError)
 
 
 def _default_seed(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("KWS_SEED", "0")
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"KWS_SEED must be an integer, got {env!r}") from exc
-    # numpy seeds only from non-negative integers.
-    if value < 0:
-        raise ValidationError(f"the seed must be >= 0, got {value}")
-    return value
+    """``value``, else ``KWS_SEED``, else 0; its consumers refuse a negative seed."""
+    if value is not None:
+        return value
+    env = os.environ.get("KWS_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValidationError(f"KWS_SEED must be an integer, got {env!r}") from exc
 
 
 def _threshold_log(args: argparse.Namespace) -> float:

@@ -409,10 +409,11 @@ class _LaneBatch:
     """One run's f32 edge buffer and its stage, allocated once and reused
     batch after batch.
 
-    The buffer's shape is ``_lane_shape``'s: the run's lanes, up to
+    Both are sized from the run's plan, each utterance's (keywords, frame
+    count) in decode order: the buffer holds the run's lanes, up to
     ``_LANE_CHUNK`` but at least its widest utterance's K, its longest
     utterance's frame count and its widest keyword's token count U, so no
-    utterance of the run outgrows it. Its fastest axis is the lane, which
+    utterance of the plan outgrows it. Its fastest axis is the lane, which
     the DP needs and a one-lane write pays for with a cache line per value,
     so lanes do not enter it one utterance at a time: ``add`` asks the
     utterance's oracle to fill the K lanes' slot of a lane-slowest stage of
@@ -431,9 +432,19 @@ class _LaneBatch:
     """
 
     def __init__(
-        self, counters: SpeedCounters, lanes: int, frames: int, tokens: int, stage_lanes: int
+        self, counters: SpeedCounters, plan: Iterable[tuple[Sequence[KeywordSpec], int]]
     ) -> None:
         self.counters = counters
+        lanes = widest = frames = 0
+        sequences = {}  # by identity: bench's negatives share one, measured once
+        for keywords, num_frames in plan:
+            lanes += len(keywords)
+            widest = max(widest, len(keywords))
+            frames = max(frames, num_frames)
+            sequences[id(keywords)] = keywords
+        tokens = max((k.num_tokens for keywords in sequences.values() for k in keywords), default=0)
+        lanes = max(min(lanes, _LANE_CHUNK), widest)
+        stage_lanes = min(lanes, _STAGE_LANES + widest - 1)
         self.edges = _edge_buffer(frames, tokens, lanes)
         self.stage = np.zeros((stage_lanes, frames, 2, tokens + 1), dtype=np.float32)
         self.utts: list[tuple[_PendingUtterance, int]] = []  # (utterance, first lane)
@@ -518,38 +529,20 @@ class _LaneBatch:
         self.lanes = self._columns = self._tokens = 0
 
 
-def _lane_shape(
-    utterances: Iterable[tuple[int, int]], tokens: int
-) -> tuple[int, int, int, int]:
-    """(lanes, frames, tokens, stage lanes) of the lane buffer and stage of
-    one run of utterances, given as (lanes, frame count) pairs, whose
-    keywords have at most ``tokens`` tokens: the run's lanes, at most
-    ``_LANE_CHUNK`` but at least its widest utterance's, its longest
-    utterance's frame count, and ``_STAGE_LANES`` plus the widest
-    utterance's lanes less one, at most the buffer's: a stage that cannot
-    take the next utterance then holds at least ``_STAGE_LANES``."""
-    lanes = widest = frames = 0
-    for K, num_frames in utterances:
-        lanes += K
-        widest = max(widest, K)
-        frames = max(frames, num_frames)
-    lanes = max(min(lanes, _LANE_CHUNK), widest)
-    return lanes, frames, tokens, min(lanes, _STAGE_LANES + widest - 1)
-
-
 def _decode_blocks(
     utterances: Iterable[tuple[EmissionOracle, Sequence[KeywordSpec], str]],
+    plan: Iterable[tuple[Sequence[KeywordSpec], int]],
     config: DecodeConfig,
     counters: SpeedCounters,
-    shape: tuple[int, int, int, int],
 ) -> Iterator[_ScoreBlock]:
     """``decode_keywords`` with the scores of each lane batch as one block,
-    through one lane buffer and stage of ``shape`` (``_lane_shape``), which
-    no utterance may outgrow; both are allocated on the first draw and
-    charged to ``total_wall_seconds``."""
+    through one lane buffer and stage sized from ``plan``, each utterance's
+    (keywords, frame count) in decode order, which no utterance may
+    outgrow; both are allocated on the first draw and charged to
+    ``total_wall_seconds``."""
     queries_per_column = 2 if config.mode == TDT else 1
     tick = perf_counter()
-    batch = _LaneBatch(counters, *shape)
+    batch = _LaneBatch(counters, plan)
     counters.total_wall_seconds += perf_counter() - tick
     for oracle, keywords, utt_id in utterances:
         tick = perf_counter()
@@ -597,11 +590,8 @@ def decode_keywords(
     """
     counters = counters if counters is not None else SpeedCounters()
     utterances = list(utterances)
-    shape = _lane_shape(
-        ((len(keywords), oracle.num_frames) for oracle, keywords, _ in utterances),
-        max((keyword.num_tokens for _, keywords, _ in utterances for keyword in keywords), default=0),
-    )
-    for block in _decode_blocks(utterances, config, counters, shape):
+    plan = [(keywords, oracle.num_frames) for oracle, keywords, _ in utterances]
+    for block in _decode_blocks(utterances, plan, config, counters):
         yield from block.streams()
 
 

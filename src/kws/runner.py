@@ -4,36 +4,36 @@ Benchmark oracle policy: positives decode through their on-disk lattice
 (replay path; file load time is charged to total wall time), negatives decode
 generatively against every keyword under test (a v1 lattice stores only one
 keyword conditioning). Each negative builds one ``SyntheticOracle`` per run;
-before the first run, ``bench`` refuses an epsilon group that it cannot
-score and holds every lattice's frame count to its header, the negatives'
-first (a header is all of a negative's lattice that it reads). Each group's
-sorted utterances and negative hours are worked out once
-(``_EpsilonGroup``) and serve all its runs and rows. All utterances of a
-run go through one in-process decode, with one lane buffer sized from the
-records' frame counts and the headers' token counts, which decodes them
-as batched (utterance, keyword) lanes and hands back each lane batch's
-scores as one (lane, frame) block; its ``oracle_queries`` still count one
-row query per keyword per column, plus one greedy query per keyword per
-column in TDT mode. Event scores come from each block as a whole: a
-positive's best event is its row's highest finite score, and the peak
-events of every keyword of the batch's negatives come from one greedy
-non-maximum suppression over their rows. ``decode_suite`` runs the live gate
-over each block at once and gives the batch's records one score-text table;
-it still makes and yields its records one at a time, so a caller that
-writes each before drawing the next holds one. ASR baseline rows always use
-the generative oracle: after every group's KWS runs, each utterance of the
-suite builds one ``SyntheticOracle``, and each ASR search runs once on all
-of them, in lockstep rounds (see ``baselines``) whose row and duration
-queries go through the ``EmissionOracle`` group methods, which wrapped
-oracles inherit as stacking defaults. The beam search's union guard reuses
-the greedy RNN-T transcripts.
+before the first run, ``bench`` refuses a TDT config on a suite without a
+duration track and an epsilon group that it cannot score, and holds every
+lattice's frame count to its header, the negatives' first (a header is all
+of a negative's lattice that it reads). Each group's sorted utterances and
+negative hours are worked out once (``_EpsilonGroup``) and serve all its
+runs and rows. All utterances of a run go through one in-process decode,
+with one lane buffer sized from the run's plan, each utterance's keywords
+and frame count, which decodes them as batched (utterance, keyword) lanes
+and hands back each lane batch's scores as one (lane, frame) block; its
+``oracle_queries`` still count one row query per keyword per column, plus
+one greedy query per keyword per column in TDT mode. Event scores come from
+each block as a whole: a positive's best event is its row's highest finite
+score, and the peak events of every keyword of the batch's negatives come
+from one greedy non-maximum suppression over their rows. ``decode_suite``
+runs the live gate over each block at once and gives the batch's records one
+score-text table; it still makes and yields its records one at a time, so a
+caller that writes each before drawing the next holds one. ASR baseline rows
+always use the generative oracle: after every group's KWS runs, each
+utterance of the suite builds one ``SyntheticOracle``, and each ASR search
+runs once on all of them, in lockstep rounds (see ``baselines``) whose row
+and duration queries go through the ``EmissionOracle`` group methods, which
+wrapped oracles inherit as stacking defaults. The beam search's union guard
+reuses the greedy RNN-T transcripts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from time import perf_counter
 from typing import Iterator
 
@@ -49,18 +49,18 @@ from .baselines import (
 from .brute_force import brute_force_score
 from .decoder import (
     RNNT,
+    TDT,
     DecodeConfig,
     _decode_blocks,
     _encode_float,
     _gate_picks,
-    _lane_shape,
     _peak_picks,
     _ScoreTexts,
     decode_keywords,
     scorestream_record,
 )
 from .emissions import KeywordSpec, NEG_INF
-from .errors import ManifestError, ValidationError
+from .errors import ManifestError, ModeError, ValidationError
 from .lattice import FileLatticeOracle, LatticeData
 from .metrics import (
     SpeedCounters,
@@ -85,24 +85,34 @@ def _config_echo(config: DecodeConfig) -> dict:
     return echo
 
 
+def _check_duration_track(suite: SuiteManifest, *configs: DecodeConfig) -> None:
+    """Refuse a TDT config on a suite with no duration track (d_max 0),
+    whose lattices and synthetic oracles would refuse it one by one."""
+    if suite.d_max == 0 and any(config.mode == TDT for config in configs):
+        raise ModeError(
+            f"{suite.root / 'manifest.json'}: top level: field 'd_max': 0, "
+            "so the suite has no duration track for a TDT decode"
+        )
+
+
 def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
     """Decode every utterance against its lattice keyword; yields the JSONL
     line of each utterance's record (``scorestream_record``, no newline), in
     utterance-id order, with the live gate's events (streaming semantics),
     found for a whole lane batch at once. Lines are made one at a time, as
     the caller draws them, so none is held once the caller has moved on.
-    Before the first, every lattice header is held to its record, in
-    utterance-id order: the records' frame counts and the headers' token
-    counts size the run's lane buffer. A lattice answers only the keyword
-    that its header counts the tokens of."""
+    Before the first, a TDT config is held to the suite's duration track and
+    every lattice header to its record, in utterance-id order: the records'
+    frame counts and their lattice keywords size the run's lane buffer."""
+    _check_duration_track(suite, config)
     by_name = suite.keywords_by_name
     utts = _by_id(suite.utterances)
-    tokens = suite.check_lattice_headers(utts)
-    shape = _lane_shape(((1, utt.num_frames) for utt in utts), tokens)
+    suite.check_lattice_headers(utts)
+    plan = [((by_name[utt.lattice_keyword],), utt.num_frames) for utt in utts]
     utterances = (
-        (suite.lattice(utt), (by_name[utt.lattice_keyword],), utt.utt_id) for utt in utts
+        (suite.lattice(utt), keywords, utt.utt_id) for utt, (keywords, _) in zip(utts, plan)
     )
-    for block in _decode_blocks(utterances, config, SpeedCounters(), shape):
+    for block in _decode_blocks(utterances, plan, config, SpeedCounters()):
         events = block.events(*_gate_picks(block.scores, block.processed, config))
         texts = _ScoreTexts()
         for (stream,), stream_events in zip(block.streams(), events):
@@ -164,25 +174,28 @@ def _recall_run(
 
 
 def _bench_one_run(
-    suite: SuiteManifest, group: _EpsilonGroup, config: DecodeConfig, target_far: float,
-    tokens: int,
+    suite: SuiteManifest, group: _EpsilonGroup, config: DecodeConfig, target_far: float
 ) -> tuple[dict, SpeedCounters]:
-    """One run over ``group``, through a lane buffer for keywords of at most
-    ``tokens`` tokens, the most that a lattice header of the suite holds. A
-    negative decodes every suite keyword, but a wider keyword has positives
-    whose lattices cannot answer it, and those are decoded first."""
+    """One run over ``group``: each keyword's positives, then the negatives."""
     # Events are collected with an open threshold; operating points are swept
     # afterwards from the observed scores.
     collect = replace(config, threshold_log=NEG_INF)
     counters = SpeedCounters()
 
+    positives = [
+        (u, (keyword,)) for keyword, utts in zip(suite.keywords, group.positives) for u in utts
+    ]
+    plan = [
+        *((keywords, u.num_frames) for u, keywords in positives),
+        *((suite.keywords, u.num_frames) for u in group.negatives),
+    ]
+
     def utterances():
-        for keyword, utts in zip(suite.keywords, group.positives):
-            for u in utts:
-                tick = perf_counter()
-                oracle = suite.lattice(u)
-                counters.total_wall_seconds += perf_counter() - tick
-                yield oracle, (keyword,), u.utt_id
+        for u, keywords in positives:
+            tick = perf_counter()
+            oracle = suite.lattice(u)
+            counters.total_wall_seconds += perf_counter() - tick
+            yield oracle, keywords, u.utt_id
         for u in group.negatives:
             yield SyntheticOracle(u.synth), suite.keywords, u.utt_id
 
@@ -190,15 +203,10 @@ def _bench_one_run(
     # highest finite score of its one row, and every peak event of every
     # keyword of a negative. Positives come first, so the rows of a lane
     # batch's block are its positives' rows, then its negatives' (K each).
-    pos_count = sum(len(utts) for utts in group.positives)
     pos_scores, neg_keywords, neg_scores = [], [], []
     seen = 0  # utterances in the blocks so far
-    shape = _lane_shape(chain(
-        ((1, u.num_frames) for utts in group.positives for u in utts),
-        ((len(suite.keywords), u.num_frames) for u in group.negatives),
-    ), tokens)
-    for block in _decode_blocks(utterances(), collect, counters, shape):
-        p = min(max(pos_count - seen, 0), len(block.utts))
+    for block in _decode_blocks(utterances(), plan, collect, counters):
+        p = min(max(len(positives) - seen, 0), len(block.utts))
         split = block.utts[p][1] if p < len(block.utts) else len(block.scores)
         seen += len(block.utts)
         pos = block.scores[:split]
@@ -277,19 +285,18 @@ def bench(
 ) -> dict:
     """Full benchmark report across the suite's epsilon groups."""
     check_bench_args(target_far, also_asr_baselines, beam_width)
-    # Every group must be scorable, and every lattice header match its
-    # record, the negatives' first, before the first decode: a negative's
-    # record sizes its SyntheticOracle, and the records and headers size each
-    # run's lane buffer.
+    # A TDT run needs the suite's duration track, every group must be
+    # scorable, and every lattice header match its record, the negatives'
+    # first, before the first decode: a negative's record sizes its
+    # SyntheticOracle, and the records size each run's lane buffer.
+    _check_duration_track(suite, baseline, candidate)
     groups = _epsilon_groups(suite)
     positives = [u for u in suite.utterances if u.label is not None]
-    tokens = suite.check_lattice_headers([*suite.negatives(), *positives])
+    suite.check_lattice_headers([*suite.negatives(), *positives])
     entries = []
     for group in groups:
-        baseline_run, baseline_counters = _bench_one_run(suite, group, baseline, target_far, tokens)
-        candidate_run, candidate_counters = _bench_one_run(
-            suite, group, candidate, target_far, tokens
-        )
+        baseline_run, baseline_counters = _bench_one_run(suite, group, baseline, target_far)
+        candidate_run, candidate_counters = _bench_one_run(suite, group, candidate, target_far)
         entries.append({
             "epsilon": group.epsilon,
             "negative_hours": group.neg_hours,

@@ -29,8 +29,9 @@ holds it to its record and the suite: the same frame count, D_max and
 frame_seconds (as the header's 32-bit float) and, where the sidecar's
 provenance names an utterance, the same utterance. ``decode`` and
 ``bench`` also hold every lattice header to them before the first decode,
-since the records size a decode run's lane buffer, and a negative's record
-alone sizes the arrays of its SyntheticOracle.
+since the records' frame counts, with the keywords that a run decodes,
+size its lane buffer, and a negative's record alone sizes the arrays of its
+SyntheticOracle.
 
 Alignments are drawn from per-utterance child seeds (suite_seed, utt_index),
 so generation order and parallelism never change output; a fixed seed yields
@@ -382,24 +383,19 @@ class SuiteManifest:
             )
         return oracle
 
-    def check_lattice_headers(self, utterances) -> int:
+    def check_lattice_headers(self, utterances) -> None:
         """Hold the lattice header of each of ``utterances`` to its record and
         the suite: its frame count, D_max and frame_seconds (a header that
         disagrees is a broken file, not a decode that fails later), reading
-        no lattice body or sidecar, and return the most keyword tokens that
-        the headers hold (0 for none). The frame counts and token counts
-        size arrays before a lattice is read: the sum of a record's
-        ``durations`` a SyntheticOracle's per-frame arrays, and the records'
-        frame counts and the headers' token counts a decode run's lane
-        buffer."""
-        tokens = 0
+        no lattice body or sidecar. The frame counts size arrays before a
+        lattice is read: the sum of a record's ``durations`` a
+        SyntheticOracle's per-frame arrays, and the records' frame counts a
+        decode run's lane buffer."""
         for utt in utterances:
-            frames, width, d_max, frame_seconds = read_lattice_header(
+            frames, _, d_max, frame_seconds = read_lattice_header(
                 os.path.join(self.root, utt.lattice)
             )
             self._check_header(utt, frames, d_max, frame_seconds)
-            tokens = max(tokens, width)
-        return tokens
 
 
 # Everything a malformed manifest can make the parsing below raise.

@@ -474,6 +474,40 @@ def test_tdt_on_suite_without_duration_track_fails(tmp_path):
     assert main(["decode", "--suite", str(root), "--mode", "tdt", "--d-max", "2"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["decode", "--suite", "{suite}", "--mode", "tdt", "--d-max", "4", "--out", "{out}"],
+    ["bench", "--suite", "{suite}", "--report", "{out}"],
+], ids=["decode", "bench"])
+def test_a_tdt_run_on_a_suite_without_durations_is_refused_before_any_decode(
+    argv, tmp_path, capsys, monkeypatch
+):
+    """A TDT config on a suite of d_max 0 exits 1 naming the manifest and its
+    field, before any run decodes: bench used to spend its RNN-T baseline
+    run first, and both commands named no file."""
+    root = tmp_path / "no-durations"
+    flags = ["--keywords", "alpha", "bravo", "--n-pos", "2", "--n-neg", "3", "--d-max", "0"]
+    assert main(["gen", "--out", str(root), *flags, "--seed", "5"]) == 0
+    capsys.readouterr()
+    runs = []
+    decode_blocks = runner._decode_blocks
+
+    def recorded(utterances, plan, config, counters):
+        runs.append(config.mode)
+        return decode_blocks(utterances, plan, config, counters)
+
+    monkeypatch.setattr(runner, "_decode_blocks", recorded)
+    monkeypatch.setattr(runner.SuiteManifest, "lattice", _no_decode)
+    monkeypatch.setattr(runner.SuiteManifest, "check_lattice_headers", _no_decode)
+    out = tmp_path / "out"
+    assert main([arg.format(suite=root, out=out) for arg in argv]) == 1
+    assert runs == []
+    assert capsys.readouterr().err == (
+        f"error: {root / 'manifest.json'}: top level: field 'd_max': 0, "
+        "so the suite has no duration track for a TDT decode\n"
+    )
+    assert not out.exists()
+
+
 def test_threshold_prob_is_an_alias_for_threshold_log(base_suite, tmp_path):
     via_prob = tmp_path / "prob.jsonl"
     via_log = tmp_path / "log.jsonl"
@@ -986,14 +1020,27 @@ def test_a_lattice_header_that_disagrees_with_the_suite_exits_2(
     assert not (tmp_path / "out").exists()
 
 
-def test_manifest_keyword_longer_than_its_lattice_exits_2(base_suite, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["decode", "bench"])
+@pytest.mark.parametrize("change", ["longer", "shorter"])
+def test_manifest_keyword_longer_than_its_lattice_exits_2(
+    base_suite, tmp_path, capsys, command, change
+):
+    """A manifest keyword one token longer or shorter than its lattices'
+    exits 2 naming a lattice of that keyword and both token tuples: the
+    lane buffer is sized from the manifest's keywords, never a header's."""
     suite = copy_suite(base_suite, tmp_path)
     manifest = json.loads((suite / "manifest.json").read_text())
     keyword = manifest["keywords"][0]
     stored = tuple(keyword["tokens"])
-    keyword["tokens"].append(stored[-1])
+    assert len(stored) >= 2
+    keyword["tokens"] = [*stored, stored[-1]] if change == "longer" else [*stored[:-1]]
     (suite / "manifest.json").write_text(json.dumps(manifest))
-    assert main(["decode", "--suite", str(suite)]) == 2
+    out = str(tmp_path / "out")
+    argv = {
+        "decode": ["decode", "--suite", str(suite), "--out", out],
+        "bench": ["bench", "--suite", str(suite), "--report", out],
+    }[command]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     lattices = [
         str(suite / u["lattice"])
@@ -1166,17 +1213,16 @@ def test_decode_suite_holds_one_record_at_a_time(tmp_path, capsys):
     _, record_bytes = _traced(lambda: json.loads(json.dumps(one)))
     count = len(suite.utterances)
 
+    utts = sorted(suite.utterances, key=lambda u: u.utt_id)
+    plan = [((suite.keywords_by_name[u.lattice_keyword],), u.num_frames) for u in utts]
+
     def lattices():
-        for utt in sorted(suite.utterances, key=lambda u: u.utt_id):
-            oracle = load_lattice(suite.lattice_path(utt))
-            yield oracle, (suite.keywords_by_name[utt.lattice_keyword],), utt.utt_id
+        for utt, (keywords, _) in zip(utts, plan):
+            yield load_lattice(suite.lattice_path(utt)), keywords, utt.utt_id
 
     drain = lambda iterable: deque(iterable, maxlen=0)  # noqa: E731
     # The lazy decode alone, through the lane buffer that decode_suite sizes.
-    shape = decoder._lane_shape(
-        ((1, u.num_frames) for u in suite.utterances), max(k.num_tokens for k in suite.keywords)
-    )
-    blocks = lambda: decoder._decode_blocks(lattices(), config, SpeedCounters(), shape)  # noqa: E731
+    blocks = lambda: decoder._decode_blocks(lattices(), plan, config, SpeedCounters())  # noqa: E731
     decode_only, _ = _traced(lambda: drain(blocks()))
     streamed, _ = _traced(lambda: drain(decode_suite(suite, config)))
     _, held = _traced(lambda: list(decode_suite(suite, config)))

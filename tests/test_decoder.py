@@ -784,8 +784,8 @@ def test_score_blocks_are_minus_inf_off_their_lanes_frames(mode, chunk):
         data = random_proper_lattice(rng, t_max=40, u_max=4, d_max=3)
         jobs.append((FileLatticeOracle(data), [data.keyword] * int(rng.integers(1, 3)), f"u{i}"))
     with mock.patch.object(kws.decoder, "_LANE_CHUNK", chunk):
-        shape = kws.decoder._lane_shape(((len(k), o.num_frames) for o, k, _ in jobs), 4)
-        blocks = list(kws.decoder._decode_blocks(jobs, config, SpeedCounters(), shape))
+        plan = [(keywords, oracle.num_frames) for oracle, keywords, _ in jobs]
+        blocks = list(kws.decoder._decode_blocks(jobs, plan, config, SpeedCounters()))
     assert sum(len(block.utts) for block in blocks) == len(jobs)
     for block in blocks:
         assert np.isneginf(block.scores[~block.processed]).all()
@@ -863,16 +863,25 @@ def test_a_run_of_fewer_lanes_than_the_cap_allocates_exactly_its_lanes(mode):
 
 
 def test_an_utterance_that_outgrows_the_lane_buffer_is_refused():
-    """A buffer shape with too few lanes, stage lanes, frames or tokens for
-    an utterance raises before anything is written past the buffer's rows."""
+    """A plan with too few lanes, stage lanes, frames or tokens for an
+    utterance raises before anything is written past the buffer's rows."""
     data = random_proper_lattice(np.random.default_rng(2), t_max=12, u_max=4)
     oracle = FileLatticeOracle(data)
-    T, U = oracle.num_frames, data.keyword.num_tokens
-    job = (oracle, [data.keyword] * 2, "u")
-    for shape in [(1, T, U, 1), (2, T, U, 1), (2, T - 1, U, 2), (2, T, U - 1, 2)]:
-        with pytest.raises(ValueError, match="outgrow the run's lane buffer"):
-            list(kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), shape))
-    (block,) = kws.decoder._decode_blocks([job], RNNT, SpeedCounters(), (2, T, U, 2))
+    T, keyword = oracle.num_frames, data.keyword
+    assert keyword.num_tokens == 2
+    job = (oracle, [keyword] * 2, "u")
+    narrower = KeywordSpec("narrower", keyword.tokens[:1])
+    stage = kws.decoder._STAGE_LANES
+    for plan, stage_lanes in [
+        ([([keyword], T)], stage),  # one lane
+        ([([keyword], T), ([keyword], T)], 1),  # two lanes, a stage of one
+        ([([keyword] * 2, T - 1)], stage),  # a frame short
+        ([([narrower] * 2, T)], stage),  # a token short
+    ]:
+        with mock.patch.object(kws.decoder, "_STAGE_LANES", stage_lanes):
+            with pytest.raises(ValueError, match="outgrow the run's lane buffer"):
+                list(kws.decoder._decode_blocks([job], plan, RNNT, SpeedCounters()))
+    (block,) = kws.decoder._decode_blocks([job], [([keyword] * 2, T)], RNNT, SpeedCounters())
     assert block.scores.shape == (2, T)
 
 
