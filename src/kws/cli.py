@@ -35,6 +35,7 @@ from .errors import (
 )
 from .lattice import load_lattice
 from .runner import (
+    _check_duration_track,
     bench,
     check_bench_args,
     decode_suite,
@@ -77,17 +78,24 @@ def _output(path):
     name beside ``path`` and renamed to it once the block ends without an
     error: a failed command leaves no partial file, and one that opens it
     before its work fails first on a path it cannot write, such as a
-    directory, which the rename could not replace."""
+    directory, which the rename could not replace. A symlink is followed,
+    so its target is written and the link stays; a FIFO or a device is
+    opened and written in place, since a rename would replace it."""
     if path is None:
         yield sys.stdout
         return
-    if os.path.isdir(path) and not os.path.islink(path):
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    partial = Path(f"{path}.{os.getpid()}.tmp")
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as out:
+            yield out
+        return
+    partial = Path(f"{target}.{os.getpid()}.tmp")
     try:
         with partial.open("w", encoding="utf-8") as out:
             yield out
-        os.replace(partial, path)
+        os.replace(partial, target)
     finally:
         partial.unlink(missing_ok=True)
 
@@ -175,6 +183,7 @@ def _cmd_dump_delta(args: argparse.Namespace) -> int:
             keyword = oracle.keyword
         else:
             suite = load_manifest(Path(args.suite))
+            _check_duration_track(suite, config)
             matches = [u for u in suite.utterances if u.utt_id == args.utt]
             if not matches:
                 raise ValidationError(f"unknown utterance id {args.utt!r}")

@@ -17,7 +17,8 @@ frames t+1 .. t+d-1 are skipped outright (their score stays -inf and no
 column is computed for them).
 
 The TDT hop schedule comes from the oracle's greedy duration track, fetched
-as one array (it depends on neither the keyword nor the greedy history):
+as one array (it depends on neither the keyword nor the greedy history; an
+oracle without one refuses there, before any work):
 one clip to [1, d_max] (``_hops``, the rule the ASR baselines' TDT greedy
 search hops by too) and one integer loop over the hops. Emissions are
 fetched for the processed frames only, by one ``emission_grids`` call in
@@ -37,15 +38,15 @@ the oracle writes them side by side into a lane-slowest stage, and each
 stage, once it holds 32 lanes or more, enters the lane-fastest buffer in
 one transposing copy; a batch leaves as one (lane, frame) score block
 (``_ScoreBlock``), cut from the DP's columns by one scatter (one transposed
-copy where every lane lands on every frame), whose rows the ScoreStreams
-view.
+copy where every lane lands on every frame), -inf where a lane did not
+land, whose rows the ScoreStreams view.
 ``StreamingDecoder`` runs the same routine on one lane, one column at a
 time, and fires by ``detect_events``' threshold and refractory rule as each
 score lands. Offline event extraction works on a whole block: the live gate
-walks every row's candidates in lockstep (``_gate_picks``), and one greedy
-non-maximum suppression round picks the next peak of every row at once
-(``_peak_picks``); ``detect_events`` and ``peak_events`` are their one-row
-cases.
+walks every row's finite candidates in lockstep (``_gate_picks``), and one
+greedy non-maximum suppression round picks the next peak of every row at
+once (``_peak_picks``); ``detect_events`` and ``peak_events`` are their
+one-row cases.
 The routine sweeps anti-diagonals ("wavefronts") of the (column, u) grid:
 cell (k, u) depends only on (k, u-1) and (k-1, u), so all cells with the
 same k + u are independent and one wavefront costs a fixed handful of numpy
@@ -68,7 +69,6 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from operator import itemgetter
 from time import perf_counter
@@ -78,7 +78,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .emissions import EmissionOracle, KeywordSpec, NEG_INF, _check_numbers, _store_integers
-from .errors import ModeError, ProtocolError, ValidationError
+from .errors import ProtocolError, ValidationError
 from .metrics import SpeedCounters
 
 RNNT = "rnnt"
@@ -154,13 +154,6 @@ class ScoreStream:
     columns_evaluated: int
 
 
-def _check_mode(oracle: EmissionOracle, config: DecodeConfig) -> None:
-    if config.mode == TDT and not oracle.supports_tdt:
-        raise ModeError(
-            f"TDT decode requested but oracle has no duration track (d_max={oracle.d_max})"
-        )
-
-
 class StreamingDecoder:
     """Frame-at-a-time DP search; never reads ahead of the delivered frame.
 
@@ -176,7 +169,8 @@ class StreamingDecoder:
         utt_id: str = "",
         counters: SpeedCounters | None = None,
     ) -> None:
-        _check_mode(oracle, config)
+        # Read one entry per processed frame, never one ahead of it.
+        self._durations = oracle.greedy_durations() if config.mode == TDT else None
         self._oracle = oracle
         self._keyword = keyword
         self._config = config
@@ -194,8 +188,6 @@ class StreamingDecoder:
         self._delta = _first_column(keyword.num_tokens, 1)
         self._edges = _edge_buffer(1, keyword.num_tokens, 1)
         self._score = np.empty((1, 1))
-        # Read one entry per processed frame, never one ahead of it.
-        self._durations = oracle.greedy_durations() if config.mode == TDT else None
         # The first frame that may fire: ``detect_events``' rule, one frame at a time.
         self._next_fire = 1
         self._finished = False
@@ -370,31 +362,26 @@ class _ScoreBlock:
     frame count of its longest utterance.
 
     Row i + k holds keyword k of the utterance whose first lane is i; the
-    utterances are in input order, so their rows are too. A row's frames
-    past its own utterance's are -inf and unprocessed, so that a gate or a
-    peak search over the whole block picks what it would pick row by row.
+    utterances are in input order, so their rows are too. Every frame that a
+    row did not process, skipped or past its own utterance's, is -inf, so
+    that a gate or a peak search over the whole block picks what it would
+    pick row by row.
     """
 
     utts: list[tuple[_PendingUtterance, int]]  # (utterance, first lane)
     scores: np.ndarray  # (lanes, W) f64
 
-    @cached_property
-    def processed(self) -> np.ndarray:
-        """(lanes, W) bool, True at each row's processed frames. Made on first
-        read, by decode's gate or ``streams``, so bench never makes one."""
-        processed = np.zeros(self.scores.shape, dtype=bool)
-        for utt, i in self.utts:
-            processed[i : i + len(utt.keywords), utt.frames - 1] = True
-        return processed
-
     def streams(self) -> Iterator[list[ScoreStream]]:
-        """One list per utterance of one ScoreStream per keyword, each a row view."""
+        """One list per utterance of one ScoreStream per keyword, its scores a
+        row view of the block and its processed mask a row of one made here."""
         for utt, i in self.utts:
-            T, n = utt.num_frames, len(utt.frames)
+            T = utt.num_frames
+            processed = np.zeros((len(utt.keywords), T), dtype=bool)
+            processed[:, utt.frames - 1] = True
             yield [
                 ScoreStream(
                     utt.utt_id, keyword, utt.frame_seconds,
-                    self.scores[i + k, :T], self.processed[i + k, :T], n,
+                    self.scores[i + k, :T], processed[k], len(utt.frames),
                 )
                 for k, keyword in enumerate(utt.keywords)
             ]
@@ -546,7 +533,6 @@ def _decode_blocks(
     counters.total_wall_seconds += perf_counter() - tick
     for oracle, keywords, utt_id in utterances:
         tick = perf_counter()
-        _check_mode(oracle, config)
         frames = _hop_schedule(oracle, config)
         utt = _PendingUtterance(
             utt_id, oracle.num_frames, oracle.frame_seconds, frames,
@@ -610,25 +596,22 @@ def decode_kws(
 def detect_events(stream: ScoreStream, config: DecodeConfig) -> list[DetectionEvent]:
     """Recover detection events from an already-computed ScoreStream: the
     one-row case of ``_gate_picks``, the rule ``StreamingDecoder`` fires by."""
-    scores = stream.scores[None]
-    picks = _gate_picks(scores, stream.processed[None], config)
-    (events,) = _row_events([stream.keyword], scores, *picks)
+    scores = np.where(stream.processed, stream.scores, NEG_INF)[None]
+    (events,) = _row_events([stream.keyword], scores, *_gate_picks(scores, config))
     return events
 
 
-def _gate_picks(
-    scores: np.ndarray, processed: np.ndarray, config: DecodeConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _gate_picks(scores: np.ndarray, config: DecodeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The live gate on every row of an (L, W) score block at once.
 
-    A processed frame fires when its score is finite, at least the
-    threshold, and ``refractory_frames`` or more after its row's last fire.
-    Returns the (row, frame index) pairs that fire, sorted by row, then
-    frame. The rows walk their candidates in lockstep, one fire per live row
-    a round.
+    A frame fires when its score is finite, at least the threshold, and
+    ``refractory_frames`` or more after its row's last fire; an unprocessed
+    frame must score -inf, as it does in a ``_ScoreBlock``. Returns the
+    (row, frame index) pairs that fire, sorted by row, then frame. The rows
+    walk their candidates in lockstep, one fire per live row a round.
     """
     L, W = scores.shape
-    passing = processed & np.isfinite(scores) & (scores >= config.threshold_log)
+    passing = np.isfinite(scores) & (scores >= config.threshold_log)
     cand = np.flatnonzero(passing)  # row * W + frame index, sorted
     # Candidates are distinct frames, so a refractory of 0 acts as 1, and
     # one of W or more leaves one fire per row.

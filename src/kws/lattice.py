@@ -327,7 +327,10 @@ class FileLatticeOracle(EmissionOracle):
 
     def _check_greedy_track(self) -> None:
         if not self.supports_tdt:
-            raise ModeError("lattice has no greedy track (D_max=0); TDT mode unavailable")
+            raise ModeError(
+                f"{self._source}: header field 'D_max' is 0, "
+                "so the lattice has no duration track for a TDT decode"
+            )
 
     def greedy_durations(self) -> np.ndarray:
         self._check_greedy_track()

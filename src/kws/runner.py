@@ -113,7 +113,7 @@ def decode_suite(suite: SuiteManifest, config: DecodeConfig) -> Iterator[str]:
         (suite.lattice(utt), keywords, utt.utt_id) for utt, (keywords, _) in zip(utts, plan)
     )
     for block in _decode_blocks(utterances, plan, config, SpeedCounters()):
-        events = block.events(*_gate_picks(block.scores, block.processed, config))
+        events = block.events(*_gate_picks(block.scores, config))
         texts = _ScoreTexts()
         for (stream,), stream_events in zip(block.streams(), events):
             yield scorestream_record(stream, stream_events, texts)

@@ -37,11 +37,12 @@ Alignments are drawn from per-utterance child seeds (suite_seed, utt_index),
 so generation order and parallelism never change output; a fixed seed yields
 byte-identical trees. Each utterance's draws are batched (one array draw per
 field) yet leave its generator exactly where one draw per segment would.
-Lattice headers hold D_max as a u16 and frame_seconds as an f32, so
-SuiteGenSpec refuses a d_max above 65535 and a frame_seconds that is not
-finite and > 0 in 32 bits; gen_suite checks that every keyword fits before
-it creates a directory, and SuiteGenSpec refuses a keyword name that holds
-'/' or NUL, which cannot be part of an utterance's file name.
+SuiteGenSpec holds each epsilon, d_max, duration_concentration and
+frame_seconds to SyntheticJoinerConfig's rules, as ``load_manifest`` does,
+and adds only gen's own: lattice headers hold frame_seconds as an f32, in
+which it must stay finite and > 0; a keyword name must not hold '/' or NUL,
+which cannot be part of an utterance's file name; and gen_suite checks that
+every keyword fits before it creates a directory.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import numpy as np
 from .emissions import BLANK_ID, KeywordSpec
 from .errors import ManifestError, ValidationError
 from .lattice import (
-    D_MAX_LIMIT,
     FileLatticeOracle,
     load_lattice,
     read_lattice_header,
@@ -113,20 +113,15 @@ class SuiteGenSpec:
             raise ValidationError("need 1 <= frames_min <= frames_max")
         if not 1 <= self.duration_min <= self.duration_max:
             raise ValidationError("need 1 <= duration_min <= duration_max")
-        for eps in self.epsilons:
-            if not 0.0 <= eps < 1.0:
-                raise ValidationError(f"epsilon must be in [0, 1), got {eps}")
+        for eps in self.epsilons:  # the config owns the rules of these four
+            _config_value(eps, "epsilon")
+        for name in ("d_max", "duration_concentration", "frame_seconds"):
+            _config_value(getattr(self, name), name)
         if len(self.epsilons) < 1:
             raise ValidationError("need at least one epsilon")
         tags = [_epsilon_tag(eps) for eps in self.epsilons]
         if len(set(tags)) < len(tags):  # they would write the same utterances
             raise ValidationError(f"epsilons {self.epsilons} repeat an utterance id suffix: {tags}")
-        if not 0 <= self.d_max <= D_MAX_LIMIT:
-            raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
-        if not 0.0 < self.duration_concentration <= 1.0:
-            raise ValidationError(
-                f"duration_concentration must be in (0, 1], got {self.duration_concentration}"
-            )
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ValidationError(f"the seed must be >= 0, got {self.seed}")
         # Lattice headers store frame_seconds as f32; it must survive that.

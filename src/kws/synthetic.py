@@ -113,7 +113,9 @@ class SyntheticJoinerConfig:
         if not 0 <= self.d_max <= D_MAX_LIMIT:
             raise ValidationError(f"d_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if not 0.0 < self.duration_concentration <= 1.0:
-            raise ValidationError("duration_concentration must be in (0, 1]")
+            raise ValidationError(
+                f"duration_concentration must be in (0, 1], got {self.duration_concentration}"
+            )
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
             raise ValidationError(
                 f"frame_seconds must be finite and > 0, got {self.frame_seconds}"

@@ -5,10 +5,13 @@ import importlib.resources
 import importlib.util
 import json
 import math
+import os
 import pstats
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -206,6 +209,52 @@ def test_an_output_that_is_a_directory_exits_2_before_the_suite_is_read(
     assert captured.out == ""
     assert captured.err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
     assert list(out.parent.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def _tiny_lattice(path: Path) -> Path:
+    """A 3-frame, 1-token lattice at ``path``."""
+    log_y = np.log(np.full((3, 1), 0.6, dtype=np.float32))
+    log_phi = np.log(np.tile(np.float32([0.4, 0.5]), (3, 1)))
+    save_lattice(LatticeData(KeywordSpec("kw", (4,)), 0.03, log_y, log_phi), path)
+    return path
+
+
+def test_an_output_onto_a_symlink_writes_its_target(tmp_path, capsys):
+    """An output path that is a symlink writes the link's target, through a
+    temporary file beside the target, and stays a link to it."""
+    lattice = _tiny_lattice(tmp_path / "tiny.kwl")
+    assert main(["dump-delta", "--lattice", str(lattice)]) == 0
+    expected = capsys.readouterr().out
+    target = tmp_path / "target" / "delta.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["dump-delta", "--lattice", str(lattice), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == expected
+    assert list(target.parent.iterdir()) == [target]
+
+
+def test_an_output_onto_a_fifo_is_written_into_it(tmp_path, capsys):
+    """An output path that is a FIFO is written in place, for its reader;
+    a rename would replace the FIFO with a regular file."""
+    lattice = _tiny_lattice(tmp_path / "tiny.kwl")
+    assert main(["dump-delta", "--lattice", str(lattice)]) == 0
+    expected = capsys.readouterr().out
+    fifo = tmp_path / "delta.fifo"
+    os.mkfifo(fifo)
+    read = []
+    # A daemon, so that a command that never opens the FIFO fails the test
+    # at the join rather than hanging it.
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["dump-delta", "--lattice", str(lattice), "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert read == [expected]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_manifest_d_max_above_the_lattice_field_is_a_broken_file(base_suite, tmp_path, capsys):
@@ -474,16 +523,35 @@ def test_tdt_on_suite_without_duration_track_fails(tmp_path):
     assert main(["decode", "--suite", str(root), "--mode", "tdt", "--d-max", "2"]) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["decode", "--suite", "{suite}", "--mode", "tdt", "--d-max", "4", "--out", "{out}"],
-    ["bench", "--suite", "{suite}", "--report", "{out}"],
-], ids=["decode", "bench"])
+NO_SUITE_DURATIONS = "{suite}/manifest.json: top level: field 'd_max': 0, so the suite"
+NO_LATTICE_DURATIONS = "{kwl}: header field 'D_max' is 0, so the lattice"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (
+        ["decode", "--suite", "{suite}", "--mode", "tdt", "--d-max", "4", "--out", "{out}"],
+        NO_SUITE_DURATIONS,
+    ),
+    (["bench", "--suite", "{suite}", "--report", "{out}"], NO_SUITE_DURATIONS),
+    (
+        [
+            "dump-delta", "--suite", "{suite}", "--utt", "neg-000-e0.00",
+            "--mode", "tdt", "--d-max", "4", "--out", "{out}",
+        ],
+        NO_SUITE_DURATIONS,
+    ),
+    (
+        ["dump-delta", "--lattice", "{kwl}", "--mode", "tdt", "--d-max", "4", "--out", "{out}"],
+        NO_LATTICE_DURATIONS,
+    ),
+], ids=["decode", "bench", "dump-delta-suite", "dump-delta-lattice"])
 def test_a_tdt_run_on_a_suite_without_durations_is_refused_before_any_decode(
-    argv, tmp_path, capsys, monkeypatch
+    argv, refusal, tmp_path, capsys, monkeypatch
 ):
     """A TDT config on a suite of d_max 0 exits 1 naming the manifest and its
-    field, before any run decodes: bench used to spend its RNN-T baseline
-    run first, and both commands named no file."""
+    field, before any run decodes or a suite lattice is read: bench used to
+    spend its RNN-T baseline run first, and no command named a file. On a
+    lattice of D_max 0, dump-delta names the lattice and its header field."""
     root = tmp_path / "no-durations"
     flags = ["--keywords", "alpha", "bravo", "--n-pos", "2", "--n-neg", "3", "--d-max", "0"]
     assert main(["gen", "--out", str(root), *flags, "--seed", "5"]) == 0
@@ -498,12 +566,11 @@ def test_a_tdt_run_on_a_suite_without_durations_is_refused_before_any_decode(
     monkeypatch.setattr(runner, "_decode_blocks", recorded)
     monkeypatch.setattr(runner.SuiteManifest, "lattice", _no_decode)
     monkeypatch.setattr(runner.SuiteManifest, "check_lattice_headers", _no_decode)
-    out = tmp_path / "out"
-    assert main([arg.format(suite=root, out=out) for arg in argv]) == 1
+    out, kwl = tmp_path / "out", root / "lattices" / "neg-000-e0.00.kwl"
+    assert main([arg.format(suite=root, out=out, kwl=kwl) for arg in argv]) == 1
     assert runs == []
     assert capsys.readouterr().err == (
-        f"error: {root / 'manifest.json'}: top level: field 'd_max': 0, "
-        "so the suite has no duration track for a TDT decode\n"
+        f"error: {refusal.format(suite=root, kwl=kwl)} has no duration track for a TDT decode\n"
     )
     assert not out.exists()
 
@@ -1174,10 +1241,14 @@ def test_target_far_nan_is_refused_and_inf_reported_as_json(base_suite, tmp_path
 
 
 def test_module_entry_point_runs():
+    # The child imports the kws package this test imports, installed or not.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "kws.cli", "oracle-check", "--cases", "2", "--t-max", "5", "--u-max", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cases"] == 2

@@ -659,15 +659,13 @@ def test_batch_gate_peaks_and_records_match_row_references(
         utts.append((kws.decoder._PendingUtterance(utt_id, T, 0.03, frames, keywords), first))
     W = max(u.num_frames for u, _ in utts)
     scores = np.full((len(rows), W), NEG_INF)
-    processed = np.zeros((len(rows), W), dtype=bool)
     for utt, i in utts:
         for k in range(len(utt.keywords)):
             scores[i + k, : utt.num_frames] = rows[i + k]
-            processed[i + k, utt.frames - 1] = True
     block = kws.decoder._ScoreBlock(utts, scores)
     config = DecodeConfig(threshold_log=threshold_log, refractory_frames=refractory)
 
-    gated = block.events(*kws.decoder._gate_picks(scores, processed, config))
+    gated = block.events(*kws.decoder._gate_picks(scores, config))
     peaks = block.events(*kws.decoder._peak_picks(scores, refractory))
     streams = [stream for utt_streams in block.streams() for stream in utt_streams]
     assert len(streams) == len(rows)
@@ -788,10 +786,12 @@ def test_score_blocks_are_minus_inf_off_their_lanes_frames(mode, chunk):
         blocks = list(kws.decoder._decode_blocks(jobs, plan, config, SpeedCounters()))
     assert sum(len(block.utts) for block in blocks) == len(jobs)
     for block in blocks:
-        assert np.isneginf(block.scores[~block.processed]).all()
-        for utt, i in block.utts:
-            for lane in range(i, i + len(utt.keywords)):
-                assert np.flatnonzero(block.processed[lane]).tolist() == (utt.frames - 1).tolist()
+        processed = np.zeros(block.scores.shape, dtype=bool)
+        for (utt, i), streams in zip(block.utts, block.streams()):
+            for lane, stream in enumerate(streams, i):
+                assert np.flatnonzero(stream.processed).tolist() == (utt.frames - 1).tolist()
+                processed[lane, : utt.num_frames] = stream.processed
+        assert np.isneginf(block.scores[~processed]).all()
 
 
 def _recorded_sweeps_and_buffers():

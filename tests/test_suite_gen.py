@@ -591,6 +591,21 @@ def test_spec_validation():
             SuiteGenSpec(frame_seconds=frame_seconds)
     for frame_seconds in (1e-44, 3.4e38):  # a subnormal and near the f32 maximum
         assert SuiteGenSpec(frame_seconds=frame_seconds).frame_seconds == frame_seconds
+    # Each epsilon, d_max, duration_concentration and frame_seconds meets the
+    # rules of SyntheticJoinerConfig, as a manifest's do: a bool is no number.
+    for field, value, message in [
+        ("epsilons", (False,), "epsilon must be a number, got False"),
+        ("epsilons", (-0.25,), "epsilon must be in [0, 1), got -0.25"),
+        ("d_max", True, "d_max must be an integer, got True"),
+        ("d_max", 2.0, "d_max must be an integer, got 2.0"),
+        ("duration_concentration", False, "duration_concentration must be a number, got False"),
+        ("duration_concentration", 1.5, "duration_concentration must be in (0, 1], got 1.5"),
+        ("frame_seconds", True, "frame_seconds must be a number, got True"),
+        ("frame_seconds", -0.03, "frame_seconds must be finite and > 0, got -0.03"),
+    ]:
+        with pytest.raises(ValidationError) as refused:
+            SuiteGenSpec(**{field: value})
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("epsilons", [(0.0, 0.0), (0.001, 0.004)])
