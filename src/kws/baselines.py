@@ -87,7 +87,7 @@ def _row_query(oracles: Sequence[EmissionOracle], d_max: int = 0):
     """The group's token row query, after the checks every search shares."""
     for oracle in oracles:
         _require_generative(oracle)
-        if d_max and not oracle.supports_tdt:
+        if d_max and not oracle.d_max > 0:
             raise ModeError("TDT greedy requested but oracle has no duration track")
     vocab_sizes = sorted({oracle.vocab_size for oracle in oracles})
     if len(vocab_sizes) > 1:

@@ -158,7 +158,9 @@ class StreamingDecoder:
     """Frame-at-a-time DP search; never reads ahead of the delivered frame.
 
     Drive it by calling ``push(t)`` for t = 1..T in order; each call returns
-    the detection events fired at that frame (empty for skipped frames).
+    the detection events fired at that frame (empty for skipped frames). A
+    frame that is refused, by the oracle or by the 'error' zero-duration
+    policy, finishes the decoder.
     """
 
     def __init__(
@@ -205,7 +207,11 @@ class StreamingDecoder:
         self._next_deliver += 1
         if t < self._next_process:
             return []  # skipped by a duration hop; score stays -inf
-        return self._process(t)
+        try:
+            return self._process(t)
+        except Exception:
+            self._finished = True  # the frame counts as delivered but was not decoded
+            raise
 
     def _process(self, t: int) -> list[DetectionEvent]:
         # The offline block query, for this one frame: (1, 2, 1, U + 1).

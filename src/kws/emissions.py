@@ -10,9 +10,9 @@ never for one greedy step at a time:
   (``emission_grids``), written straight into the decoder's own staging
   buffer when it passes one; ``StreamingDecoder`` makes the same query for
   each frame it lands on, a block of one keyword and one frame;
-* the greedy duration and token tracks, one array each (``greedy_durations``,
-  ``greedy_tokens``). The duration track depends on neither the keyword nor
-  the greedy history, so one array serves every keyword of an utterance;
+* the greedy duration track, one array (``greedy_durations``), which tells
+  a TDT search where to land. It depends on neither the keyword nor the
+  greedy history, so one array serves every keyword of an utterance;
 * for the ASR baselines, full-vocabulary distributions under arbitrary
   emitted-token histories: many histories at one frame
   (``token_log_prob_rows``), or many (utterance, frame, history) rows of a
@@ -115,11 +115,9 @@ class EmissionOracle(ABC):
       makes every refusal of the query before it writes, then writes every
       entry of ``out`` and nothing else, and returns ``out``;
     * a duration-aware oracle (``d_max > 0``) also defines
-      ``greedy_durations()`` and ``greedy_tokens()``: the argmax duration
-      and the greedy token at every frame, int64[T], entry t - 1 for frame
-      t. A token is the argmax of one greedy step per frame, conditioned on
-      the tokens emitted at earlier frames. Durations are not capped at any
-      decode's d_max. Both raise ModeError when ``d_max == 0``;
+      ``greedy_durations()``: the argmax duration at every frame, int64[T],
+      entry t - 1 for frame t, not capped at any decode's d_max. It raises
+      ModeError when ``d_max == 0``;
     * a generative oracle (``is_generative``) also defines ``vocab_size``
       and ``token_log_prob_rows(t, histories)``, the (len(histories), V + 1)
       float64 token distributions (index 0 = blank) at frame t under each
@@ -153,10 +151,6 @@ class EmissionOracle(ABC):
     @abstractmethod
     def frame_seconds(self) -> float:
         """Wall-clock seconds represented by one frame."""
-
-    @property
-    def supports_tdt(self) -> bool:
-        return self.d_max > 0
 
     @property
     def is_generative(self) -> bool:

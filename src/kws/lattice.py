@@ -3,13 +3,15 @@
 Layout (all little-endian):
 
     header (20 bytes, struct ``<4sHIIHf``):
-        magic ``KWL1`` | version u16 = 1 | T u32 | U u32 | D_max u16 | frame_seconds f32
+        magic ``KWL1`` | version u16 = 2 | T u32 | U u32 | D_max u16 | frame_seconds f32
     body:
         log_y   f32[T][U]      keyword-track next-token log-probs
         log_phi f32[T][U+1]    keyword-track blank log-probs
         if D_max > 0:
-            greedy_token    u32[T]
-            greedy_duration u16[T]
+            greedy_duration u16[T]   the duration track a TDT search hops by
+
+A version-1 file, which also held a u32 greedy token per frame, is refused
+as unsupported.
 
 A JSON sidecar (same basename, ``.json``) stores the keyword name, token-ids,
 and provenance metadata. Sidecars carry no timestamps so identical content
@@ -49,7 +51,7 @@ from .errors import (
 )
 
 MAGIC = b"KWL1"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sHIIHf")
 D_MAX_LIMIT = 0xFFFF  # the header's D_max field is a u16
 
@@ -63,7 +65,6 @@ class LatticeData:
     log_y: np.ndarray
     log_phi: np.ndarray
     d_max: int = 0
-    greedy_tokens: np.ndarray | None = None
     greedy_durations: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
@@ -97,10 +98,10 @@ class LatticeData:
         if not 0 <= self.d_max <= D_MAX_LIMIT:
             raise ValidationError(f"D_max must be in [0, {D_MAX_LIMIT}], got {self.d_max}")
         if self.d_max > 0:
-            if self.greedy_tokens is None or self.greedy_durations is None:
-                raise ValidationError("d_max > 0 requires a greedy-track channel")
-            if self.greedy_tokens.shape != (T,) or self.greedy_durations.shape != (T,):
-                raise DimensionMismatchError("greedy-track channel must have one entry per frame")
+            if self.greedy_durations is None:
+                raise ValidationError("d_max > 0 requires a duration track")
+            if self.greedy_durations.shape != (T,):
+                raise DimensionMismatchError("duration track must have one entry per frame")
             if self.greedy_durations.max() > self.d_max:
                 raise LatticeValueError(
                     f"greedy_duration exceeds D_max={self.d_max}"
@@ -122,7 +123,6 @@ def save_lattice(data: LatticeData, path: str | Path) -> Path:
         np.ascontiguousarray(data.log_phi, dtype="<f4").tobytes(),
     ]
     if data.d_max > 0:
-        parts.append(np.ascontiguousarray(data.greedy_tokens, dtype="<u4").tobytes())
         parts.append(np.ascontiguousarray(data.greedy_durations, dtype="<u2").tobytes())
     path.write_bytes(b"".join(parts))
     sidecar = {
@@ -186,7 +186,7 @@ def _parse(path: str, with_body: bool) -> tuple[int, int, int, float, bytearray 
             raise UnsupportedVersionError(f"{path}: version {version} unsupported (reader speaks {VERSION})")
         if T < 1 or U < 1:
             raise LatticeValueError(f"{path}: header T={T}, U={U}; both must be >= 1")
-        expected = 4 * (T * U + T * (U + 1)) + (6 * T if d_max > 0 else 0)
+        expected = 4 * (T * U + T * (U + 1)) + (2 * T if d_max > 0 else 0)
         actual = size - _HEADER.size
         body = None
         if actual == expected and with_body:
@@ -217,10 +217,9 @@ def read_lattice(path: str | Path) -> LatticeData:
     grid = np.frombuffer(body, dtype="<f4", count=floats)
     log_y = grid[: T * U].reshape(T, U)
     log_phi = grid[T * U :].reshape(T, U + 1)
-    greedy_tokens = greedy_durations = None
+    greedy_durations = None
     if d_max > 0:
-        greedy_tokens = np.frombuffer(body, dtype="<u4", count=T, offset=4 * floats)
-        greedy_durations = np.frombuffer(body, dtype="<u2", count=T, offset=4 * floats + 4 * T)
+        greedy_durations = np.frombuffer(body, dtype="<u2", count=T, offset=4 * floats)
 
     sidecar_path = _sidecar_path(path)
     try:
@@ -258,7 +257,6 @@ def read_lattice(path: str | Path) -> LatticeData:
         log_y=log_y,
         log_phi=log_phi,
         d_max=d_max,
-        greedy_tokens=greedy_tokens,
         greedy_durations=greedy_durations,
         provenance=sidecar.get("provenance", {}),
     )
@@ -325,22 +323,15 @@ class FileLatticeOracle(EmissionOracle):
         out[:, 1] = np.take(self._data.log_phi, rows, axis=0)
         return out
 
-    def _check_greedy_track(self) -> None:
-        if not self.supports_tdt:
+    def greedy_durations(self) -> np.ndarray:
+        if not self.d_max > 0:
             raise ModeError(
                 f"{self._source}: header field 'D_max' is 0, "
                 "so the lattice has no duration track for a TDT decode"
             )
-
-    def greedy_durations(self) -> np.ndarray:
-        self._check_greedy_track()
         # int64, not the stored u16: np.minimum(u16, cap) overflows for a
         # cap above 65535.
         return self._data.greedy_durations.astype(np.int64)
-
-    def greedy_tokens(self) -> np.ndarray:
-        self._check_greedy_track()
-        return self._data.greedy_tokens.astype(np.int64)
 
 
 def load_lattice(path: str | Path) -> FileLatticeOracle:
@@ -349,33 +340,25 @@ def load_lattice(path: str | Path) -> FileLatticeOracle:
     return FileLatticeOracle(read_lattice(path), path, _validated=True)
 
 
-def _channel(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
-    """``values`` as ``dtype``; a value the type cannot hold raises ValidationError."""
-    info = np.iinfo(dtype)
-    if len(values) and not (info.min <= values.min() and values.max() <= info.max):
-        raise ValidationError(f"{name} must lie in [{info.min}, {info.max}]")
-    return values.astype(dtype)
-
-
 def snapshot(oracle, keyword: KeywordSpec, provenance: dict | None = None) -> LatticeData:
-    """Freeze an oracle's keyword-conditioned view (plus greedy track) to LatticeData.
+    """Freeze an oracle's keyword-conditioned view (plus duration track) to LatticeData.
 
-    The greedy channel is the oracle's greedy token and duration tracks, each
-    one int64 array (``greedy_tokens``, ``greedy_durations``), written as
-    u32 and u16; a value out of the field's range raises ValidationError.
+    The duration track is the oracle's ``greedy_durations``, one int64
+    array, written as u16; a value out of that range raises ValidationError.
     """
     ((log_y, log_phi),) = oracle.emission_grids([keyword], np.arange(1, oracle.num_frames + 1))
-    greedy_tokens = greedy_durations = None
+    greedy_durations = None
     if oracle.d_max > 0:
-        greedy_tokens = _channel(oracle.greedy_tokens(), "<u4", "greedy_token")
-        greedy_durations = _channel(oracle.greedy_durations(), "<u2", "greedy_duration")
+        greedy_durations = oracle.greedy_durations()
+        if not ((0 <= greedy_durations) & (greedy_durations <= D_MAX_LIMIT)).all():  # u16, as D_max
+            raise ValidationError(f"greedy_duration must lie in [0, {D_MAX_LIMIT}]")
+        greedy_durations = greedy_durations.astype("<u2")
     return LatticeData(
         keyword=keyword,
         frame_seconds=oracle.frame_seconds,
         log_y=log_y[:, : keyword.num_tokens],
         log_phi=log_phi,
         d_max=oracle.d_max,
-        greedy_tokens=greedy_tokens,
         greedy_durations=greedy_durations,
         provenance=provenance or {},
     )

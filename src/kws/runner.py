@@ -210,7 +210,7 @@ def _bench_one_run(
         split = block.utts[p][1] if p < len(block.utts) else len(block.scores)
         seen += len(block.utts)
         pos = block.scores[:split]
-        pos_scores += np.where(np.isfinite(pos), pos, NEG_INF).max(axis=1).tolist()
+        pos_scores += pos.max(axis=1).tolist()
         neg = block.scores[split:]
         rows, frames = _peak_picks(neg, collect.refractory_frames)
         neg_keywords.append(rows % len(suite.keywords))
@@ -374,9 +374,8 @@ def random_proper_lattice(
     log_y = np.empty((T, U), dtype=np.float32)
     for u, token in enumerate(tokens):
         log_y[:, u] = log_dist[:, u, token]
-    greedy_tokens = greedy_durations = None
+    greedy_durations = None
     if d_max > 0:
-        greedy_tokens = rng.integers(0, V + 1, size=T).astype(np.uint32)
         if duration_value is None:
             greedy_durations = rng.integers(0, d_max + 1, size=T).astype(np.uint16)
         else:
@@ -387,7 +386,6 @@ def random_proper_lattice(
         log_y=log_y,
         log_phi=log_phi,
         d_max=d_max,
-        greedy_tokens=greedy_tokens,
         greedy_durations=greedy_durations,
     )
 

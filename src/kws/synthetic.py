@@ -41,10 +41,9 @@ ordinal, so adjacent gaps answer every query as one gap would.
   the (keyword, segment) row codes of the queried frames, with no loop over
   the keywords. ``StreamingDecoder`` makes the same query, one frame at a
   time.
-* Greedy tracks (``greedy_durations``, ``greedy_tokens``) and duration
-  vectors (``duration_log_probs``, ``duration_log_prob_group``) are closed
-  forms of the per-frame ideal duration and ordinal, so no
-  (d_max + 1)-squared table is built, whatever d_max.
+* The duration track (``greedy_durations``) and duration vectors
+  (``duration_log_probs``, ``duration_log_prob_group``) are closed forms of
+  the per-frame ideal duration, so no (d_max + 1)-squared table is built.
 * Generative track: it depends on a history only through its length n, so
   ``token_log_prob_rows`` reads no history's tokens, and a group of oracles
   answers many rows in one query (``token_log_prob_group``) from their
@@ -354,20 +353,12 @@ class SyntheticOracle(EmissionOracle):
     # Greedy track
 
     def _check_duration_track(self) -> None:
-        if not self.supports_tdt:
+        if not self.d_max > 0:
             raise ModeError("oracle has no duration track (d_max=0)")
 
     def greedy_durations(self) -> np.ndarray:
         self._check_duration_track()
         return np.where(self._ideal_is_greedy, self._ideal_durations, 0)
-
-    def greedy_tokens(self) -> np.ndarray:
-        self._check_duration_track()
-        # One greedy step per frame emits each segment's token once, at its
-        # first frame, where the ordinal changes: there the emitted count is
-        # the number of earlier segments.
-        first = np.diff(self._seg_ord, prepend=0) != 0
-        return np.where(first, self._content, BLANK_ID)
 
 
 class _KeywordRows:

@@ -70,13 +70,10 @@ def grid_oracle(y, phi, d_max=0, durations=None):
     with np.errstate(divide="ignore"):
         log_y = np.log(np.asarray(y, dtype=np.float32))
         log_phi = np.log(np.asarray(phi, dtype=np.float32))
-    T, U = log_y.shape
+    U = log_y.shape[1]
     kwargs = {}
     if d_max > 0:
-        kwargs = {
-            "greedy_tokens": np.zeros(T, dtype=np.uint32),
-            "greedy_durations": np.asarray(durations, dtype=np.uint16),
-        }
+        kwargs = {"greedy_durations": np.asarray(durations, dtype=np.uint16)}
     return FileLatticeOracle(
         LatticeData(
             keyword=KeywordSpec("kw", tuple(range(1, U + 1))),

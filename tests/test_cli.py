@@ -42,6 +42,8 @@ from kws import (
 from kws import cli, decoder, runner
 from kws.cli import main
 
+from test_lattice_format import as_version_1
+
 GEN_FLAGS = [
     "--keywords", "alpha", "bravo",
     "--n-pos", "1",
@@ -634,6 +636,18 @@ def test_truncated_lattice_exits_2(base_suite, tmp_path):
     assert main(["dump-delta", "--lattice", str(clipped)]) == 2
 
 
+def test_version_1_lattice_exits_2(base_suite, tmp_path, capsys):
+    source = next((base_suite / "lattices").glob("*.kwl"))
+    copy = tmp_path / source.name
+    copy.write_bytes(source.read_bytes())
+    copy.with_suffix(".json").write_bytes(source.with_suffix(".json").read_bytes())
+    as_version_1(copy)
+    assert main(["dump-delta", "--lattice", str(copy)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{copy}: version 1 unsupported (reader speaks 2)" in captured.err
+
+
 def test_missing_suite_exits_2(tmp_path):
     assert main(["decode", "--suite", str(tmp_path / "nope")]) == 2
 
@@ -1063,7 +1077,7 @@ def test_a_lattice_header_that_disagrees_with_the_suite_exits_2(
     path = suite / record["lattice"]
     data = read_lattice(path)
     if field == "d_max":
-        changed = replace(data, d_max=0, greedy_tokens=None, greedy_durations=None)
+        changed = replace(data, d_max=0, greedy_durations=None)
     else:
         changed = replace(data, frame_seconds=0.02)
     save_lattice(changed, path)

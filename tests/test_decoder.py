@@ -35,20 +35,15 @@ from test_synthetic_oracle import columns
 RNNT = DecodeConfig(mode="rnnt")
 
 
-def grid_oracle(y, phi, d_max=0, durations=None, tokens=None):
+def grid_oracle(y, phi, d_max=0, durations=None):
     """In-memory lattice from explicit probability grids (not logs)."""
     with np.errstate(divide="ignore"):
         log_y = np.log(np.asarray(y, dtype=np.float32))
         log_phi = np.log(np.asarray(phi, dtype=np.float32))
-    T, U = log_y.shape
+    U = log_y.shape[1]
     kwargs = {}
     if d_max > 0:
-        kwargs = {
-            "greedy_tokens": np.zeros(T, dtype=np.uint32)
-            if tokens is None
-            else np.asarray(tokens, dtype=np.uint32),
-            "greedy_durations": np.asarray(durations, dtype=np.uint16),
-        }
+        kwargs = {"greedy_durations": np.asarray(durations, dtype=np.uint16)}
     data = LatticeData(
         keyword=KeywordSpec("kw", tuple(range(1, U + 1))),
         frame_seconds=0.03,
@@ -951,7 +946,6 @@ def _schedule_oracle(rng, synthetic, num_frames, track_d_max):
         log_y=np.zeros((num_frames, 1), dtype=np.float32),
         log_phi=np.zeros((num_frames, 2), dtype=np.float32),
         d_max=track_d_max,
-        greedy_tokens=np.zeros(num_frames, dtype=np.uint32),
         greedy_durations=durations.astype(np.uint16),
     )
     return FileLatticeOracle(data), durations.tolist()

@@ -41,10 +41,7 @@ def tiny_data(d_max=0):
     log_phi = np.log(np.full((T, U + 1), 0.5, dtype=np.float32))
     kwargs = {}
     if d_max > 0:
-        kwargs = {
-            "greedy_tokens": np.array([1, 0, 2, 0], dtype=np.uint32),
-            "greedy_durations": np.array([1, 2, 1, 2], dtype=np.uint16),
-        }
+        kwargs = {"greedy_durations": np.array([1, 2, 1, 2], dtype=np.uint16)}
     return LatticeData(
         keyword=KeywordSpec("tiny", (5, 6)),
         frame_seconds=0.03,
@@ -60,7 +57,7 @@ def test_header_layout_is_frozen(tmp_path):
     raw = path.read_bytes()
     magic, version, T, U, d_max, frame_seconds = HEADER.unpack(raw[: HEADER.size])
     assert magic == b"KWL1"
-    assert version == 1
+    assert version == 2
     assert (T, U, d_max) == (4, 2, 0)
     assert frame_seconds == pytest.approx(0.03, abs=1e-7)
     # Body: f32 log_y T*U + f32 log_phi T*(U+1), nothing else for d_max=0.
@@ -70,7 +67,7 @@ def test_header_layout_is_frozen(tmp_path):
 def test_duration_track_extends_body(tmp_path):
     path = save_lattice(tiny_data(d_max=2), tmp_path / "x.kwl")
     raw = path.read_bytes()
-    assert len(raw) == HEADER.size + 4 * 8 + 4 * 12 + 4 * 4 + 2 * 4
+    assert len(raw) == HEADER.size + 4 * 8 + 4 * 12 + 2 * 4
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -80,7 +77,6 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.d_max == 2
     np.testing.assert_array_equal(loaded.log_y, data.log_y)
     np.testing.assert_array_equal(loaded.log_phi, data.log_phi)
-    np.testing.assert_array_equal(loaded.greedy_tokens, data.greedy_tokens)
     np.testing.assert_array_equal(loaded.greedy_durations, data.greedy_durations)
 
 
@@ -109,6 +105,27 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(UnsupportedVersionError):
         read_lattice(path)
+
+
+def as_version_1(path):
+    """Rewrite the KWL1 file at ``path`` in the version-1 layout, which held
+    a u32 greedy token per frame before the duration track."""
+    raw = bytearray(path.read_bytes())
+    _, _, T, U, d_max, _ = HEADER.unpack(raw[: HEADER.size])
+    raw[4:6] = struct.pack("<H", 1)
+    if d_max > 0:
+        tokens_at = HEADER.size + 4 * (T * U + T * (U + 1))
+        raw[tokens_at:tokens_at] = bytes(4 * T)
+    path.write_bytes(bytes(raw))
+
+
+def test_version_1_file_is_refused_naming_both_versions(tmp_path):
+    path = save_lattice(tiny_data(d_max=2), tmp_path / "x.kwl")
+    as_version_1(path)
+    for read in (read_lattice, read_lattice_header):
+        with pytest.raises(UnsupportedVersionError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: version 1 unsupported (reader speaks 2)"
 
 
 def test_truncated_body_names_byte_counts(tmp_path):
@@ -153,7 +170,7 @@ def test_header_claiming_more_than_the_file_fails_before_the_body_is_read(
     monkeypatch.setattr("kws.lattice.os", Spy())
     with pytest.raises(TruncatedLatticeError) as err:
         read_lattice(path)
-    expected = 4 * T * 2 + 4 * T * 3 + 6 * T
+    expected = 4 * T * 2 + 4 * T * 3 + 2 * T
     assert f"body has {len(raw) - HEADER.size} bytes" in str(err.value)
     assert f"require {expected}" in str(err.value)
     assert requested == [HEADER.size]
@@ -325,10 +342,9 @@ def test_replay_matches_source_oracle(tmp_path):
             y_row, phi_row = frame_rows(oracle, kw, t)
             assert y_row.tobytes() == stored.log_y[t - 1].tobytes()
             assert phi_row.tobytes() == stored.log_phi[t - 1].tobytes()
-    for track in ("greedy_tokens", "greedy_durations"):
-        source_track, replay_track = (getattr(o, track)() for o in (source, replay))
-        assert replay_track.dtype == source_track.dtype == np.int64
-        assert replay_track.tolist() == source_track.tolist()
+    source_track, replay_track = (o.greedy_durations() for o in (source, replay))
+    assert replay_track.dtype == source_track.dtype == np.int64
+    assert replay_track.tolist() == source_track.tolist()
 
     # Bulk row fetches: both oracles' blocks agree with their stacked
     # one-frame blocks and the stored rows, and frame indices outside [1, T]
@@ -369,43 +385,31 @@ def test_random_lattice_round_trip_bit_exact(tmp_path_factory, seed, d_max):
 
 
 class GreedyScriptOracle(FileLatticeOracle):
-    """Replays ``data``'s emissions with a scripted greedy track, whose
-    values need not fit the lattice's fields."""
+    """Replays ``data``'s emissions with a scripted duration track, whose
+    values need not fit the lattice's field."""
 
-    def __init__(self, data, tokens, durations):
+    def __init__(self, data, durations):
         super().__init__(data)
-        self._tokens, self._durations = tokens, durations
+        self._durations = durations
 
     d_max = property(lambda self: 3)
-
-    def greedy_tokens(self):
-        return np.array(self._tokens, dtype=np.int64)
 
     def greedy_durations(self):
         return np.array(self._durations, dtype=np.int64)
 
 
-@pytest.mark.parametrize(
-    "tokens, durations, field",
-    [
-        ([2**32, 0, 1, 0], [1, 1, 1, 1], "greedy_token"),
-        ([-1, 0, 1, 0], [1, 1, 1, 1], "greedy_token"),
-        ([1, 0, 1, 0], [1, 70000, 1, 1], "greedy_duration"),
-        ([1, 0, 1, 0], [1, -1, 1, 1], "greedy_duration"),
-    ],
-)
-def test_snapshot_refuses_greedy_values_its_fields_cannot_hold(tokens, durations, field):
+@pytest.mark.parametrize("durations", [[1, 70000, 1, 1], [1, -1, 1, 1]])
+def test_snapshot_refuses_greedy_values_its_fields_cannot_hold(durations):
     data = tiny_data()
-    oracle = GreedyScriptOracle(data, tokens, durations)
-    with pytest.raises(ValidationError, match=field):
+    oracle = GreedyScriptOracle(data, durations)
+    with pytest.raises(ValidationError, match="greedy_duration"):
         snapshot(oracle, data.keyword)
 
 
 def test_snapshot_records_the_oracle_greedy_tracks(tmp_path):
     data = tiny_data()
-    oracle = GreedyScriptOracle(data, [2**32 - 1, 0, 7, 0], [3, 0, 2, 1])
+    oracle = GreedyScriptOracle(data, [3, 0, 2, 1])
     replay = load_lattice(save_lattice(snapshot(oracle, data.keyword), tmp_path / "x.kwl"))
-    assert replay.greedy_tokens().tolist() == [2**32 - 1, 0, 7, 0]
     assert replay.greedy_durations().tolist() == [3, 0, 2, 1]
 
 
@@ -444,7 +448,7 @@ def _greedy_duration(value):
     def edit(kwl, sidecar):
         save_lattice(tiny_data(d_max=2), kwl)
         T, U = 4, 2
-        durations = HEADER.size + 4 * (T * U + T * (U + 1)) + 4 * T  # after the greedy tokens
+        durations = HEADER.size + 4 * (T * U + T * (U + 1))
         _patch(durations, struct.pack("<H", value))(kwl, sidecar)
 
     return edit
@@ -461,7 +465,7 @@ READER_ERRORS = {
     "version": (
         _patch(4, struct.pack("<H", 9)),
         UnsupportedVersionError,
-        "{kwl}: version 9 unsupported (reader speaks 1)",
+        "{kwl}: version 9 unsupported (reader speaks 2)",
     ),
     "no-frames": (
         _patch(6, struct.pack("<I", 0)),

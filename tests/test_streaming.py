@@ -31,7 +31,7 @@ from kws.decoder import _peak_picks, detect_events, peak_events
 from kws.runner import random_proper_lattice
 from kws.lattice import FileLatticeOracle
 
-from test_decoder import delta_columns
+from test_decoder import delta_columns, grid_oracle
 from test_synthetic_oracle import columns
 
 
@@ -73,6 +73,32 @@ def test_push_after_finish_rejected():
     decoder.finish()
     with pytest.raises(ProtocolError):
         decoder.push(oracle.num_frames + 1)
+
+
+def test_refused_frame_finishes_the_decoder():
+    """A frame that the 'error' zero-duration policy or the oracle refuses
+    ends the decode: every later push raises ProtocolError, as after
+    finish(), and no later frame is processed as if the policy were 'clamp'
+    or the refused frame had been decoded."""
+    oracle = grid_oracle(
+        np.full((6, 1), 0.6), np.full((6, 2), 0.5), d_max=2, durations=[1, 1, 1, 0, 1, 1]
+    )
+    config = DecodeConfig(mode="tdt", d_max=2, zero_duration_policy="error")
+    decoder = StreamingDecoder(oracle, oracle.keyword, config)
+    for t in (1, 2, 3):
+        decoder.push(t)
+    with pytest.raises(ValidationError, match="duration 0 at frame 4"):
+        decoder.push(4)
+    for t in (5, 6):
+        with pytest.raises(ProtocolError, match="already finished"):
+            decoder.push(t)
+
+    decoder = StreamingDecoder(oracle, KeywordSpec("other", (7,)), DecodeConfig(mode="rnnt"))
+    with pytest.raises(SidecarError):
+        decoder.push(1)
+    for t in (1, 2):
+        with pytest.raises(ProtocolError, match="already finished"):
+            decoder.push(t)
 
 
 @pytest.mark.parametrize("mode,d_max", [("rnnt", 0), ("tdt", 3)])

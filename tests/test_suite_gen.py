@@ -128,16 +128,17 @@ def as_schema_1(text: str) -> str:
 # Digests of whole gen trees, recorded with the per-draw generator, the
 # per-frame greedy walk and @1 manifests; batching must not move a byte, and
 # the manifest may change only in its layout. The @3 manifests' own digests,
-# in the one-record-per-line layout, are recorded too.
+# in the one-record-per-line layout, are recorded too. The trees hold KWL1
+# version 2 lattices.
 GOLDEN_TREES = [
-    (SPEC, "85b673d9961f057c8387104773ca4f58a322054be35c5e0cc8e9a4721c0bf1cb"),
+    (SPEC, "5b0079a85dc905086f0480763b36d1d22bb127e8e019ee3c99ce7b5bcdd2bcf5"),
     (
         SuiteGenSpec(
             keywords=("a", "b", "c"), n_pos=2, n_neg=2, frames_min=50, frames_max=90,
             duration_min=1, duration_max=7, epsilons=(0.2,), d_max=5,
             duration_concentration=0.1, seed=4,
         ),
-        "ba048f774d2c697001ad855d5f17385981ac0c3f2cf975a1678c3fa229de40e8",
+        "a3e774e117fdbc4add31fe8e14c0502bb62273064e2f6973b4ac8b8f1759bcbc",
     ),
 ]
 

@@ -220,27 +220,13 @@ def test_duration_queries_need_duration_track():
     oracle = make_oracle(d_max=0)
     with pytest.raises(ModeError):
         oracle.duration_log_probs(1)
-    for track in (oracle.greedy_tokens, oracle.greedy_durations):
-        with pytest.raises(ModeError):
-            track()
-
-
-def test_greedy_tokens_replay_planted_sequence():
-    oracle = make_oracle(epsilon=0.0, d_max=4)
-    tokens = oracle.greedy_tokens()
-    frames = (np.flatnonzero(tokens != BLANK_ID) + 1).tolist()
-    assert frames == [2, 4, 6]
-    emitted = tokens[tokens != BLANK_ID].tolist()
-    assert emitted == [3, 7, 2]
-    # At epsilon 0 each emitted token is certain given the tokens before it.
-    for n, t in enumerate(frames):
-        assert oracle.token_log_prob_rows(t, [emitted[:n]])[0, emitted[n]] == 0.0
+    with pytest.raises(ModeError):
+        oracle.greedy_durations()
 
 
 def test_greedy_tracks_match_explicit_argmax():
     oracle = make_oracle(epsilon=0.35, d_max=4, concentration=0.8)
     tokens, durations = _greedy_walk(oracle)
-    assert oracle.greedy_tokens().tolist() == tokens
     assert oracle.greedy_durations().tolist() == durations
     assert tokens == [0, 3, 0, 7, 0, 2, 0, 0, 0, 0]
     assert durations == [1, 2, 2, 1, 1, 3, 3, 3, 1, 1]
@@ -811,10 +797,9 @@ def _greedy_walk(oracle):
 @settings(max_examples=300, deadline=None)
 @given(planted_cases(), st.integers(0, 5), st.sampled_from([1.0, 0.7, 0.2, 0.1]))
 def test_greedy_tracks_equal_the_argmax_walk(case, d_max, gamma):
-    """The closed-form token and duration tracks and the tracks a snapshot
-    stores equal an argmax walk of the token and duration distributions,
-    one step per frame, with gaps, 1-frame segments and d_max 0-5 (0: no
-    track at all)."""
+    """The closed-form duration track and the track a snapshot stores equal
+    an argmax walk of the token and duration distributions, one step per
+    frame, with gaps, 1-frame segments and d_max 0-5 (0: no track at all)."""
     cfg, keywords, _ = case
     cfg = SyntheticJoinerConfig(
         vocab_size=cfg.vocab_size,
@@ -826,21 +811,15 @@ def test_greedy_tracks_equal_the_argmax_walk(case, d_max, gamma):
     )
     oracle = SyntheticOracle(cfg)
     if d_max == 0:
-        for track in (oracle.greedy_tokens, oracle.greedy_durations):
-            with pytest.raises(ModeError):
-                track()
-        assert snapshot(oracle, keywords[0]).greedy_tokens is None
+        with pytest.raises(ModeError):
+            oracle.greedy_durations()
+        assert snapshot(oracle, keywords[0]).greedy_durations is None
         return
-    want_tokens, want_durations = _greedy_walk(oracle)
+    _, want_durations = _greedy_walk(oracle)
     data = snapshot(oracle, keywords[0])
-    for tokens, durations in (
-        (oracle.greedy_tokens(), oracle.greedy_durations()),
-        (data.greedy_tokens, data.greedy_durations),
-    ):
-        assert tokens.tolist() == want_tokens
+    for durations in (oracle.greedy_durations(), data.greedy_durations):
         assert durations.tolist() == want_durations
-    assert oracle.greedy_tokens().dtype == oracle.greedy_durations().dtype == np.int64
-    assert data.greedy_tokens.dtype == np.dtype("<u4")
+    assert oracle.greedy_durations().dtype == np.int64
     assert data.greedy_durations.dtype == np.dtype("<u2")
 
 
@@ -885,7 +864,7 @@ _GAPPED = (
 def test_adjacent_gaps_answer_as_one_gap(case, d_max, rnd):
     """Leading, inner and trailing gaps cut into adjacent token-0 segments
     answer every query bit for bit as the same alignment with its adjacent
-    gaps merged: the keyword block, both greedy tracks and the group token
+    gaps merged: the keyword block, the duration track and the group token
     and duration rows."""
     cfg, keywords, frames = case
     merged = SyntheticJoinerConfig(
@@ -909,7 +888,7 @@ def test_adjacent_gaps_answer_as_one_gap(case, d_max, rnd):
         histories = [[1] * n for n in lengths.tolist()]
         got.append(type(oracle).token_log_prob_group([oracle])(utts, every, lengths, histories))
         if d_max:
-            got += [oracle.greedy_tokens(), oracle.greedy_durations()]
+            got.append(oracle.greedy_durations())
             got.append(type(oracle).duration_log_prob_group([oracle])(utts, every, histories))
         answers.append(got)
     for got, want in zip(*answers):
